@@ -293,24 +293,30 @@ func BenchmarkVectorizedModelScan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			vop, ok := scan.AsVectorOperator()
+			srcs, ok := scan.SplitMorsels(1)
 			if !ok {
 				b.Fatal("model scan did not vectorize")
 			}
+			vop := srcs[0]
 			if err := vop.Open(); err != nil {
 				b.Fatal(err)
 			}
 			yhatCol := len(vop.Columns()) - 1
 			for {
-				batch, err := vop.NextBatch()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if batch == nil {
+				if _, more := vop.NextMorsel(); !more {
 					break
 				}
-				for _, y := range batch.Cols[yhatCol].F[:batch.NumRows()] {
-					sink += y
+				for {
+					batch, err := vop.NextBatch()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if batch == nil {
+						break
+					}
+					for _, y := range batch.Cols[yhatCol].F[:batch.NumRows()] {
+						sink += y
+					}
 				}
 			}
 			vop.Close()

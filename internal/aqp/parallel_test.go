@@ -78,11 +78,17 @@ func TestParallelModelScanAggregates(t *testing.T) {
 	}
 }
 
-// TestPointLookupStaysSerial pins that a point-pushdown scan (one group)
-// does not spin up a worker pool.
+// TestPointLookupStaysSerial pins that a query pushed down to one group does
+// not get a worker pool: a full point query bypasses the pipeline, and a
+// one-group scan is built as one pipeline whatever the budget, so it runs
+// inline.
 func TestPointLookupStaysSerial(t *testing.T) {
 	_, plan := drainParallel(t, "APPROX SELECT intensity FROM measurements WHERE source = 7 AND nu = 0.15", 4)
 	if s := exec.PlanString(plan.Op); strings.Contains(s, "Gather") {
-		t.Fatalf("point query built a worker pool:\n%s", s)
+		t.Fatalf("point query built a pipeline:\n%s", s)
+	}
+	_, plan = drainParallel(t, "APPROX SELECT nu, intensity FROM measurements WHERE source = 7", 4)
+	if s := exec.PlanString(plan.Op); !strings.Contains(s, "Gather workers=1") || !strings.Contains(s, "point pushdown") {
+		t.Fatalf("one-group scan is not a one-worker plan:\n%s", s)
 	}
 }

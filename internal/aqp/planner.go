@@ -31,10 +31,10 @@ type Options struct {
 	// ExecMode selects batch (vectorized) or row execution for the plan; the
 	// zero value lowers to the batch pipeline whenever possible.
 	ExecMode exec.Mode
-	// Parallelism bounds the morsel-driven worker pool when lowering the
-	// plan (0 = GOMAXPROCS, 1 = serial). Grouped model scans split across
-	// workers by parameter-table ranges; point lookups and ungrouped
-	// models stay serial.
+	// Parallelism is the worker budget of the lowered plan (0 = GOMAXPROCS,
+	// 1 = one worker). Grouped model scans split across workers by
+	// parameter-table ranges; one-group scans and ungrouped models are a
+	// single morsel and run in the caller.
 	Parallelism int
 	// StaleInflate widens WITH ERROR bounds of a model that is stale but
 	// still trusted (the table grew since the fit, within the policy's

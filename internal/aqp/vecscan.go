@@ -3,39 +3,78 @@ package aqp
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"datalaws/internal/exec"
 	"datalaws/internal/expr"
 	"datalaws/internal/modelstore"
 )
 
-// AsVectorOperator implements exec.Vectorizable: the plan lowering swaps the
-// row-at-a-time ModelScan for a batch implementation that evaluates the
-// captured model's formula over whole input-grid slices in one compiled
-// kernel pass — the paper's zero-IO scan at vectorized speed.
-func (s *ModelScan) AsVectorOperator() (exec.VectorOperator, bool) {
-	v, err := newVecModelScan(s)
-	if err != nil {
-		return nil, false
+// SplitMorsels implements exec.MorselSplitter: the plan lowering swaps the
+// row-at-a-time ModelScan for batch scans that evaluate the captured model's
+// formula over whole input-grid slices in one compiled kernel pass — the
+// paper's zero-IO scan at vectorized speed. The scans claim contiguous
+// ranges of the parameter table (group keys) from a shared cursor.
+// Statistical-law extraction is independent per group, so workers regenerate
+// disjoint grid slices with no coordination beyond the claim; morsel indexes
+// follow group order, which lets the exec gather reproduce the row scan's
+// order exactly. There is never more than one scan per group, so a scan
+// restricted to a single group (the planner's point pushdown) or an
+// ungrouped model is one scan with one morsel. It reports false when the
+// model's formula has no vector kernel.
+func (s *ModelScan) SplitMorsels(workers int) ([]exec.MorselSource, bool) {
+	workers = max(1, min(workers, len(s.orderKeys())))
+	shared := &modelMorsels{scan: s, workers: workers}
+	out := make([]exec.MorselSource, workers)
+	for i := range out {
+		v, err := newVecModelScan(shared, i == 0)
+		if err != nil {
+			return nil, false
+		}
+		out[i] = v
 	}
-	return v, true
+	return out, true
 }
 
-// vecModelScan regenerates tuples from a captured model in columnar batches.
-// It enumerates the same (group, input-combination) odometer as ModelScan,
-// but fills input and parameter vectors for up to BatchSize legal rows and
-// evaluates the model once per batch through an expr.VecKernel, so batches
-// freely span group boundaries (fitted parameters ride along as per-row
+// modelMorsels is the morsel set the workers of a model scan share: the
+// group-key order, the per-morsel range size, and the claim cursor.
+// Ranges are sized for a few morsels per worker so dynamic claiming
+// rebalances groups whose grids reject different legal fractions.
+type modelMorsels struct {
+	scan    *ModelScan
+	workers int
+
+	keys   []int64
+	chunk  int
+	total  int64
+	cursor atomic.Int64
+}
+
+// capture runs when worker 0 opens, before any sibling claims.
+func (m *modelMorsels) capture() {
+	m.keys = m.scan.orderKeys()
+	m.chunk = max(1, (len(m.keys)+m.workers*4-1)/(m.workers*4))
+	m.total = int64((len(m.keys) + m.chunk - 1) / m.chunk)
+	m.cursor.Store(0)
+	m.scan.rowsOut = 0
+}
+
+// vecModelScan regenerates tuples from a captured model in columnar batches,
+// one scan per worker. It enumerates the same (group, input-combination)
+// odometer as ModelScan over each claimed group range, but fills input and
+// parameter vectors for up to BatchSize legal rows and evaluates the model
+// once per batch through an expr.VecKernel, so batches freely span group
+// boundaries within a morsel (fitted parameters ride along as per-row
 // vectors). All mutable state — kernels, buffers, cursor, interrupt counter
-// — is private to the scan, so several vecModelScans over one ModelScan can
-// run in parallel (the morsel split hands each worker its own, restricted
-// to claimed group ranges via setKeys).
+// — is private to the scan, so siblings run in parallel.
 type vecModelScan struct {
-	s    *ModelScan
-	kern expr.VecKernel
+	s      *ModelScan
+	shared *modelMorsels
+	lead   bool // worker 0: its Open captures the shared set
+	kern   expr.VecKernel
 	exec.Interruptible
 
-	keys     []int64 // group keys this scan enumerates
+	keys     []int64 // claimed group-key range
 	groupIdx int
 	comboIdx []int
 	done     bool
@@ -53,7 +92,8 @@ type vecModelScan struct {
 	batch    exec.Batch
 }
 
-func newVecModelScan(s *ModelScan) (*vecModelScan, error) {
+func newVecModelScan(shared *modelMorsels, lead bool) (*vecModelScan, error) {
+	s := shared.scan
 	model := s.Model.Model
 	np, ni := len(model.Params), len(model.Inputs)
 	index := make(map[string]int, np+ni)
@@ -67,7 +107,7 @@ func newVecModelScan(s *ModelScan) (*vecModelScan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("aqp: vectorizing model %s: %w", s.Model.Spec.Name, err)
 	}
-	return &vecModelScan{s: s, kern: kern}, nil
+	return &vecModelScan{s: s, shared: shared, lead: lead, kern: kern}, nil
 }
 
 // Columns implements exec.VectorOperator.
@@ -77,20 +117,12 @@ func (v *vecModelScan) Columns() []string { return v.s.Columns() }
 // state, so parallel siblings never share a counter.
 func (v *vecModelScan) SetContext(ctx context.Context) { v.Interruptible.SetContext(ctx) }
 
-// Open implements exec.VectorOperator.
+// Open implements exec.VectorOperator: it allocates the scan's private
+// buffers; NextMorsel positions the group cursor.
 func (v *vecModelScan) Open() error {
-	if err := v.openBufs(); err != nil {
-		return err
+	if v.lead {
+		v.shared.capture()
 	}
-	v.s.rowsOut = 0
-	v.setKeys(v.s.orderKeys())
-	return nil
-}
-
-// openBufs allocates the scan's private buffers without positioning the
-// group cursor; the morsel split opens buffers once and repositions via
-// setKeys per claimed morsel.
-func (v *vecModelScan) openBufs() error {
 	s := v.s
 	if s.Level == 0 {
 		s.Level = 0.95
@@ -122,10 +154,26 @@ func (v *vecModelScan) openBufs() error {
 	}
 	v.inputs = make([]float64, ni)
 	v.grad = make([]float64, np)
+	v.setKeys(nil)
 	v.rowsOut = 0
 	v.ResetInterrupt()
 	return nil
 }
+
+// NextMorsel implements exec.MorselSource, claiming the next group range.
+func (v *vecModelScan) NextMorsel() (int64, bool) {
+	m := v.shared
+	idx := m.cursor.Add(1) - 1
+	if idx >= m.total {
+		return 0, false
+	}
+	lo := int(idx) * m.chunk
+	v.setKeys(m.keys[lo:min(lo+m.chunk, len(m.keys))])
+	return idx, true
+}
+
+// NumMorsels implements exec.MorselSource.
+func (v *vecModelScan) NumMorsels() int64 { return v.shared.total }
 
 // setKeys points the scan at a group-key range and rewinds the odometer.
 func (v *vecModelScan) setKeys(keys []int64) {
@@ -233,8 +281,8 @@ func (v *vecModelScan) NextBatch() (*exec.Batch, error) {
 }
 
 // Close implements exec.VectorOperator. Emitted-row counts flow back to the
-// wrapped scan here; parallel siblings are closed sequentially by their
-// gather, so the addition never races.
+// wrapped scan here; siblings are closed sequentially once the pool has
+// stopped, so the addition never races.
 func (v *vecModelScan) Close() error {
 	v.s.rowsOut += v.rowsOut
 	v.rowsOut = 0

@@ -125,8 +125,8 @@ func (st *aggState) addFloat(kind AggKind, f float64) {
 // recombination step of parallel aggregation. COUNT/SUM/AVG merge
 // additively, MIN/MAX by comparison, and VAR/STDDEV through the two-sample
 // Welford combination. Merging reassociates floating-point addition, so
-// SUM/AVG/VAR/STDDEV results can differ from serial execution in the last
-// few ulps.
+// SUM/AVG/VAR/STDDEV results can differ between pool sizes in the last few
+// ulps.
 func (st *aggState) merge(o *aggState, kind AggKind) error {
 	switch kind {
 	case AggCount:

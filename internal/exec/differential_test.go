@@ -121,6 +121,11 @@ var differentialQueries = []string{
 	// ORDER BY, aliases, LIMIT.
 	"SELECT id, x AS ex FROM t ORDER BY ex DESC LIMIT 3",
 	"SELECT id FROM t ORDER BY y, id LIMIT 5",
+	// On the many-chunk fixtures zone maps prune every sealed chunk here and
+	// leave exactly one morsel, the hot tail: the pool collapses to the
+	// inline claim loop whatever the worker budget.
+	"SELECT id, x FROM t WHERE id >= 3990",
+	"SELECT count(*), sum(x), min(label) FROM t WHERE id >= 3990",
 	// Join: the join itself stays row-mode, scans underneath vectorize.
 	"SELECT t.id, g.name FROM t JOIN g ON t.grp = g.grp ORDER BY t.id",
 	"SELECT g.name, count(*) FROM t JOIN g ON t.grp = g.grp GROUP BY g.name ORDER BY g.name",
@@ -132,7 +137,7 @@ func buildMode(t *testing.T, cat *table.Catalog, q string, mode Mode) (Operator,
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	return BuildSelectOverMode(cat, st.(*sql.SelectStmt), nil, mode)
+	return BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, Options{Mode: mode, Parallelism: 1})
 }
 
 // sameValue compares kind and content exactly (String() folds -0/0 and NaN
@@ -266,7 +271,7 @@ func TestAmbiguousColumnErrorsAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := BuildSelectOverMode(cat, st.(*sql.SelectStmt), nil, ModeRow)
+	op, err := BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, Options{Mode: ModeRow})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,9 +74,6 @@ func writePlan(sb *strings.Builder, op Operator, depth int) {
 func writeVecPlan(sb *strings.Builder, op VectorOperator, depth int) {
 	indent := strings.Repeat("  ", depth)
 	switch o := op.(type) {
-	case *VecTableScan:
-		fmt.Fprintf(sb, "%sVecTableScan %s (%d rows)%s\n", indent, o.Table.Name, o.Table.NumRows(),
-			chunkExplain(o.Table, o.Where, o.aliasName()))
 	case *VecValuesScan:
 		fmt.Fprintf(sb, "%sVecValuesScan (%d rows)\n", indent, len(o.Rows))
 	case *VecFilter:
@@ -84,13 +81,6 @@ func writeVecPlan(sb *strings.Builder, op VectorOperator, depth int) {
 		writeVecPlan(sb, o.Child, depth+1)
 	case *VecProject:
 		fmt.Fprintf(sb, "%sVecProject %s\n", indent, strings.Join(o.Names, ", "))
-		writeVecPlan(sb, o.Child, depth+1)
-	case *VecHashAggregate:
-		var parts []string
-		for _, g := range o.GroupExprs {
-			parts = append(parts, g.String())
-		}
-		fmt.Fprintf(sb, "%sVecHashAggregate group=[%s] aggs=%d\n", indent, strings.Join(parts, ", "), len(o.Aggs))
 		writeVecPlan(sb, o.Child, depth+1)
 	case *VecConcat:
 		fmt.Fprintf(sb, "%sVecConcat (%d children)\n", indent, len(o.Children))
@@ -100,17 +90,16 @@ func writeVecPlan(sb *strings.Builder, op VectorOperator, depth int) {
 	case *VecGather:
 		fmt.Fprintf(sb, "%sGather workers=%d (morsel-driven, in order)\n", indent, o.Workers())
 		writeVecPlan(sb, o.pipes[0].pipe, depth+1)
-	case *VecParallelHashAggregate:
+	case *VecHashAggregate:
 		var parts []string
 		for _, g := range o.GroupExprs {
 			parts = append(parts, g.String())
 		}
-		fmt.Fprintf(sb, "%sParallelHashAggregate group=[%s] aggs=%d workers=%d (partial+merge)\n",
+		fmt.Fprintf(sb, "%sVecHashAggregate group=[%s] aggs=%d workers=%d (partial+merge)\n",
 			indent, strings.Join(parts, ", "), len(o.Aggs), o.Workers())
 		writeVecPlan(sb, o.pipes[0].pipe, depth+1)
-	case *vecMorselScan:
-		fmt.Fprintf(sb, "%sVecMorselScan %s (%d rows)%s\n", indent, o.shared.tbl.Name, o.shared.tbl.NumRows(),
-			chunkExplain(o.shared.tbl, o.shared.where, o.shared.alias))
+	case *oneMorsel:
+		writeVecPlan(sb, o.VectorOperator, depth)
 	case *batchAdapter:
 		fmt.Fprintf(sb, "%sRowSource\n", indent)
 		writePlan(sb, o.Op, depth+1)

@@ -111,24 +111,20 @@ func bindVecCtx(op VectorOperator, ctx context.Context) {
 		bindVecCtx(o.Child, ctx)
 	case *VecProject:
 		bindVecCtx(o.Child, ctx)
-	case *VecHashAggregate:
-		bindVecCtx(o.Child, ctx)
 	case *VecConcat:
 		for _, c := range o.Children {
 			bindVecCtx(c, ctx)
 		}
-	case *vecPartitionScan:
-		for _, c := range o.Children {
-			bindVecCtx(c, ctx)
-		}
+	case *oneMorsel:
+		bindVecCtx(o.VectorOperator, ctx)
 	case *VecGather:
-		// The gather watches the context while waiting on workers; each
-		// worker pipeline's leaf checks it independently, so a canceled
-		// statement stops both the pool and the consumer.
+		// The gather watches the context in its claim loop and while
+		// waiting on workers; each pipeline's leaf checks it independently,
+		// so a canceled statement stops both the pool and the consumer.
 		for i := range o.pipes {
 			bindVecCtx(o.pipes[i].pipe, ctx)
 		}
-	case *VecParallelHashAggregate:
+	case *VecHashAggregate:
 		for i := range o.pipes {
 			bindVecCtx(o.pipes[i].pipe, ctx)
 		}

@@ -39,7 +39,7 @@ func TestBindContextCancelsScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, err := BuildSelectOverMode(cat, st.(*sql.SelectStmt), nil, mode)
+		op, err := BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, Options{Mode: mode, Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,11 @@
 // Package exec implements the volcano-style execution engine: table scans,
 // filters, projections, hash aggregation, hash joins, sorting and limits,
 // plus the planner that lowers a parsed SELECT onto those operators —
-// vectorized into columnar batches where possible, and, with a parallelism
-// budget (Options), onto morsel-driven multicore pipelines (see
-// parallel.go). The model-based "zero-IO" scan of the paper plugs into the
-// same Operator interface (see internal/aqp), so approximate and exact
-// plans compose with the same machinery.
+// vectorized where possible into morsel-driven pipelines of columnar
+// batches that run with a worker budget (Options; see parallel.go). The
+// model-based "zero-IO" scan of the paper plugs into the same Operator
+// interface (see internal/aqp), so approximate and exact plans compose with
+// the same machinery.
 package exec
 
 import (

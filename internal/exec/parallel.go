@@ -1,50 +1,59 @@
-// Morsel-driven parallel execution.
+// Morsel-driven execution: the one vectorized pipeline.
 //
-// A parallelizable pipeline — a table or model scan, optionally under
-// filters and projections — is split into morsels claimed from a shared
-// atomic cursor, the scheduling unit of [Leis et al., SIGMOD 2014]. For
-// table scans a morsel is exactly one storage chunk (the sealed chunk row
-// budget matches the old fixed morsel size), so "claim a morsel" and
-// "decode a chunk" coincide and zone-map-pruned chunks never enter the
-// morsel space at all. Every worker owns a private copy of the whole pipeline
-// (its own compiled kernels, batch buffers and interrupt state) over a
-// shared immutable snapshot of the input, so no synchronization happens on
-// the data path; workers coordinate only when claiming the next morsel.
+// Every vectorized plan runs the same way, with a worker count. A pipeline —
+// a source, optionally under filters and projections — reads its input as
+// morsels claimed from a shared atomic cursor, the scheduling unit of
+// [Leis et al., SIGMOD 2014]. For table scans a morsel is exactly one
+// storage chunk, so "claim a morsel" and "decode a chunk" coincide and
+// zone-map-pruned chunks never enter the morsel space at all; a partitioned
+// table's surviving partitions form one dense morsel space in range order.
+// Sources that cannot split (VALUES, a concat, a row source behind the
+// row→batch shim, an aggregate's output) are one morsel. Every worker owns a
+// private copy of the whole pipeline (its own compiled kernels, batch
+// buffers and interrupt state) over a shared immutable snapshot of the
+// input, so no synchronization happens on the data path; workers coordinate
+// only when claiming the next morsel.
+//
+// The plan is built with one pipeline per budgeted worker (Options). The
+// pool is sized when the plan opens: min(budget, surviving morsels). With
+// one pipeline in the pool — a budget of 1, a one-morsel source, or pruning
+// that left at most one morsel — the caller runs the claim loop itself: no
+// goroutine, no channel, and scan batches pass through as zero-copy windows
+// of the snapshot. "Serial" execution is that case, not a second
+// implementation.
 //
 // Two operators recombine worker output:
 //
-//   - VecGather re-emits produced batches in morsel order, so a parallel
-//     scan streams rows in exactly the serial scan's order (ORDER BY ...
-//     LIMIT stays deterministic even with ties in the sort key).
-//   - VecParallelHashAggregate runs a partial-aggregate phase per worker
-//     and merges the partial states once at the end (COUNT/SUM/AVG
-//     additively, MIN/MAX by comparison, VAR/STDDEV through the Welford
-//     combination), emitting groups in serial first-seen order.
+//   - VecGather re-emits produced batches in morsel order — the scan's own
+//     order — whatever the pool size (ORDER BY ... LIMIT stays deterministic
+//     even with ties in the sort key).
+//   - VecHashAggregate folds a partial aggregate per worker and merges the
+//     partial states once at the end (COUNT/SUM/AVG additively, MIN/MAX by
+//     comparison, VAR/STDDEV through the Welford combination), emitting
+//     groups in first-seen order.
 //
 // Because the merge reassociates floating-point addition, SUM/AVG/VAR
-// results can differ from serial execution in the last few ulps; everything
+// results can differ between pool sizes in the last few ulps; everything
 // else — row sets, row order, NULL (3VL) semantics, error messages — is
-// identical. Plans with no parallelizable source (joins, sorts as sources,
-// VALUES, row-only operators) keep the serial batch pipeline.
+// identical, and is checked against the independent row operators (ModeRow).
+// Subtrees with an expression that has no batch kernel, joins and sorts keep
+// their row operators and pull from vectorized inputs through the adapters.
 package exec
 
 import (
-	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"datalaws/internal/expr"
-	"datalaws/internal/table"
 )
 
 // Options configures how BuildSelectOpts lowers a plan.
 type Options struct {
 	// Mode selects batch versus row execution (see Mode).
 	Mode Mode
-	// Parallelism bounds the morsel-driven worker pool: 0 selects
-	// GOMAXPROCS, 1 keeps the serial batch pipeline, and plans with no
-	// parallelizable source fall back to serial regardless.
+	// Parallelism is the worker budget of the vectorized pipeline: 0
+	// selects GOMAXPROCS, 1 one worker. The pool a plan actually runs is
+	// the smaller of the budget and its surviving morsel count.
 	Parallelism int
 }
 
@@ -59,224 +68,66 @@ func (o Options) Workers() int {
 	return o.Parallelism
 }
 
-// MorselSource is a VectorOperator that cooperates with sibling sources on
-// a shared morsel queue. NextBatch returns nil at the end of the current
-// morsel; NextMorsel claims the next unprocessed one. Morsel indexes are
-// dense (0..NumMorsels-1) and ordered like the serial scan, which is what
-// lets VecGather reconstruct deterministic output order. Open on any
-// sibling opens the shared input exactly once.
+// MorselSource is one worker's view of a pipeline's input: a VectorOperator
+// that cooperates with sibling sources on a shared morsel queue. NextBatch
+// returns nil at the end of the current morsel (and again on every later
+// call until the next claim); NextMorsel claims the next unprocessed one.
+// Morsel indexes are dense (0..NumMorsels-1) and ordered like the input,
+// which is what lets VecGather reconstruct deterministic output order.
+//
+// Siblings are opened first to last and only as many as the pool needs:
+// opening the first captures the shared input for this execution, so every
+// worker reads one snapshot and a re-executed plan sees fresh data.
 type MorselSource interface {
 	VectorOperator
 	// NextMorsel claims the next morsel, reporting its dense index; ok is
 	// false when the input is exhausted.
 	NextMorsel() (idx int64, ok bool)
-	// NumMorsels reports the total morsel count (valid after Open).
+	// NumMorsels reports the total morsel count of the captured input
+	// (valid once the first sibling is open).
 	NumMorsels() int64
 }
 
-// MorselSplitter is implemented by sources defined outside this package
-// (e.g. the aqp model scan) that can split themselves into cooperating
-// morsel streams for parallel execution.
+// MorselSplitter is the one hook through which a row operator defined
+// outside this package (the aqp model scan) enters the vectorized pipeline:
+// it returns between one and workers cooperating sources over one shared
+// morsel set, ordered as MorselSource requires, or false when it has no
+// batch form and must stay a row operator.
 type MorselSplitter interface {
 	SplitMorsels(workers int) ([]MorselSource, bool)
 }
 
-// sharedTableMorsels is the worker-shared state of a parallel table scan:
-// one ChunkView capture (with zone-map pruning applied) plus the morsel
-// claim cursor over the surviving chunks. The capture is (re)taken when the
-// first sibling of an execution opens and torn down when the last closes,
-// so a re-executed plan sees fresh data.
-type sharedTableMorsels struct {
-	tbl   *table.Table
-	where expr.Expr
-	alias string
-	cols  []string
-
-	mu     sync.Mutex
-	opened int
-	cs     chunkSet
-	total  int64
-	cursor atomic.Int64
+// oneMorsel presents an operator that cannot split — VALUES, a concat, the
+// row→batch shim, an aggregate's output — as a source whose whole output is
+// morsel 0, so it runs under the same claim loop as a scan.
+type oneMorsel struct {
+	VectorOperator
+	claimed bool
 }
-
-func (s *sharedTableMorsels) open() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.opened == 0 {
-		cs, err := captureChunks(s.tbl, s.where, s.alias)
-		if err != nil {
-			return err
-		}
-		s.cs = cs
-		s.total = int64(cs.numChunks())
-		s.cursor.Store(0)
-	}
-	s.opened++
-	return nil
-}
-
-func (s *sharedTableMorsels) close() {
-	s.mu.Lock()
-	if s.opened > 0 {
-		s.opened--
-		if s.opened == 0 {
-			s.cs = chunkSet{}
-		}
-	}
-	s.mu.Unlock()
-}
-
-// vecMorselScan is one worker's view of a parallel table scan: it claims
-// chunk morsels from the shared cursor, decodes each through the shared
-// cache on first NextBatch (NextMorsel cannot report errors), and
-// materializes batch windows into private buffers, exactly like
-// VecTableScan does serially.
-type vecMorselScan struct {
-	shared *sharedTableMorsels
-	Interruptible
-
-	win    colWindow
-	cur    int // claimed position in the survivor list; -1 before any claim
-	src    []vecColSrc
-	n, pos int
-}
-
-// Columns implements VectorOperator.
-func (m *vecMorselScan) Columns() []string { return m.shared.cols }
 
 // Open implements VectorOperator.
-func (m *vecMorselScan) Open() error {
-	if err := m.shared.open(); err != nil {
-		return err
-	}
-	m.win.init(len(m.shared.cols))
-	m.cur, m.src, m.n, m.pos = -1, nil, 0, 0
-	m.ResetInterrupt()
-	return nil
+func (o *oneMorsel) Open() error {
+	o.claimed = false
+	return o.VectorOperator.Open()
 }
 
-// NextMorsel implements MorselSource: one morsel is one surviving chunk.
-func (m *vecMorselScan) NextMorsel() (int64, bool) {
-	idx := m.shared.cursor.Add(1) - 1
-	if idx >= m.shared.total {
+// NextMorsel implements MorselSource.
+func (o *oneMorsel) NextMorsel() (int64, bool) {
+	if o.claimed {
 		return 0, false
 	}
-	m.cur = int(idx)
-	m.src, m.n, m.pos = nil, 0, 0
-	return idx, true
+	o.claimed = true
+	return 0, true
 }
 
 // NumMorsels implements MorselSource.
-func (m *vecMorselScan) NumMorsels() int64 { return m.shared.total }
-
-// NextBatch implements VectorOperator, returning nil at the end of the
-// current morsel.
-func (m *vecMorselScan) NextBatch() (*Batch, error) {
-	if err := m.CheckInterruptNow(); err != nil {
-		return nil, err
-	}
-	if m.cur < 0 {
-		return nil, nil
-	}
-	if m.src == nil {
-		src, n, err := m.shared.cs.columns(m.cur)
-		if err != nil {
-			return nil, err
-		}
-		m.src, m.n, m.pos = src, n, 0
-	}
-	if m.pos >= m.n {
-		return nil, nil
-	}
-	lo := m.pos
-	hi := lo + BatchSize
-	if hi > m.n {
-		hi = m.n
-	}
-	m.pos = hi
-	return m.win.window(m.src, lo, hi), nil
-}
-
-// Close implements VectorOperator.
-func (m *vecMorselScan) Close() error { m.shared.close(); return nil }
-
-// splitTableScan builds the worker-shared morsel sources for a table scan.
-// Single-chunk tables stay serial — a pool cannot help, and per-query
-// goroutines are not free — and the pool never exceeds the plan-time chunk
-// count (workers beyond it would compile kernels and allocate buffers only
-// to claim nothing).
-func splitTableScan(t *table.Table, where expr.Expr, alias string, cols []string, workers int) ([]MorselSource, bool) {
-	if t == nil {
-		return nil, false
-	}
-	chunks := t.NumChunks()
-	if chunks <= 1 {
-		return nil, false
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-	shared := &sharedTableMorsels{tbl: t, where: where, alias: alias, cols: cols}
-	out := make([]MorselSource, workers)
-	for i := range out {
-		out[i] = &vecMorselScan{shared: shared}
-	}
-	return out, true
-}
+func (o *oneMorsel) NumMorsels() int64 { return 1 }
 
 // workerPipe is one worker's private pipeline: the full vectorized operator
 // stack plus the morsel-claiming source at its bottom.
 type workerPipe struct {
 	pipe VectorOperator
 	src  MorselSource
-}
-
-// parallelPipelines builds per-worker copies of a scan/filter/project
-// subtree over a shared morsel source, reporting false when the subtree has
-// an unsplittable source or an expression with no batch kernel.
-func parallelPipelines(op Operator, workers int) ([]workerPipe, bool) {
-	switch o := op.(type) {
-	case *TableScan:
-		srcs, ok := splitTableScan(o.Table, o.Where, o.alias, o.cols, workers)
-		if !ok {
-			return nil, false
-		}
-		return pipesFromSources(srcs), true
-	case *Filter:
-		pipes, ok := parallelPipelines(o.Child, workers)
-		if !ok {
-			return nil, false
-		}
-		if _, err := compileKernel(o.Pred, pipes[0].pipe.Columns()); err != nil {
-			return nil, false
-		}
-		for i := range pipes {
-			pipes[i].pipe = &VecFilter{Child: pipes[i].pipe, Pred: o.Pred}
-		}
-		return pipes, true
-	case *Project:
-		pipes, ok := parallelPipelines(o.Child, workers)
-		if !ok {
-			return nil, false
-		}
-		for _, e := range o.Exprs {
-			if _, err := compileKernel(e, pipes[0].pipe.Columns()); err != nil {
-				return nil, false
-			}
-		}
-		for i := range pipes {
-			pipes[i].pipe = &VecProject{Child: pipes[i].pipe, Exprs: o.Exprs, Names: o.Names}
-		}
-		return pipes, true
-	}
-	if ms, ok := op.(MorselSplitter); ok {
-		srcs, ok := ms.SplitMorsels(workers)
-		if !ok || len(srcs) == 0 {
-			return nil, false
-		}
-		return pipesFromSources(srcs), true
-	}
-	return nil, false
 }
 
 func pipesFromSources(srcs []MorselSource) []workerPipe {
@@ -287,62 +138,51 @@ func pipesFromSources(srcs []MorselSource) []workerPipe {
 	return pipes
 }
 
-// parallelize rewrites a row subtree into a morsel-driven parallel plan:
-// per-worker pipelines recombined by a gather (scans) or a partial-
-// aggregate merge (hash aggregation). It reports false when no source in
-// the subtree can split, leaving the serial lowering to take over.
-func parallelize(op Operator, workers int) (VectorOperator, bool) {
-	if workers <= 1 {
-		return nil, false
+// onePipe wraps an unsplittable operator as a single one-morsel pipeline.
+func onePipe(v VectorOperator) []workerPipe {
+	return pipesFromSources([]MorselSource{&oneMorsel{VectorOperator: v}})
+}
+
+// pipeSet is the state VecGather and VecHashAggregate share: the pipelines
+// built for the worker budget, how many of them this execution opened, and
+// the statement context the claim loops watch.
+type pipeSet struct {
+	pipes []workerPipe
+	n     int // pool size: pipelines opened by the current execution
+	Interruptible
+}
+
+// Workers reports the worker budget the plan was built for; used by EXPLAIN.
+func (p *pipeSet) Workers() int { return len(p.pipes) }
+
+// open opens the first pipeline, which captures the shared morsel set, and
+// then as many more as there are morsels for: a worker beyond the morsel
+// count would compile kernels and allocate buffers only to claim nothing.
+func (p *pipeSet) open() error {
+	p.n = 0
+	for i := range p.pipes {
+		if i > 0 && int64(i) >= p.pipes[0].src.NumMorsels() {
+			break
+		}
+		if err := p.pipes[i].pipe.Open(); err != nil {
+			p.close()
+			return err
+		}
+		p.n++
 	}
-	if pipes, ok := parallelPipelines(op, workers); ok {
-		return newVecGather(pipes), true
+	return nil
+}
+
+// close closes the pipelines open() opened; safe to repeat.
+func (p *pipeSet) close() error {
+	var err error
+	for i := 0; i < p.n; i++ {
+		if cerr := p.pipes[i].pipe.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
 	}
-	switch o := op.(type) {
-	case *HashAggregate:
-		pipes, ok := parallelPipelines(o.Child, workers)
-		if !ok {
-			return nil, false
-		}
-		cols := pipes[0].pipe.Columns()
-		for _, g := range o.GroupExprs {
-			if _, err := compileKernel(g, cols); err != nil {
-				return nil, false
-			}
-		}
-		for _, spec := range o.Aggs {
-			if spec.Arg == nil {
-				continue
-			}
-			if _, err := compileKernel(spec.Arg, cols); err != nil {
-				return nil, false
-			}
-		}
-		return &VecParallelHashAggregate{pipes: pipes, GroupExprs: o.GroupExprs, Aggs: o.Aggs}, true
-	case *Filter:
-		// Filter above an aggregate (HAVING): parallelize below, filter the
-		// merged groups serially — group counts are small.
-		child, ok := parallelize(o.Child, workers)
-		if !ok {
-			return nil, false
-		}
-		if _, err := compileKernel(o.Pred, child.Columns()); err != nil {
-			return nil, false
-		}
-		return &VecFilter{Child: child, Pred: o.Pred}, true
-	case *Project:
-		child, ok := parallelize(o.Child, workers)
-		if !ok {
-			return nil, false
-		}
-		for _, e := range o.Exprs {
-			if _, err := compileKernel(e, child.Columns()); err != nil {
-				return nil, false
-			}
-		}
-		return &VecProject{Child: child, Exprs: o.Exprs, Names: o.Names}, true
-	}
-	return nil, false
+	p.n = 0
+	return err
 }
 
 // morselItem is one morsel's worth of worker output: the compacted batches
@@ -353,27 +193,31 @@ type morselItem struct {
 	err     error
 }
 
-// VecGather is the parallel scan's exchange operator: it runs one goroutine
-// per worker pipeline, collects each morsel's output, and re-emits batches
-// in morsel order — the serial scan's order — buffering out-of-order
-// morsels until their turn. Errors surface at the position the serial plan
-// would have reported them. Closing the gather (early termination, LIMIT)
-// stops the pool without draining the input.
 // morselLead bounds how many claimed-but-unemitted morsels the pool may
 // hold per worker. Without it, one slow morsel would let the siblings race
 // through the whole input and buffer the entire compacted result in the
 // reorder map; with it, gather memory is O(morselLead × workers × morsel).
 const morselLead = 4
 
+// VecGather is the pipeline's exchange operator: it runs the worker
+// pipelines over the shared morsel set and emits their batches in morsel
+// order — the scan's own order — so the result does not depend on the pool
+// size. Errors surface at the position an in-order scan reports them.
+//
+// With a pool of one the caller runs the claim loop itself and batches pass
+// through uncopied. Otherwise one goroutine per pipeline collects each
+// morsel's output, and out-of-order morsels wait in a reorder buffer until
+// their turn; closing the gather (early termination, LIMIT) stops the pool
+// without draining the input.
 type VecGather struct {
-	pipes []workerPipe
+	pipeSet
 
-	ctx     context.Context
+	claimed bool // pool of one: a morsel is claimed and not yet drained
+
 	ch      chan morselItem
 	done    chan struct{}
 	credits chan struct{}
 	wg      sync.WaitGroup
-	closed  bool
 
 	buf     map[int64]morselItem
 	nextIdx int64
@@ -385,42 +229,35 @@ type VecGather struct {
 
 // newVecGather wraps per-worker pipelines in a gather.
 func newVecGather(pipes []workerPipe) *VecGather {
-	return &VecGather{pipes: pipes}
+	return &VecGather{pipeSet: pipeSet{pipes: pipes}}
 }
 
 // Columns implements VectorOperator.
 func (g *VecGather) Columns() []string { return g.pipes[0].pipe.Columns() }
 
-// SetContext implements ContextAware: the gather itself watches the context
-// while waiting on workers (each worker's scan checks it independently).
-func (g *VecGather) SetContext(ctx context.Context) { g.ctx = ctx }
-
-// Open implements VectorOperator: it opens every worker pipeline and starts
-// the pool.
+// Open implements VectorOperator: it opens the pool's pipelines and, when
+// there is more than one, starts a goroutine for each.
 func (g *VecGather) Open() error {
-	for i := range g.pipes {
-		if err := g.pipes[i].pipe.Open(); err != nil {
-			for j := 0; j < i; j++ {
-				g.pipes[j].pipe.Close()
-			}
-			return err
-		}
+	if err := g.pipeSet.open(); err != nil {
+		return err
+	}
+	g.claimed = false
+	if g.n == 1 {
+		return nil
 	}
 	g.total = g.pipes[0].src.NumMorsels()
 	g.nextIdx = 0
 	g.buf = make(map[int64]morselItem)
 	g.cur, g.curPos, g.curErr = nil, 0, nil
-	g.ch = make(chan morselItem, len(g.pipes))
+	g.ch = make(chan morselItem, g.n)
 	g.done = make(chan struct{})
-	g.credits = make(chan struct{}, morselLead*len(g.pipes))
+	g.credits = make(chan struct{}, morselLead*g.n)
 	for i := 0; i < cap(g.credits); i++ {
 		g.credits <- struct{}{}
 	}
-	g.closed = false
-	g.wg = sync.WaitGroup{}
-	for i := range g.pipes {
+	for _, p := range g.pipes[:g.n] {
 		g.wg.Add(1)
-		go g.worker(g.pipes[i])
+		go g.worker(p)
 	}
 	return nil
 }
@@ -442,7 +279,7 @@ func (g *VecGather) worker(p workerPipe) {
 		// A canceled statement stops the worker at its next claim, before
 		// it pays for another morsel's pipeline; the consumer watches the
 		// same context, so exiting without an item cannot strand it.
-		if g.ctx != nil && g.ctx.Err() != nil {
+		if g.CheckInterruptNow() != nil {
 			return
 		}
 		idx, ok := p.src.NextMorsel()
@@ -475,6 +312,9 @@ func (g *VecGather) worker(p workerPipe) {
 
 // NextBatch implements VectorOperator, emitting batches in morsel order.
 func (g *VecGather) NextBatch() (*Batch, error) {
+	if g.n == 1 {
+		return g.nextInline()
+	}
 	for {
 		if g.curPos < len(g.cur) {
 			b := g.cur[g.curPos]
@@ -486,6 +326,11 @@ func (g *VecGather) NextBatch() (*Batch, error) {
 		}
 		if g.nextIdx >= g.total {
 			return nil, nil
+		}
+		// A canceled statement stops at the next morsel boundary, like the
+		// inline loop, not after the reorder buffer has drained.
+		if err := g.CheckInterruptNow(); err != nil {
+			return nil, err
 		}
 		if item, ok := g.buf[g.nextIdx]; ok {
 			delete(g.buf, g.nextIdx)
@@ -500,38 +345,53 @@ func (g *VecGather) NextBatch() (*Batch, error) {
 			continue
 		}
 		var ctxDone <-chan struct{}
-		if g.ctx != nil {
-			ctxDone = g.ctx.Done()
+		if ctx := g.Context(); ctx != nil {
+			ctxDone = ctx.Done()
 		}
 		select {
 		case item := <-g.ch:
 			g.buf[item.idx] = item
 		case <-ctxDone:
-			return nil, g.ctx.Err()
+			return nil, g.Context().Err()
 		}
 	}
 }
 
-// Close implements VectorOperator: it stops the pool (workers between sends
-// exit at their next claim or send) and closes every pipeline.
+// nextInline is NextBatch for a pool of one: the caller claims morsels in
+// order and hands the pipeline's batches straight through, valid until the
+// next call like any operator's.
+func (g *VecGather) nextInline() (*Batch, error) {
+	p := g.pipes[0]
+	for {
+		if !g.claimed {
+			if err := g.CheckInterruptNow(); err != nil {
+				return nil, err
+			}
+			if _, ok := p.src.NextMorsel(); !ok {
+				return nil, nil
+			}
+			g.claimed = true
+		}
+		b, err := p.pipe.NextBatch()
+		if err != nil || b != nil {
+			return b, err
+		}
+		g.claimed = false
+	}
+}
+
+// Close implements VectorOperator: it stops the pool, if one is running
+// (workers between sends exit at their next claim or send), and closes the
+// pipelines. Safe to repeat and after a failed Open.
 func (g *VecGather) Close() error {
-	if g.done != nil && !g.closed {
-		g.closed = true
+	if g.done != nil {
 		close(g.done)
 		g.wg.Wait()
-	}
-	var err error
-	for i := range g.pipes {
-		if cerr := g.pipes[i].pipe.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
+		g.done = nil
 	}
 	g.buf, g.cur = nil, nil
-	return err
+	return g.pipeSet.close()
 }
-
-// Workers reports the pool size; used by EXPLAIN.
-func (g *VecGather) Workers() int { return len(g.pipes) }
 
 // cloneBatchCompact copies a batch's selected rows into a fresh dense batch
 // that does not alias the producing worker's reusable buffers, so the

@@ -9,18 +9,19 @@ import (
 	"datalaws/internal/sql"
 )
 
-// TestParallelPlansUseGather pins that the flagship shapes actually lower
-// onto the parallel operators instead of silently staying serial.
-func TestParallelPlansUseGather(t *testing.T) {
+// TestPlansShowWorkerBudget pins that the flagship shapes lower onto the one
+// vectorized pipeline and that EXPLAIN names the worker budget at the stage
+// that uses it.
+func TestPlansShowWorkerBudget(t *testing.T) {
 	withSmallMorsels(t, 256)
 	cat := largeDiffFixture(t, 3000)
 	for q, want := range map[string]string{
 		"SELECT * FROM t":                                              "Gather workers=4",
 		"SELECT id, x FROM t WHERE x > 0":                              "Gather workers=4",
-		"SELECT grp, sum(x) FROM t GROUP BY grp":                       "ParallelHashAggregate",
-		"SELECT count(*) FROM t":                                       "ParallelHashAggregate",
-		"SELECT grp, count(*) FROM t GROUP BY grp HAVING count(*) > 1": "ParallelHashAggregate",
-		"SELECT id FROM t ORDER BY x LIMIT 2":                          "Gather workers=4", // sort stays row, scan parallelizes
+		"SELECT grp, sum(x) FROM t GROUP BY grp":                       "VecHashAggregate group=[grp] aggs=1 workers=4",
+		"SELECT count(*) FROM t":                                       "VecHashAggregate group=[] aggs=1 workers=4",
+		"SELECT grp, count(*) FROM t GROUP BY grp HAVING count(*) > 1": "VecHashAggregate group=[grp] aggs=1 workers=4",
+		"SELECT id FROM t ORDER BY x LIMIT 2":                          "Gather workers=4", // sort stays row, scan vectorizes
 	} {
 		op, err := buildParallel(t, cat, q, 4)
 		if err != nil {
@@ -30,29 +31,97 @@ func TestParallelPlansUseGather(t *testing.T) {
 			t.Errorf("%q plan missing %q:\n%s", q, want, plan)
 		}
 	}
-	// The join stage itself stays row-mode (its big input may still gather
-	// underneath), and a table that fits in one morsel stays serial.
+	// The join stage itself stays row-mode (its inputs still vectorize
+	// underneath).
 	op0, err := buildParallel(t, cat, "SELECT t.id, g.name FROM t JOIN g ON t.grp = g.grp", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan := PlanString(op0); !strings.Contains(plan, "HashJoin") {
-		t.Errorf("join plan lost its row-mode join stage:\n%s", plan)
+	if plan := PlanString(op0); !strings.Contains(plan, "HashJoin") || !strings.Contains(plan, "VecMorselScan t") {
+		t.Errorf("join plan lost its row-mode join stage or its vectorized inputs:\n%s", plan)
 	}
-	opSmall, err := buildParallel(t, cat, "SELECT name FROM g", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan := PlanString(opSmall); strings.Contains(plan, "Gather") {
-		t.Errorf("single-morsel table unexpectedly parallelized:\n%s", plan)
-	}
-	// Parallelism 1 never builds a pool.
+	// Parallelism 1 is the same plan with a budget of one.
 	op, err := buildParallel(t, cat, "SELECT * FROM t", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan := PlanString(op); strings.Contains(plan, "Gather") {
-		t.Errorf("parallelism 1 built a gather:\n%s", plan)
+	if plan := PlanString(op); !strings.Contains(plan, "Gather workers=1") || !strings.Contains(plan, "VecMorselScan t") {
+		t.Errorf("parallelism 1 is not the one-worker morsel plan:\n%s", plan)
+	}
+}
+
+// walkVec visits a vectorized plan's operators top-down through the first
+// worker's pipeline.
+func walkVec(v VectorOperator, visit func(VectorOperator)) {
+	visit(v)
+	switch o := v.(type) {
+	case *VecFilter:
+		walkVec(o.Child, visit)
+	case *VecProject:
+		walkVec(o.Child, visit)
+	case *oneMorsel:
+		walkVec(o.VectorOperator, visit)
+	case *VecGather:
+		walkVec(o.pipes[0].pipe, visit)
+	case *VecHashAggregate:
+		walkVec(o.pipes[0].pipe, visit)
+	}
+}
+
+// TestPoolSizedAtOpen pins the pool rule: min(budget, surviving morsels),
+// decided when the plan opens. A plan whose input has at most one morsel —
+// a small table, or a many-chunk table whose predicate leaves one chunk —
+// runs inline in the caller: no goroutine, no channel.
+func TestPoolSizedAtOpen(t *testing.T) {
+	withSmallMorsels(t, 256)
+	// 11 sealed chunks of ascending ids plus a hot tail (ids 2817..3000),
+	// which has no zone map and so always survives pruning.
+	cat := largeDiffFixture(t, 3000)
+	for _, c := range []struct {
+		q       string
+		workers int
+		scan    int // pool of the stage that reads the table
+	}{
+		{"SELECT id FROM t", 4, 4},
+		{"SELECT id FROM t", 1, 1},
+		{"SELECT id FROM t", 64, 12},
+		{"SELECT name FROM g", 4, 1},
+		{"SELECT id, x FROM t WHERE id >= 2990", 4, 1},             // the tail alone
+		{"SELECT id, x FROM t WHERE id >= 300 AND id < 320", 4, 2}, // one sealed chunk + the tail
+		{"SELECT id, x FROM t WHERE id >= 250 AND id < 320", 4, 3},
+		{"SELECT grp, sum(x) FROM t GROUP BY grp", 4, 4},
+		{"SELECT count(*), sum(x) FROM t WHERE id >= 2990", 4, 1},
+	} {
+		op, err := buildParallel(t, cat, c.q, c.workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op.Open(); err != nil {
+			t.Fatalf("%q: %v", c.q, err)
+		}
+		walkVec(op.(*rowAdapter).V, func(v VectorOperator) {
+			var ps *pipeSet
+			switch o := v.(type) {
+			case *VecGather:
+				ps = &o.pipeSet
+				if (o.done != nil) != (o.n > 1) {
+					t.Errorf("%q: gather pool=%d but goroutines started=%v", c.q, o.n, o.done != nil)
+				}
+			case *VecHashAggregate:
+				ps = &o.pipeSet
+			default:
+				return
+			}
+			if _, isScan := ps.pipes[0].src.(*vecMorselScan); isScan && ps.n != c.scan {
+				t.Errorf("%q at %d workers: pool=%d, want %d", c.q, c.workers, ps.n, c.scan)
+			}
+		})
+		if _, err := op.Next(); err != nil {
+			t.Fatalf("%q: %v", c.q, err)
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -89,8 +158,8 @@ func TestGatherPreservesScanOrder(t *testing.T) {
 }
 
 // TestParallelCancellation checks that a canceled statement context stops a
-// parallel query mid-flight, through both the gather and the partial
-// aggregate.
+// query mid-flight, through both the gather and the partial aggregate, in
+// the pooled and the inline (one-worker) claim loops.
 func TestParallelCancellation(t *testing.T) {
 	withSmallMorsels(t, 256)
 	cat := largeDiffFixture(t, 20000)
@@ -98,47 +167,90 @@ func TestParallelCancellation(t *testing.T) {
 		"SELECT id, x FROM t WHERE x > -10000",
 		"SELECT grp, sum(x), avg(y) FROM t GROUP BY grp",
 	} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel() // already canceled: the first interrupt check must fire
-		op, err := buildParallel(t, cat, q, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		BindContext(op, ctx)
-		_, drainErr := Drain(op)
-		if drainErr == nil {
-			t.Fatalf("%q: want context error, got full result", q)
-		}
-		if drainErr != context.Canceled {
-			t.Fatalf("%q: err = %v, want context.Canceled", q, drainErr)
+		for _, workers := range []int{1, 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel() // already canceled: the first interrupt check must fire
+			op, err := buildParallel(t, cat, q, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			BindContext(op, ctx)
+			_, drainErr := Drain(op)
+			if drainErr == nil {
+				t.Fatalf("%q p=%d: want context error, got full result", q, workers)
+			}
+			if drainErr != context.Canceled {
+				t.Fatalf("%q p=%d: err = %v, want context.Canceled", q, workers, drainErr)
+			}
 		}
 	}
 }
 
-// TestParallelEarlyClose checks that abandoning a parallel cursor (LIMIT
-// semantics) shuts the pool down cleanly.
-func TestParallelEarlyClose(t *testing.T) {
+// TestInlineClaimLoopObservesContext cancels a one-worker scan between
+// morsels: the leaf is not asked again, so it is the gather's own claim loop
+// that must see the canceled context.
+func TestInlineClaimLoopObservesContext(t *testing.T) {
 	withSmallMorsels(t, 256)
-	cat := largeDiffFixture(t, 20000)
-	op, err := buildParallel(t, cat, "SELECT id FROM t LIMIT 3", 4)
+	cat := largeDiffFixture(t, 2000)
+	op, err := buildParallel(t, cat, "SELECT id FROM t", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := op.Open(); err != nil {
+	g := op.(*rowAdapter).V.(*VecGather)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g.SetContext(ctx) // the gather only: the scan below stays unbound
+	if err := g.Open(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		row, err := op.Next()
-		if err != nil || row == nil {
-			t.Fatalf("row %d: %v, %v", i, row, err)
+	defer g.Close()
+	rows := 0
+	for {
+		b, err := g.NextBatch()
+		if err != nil {
+			if err != context.Canceled {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			break
 		}
+		if b == nil {
+			t.Fatalf("scan ran to completion (%d rows) after cancellation", rows)
+		}
+		rows += b.NumRows()
+		cancel()
 	}
-	if err := op.Close(); err != nil {
-		t.Fatal(err)
+	if rows != 256 {
+		t.Fatalf("claim loop stopped after %d rows, want exactly the first morsel (256)", rows)
 	}
-	// Close is idempotent.
-	if err := op.Close(); err != nil {
-		t.Fatal(err)
+}
+
+// TestParallelEarlyClose checks that abandoning a cursor (LIMIT semantics)
+// shuts the pool down cleanly, and that the inline loop has nothing to shut
+// down.
+func TestParallelEarlyClose(t *testing.T) {
+	withSmallMorsels(t, 256)
+	cat := largeDiffFixture(t, 20000)
+	for _, workers := range []int{1, 4} {
+		op, err := buildParallel(t, cat, "SELECT id FROM t LIMIT 3", workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			row, err := op.Next()
+			if err != nil || row == nil {
+				t.Fatalf("p=%d row %d: %v, %v", workers, i, row, err)
+			}
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Close is idempotent.
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -2,8 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"datalaws/internal/expr"
 	"datalaws/internal/table"
@@ -15,11 +13,9 @@ import (
 // before the scan is built, so a selective query touches only the rows (and,
 // on the approximate path, the models) of the partitions it can match.
 //
-// It participates in all three execution strategies: row-at-a-time (this
-// operator), serial vectorized (AsVectorOperator) and morsel-driven parallel
-// (SplitMorsels — the surviving partitions' row ranges form one dense morsel
-// space, so the existing gather/partial-aggregate machinery applies
-// unchanged).
+// This is the row-at-a-time form; the plan lowering turns it into a
+// vecMorselScan over the surviving partitions' chunks (one dense morsel
+// space, see tableMorsels).
 type PartitionScan struct {
 	Parted *table.PartitionedTable
 	// Parts are the surviving partitions in range order; Total counts the
@@ -69,18 +65,21 @@ func (s *PartitionScan) ExplainInfo() string {
 		s.Parted.Name, rows, s.Total-len(s.Parts), s.Total)
 }
 
-// Open implements Operator.
+// Open implements Operator. Every surviving partition is captured here, not
+// when the scan reaches it, so the whole scan reads one snapshot — the same
+// one the vectorized scan captures.
 func (s *PartitionScan) Open() error {
 	s.scans = make([]*TableScan, len(s.Parts))
 	for i, p := range s.Parts {
-		s.scans[i] = NewTableScanAs(p, s.Parted.Name)
-		s.scans[i].Where = s.Where
-		s.scans[i].SetContext(s.Context())
+		ts := NewTableScanAs(p, s.Parted.Name)
+		ts.Where = s.Where
+		ts.SetContext(s.Context())
+		if err := ts.Open(); err != nil {
+			return err
+		}
+		s.scans[i] = ts
 	}
 	s.cur = 0
-	if len(s.scans) > 0 {
-		return s.scans[0].Open()
-	}
 	return nil
 }
 
@@ -91,230 +90,13 @@ func (s *PartitionScan) Next() (Row, error) {
 		if err != nil || row != nil {
 			return row, err
 		}
-		if err := s.scans[s.cur].Close(); err != nil {
-			return nil, err
-		}
 		s.cur++
-		if s.cur < len(s.scans) {
-			if err := s.scans[s.cur].Open(); err != nil {
-				return nil, err
-			}
-		}
 	}
 	return nil, nil
 }
 
 // Close implements Operator.
 func (s *PartitionScan) Close() error {
-	if s.cur < len(s.scans) {
-		return s.scans[s.cur].Close()
-	}
+	s.scans = nil
 	return nil
-}
-
-// AsVectorOperator implements Vectorizable: the serial batch form is a
-// concatenation of per-partition vectorized scans.
-func (s *PartitionScan) AsVectorOperator() (VectorOperator, bool) {
-	children := make([]VectorOperator, len(s.Parts))
-	for i, p := range s.Parts {
-		vs := NewVecTableScanAs(p, s.Parted.Name)
-		vs.Where = s.Where
-		children[i] = vs
-	}
-	return &vecPartitionScan{VecConcat: VecConcat{Children: children}, src: s}, true
-}
-
-// vecPartitionScan is the serial vectorized partition scan: a VecConcat of
-// the surviving partitions' scans that keeps the pruning provenance for
-// EXPLAIN. Empty survivor sets (everything pruned) emit nothing.
-type vecPartitionScan struct {
-	VecConcat
-	src *PartitionScan
-}
-
-// Columns implements VectorOperator even when every partition was pruned
-// (the embedded concat has no children to ask).
-func (v *vecPartitionScan) Columns() []string { return v.src.cols }
-
-// Open implements VectorOperator.
-func (v *vecPartitionScan) Open() error {
-	if len(v.Children) == 0 {
-		return nil
-	}
-	return v.VecConcat.Open()
-}
-
-// NextBatch implements VectorOperator.
-func (v *vecPartitionScan) NextBatch() (*Batch, error) {
-	if len(v.Children) == 0 {
-		return nil, nil
-	}
-	return v.VecConcat.NextBatch()
-}
-
-// Close implements VectorOperator.
-func (v *vecPartitionScan) Close() error {
-	if len(v.Children) == 0 {
-		return nil
-	}
-	return v.VecConcat.Close()
-}
-
-// ExplainInfo implements Explainer.
-func (v *vecPartitionScan) ExplainInfo() string {
-	return "Vec" + v.src.ExplainInfo()
-}
-
-// sharedPartMorsels is the worker-shared state of a parallel partition scan:
-// one chunk capture per surviving partition (each zone-map-pruned by the
-// statement's WHERE) plus a claim cursor over the flattened survivor-chunk
-// space. Morsel indexes are dense across partitions in range order, so
-// VecGather reconstructs exactly the serial partition-order output.
-type sharedPartMorsels struct {
-	src *PartitionScan
-
-	mu     sync.Mutex
-	opened int
-	sets   []chunkSet
-	units  []partChunk // flattened (partition, survivor-chunk) pairs
-	cursor atomic.Int64
-}
-
-// partChunk addresses one surviving chunk of one surviving partition.
-type partChunk struct {
-	part int // index into src.Parts / sets
-	k    int // dense survivor position within that partition's chunkSet
-}
-
-func (s *sharedPartMorsels) open() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.opened == 0 {
-		s.sets = make([]chunkSet, len(s.src.Parts))
-		s.units = s.units[:0]
-		for i, p := range s.src.Parts {
-			cs, err := captureChunks(p, s.src.Where, s.src.Parted.Name)
-			if err != nil {
-				return err
-			}
-			s.sets[i] = cs
-			for k := 0; k < cs.numChunks(); k++ {
-				s.units = append(s.units, partChunk{part: i, k: k})
-			}
-		}
-		s.cursor.Store(0)
-	}
-	s.opened++
-	return nil
-}
-
-func (s *sharedPartMorsels) close() {
-	s.mu.Lock()
-	if s.opened > 0 {
-		s.opened--
-		if s.opened == 0 {
-			s.sets, s.units = nil, nil
-		}
-	}
-	s.mu.Unlock()
-}
-
-// vecPartMorselScan is one worker's view of a parallel partition scan.
-type vecPartMorselScan struct {
-	shared *sharedPartMorsels
-	Interruptible
-
-	win    colWindow
-	cur    int // claimed position in the flattened unit list; -1 before any claim
-	src    []vecColSrc
-	n, pos int
-}
-
-// Columns implements VectorOperator.
-func (m *vecPartMorselScan) Columns() []string { return m.shared.src.cols }
-
-// ExplainInfo implements Explainer.
-func (m *vecPartMorselScan) ExplainInfo() string {
-	return "VecMorsel" + m.shared.src.ExplainInfo()
-}
-
-// Open implements VectorOperator.
-func (m *vecPartMorselScan) Open() error {
-	if err := m.shared.open(); err != nil {
-		return err
-	}
-	m.win.init(len(m.shared.src.cols))
-	m.cur, m.src, m.n, m.pos = -1, nil, 0, 0
-	m.ResetInterrupt()
-	return nil
-}
-
-// NextMorsel implements MorselSource: one morsel is one surviving chunk of
-// one surviving partition.
-func (m *vecPartMorselScan) NextMorsel() (int64, bool) {
-	idx := m.shared.cursor.Add(1) - 1
-	if idx >= int64(len(m.shared.units)) {
-		return 0, false
-	}
-	m.cur = int(idx)
-	m.src, m.n, m.pos = nil, 0, 0
-	return idx, true
-}
-
-// NumMorsels implements MorselSource.
-func (m *vecPartMorselScan) NumMorsels() int64 { return int64(len(m.shared.units)) }
-
-// NextBatch implements VectorOperator, returning nil at the end of the
-// current morsel. The claimed chunk decodes through the shared cache on the
-// first call (NextMorsel cannot report errors).
-func (m *vecPartMorselScan) NextBatch() (*Batch, error) {
-	if err := m.CheckInterruptNow(); err != nil {
-		return nil, err
-	}
-	if m.cur < 0 {
-		return nil, nil
-	}
-	if m.src == nil {
-		u := m.shared.units[m.cur]
-		src, n, err := m.shared.sets[u.part].columns(u.k)
-		if err != nil {
-			return nil, err
-		}
-		m.src, m.n, m.pos = src, n, 0
-	}
-	if m.pos >= m.n {
-		return nil, nil
-	}
-	lo := m.pos
-	hi := lo + BatchSize
-	if hi > m.n {
-		hi = m.n
-	}
-	m.pos = hi
-	return m.win.window(m.src, lo, hi), nil
-}
-
-// Close implements VectorOperator.
-func (m *vecPartMorselScan) Close() error { m.shared.close(); return nil }
-
-// SplitMorsels implements MorselSplitter: the surviving partitions' chunks
-// form one combined morsel space. Inputs with at most one chunk stay
-// serial, and the pool never exceeds the plan-time chunk count.
-func (s *PartitionScan) SplitMorsels(workers int) ([]MorselSource, bool) {
-	chunks := 0
-	for _, p := range s.Parts {
-		chunks += p.NumChunks()
-	}
-	if chunks <= 1 {
-		return nil, false
-	}
-	if workers > chunks {
-		workers = chunks
-	}
-	shared := &sharedPartMorsels{src: s}
-	out := make([]MorselSource, workers)
-	for i := range out {
-		out[i] = &vecPartMorselScan{shared: shared}
-	}
-	return out, true
 }

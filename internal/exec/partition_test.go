@@ -64,10 +64,13 @@ var partitionQueries = []string{
 	"SELECT k, x FROM t WHERE k > 250 ORDER BY x DESC, k LIMIT 7",
 	"SELECT count(*) FROM t WHERE k >= 400", // everything pruned
 	"SELECT x FROM t WHERE k = 399 AND x > 0 ORDER BY x LIMIT 3",
+	// One partition survives, and of its four chunks only the tail: x grows
+	// with insertion order, so zone maps prune the three sealed ones.
+	"SELECT k, x FROM t WHERE k >= 100 AND k < 200 AND x >= 1990",
 }
 
 // TestPartitionScanMatchesFlat runs every query against the partitioned
-// table in all three strategies (row, serial batch, parallel) and against
+// table in all three strategies (row, one worker, four workers) and against
 // the unpartitioned copy, demanding identical results. Partitioned row
 // order interleaves differently from insertion order, so unordered queries
 // compare as sorted multisets.
@@ -107,6 +110,56 @@ func TestPartitionScanMatchesFlat(t *testing.T) {
 				t.Fatalf("%q (%+v): %v", q, opts, gotErr)
 			}
 			compareRows(t, fmt.Sprintf("%q (%+v)", q, opts), want, got, ordered)
+		}
+	}
+}
+
+// TestPartitionScanSnapshotsAtOpen: every surviving partition is captured
+// when the plan opens, so rows appended afterwards — even into a partition
+// the scan has not reached yet — are not returned, in any strategy.
+func TestPartitionScanSnapshotsAtOpen(t *testing.T) {
+	withSmallMorsels(t, 256)
+	for _, opts := range []Options{
+		{Mode: ModeRow},
+		{Mode: ModeAuto, Parallelism: 1},
+		{Mode: ModeAuto, Parallelism: 4},
+	} {
+		cat := partedFixture(t, 4000)
+		pt, _ := cat.GetPartitioned("t")
+		st, err := sql.Parse("SELECT k FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		op, err := BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := op.Open(); err != nil {
+			t.Fatal(err)
+		}
+		late := [][]expr.Value{
+			{expr.Int(350), expr.Float(-1), expr.Str("late")},
+			{expr.Int(399), expr.Float(-2), expr.Str("late")},
+		}
+		if n, err := pt.AppendRows(late); err != nil || n != len(late) {
+			t.Fatalf("late append: %d, %v", n, err)
+		}
+		rows := 0
+		for {
+			row, err := op.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row == nil {
+				break
+			}
+			rows++
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if rows != 4000 {
+			t.Errorf("%+v: scan returned %d rows, want the 4000 present at Open", opts, rows)
 		}
 	}
 }

@@ -9,36 +9,23 @@ import (
 	"datalaws/internal/table"
 )
 
-// BuildSelect lowers a parsed SELECT onto a physical operator tree:
+// BuildSelect is BuildSelectOpts over the FROM table in batch mode with one
+// worker.
+func BuildSelect(cat *table.Catalog, st *sql.SelectStmt) (Operator, error) {
+	return BuildSelectOpts(cat, st, nil, Options{Parallelism: 1})
+}
+
+// BuildSelectOpts lowers a parsed SELECT onto a physical operator tree:
 //
 //	scan → joins → filter → [aggregate → having] → project(+order keys)
 //	     → sort → strip order keys → limit
 //
-// and then onto the batch pipeline where the operators support it
-// (ModeAuto).
-func BuildSelect(cat *table.Catalog, st *sql.SelectStmt) (Operator, error) {
-	return BuildSelectOverMode(cat, st, nil, ModeAuto)
-}
-
-// BuildSelectOver is BuildSelect with the FROM-table scan replaced by an
-// arbitrary source operator when source is non-nil. The approximate query
-// layer uses this to substitute a model scan for the raw table scan while
-// reusing the full relational pipeline on top (§4.2 zero-IO scans).
-func BuildSelectOver(cat *table.Catalog, st *sql.SelectStmt, source Operator) (Operator, error) {
-	return BuildSelectOverMode(cat, st, source, ModeAuto)
-}
-
-// BuildSelectOverMode is BuildSelectOver with explicit control over row
-// versus batch lowering; ModeRow skips vectorization entirely. It keeps
-// the serial pipeline — BuildSelectOpts adds morsel-driven parallelism.
-func BuildSelectOverMode(cat *table.Catalog, st *sql.SelectStmt, source Operator, mode Mode) (Operator, error) {
-	return BuildSelectOpts(cat, st, source, Options{Mode: mode, Parallelism: 1})
-}
-
-// BuildSelectOpts is BuildSelectOver with full execution options: row
-// versus batch mode plus the morsel-driven parallelism budget (see
-// Options). Plans whose source cannot split into morsels fall back to the
-// serial pipeline regardless of the budget.
+// and then, unless opts.Mode is ModeRow, onto the vectorized pipeline where
+// the operators support it, with opts' worker budget (see Options).
+//
+// A non-nil source replaces the FROM-table scan: the approximate query layer
+// substitutes a model scan for the raw table scan while reusing the full
+// relational pipeline on top (§4.2 zero-IO scans).
 func BuildSelectOpts(cat *table.Catalog, st *sql.SelectStmt, source Operator, opts Options) (Operator, error) {
 	base, err := buildFrom(cat, st, source)
 	if err != nil {

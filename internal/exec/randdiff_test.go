@@ -18,7 +18,7 @@ import (
 // Randomized differential testing: a seeded generator produces queries —
 // projections, filters, GROUP BY aggregates, ORDER BY/LIMIT — over
 // partitioned and unpartitioned fixtures, and every query runs through row
-// mode, the serial batch pipeline, and morsel-driven parallelism 1/2/4. All
+// mode and through the vectorized pipeline at 1, 2 and 4 workers. All
 // strategies must agree on results (exactly, except for documented
 // last-ulps float divergence in merged aggregates) and on error messages.
 //
@@ -210,6 +210,7 @@ func genWhere(rng *rand.Rand) string {
 		"s = 's3'", "s <> 's1'", "b", "NOT b", "b IS NULL",
 		"x BETWEEN -2 AND 6", "id % 3 = 1", "x + y > 0",
 		"x <> 0 AND 10.0 / x > 2", // guarded division
+		"id >= 2990",              // flat: prunes every sealed chunk, one morsel (the tail) survives
 	}
 	n := 1 + rng.Intn(3)
 	var parts []string

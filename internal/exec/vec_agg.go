@@ -2,26 +2,37 @@ package exec
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"datalaws/internal/expr"
 )
 
-// VecHashAggregate is the vectorized HashAggregate: group keys and aggregate
+// VecHashAggregate is the vectorized hash aggregate. Group keys and aggregate
 // arguments are evaluated once per batch through compiled kernels (no
-// per-row expression trees, no per-identifier map lookups), then folded into
-// the same aggState machinery as the row operator so results match exactly.
-// Output columns are "$grp0…" followed by "$agg0…", like HashAggregate.
+// per-row expression trees, no per-identifier map lookups) and folded into
+// the same aggState machinery as the row operator. It runs in two phases:
+// every worker of the pool folds its morsels into a private partial-aggregate
+// table (no locks on the data path), then a single merge recombines the
+// partial states — COUNT/SUM/AVG additively, MIN/MAX by comparison,
+// VAR/STDDEV through the Welford combination — preserving SQL NULL semantics
+// (aggregates skip NULLs; empty inputs yield NULL, except COUNT). Groups are
+// emitted in the order an in-order scan first sees them, tracked as the
+// minimum (morsel, row-within-morsel) position across workers, so output
+// order does not depend on the pool size. Worker 0 is the caller itself, so a
+// pool of one starts no goroutine and has nothing to recombine. Output
+// columns are "$grp0…" followed by "$agg0…", like HashAggregate.
 type VecHashAggregate struct {
-	Child      VectorOperator
+	pipeSet
 	GroupExprs []expr.Expr
 	Aggs       []AggSpec
 
-	cols       []string
-	groupKerns []kernelFn
-	argKerns   []kernelFn
-	groups     []*aggGroup
-	pos        int
+	cols   []string
+	groups []*aggGroup
+	pos    int
+	failed atomic.Bool // set by the first failing worker; siblings stop claiming
 }
 
 // Columns implements VectorOperator.
@@ -32,117 +43,298 @@ func (h *VecHashAggregate) Columns() []string {
 	return h.cols
 }
 
-// Open implements VectorOperator: it fully consumes the child and builds the
-// groups.
+// partialErr is a worker failure pinned to its input position, so the merge
+// can report the error an in-order scan would have hit first.
+type partialErr struct {
+	err         error
+	morsel, row int64
+}
+
+func (e *partialErr) before(o *partialErr) bool {
+	if e.morsel != o.morsel {
+		return e.morsel < o.morsel
+	}
+	return e.row < o.row
+}
+
+// Open implements VectorOperator: it runs the full two-phase aggregation —
+// partial fold per worker, then merge — so NextBatch only emits results. A
+// failed Open leaves no pipeline open.
 func (h *VecHashAggregate) Open() error {
-	childCols := h.Child.Columns()
-	h.groupKerns = make([]kernelFn, len(h.GroupExprs))
-	for i, g := range h.GroupExprs {
-		k, err := compileKernel(g, childCols)
-		if err != nil {
-			return fmt.Errorf("exec: GROUP BY: %w", err)
-		}
-		h.groupKerns[i] = k
-	}
-	h.argKerns = make([]kernelFn, len(h.Aggs))
-	for i, spec := range h.Aggs {
-		if spec.Arg == nil {
-			continue // COUNT(*) needs no argument kernel
-		}
-		k, err := compileKernel(spec.Arg, childCols)
-		if err != nil {
-			return fmt.Errorf("exec: aggregate arg: %w", err)
-		}
-		h.argKerns[i] = k
-	}
-	if err := h.Child.Open(); err != nil {
+	if err := h.pipeSet.open(); err != nil {
 		return err
 	}
-	h.groups = nil
-	h.pos = 0
+	h.groups, h.pos = nil, 0
+	h.failed.Store(false)
+	err := h.aggregate()
+	if err != nil {
+		h.pipeSet.close()
+	}
+	return err
+}
 
-	index := map[string]*aggGroup{}
-	var order []*aggGroup
-	keyVecs := make([]*Vector, len(h.groupKerns))
-	argVecs := make([]*Vector, len(h.Aggs))
-	var kb []byte
-	for {
-		b, err := h.Child.NextBatch()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		sel := b.selection()
-		for i, k := range h.groupKerns {
-			v, err := k(b, sel)
-			if err != nil {
-				return fmt.Errorf("exec: GROUP BY: %w", err)
-			}
-			keyVecs[i] = v
-		}
-		for i, k := range h.argKerns {
-			if k == nil {
-				continue
-			}
-			v, err := k(b, sel)
-			if err != nil {
-				return fmt.Errorf("exec: aggregate arg: %w", err)
-			}
-			argVecs[i] = v
-		}
-		if len(h.groupKerns) == 0 {
-			// Global aggregation: one group, no key building.
-			if len(order) == 0 {
-				grp := &aggGroup{states: make([]aggState, len(h.Aggs))}
-				order = append(order, grp)
-			}
-			if err := foldAggArgs(order[0], h.Aggs, argVecs, sel); err != nil {
-				return err
-			}
+// aggregate folds the pool's pipelines — worker 0 in the caller, the rest
+// one goroutine each, so a pool of one starts none — and merges the partial
+// tables, reporting the failure an in-order scan would have hit first.
+func (h *VecHashAggregate) aggregate() error {
+	partials := make([]*partialAgg, h.n)
+	fails := make([]partialErr, h.n)
+	var wg sync.WaitGroup
+	for w := 1; w < h.n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			partials[w], fails[w] = h.runWorker(h.pipes[w])
+		}()
+	}
+	partials[0], fails[0] = h.runWorker(h.pipes[0])
+	wg.Wait()
+	var fail *partialErr
+	for w := range fails {
+		e := &fails[w]
+		if e.err == nil {
 			continue
 		}
-		for _, i := range sel {
-			kb = kb[:0]
-			for _, kv := range keyVecs {
-				kb = appendKeyEntry(kb, kv, i)
-				kb = append(kb, 0)
+		if fail == nil || e.before(fail) {
+			fail = e
+		}
+	}
+	if fail != nil {
+		return fail.err
+	}
+	return h.merge(partials)
+}
+
+// runWorker drains one worker pipeline morsel by morsel into a private
+// partial-aggregate table.
+func (h *VecHashAggregate) runWorker(p workerPipe) (*partialAgg, partialErr) {
+	pa, err := newPartialAgg(h.GroupExprs, h.Aggs, p.pipe.Columns())
+	if err != nil {
+		h.failed.Store(true)
+		return nil, partialErr{err: err}
+	}
+	for {
+		// A sibling already failed: the whole Open will error, so stop
+		// claiming instead of draining the rest of the input for nothing.
+		if h.failed.Load() {
+			return pa, partialErr{}
+		}
+		// A canceled statement ends the claim loop before the next morsel's
+		// pipeline runs; the error surfaces through Open like any worker
+		// failure, so siblings stop too.
+		if err := h.CheckInterruptNow(); err != nil {
+			h.failed.Store(true)
+			return pa, partialErr{err: err}
+		}
+		idx, ok := p.src.NextMorsel()
+		if !ok {
+			return pa, partialErr{}
+		}
+		var rows int64
+		for {
+			b, err := p.pipe.NextBatch()
+			if err != nil {
+				h.failed.Store(true)
+				return pa, partialErr{err: err, morsel: idx, row: rows}
 			}
-			grp, ok := index[string(kb)]
+			if b == nil {
+				break
+			}
+			sel := b.selection()
+			if err := pa.fold(b, sel, idx, rows); err != nil {
+				h.failed.Store(true)
+				return pa, partialErr{err: err, morsel: idx, row: rows}
+			}
+			rows += int64(len(sel))
+		}
+	}
+}
+
+// merge recombines the workers' partial tables into the final group list.
+func (h *VecHashAggregate) merge(partials []*partialAgg) error {
+	if len(partials) == 1 {
+		// A pool of one saw every row in order: its table is the result.
+		return h.finish(partials[0].order)
+	}
+	index := make(map[string]*partialGroup)
+	var merged []*partialGroup
+	for _, pa := range partials {
+		for _, pg := range pa.order {
+			ex, ok := index[pg.keyStr]
 			if !ok {
-				key := make([]expr.Value, len(keyVecs))
-				for j, kv := range keyVecs {
-					key[j] = kv.Value(i)
-				}
-				grp = &aggGroup{key: key, states: make([]aggState, len(h.Aggs))}
-				index[string(kb)] = grp
-				order = append(order, grp)
+				index[pg.keyStr] = pg
+				merged = append(merged, pg)
+				continue
 			}
-			for a, spec := range h.Aggs {
-				var v expr.Value
-				if spec.Arg == nil {
-					v = expr.Int(1)
-				} else {
-					v = argVecs[a].Value(i)
-				}
-				if err := grp.states[a].update(spec.Kind, v); err != nil {
+			for a := range h.Aggs {
+				if err := ex.states[a].merge(&pg.states[a], h.Aggs[a].Kind); err != nil {
 					return fmt.Errorf("exec: aggregate: %w", err)
 				}
 			}
+			if pg.morsel < ex.morsel || (pg.morsel == ex.morsel && pg.row < ex.row) {
+				ex.morsel, ex.row = pg.morsel, pg.row
+			}
 		}
 	}
-	// A global aggregate over zero rows still yields one output row.
-	if len(order) == 0 && len(h.GroupExprs) == 0 {
-		order = append(order, &aggGroup{states: make([]aggState, len(h.Aggs))})
+	sort.Slice(merged, func(i, j int) bool {
+		if merged[i].morsel != merged[j].morsel {
+			return merged[i].morsel < merged[j].morsel
+		}
+		return merged[i].row < merged[j].row
+	})
+	return h.finish(merged)
+}
+
+// finish publishes the final group list.
+func (h *VecHashAggregate) finish(merged []*partialGroup) error {
+	h.groups = make([]*aggGroup, len(merged))
+	for i, pg := range merged {
+		h.groups[i] = &pg.aggGroup
 	}
-	h.groups = order
+	// A global aggregate over zero rows still yields one output row.
+	if len(h.groups) == 0 && len(h.GroupExprs) == 0 {
+		h.groups = append(h.groups, &aggGroup{states: make([]aggState, len(h.Aggs))})
+	}
+	return nil
+}
+
+// NextBatch implements VectorOperator, emitting the merged groups.
+func (h *VecHashAggregate) NextBatch() (*Batch, error) {
+	if h.pos >= len(h.groups) {
+		return nil, nil
+	}
+	lo := h.pos
+	hi := lo + BatchSize
+	if hi > len(h.groups) {
+		hi = len(h.groups)
+	}
+	h.pos = hi
+	return emitGroupBatch(h.groups, lo, hi, len(h.GroupExprs), h.Aggs), nil
+}
+
+// Close implements VectorOperator.
+func (h *VecHashAggregate) Close() error {
+	h.groups = nil
+	return h.pipeSet.close()
+}
+
+// partialGroup is one group's partial state plus the earliest input
+// position any of its rows was seen at (for deterministic output order).
+type partialGroup struct {
+	aggGroup
+	keyStr      string
+	morsel, row int64
+}
+
+// partialAgg is one worker's aggregation state: compiled kernels plus the
+// group table it folds morsels into.
+type partialAgg struct {
+	aggs       []AggSpec
+	groupKerns []kernelFn
+	argKerns   []kernelFn
+	index      map[string]*partialGroup
+	order      []*partialGroup
+	keyVecs    []*Vector
+	argVecs    []*Vector
+	kb         []byte
+}
+
+func newPartialAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string) (*partialAgg, error) {
+	pa := &partialAgg{
+		aggs:       aggs,
+		groupKerns: make([]kernelFn, len(groupExprs)),
+		argKerns:   make([]kernelFn, len(aggs)),
+		index:      map[string]*partialGroup{},
+		keyVecs:    make([]*Vector, len(groupExprs)),
+		argVecs:    make([]*Vector, len(aggs)),
+	}
+	for i, g := range groupExprs {
+		k, err := compileKernel(g, cols)
+		if err != nil {
+			return nil, fmt.Errorf("exec: GROUP BY: %w", err)
+		}
+		pa.groupKerns[i] = k
+	}
+	for i, spec := range aggs {
+		if spec.Arg == nil {
+			continue // COUNT(*) needs no argument kernel
+		}
+		k, err := compileKernel(spec.Arg, cols)
+		if err != nil {
+			return nil, fmt.Errorf("exec: aggregate arg: %w", err)
+		}
+		pa.argKerns[i] = k
+	}
+	return pa, nil
+}
+
+// fold accumulates one batch. morsel and rowBase locate the batch's first
+// selected row in the input order.
+func (pa *partialAgg) fold(b *Batch, sel []int, morsel, rowBase int64) error {
+	for i, k := range pa.groupKerns {
+		v, err := k(b, sel)
+		if err != nil {
+			return fmt.Errorf("exec: GROUP BY: %w", err)
+		}
+		pa.keyVecs[i] = v
+	}
+	for i, k := range pa.argKerns {
+		if k == nil {
+			continue
+		}
+		v, err := k(b, sel)
+		if err != nil {
+			return fmt.Errorf("exec: aggregate arg: %w", err)
+		}
+		pa.argVecs[i] = v
+	}
+	if len(pa.groupKerns) == 0 {
+		// Global aggregation: one group, bulk fold.
+		if len(pa.order) == 0 {
+			grp := &partialGroup{morsel: morsel, row: rowBase}
+			grp.states = make([]aggState, len(pa.aggs))
+			pa.order = append(pa.order, grp)
+		}
+		return foldAggArgs(&pa.order[0].aggGroup, pa.aggs, pa.argVecs, sel)
+	}
+	kb := pa.kb
+	for pos, i := range sel {
+		kb = kb[:0]
+		for _, kv := range pa.keyVecs {
+			kb = appendKeyEntry(kb, kv, i)
+			kb = append(kb, 0)
+		}
+		grp, ok := pa.index[string(kb)]
+		if !ok {
+			key := make([]expr.Value, len(pa.keyVecs))
+			for j, kv := range pa.keyVecs {
+				key[j] = kv.Value(i)
+			}
+			grp = &partialGroup{keyStr: string(kb), morsel: morsel, row: rowBase + int64(pos)}
+			grp.key = key
+			grp.states = make([]aggState, len(pa.aggs))
+			pa.index[grp.keyStr] = grp
+			pa.order = append(pa.order, grp)
+		}
+		for a, spec := range pa.aggs {
+			var v expr.Value
+			if spec.Arg == nil {
+				v = expr.Int(1)
+			} else {
+				v = pa.argVecs[a].Value(i)
+			}
+			if err := grp.states[a].update(spec.Kind, v); err != nil {
+				return fmt.Errorf("exec: aggregate: %w", err)
+			}
+		}
+	}
+	pa.kb = kb
 	return nil
 }
 
 // foldAggArgs folds a batch's aggregate argument vectors into one group's
-// states using bulk/typed paths where possible; shared by the serial
-// aggregate's global path and the parallel partial-aggregate phase.
+// states using bulk/typed paths where possible (the global-aggregate
+// path of partialAgg.fold).
 func foldAggArgs(grp *aggGroup, aggs []AggSpec, argVecs []*Vector, sel []int) error {
 	for a, spec := range aggs {
 		st := &grp.states[a]
@@ -211,22 +403,7 @@ func appendKeyEntry(kb []byte, v *Vector, i int) []byte {
 	return append(kb, v.Value(i).String()...)
 }
 
-// NextBatch implements VectorOperator, emitting the grouped results.
-func (h *VecHashAggregate) NextBatch() (*Batch, error) {
-	if h.pos >= len(h.groups) {
-		return nil, nil
-	}
-	lo := h.pos
-	hi := lo + BatchSize
-	if hi > len(h.groups) {
-		hi = len(h.groups)
-	}
-	h.pos = hi
-	return emitGroupBatch(h.groups, lo, hi, len(h.GroupExprs), h.Aggs), nil
-}
-
-// emitGroupBatch materializes groups [lo, hi) as a columnar batch; shared
-// by the serial and parallel hash aggregates.
+// emitGroupBatch materializes groups [lo, hi) as a columnar batch.
 func emitGroupBatch(groups []*aggGroup, lo, hi, ngroup int, aggs []AggSpec) *Batch {
 	n := hi - lo
 	b := &Batch{N: n, Cols: make([]*Vector, ngroup+len(aggs))}
@@ -244,10 +421,4 @@ func emitGroupBatch(groups []*aggGroup, lo, hi, ngroup int, aggs []AggSpec) *Bat
 		b.Cols[ngroup+a] = vectorFromValues(vals)
 	}
 	return b
-}
-
-// Close implements VectorOperator.
-func (h *VecHashAggregate) Close() error {
-	h.groups = nil
-	return h.Child.Close()
 }

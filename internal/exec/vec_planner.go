@@ -1,5 +1,10 @@
 package exec
 
+import (
+	"datalaws/internal/expr"
+	"datalaws/internal/table"
+)
+
 // Mode selects how BuildSelect lowers a plan.
 type Mode uint8
 
@@ -21,25 +26,11 @@ const (
 	ModeRow
 )
 
-// Vectorizable lets operators defined outside this package (e.g. the aqp
-// model scan) provide a vectorized implementation that the plan lowering
-// can pick up.
-type Vectorizable interface {
-	AsVectorOperator() (VectorOperator, bool)
-}
-
-// Lower rewrites an operator tree so that every maximal vectorizable
-// subtree executes in batch mode behind a row adapter. Operators with no
-// vectorized implementation (sort, limit, join) keep their row form and
-// pull from the adapters; plans with no vectorizable parts come back
-// unchanged.
-func Lower(op Operator) Operator { return LowerOpts(op, 1) }
-
-// LowerOpts is Lower with a worker budget: when workers > 1 it first tries
-// to rewrite each maximal vectorizable subtree into a morsel-driven
-// parallel plan (per-worker scan pipelines behind a gather, or a partial
-// aggregate with a merge phase), falling back to the serial batch pipeline
-// and finally to row execution.
+// LowerOpts rewrites an operator tree so that every maximal vectorizable
+// subtree executes in batch mode behind a row adapter, as worker pipelines
+// under a gather (see parallel.go; workers is the budget). Operators with no
+// vectorized implementation (sort, limit, join) keep their row form and pull
+// from the adapters; plans with no vectorizable parts come back unchanged.
 func LowerOpts(op Operator, workers int) Operator {
 	// Pass-through tops: lower underneath, keep the row operator.
 	switch o := op.(type) {
@@ -53,13 +44,8 @@ func LowerOpts(op Operator, workers int) Operator {
 		o.Child = LowerOpts(o.Child, workers)
 		return o
 	}
-	if workers > 1 {
-		if vop, ok := parallelize(op, workers); ok {
-			return NewRowAdapter(vop)
-		}
-	}
-	if vop, ok := vectorize(op); ok {
-		return NewRowAdapter(vop)
+	if pipes, ok := vectorize(op, workers); ok {
+		return NewRowAdapter(newVecGather(pipes))
 	}
 	// The operator itself cannot vectorize (unsupported expression, join,
 	// …): still lower its inputs so any vectorizable subtree underneath
@@ -82,82 +68,93 @@ func LowerOpts(op Operator, workers int) Operator {
 	return op
 }
 
-// vectorize converts a row operator subtree into its vectorized counterpart,
-// reporting false when any operator or expression in the subtree has no
-// batch implementation.
-func vectorize(op Operator) (VectorOperator, bool) {
+// vectorize lowers a row subtree to vector form: one copy of the subtree's
+// pipeline per budgeted worker, over one shared morsel set. It reports false
+// when an operator or expression in the subtree has no batch implementation.
+// Sources that cannot split come back as a single one-morsel pipeline, and
+// the pipeline breakers (aggregate, concat) consume their input's pipelines
+// and continue as one.
+func vectorize(op Operator, workers int) ([]workerPipe, bool) {
 	switch o := op.(type) {
 	case *TableScan:
-		// Carry the row scan's column list (it may qualify with an alias —
-		// partition children scan under their parent's name) and its pruning
-		// predicate.
-		return &VecTableScan{Table: o.Table, Where: o.Where, Alias: o.alias, cols: append([]string(nil), o.cols...)}, true
+		shared := &tableMorsels{parts: []*table.Table{o.Table}, where: o.Where, alias: o.alias, cols: o.cols}
+		return tablePipes(shared, workers), true
+	case *PartitionScan:
+		shared := &tableMorsels{parts: o.Parts, where: o.Where, alias: o.Parted.Name, cols: o.cols, from: o}
+		return tablePipes(shared, workers), true
 	case *ValuesScan:
-		return &VecValuesScan{Cols: o.Cols, Rows: o.Rows}, true
+		return onePipe(&VecValuesScan{Cols: o.Cols, Rows: o.Rows}), true
 	case *Filter:
-		child, ok := vectorize(o.Child)
-		if !ok {
+		pipes, ok := vectorize(o.Child, workers)
+		if !ok || !hasKernels(pipes, o.Pred) {
 			return nil, false
 		}
-		if _, err := compileKernel(o.Pred, child.Columns()); err != nil {
-			return nil, false
+		for i := range pipes {
+			pipes[i].pipe = &VecFilter{Child: pipes[i].pipe, Pred: o.Pred}
 		}
-		return &VecFilter{Child: child, Pred: o.Pred}, true
+		return pipes, true
 	case *Project:
-		child, ok := vectorize(o.Child)
-		if !ok {
+		pipes, ok := vectorize(o.Child, workers)
+		if !ok || !hasKernels(pipes, o.Exprs...) {
 			return nil, false
 		}
-		for _, e := range o.Exprs {
-			if _, err := compileKernel(e, child.Columns()); err != nil {
-				return nil, false
-			}
+		for i := range pipes {
+			pipes[i].pipe = &VecProject{Child: pipes[i].pipe, Exprs: o.Exprs, Names: o.Names}
 		}
-		return &VecProject{Child: child, Exprs: o.Exprs, Names: o.Names}, true
+		return pipes, true
 	case *HashAggregate:
-		child, ok := vectorize(o.Child)
-		if !ok {
+		pipes, ok := vectorize(o.Child, workers)
+		if !ok || !hasKernels(pipes, o.GroupExprs...) {
 			return nil, false
-		}
-		for _, e := range o.GroupExprs {
-			if _, err := compileKernel(e, child.Columns()); err != nil {
-				return nil, false
-			}
 		}
 		for _, spec := range o.Aggs {
-			if spec.Arg == nil {
-				continue
-			}
-			if _, err := compileKernel(spec.Arg, child.Columns()); err != nil {
+			if !hasKernels(pipes, spec.Arg) {
 				return nil, false
 			}
 		}
-		return &VecHashAggregate{Child: child, GroupExprs: o.GroupExprs, Aggs: o.Aggs}, true
+		return onePipe(&VecHashAggregate{pipeSet: pipeSet{pipes: pipes}, GroupExprs: o.GroupExprs, Aggs: o.Aggs}), true
 	case *Concat:
+		// Children run one worker each: the concat drains them one after
+		// another, and the hybrid plans that use it (model scan ∪ raw scan)
+		// keep each side small. Row-only children ride along behind the
+		// row→batch shim.
 		children := make([]VectorOperator, len(o.Children))
 		any := false
 		for i, c := range o.Children {
-			if v, ok := vectorize(c); ok {
-				children[i] = v
+			if pipes, ok := vectorize(c, 1); ok {
+				children[i] = newVecGather(pipes)
 				any = true
+			} else {
+				children[i] = NewBatchAdapter(c)
 			}
 		}
 		if !any {
 			return nil, false
 		}
-		// Row-only children ride along behind the row→batch shim so a
-		// hybrid plan (model scan ∪ raw scan) still runs vectorized.
-		for i, c := range children {
-			if c == nil {
-				children[i] = NewBatchAdapter(o.Children[i])
-			}
+		return onePipe(&VecConcat{Children: children}), true
+	case MorselSplitter:
+		srcs, ok := o.SplitMorsels(workers)
+		if !ok {
+			return nil, false
 		}
-		return &VecConcat{Children: children}, true
-	}
-	if v, ok := op.(Vectorizable); ok {
-		return v.AsVectorOperator()
+		return pipesFromSources(srcs), true
 	}
 	return nil, false
+}
+
+// hasKernels reports whether every non-nil expression compiles to a batch
+// kernel over the pipelines' output columns (nil is COUNT(*)'s argument).
+func hasKernels(pipes []workerPipe, exprs ...expr.Expr) bool {
+	cols := pipes[0].pipe.Columns()
+	for _, e := range exprs {
+		if e == nil {
+			continue
+		}
+		if _, err := compileKernel(e, cols); err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // Vectorized reports whether a lowered plan executes its pipeline in batch

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"datalaws/internal/expr"
 	"datalaws/internal/storage"
@@ -20,30 +21,52 @@ type VectorOperator interface {
 	Close() error
 }
 
-// VecTableScan reads a base table chunk by chunk in batches whose int/float
-// vectors are zero-copy views straight off the decoded storage columns — no
-// per-row boxing, no table.Row materialization. Like TableScan it captures
-// one consistent ChunkView at Open (concurrent appends do not tear the
-// scan) and skips sealed chunks whose zone maps prove Where cannot match,
-// without decoding them.
-type VecTableScan struct {
-	Table *table.Table
-	// Where prunes sealed chunks by zone map; nil scans everything.
-	Where expr.Expr
-	// Alias is the qualifier Where references columns under; empty means the
-	// table's own name.
-	Alias string
-	Interruptible
+// tableMorsels is the morsel set the workers of a table scan share: one
+// chunk capture per surviving partition — a plain table is the one-partition
+// case — each zone-map-pruned by the statement's WHERE, plus the claim
+// cursor over the flattened survivor chunks. Morsel indexes are dense across
+// partitions in range order, so VecGather reproduces partition-order output.
+// Everything is captured together when worker 0 opens: concurrent appends
+// neither tear the scan nor reach partitions it has not read yet, whatever
+// the pool size.
+type tableMorsels struct {
+	parts []*table.Table
+	where expr.Expr
+	// alias is the qualifier where references the columns under (the parent
+	// name for partition children).
+	alias string
+	cols  []string
+	from  *PartitionScan // EXPLAIN provenance; nil for a plain table
 
-	cols   []string
-	cs     chunkSet
-	ki     int
-	src    []vecColSrc
-	n, pos int
-	win    colWindow
+	sets   []chunkSet
+	units  []partChunk // flattened (partition, survivor-chunk) pairs
+	cursor atomic.Int64
 }
 
-// vecColSrc is the Open-time snapshot of one storage column: typed slice
+// partChunk addresses one surviving chunk of one surviving partition.
+type partChunk struct {
+	part int // index into parts / sets
+	k    int // dense survivor position within that partition's chunkSet
+}
+
+func (s *tableMorsels) capture() error {
+	s.sets = make([]chunkSet, len(s.parts))
+	s.units = s.units[:0]
+	for i, p := range s.parts {
+		cs, err := captureChunks(p, s.where, s.alias)
+		if err != nil {
+			return err
+		}
+		s.sets[i] = cs
+		for k := 0; k < cs.numChunks(); k++ {
+			s.units = append(s.units, partChunk{part: i, k: k})
+		}
+	}
+	s.cursor.Store(0)
+	return nil
+}
+
+// vecColSrc is the capture-time snapshot of one storage column: typed slice
 // headers plus the null bitmap, enough to emit batch windows without going
 // back through the Column interface.
 type vecColSrc struct {
@@ -56,76 +79,111 @@ type vecColSrc struct {
 	nulls *storage.Bitmap
 }
 
-// NewVecTableScan builds a vectorized scan over t with qualified output
-// columns.
-func NewVecTableScan(t *table.Table) *VecTableScan {
-	return &VecTableScan{Table: t, cols: qualifiedCols(t), Alias: t.Name}
+// vecMorselScan is the vectorized table scan, one per worker: it claims
+// chunk morsels from the shared cursor, decodes each through the shared
+// cache on first NextBatch (NextMorsel cannot report errors), and emits
+// batches whose int/float vectors are zero-copy views straight off the
+// decoded storage columns — no per-row boxing, no table.Row
+// materialization. Batch windows never span chunks.
+type vecMorselScan struct {
+	shared *tableMorsels
+	lead   bool // worker 0: its Open captures the shared set
+	Interruptible
+
+	win    colWindow
+	cur    int // claimed position in the unit list; -1 before any claim
+	src    []vecColSrc
+	n, pos int
 }
 
-// NewVecTableScanAs is NewVecTableScan with the qualifier overridden (see
-// NewTableScanAs).
-func NewVecTableScanAs(t *table.Table, alias string) *VecTableScan {
-	return &VecTableScan{Table: t, cols: qualifiedColsAs(t, alias), Alias: alias}
+// tablePipes builds one scan pipeline per budgeted worker over shared.
+func tablePipes(shared *tableMorsels, workers int) []workerPipe {
+	srcs := make([]MorselSource, workers)
+	for i := range srcs {
+		srcs[i] = &vecMorselScan{shared: shared, lead: i == 0}
+	}
+	return pipesFromSources(srcs)
 }
 
 // Columns implements VectorOperator.
-func (s *VecTableScan) Columns() []string { return s.cols }
+func (m *vecMorselScan) Columns() []string { return m.shared.cols }
 
-// aliasName resolves the pruning qualifier.
-func (s *VecTableScan) aliasName() string {
-	if s.Alias != "" {
-		return s.Alias
+// ExplainInfo implements Explainer; zone-map pruning is computed fresh at
+// render time (see chunkExplain).
+func (m *vecMorselScan) ExplainInfo() string {
+	s := m.shared
+	if s.from != nil {
+		return "VecMorsel" + s.from.ExplainInfo()
 	}
-	if s.Table != nil {
-		return s.Table.Name
-	}
-	return ""
+	t := s.parts[0]
+	return fmt.Sprintf("VecMorselScan %s (%d rows)%s", t.Name, t.NumRows(), chunkExplain(t, s.where, s.alias))
 }
 
 // Open implements VectorOperator.
-func (s *VecTableScan) Open() error {
-	cs, err := captureChunks(s.Table, s.Where, s.aliasName())
-	if err != nil {
-		return err
+func (m *vecMorselScan) Open() error {
+	if m.lead {
+		if err := m.shared.capture(); err != nil {
+			return err
+		}
 	}
-	s.cs = cs
-	s.ki = 0
-	s.src, s.n, s.pos = nil, 0, 0
-	s.ResetInterrupt()
-	s.win.init(len(s.cols))
+	m.win.init(len(m.shared.cols))
+	m.cur, m.src, m.n, m.pos = -1, nil, 0, 0
+	m.ResetInterrupt()
 	return nil
 }
 
-// NextBatch implements VectorOperator. Batch windows never span chunks, so
-// every emitted vector views a single decoded chunk (or the tail snapshot).
-func (s *VecTableScan) NextBatch() (*Batch, error) {
-	if err := s.CheckInterruptNow(); err != nil {
+// NextMorsel implements MorselSource: one morsel is one surviving chunk of
+// one surviving partition.
+func (m *vecMorselScan) NextMorsel() (int64, bool) {
+	idx := m.shared.cursor.Add(1) - 1
+	if idx >= m.NumMorsels() {
+		return 0, false
+	}
+	m.cur = int(idx)
+	m.src, m.n, m.pos = nil, 0, 0
+	return idx, true
+}
+
+// NumMorsels implements MorselSource.
+func (m *vecMorselScan) NumMorsels() int64 { return int64(len(m.shared.units)) }
+
+// NextBatch implements VectorOperator, returning nil at the end of the
+// current morsel.
+func (m *vecMorselScan) NextBatch() (*Batch, error) {
+	if err := m.CheckInterruptNow(); err != nil {
 		return nil, err
 	}
-	for {
-		if s.src == nil {
-			if s.ki >= s.cs.numChunks() {
-				return nil, nil
-			}
-			src, n, err := s.cs.columns(s.ki)
-			if err != nil {
-				return nil, err
-			}
-			s.src, s.n, s.pos = src, n, 0
-		}
-		if s.pos >= s.n {
-			s.src = nil
-			s.ki++
-			continue
-		}
-		lo := s.pos
-		hi := lo + BatchSize
-		if hi > s.n {
-			hi = s.n
-		}
-		s.pos = hi
-		return s.win.window(s.src, lo, hi), nil
+	if m.cur < 0 {
+		return nil, nil
 	}
+	if m.src == nil {
+		u := m.shared.units[m.cur]
+		src, n, err := m.shared.sets[u.part].columns(u.k)
+		if err != nil {
+			return nil, err
+		}
+		m.src, m.n, m.pos = src, n, 0
+	}
+	if m.pos >= m.n {
+		return nil, nil
+	}
+	lo := m.pos
+	hi := lo + BatchSize
+	if hi > m.n {
+		hi = m.n
+	}
+	m.pos = hi
+	return m.win.window(m.src, lo, hi), nil
+}
+
+// Close implements VectorOperator. Worker 0 releases the captured views; the
+// pool has stopped by the time pipelines are closed.
+func (m *vecMorselScan) Close() error {
+	m.src = nil
+	if m.lead {
+		m.shared.sets = nil
+	}
+	return nil
 }
 
 // colWindow materializes [lo, hi) row windows of a column snapshot into a
@@ -208,12 +266,6 @@ func (w *colWindow) nullSlice(c int, bm *storage.Bitmap, lo, n int) []bool {
 		buf[i] = bm.Get(lo + i)
 	}
 	return buf
-}
-
-// Close implements VectorOperator.
-func (s *VecTableScan) Close() error {
-	s.src, s.cs = nil, chunkSet{}
-	return nil
 }
 
 // VecValuesScan replays pre-materialized boxed rows in batches.
@@ -410,27 +462,26 @@ func (c *VecConcat) Open() error {
 	return c.Children[0].Open()
 }
 
-// NextBatch implements VectorOperator.
+// NextBatch implements VectorOperator. Like every operator it keeps
+// returning nil after the last child is exhausted: the claim loop calls
+// NextBatch again after a nil.
 func (c *VecConcat) NextBatch() (*Batch, error) {
-	for {
+	for c.idx < len(c.Children) {
 		b, err := c.Children[c.idx].NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b != nil {
-			return b, nil
+		if err != nil || b != nil {
+			return b, err
 		}
 		if err := c.Children[c.idx].Close(); err != nil {
 			return nil, err
 		}
 		c.idx++
-		if c.idx >= len(c.Children) {
-			return nil, nil
-		}
-		if err := c.Children[c.idx].Open(); err != nil {
-			return nil, err
+		if c.idx < len(c.Children) {
+			if err := c.Children[c.idx].Open(); err != nil {
+				return nil, err
+			}
 		}
 	}
+	return nil, nil
 }
 
 // Close implements VectorOperator.

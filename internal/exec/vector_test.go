@@ -16,7 +16,7 @@ func TestVecTableScanSnapshotsRowCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	scan := NewVecTableScan(tb)
+	scan := tablePipes(&tableMorsels{parts: []*table.Table{tb}, alias: tb.Name, cols: qualifiedCols(tb)}, 1)[0].src
 	if err := scan.Open(); err != nil {
 		t.Fatal(err)
 	}
@@ -26,14 +26,19 @@ func TestVecTableScanSnapshotsRowCount(t *testing.T) {
 	}
 	total := 0
 	for {
-		b, err := scan.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b == nil {
+		if _, ok := scan.NextMorsel(); !ok {
 			break
 		}
-		total += b.NumRows()
+		for {
+			b, err := scan.NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+			total += b.NumRows()
+		}
 	}
 	if total != 3 {
 		t.Fatalf("scan saw %d rows, want 3", total)
@@ -100,6 +105,36 @@ func TestVecConcatColumnMismatch(t *testing.T) {
 	}}
 	if err := c.Open(); err == nil {
 		t.Fatal("want column mismatch error")
+	}
+}
+
+// TestVecConcatNextBatchAfterEnd: like every operator, an exhausted concat
+// keeps answering nil — the claim loop calls NextBatch again after a nil.
+func TestVecConcatNextBatchAfterEnd(t *testing.T) {
+	c := &VecConcat{Children: []VectorOperator{
+		&VecValuesScan{Cols: []string{"a"}, Rows: []Row{{expr.Int(1)}}},
+		&VecValuesScan{Cols: []string{"a"}, Rows: []Row{{expr.Int(2)}}},
+	}}
+	if err := c.Open(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rows := 0
+	for {
+		b, err := c.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			break
+		}
+		rows += b.NumRows()
+	}
+	if rows != 2 {
+		t.Fatalf("drained %d rows, want 2", rows)
+	}
+	if b, err := c.NextBatch(); b != nil || err != nil {
+		t.Fatalf("NextBatch after end = %v, %v; want nil, nil", b, err)
 	}
 }
 

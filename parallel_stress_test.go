@@ -213,16 +213,16 @@ func TestEngineParallelismKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(res.Info, "ParallelHashAggregate") {
-		t.Fatalf("EXPLAIN does not show the parallel plan:\n%s", res.Info)
+	if !strings.Contains(res.Info, "VecHashAggregate group=[grp] aggs=1 workers=4 (partial+merge)") {
+		t.Fatalf("EXPLAIN does not show the aggregate's worker budget:\n%s", res.Info)
 	}
 	res, err = eng.Exec(`EXPLAIN SELECT x FROM s WHERE x > 1`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pool is capped at the morsel count (40000 rows = 3 morsels here),
-	// so assert the gather's presence, not a specific worker count.
-	if !strings.Contains(res.Info, "Gather workers=") {
+	// EXPLAIN shows the budget; the pool itself is sized at open (40000
+	// rows = 3 morsels here).
+	if !strings.Contains(res.Info, "Gather workers=4") {
 		t.Fatalf("EXPLAIN does not show the gather:\n%s", res.Info)
 	}
 }
