@@ -132,7 +132,7 @@ func BenchmarkSemanticCompressionLossless(b *testing.B) {
 	b.SetBytes(int64(8 * tb.NumRows()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := compress.CompressOutput(tb, m, compress.Lossless, 0); err != nil {
+		if _, err := compress.CompressOutput(tb.Chunks(), m, compress.Lossless, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func BenchmarkSemanticCompressionBounded(b *testing.B) {
 	b.SetBytes(int64(8 * tb.NumRows()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := compress.CompressOutput(tb, m, compress.BoundedLoss, eps); err != nil {
+		if _, err := compress.CompressOutput(tb.Chunks(), m, compress.BoundedLoss, eps); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,14 +152,15 @@ func BenchmarkSemanticCompressionBounded(b *testing.B) {
 
 func BenchmarkSemanticDecompression(b *testing.B) {
 	_, tb, m, _ := benchEngine(b, 500, 0)
-	cc, err := compress.CompressOutput(tb, m, compress.BoundedLoss, m.Quality.MedianResidualSE/10)
+	v := tb.Chunks()
+	cc, err := compress.CompressOutput(v, m, compress.BoundedLoss, m.Quality.MedianResidualSE/10)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(8 * tb.NumRows()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cc.Decompress(tb, m); err != nil {
+		if _, err := cc.Decompress(v, m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -167,11 +168,11 @@ func BenchmarkSemanticDecompression(b *testing.B) {
 
 func BenchmarkFlateBaseline(b *testing.B) {
 	_, tb, _, _ := benchEngine(b, 500, 0)
-	vals, err := tb.FloatColumn("intensity")
+	_, cols, err := tb.Chunks().Numeric("", []string{"intensity"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	raw := compress.Float64Bytes(vals)
+	raw := compress.Float64Bytes(cols[0])
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -368,7 +369,7 @@ func sensorModel(b *testing.B, steps int) (*table.Table, *modelstore.CapturedMod
 	if err != nil {
 		b.Fatal(err)
 	}
-	doms, err := aqp.DomainsFor(tb, []string{"t"}, steps+1)
+	doms, err := aqp.DomainsFor(tb.Chunks(), []string{"t"}, steps+1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -428,7 +429,7 @@ func BenchmarkAnomalyDetection(b *testing.B) {
 		if len(ranked) == 0 {
 			b.Fatal("no groups")
 		}
-		if _, err := anomaly.PointOutliers(tb, m, 6); err != nil {
+		if _, err := anomaly.PointOutliers(tb.Chunks(), m, 6); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -519,7 +520,7 @@ func BenchmarkLegalCombinationsExactBuild(b *testing.B) {
 	_, tb, _, _ := benchEngine(b, 1000, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := aqp.BuildLegalSet(tb, "source", []string{"nu"}, false, 0); err != nil {
+		if _, err := aqp.BuildLegalSet(tb.Chunks(), "source", []string{"nu"}, false, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -529,7 +530,7 @@ func BenchmarkLegalCombinationsBloomBuild(b *testing.B) {
 	_, tb, _, _ := benchEngine(b, 1000, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := aqp.BuildLegalSet(tb, "source", []string{"nu"}, true, 0.01); err != nil {
+		if _, err := aqp.BuildLegalSet(tb.Chunks(), "source", []string{"nu"}, true, 0.01); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -537,11 +538,12 @@ func BenchmarkLegalCombinationsBloomBuild(b *testing.B) {
 
 func BenchmarkLegalCombinationsLookup(b *testing.B) {
 	_, tb, _, d := benchEngine(b, 1000, 0)
-	exact, err := aqp.BuildLegalSet(tb, "source", []string{"nu"}, false, 0)
+	v := tb.Chunks()
+	exact, err := aqp.BuildLegalSet(v, "source", []string{"nu"}, false, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bl, err := aqp.BuildLegalSet(tb, "source", []string{"nu"}, true, 0.01)
+	bl, err := aqp.BuildLegalSet(v, "source", []string{"nu"}, true, 0.01)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -584,14 +586,11 @@ func BenchmarkScalingPrecision(b *testing.B) {
 
 func BenchmarkAQPBaselines(b *testing.B) {
 	e, tb, m, _ := benchEngine(b, 1000, 0)
-	vals, err := tb.FloatColumn("intensity")
+	_, cols, err := tb.Chunks().Numeric("", []string{"intensity", "nu"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	nus, err := tb.FloatColumn("nu")
-	if err != nil {
-		b.Fatal(err)
-	}
+	vals, nus := cols[0], cols[1]
 	frac := float64(m.ParamSizeBytes()) / float64(16*len(vals))
 	if frac > 1 {
 		frac = 1

@@ -24,7 +24,8 @@ func main() {
 	if err := eng.RegisterTable(tb); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("sales: %d rows (%d stores × %d days)\n", tb.NumRows(), cfg.Stores, cfg.Days)
+	view := tb.Chunks()
+	fmt.Printf("sales: %d rows (%d stores × %d days)\n", view.Rows(), cfg.Stores, cfg.Days)
 
 	// The analyst's model: linear growth plus the known weekly cycle,
 	// encoded with sin/cos terms at ω = 2π/7 so the formula stays linear in
@@ -46,7 +47,7 @@ func main() {
 	exact := eng.MustExec("SELECT avg(revenue) FROM sales WHERE day >= 365").Rows[0][0].F
 	approx := eng.MustExec("APPROX SELECT avg(revenue) FROM sales WHERE day >= 365").Rows[0][0].F
 
-	_, _, salesCols, err := tb.ModelView("", []string{"revenue", "day"})
+	_, salesCols, err := view.Numeric("", []string{"revenue", "day"})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,8 @@ func main() {
 	if err := eng.RegisterTable(tb); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("readings: %d rows from %d sensors\n", tb.NumRows(), 30)
+	view := tb.Chunks()
+	fmt.Printf("readings: %d rows from %d sensors\n", view.Rows(), 30)
 
 	// Capture a per-sensor linear trend (linear in parameters AND inputs:
 	// fitted by direct OLS, aggregated analytically).
@@ -36,7 +37,7 @@ func main() {
 	m, _ := eng.Models.Get("trend")
 
 	// The timestamp column is enumerable (§4.2): integer timestamps.
-	doms, err := aqp.DomainsFor(tb, []string{"t"}, 2000)
+	doms, err := aqp.DomainsFor(view, []string{"t"}, 2000)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,14 +57,14 @@ func main() {
 
 	// Semantic compression of the temperature column with a bounded error
 	// of 0.1 °C — the residuals carry the daily wave, so the win is honest.
-	cc, err := compress.CompressOutput(tb, m, compress.BoundedLoss, 0.2)
+	cc, err := compress.CompressOutput(view, m, compress.BoundedLoss, 0.2)
 	if err != nil {
 		log.Fatal(err)
 	}
 	raw := tb.RawSizeBytes() / 3 // one of three equal-width columns
 	fmt.Printf("\nsemantic compression of temp (|err| ≤ 0.1): %d bytes vs %d raw (%.1f%%)\n",
 		cc.SizeBytes(m), raw, 100*float64(cc.SizeBytes(m))/float64(raw))
-	if _, err := cc.Decompress(tb, m); err != nil {
+	if _, err := cc.Decompress(view, m); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("round-trip verified within the error bound")

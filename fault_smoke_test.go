@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"datalaws/internal/expr"
-	"datalaws/internal/storage"
 	"datalaws/internal/wal"
 )
 
@@ -108,16 +107,13 @@ func TestRandomizedKillPointSmoke(t *testing.T) {
 				return
 			}
 			counts := map[[2]int64]int{}
-			err = tb.View(func(cols []storage.Column, rows int) error {
-				for i := 0; i < rows; i++ {
-					g := cols[0].Value(i).I
-					b := cols[1].Value(i).I
-					counts[[2]int64{g, b}]++
-				}
-				return nil
-			})
+			v := tb.Chunks()
+			rows, err := v.Head(v.Rows())
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, row := range rows {
+				counts[[2]int64{row[0].I, row[1].I}]++
 			}
 			for key, n := range counts {
 				if n != batchRows {

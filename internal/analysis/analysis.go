@@ -9,7 +9,7 @@
 // engine invariants that were previously tribal knowledge:
 //
 //   - walgate: mutations must pass through the WAL log-then-apply gate
-//   - snapshotread: cross-column table reads must hold one Snapshot/View
+//   - snapshotread: a function reads a table through one ChunkView capture
 //   - ctxloop: batch-pull and morsel-claim loops must observe cancellation
 //   - ioerrsink: WAL/persist I/O errors must never be silently dropped
 //

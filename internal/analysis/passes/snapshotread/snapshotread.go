@@ -1,14 +1,16 @@
-// Package snapshotread enforces consistent cross-column reads: code that
-// reads more than one piece of a *table.Table's data must do so under a
-// single Snapshot() or View() callback, not through repeated accessor calls.
+// Package snapshotread enforces one view per read: code that reads a
+// *table.Table must take everything it needs — columns, row count, version —
+// from a single Chunks() capture, never from a second capture or a
+// separately locked metadata call.
 //
-// Each accessor (Column, ColumnAt, FloatColumn, IntColumn, Row, NumRows)
-// takes and releases the table's read lock independently, so two calls can
-// observe different append states — the cross-column race the live-capture
-// PR fixed in fitSpec by introducing table.Snapshot: a fit that read column
-// A at version v and column B at version v+1 produced rows that never
-// coexisted. One accessor call is fine; the second one on the same table in
-// the same function is where the torn view becomes possible.
+// Chunks is the only method of Table that returns row data, and every read
+// hangs off the ChunkView it returns, so within one view nothing can tear.
+// What the type cannot rule out is a function that captures twice, or sizes
+// a view against t.NumRows()/t.Version() read under another lock
+// acquisition: the two can straddle an append, and a fit, a residual or a
+// legal-combination set built from them describes rows that never
+// coexisted. One capture is fine; the second read of the same table in the
+// same function is where the torn view becomes possible.
 package snapshotread
 
 import (
@@ -17,38 +19,34 @@ import (
 	"datalaws/internal/analysis"
 )
 
-// Analyzer flags functions reading multiple columns of one table without an
-// intervening Snapshot/View.
+// Analyzer flags functions that read one table through more than one
+// separately locked call.
 var Analyzer = &analysis.Analyzer{
 	Name: "snapshotread",
-	Doc: `cross-column table reads must happen under one Snapshot/View
+	Doc: `table reads must go through one ChunkView
 
-Within one function, a second data-accessor call (Column/ColumnAt/
-FloatColumn/IntColumn/Row/Chunks) on the same *table.Table — or a data
-accessor combined with NumRows — is flagged: each call locks
-independently, so the pair can observe different append states. Rewrite
-the function to take table.Snapshot (data + row count + version under one
-lock), table.View, or a single table.Chunks capture read through the
-returned ChunkView. Decoding a sealed chunk through Chunk.Columns() is
+Within one function, a second Chunks() capture of the same *table.Table —
+or a capture combined with NumRows, Version or NumChunks on the table — is
+flagged: each call locks independently, so the pair can observe different
+append states. Capture once and read rows, row count and version through
+the returned ChunkView. Decoding a sealed chunk through Chunk.Columns() is
 also flagged outside the table package: it bypasses the shared decode
 cache (and its memory budget); go through ChunkView.Columns instead.
-The table package itself implements the accessors and is exempt.`,
+The table package itself implements the view and is exempt.`,
 	Run: run,
 }
 
-// dataAccessors read column data; pairing any two is a potential torn view.
-// Chunks belongs here even though each call is internally consistent: two
-// captures — or a capture next to a direct accessor — can still straddle an
-// append, which is exactly the torn pair the single-capture rewrite avoids.
+// dataAccessors read row data. Chunks is the only one: each capture is
+// internally consistent, but two captures can still straddle an append.
 var dataAccessors = map[string]bool{
-	"Column": true, "ColumnAt": true, "FloatColumn": true,
-	"IntColumn": true, "Row": true, "Chunks": true,
+	"Chunks": true,
 }
 
-// metaAccessors read row-count metadata; torn only when combined with a
-// data accessor (e.g. NumRows sized against a column read separately).
+// metaAccessors read table shape under their own lock acquisition; torn
+// only when combined with a capture (e.g. NumRows sized against a view, or
+// Version stamped on data read separately).
 var metaAccessors = map[string]bool{
-	"NumRows": true,
+	"NumRows": true, "Version": true, "NumChunks": true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
@@ -130,7 +128,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 		// was consistent; the second is where the view can tear.
 		a := accs[1]
 		pass.Reportf(a.call.Pos(),
-			"%s() is the second separately-locked read of table %q in %s (%d data/%d metadata reads); combine them under one %s.Snapshot/View to avoid a torn cross-column view",
+			"%s() is the second separately-locked read of table %q in %s (%d data/%d metadata reads); read through one ChunkView (a single %s.Chunks() capture) to avoid a torn view",
 			a.name, recv, fd.Name.Name, data, meta, recv)
 	}
 }

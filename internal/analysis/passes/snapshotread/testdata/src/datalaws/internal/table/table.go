@@ -1,50 +1,46 @@
-// Stub of the engine's table package: snapshotread matches accessor methods
-// on *table.Table by (import path, type, method).
+// Stub of the engine's table package: snapshotread matches methods on
+// *table.Table by (import path, type, method).
 package table
 
 // Column is the columnar data interface stub.
 type Column interface{}
 
-// Table is the columnar table stub; every accessor locks independently in
-// the real implementation, which is the race the analyzer guards.
+// Table is the columnar table stub; every method locks independently in the
+// real implementation, which is the race the analyzer guards.
 type Table struct{ Name string }
 
 // NumRows is a metadata accessor.
 func (t *Table) NumRows() int { return 0 }
 
-// Column is a data accessor.
-func (t *Table) Column(name string) Column { return nil }
+// Version is a metadata accessor.
+func (t *Table) Version() uint64 { return 0 }
 
-// ColumnAt is a data accessor.
-func (t *Table) ColumnAt(i int) Column { return nil }
+// NumChunks is a metadata accessor.
+func (t *Table) NumChunks() int { return 0 }
 
-// FloatColumn is a data accessor.
-func (t *Table) FloatColumn(name string) ([]float64, error) { return nil, nil }
-
-// IntColumn is a data accessor.
-func (t *Table) IntColumn(name string) ([]int64, error) { return nil, nil }
-
-// Row is a data accessor.
-func (t *Table) Row(i int) []interface{} { return nil }
-
-// View runs f under one read-lock acquisition.
-func (t *Table) View(f func(cols []Column, rows int) error) error { return nil }
-
-// Snapshot is View extended with the version counter.
-func (t *Table) Snapshot(f func(cols []Column, rows int, version uint64) error) error { return nil }
-
-// Chunks captures a consistent chunked view under one lock; a data
-// accessor for pairing purposes.
+// Chunks captures a consistent view under one lock: the only data accessor.
 func (t *Table) Chunks() *ChunkView { return nil }
 
-// ChunkView is the point-in-time chunked capture stub.
+// ChunkView is the point-in-time capture stub; everything read from one view
+// shares one append state.
 type ChunkView struct{}
 
 // Columns on a ChunkView reads through the shared decode cache; sanctioned.
-func (v *ChunkView) Columns(k int) ([]Column, int, error) { return nil, 0, nil }
+func (v *ChunkView) Columns(k int) ([]Column, error) { return nil, nil }
 
-// NumSealed is chunk-shape metadata on the captured view.
-func (v *ChunkView) NumSealed() int { return 0 }
+// Numeric is the whole-view numeric extraction.
+func (v *ChunkView) Numeric(groupCol string, floatCols []string) ([]int64, [][]float64, error) {
+	return nil, nil, nil
+}
+
+// Rows is the captured row count.
+func (v *ChunkView) Rows() int { return 0 }
+
+// Version is the table version the view captured.
+func (v *ChunkView) Version() uint64 { return 0 }
+
+// NumChunks counts the view's scan units.
+func (v *ChunkView) NumChunks() int { return 0 }
 
 // Chunk is one sealed, encoded chunk.
 type Chunk struct{}

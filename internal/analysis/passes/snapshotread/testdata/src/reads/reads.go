@@ -1,78 +1,60 @@
 // Fixture for snapshotread: the second separately-locked read of one table
-// in one function is flagged; single reads, Snapshot/View rewrites and
-// distinct tables are not.
+// in one function is flagged; a single capture, reads through the captured
+// view, metadata alone and distinct tables are not.
 package reads
 
 import "datalaws/internal/table"
 
-// Two data reads of one table tear.
-func torn(t *table.Table) {
-	a, _ := t.FloatColumn("a")
-	b, _ := t.FloatColumn("b") // want `FloatColumn\(\) is the second separately-locked read of table "t" in torn \(2 data/0 metadata reads\)`
+// Two captures can straddle an append.
+func tornDoubleCapture(t *table.Table) {
+	a := t.Chunks()
+	b := t.Chunks() // want `Chunks\(\) is the second separately-locked read of table "t" in tornDoubleCapture \(2 data/0 metadata reads\); read through one ChunkView`
 	_, _ = a, b
 }
 
-// A data read sized against a separate NumRows tears too.
-func tornMeta(t *table.Table) {
+// A capture sized against a separate NumRows tears too.
+func tornRows(t *table.Table) {
 	n := t.NumRows()
-	c, _ := t.IntColumn("c") // want `IntColumn\(\) is the second separately-locked read of table "t" in tornMeta \(1 data/1 metadata reads\)`
-	_ = n
-	_ = c
+	v := t.Chunks() // want `Chunks\(\) is the second separately-locked read of table "t" in tornRows \(1 data/1 metadata reads\)`
+	_, _ = n, v
 }
 
-// Row plus Column is a cross-accessor pair.
-func tornMixed(s struct{ Tab *table.Table }) {
-	r := s.Tab.Row(0)
-	col := s.Tab.Column("x") // want `Column\(\) is the second separately-locked read of table "s\.Tab" in tornMixed`
-	_ = r
-	_ = col
+// Stamping data with a version read under another lock acquisition is the
+// cache bug: the entry claims a version its data was not read at.
+func tornVersionStamp(s struct{ Tab *table.Table }) {
+	ver := s.Tab.Version()
+	_, cols, _ := s.Tab.Chunks().Numeric("", []string{"x"}) // want `Chunks\(\) is the second separately-locked read of table "s\.Tab" in tornVersionStamp \(1 data/1 metadata reads\)`
+	_, _ = ver, cols
 }
 
-// One read is consistent by construction.
-func single(t *table.Table) {
-	_, _ = t.FloatColumn("a")
+// Chunk-shape metadata read beside a capture pairs as well.
+func tornNumChunks(t *table.Table) {
+	v := t.Chunks()
+	k := t.NumChunks() // want `NumChunks\(\) is the second separately-locked read of table "t" in tornNumChunks \(1 data/1 metadata reads\)`
+	_, _ = v, k
+}
+
+// One capture is the sanctioned read; rows, row count, version and chunk
+// count drawn from the returned view share one append state.
+func oneView(t *table.Table) {
+	v := t.Chunks()
+	_, _ = v.Columns(0)
+	_, _, _ = v.Numeric("g", []string{"x", "y"})
+	_, _, _ = v.Rows(), v.Version(), v.NumChunks()
 }
 
 // Metadata alone cannot tear.
 func metaOnly(t *table.Table) {
 	_ = t.NumRows()
-	_ = t.NumRows()
-}
-
-// The rewrite the analyzer demands: everything under one lock.
-func snapshotted(t *table.Table) {
-	_ = t.Snapshot(func(cols []table.Column, rows int, version uint64) error {
-		return nil
-	})
+	_ = t.Version()
+	_ = t.NumChunks()
 }
 
 // Distinct tables never pair.
 func twoTables(a, b *table.Table) {
-	x, _ := a.FloatColumn("x")
-	y, _ := b.FloatColumn("x")
+	x := a.Chunks()
+	y := b.Chunks()
 	_, _ = x, y
-}
-
-// A single Chunks capture is the sanctioned consistent read; everything
-// drawn from the returned view shares one append state.
-func chunkCapture(t *table.Table) {
-	v := t.Chunks()
-	_, _, _ = v.Columns(0)
-	_ = v.NumSealed()
-}
-
-// Two captures can straddle an append, same as any other accessor pair.
-func tornDoubleCapture(t *table.Table) {
-	a := t.Chunks()
-	b := t.Chunks() // want `Chunks\(\) is the second separately-locked read of table "t" in tornDoubleCapture \(2 data/0 metadata reads\)`
-	_, _ = a, b
-}
-
-// A capture next to a direct accessor pairs too.
-func tornCaptureAndRow(t *table.Table) {
-	v := t.Chunks()
-	r := t.Row(0) // want `Row\(\) is the second separately-locked read of table "t" in tornCaptureAndRow \(2 data/0 metadata reads\)`
-	_, _ = v, r
 }
 
 // Raw per-chunk decode bypasses the shared cache: flagged even alone.
@@ -82,8 +64,8 @@ func rawChunkDecode(c *table.Chunk) {
 
 // A documented suppression is honored.
 func tornSuppressed(t *table.Table) {
-	a, _ := t.FloatColumn("a")
+	a := t.Chunks()
 	//lint:ignore snapshotread fixture table is private to this goroutine; no concurrent appender exists
-	b, _ := t.FloatColumn("b")
+	b := t.Chunks()
 	_, _ = a, b
 }

@@ -87,14 +87,10 @@ type PointOutlier struct {
 	Z float64
 }
 
-// PointOutliers returns all rows whose standardized residual magnitude
-// exceeds zThreshold, ordered by |Z| descending.
-func PointOutliers(t *table.Table, m *modelstore.CapturedModel, zThreshold float64) ([]PointOutlier, error) {
-	groupCol := ""
-	if m.Grouped() {
-		groupCol = m.Spec.GroupBy
-	}
-	_, group, cols, err := t.ModelView(groupCol, append([]string{m.Model.Output}, m.Model.Inputs...))
+// PointOutliers returns all rows of view v whose standardized residual
+// magnitude exceeds zThreshold, ordered by |Z| descending.
+func PointOutliers(v *table.ChunkView, m *modelstore.CapturedModel, zThreshold float64) ([]PointOutlier, error) {
+	group, cols, err := v.Numeric(m.Spec.GroupBy, append([]string{m.Model.Output}, m.Model.Inputs...))
 	if err != nil {
 		return nil, err
 	}

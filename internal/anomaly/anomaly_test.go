@@ -105,7 +105,7 @@ func TestPointOutliers(t *testing.T) {
 	tb, m, _ := fixture(t, 0)
 	// Inject one wild observation into a well-modeled source.
 	tb.AppendRow([]expr.Value{expr.Int(1), expr.Float(0.15), expr.Float(1000)})
-	outs, err := PointOutliers(tb, m, 5)
+	outs, err := PointOutliers(tb.Chunks(), m, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestPointOutliers(t *testing.T) {
 
 func TestPointOutliersCleanData(t *testing.T) {
 	tb, m, _ := fixture(t, 0)
-	outs, err := PointOutliers(tb, m, 6)
+	outs, err := PointOutliers(tb.Chunks(), m, 6)
 	if err != nil {
 		t.Fatal(err)
 	}

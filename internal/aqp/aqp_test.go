@@ -40,7 +40,7 @@ func fixture(t *testing.T) (*table.Catalog, *table.Table, *modelstore.Store, *mo
 
 func TestEnumerableValues(t *testing.T) {
 	_, tb, _, _, _ := fixture(t)
-	vals, ok := EnumerableValues(tb, "nu", 100)
+	vals, ok := EnumerableValues(tb.Chunks(), "nu", 100)
 	if !ok {
 		t.Fatal("nu must be enumerable")
 	}
@@ -48,31 +48,31 @@ func TestEnumerableValues(t *testing.T) {
 		t.Fatalf("vals = %v", vals)
 	}
 	// Intensity is continuous noise: not enumerable at a low threshold.
-	if _, ok := EnumerableValues(tb, "intensity", 50); ok {
+	if _, ok := EnumerableValues(tb.Chunks(), "intensity", 50); ok {
 		t.Fatal("intensity should not be enumerable")
 	}
-	if _, ok := EnumerableValues(tb, "nosuch", 10); ok {
+	if _, ok := EnumerableValues(tb.Chunks(), "nosuch", 10); ok {
 		t.Fatal("missing column")
 	}
 }
 
 func TestDomainsForAndGridSize(t *testing.T) {
 	_, tb, _, _, _ := fixture(t)
-	doms, err := DomainsFor(tb, []string{"nu"}, 100)
+	doms, err := DomainsFor(tb.Chunks(), []string{"nu"}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if GridSize(doms) != 4 {
 		t.Fatalf("grid = %d", GridSize(doms))
 	}
-	if _, err := DomainsFor(tb, []string{"intensity"}, 5); err == nil {
+	if _, err := DomainsFor(tb.Chunks(), []string{"intensity"}, 5); err == nil {
 		t.Fatal("want non-enumerable error")
 	}
 }
 
 func TestLegalSetExact(t *testing.T) {
 	_, tb, _, _, d := fixture(t)
-	ls, err := BuildLegalSet(tb, "source", []string{"nu"}, false, 0)
+	ls, err := BuildLegalSet(tb.Chunks(), "source", []string{"nu"}, false, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestLegalSetExact(t *testing.T) {
 
 func TestLegalSetBloom(t *testing.T) {
 	_, tb, _, _, d := fixture(t)
-	ls, err := BuildLegalSet(tb, "source", []string{"nu"}, true, 0.01)
+	ls, err := BuildLegalSet(tb.Chunks(), "source", []string{"nu"}, true, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestLegalSetBloom(t *testing.T) {
 		t.Fatalf("fp rate = %g", bl.FPRate())
 	}
 	// Bloom must be much smaller than exact for this data.
-	exact, _ := BuildLegalSet(tb, "source", []string{"nu"}, false, 0)
+	exact, _ := BuildLegalSet(tb.Chunks(), "source", []string{"nu"}, false, 0)
 	if bl.SizeBytes() >= exact.SizeBytes() {
 		t.Fatalf("bloom %d >= exact %d bytes", bl.SizeBytes(), exact.SizeBytes())
 	}
@@ -121,7 +121,7 @@ func TestLegalSetBloom(t *testing.T) {
 
 func TestModelScanGeneratesGrid(t *testing.T) {
 	_, tb, _, m, d := fixture(t)
-	doms, err := DomainsFor(tb, []string{"nu"}, 100)
+	doms, err := DomainsFor(tb.Chunks(), []string{"nu"}, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestModelScanGeneratesGrid(t *testing.T) {
 
 func TestModelScanWithErrorBounds(t *testing.T) {
 	_, tb, _, m, _ := fixture(t)
-	doms, _ := DomainsFor(tb, []string{"nu"}, 100)
+	doms, _ := DomainsFor(tb.Chunks(), []string{"nu"}, 100)
 	scan, err := NewModelScan(m, doms, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestAnalyticAggregatesLinearModel(t *testing.T) {
 	if !IsLinearInInputs(m) {
 		t.Fatal("a + b*t must be linear in t")
 	}
-	doms, err := DomainsFor(tb, []string{"t"}, 1000)
+	doms, err := DomainsFor(tb.Chunks(), []string{"t"}, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

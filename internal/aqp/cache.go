@@ -46,103 +46,84 @@ func (c *Cache) Stats() (hits, misses int) {
 	return c.hits, c.misses
 }
 
-func domainsKey(m *modelstore.CapturedModel, maxDistinct int) string {
-	return fmt.Sprintf("%s|v%d|d%d", m.Spec.Name, m.Version, maxDistinct)
+// modelKey identifies one version of a model; a refit changes it, so the
+// old version's artifacts are never served for the new one.
+func modelKey(m *modelstore.CapturedModel) string {
+	return fmt.Sprintf("%s|v%d", m.Spec.Name, m.Version)
 }
 
-func legalKey(m *modelstore.CapturedModel, useBloom bool, fpRate float64) string {
-	return fmt.Sprintf("%s|v%d|b%v|f%g", m.Spec.Name, m.Version, useBloom, fpRate)
-}
-
-// domainsFor returns (possibly cached) enumerated domains for the model's
-// inputs at the table's current version.
-func (c *Cache) domainsFor(t *table.Table, m *modelstore.CapturedModel, maxDistinct int) ([]Domain, error) {
+// Domains returns (possibly cached) enumerated domains for the model's
+// inputs as of view v. The entry is stamped with the version of the view the
+// data was read from, never with a separately read table version. The
+// server's delta builder calls it too, so shipped domains reuse the
+// planner's cache.
+func (c *Cache) Domains(v *table.ChunkView, m *modelstore.CapturedModel) ([]Domain, error) {
 	if c == nil {
-		return DomainsFor(t, m.Model.Inputs, maxDistinct)
+		return DomainsFor(v, m.Model.Inputs, DefaultMaxDistinct)
 	}
-	v := t.Version()
-	key := domainsKey(m, maxDistinct)
+	key := modelKey(m)
 	c.mu.Lock()
-	if e, ok := c.domains[key]; ok && e.tableVersion == v {
+	if e, ok := c.domains[key]; ok && e.tableVersion == v.Version() {
 		c.hits++
 		c.mu.Unlock()
 		return e.domains, nil
 	}
 	c.misses++
 	c.mu.Unlock()
-	doms, err := DomainsFor(t, m.Model.Inputs, maxDistinct)
+	doms, err := DomainsFor(v, m.Model.Inputs, DefaultMaxDistinct)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	c.domains[key] = cachedDomains{tableVersion: v, domains: doms}
-	c.mu.Unlock()
+	c.PrimeDomains(v, m, doms)
 	return doms, nil
 }
 
-// PrimeDomains installs precomputed domains for (model, maxDistinct) at the
-// table's current version, as if domainsFor had built them locally. Read
-// replicas use it: their stub tables hold zero rows, so a local enumeration
-// would yield empty domains (and silently empty grids) — the primary ships
-// its enumerated domains with each model delta instead. The stub table's
-// version never changes, so a primed entry stays valid until the next delta
-// re-primes it.
-func (c *Cache) PrimeDomains(t *table.Table, m *modelstore.CapturedModel, maxDistinct int, domains []Domain) {
+// PrimeDomains installs precomputed domains for the model at the view's
+// version, as if Domains had built them locally. Read replicas use it: their
+// stub tables hold zero rows, so a local enumeration would yield empty
+// domains (and silently empty grids) — the primary ships its enumerated
+// domains with each model delta instead. The stub table's version never
+// changes, so a primed entry stays valid until the next delta re-primes it.
+func (c *Cache) PrimeDomains(v *table.ChunkView, m *modelstore.CapturedModel, domains []Domain) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.domains[domainsKey(m, maxDistinct)] = cachedDomains{tableVersion: t.Version(), domains: domains}
+	c.domains[modelKey(m)] = cachedDomains{tableVersion: v.Version(), domains: domains}
 	c.mu.Unlock()
 }
 
-// PrimeLegal installs a precomputed legal set for (model, useBloom, fpRate)
-// at the table's current version — the legal-set counterpart of
-// PrimeDomains.
-func (c *Cache) PrimeLegal(t *table.Table, m *modelstore.CapturedModel, useBloom bool, fpRate float64, legal LegalSet) {
+// Legal returns a (possibly cached) legal set for the model as of view v —
+// the legal-set counterpart of Domains. The planner's set is always exact;
+// BuildLegalSet's Bloom form is for callers that price the compressed set.
+func (c *Cache) Legal(v *table.ChunkView, m *modelstore.CapturedModel) (LegalSet, error) {
 	if c == nil {
-		return
+		return BuildLegalSet(v, m.Spec.GroupBy, m.Model.Inputs, false, 0)
 	}
+	key := modelKey(m)
 	c.mu.Lock()
-	c.legal[legalKey(m, useBloom, fpRate)] = cachedLegal{tableVersion: t.Version(), legal: legal}
-	c.mu.Unlock()
-}
-
-// Domains returns (possibly cached) enumerated domains for the model's
-// inputs — the exported surface the server's delta builder uses so shipped
-// domains reuse the planner's cache.
-func (c *Cache) Domains(t *table.Table, m *modelstore.CapturedModel, maxDistinct int) ([]Domain, error) {
-	return c.domainsFor(t, m, maxDistinct)
-}
-
-// Legal returns a (possibly cached) legal set for the model — the exported
-// counterpart of Domains.
-func (c *Cache) Legal(t *table.Table, m *modelstore.CapturedModel, useBloom bool, fpRate float64) (LegalSet, error) {
-	return c.legalFor(t, m, useBloom, fpRate)
-}
-
-// legalFor returns a (possibly cached) legal set for the model at the
-// table's current version.
-func (c *Cache) legalFor(t *table.Table, m *modelstore.CapturedModel, useBloom bool, fpRate float64) (LegalSet, error) {
-	if c == nil {
-		return BuildLegalSet(t, m.Spec.GroupBy, m.Model.Inputs, useBloom, fpRate)
-	}
-	v := t.Version()
-	key := legalKey(m, useBloom, fpRate)
-	c.mu.Lock()
-	if e, ok := c.legal[key]; ok && e.tableVersion == v {
+	if e, ok := c.legal[key]; ok && e.tableVersion == v.Version() {
 		c.hits++
 		c.mu.Unlock()
 		return e.legal, nil
 	}
 	c.misses++
 	c.mu.Unlock()
-	ls, err := BuildLegalSet(t, m.Spec.GroupBy, m.Model.Inputs, useBloom, fpRate)
+	ls, err := BuildLegalSet(v, m.Spec.GroupBy, m.Model.Inputs, false, 0)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	c.legal[key] = cachedLegal{tableVersion: v, legal: ls}
-	c.mu.Unlock()
+	c.PrimeLegal(v, m, ls)
 	return ls, nil
+}
+
+// PrimeLegal installs a precomputed legal set for the model at the view's
+// version — the legal-set counterpart of PrimeDomains.
+func (c *Cache) PrimeLegal(v *table.ChunkView, m *modelstore.CapturedModel, legal LegalSet) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	c.legal[modelKey(m)] = cachedLegal{tableVersion: v.Version(), legal: legal}
+	c.mu.Unlock()
 }

@@ -59,7 +59,7 @@ func TestCacheInvalidatedByAppend(t *testing.T) {
 		t.Fatalf("misses = %d, want 4", misses)
 	}
 	// The fresh domain includes the new frequency.
-	scanDoms, err := opts.Cache.domainsFor(tb, plan.Model, opts.MaxDistinct)
+	scanDoms, err := opts.Cache.Domains(tb.Chunks(), plan.Model)
 	if err != nil {
 		t.Fatal(err)
 	}

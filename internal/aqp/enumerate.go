@@ -27,26 +27,26 @@ const DefaultMaxDistinct = 10000
 // (non-numeric, NULL-bearing, or high-cardinality columns do not
 // enumerate). This implements §4.2's "if a parameter column is enumerable,
 // we can use it without actually loading its values" detection — we load
-// once at plan time and remember the domain. The column is snapshotted
-// under the table lock, so enumeration is safe against concurrent appends.
-func EnumerableValues(t *table.Table, col string, maxDistinct int) (vals []float64, ok bool) {
+// once at plan time and remember the domain. The view is immutable, so
+// enumeration is safe against concurrent appends.
+func EnumerableValues(v *table.ChunkView, col string, maxDistinct int) (vals []float64, ok bool) {
 	if maxDistinct <= 0 {
 		maxDistinct = DefaultMaxDistinct
 	}
-	snapshot, err := t.FloatColumn(col)
+	_, cols, err := v.Numeric("", []string{col})
 	if err != nil {
 		return nil, false
 	}
 	set := map[float64]struct{}{}
-	for _, v := range snapshot {
-		set[v] = struct{}{}
+	for _, x := range cols[0] {
+		set[x] = struct{}{}
 		if len(set) > maxDistinct {
 			return nil, false
 		}
 	}
 	out := make([]float64, 0, len(set))
-	for v := range set {
-		out = append(out, v)
+	for x := range set {
+		out = append(out, x)
 	}
 	sort.Float64s(out)
 	return out, true
@@ -58,11 +58,11 @@ type Domain struct {
 	Vals []float64
 }
 
-// DomainsFor enumerates every model input column of a table.
-func DomainsFor(t *table.Table, cols []string, maxDistinct int) ([]Domain, error) {
+// DomainsFor enumerates every model input column of one view of a table.
+func DomainsFor(v *table.ChunkView, cols []string, maxDistinct int) ([]Domain, error) {
 	out := make([]Domain, len(cols))
 	for i, c := range cols {
-		vals, ok := EnumerableValues(t, c, maxDistinct)
+		vals, ok := EnumerableValues(v, c, maxDistinct)
 		if !ok {
 			return nil, fmt.Errorf("aqp: column %q is not enumerable (more than %d distinct values)", c, maxDistinct)
 		}
@@ -191,14 +191,15 @@ func (s *BloomLegalSet) Exact() bool { return false }
 // FPRate returns the theoretical false-positive rate at the current fill.
 func (s *BloomLegalSet) FPRate() float64 { return s.f.EstimatedFPRate() }
 
-// BuildLegalSet scans the table once and records every observed
+// BuildLegalSet scans one view of the table and records every observed
 // (group, inputs) combination. groupCol may be "" for ungrouped models.
 // With useBloom, a Bloom filter sized for fpRate replaces the exact set.
-func BuildLegalSet(t *table.Table, groupCol string, inputCols []string, useBloom bool, fpRate float64) (LegalSet, error) {
-	n, group, inputs, err := t.ModelView(groupCol, inputCols)
+func BuildLegalSet(v *table.ChunkView, groupCol string, inputCols []string, useBloom bool, fpRate float64) (LegalSet, error) {
+	group, inputs, err := v.Numeric(groupCol, inputCols)
 	if err != nil {
 		return nil, err
 	}
+	n := v.Rows()
 	if useBloom {
 		f := bloom.New(n, fpRate)
 		parts := make([]uint64, 1+len(inputCols))

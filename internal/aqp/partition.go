@@ -69,16 +69,14 @@ func (p *Prepared) bindPartitioned(st *sql.SelectStmt) (*Plan, error) {
 		if firstModel == nil {
 			firstModel = model
 		}
-		domains, err := p.opts.Cache.domainsFor(child, model, p.opts.MaxDistinct)
+		v := child.Chunks()
+		domains, err := p.opts.Cache.Domains(v, model)
 		if err != nil {
 			return nil, err
 		}
-		var legal LegalSet
-		if !p.opts.AllowIllegal {
-			legal, err = p.opts.Cache.legalFor(child, model, p.opts.UseBloom, p.opts.FPRate)
-			if err != nil {
-				return nil, err
-			}
+		legal, err := p.opts.Cache.Legal(v, model)
+		if err != nil {
+			return nil, err
 		}
 		inflate := staleInflation(model, child, p.opts)
 		if inflate > inflateMax {

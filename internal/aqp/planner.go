@@ -16,16 +16,8 @@ import (
 type Options struct {
 	// Policy filters which stored models are trusted.
 	Policy modelstore.SelectionPolicy
-	// MaxDistinct bounds enumerable-domain detection.
-	MaxDistinct int
-	// UseBloom selects the Bloom-filter legal set; FPRate its target rate.
-	UseBloom bool
-	FPRate   float64
 	// Level is the confidence level for WITH ERROR bounds.
 	Level float64
-	// AllowIllegal disables legal-combination filtering entirely (emit the
-	// full grid, accepting rows that never existed).
-	AllowIllegal bool
 	// Cache memoizes domains and legal sets across queries (nil disables).
 	Cache *Cache
 	// ExecMode selects batch (vectorized) or row execution for the plan; the
@@ -65,9 +57,11 @@ type Inflator interface {
 	InflationFor(model string) float64
 }
 
-// DefaultOptions are sensible defaults: exact legal set, 95 % intervals.
+// DefaultOptions are sensible defaults: the default selection policy and
+// 95 % intervals. Domains enumerate up to DefaultMaxDistinct values and the
+// legal set is always exact and always applied; those are not options.
 func DefaultOptions() Options {
-	return Options{Policy: modelstore.DefaultPolicy, MaxDistinct: DefaultMaxDistinct, FPRate: 0.01, Level: 0.95}
+	return Options{Policy: modelstore.DefaultPolicy, Level: 0.95}
 }
 
 // Plan is an approximate query plan with its provenance.
@@ -178,29 +172,35 @@ func (p *Prepared) revalidateLocked() error {
 	if err != nil {
 		return fmt.Errorf("aqp: %w", err)
 	}
-	tv := t.Version()
-	if p.model != nil && tv == p.tableVersion {
+	if p.model != nil && t.Version() == p.tableVersion {
 		if cur, ok := p.store.Get(p.model.Spec.Name); ok && cur == p.model && cur.Version == p.modelVersion {
 			return nil
 		}
 	}
+	return p.rebuildLocked(t)
+}
+
+// rebuildLocked selects the model and builds domains and legal set from one
+// view of t, recording that view's version: the artifacts and the version
+// they are trusted for describe the same rows, and a table that moved
+// between revalidateLocked's check and this capture is simply rebuilt at
+// the newer state. Callers hold p.mu.
+func (p *Prepared) rebuildLocked(t *table.Table) error {
 	model, err := chooseModel(p.store, p.tableName, p.tableName, t, p.refs, p.withError, p.opts.Policy)
 	if err != nil {
 		return err
 	}
-	domains, err := p.opts.Cache.domainsFor(t, model, p.opts.MaxDistinct)
+	v := t.Chunks()
+	domains, err := p.opts.Cache.Domains(v, model)
 	if err != nil {
 		return err
 	}
-	var legal LegalSet
-	if !p.opts.AllowIllegal {
-		legal, err = p.opts.Cache.legalFor(t, model, p.opts.UseBloom, p.opts.FPRate)
-		if err != nil {
-			return err
-		}
+	legal, err := p.opts.Cache.Legal(v, model)
+	if err != nil {
+		return err
 	}
 	p.model, p.domains, p.legal = model, domains, legal
-	p.tableVersion, p.modelVersion = tv, model.Version
+	p.tableVersion, p.modelVersion = v.Version(), model.Version
 	p.inflate = staleInflation(model, t, p.opts)
 	return nil
 }

@@ -33,17 +33,28 @@ func fixture(t *testing.T) (*table.Table, *modelstore.CapturedModel) {
 	return tb, m
 }
 
+// intensityOf extracts the observed column of one view.
+func intensityOf(t *testing.T, v *table.ChunkView) []float64 {
+	t.Helper()
+	_, cols, err := v.Numeric("", []string{"intensity"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cols[0]
+}
+
 func TestLosslessRoundTrip(t *testing.T) {
 	tb, m := fixture(t)
-	cc, err := CompressOutput(tb, m, Lossless, 0)
+	v := tb.Chunks()
+	cc, err := CompressOutput(v, m, Lossless, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := cc.Decompress(tb, m)
+	back, err := cc.Decompress(v, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, _ := tb.FloatColumn("intensity")
+	orig := intensityOf(t, v)
 	if len(back) != len(orig) {
 		t.Fatalf("length %d vs %d", len(back), len(orig))
 	}
@@ -56,16 +67,17 @@ func TestLosslessRoundTrip(t *testing.T) {
 
 func TestBoundedLossRespectsEpsilon(t *testing.T) {
 	tb, m := fixture(t)
+	v := tb.Chunks()
 	const eps = 1e-3
-	cc, err := CompressOutput(tb, m, BoundedLoss, eps)
+	cc, err := CompressOutput(v, m, BoundedLoss, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := cc.Decompress(tb, m)
+	back, err := cc.Decompress(v, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig, _ := tb.FloatColumn("intensity")
+	orig := intensityOf(t, v)
 	var worst float64
 	for i := range orig {
 		d := math.Abs(back[i] - orig[i])
@@ -80,15 +92,15 @@ func TestBoundedLossRespectsEpsilon(t *testing.T) {
 
 func TestBoundedLossBeatsFlate(t *testing.T) {
 	tb, m := fixture(t)
-	orig, _ := tb.FloatColumn("intensity")
-	raw := Float64Bytes(orig)
+	v := tb.Chunks()
+	raw := Float64Bytes(intensityOf(t, v))
 	flateSize, err := FlateRoundTrip(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Quantize to about 1% of the typical residual scale.
 	eps := m.Quality.MedianResidualSE / 10
-	cc, err := CompressOutput(tb, m, BoundedLoss, eps)
+	cc, err := CompressOutput(v, m, BoundedLoss, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +114,7 @@ func TestBoundedLossBeatsFlate(t *testing.T) {
 
 func TestCompressionRatioAccounting(t *testing.T) {
 	tb, m := fixture(t)
-	cc, err := CompressOutput(tb, m, BoundedLoss, 1e-3)
+	cc, err := CompressOutput(tb.Chunks(), m, BoundedLoss, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +126,11 @@ func TestCompressionRatioAccounting(t *testing.T) {
 
 func TestBadEpsilonRejected(t *testing.T) {
 	tb, m := fixture(t)
-	if _, err := CompressOutput(tb, m, BoundedLoss, 0); err == nil {
+	v := tb.Chunks()
+	if _, err := CompressOutput(v, m, BoundedLoss, 0); err == nil {
 		t.Fatal("want error for zero epsilon")
 	}
-	if _, err := CompressOutput(tb, m, BoundedLoss, math.NaN()); err == nil {
+	if _, err := CompressOutput(v, m, BoundedLoss, math.NaN()); err == nil {
 		t.Fatal("want error for NaN epsilon")
 	}
 }
@@ -127,21 +140,62 @@ func TestRawSpillForUncoveredGroups(t *testing.T) {
 	// Add rows for a group with no fitted parameters.
 	tb.AppendRow(rowOf(9999, 0.12, 7.5))
 	tb.AppendRow(rowOf(9999, 0.15, 7.0))
-	cc, err := CompressOutput(tb, m, Lossless, 0)
+	v := tb.Chunks()
+	cc, err := CompressOutput(v, m, Lossless, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cc.RawVals) != 2 {
 		t.Fatalf("raw spill = %d rows, want 2", len(cc.RawVals))
 	}
-	back, err := cc.Decompress(tb, m)
+	back, err := cc.Decompress(v, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := tb.NumRows()
+	n := v.Rows()
 	if back[n-2] != 7.5 || back[n-1] != 7.0 {
 		t.Fatalf("spilled rows = %g, %g", back[n-2], back[n-1])
 	}
+}
+
+// TestCompressOutputUnderAppend: while a writer keeps appending, a
+// compressed column covers exactly the rows of the one view it was built
+// from — observed values and predictions can never come from two append
+// states (which used to index one past the other).
+func TestCompressOutputUnderAppend(t *testing.T) {
+	tb, m := fixture(t)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		// Bounded so 200 O(rows) compressions stay fast under -race.
+		for i := 0; i < 5000; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := tb.AppendRow(rowOf(int64(1+i%40), 0.15, 2.0)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		v := tb.Chunks()
+		cc, err := CompressOutput(v, m, Lossless, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := cc.Decompress(v, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cc.N != v.Rows() || len(back) != v.Rows() {
+			t.Fatalf("call %d: compressed %d rows, decompressed %d, view has %d", i, cc.N, len(back), v.Rows())
+		}
+	}
+	close(stop)
+	<-done
 }
 
 func rowOf(src int64, nu, i float64) []expr.Value {
@@ -150,13 +204,14 @@ func rowOf(src int64, nu, i float64) []expr.Value {
 
 func TestWrongModelRejected(t *testing.T) {
 	tb, m := fixture(t)
-	cc, err := CompressOutput(tb, m, Lossless, 0)
+	v := tb.Chunks()
+	cc, err := CompressOutput(v, m, Lossless, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := *m
 	other.Spec.Name = "different"
-	if _, err := cc.Decompress(tb, &other); err == nil {
+	if _, err := cc.Decompress(v, &other); err == nil {
 		t.Fatal("want model-mismatch error")
 	}
 }

@@ -35,8 +35,9 @@ const (
 )
 
 // CompressedColumn is a model-compressed representation of one numeric
-// column. Reconstruction requires the same table's group/input columns and
-// the captured model (whose parameter table is priced into SizeBytes).
+// column as of one view of its table. Reconstruction requires a view with
+// the same rows' group/input columns and the captured model (whose
+// parameter table is priced into SizeBytes).
 type CompressedColumn struct {
 	ModelName string
 	Mode      Mode
@@ -57,21 +58,21 @@ func (c *CompressedColumn) SizeBytes(m *modelstore.CapturedModel) int {
 	return len(c.Payload) + len(c.RawMask) + 8*len(c.RawVals) + m.ParamSizeBytes()
 }
 
-// CompressOutput compresses the model's output column of t. epsilon is the
-// absolute error bound for BoundedLoss and ignored for Lossless.
-func CompressOutput(t *table.Table, m *modelstore.CapturedModel, mode Mode, epsilon float64) (*CompressedColumn, error) {
+// CompressOutput compresses the model's output column as of view v: the
+// observed values and the inputs the predictions are made from are the same
+// rows. epsilon is the absolute error bound for BoundedLoss and ignored for
+// Lossless.
+func CompressOutput(v *table.ChunkView, m *modelstore.CapturedModel, mode Mode, epsilon float64) (*CompressedColumn, error) {
 	if mode == BoundedLoss && (epsilon <= 0 || math.IsNaN(epsilon)) {
 		return nil, fmt.Errorf("compress: BoundedLoss requires epsilon > 0, got %g", epsilon)
 	}
-	preds, ok, err := predictions(t, m)
+	group, cols, err := v.Numeric(m.Spec.GroupBy, append([]string{m.Model.Output}, m.Model.Inputs...))
 	if err != nil {
 		return nil, err
 	}
-	observed, err := t.FloatColumn(m.Model.Output)
-	if err != nil {
-		return nil, err
-	}
-	n := len(observed)
+	n := v.Rows()
+	observed := cols[0]
+	preds, ok := predictions(m, group, cols[1:], n)
 	cc := &CompressedColumn{
 		ModelName: m.Spec.Name,
 		Mode:      mode,
@@ -101,17 +102,18 @@ func CompressOutput(t *table.Table, m *modelstore.CapturedModel, mode Mode, epsi
 
 // Decompress reconstructs the column. For Lossless the result is bit-exact;
 // for BoundedLoss every value is within Epsilon/2 of the original.
-func (c *CompressedColumn) Decompress(t *table.Table, m *modelstore.CapturedModel) ([]float64, error) {
+func (c *CompressedColumn) Decompress(v *table.ChunkView, m *modelstore.CapturedModel) ([]float64, error) {
 	if m.Spec.Name != c.ModelName {
 		return nil, fmt.Errorf("compress: column was compressed with model %q, got %q", c.ModelName, m.Spec.Name)
 	}
-	preds, ok, err := predictions(t, m)
+	if v.Rows() != c.N {
+		return nil, fmt.Errorf("compress: view has %d rows, compressed column has %d", v.Rows(), c.N)
+	}
+	group, inputs, err := v.Numeric(m.Spec.GroupBy, m.Model.Inputs)
 	if err != nil {
 		return nil, err
 	}
-	if len(preds) != c.N {
-		return nil, fmt.Errorf("compress: table has %d rows, compressed column has %d", len(preds), c.N)
-	}
+	preds, ok := predictions(m, group, inputs, c.N)
 	var resid []float64
 	switch c.Mode {
 	case Lossless:
@@ -149,17 +151,10 @@ func (c *CompressedColumn) Decompress(t *table.Table, m *modelstore.CapturedMode
 	return out, nil
 }
 
-// predictions evaluates the model for every row; ok[i] is false when the
+// predictions evaluates the model for each of n rows given their group keys
+// (nil for an ungrouped model) and input columns; ok[i] is false when the
 // row's group has no usable parameters.
-func predictions(t *table.Table, m *modelstore.CapturedModel) ([]float64, []bool, error) {
-	groupCol := ""
-	if m.Grouped() {
-		groupCol = m.Spec.GroupBy
-	}
-	n, group, inputs, err := t.ModelView(groupCol, m.Model.Inputs)
-	if err != nil {
-		return nil, nil, err
-	}
+func predictions(m *modelstore.CapturedModel, group []int64, inputs [][]float64, n int) ([]float64, []bool) {
 	preds := make([]float64, n)
 	ok := make([]bool, n)
 	row := make([]float64, len(m.Model.Params)+len(m.Model.Inputs))
@@ -179,7 +174,7 @@ func predictions(t *table.Table, m *modelstore.CapturedModel) ([]float64, []bool
 		preds[r] = m.Model.EvalInto(row, g.Params, in)
 		ok[r] = true
 	}
-	return preds, ok, nil
+	return preds, ok
 }
 
 // --- residual encodings ---

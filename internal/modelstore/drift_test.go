@@ -130,7 +130,12 @@ func TestDriftDetectorSkipsUnattributableRows(t *testing.T) {
 }
 
 func TestRefitWarmStartsFromPreviousParams(t *testing.T) {
+	inEachLayout(t, refitWarmStarts)
+}
+
+func refitWarmStarts(t *testing.T, sealed bool) *CapturedModel {
 	tb, s, m := driftFixture(t, 4, 40)
+	requireLayout(t, tb, sealed)
 	rng := rand.New(rand.NewSource(19))
 	var rows [][]expr.Value
 	for i := 0; i < 160; i++ {
@@ -166,6 +171,7 @@ func TestRefitWarmStartsFromPreviousParams(t *testing.T) {
 	if warmIters == 0 {
 		t.Fatal("nonlinear warm refit reported zero iterations")
 	}
+	return warm
 }
 
 // TestRefitRetainsCoverageOnGroupFailure: when new data breaks one group's

@@ -161,7 +161,6 @@ type Staleness struct {
 	RowsNow     int
 	AddedRows   int
 	GrowthFrac  float64
-	VersionLag  uint64
 	NeverFitted bool
 }
 
@@ -169,10 +168,9 @@ type Staleness struct {
 func (m *CapturedModel) StalenessAgainst(t *table.Table) Staleness {
 	now := t.NumRows()
 	s := Staleness{
-		RowsAtFit:  m.FittedRows,
-		RowsNow:    now,
-		AddedRows:  now - m.FittedRows,
-		VersionLag: t.Version() - m.FittedVersion,
+		RowsAtFit: m.FittedRows,
+		RowsNow:   now,
+		AddedRows: now - m.FittedRows,
 	}
 	if m.FittedRows > 0 {
 		s.GrowthFrac = float64(s.AddedRows) / float64(m.FittedRows)
@@ -249,7 +247,7 @@ func (s *Store) Capture(t *table.Table, spec Spec) (*CapturedModel, error) {
 	if err := s.nameFree(spec.Name); err != nil {
 		return nil, err
 	}
-	cm, err := fitSpec(t, spec, nil, s.fitParallelism())
+	cm, err := fitSpec(t.Chunks(), spec, nil, s.fitParallelism())
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +296,7 @@ func (s *Store) refit(name string, t *table.Table, warm bool) (*CapturedModel, e
 	if warm {
 		prev = old
 	}
-	cm, err := fitSpec(t, old.Spec, prev, s.fitParallelism())
+	cm, err := fitSpec(t.Chunks(), old.Spec, prev, s.fitParallelism())
 	if err != nil {
 		return nil, err
 	}
@@ -444,58 +442,30 @@ func (s *Store) BestFor(tableName, output string, t *table.Table, pol SelectionP
 	return best, nil
 }
 
-// fitSpec runs the fitting workload for a spec against a consistent table
-// snapshot. When prev is non-nil, the fit warm-starts from prev's fitted
-// parameters group by group.
-// fitSpec fits one model spec against a consistent snapshot of t;
-// parallelism bounds the per-group fitting workers (0 = GOMAXPROCS).
-func fitSpec(t *table.Table, spec Spec, prev *CapturedModel, parallelism int) (*CapturedModel, error) {
+// fitSpec fits one model spec against one view of its table, so a fit racing
+// concurrent appends sees one consistent prefix and records exactly that
+// view's version and row count for staleness tracking. The view is immutable:
+// the extraction, the interpreted WHERE pass and the fit itself all run off
+// the writer's path. When prev is non-nil the fit warm-starts from prev's
+// fitted parameters group by group; parallelism bounds the per-group fitting
+// workers (0 = GOMAXPROCS).
+func fitSpec(v *table.ChunkView, spec Spec, prev *CapturedModel, parallelism int) (*CapturedModel, error) {
 	model, err := fit.ParseModel(spec.Formula, spec.Inputs)
 	if err != nil {
 		return nil, err
 	}
 
-	// Extract every needed column under one read-lock acquisition, so a fit
-	// racing concurrent appends sees one consistent prefix of the table and
-	// records exactly that version/row count for staleness tracking. Only
-	// cheap copies and prefix views happen under the lock; the interpreted
-	// WHERE pass and the fit itself run on them afterwards, entirely off the
-	// writer's path.
 	needed := append([]string{model.Output}, model.Inputs...)
-	cols := map[string][]float64{}
-	var group []int64
-	var whereCols []storage.Column
-	var version uint64
-	var rows int
-	err = t.Snapshot(func(sc []storage.Column, n int, v uint64) error {
-		version, rows = v, n
-		for _, name := range needed {
-			vals, err := floatPrefix(t, sc, name, n)
-			if err != nil {
-				return err
-			}
-			cols[name] = vals
-		}
-		if spec.GroupBy != "" {
-			g, err := intPrefix(t, sc, spec.GroupBy, n)
-			if err != nil {
-				return err
-			}
-			group = g
-		}
-		if spec.Where != nil {
-			whereCols = make([]storage.Column, len(sc))
-			for i := range sc {
-				whereCols[i] = prefixView(sc[i], n)
-			}
-		}
-		return nil
-	})
+	group, floats, err := v.Numeric(spec.GroupBy, needed)
 	if err != nil {
 		return nil, err
 	}
+	cols := make(map[string][]float64, len(needed))
+	for i, name := range needed {
+		cols[name] = floats[i]
+	}
 	if spec.Where != nil {
-		keep, err := filterMask(t, whereCols, rows, spec.Where)
+		keep, err := filterMask(v, spec.Where)
 		if err != nil {
 			return nil, err
 		}
@@ -527,8 +497,8 @@ func fitSpec(t *table.Table, spec Spec, prev *CapturedModel, parallelism int) (*
 		Spec:          spec,
 		Model:         model,
 		Groups:        map[int64]*GroupParams{},
-		FittedVersion: version,
-		FittedRows:    rows,
+		FittedVersion: v.Version(),
+		FittedRows:    v.Rows(),
 	}
 	if spec.GroupBy == "" {
 		start := spec.Start
@@ -606,73 +576,6 @@ func warmStartFrom(prev *CapturedModel, model *fit.Model) func(int64) map[string
 	}
 }
 
-// floatPrefix extracts the first n values of a numeric column as float64s.
-// It is FloatColumn restricted to a snapshot prefix; callers hold the
-// table's read lock through Snapshot, so the column holds exactly n rows and
-// the word-wise Nulls.Any suffices.
-func floatPrefix(t *table.Table, sc []storage.Column, name string, n int) ([]float64, error) {
-	idx := t.Schema().Index(name)
-	if idx < 0 {
-		return nil, fmt.Errorf("table %s: no column %q", t.Name, name)
-	}
-	switch c := sc[idx].(type) {
-	case *storage.Float64Column:
-		if c.Nulls.Any() {
-			return nil, fmt.Errorf("table %s: column %q contains NULLs", t.Name, name)
-		}
-		out := make([]float64, n)
-		copy(out, c.Vals[:n])
-		return out, nil
-	case *storage.Int64Column:
-		if c.Nulls.Any() {
-			return nil, fmt.Errorf("table %s: column %q contains NULLs", t.Name, name)
-		}
-		out := make([]float64, n)
-		for i, v := range c.Vals[:n] {
-			out[i] = float64(v)
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("table %s: column %q is not numeric", t.Name, name)
-}
-
-// intPrefix extracts the first n values of a BIGINT column.
-func intPrefix(t *table.Table, sc []storage.Column, name string, n int) ([]int64, error) {
-	idx := t.Schema().Index(name)
-	if idx < 0 {
-		return nil, fmt.Errorf("table %s: no column %q", t.Name, name)
-	}
-	c, ok := sc[idx].(*storage.Int64Column)
-	if !ok {
-		return nil, fmt.Errorf("table %s: column %q is not BIGINT", t.Name, name)
-	}
-	if c.Nulls.Any() {
-		return nil, fmt.Errorf("table %s: column %q contains NULLs", t.Name, name)
-	}
-	out := make([]int64, n)
-	copy(out, c.Vals[:n])
-	return out, nil
-}
-
-// prefixView captures an immutable view of a column's first n rows: slice
-// headers capped at n (a concurrent append may write past n or reallocate,
-// but never mutates the first n elements) and prefix-cloned bitmaps. Views
-// taken under the table lock stay valid after it is released, which is what
-// lets the interpreted WHERE pass run without stalling writers.
-func prefixView(c storage.Column, n int) storage.Column {
-	switch col := c.(type) {
-	case *storage.Int64Column:
-		return &storage.Int64Column{Vals: col.Vals[:n:n], Nulls: col.Nulls.ClonePrefix(n)}
-	case *storage.Float64Column:
-		return &storage.Float64Column{Vals: col.Vals[:n:n], Nulls: col.Nulls.ClonePrefix(n)}
-	case *storage.StringColumn:
-		return &storage.StringColumn{Codes: col.Codes[:n:n], Dict: col.Dict, Nulls: col.Nulls.ClonePrefix(n)}
-	case *storage.BoolColumn:
-		return &storage.BoolColumn{Vals: col.Vals.ClonePrefix(n), Nulls: col.Nulls.ClonePrefix(n)}
-	}
-	return c
-}
-
 func groupFromResult(key int64, res *fit.Result) *GroupParams {
 	g := &GroupParams{
 		Key:        key,
@@ -721,27 +624,32 @@ func computeQuality(cm *CapturedModel) Quality {
 	return q
 }
 
-// filterMask evaluates the WHERE predicate over snapshot prefix views. It
-// runs after the table lock is released — the views are immutable — so a
-// large interpreted pass never stalls writers.
-func filterMask(t *table.Table, sc []storage.Column, n int, where expr.Expr) ([]bool, error) {
-	keep := make([]bool, n)
-	names := t.Schema().Names()
+// filterMask evaluates the WHERE predicate over every row of the view,
+// chunk by chunk, so only one decoded chunk is live at a time.
+func filterMask(v *table.ChunkView, where expr.Expr) ([]bool, error) {
+	keep := make([]bool, 0, v.Rows())
+	names := v.Schema().Names()
 	env := expr.MapEnv{}
-	for i := 0; i < n; i++ {
-		for c, name := range names {
-			env[name] = sc[c].Value(i)
-		}
-		v, err := expr.Eval(where, env)
+	for k := 0; k < v.NumChunks(); k++ {
+		cols, err := v.Columns(k)
 		if err != nil {
 			return nil, err
 		}
-		if !v.IsNull() {
-			b, err := v.AsBool()
+		for i, n := 0, v.ChunkLen(k); i < n; i++ {
+			for c, name := range names {
+				env[name] = cols[c].Value(i)
+			}
+			val, err := expr.Eval(where, env)
 			if err != nil {
 				return nil, err
 			}
-			keep[i] = b
+			ok := false
+			if !val.IsNull() {
+				if ok, err = val.AsBool(); err != nil {
+					return nil, err
+				}
+			}
+			keep = append(keep, ok)
 		}
 	}
 	return keep, nil

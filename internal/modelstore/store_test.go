@@ -33,8 +33,70 @@ func powerSpec(name string) Spec {
 	}
 }
 
+// fixtureLayouts names the two storage shapes every fit test covers: the
+// default chunk budget leaves the small fixtures entirely in the hot tail;
+// the lowered one spreads them over sealed chunks plus a tail, so the fit
+// reads through the decode cache and across seal boundaries.
+var fixtureLayouts = []struct {
+	name      string
+	chunkRows int
+}{{"tail-only", 0}, {"sealed-chunks", 48}}
+
+// inEachLayout runs fit once per storage layout and requires the two fits to
+// agree bit for bit: the rows are the same, only where they live differs.
+func inEachLayout(t *testing.T, fit func(t *testing.T, sealed bool) *CapturedModel) {
+	var models []*CapturedModel
+	for _, l := range fixtureLayouts {
+		l := l
+		t.Run(l.name, func(t *testing.T) {
+			if l.chunkRows > 0 {
+				old := table.DefaultChunkRows
+				table.DefaultChunkRows = l.chunkRows
+				defer func() { table.DefaultChunkRows = old }()
+			}
+			models = append(models, fit(t, l.chunkRows > 0))
+		})
+	}
+	if len(models) != 2 {
+		return
+	}
+	a, b := models[0], models[1]
+	if len(a.Groups) != len(b.Groups) || a.FittedRows != b.FittedRows {
+		t.Fatalf("layouts disagree: %d/%d groups, %d/%d rows", len(a.Groups), len(b.Groups), a.FittedRows, b.FittedRows)
+	}
+	for key, ga := range a.Groups {
+		gb := b.Groups[key]
+		if gb == nil || ga.N != gb.N || len(ga.Params) != len(gb.Params) {
+			t.Fatalf("group %d: %+v vs %+v", key, ga, gb)
+		}
+		for i := range ga.Params {
+			if ga.Params[i] != gb.Params[i] {
+				t.Fatalf("group %d param %d: tail-only %v, sealed %v", key, i, ga.Params[i], gb.Params[i])
+			}
+		}
+	}
+}
+
+// requireLayout checks the fixture really has the shape the subtest claims:
+// at least three sealed chunks plus a tail when the budget was lowered.
+func requireLayout(t *testing.T, tb *table.Table, sealed bool) {
+	t.Helper()
+	v := tb.Chunks()
+	if sealed && (v.NumSealed() < 3 || v.NumChunks() == v.NumSealed()) {
+		t.Fatalf("fixture has %d sealed chunks of %d; want >= 3 plus a tail", v.NumSealed(), v.NumChunks())
+	}
+	if !sealed && v.NumSealed() != 0 {
+		t.Fatalf("tail-only fixture has %d sealed chunks", v.NumSealed())
+	}
+}
+
 func TestCaptureGroupedModel(t *testing.T) {
+	inEachLayout(t, captureGroupedModel)
+}
+
+func captureGroupedModel(t *testing.T, sealed bool) *CapturedModel {
 	tb, d := lofarFixture(t)
+	requireLayout(t, tb, sealed)
 	s := NewStore()
 	m, err := s.Capture(tb, powerSpec("spectra"))
 	if err != nil {
@@ -62,6 +124,7 @@ func TestCaptureGroupedModel(t *testing.T) {
 	if m.Version != 1 || m.FittedRows != tb.NumRows() {
 		t.Fatalf("version=%d rows=%d", m.Version, m.FittedRows)
 	}
+	return m
 }
 
 func paramByName(m *CapturedModel, g *GroupParams, name string) (float64, bool) {
@@ -107,7 +170,12 @@ func TestCaptureUngrouped(t *testing.T) {
 }
 
 func TestCaptureWithWhere(t *testing.T) {
+	inEachLayout(t, captureWithWhere)
+}
+
+func captureWithWhere(t *testing.T, sealed bool) *CapturedModel {
 	tb, _ := lofarFixture(t)
+	requireLayout(t, tb, sealed)
 	s := NewStore()
 	spec := powerSpec("partial")
 	w, err := expr.Parse("nu > 0.13")
@@ -128,6 +196,58 @@ func TestCaptureWithWhere(t *testing.T) {
 			t.Fatalf("group %d used %d rows; filter not applied", g.Key, g.N)
 		}
 	}
+	return m
+}
+
+// TestFitUnderAppendReadsOneView: a fit racing an appender fits exactly the
+// rows it records. Group keys, inputs, output, row count and version all
+// come from one view, so FittedRows equals the sum of the per-group counts
+// whatever the writer does meanwhile.
+func TestFitUnderAppendReadsOneView(t *testing.T) {
+	old := table.DefaultChunkRows
+	table.DefaultChunkRows = 256 // appends seal chunks while fits run
+	defer func() { table.DefaultChunkRows = old }()
+	tb, d := lofarFixture(t)
+	s := NewStore()
+	if _, err := s.Capture(tb, powerSpec("spectra")); err != nil {
+		t.Fatal(err)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20000; i++ { // bounded so every refit stays fast
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			src := int64(1 + i%30)
+			nu := synth.Bands[i%len(synth.Bands)]
+			y := d.Truth[src].P * math.Pow(nu, d.Truth[src].Alpha)
+			if err := tb.AppendRow([]expr.Value{expr.Int(src), expr.Float(nu), expr.Float(y)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		m, err := s.Refit("spectra", tb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := 0
+		for _, g := range m.Groups {
+			if !g.OK() {
+				t.Fatalf("refit %d: group %d failed: %s", i, g.Key, g.FitErr)
+			}
+			sum += g.N
+		}
+		if sum != m.FittedRows {
+			t.Fatalf("refit %d: groups cover %d rows, FittedRows = %d", i, sum, m.FittedRows)
+		}
+	}
+	close(stop)
+	<-done
 }
 
 func TestParamTable(t *testing.T) {

@@ -111,7 +111,12 @@ func T1(sc Scale) (*Report, error) {
 		ID: "T1", Title: "observations → parameter table",
 		PaperClaim: "1,452,824 rows / 35,692 sources: ca. 11 MB of observations replaced by 640 KB of parameters ≈ 5% of original size",
 	}
-	head, total := tb.Head(3)
+	view := tb.Chunks()
+	head, err := view.Head(3)
+	if err != nil {
+		return nil, err
+	}
+	total := view.Rows()
 	r.addf("measurements table: %d rows from %d sources", total, len(d.Truth))
 	r.addf("%-8s %-12s %-12s", "Source", "nu", "Intensity")
 	for _, row := range head {
@@ -123,11 +128,15 @@ func T1(sc Scale) (*Report, error) {
 		return nil, err
 	}
 	r.addf("%-8s %-14s %-14s %-14s", "Source", "alpha", "p", "Residual SE")
-	phead, ptotal := pt.Head(3)
+	pview := pt.Chunks()
+	phead, err := pview.Head(3)
+	if err != nil {
+		return nil, err
+	}
 	for _, row := range phead {
 		r.addf("%-8d %-14.7f %-14.8f %-14.9f", row[0].I, row[1].F, row[2].F, row[3].F)
 	}
-	r.addf("[%d more rows]", ptotal-len(phead))
+	r.addf("[%d more rows]", pview.Rows()-len(phead))
 
 	rawBytes := tb.RawSizeBytes()
 	paramBytes := m.ParamSizeBytes()

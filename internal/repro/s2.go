@@ -89,7 +89,7 @@ func S2(sc Scale) (*Report, error) {
 		return nil, err
 	}
 	budget := m.ParamSizeBytes()
-	_, _, obs, err := tb.ModelView("", []string{"intensity", "nu"})
+	_, obs, err := tb.Chunks().Numeric("", []string{"intensity", "nu"})
 	if err != nil {
 		return nil, err
 	}
@@ -157,7 +157,7 @@ func S2(sc Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, _, rcols, err := rtb.ModelView("", []string{"revenue", "day"})
+	_, rcols, err := rtb.Chunks().Numeric("", []string{"revenue", "day"})
 	if err != nil {
 		return nil, err
 	}

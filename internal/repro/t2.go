@@ -28,20 +28,22 @@ func T2a(sc Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	intensity, err := tb.FloatColumn("intensity")
+	v := tb.Chunks()
+	_, cols, err := v.Numeric("", []string{"intensity"})
 	if err != nil {
 		return nil, err
 	}
+	intensity := cols[0]
 	raw := compress.Float64Bytes(intensity)
 	flateBytes, err := compress.FlateRoundTrip(raw)
 	if err != nil {
 		return nil, err
 	}
-	lossless, err := compress.CompressOutput(tb, m, compress.Lossless, 0)
+	lossless, err := compress.CompressOutput(v, m, compress.Lossless, 0)
 	if err != nil {
 		return nil, err
 	}
-	back, err := lossless.Decompress(tb, m)
+	back, err := lossless.Decompress(v, m)
 	if err != nil {
 		return nil, err
 	}
@@ -51,11 +53,11 @@ func T2a(sc Scale) (*Report, error) {
 		}
 	}
 	eps := m.Quality.MedianResidualSE / 10
-	bounded, err := compress.CompressOutput(tb, m, compress.BoundedLoss, eps)
+	bounded, err := compress.CompressOutput(v, m, compress.BoundedLoss, eps)
 	if err != nil {
 		return nil, err
 	}
-	backB, err := bounded.Decompress(tb, m)
+	backB, err := bounded.Decompress(v, m)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +147,8 @@ func T2c(sc Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	doms, err := aqp.DomainsFor(tb, []string{"t"}, sc.SensorSteps+1)
+	view := tb.Chunks()
+	doms, err := aqp.DomainsFor(view, []string{"t"}, sc.SensorSteps+1)
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +183,11 @@ func T2c(sc Scale) (*Report, error) {
 	}
 	enumDur := time.Since(t1)
 
-	temps, _ := tb.FloatColumn("temp")
+	_, tcols, err := view.Numeric("", []string{"temp"})
+	if err != nil {
+		return nil, err
+	}
+	temps := tcols[0]
 	var exactSum, exactMin, exactMax float64
 	exactMin, exactMax = math.Inf(1), math.Inf(-1)
 	for _, v := range temps {
@@ -450,7 +457,7 @@ func T2h(sc Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		doms, err := aqp.DomainsFor(tb, []string{"t"}, steps+1)
+		doms, err := aqp.DomainsFor(tb.Chunks(), []string{"t"}, steps+1)
 		if err != nil {
 			return nil, err
 		}
@@ -468,8 +475,11 @@ func T2h(sc Scale) (*Report, error) {
 	}
 	// And the guard: a continuous column refuses to enumerate.
 	d := synth.GenerateSensors(synth.SensorConfig{Sensors: 2, Steps: 200, Noise: 0.3, Seed: sc.Seed})
-	tb, _ := synth.SensorTable("readings", d)
-	if _, ok := aqp.EnumerableValues(tb, "temp", 50); ok {
+	ctb, err := synth.SensorTable("readings", d)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := aqp.EnumerableValues(ctb.Chunks(), "temp", 50); ok {
 		return nil, fmt.Errorf("repro T2h: continuous column wrongly enumerable")
 	}
 	r.addf("continuous column (temp) correctly rejected as non-enumerable at threshold 50")
@@ -485,11 +495,12 @@ func T2i(sc Scale) (*Report, error) {
 		return nil, err
 	}
 	_ = e
-	exact, err := aqp.BuildLegalSet(tb, "source", []string{"nu"}, false, 0)
+	v := tb.Chunks()
+	exact, err := aqp.BuildLegalSet(v, "source", []string{"nu"}, false, 0)
 	if err != nil {
 		return nil, err
 	}
-	bl, err := aqp.BuildLegalSet(tb, "source", []string{"nu"}, true, 0.01)
+	bl, err := aqp.BuildLegalSet(v, "source", []string{"nu"}, true, 0.01)
 	if err != nil {
 		return nil, err
 	}

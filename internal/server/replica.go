@@ -293,9 +293,8 @@ func (r *Replicator) applyBatch(b *DeltaBatch) error {
 }
 
 // applyDelta installs or removes one model, registering its stub table and
-// priming the planner caches with the shipped enumeration artifacts — keyed
-// by the replica's own planner knobs, so local planning finds them instead
-// of scanning the (empty) stub.
+// priming the planner caches with the shipped enumeration artifacts, so
+// local planning finds them instead of scanning the (empty) stub.
 func (r *Replicator) applyDelta(d ModelDelta) error {
 	if d.Kind == modelstore.ChangeDrop {
 		r.models.Uninstall(d.Name)
@@ -315,16 +314,17 @@ func (r *Replicator) applyDelta(d ModelDelta) error {
 	r.models.Install(cm)
 	opts := r.eng.AQPOptions()
 	if opts.Cache != nil && t != nil {
+		v := t.Chunks()
 		if d.DomainsOK {
-			opts.Cache.PrimeDomains(t, cm, opts.MaxDistinct, d.Domains)
+			opts.Cache.PrimeDomains(v, cm, d.Domains)
 		}
 		if d.LegalOK {
 			legal := aqp.LegalSetFromCombos(d.LegalGroups, d.LegalInputs, d.LegalWidth)
-			opts.Cache.PrimeLegal(t, cm, opts.UseBloom, opts.FPRate, legal)
+			opts.Cache.PrimeLegal(v, cm, legal)
 		} else {
-			// The primary's legal set was inexact (Bloom) and cannot cross
-			// the wire; admit every grid combination rather than none.
-			opts.Cache.PrimeLegal(t, cm, opts.UseBloom, opts.FPRate, aqp.AllowAll{})
+			// The primary could not ship an exact legal set; admit every
+			// grid combination rather than none.
+			opts.Cache.PrimeLegal(v, cm, aqp.AllowAll{})
 		}
 	}
 	return nil

@@ -92,7 +92,11 @@ func TestLOFARTable(t *testing.T) {
 		t.Fatal("schema")
 	}
 	// Spot check a row.
-	row := tb.Row(3)
+	head, err := tb.Chunks().Head(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := head[3]
 	if row[0].I != d.Source[3] || row[1].F != d.Nu[3] || row[2].F != d.Intensity[3] {
 		t.Fatalf("row 3 = %v", row)
 	}

@@ -191,13 +191,16 @@ func (ch *Chunk) prunedBy(ci int, lo, hi Bound) bool {
 	return false
 }
 
-// ChunkView is a consistent point-in-time view of a table's storage: the
-// sealed chunk list plus an immutable snapshot of the hot tail, captured
-// under one lock acquisition. Sealed chunks never change; the tail snapshot
-// caps each column's slice header at the captured row count and
-// prefix-clones its bitmaps, so the view stays valid while writers keep
-// appending. Scans address the view by chunk index 0..NumChunks()-1, where
-// the tail (when non-empty) is the last, never-pruned pseudo-chunk.
+// ChunkView is the one read handle of a table: a consistent point-in-time
+// view of its storage — the sealed chunk list plus an immutable snapshot of
+// the hot tail, with the row count and version — captured under one lock
+// acquisition. Everything that reads row data is a method of the view, so
+// all the columns of one answer come from the same rows. Sealed chunks never
+// change; the tail snapshot caps each column's slice header at the captured
+// row count and prefix-clones its bitmaps, so the view stays valid while
+// writers keep appending. Scans address the view by chunk index
+// 0..NumChunks()-1, where the tail (when non-empty) is the last,
+// never-pruned pseudo-chunk.
 type ChunkView struct {
 	name     string
 	schema   *Schema
@@ -208,7 +211,9 @@ type ChunkView struct {
 	version  uint64
 }
 
-// Chunks captures a ChunkView under one read-lock acquisition.
+// Chunks captures a ChunkView under one read-lock acquisition. It is the
+// only method of Table that returns row data; a reader that needs several
+// things (columns, row count, version) takes them all from one capture.
 func (t *Table) Chunks() *ChunkView {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -258,6 +263,9 @@ func prefixView(c storage.Column, n int) storage.Column {
 	return c
 }
 
+// Schema returns the schema of the table the view was captured from.
+func (v *ChunkView) Schema() *Schema { return v.schema }
+
 // Rows returns the view's total row count.
 func (v *ChunkView) Rows() int { return v.rows }
 
@@ -285,15 +293,6 @@ func (v *ChunkView) ChunkLen(k int) int {
 	return v.tailRows
 }
 
-// ChunkStart returns the global row offset of chunk k's first row.
-func (v *ChunkView) ChunkStart(k int) int {
-	off := 0
-	for i := 0; i < k && i < len(v.sealed); i++ {
-		off += v.sealed[i].rows
-	}
-	return off
-}
-
 // Columns materializes chunk k's column set. Sealed chunks decode through
 // the shared byte-budgeted cache (a scan's working set, not the table size,
 // bounds memory); the tail snapshot is returned directly. The returned
@@ -306,6 +305,115 @@ func (v *ChunkView) Columns(k int) ([]storage.Column, error) {
 		return nil, fmt.Errorf("table %s: chunk %d out of range", v.name, k)
 	}
 	return v.tail, nil
+}
+
+// hasNulls reports whether column i holds any NULL in the view: sealed
+// chunks answer from their zone maps without decoding, the tail by scanning
+// its snapshot.
+func (v *ChunkView) hasNulls(i int) bool {
+	for _, ch := range v.sealed {
+		if ch.zones[i].Nulls > 0 {
+			return true
+		}
+	}
+	if v.tail != nil {
+		c := v.tail[i]
+		for r := 0; r < v.tailRows; r++ {
+			if c.IsNull(r) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// numericColumn resolves a column Numeric may extract: it must exist, be
+// BIGINT (or DOUBLE when floatOK) and hold no NULL in the view.
+func (v *ChunkView) numericColumn(name string, floatOK bool) (int, error) {
+	i := v.schema.Index(name)
+	if i < 0 {
+		return 0, fmt.Errorf("table %s: no column %q", v.name, name)
+	}
+	switch typ := v.schema.Cols[i].Type; {
+	case typ == storage.TypeInt64, floatOK && typ == storage.TypeFloat64:
+	case floatOK:
+		return 0, fmt.Errorf("table %s: column %q is not numeric", v.name, name)
+	default:
+		return 0, fmt.Errorf("table %s: column %q is not BIGINT", v.name, name)
+	}
+	if v.hasNulls(i) {
+		return 0, fmt.Errorf("table %s: column %q contains NULLs", v.name, name)
+	}
+	return i, nil
+}
+
+// Numeric extracts the model read set as whole-view slices of Rows()
+// entries each: an optional BIGINT group column (groupCol "" returns a nil
+// group) and the named numeric columns coerced to float64. Fitting and
+// model evaluation need complete numeric data, so an unknown, non-numeric
+// or NULL-bearing column is an error; NULL detection reads the sealed
+// chunks' zone maps, so such a view fails before any chunk is decoded.
+func (v *ChunkView) Numeric(groupCol string, floatCols []string) (group []int64, floats [][]float64, err error) {
+	gi := -1
+	if groupCol != "" {
+		if gi, err = v.numericColumn(groupCol, false); err != nil {
+			return nil, nil, err
+		}
+		group = make([]int64, 0, v.rows)
+	}
+	fidx := make([]int, len(floatCols))
+	floats = make([][]float64, len(floatCols))
+	for j, name := range floatCols {
+		if fidx[j], err = v.numericColumn(name, true); err != nil {
+			return nil, nil, err
+		}
+		floats[j] = make([]float64, 0, v.rows)
+	}
+	for k := 0; k < v.NumChunks(); k++ {
+		cols, err := v.Columns(k)
+		if err != nil {
+			return nil, nil, err
+		}
+		n := v.ChunkLen(k)
+		if gi >= 0 {
+			group = append(group, cols[gi].(*storage.Int64Column).Vals[:n]...)
+		}
+		for j, ci := range fidx {
+			switch c := cols[ci].(type) {
+			case *storage.Float64Column:
+				floats[j] = append(floats[j], c.Vals[:n]...)
+			case *storage.Int64Column:
+				for _, x := range c.Vals[:n] {
+					floats[j] = append(floats[j], float64(x))
+				}
+			}
+		}
+	}
+	return group, floats, nil
+}
+
+// Head materializes the first min(n, Rows()) rows as boxed values,
+// decoding only the chunks that cover the prefix.
+func (v *ChunkView) Head(n int) ([][]expr.Value, error) {
+	if n > v.rows {
+		n = v.rows
+	}
+	out := make([][]expr.Value, 0, n)
+	for k := 0; k < v.NumChunks() && len(out) < n; k++ {
+		cols, err := v.Columns(k)
+		if err != nil {
+			return nil, err
+		}
+		cl := v.ChunkLen(k)
+		for r := 0; r < cl && len(out) < n; r++ {
+			vals := make([]expr.Value, len(cols))
+			for c, col := range cols {
+				vals[c] = col.Value(r)
+			}
+			out = append(out, vals)
+		}
+	}
+	return out, nil
 }
 
 // Survivors prunes the view's chunks against a WHERE predicate: for every

@@ -66,6 +66,20 @@ func buildChunkFixture(t *testing.T, rows int) *Table {
 	return tb
 }
 
+// allRows reads every row of one view of tb as boxed values.
+func allRows(t *testing.T, tb *Table) [][]expr.Value {
+	t.Helper()
+	v := tb.Chunks()
+	rows, err := v.Head(v.Rows())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != v.Rows() {
+		t.Fatalf("Head(%d) returned %d rows", v.Rows(), len(rows))
+	}
+	return rows
+}
+
 // TestSealingAndAccessors pins the two-tier shape (rows/chunkRows sealed
 // chunks plus a hot tail) and that every accessor agrees with the appended
 // data across seal boundaries.
@@ -88,61 +102,46 @@ func TestSealingAndAccessors(t *testing.T) {
 		t.Fatalf("Table.NumChunks = %d, want 5", tb.NumChunks())
 	}
 
-	// Row crosses seal boundaries.
+	// A full-length Head crosses every seal boundary.
+	got := allRows(t, tb)
 	for i := 0; i < rows; i++ {
 		want := chunkFixtureRow(i)
-		got := tb.Row(i)
 		for c := range want {
-			if !sameVal(got[c], want[c]) {
-				t.Fatalf("Row(%d) col %d = %v, want %v", i, c, got[c], want[c])
+			if !sameVal(got[i][c], want[c]) {
+				t.Fatalf("row %d col %d = %v, want %v", i, c, got[i][c], want[c])
 			}
 		}
 	}
 
-	// Materialized columns concatenate all chunks.
-	idCol := tb.Column("id")
-	if idCol.Len() != rows {
-		t.Fatalf("Column(id).Len = %d, want %d", idCol.Len(), rows)
+	// The numeric extraction concatenates all chunks: the null-free id
+	// column as the BIGINT group key and, coerced, as a float column.
+	ids, fl, err := v.Numeric("id", []string{"id"})
+	if err != nil || len(ids) != rows || len(fl[0]) != rows {
+		t.Fatalf("Numeric(id): %v, %d keys, %d floats", err, len(ids), len(fl[0]))
 	}
 	for i := 0; i < rows; i++ {
-		if got := idCol.(*storage.Int64Column).Vals[i]; got != int64(i) {
-			t.Fatalf("id[%d] = %d", i, got)
+		if ids[i] != int64(i) || fl[0][i] != float64(i) {
+			t.Fatalf("id[%d] = %d / %v", i, ids[i], fl[0][i])
 		}
 	}
 
-	// View sees a consistent whole-table materialization.
-	if err := tb.View(func(cols []storage.Column, n int) error {
-		if n != rows {
-			t.Fatalf("View rows = %d, want %d", n, rows)
-		}
-		for _, c := range cols {
-			if c.Len() != rows {
-				t.Fatalf("View column len = %d, want %d", c.Len(), rows)
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Head spans the first seal boundary and reports the total.
-	head, total := tb.Head(10)
-	if total != rows || len(head) != 10 {
-		t.Fatalf("Head = %d rows, total %d", len(head), total)
+	// Head spans the first seal boundary; the total comes from the same view.
+	head, err := v.Head(10)
+	if err != nil || v.Rows() != rows || len(head) != 10 {
+		t.Fatalf("Head = %d rows (%v), total %d", len(head), err, v.Rows())
 	}
 	if !sameVal(head[9][0], expr.Int(9)) {
 		t.Fatalf("Head row 9 id = %v", head[9][0])
 	}
 
-	// IntColumn on the null-free id column.
-	ids, err := tb.IntColumn("id")
-	if err != nil || len(ids) != rows {
-		t.Fatalf("IntColumn: %v, %d vals", err, len(ids))
+	// Numeric must refuse the NULL-bearing x — and the zone maps answer
+	// before any chunk is decoded.
+	ResetCacheStats()
+	if _, _, err := v.Numeric("", []string{"x"}); err == nil {
+		t.Fatal("Numeric(x) should fail: column has NULLs")
 	}
-	// FloatColumn must refuse the NULL-bearing x — and the zone maps answer
-	// without decoding.
-	if _, err := tb.FloatColumn("x"); err == nil {
-		t.Fatal("FloatColumn(x) should fail: column has NULLs")
+	if st := CacheStats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("NULL rejection touched the chunk cache: %+v", st)
 	}
 }
 
@@ -341,6 +340,15 @@ func TestChunkViewStableUnderAppend(t *testing.T) {
 			t.Fatalf("tail id[%d] = %d, want %d", i, got, 8+i)
 		}
 	}
+	// The whole-view reads hang off the same capture: still the 12-row prefix.
+	ids, _, err := v.Numeric("id", nil)
+	if err != nil || len(ids) != 12 || ids[11] != 11 {
+		t.Fatalf("Numeric after append: %v, ids %v", err, ids)
+	}
+	head, err := v.Head(100)
+	if err != nil || len(head) != 12 || !sameVal(head[11][0], expr.Int(11)) {
+		t.Fatalf("Head after append: %v, %d rows", err, len(head))
+	}
 }
 
 // TestPersistRoundTripChunked: DLTB2 write → read preserves every row
@@ -367,11 +375,11 @@ func TestPersistRoundTripChunked(t *testing.T) {
 	if back.EncodedSizeBytes() != tb.EncodedSizeBytes() {
 		t.Fatalf("encoded bytes %d vs %d: frames not verbatim", back.EncodedSizeBytes(), tb.EncodedSizeBytes())
 	}
-	for i := 0; i < 35; i++ {
-		want, got := tb.Row(i), back.Row(i)
-		for c := range want {
-			if !sameVal(got[c], want[c]) {
-				t.Fatalf("row %d col %d: %v vs %v", i, c, got[c], want[c])
+	want, got := allRows(t, tb), allRows(t, back)
+	for i := range want {
+		for c := range want[i] {
+			if !sameVal(got[i][c], want[i][c]) {
+				t.Fatalf("row %d col %d: %v vs %v", i, c, got[i][c], want[i][c])
 			}
 		}
 	}
@@ -421,9 +429,12 @@ func TestPersistRoundTripExoticFloats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	col := back.Column("x").(*storage.Float64Column)
+	_, cols, err := back.Chunks().Numeric("", []string{"x"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, want := range bitsIn {
-		if got := math.Float64bits(col.Vals[i]); got != want {
+		if got := math.Float64bits(cols[0][i]); got != want {
 			t.Fatalf("row %d: bits %016x, want %016x", i, got, want)
 		}
 	}
@@ -459,8 +470,7 @@ func TestPersistLegacyV1(t *testing.T) {
 	if got := back.Chunks().NumSealed(); got != 2 {
 		t.Fatalf("re-seal: %d sealed chunks, want 2", got)
 	}
-	for i := 0; i < 20; i++ {
-		row := back.Row(i)
+	for i, row := range allRows(t, back) {
 		if !sameVal(row[0], expr.Int(int64(i))) || !sameVal(row[1], expr.Float(float64(i)*1.5)) {
 			t.Fatalf("row %d = %v", i, row)
 		}

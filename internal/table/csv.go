@@ -121,21 +121,27 @@ func parseField(f string, t storage.ColType) (expr.Value, error) {
 	return expr.Str(f), nil
 }
 
-// WriteCSV writes the table with a header row. NULLs render as empty fields.
+// WriteCSV writes one view of the table with a header row, chunk by chunk.
+// NULLs render as empty fields.
 func WriteCSV(t *Table, w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(t.Schema().Names()); err != nil {
 		return err
 	}
-	n := t.NumRows()
-	for i := 0; i < n; i++ {
-		row := t.Row(i)
-		rec := make([]string, len(row))
-		for c, v := range row {
-			rec[c] = renderField(v)
-		}
-		if err := cw.Write(rec); err != nil {
+	v := t.Chunks()
+	rec := make([]string, len(t.Schema().Cols))
+	for k := 0; k < v.NumChunks(); k++ {
+		cols, err := v.Columns(k)
+		if err != nil {
 			return err
+		}
+		for r, n := 0, v.ChunkLen(k); r < n; r++ {
+			for c, col := range cols {
+				rec[c] = renderField(col.Value(r))
+			}
+			if err := cw.Write(rec); err != nil {
+				return err
+			}
 		}
 	}
 	cw.Flush()

@@ -34,14 +34,14 @@ func TestBinaryRoundTrip(t *testing.T) {
 	if back.Name != "m" || back.NumRows() != 3 {
 		t.Fatalf("shape: %s %d", back.Name, back.NumRows())
 	}
-	for i := 0; i < 3; i++ {
-		a, b := tb.Row(i), back.Row(i)
-		for c := range a {
-			if a[c].IsNull() != b[c].IsNull() {
+	a, b := allRows(t, tb), allRows(t, back)
+	for i := range a {
+		for c := range a[i] {
+			if a[i][c].IsNull() != b[i][c].IsNull() {
 				t.Fatalf("null mismatch row %d col %d", i, c)
 			}
-			if !a[c].IsNull() && !expr.Equal(a[c], b[c]) {
-				t.Fatalf("row %d col %d: %v vs %v", i, c, a[c], b[c])
+			if !a[i][c].IsNull() && !expr.Equal(a[i][c], b[i][c]) {
+				t.Fatalf("row %d col %d: %v vs %v", i, c, a[i][c], b[i][c])
 			}
 		}
 	}

@@ -6,10 +6,16 @@
 // Storage is two-tier: appends land in a mutable hot tail of plain columns;
 // when the tail reaches the chunk row budget it is sealed into an immutable
 // compressed chunk (per-column best-of encoding plus a zone map for scan
-// pruning). Readers take a ChunkView — sealed chunk references plus an
-// immutable tail snapshot captured under one lock — and decode chunks on
-// demand through a byte-budgeted LRU cache, so a scan's working set, not the
-// table size, bounds memory.
+// pruning). There is one way to read rows: Table.Chunks returns a ChunkView
+// — sealed chunk references plus an immutable tail snapshot, with the row
+// count and version, captured under one lock — and every read (chunk-wise
+// scans, zone-map pruning, the numeric extraction model fitting and
+// evaluation use, row prefixes, CSV export) goes through that view. The
+// paper's laws are fitted to joint samples, so a read is only meaningful
+// when all its columns come from the same rows; because no other method of
+// Table returns row data, two columns of one answer cannot come from two
+// append states. Chunks decode on demand through a byte-budgeted LRU cache,
+// so a scan's working set, not the table size, bounds memory.
 package table
 
 import (
@@ -237,348 +243,6 @@ func rollbackLast(c storage.Column) {
 		}
 		col.Vals, col.Nulls = vb, nb
 	}
-}
-
-// mustDecode is the chunk-decode failure policy for accessors whose
-// signature has no error: frames are validated by decoding at load time and
-// produced by the in-process encoder otherwise, so a failure here means
-// memory corruption, not bad input — fail loudly.
-func mustDecode(cols []storage.Column, err error) []storage.Column {
-	if err != nil {
-		panic(fmt.Sprintf("table: sealed chunk failed to decode: %v", err))
-	}
-	return cols
-}
-
-// Column returns the named column materialized across every chunk, or nil.
-// Tables that fit in the tail return the snapshot directly; otherwise the
-// chunks are decoded and concatenated — prefer ChunkView or View/Snapshot
-// for scan-sized reads.
-func (t *Table) Column(name string) storage.Column {
-	i := t.schema.Index(name)
-	if i < 0 {
-		return nil
-	}
-	return t.ColumnAt(i)
-}
-
-// ColumnAt returns the column at position i, materialized across chunks.
-func (t *Table) ColumnAt(i int) storage.Column {
-	v := t.Chunks()
-	if len(v.sealed) == 0 {
-		if v.tail != nil {
-			return v.tail[i]
-		}
-		return storage.NewColumn(t.schema.Cols[i].Type)
-	}
-	dst := storage.NewColumn(t.schema.Cols[i].Type)
-	for k := 0; k < v.NumChunks(); k++ {
-		cols := mustDecode(v.Columns(k))
-		appendColPrefix(dst, cols[i], v.ChunkLen(k))
-	}
-	return dst
-}
-
-// View runs f over a consistent materialized snapshot: every column decoded
-// and concatenated from the same ChunkView, so cross-column reads cannot
-// tear even while a writer keeps appending. The columns handed to f are
-// immutable. Scans should not use View — it materializes the whole table;
-// the chunk-streaming path (Chunks) bounds memory by the cache budget.
-func (t *Table) View(f func(cols []storage.Column, rows int) error) error {
-	cols, rows, _, err := t.materializeView()
-	if err != nil {
-		return err
-	}
-	return f(cols, rows)
-}
-
-// Snapshot is View extended with the version counter: f observes columns,
-// row count and version captured from the same instant, so fitting can
-// record exactly which table state it saw even while a writer keeps
-// appending.
-func (t *Table) Snapshot(f func(cols []storage.Column, rows int, version uint64) error) error {
-	cols, rows, version, err := t.materializeView()
-	if err != nil {
-		return err
-	}
-	return f(cols, rows, version)
-}
-
-// materializeView decodes and concatenates every chunk of one ChunkView.
-// Tables with no sealed chunks return the tail snapshot without copying.
-func (t *Table) materializeView() ([]storage.Column, int, uint64, error) {
-	v := t.Chunks()
-	if len(v.sealed) == 0 {
-		cols := v.tail
-		if cols == nil {
-			cols = newTailCols(t.schema)
-		}
-		return cols, v.rows, v.version, nil
-	}
-	out := newTailCols(t.schema)
-	for k := 0; k < v.NumChunks(); k++ {
-		cols, err := v.Columns(k)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		for i := range out {
-			appendColPrefix(out[i], cols[i], v.ChunkLen(k))
-		}
-	}
-	return out, v.rows, v.version, nil
-}
-
-// appendColPrefix appends the first n rows of src onto dst (same storage
-// type; chunks of one table share the schema).
-func appendColPrefix(dst, src storage.Column, n int) {
-	switch d := dst.(type) {
-	case *storage.Int64Column:
-		s := src.(*storage.Int64Column)
-		d.Vals = append(d.Vals, s.Vals[:n]...)
-		appendBits(d.Nulls, s.Nulls, n)
-	case *storage.Float64Column:
-		s := src.(*storage.Float64Column)
-		d.Vals = append(d.Vals, s.Vals[:n]...)
-		appendBits(d.Nulls, s.Nulls, n)
-	case *storage.StringColumn:
-		s := src.(*storage.StringColumn)
-		for i := 0; i < n; i++ {
-			if s.Nulls.Get(i) {
-				d.AppendNull()
-			} else {
-				d.Append(s.Dict[s.Codes[i]])
-			}
-		}
-	case *storage.BoolColumn:
-		s := src.(*storage.BoolColumn)
-		for i := 0; i < n; i++ {
-			if s.Nulls.Get(i) {
-				d.AppendNull()
-			} else {
-				d.Append(s.Vals.Get(i))
-			}
-		}
-	}
-}
-
-func appendBits(dst, src *storage.Bitmap, n int) {
-	for i := 0; i < n; i++ {
-		dst.Append(src.Get(i))
-	}
-}
-
-// Row materializes row i as boxed values. Tail rows are read under the lock;
-// sealed rows resolve their chunk under the lock and decode through the
-// cache outside it, so sequential Row loops (CSV export) decode each chunk
-// once.
-func (t *Table) Row(i int) []expr.Value {
-	t.mu.RLock()
-	if i >= t.sealedRows {
-		li := i - t.sealedRows
-		out := make([]expr.Value, len(t.tail))
-		for c, col := range t.tail {
-			out[c] = col.Value(li)
-		}
-		t.mu.RUnlock()
-		return out
-	}
-	var ch *Chunk
-	li, off := 0, 0
-	for _, c := range t.sealed {
-		if i < off+c.rows {
-			ch, li = c, i-off
-			break
-		}
-		off += c.rows
-	}
-	t.mu.RUnlock()
-	cols := mustDecode(decodedCache.columns(ch))
-	out := make([]expr.Value, len(cols))
-	for c, col := range cols {
-		out[c] = col.Value(li)
-	}
-	return out
-}
-
-// FloatColumn extracts the named column as []float64, coercing integers.
-// NULL entries and non-numeric columns yield an error: fitting needs
-// complete numeric data. NULL detection reads the sealed chunks' zone maps,
-// so a NULL-bearing table fails before any chunk is decoded.
-func (t *Table) FloatColumn(name string) ([]float64, error) {
-	i := t.schema.Index(name)
-	if i < 0 {
-		return nil, fmt.Errorf("table %s: no column %q", t.Name, name)
-	}
-	def := t.schema.Cols[i]
-	if def.Type != storage.TypeInt64 && def.Type != storage.TypeFloat64 {
-		return nil, fmt.Errorf("table %s: column %q is not numeric", t.Name, name)
-	}
-	v := t.Chunks()
-	if v.hasNulls(i) {
-		return nil, fmt.Errorf("table %s: column %q contains NULLs", t.Name, name)
-	}
-	out := make([]float64, 0, v.rows)
-	for k := 0; k < v.NumChunks(); k++ {
-		cols, err := v.Columns(k)
-		if err != nil {
-			return nil, err
-		}
-		n := v.ChunkLen(k)
-		switch c := cols[i].(type) {
-		case *storage.Float64Column:
-			out = append(out, c.Vals[:n]...)
-		case *storage.Int64Column:
-			for _, x := range c.Vals[:n] {
-				out = append(out, float64(x))
-			}
-		}
-	}
-	return out, nil
-}
-
-// IntColumn extracts the named column as []int64.
-func (t *Table) IntColumn(name string) ([]int64, error) {
-	i := t.schema.Index(name)
-	if i < 0 {
-		return nil, fmt.Errorf("table %s: no column %q", t.Name, name)
-	}
-	if t.schema.Cols[i].Type != storage.TypeInt64 {
-		return nil, fmt.Errorf("table %s: column %q is not BIGINT", t.Name, name)
-	}
-	v := t.Chunks()
-	if v.hasNulls(i) {
-		return nil, fmt.Errorf("table %s: column %q contains NULLs", t.Name, name)
-	}
-	out := make([]int64, 0, v.rows)
-	for k := 0; k < v.NumChunks(); k++ {
-		cols, err := v.Columns(k)
-		if err != nil {
-			return nil, err
-		}
-		n := v.ChunkLen(k)
-		out = append(out, cols[i].(*storage.Int64Column).Vals[:n]...)
-	}
-	return out, nil
-}
-
-// hasNulls reports whether column i holds any NULL in the view: sealed
-// chunks answer from their zone maps without decoding, the tail by scanning
-// its snapshot.
-func (v *ChunkView) hasNulls(i int) bool {
-	for _, ch := range v.sealed {
-		if ch.zones[i].Nulls > 0 {
-			return true
-		}
-	}
-	if v.tail != nil {
-		c := v.tail[i]
-		for r := 0; r < v.tailRows; r++ {
-			if c.IsNull(r) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// ModelView extracts the model-evaluation read set — row count, an optional
-// BIGINT group column, and a list of numeric columns coerced to float64 —
-// from a single ChunkView, so every returned slice describes the same table
-// state even while a writer keeps appending. Separate FloatColumn/IntColumn
-// calls each capture their own view and can observe a torn cross-column
-// snapshot. groupCol may be "" for ungrouped extraction.
-func (t *Table) ModelView(groupCol string, floatCols []string) (rows int, group []int64, floats [][]float64, err error) {
-	v := t.Chunks()
-	rows = v.rows
-	gi := -1
-	if groupCol != "" {
-		gi = t.schema.Index(groupCol)
-		if gi < 0 {
-			return 0, nil, nil, fmt.Errorf("table %s: no column %q", t.Name, groupCol)
-		}
-		if t.schema.Cols[gi].Type != storage.TypeInt64 {
-			return 0, nil, nil, fmt.Errorf("table %s: column %q is not BIGINT", t.Name, groupCol)
-		}
-		if v.hasNulls(gi) {
-			return 0, nil, nil, fmt.Errorf("table %s: column %q contains NULLs", t.Name, groupCol)
-		}
-		group = make([]int64, 0, rows)
-	}
-	fidx := make([]int, len(floatCols))
-	floats = make([][]float64, len(floatCols))
-	for k, name := range floatCols {
-		fidx[k] = t.schema.Index(name)
-		if fidx[k] < 0 {
-			return 0, nil, nil, fmt.Errorf("table %s: no column %q", t.Name, name)
-		}
-		def := t.schema.Cols[fidx[k]]
-		if def.Type != storage.TypeInt64 && def.Type != storage.TypeFloat64 {
-			return 0, nil, nil, fmt.Errorf("table %s: column %q is not numeric", t.Name, name)
-		}
-		if v.hasNulls(fidx[k]) {
-			return 0, nil, nil, fmt.Errorf("table %s: column %q contains NULLs", t.Name, name)
-		}
-		floats[k] = make([]float64, 0, rows)
-	}
-	for k := 0; k < v.NumChunks(); k++ {
-		cols, cerr := v.Columns(k)
-		if cerr != nil {
-			return 0, nil, nil, cerr
-		}
-		n := v.ChunkLen(k)
-		if gi >= 0 {
-			group = append(group, cols[gi].(*storage.Int64Column).Vals[:n]...)
-		}
-		for j, ci := range fidx {
-			switch c := cols[ci].(type) {
-			case *storage.Float64Column:
-				floats[j] = append(floats[j], c.Vals[:n]...)
-			case *storage.Int64Column:
-				for _, x := range c.Vals[:n] {
-					floats[j] = append(floats[j], float64(x))
-				}
-			}
-		}
-	}
-	if gi < 0 {
-		group = nil
-	}
-	return rows, group, floats, nil
-}
-
-// Head materializes the first min(n, rows) rows as boxed values and returns
-// them with the total row count, from a single ChunkView — the prefix and
-// the count agree even while a writer keeps appending. Only the chunks
-// covering the prefix are decoded.
-func (t *Table) Head(n int) ([][]expr.Value, int) {
-	v := t.Chunks()
-	total := v.rows
-	if n > total {
-		n = total
-	}
-	out := make([][]expr.Value, 0, n)
-	for k := 0; k < v.NumChunks() && len(out) < n; k++ {
-		cols := mustDecode(v.Columns(k))
-		cl := v.ChunkLen(k)
-		for r := 0; r < cl && len(out) < n; r++ {
-			vals := make([]expr.Value, len(cols))
-			for c, col := range cols {
-				vals[c] = col.Value(r)
-			}
-			out = append(out, vals)
-		}
-	}
-	return out, total
-}
-
-// anyNullPrefix reports whether any of the first rows entries is NULL.
-func anyNullPrefix(b *storage.Bitmap, rows int) bool {
-	for i := 0; i < rows && i < b.Len(); i++ {
-		if b.Get(i) {
-			return true
-		}
-	}
-	return false
 }
 
 // RawSizeBytes estimates the decoded in-memory footprint of the stored data,

@@ -62,11 +62,11 @@ func TestAppendAndRead(t *testing.T) {
 	if tb.NumRows() != 3 {
 		t.Fatalf("rows = %d", tb.NumRows())
 	}
-	got := tb.Row(1)
-	if got[0].I != 1 || got[1].F != 0.15 {
-		t.Fatalf("Row(1) = %v", got)
+	got := allRows(t, tb)
+	if got[1][0].I != 1 || got[1][1].F != 0.15 {
+		t.Fatalf("row 1 = %v", got[1])
 	}
-	if !tb.Row(2)[2].IsNull() {
+	if !got[2][2].IsNull() {
 		t.Fatal("NULL lost")
 	}
 }
@@ -91,7 +91,11 @@ func TestAppendRowTypeErrorRollsBack(t *testing.T) {
 	if err := tb.AppendRow([]expr.Value{expr.Int(1), expr.Float(0.1), expr.Float(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if tb.Column("source").Len() != 1 || tb.Column("nu").Len() != 1 {
+	cols, err := tb.Chunks().Columns(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cols[0].Len() != 1 || cols[1].Len() != 1 {
 		t.Fatal("columns misaligned after rollback")
 	}
 }
@@ -109,31 +113,42 @@ func TestFloatColumnExtraction(t *testing.T) {
 	tb := New("m", lofarSchema(t))
 	tb.AppendRow([]expr.Value{expr.Int(5), expr.Float(0.12), expr.Float(2.5)})
 	tb.AppendRow([]expr.Value{expr.Int(6), expr.Float(0.15), expr.Float(2.7)})
-	fs, err := tb.FloatColumn("nu")
-	if err != nil || len(fs) != 2 || fs[1] != 0.15 {
-		t.Fatalf("FloatColumn: %v %v", fs, err)
+	v := tb.Chunks()
+	// One extraction: the BIGINT group key, a float column, and the int
+	// column coerced to float.
+	is, fs, err := v.Numeric("source", []string{"nu", "source"})
+	if err != nil || len(fs[0]) != 2 || fs[0][1] != 0.15 {
+		t.Fatalf("Numeric: %v %v", fs, err)
 	}
-	// Int column coerces.
-	fs, err = tb.FloatColumn("source")
-	if err != nil || fs[0] != 5 {
-		t.Fatalf("int coercion: %v %v", fs, err)
+	if fs[1][0] != 5 {
+		t.Fatalf("int coercion: %v", fs[1])
 	}
-	is, err := tb.IntColumn("source")
-	if err != nil || is[1] != 6 {
-		t.Fatalf("IntColumn: %v %v", is, err)
+	if len(is) != 2 || is[1] != 6 {
+		t.Fatalf("group key: %v", is)
 	}
-	if _, err := tb.FloatColumn("missing"); err == nil {
+	if g, _, err := v.Numeric("", []string{"nu"}); err != nil || g != nil {
+		t.Fatalf("ungrouped extraction: group %v, %v", g, err)
+	}
+	if _, _, err := v.Numeric("", []string{"missing"}); err == nil {
 		t.Fatal("want missing-column error")
 	}
-	if _, err := tb.IntColumn("nu"); err == nil {
-		t.Fatal("want type error")
+	if _, _, err := v.Numeric("missing", nil); err == nil {
+		t.Fatal("want missing-group-column error")
+	}
+	if _, _, err := v.Numeric("nu", nil); err == nil {
+		t.Fatal("want type error: group column must be BIGINT")
+	}
+	st := New("s", mustSchema(t, ColumnDef{Name: "label", Type: storage.TypeString}))
+	st.AppendRow([]expr.Value{expr.Str("a")})
+	if _, _, err := st.Chunks().Numeric("", []string{"label"}); err == nil {
+		t.Fatal("want non-numeric error")
 	}
 }
 
 func TestFloatColumnRejectsNulls(t *testing.T) {
 	tb := New("m", lofarSchema(t))
 	tb.AppendRow([]expr.Value{expr.Int(1), expr.Null(), expr.Float(1)})
-	if _, err := tb.FloatColumn("nu"); err == nil {
+	if _, _, err := tb.Chunks().Numeric("", []string{"nu"}); err == nil {
 		t.Fatal("want NULL error")
 	}
 }
@@ -197,7 +212,8 @@ func TestCSVRoundTrip(t *testing.T) {
 	if sch.Cols[3].Type != storage.TypeString {
 		t.Fatalf("label type = %v", sch.Cols[3].Type)
 	}
-	if !tb.Row(1)[2].IsNull() {
+	a := allRows(t, tb)
+	if !a[1][2].IsNull() {
 		t.Fatal("empty field must be NULL")
 	}
 	var buf bytes.Buffer
@@ -211,14 +227,40 @@ func TestCSVRoundTrip(t *testing.T) {
 	if back.NumRows() != tb.NumRows() {
 		t.Fatal("row count changed")
 	}
-	for i := 0; i < 3; i++ {
-		a, b := tb.Row(i), back.Row(i)
-		for c := range a {
-			if a[c].IsNull() != b[c].IsNull() {
+	b := allRows(t, back)
+	for i := range a {
+		for c := range a[i] {
+			if a[i][c].IsNull() != b[i][c].IsNull() {
 				t.Fatalf("null mismatch row %d col %d", i, c)
 			}
-			if !a[c].IsNull() && !expr.Equal(a[c], b[c]) {
-				t.Fatalf("value mismatch row %d col %d: %v vs %v", i, c, a[c], b[c])
+			if !a[i][c].IsNull() && !expr.Equal(a[i][c], b[i][c]) {
+				t.Fatalf("value mismatch row %d col %d: %v vs %v", i, c, a[i][c], b[i][c])
+			}
+		}
+	}
+}
+
+// TestCSVRoundTripChunked: WriteCSV walks sealed chunks and the tail of one
+// view in row order.
+func TestCSVRoundTripChunked(t *testing.T) {
+	withChunkRows(t, 8)
+	tb := buildChunkFixture(t, 35) // 4 sealed chunks + a tail of 3
+	var buf bytes.Buffer
+	if err := WriteCSV(tb, &buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadCSV("cf2", strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := allRows(t, tb), allRows(t, back)
+	if len(got) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(got), len(want))
+	}
+	for i := range want {
+		for c := range want[i] {
+			if !sameVal(got[i][c], want[i][c]) {
+				t.Fatalf("row %d col %d: %v vs %v", i, c, got[i][c], want[i][c])
 			}
 		}
 	}

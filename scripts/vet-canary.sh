@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Prove the invariant suite still has teeth: temporarily re-introduce two
-# known past bug classes — a mutation bypassing the WAL gate and a dropped
-# WAL fsync error — and assert datalaws-vet rejects the tree, naming the
-# right analyzers. CI runs this after the clean sweep, so a weakened or
+# Prove the invariant suite still has teeth: temporarily re-introduce three
+# known past bug classes — a mutation bypassing the WAL gate, a dropped WAL
+# fsync error, and one answer read from two captures of a growing table —
+# and assert datalaws-vet rejects the tree, naming the right analyzers. CI runs this after the clean sweep, so a weakened or
 # accidentally disabled analyzer fails the build instead of rotting quietly.
 #
 # Usage: scripts/vet-canary.sh   (expects bin/datalaws-vet to exist;
@@ -12,7 +12,8 @@ cd "$(dirname "$0")/.."
 
 WALGATE_CANARY=canary_walgate_check.go
 IOERRSINK_CANARY=internal/wal/canary_ioerrsink_check.go
-cleanup() { rm -f "$WALGATE_CANARY" "$IOERRSINK_CANARY"; }
+SNAPSHOTREAD_CANARY=internal/compress/canary_snapshotread_check.go
+cleanup() { rm -f "$WALGATE_CANARY" "$IOERRSINK_CANARY" "$SNAPSHOTREAD_CANARY"; }
 trap cleanup EXIT
 
 cat > "$WALGATE_CANARY" <<'EOF'
@@ -37,12 +38,28 @@ func canarySyncDropped(f File) {
 }
 EOF
 
+cat > "$SNAPSHOTREAD_CANARY" <<'EOF'
+package compress
+
+import "datalaws/internal/table"
+
+// canaryTwoViews re-introduces the torn read CompressOutput once had:
+// predictions from one capture, observed values from a second, so under a
+// concurrent appender the two disagree on the row count.
+// scripts/vet-canary.sh asserts the snapshotread analyzer rejects it.
+func canaryTwoViews(t *table.Table) (int, int) {
+	preds := t.Chunks()
+	observed := t.Chunks()
+	return preds.Rows(), observed.Rows()
+}
+EOF
+
 out=$(./bin/datalaws-vet ./... 2>&1) && {
   echo "FAIL: datalaws-vet accepted re-introduced known bugs"
   exit 1
 }
 echo "$out"
-for analyzer in walgate ioerrsink; do
+for analyzer in walgate ioerrsink snapshotread; do
   if ! grep -q "\[$analyzer\]" <<<"$out"; then
     echo "FAIL: $analyzer did not flag its canary"
     exit 1

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"datalaws/internal/expr"
-	"datalaws/internal/storage"
 	"datalaws/internal/wal"
 )
 
@@ -30,17 +29,16 @@ func engineSig(t testing.TB, e *Engine) string {
 			continue
 		}
 		fmt.Fprintf(&sb, "table %s:", name)
-		err := tb.View(func(cols []storage.Column, rows int) error {
-			for i := 0; i < rows; i++ {
-				for _, c := range cols {
-					fmt.Fprintf(&sb, " %v", c.Value(i))
-				}
-				sb.WriteByte(';')
-			}
-			return nil
-		})
+		v := tb.Chunks()
+		rows, err := v.Head(v.Rows())
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, row := range rows {
+			for _, x := range row {
+				fmt.Fprintf(&sb, " %v", x)
+			}
+			sb.WriteByte(';')
 		}
 		sb.WriteByte('\n')
 	}
