@@ -752,7 +752,7 @@ func BenchmarkAblationModelClass(b *testing.B) {
 }
 
 // Plan-artifact caching: repeated APPROX queries with and without the
-// version-aware cache (the engine enables it by default).
+// domain-state cache (the engine enables it by default).
 func BenchmarkAblationPlanCache(b *testing.B) {
 	run := func(b *testing.B, cache *aqp.Cache) {
 		e, _, _, _ := benchEngine(b, 1000, 0)

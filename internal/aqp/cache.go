@@ -1,129 +1,117 @@
 package aqp
 
 import (
-	"fmt"
+	"strings"
 	"sync"
+	"weak"
 
 	"datalaws/internal/modelstore"
 	"datalaws/internal/table"
 )
 
-// Cache memoizes the expensive per-plan artifacts of approximate planning —
-// enumerated input domains and legal-combination sets — keyed by model
-// identity/version and table version, so repeated APPROX queries against
-// unchanged data skip the table scans that build them. Appends bump the
-// table version and naturally invalidate stale entries.
+// Cache holds one domain state per (table, group column, input columns):
+// the enumerated input domains and exact legal set approximate plans bind
+// models against. An append does not invalidate a state: the next Get
+// extends it over the appended rows, reading only the chunks that hold
+// them. A refit keeps it, because domains and legal combinations depend on
+// the rows and columns, not on fitted parameters; a table dropped and
+// re-created under the same name starts from zero. Published states are
+// immutable, so ModelScans in flight never see their artifacts change.
 type Cache struct {
-	mu      sync.Mutex
-	domains map[string]cachedDomains
-	legal   map[string]cachedLegal
+	mu     sync.Mutex
+	states map[stateKey]*domainState
 
-	hits, misses int
+	builds, rowsRead int
 }
 
-type cachedDomains struct {
-	tableVersion uint64
-	domains      []Domain
-}
+// stateKey names what one domain state enumerates; inputs are NUL-joined.
+type stateKey struct{ table, group, inputs string }
 
-type cachedLegal struct {
-	tableVersion uint64
-	legal        LegalSet
+func keyOf(t *table.Table, m *modelstore.CapturedModel) stateKey {
+	return stateKey{t.Name, m.Spec.GroupBy, strings.Join(m.Model.Inputs, "\x00")}
 }
 
 // NewCache returns an empty cache.
 func NewCache() *Cache {
-	return &Cache{domains: map[string]cachedDomains{}, legal: map[string]cachedLegal{}}
+	return &Cache{states: map[stateKey]*domainState{}}
 }
 
-// Stats reports cache effectiveness.
-func (c *Cache) Stats() (hits, misses int) {
+// Stats reports how many states were built from zero and how many table
+// rows builds and extensions read in total.
+func (c *Cache) Stats() (builds, rowsRead int) {
 	if c == nil {
 		return 0, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses
+	return c.builds, c.rowsRead
 }
 
-// modelKey identifies one version of a model; a refit changes it, so the
-// old version's artifacts are never served for the new one.
-func modelKey(m *modelstore.CapturedModel) string {
-	return fmt.Sprintf("%s|v%d", m.Spec.Name, m.Version)
-}
-
-// Domains returns (possibly cached) enumerated domains for the model's
-// inputs as of view v. The entry is stamped with the version of the view the
-// data was read from, never with a separately read table version. The
-// server's delta builder calls it too, so shipped domains reuse the
-// planner's cache.
-func (c *Cache) Domains(v *table.ChunkView, m *modelstore.CapturedModel) ([]Domain, error) {
-	if c == nil {
-		return DomainsFor(v, m.Model.Inputs, DefaultMaxDistinct)
-	}
-	key := modelKey(m)
-	c.mu.Lock()
-	if e, ok := c.domains[key]; ok && e.tableVersion == v.Version() {
-		c.hits++
+// Get returns the domains and exact legal set of m's inputs over one view of
+// t, and that view's version. It extends the cached state over the rows
+// appended since it was built, or builds one from zero when there is none,
+// when it describes another table of the same name, or when it covers more
+// rows than the view. A nil cache builds from zero on every call.
+func (c *Cache) Get(t *table.Table, m *modelstore.CapturedModel) ([]Domain, LegalSet, uint64, error) {
+	key, id := keyOf(t, m), weak.Make(t)
+	var prev *domainState
+	if c != nil {
+		c.mu.Lock()
+		prev = c.states[key]
 		c.mu.Unlock()
-		return e.domains, nil
 	}
-	c.misses++
-	c.mu.Unlock()
-	doms, err := DomainsFor(v, m.Model.Inputs, DefaultMaxDistinct)
-	if err != nil {
-		return nil, err
+	// Captured after the load, so it holds every row prev covers.
+	v := t.Chunks()
+	base := prev
+	if base == nil || base.t != id || base.rows > v.Rows() {
+		base = newDomainState(m.Spec.GroupBy, m.Model.Inputs, DefaultMaxDistinct, &ExactLegalSet{})
+		base.t = id
 	}
-	c.PrimeDomains(v, m, doms)
-	return doms, nil
+	st := base
+	if base != prev || base.rows < v.Rows() {
+		st = base.extend(v)
+		c.publish(key, st, base != prev, st.rows-base.rows)
+	}
+	doms, legal, err := st.result()
+	return doms, legal, v.Version(), err
 }
 
-// PrimeDomains installs precomputed domains for the model at the view's
-// version, as if Domains had built them locally. Read replicas use it: their
-// stub tables hold zero rows, so a local enumeration would yield empty
-// domains (and silently empty grids) — the primary ships its enumerated
-// domains with each model delta instead. The stub table's version never
-// changes, so a primed entry stays valid until the next delta re-primes it.
-func (c *Cache) PrimeDomains(v *table.ChunkView, m *modelstore.CapturedModel, domains []Domain) {
+// publish installs st unless a concurrent Get already installed a state of
+// the same table covering at least as many rows.
+func (c *Cache) publish(key stateKey, st *domainState, built bool, read int) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	c.domains[modelKey(m)] = cachedDomains{tableVersion: v.Version(), domains: domains}
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	if built {
+		c.builds++
+	}
+	c.rowsRead += read
+	if cur := c.states[key]; cur == nil || cur.t != st.t || cur.rows < st.rows {
+		c.states[key] = st
+	}
 }
 
-// Legal returns a (possibly cached) legal set for the model as of view v —
-// the legal-set counterpart of Domains. The planner's set is always exact;
-// BuildLegalSet's Bloom form is for callers that price the compressed set.
-func (c *Cache) Legal(v *table.ChunkView, m *modelstore.CapturedModel) (LegalSet, error) {
-	if c == nil {
-		return BuildLegalSet(v, m.Spec.GroupBy, m.Model.Inputs, false, 0)
-	}
-	key := modelKey(m)
-	c.mu.Lock()
-	if e, ok := c.legal[key]; ok && e.tableVersion == v.Version() {
-		c.hits++
-		c.mu.Unlock()
-		return e.legal, nil
-	}
-	c.misses++
-	c.mu.Unlock()
-	ls, err := BuildLegalSet(v, m.Spec.GroupBy, m.Model.Inputs, false, 0)
-	if err != nil {
-		return nil, err
-	}
-	c.PrimeLegal(v, m, ls)
-	return ls, nil
-}
-
-// PrimeLegal installs a precomputed legal set for the model at the view's
-// version — the legal-set counterpart of PrimeDomains.
-func (c *Cache) PrimeLegal(v *table.ChunkView, m *modelstore.CapturedModel, legal LegalSet) {
+// Prime installs shipped artifacts for m over t's current rows, as if Get
+// had enumerated them. Read replicas use it: their stub tables hold no rows,
+// so the primary ships its enumerated domains and legal set with each model
+// delta instead. Nil domains mark the inputs as not enumerable (the
+// primary's enumeration failed).
+func (c *Cache) Prime(t *table.Table, m *modelstore.CapturedModel, domains []Domain, legal LegalSet) {
 	if c == nil {
 		return
 	}
+	st := newDomainState(m.Spec.GroupBy, m.Model.Inputs, DefaultMaxDistinct, legal)
+	st.t, st.rows = weak.Make(t), t.NumRows()
+	if domains == nil {
+		for i := range st.bad {
+			st.bad[i] = true
+		}
+	} else {
+		st.domains = domains
+	}
 	c.mu.Lock()
-	c.legal[modelKey(m)] = cachedLegal{tableVersion: v.Version(), legal: legal}
+	c.states[keyOf(t, m)] = st
 	c.mu.Unlock()
 }

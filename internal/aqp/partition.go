@@ -69,12 +69,7 @@ func (p *Prepared) bindPartitioned(st *sql.SelectStmt) (*Plan, error) {
 		if firstModel == nil {
 			firstModel = model
 		}
-		v := child.Chunks()
-		domains, err := p.opts.Cache.Domains(v, model)
-		if err != nil {
-			return nil, err
-		}
-		legal, err := p.opts.Cache.Legal(v, model)
+		domains, legal, _, err := p.opts.Cache.Get(child, model)
 		if err != nil {
 			return nil, err
 		}

@@ -18,7 +18,8 @@ type Options struct {
 	Policy modelstore.SelectionPolicy
 	// Level is the confidence level for WITH ERROR bounds.
 	Level float64
-	// Cache memoizes domains and legal sets across queries (nil disables).
+	// Cache keeps one domain state per table and model inputs across
+	// queries, extended on append (nil rebuilds it on every bind).
 	Cache *Cache
 	// ExecMode selects batch (vectorized) or row execution for the plan; the
 	// zero value lowers to the batch pipeline whenever possible.
@@ -100,12 +101,15 @@ func BuildApproxSelect(cat *table.Catalog, store *modelstore.Store, st *sql.Sele
 	return p.Bind(st)
 }
 
-// Prepared is a rebindable approximate plan: model selection, domain
-// enumeration and legal-set construction — the expensive, data-dependent
-// parts of approximate planning — happen once at prepare time, and each
-// Bind only stamps out a fresh operator tree for one execution. Repeated
-// zero-IO point lookups through a prepared statement therefore skip grid
-// re-planning entirely. A Prepared is safe for concurrent Bind calls.
+// Prepared is a rebindable approximate plan: model selection and the
+// model's domains and legal set — the data-dependent parts of approximate
+// planning — are resolved at prepare time, and each Bind only stamps out a
+// fresh operator tree for one execution. Repeated zero-IO point lookups
+// through a prepared statement therefore skip grid re-planning entirely.
+// When the table grew, Bind takes the domains and legal set from
+// Options.Cache, which extends them over the appended rows only; a refit
+// re-selects the model and reuses them. A Prepared is safe for concurrent
+// Bind calls.
 type Prepared struct {
 	cat       *table.Catalog
 	store     *modelstore.Store
@@ -164,7 +168,7 @@ func PrepareApproxSelect(cat *table.Catalog, store *modelstore.Store, st *sql.Se
 	return p, nil
 }
 
-// revalidateLocked (re)selects the model and rebuilds domains and legal set
+// revalidateLocked re-selects the model and refreshes domains and legal set
 // when the underlying table or model store moved; it is a no-op when both
 // versions still match. Callers hold p.mu.
 func (p *Prepared) revalidateLocked() error {
@@ -180,27 +184,22 @@ func (p *Prepared) revalidateLocked() error {
 	return p.rebuildLocked(t)
 }
 
-// rebuildLocked selects the model and builds domains and legal set from one
+// rebuildLocked selects the model and takes domains and legal set from one
 // view of t, recording that view's version: the artifacts and the version
 // they are trusted for describe the same rows, and a table that moved
-// between revalidateLocked's check and this capture is simply rebuilt at
-// the newer state. Callers hold p.mu.
+// between revalidateLocked's check and this capture is simply read at the
+// newer state. Callers hold p.mu.
 func (p *Prepared) rebuildLocked(t *table.Table) error {
 	model, err := chooseModel(p.store, p.tableName, p.tableName, t, p.refs, p.withError, p.opts.Policy)
 	if err != nil {
 		return err
 	}
-	v := t.Chunks()
-	domains, err := p.opts.Cache.Domains(v, model)
-	if err != nil {
-		return err
-	}
-	legal, err := p.opts.Cache.Legal(v, model)
+	domains, legal, version, err := p.opts.Cache.Get(t, model)
 	if err != nil {
 		return err
 	}
 	p.model, p.domains, p.legal = model, domains, legal
-	p.tableVersion, p.modelVersion = v.Version(), model.Version
+	p.tableVersion, p.modelVersion = version, model.Version
 	p.inflate = staleInflation(model, t, p.opts)
 	return nil
 }

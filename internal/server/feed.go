@@ -43,10 +43,11 @@ type ModelDelta struct {
 	// Domains are the model's enumerated input domains and LegalGroups/
 	// LegalInputs/LegalWidth the observed (group, inputs) combinations —
 	// both scanned from rows the replica will never see. DomainsOK is
-	// false when a domain exceeded aqp.DefaultMaxDistinct (the model then
-	// serves only what the replica can answer without a grid); LegalOK is
-	// false when the primary could not build or export its legal set, in
-	// which case the replica falls back to admitting every combination.
+	// false when the primary could not enumerate them (a domain exceeded
+	// aqp.DefaultMaxDistinct, say), and the replica then refuses the model's
+	// APPROX queries as the primary does; LegalOK is false when the primary
+	// could not export an exact legal set, and the replica admits every
+	// combination instead.
 	Domains     []aqp.Domain
 	DomainsOK   bool
 	LegalGroups []int64
@@ -84,8 +85,8 @@ type PartRange struct {
 }
 
 // buildDelta turns one changefeed entry into its wire form, attaching the
-// table manifest and the enumeration artifacts, built from one view of the
-// table through the cache the primary's own planner queries under.
+// table manifest and the enumeration artifacts, read from one view of the
+// table through the cache the primary's own planner binds under.
 func (s *Server) buildDelta(c modelstore.Change) ModelDelta {
 	d := ModelDelta{Kind: c.Kind, Name: c.Name}
 	if c.Kind == modelstore.ChangeDrop || c.Model == nil {
@@ -98,18 +99,13 @@ func (s *Server) buildDelta(c modelstore.Change) ModelDelta {
 		return d
 	}
 	d.Table = s.tableMeta(c.Model.Spec.Table)
-	cache := s.eng.AQPOptions().Cache
-	if cache == nil {
-		cache = aqp.NewCache()
+	doms, ls, _, err := s.eng.AQPOptions().Cache.Get(t, c.Model)
+	if err != nil {
+		return d
 	}
-	v := t.Chunks()
-	if doms, err := cache.Domains(v, c.Model); err == nil {
-		d.Domains, d.DomainsOK = doms, true
-	}
-	if ls, err := cache.Legal(v, c.Model); err == nil {
-		if groups, inputs, width, exact := aqp.ExportLegalCombos(ls); exact {
-			d.LegalGroups, d.LegalInputs, d.LegalWidth, d.LegalOK = groups, inputs, width, true
-		}
+	d.Domains, d.DomainsOK = doms, true
+	if groups, inputs, width, exact := aqp.ExportLegalCombos(ls); exact {
+		d.LegalGroups, d.LegalInputs, d.LegalWidth, d.LegalOK = groups, inputs, width, true
 	}
 	return d
 }

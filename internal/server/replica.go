@@ -312,20 +312,14 @@ func (r *Replicator) applyDelta(d ModelDelta) error {
 		return err
 	}
 	r.models.Install(cm)
-	opts := r.eng.AQPOptions()
-	if opts.Cache != nil && t != nil {
-		v := t.Chunks()
-		if d.DomainsOK {
-			opts.Cache.PrimeDomains(v, cm, d.Domains)
-		}
+	if t != nil {
+		// Without an exact legal set from the primary, admit every grid
+		// combination rather than none. d.Domains is nil unless DomainsOK.
+		var legal aqp.LegalSet = aqp.AllowAll{}
 		if d.LegalOK {
-			legal := aqp.LegalSetFromCombos(d.LegalGroups, d.LegalInputs, d.LegalWidth)
-			opts.Cache.PrimeLegal(v, cm, legal)
-		} else {
-			// The primary could not ship an exact legal set; admit every
-			// grid combination rather than none.
-			opts.Cache.PrimeLegal(v, cm, aqp.AllowAll{})
+			legal = aqp.LegalSetFromCombos(d.LegalGroups, d.LegalInputs, d.LegalWidth)
 		}
+		r.eng.AQPOptions().Cache.Prime(t, cm, d.Domains, legal)
 	}
 	return nil
 }
@@ -333,8 +327,8 @@ func (r *Replicator) applyDelta(d ModelDelta) error {
 // ensureStubTable registers the zero-row table a shipped model binds
 // against (partitioned families register the whole parent, so every
 // sibling child exists once the first family member arrives). The stub
-// never receives rows, so its version never moves and primed cache entries
-// stay valid until the next delta re-primes them.
+// never receives rows, so a primed domain state stays valid until the next
+// delta re-primes it.
 func (r *Replicator) ensureStubTable(tm *TableMeta, name string) (*table.Table, error) {
 	if t, ok := r.cat.Get(name); ok {
 		return t, nil

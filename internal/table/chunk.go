@@ -307,22 +307,24 @@ func (v *ChunkView) Columns(k int) ([]storage.Column, error) {
 	return v.tail, nil
 }
 
-// hasNulls reports whether column i holds any NULL in the view: sealed
-// chunks answer from their zone maps without decoding, the tail by scanning
-// its snapshot.
+// hasNulls reports whether column i, BIGINT or DOUBLE, holds any NULL in
+// the view: sealed chunks answer from their zone maps without decoding, the
+// tail from its snapshot's null mask (a prefix clone, clear past the
+// captured rows).
 func (v *ChunkView) hasNulls(i int) bool {
 	for _, ch := range v.sealed {
 		if ch.zones[i].Nulls > 0 {
 			return true
 		}
 	}
-	if v.tail != nil {
-		c := v.tail[i]
-		for r := 0; r < v.tailRows; r++ {
-			if c.IsNull(r) {
-				return true
-			}
-		}
+	if v.tail == nil {
+		return false
+	}
+	switch c := v.tail[i].(type) {
+	case *storage.Int64Column:
+		return c.Nulls.Any()
+	case *storage.Float64Column:
+		return c.Nulls.Any()
 	}
 	return false
 }
@@ -354,12 +356,21 @@ func (v *ChunkView) numericColumn(name string, floatOK bool) (int, error) {
 // or NULL-bearing column is an error; NULL detection reads the sealed
 // chunks' zone maps, so such a view fails before any chunk is decoded.
 func (v *ChunkView) Numeric(groupCol string, floatCols []string) (group []int64, floats [][]float64, err error) {
+	return v.NumericFrom(groupCol, floatCols, 0)
+}
+
+// NumericFrom is Numeric over the rows from row from onward: it decodes only
+// the chunks holding them, while its column checks still cover the whole
+// view, so it fails exactly when Numeric does. Incremental readers extend
+// what they derived from an earlier, shorter view of the table with it.
+func (v *ChunkView) NumericFrom(groupCol string, floatCols []string, from int) (group []int64, floats [][]float64, err error) {
+	from = min(max(from, 0), v.rows)
 	gi := -1
 	if groupCol != "" {
 		if gi, err = v.numericColumn(groupCol, false); err != nil {
 			return nil, nil, err
 		}
-		group = make([]int64, 0, v.rows)
+		group = make([]int64, 0, v.rows-from)
 	}
 	fidx := make([]int, len(floatCols))
 	floats = make([][]float64, len(floatCols))
@@ -367,23 +378,28 @@ func (v *ChunkView) Numeric(groupCol string, floatCols []string) (group []int64,
 		if fidx[j], err = v.numericColumn(name, true); err != nil {
 			return nil, nil, err
 		}
-		floats[j] = make([]float64, 0, v.rows)
+		floats[j] = make([]float64, 0, v.rows-from)
 	}
-	for k := 0; k < v.NumChunks(); k++ {
+	k, lo := 0, from
+	for k < v.NumChunks() && lo >= v.ChunkLen(k) {
+		lo -= v.ChunkLen(k)
+		k++
+	}
+	for ; k < v.NumChunks(); k, lo = k+1, 0 {
 		cols, err := v.Columns(k)
 		if err != nil {
 			return nil, nil, err
 		}
 		n := v.ChunkLen(k)
 		if gi >= 0 {
-			group = append(group, cols[gi].(*storage.Int64Column).Vals[:n]...)
+			group = append(group, cols[gi].(*storage.Int64Column).Vals[lo:n]...)
 		}
 		for j, ci := range fidx {
 			switch c := cols[ci].(type) {
 			case *storage.Float64Column:
-				floats[j] = append(floats[j], c.Vals[:n]...)
+				floats[j] = append(floats[j], c.Vals[lo:n]...)
 			case *storage.Int64Column:
-				for _, x := range c.Vals[:n] {
+				for _, x := range c.Vals[lo:n] {
 					floats[j] = append(floats[j], float64(x))
 				}
 			}
