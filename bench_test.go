@@ -24,6 +24,7 @@ import (
 	"datalaws/internal/histsyn"
 	"datalaws/internal/modelstore"
 	"datalaws/internal/sampling"
+	"datalaws/internal/server"
 	"datalaws/internal/sql"
 	"datalaws/internal/synth"
 	"datalaws/internal/table"
@@ -103,12 +104,12 @@ func BenchmarkTable1GroupedFit(b *testing.B) {
 
 func BenchmarkFigure2Interception(b *testing.B) {
 	e, _, _, _ := benchEngine(b, 200, 0)
-	srv, err := capture.Serve("127.0.0.1:0", e)
-	if err != nil {
+	srv := server.New(e, nil)
+	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := capture.Dial(srv.Addr())
+	cli, err := server.Dial(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}

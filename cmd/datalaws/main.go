@@ -12,7 +12,7 @@
 //	\checkpoint                  compact the WAL into a fresh snapshot (needs -data)
 //	\autorefit on|off            background drift detection + model refit
 //	\parallelism N               morsel worker pool size (0 = GOMAXPROCS, 1 = serial)
-//	\serve ADDR                  expose the engine to strawman sessions
+//	\serve ADDR                  serve the engine's session protocol (SQL clients, strawman sessions, replicas)
 //	\q                           quit
 //
 // With -data DIR the shell opens a durable engine: the previous state is
@@ -40,9 +40,9 @@ import (
 	"time"
 
 	datalaws "datalaws"
-	"datalaws/internal/capture"
 	"datalaws/internal/expr"
 	"datalaws/internal/refit"
+	"datalaws/internal/server"
 	"datalaws/internal/synth"
 	"datalaws/internal/table"
 	"datalaws/internal/wal"
@@ -73,12 +73,12 @@ func main() {
 	// ignored, so a reflexive second Ctrl-C never kills the session.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
-	var server *capture.Server
+	var srv *server.Server
 	defer func() {
-		eng.Close()
-		if server != nil {
-			server.Close()
+		if srv != nil {
+			srv.Close()
 		}
+		eng.Close()
 	}()
 	for {
 		fmt.Print("datalaws> ")
@@ -94,7 +94,7 @@ func main() {
 			if line == "\\q" || line == "\\quit" {
 				return
 			}
-			if err := shellCommand(eng, line, &server); err != nil {
+			if err := shellCommand(eng, line, &srv); err != nil {
 				fmt.Fprintln(os.Stderr, "error:", err)
 			}
 			continue
@@ -151,7 +151,8 @@ func runStatement(eng *datalaws.Engine, line string, sig <-chan os.Signal) {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		return
 	}
-	if rows.Model != "" && len(cols) > 0 {
+	// FIT MODEL names its model too, but has no grid: only APPROX plans do.
+	if rows.Model != "" && rows.ApproxGrid > 0 {
 		fmt.Printf("(answered from model %q, grid %d rows", rows.Model, rows.ApproxGrid)
 		if rows.Hybrid {
 			fmt.Print(", hybrid")
@@ -176,7 +177,7 @@ func renderRow(row []expr.Value) string {
 	return strings.Join(parts, "  ")
 }
 
-func shellCommand(eng *datalaws.Engine, line string, server **capture.Server) error {
+func shellCommand(eng *datalaws.Engine, line string, srv **server.Server) error {
 	fields := strings.Fields(line)
 	switch fields[0] {
 	case "\\load":
@@ -326,15 +327,15 @@ func shellCommand(eng *datalaws.Engine, line string, server **capture.Server) er
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: \\serve ADDR (e.g. 127.0.0.1:7799)")
 		}
-		if *server != nil {
-			(*server).Close()
+		if *srv != nil {
+			(*srv).Close()
 		}
-		srv, err := capture.Serve(fields[1], eng)
-		if err != nil {
+		s := server.New(eng, nil)
+		if err := s.Serve(fields[1]); err != nil {
 			return err
 		}
-		*server = srv
-		fmt.Printf("serving strawman sessions on %s\n", srv.Addr())
+		*srv = s
+		fmt.Printf("serving the session protocol on %s\n", s.Addr())
 		return nil
 	}
 	return fmt.Errorf("unknown command %q", fields[0])

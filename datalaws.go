@@ -41,6 +41,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -343,44 +344,34 @@ func (e *Engine) execFit(s *sql.FitModelStmt) (*Result, error) {
 	})
 }
 
+// applyFit captures one model — the FIT MODEL statement, the in-process
+// strawman and WAL replay all land here. The result's one row is the
+// client-visible capture.FitSummary, in capture.SummaryColumns layout.
 func (e *Engine) applyFit(spec modelstore.Spec) (*Result, error) {
+	var sum capture.FitSummary
+	var info string
 	if pt, ok := e.Catalog.GetPartitioned(spec.Table); ok {
 		caps, err := e.Models.CapturePartitioned(pt, spec)
 		if err != nil {
 			return nil, err
 		}
-		fitted, failed, bytes := 0, 0, 0
-		var failures []string
-		for _, c := range caps {
-			if c.Err != nil {
-				failed++
-				failures = append(failures, fmt.Sprintf("%s: %v", c.Partition, c.Err))
-				continue
-			}
-			fitted++
-			bytes += c.Model.ParamSizeBytes()
+		sum, info = familyFit(spec, caps)
+	} else {
+		t, err := e.Catalog.Lookup(spec.Table)
+		if err != nil {
+			return nil, fmt.Errorf("datalaws: %w", err)
 		}
-		info := fmt.Sprintf("model %s captured on %d/%d partitions of %s, parameter tables %d bytes",
-			spec.Name, fitted, len(caps), spec.Table, bytes)
-		if failed > 0 {
-			info += fmt.Sprintf(" (%d partition(s) unmodeled, answered raw: %s)", failed, strings.Join(failures, "; "))
+		m, err := e.Models.Capture(t, spec)
+		if err != nil {
+			return nil, err
 		}
-		return &Result{Model: spec.Name, Info: info}, nil
-	}
-	t, err := e.Catalog.Lookup(spec.Table)
-	if err != nil {
-		return nil, fmt.Errorf("datalaws: %w", err)
-	}
-	m, err := e.Models.Capture(t, spec)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Model: m.Spec.Name,
-		Info: fmt.Sprintf("model %s captured: %d groups fitted (%d failed), median R²=%.4f, median residual SE=%.4g, parameter table %d bytes",
+		sum = capture.SummaryFromModel(m)
+		info = fmt.Sprintf("model %s captured: %d groups fitted (%d failed), median R²=%.4f, median residual SE=%.4g, parameter table %d bytes",
 			m.Spec.Name, m.Quality.GroupsOK, m.Quality.GroupsFailed,
-			m.Quality.MedianR2, m.Quality.MedianResidualSE, m.ParamSizeBytes()),
-	}, nil
+			m.Quality.MedianR2, m.Quality.MedianResidualSE, m.ParamSizeBytes())
+	}
+	return &Result{Model: spec.Name, Info: info,
+		Columns: capture.SummaryColumns(), Rows: []exec.Row{capture.SummaryRow(sum)}}, nil
 }
 
 func (e *Engine) execShowModels() (*Result, error) {
@@ -586,46 +577,30 @@ func (e *Engine) FitModel(spec modelstore.Spec) (capture.FitSummary, error) {
 	// The transparent capture is a mutation like FIT MODEL: it is logged (as
 	// the same logical record) before the model store changes, so a captured
 	// session model survives recovery.
-	var sum capture.FitSummary
-	_, err := e.mutate(&wal.Record{Type: wal.TypeFitModel, Fit: fitSpecRecord(spec)}, func() (*Result, error) {
-		var aerr error
-		sum, aerr = e.applyFitSummary(spec)
-		return nil, aerr
+	res, err := e.mutate(&wal.Record{Type: wal.TypeFitModel, Fit: fitSpecRecord(spec)}, func() (*Result, error) {
+		return e.applyFit(spec)
 	})
-	return sum, err
-}
-
-func (e *Engine) applyFitSummary(spec modelstore.Spec) (capture.FitSummary, error) {
-	if pt, ok := e.Catalog.GetPartitioned(spec.Table); ok {
-		caps, err := e.Models.CapturePartitioned(pt, spec)
-		if err != nil {
-			return capture.FitSummary{}, err
-		}
-		return partitionedFitSummary(spec.Name, caps), nil
-	}
-	t, err := e.Catalog.Lookup(spec.Table)
-	if err != nil {
-		return capture.FitSummary{}, fmt.Errorf("datalaws: %w", err)
-	}
-	m, err := e.Models.Capture(t, spec)
 	if err != nil {
 		return capture.FitSummary{}, err
 	}
-	return capture.SummaryFromModel(m), nil
+	return capture.SummaryFromRow(res.Rows[0])
 }
 
-// partitionedFitSummary aggregates a family capture into one client-visible
-// summary. Quality figures pool every partition's fitted groups — medians
-// are computed across all group R²/SE values, weighted by how many groups
-// each partition fitted — so one good partition cannot advertise quality
-// the rest of the family lacks. A partition whose whole fit failed counts
-// its (unknown) group total as one failure and surfaces in GroupsFailed.
-func partitionedFitSummary(name string, caps []modelstore.PartitionCapture) capture.FitSummary {
-	sum := capture.FitSummary{Name: name, WorstR2: math.Inf(1)}
+// familyFit aggregates a family capture into one client-visible summary and
+// the statement's Info line. Quality figures pool every partition's fitted
+// groups — medians are computed across all group R²/SE values, weighted by
+// how many groups each partition fitted — so one good partition cannot
+// advertise quality the rest of the family lacks. A partition whose whole
+// fit failed counts its (unknown) group total as one failure and surfaces
+// in GroupsFailed.
+func familyFit(spec modelstore.Spec, caps []modelstore.PartitionCapture) (capture.FitSummary, string) {
+	sum := capture.FitSummary{Name: spec.Name, WorstR2: math.Inf(1)}
 	var r2s, ses []float64
+	var failures []string
 	for _, c := range caps {
 		if c.Err != nil {
 			sum.GroupsFailed++
+			failures = append(failures, fmt.Sprintf("%s: %v", c.Partition, c.Err))
 			continue
 		}
 		m := c.Model
@@ -654,24 +629,71 @@ func partitionedFitSummary(name string, caps []modelstore.PartitionCapture) capt
 	} else {
 		sum.WorstR2 = math.NaN()
 	}
-	return sum
+	info := fmt.Sprintf("model %s captured on %d/%d partitions of %s, parameter tables %d bytes",
+		spec.Name, len(caps)-len(failures), len(caps), spec.Table, sum.ParamTableBytes)
+	if len(failures) > 0 {
+		info += fmt.Sprintf(" (%d partition(s) unmodeled, answered raw: %s)", len(failures), strings.Join(failures, "; "))
+	}
+	return sum, info
 }
 
 // ApproxPoint implements capture.Backend: a zero-IO point lookup against a
-// captured model with error bounds.
+// captured model with error bounds. A level outside (0, 1), NaN included,
+// takes the 95% default.
 func (e *Engine) ApproxPoint(model string, group int64, inputs []float64, level float64) (capture.PointAnswer, error) {
-	m, ok := e.Models.Get(model)
-	if !ok {
-		return capture.PointAnswer{}, fmt.Errorf("datalaws: %w: %q", ErrUnknownModel, model)
+	m, err := e.pointModel(model, group, inputs)
+	if err != nil {
+		return capture.PointAnswer{}, err
 	}
-	if level <= 0 || level >= 1 {
+	if !(level > 0 && level < 1) {
 		level = 0.95
 	}
 	v, lo, hi, err := aqp.PointLookup(m, group, inputs, level)
 	if err != nil {
 		return capture.PointAnswer{}, err
 	}
-	return capture.PointAnswer{Value: v, Lo: lo, Hi: hi, FromModel: true, ModelName: model}, nil
+	return capture.PointAnswer{Value: v, Lo: lo, Hi: hi, FromModel: true, ModelName: m.Spec.Name, ModelVersion: m.Version}, nil
+}
+
+// pointModel resolves the model a point is answered from: the named model,
+// or, when the name is a partitioned family, the member whose partition
+// holds the point. The point is routed on the partition column, which must
+// be the model's group column or one of its inputs.
+func (e *Engine) pointModel(name string, group int64, inputs []float64) (*modelstore.CapturedModel, error) {
+	if m, ok := e.Models.Get(name); ok {
+		return m, nil
+	}
+	fam := e.Models.Family(name)
+	if len(fam) == 0 {
+		return nil, fmt.Errorf("datalaws: %w: %q", ErrUnknownModel, name)
+	}
+	spec := fam[0].Spec
+	parent, _, _ := strings.Cut(spec.Table, "#")
+	pt, ok := e.Catalog.GetPartitioned(parent)
+	if !ok {
+		return nil, fmt.Errorf("datalaws: %w: %q", ErrUnknownTable, parent)
+	}
+	col := pt.Column()
+	key := float64(group)
+	if col != spec.GroupBy {
+		i := slices.Index(spec.Inputs, col)
+		if i < 0 {
+			return nil, fmt.Errorf("datalaws: a point of family %q needs partition column %q as its group or an input", name, col)
+		}
+		if len(inputs) != len(spec.Inputs) {
+			return nil, fmt.Errorf("datalaws: %d inputs, family %q has %d", len(inputs), name, len(spec.Inputs))
+		}
+		key = inputs[i]
+	}
+	p, err := pt.Route(key)
+	if err != nil {
+		return nil, err
+	}
+	part := pt.Ranges()[p].Name
+	if m, ok := e.Models.Get(modelstore.PartitionModelName(name, part)); ok {
+		return m, nil
+	}
+	return nil, fmt.Errorf("datalaws: %w: partition %s of family %q has no fitted model", ErrNoModel, part, name)
 }
 
 // FormatResult renders a result as an aligned text table for CLIs and

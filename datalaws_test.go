@@ -157,37 +157,65 @@ func TestEngineAsCaptureBackend(t *testing.T) {
 	}
 }
 
-func TestEngineOverTCP(t *testing.T) {
-	e, _ := loadLOFAR(t, 10, 40)
-	srv, err := capture.Serve("127.0.0.1:0", e)
+// TestApproxPointNaNLevel: NaN passed both `level <= 0` and `level >= 1`,
+// so a NaN level returned a NaN interval with no error. It takes the 95%
+// default like any other level outside (0, 1).
+func TestApproxPointNaNLevel(t *testing.T) {
+	e, _ := loadLOFAR(t, 6, 40)
+	s, err := capture.NewStrawman(e, "measurements")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	cli, err := capture.Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	s, err := capture.NewStrawman(cli, "measurements")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err := s.Fit("remote", "intensity ~ p * pow(nu, alpha)", []string{"nu"}, &capture.FitOptions{
+	if _, err := s.Fit("spectra", "intensity ~ p * pow(nu, alpha)", []string{"nu"}, &capture.FitOptions{
 		GroupBy: "source", Start: map[string]float64{"p": 1, "alpha": -1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := s.Point("spectra", 1, []float64{0.16}, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Point("spectra", 1, []float64{0.16}, math.NaN())
+	if err != nil || got != want {
+		t.Fatalf("NaN level = %+v, %v; want the 95%% answer %+v", got, err, want)
+	}
+}
+
+// TestApproxPointPartitionedFamily: a strawman fit on a partitioned table
+// returns a summary named for the family, but a point of that name failed
+// with "model not found" because only the members fam#pK exist. The point
+// now routes to the member holding it, on the partition column.
+func TestApproxPointPartitionedFamily(t *testing.T) {
+	e := partedEngine(t, 4, 0.01, 3)
+	s, err := capture.NewStrawman(e, "m")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := s.Fit("fam", "intensity ~ a * nu + b", []string{"nu"}, &capture.FitOptions{
+		GroupBy: "source", Start: map[string]float64{"a": 1, "b": 0},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Groups != 10 {
-		t.Fatalf("summary = %+v", sum)
+	if sum.Name != "fam" || sum.Groups != 16 {
+		t.Fatalf("family summary = %+v", sum)
 	}
-	ans, err := s.Point("remote", 1, []float64{0.16}, 0.95)
+	ans, err := s.Point("fam", 225, []float64{1.5}, 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(ans.Lo < ans.Value && ans.Value < ans.Hi) {
-		t.Fatalf("answer = %+v", ans)
+	member, err := s.Point("fam#p2", 225, []float64{1.5}, 0.95)
+	if err != nil || ans != member || ans.ModelName != "fam#p2" {
+		t.Fatalf("family point = %+v, member p2 = %+v (%v)", ans, member, err)
+	}
+	// A family partitioned on a column that is neither its group nor an
+	// input cannot route a point; the error names the partition column.
+	e.MustExec(`CREATE TABLE b (band BIGINT, nu DOUBLE, intensity DOUBLE) PARTITION BY RANGE(band) (
+		PARTITION lo VALUES LESS THAN (1), PARTITION hi VALUES LESS THAN (MAXVALUE))`)
+	e.MustExec("INSERT INTO b VALUES (0, 1, 2.1), (0, 2, 3.9), (0, 3, 6.2), (1, 1, 2), (1, 2, 4.1), (1, 3, 5.9)")
+	e.MustExec("FIT MODEL bl ON b AS 'intensity ~ a * nu' INPUTS (nu) START (a = 1)")
+	if _, err := e.ApproxPoint("bl", 0, []float64{2}, 0.95); err == nil || !strings.Contains(err.Error(), `"band"`) {
+		t.Fatalf("unroutable family point = %v, want an error naming \"band\"", err)
 	}
 }
 

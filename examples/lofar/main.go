@@ -11,6 +11,7 @@ import (
 	datalaws "datalaws"
 	"datalaws/internal/anomaly"
 	"datalaws/internal/capture"
+	"datalaws/internal/server"
 	"datalaws/internal/synth"
 )
 
@@ -34,12 +35,12 @@ func main() {
 		tb.NumRows(), cfg.Sources, float64(tb.RawSizeBytes())/1e6)
 
 	// --- Figure 2 over TCP: the astronomer's statistical session ---
-	srv, err := capture.Serve("127.0.0.1:0", eng)
-	if err != nil {
+	srv := server.New(eng, nil)
+	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		log.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := capture.Dial(srv.Addr())
+	cli, err := server.Dial(srv.Addr())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,13 +4,16 @@
 // against it, the fitting is offloaded to the database (steps 1–2), which
 // fits, judges, and stores the model, returning only the goodness of fit
 // (step 3); later point queries are answered from the captured model with
-// error bounds (steps 4–5). Both an in-process backend and a TCP transport
-// (net + encoding/gob) are provided, mirroring how R clients talk to an
-// analytical database in the authors' earlier "strawman" work.
+// error bounds (steps 4–5). This package is the client-side concept only:
+// the Engine is the in-process Backend, and server.Client is the remote one,
+// speaking the same session protocol as every other client, the way R
+// clients talk to an analytical database in the authors' earlier
+// "strawman" work.
 package capture
 
 import (
 	"fmt"
+	"strings"
 
 	"datalaws/internal/expr"
 	"datalaws/internal/modelstore"
@@ -40,7 +43,10 @@ type PointAnswer struct {
 	Hi    float64
 	// FromModel distinguishes model-derived answers from exact fallbacks.
 	FromModel bool
-	ModelName string
+	// ModelName is the model that answered: the requested one, or for a
+	// partitioned family the member covering the point.
+	ModelName    string
+	ModelVersion int
 }
 
 // Backend is the database-side surface the strawman forwards to.
@@ -70,6 +76,42 @@ func SummaryFromModel(m *modelstore.CapturedModel) FitSummary {
 		ParamTableBytes: m.ParamSizeBytes(),
 		ModelVersion:    m.Version,
 	}
+}
+
+// SummaryColumns names the columns of the one-row result a FIT MODEL
+// statement returns; SummaryRow writes that row and SummaryFromRow reads it,
+// so the engine and a remote client agree on one layout.
+func SummaryColumns() []string {
+	return []string{"name", "formula", "params", "groups", "groups_failed", "median_r2",
+		"mean_r2", "worst_r2", "median_residual_se", "param_bytes", "version"}
+}
+
+// SummaryRow encodes s in SummaryColumns order; parameter names are joined
+// with commas (they are identifiers, so they cannot contain one).
+func SummaryRow(s FitSummary) []expr.Value {
+	return []expr.Value{
+		expr.Str(s.Name), expr.Str(s.Formula), expr.Str(strings.Join(s.Params, ",")),
+		expr.Int(int64(s.Groups)), expr.Int(int64(s.GroupsFailed)),
+		expr.Float(s.MedianR2), expr.Float(s.MeanR2), expr.Float(s.WorstR2),
+		expr.Float(s.MedianResidSE), expr.Int(int64(s.ParamTableBytes)), expr.Int(int64(s.ModelVersion)),
+	}
+}
+
+// SummaryFromRow decodes a SummaryRow.
+func SummaryFromRow(row []expr.Value) (FitSummary, error) {
+	if n := len(SummaryColumns()); len(row) != n {
+		return FitSummary{}, fmt.Errorf("capture: fit summary row has %d columns, want %d", len(row), n)
+	}
+	var params []string
+	if row[2].S != "" {
+		params = strings.Split(row[2].S, ",")
+	}
+	return FitSummary{
+		Name: row[0].S, Formula: row[1].S, Params: params,
+		Groups: int(row[3].I), GroupsFailed: int(row[4].I),
+		MedianR2: row[5].F, MeanR2: row[6].F, WorstR2: row[7].F,
+		MedianResidSE: row[8].F, ParamTableBytes: int(row[9].I), ModelVersion: int(row[10].I),
+	}, nil
 }
 
 // Strawman is the client-side stand-in for a remote table (Figure 2 step 1).

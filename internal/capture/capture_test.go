@@ -2,7 +2,7 @@ package capture
 
 import (
 	"fmt"
-	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -123,114 +123,6 @@ func TestStrawmanPoint(t *testing.T) {
 	}
 }
 
-// --- TCP transport ---
-
-func TestWireRoundTrip(t *testing.T) {
-	b := &fakeBackend{}
-	srv, err := Serve("127.0.0.1:0", b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-
-	// The full Figure 2 sequence over the wire.
-	s, err := NewStrawman(cli, "measurements")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumRows() != 1452824 {
-		t.Fatalf("rows = %d", s.NumRows())
-	}
-	sum, err := s.Fit("spectra", "intensity ~ p * pow(nu, alpha)", []string{"nu"}, &FitOptions{
-		GroupBy: "source", Where: "nu > 0.1",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.MedianR2 != 0.92 {
-		t.Fatalf("summary = %+v", sum)
-	}
-	ans, err := s.Point("spectra", 42, []float64{0.14}, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(ans.Value-3.0) > 1e-12 || ans.Lo >= ans.Hi {
-		t.Fatalf("answer = %+v", ans)
-	}
-	// Server-side where must have survived serialization.
-	if len(b.fits) != 1 || b.fits[0].Where == nil {
-		t.Fatalf("server spec = %+v", b.fits)
-	}
-}
-
-func TestWireErrorsPropagate(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", &fakeBackend{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, _, err := cli.TableInfo("nope"); err == nil || !strings.Contains(err.Error(), "unknown table") {
-		t.Fatalf("err = %v", err)
-	}
-	if _, err := cli.ApproxPoint("nomodel", 1, []float64{1}, 0.95); err == nil {
-		t.Fatal("want model error")
-	}
-}
-
-func TestWireConcurrentClients(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", &fakeBackend{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	var wg sync.WaitGroup
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cli, err := Dial(srv.Addr())
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer cli.Close()
-			for j := 0; j < 20; j++ {
-				if _, _, err := cli.TableInfo("measurements"); err != nil {
-					errs <- err
-					return
-				}
-				if _, err := cli.ApproxPoint("spectra", int64(j), []float64{0.14}, 0.9); err != nil {
-					errs <- err
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-}
-
-func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
-		t.Fatal("want connection error")
-	}
-}
-
 // growingBackend reports a row count that grows between calls, like a live
 // table receiving appends.
 type growingBackend struct {
@@ -272,5 +164,24 @@ func TestStrawmanRefresh(t *testing.T) {
 	}
 	if s.NumRows() != 300 {
 		t.Fatalf("rows after fit = %d", s.NumRows())
+	}
+}
+
+// TestSummaryRowRoundTrip: the FIT MODEL result row decodes to the summary
+// it was written from, and a row of the wrong width is an error.
+func TestSummaryRowRoundTrip(t *testing.T) {
+	for _, want := range []FitSummary{
+		{Name: "spectra", Formula: "intensity ~ p * pow(nu, alpha)", Params: []string{"alpha", "p"},
+			Groups: 35692, GroupsFailed: 3, MedianR2: 0.92, MeanR2: 0.9, WorstR2: 0.4,
+			MedianResidSE: 0.0066, ParamTableBytes: 640 * 1024, ModelVersion: 2},
+		{Name: "empty"},
+	} {
+		got, err := SummaryFromRow(SummaryRow(want))
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip of %+v = %+v, %v", want, got, err)
+		}
+	}
+	if _, err := SummaryFromRow(SummaryRow(FitSummary{})[:10]); err == nil {
+		t.Fatal("a 10-column row decoded")
 	}
 }

@@ -74,7 +74,22 @@ type Expr interface {
 // Lit is a literal constant.
 type Lit struct{ Val Value }
 
-func (l *Lit) String() string { return l.Val.String() }
+// String renders the literal as source that both this package's parser and
+// the SQL parser read back, so a rendered predicate (WAL records,
+// models.json, the model feed, a FIT MODEL sent over the wire) re-parses
+// to the same value: strings in single quotes with each quote doubled, since
+// Value.String quotes Go-style, and negative numbers parenthesized, so a
+// preceding minus never lexes as a SQL "--" comment.
+func (l *Lit) String() string {
+	s := l.Val.String()
+	switch {
+	case l.Val.K == KindString:
+		s = "'" + strings.ReplaceAll(l.Val.S, "'", "''") + "'"
+	case strings.HasPrefix(s, "-"):
+		s = "(" + s + ")"
+	}
+	return s
+}
 
 // Ident references a column or free variable by name.
 type Ident struct{ Name string }

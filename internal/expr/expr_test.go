@@ -390,6 +390,36 @@ func TestValueString(t *testing.T) {
 	}
 }
 
+// TestLitStringReadsBack: a rendered literal re-parses to the same value.
+// String literals used to render Go-quoted, so a backslash came back
+// doubled when a WAL record or models.json predicate was re-parsed.
+func TestLitStringReadsBack(t *testing.T) {
+	s := Str(`O'Brien\x "q"`)
+	src := (&Binary{Op: OpEq, L: &Ident{Name: "label"}, R: &Lit{Val: s}}).String()
+	r, err := Parse(src)
+	if err != nil {
+		t.Fatalf("reparse %s: %v", src, err)
+	}
+	if got := r.(*Binary).R.(*Lit).Val; got != s {
+		t.Fatalf("string literal %q came back as %q (from %s)", s.S, got.S, src)
+	}
+	// A negative literal under a minus (a bound parameter can produce one)
+	// must not render "--", a comment to the SQL lexer.
+	e := &Binary{Op: OpSub, L: &Ident{Name: "x"}, R: &Unary{Op: OpNeg, X: &Lit{Val: Float(-1.5)}}}
+	if strings.Contains(e.String(), "--") {
+		t.Fatalf("%s contains a SQL comment", e.String())
+	}
+	r, err = Parse(e.String())
+	if err != nil {
+		t.Fatalf("reparse %s: %v", e.String(), err)
+	}
+	env := MapEnv{"x": Float(10)}
+	want, _ := Eval(e, env)
+	if got, err := Eval(r, env); err != nil || got != want {
+		t.Fatalf("%s evaluates to %v (%v) after a reparse, want %v", e.String(), got, err, want)
+	}
+}
+
 func TestExprStringRoundTrip(t *testing.T) {
 	// Rendering then reparsing must preserve semantics.
 	srcs := []string{"1 + 2 * x", "p * pow(nu, alpha)", "NOT (a AND b)", "x IS NULL", "-(x + 1) ^ 2"}

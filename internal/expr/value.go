@@ -66,6 +66,86 @@ func Str(s string) Value { return Value{K: KindString, S: s} }
 // Bool returns a boolean value.
 func Bool(b bool) Value { return Value{K: KindBool, B: b} }
 
+// ValuesOf boxes Go arguments, such as statement parameters, as Values:
+// nil, Value, int, int32, int64, float32, float64, string and bool.
+func ValuesOf(args []any) ([]Value, error) {
+	if len(args) == 0 {
+		return nil, nil
+	}
+	out := make([]Value, len(args))
+	for i, a := range args {
+		switch v := a.(type) {
+		case nil:
+			out[i] = Null()
+		case Value:
+			out[i] = v
+		case int:
+			out[i] = Int(int64(v))
+		case int32:
+			out[i] = Int(int64(v))
+		case int64:
+			out[i] = Int(v)
+		case float32:
+			out[i] = Float(float64(v))
+		case float64:
+			out[i] = Float(v)
+		case string:
+			out[i] = Str(v)
+		case bool:
+			out[i] = Bool(v)
+		default:
+			return nil, fmt.Errorf("argument %d: unsupported argument type %T", i+1, a)
+		}
+	}
+	return out, nil
+}
+
+// Scan copies v into dest, a result cursor's Scan target: *int64, *float64
+// (INT coerces), *string, *bool, *Value, or *any (the native Go value, nil
+// for NULL).
+func (v Value) Scan(dest any) error {
+	switch d := dest.(type) {
+	case *Value:
+		*d = v
+	case *any:
+		switch v.K {
+		case KindInt:
+			*d = v.I
+		case KindFloat:
+			*d = v.F
+		case KindString:
+			*d = v.S
+		case KindBool:
+			*d = v.B
+		default:
+			*d = nil
+		}
+	case *int64:
+		if v.K != KindInt {
+			return fmt.Errorf("cannot scan %s into *int64", v.K)
+		}
+		*d = v.I
+	case *float64:
+		if v.K != KindFloat && v.K != KindInt {
+			return fmt.Errorf("cannot scan %s into *float64", v.K)
+		}
+		*d, _ = v.AsFloat()
+	case *string:
+		if v.K != KindString {
+			return fmt.Errorf("cannot scan %s into *string", v.K)
+		}
+		*d = v.S
+	case *bool:
+		if v.K != KindBool {
+			return fmt.Errorf("cannot scan %s into *bool", v.K)
+		}
+		*d = v.B
+	default:
+		return fmt.Errorf("unsupported Scan target %T", dest)
+	}
+	return nil
+}
+
 // IsNull reports whether v is NULL.
 func (v Value) IsNull() bool { return v.K == KindNull }
 

@@ -8,6 +8,7 @@ import (
 	"datalaws/internal/capture"
 	"datalaws/internal/fit"
 	"datalaws/internal/modelstore"
+	"datalaws/internal/server"
 	"datalaws/internal/stats"
 	"datalaws/internal/synth"
 	"datalaws/internal/table"
@@ -163,12 +164,12 @@ func F2(sc Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv, err := capture.Serve("127.0.0.1:0", e)
-	if err != nil {
+	srv := server.New(e, nil)
+	if err := srv.Serve("127.0.0.1:0"); err != nil {
 		return nil, err
 	}
 	defer srv.Close()
-	cli, err := capture.Dial(srv.Addr())
+	cli, err := server.Dial(srv.Addr())
 	if err != nil {
 		return nil, err
 	}

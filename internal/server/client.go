@@ -20,12 +20,13 @@ var errClientClosed = errors.New("server: client closed")
 // batch by batch. A Client serializes its calls internally, so cursors
 // and statements of one client may be used from one goroutine at a time;
 // open one client per concurrent session (they are cheap — the server
-// side is a goroutine and two maps).
+// side is a goroutine and two maps). A Client is also the remote
+// capture.Backend of the paper's Figure 2 strawman (strawman.go).
 //
-// Like the capture transport, the client poisons itself on the first
-// transport error: the framed protocol cannot desync, but a torn
-// connection cannot say which in-flight request died, so later calls fail
-// fast with the original error and the caller redials.
+// The client poisons itself on the first transport error: the framed
+// protocol cannot desync, but a torn connection cannot say which in-flight
+// request died, so later calls fail fast with the original error and the
+// caller redials.
 type Client struct {
 	// FetchRows is the batch size cursors request per pull (the
 	// client-driven flow control); 0 lets the server choose. Set before
@@ -106,9 +107,9 @@ func (c *Client) Ping() error {
 
 // Query executes one SQL statement and returns its streaming cursor.
 func (c *Client) Query(sql string, args ...any) (*Rows, error) {
-	vals, err := argsToValues(args)
+	vals, err := expr.ValuesOf(args)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	resp, err := c.call(&Request{Op: OpQuery, SQL: sql, Args: vals, MaxRows: c.FetchRows})
 	if err != nil {
@@ -155,9 +156,9 @@ func (st *Stmt) NumParams() int { return st.numParams }
 
 // Query executes the prepared statement with bound args.
 func (st *Stmt) Query(args ...any) (*Rows, error) {
-	vals, err := argsToValues(args)
+	vals, err := expr.ValuesOf(args)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	resp, err := st.c.call(&Request{Op: OpStmtQuery, StmtID: st.id, Args: vals, MaxRows: st.c.FetchRows})
 	if err != nil {
@@ -264,7 +265,7 @@ func (r *Rows) Scan(dest ...any) error {
 		return fmt.Errorf("server: Scan got %d targets for %d columns", len(dest), len(r.cur))
 	}
 	for i, d := range dest {
-		if err := scanValue(r.cur[i], d); err != nil {
+		if err := r.cur[i].Scan(d); err != nil {
 			return fmt.Errorf("server: Scan column %d: %w", i, err)
 		}
 	}
@@ -283,57 +284,6 @@ func (r *Rows) Close() error {
 	}
 	_, err := r.c.call(&Request{Op: OpCloseCursor, CursorID: r.cursorID})
 	return err
-}
-
-func scanValue(v expr.Value, dest any) error {
-	switch d := dest.(type) {
-	case *expr.Value:
-		*d = v
-		return nil
-	case *any:
-		switch v.K {
-		case expr.KindInt:
-			*d = v.I
-		case expr.KindFloat:
-			*d = v.F
-		case expr.KindString:
-			*d = v.S
-		case expr.KindBool:
-			*d = v.B
-		default:
-			*d = nil
-		}
-		return nil
-	case *int64:
-		if v.K != expr.KindInt {
-			return fmt.Errorf("cannot scan %s into *int64", v.K)
-		}
-		*d = v.I
-		return nil
-	case *float64:
-		switch v.K {
-		case expr.KindFloat:
-			*d = v.F
-		case expr.KindInt:
-			*d = float64(v.I)
-		default:
-			return fmt.Errorf("cannot scan %s into *float64", v.K)
-		}
-		return nil
-	case *string:
-		if v.K != expr.KindString {
-			return fmt.Errorf("cannot scan %s into *string", v.K)
-		}
-		*d = v.S
-		return nil
-	case *bool:
-		if v.K != expr.KindBool {
-			return fmt.Errorf("cannot scan %s into *bool", v.K)
-		}
-		*d = v.B
-		return nil
-	}
-	return fmt.Errorf("unsupported Scan target %T", dest)
 }
 
 // DeltaBatch is one reply from the model changefeed: deltas to apply, the
@@ -386,37 +336,4 @@ func (c *Client) PollDeltas(term, seq uint64, wait time.Duration, max int) (*Del
 		return nil, err
 	}
 	return deltaBatch(resp), nil
-}
-
-// argsToValues boxes Go arguments as wire values.
-func argsToValues(args []any) ([]expr.Value, error) {
-	if len(args) == 0 {
-		return nil, nil
-	}
-	out := make([]expr.Value, len(args))
-	for i, a := range args {
-		switch v := a.(type) {
-		case nil:
-			out[i] = expr.Null()
-		case expr.Value:
-			out[i] = v
-		case int:
-			out[i] = expr.Int(int64(v))
-		case int32:
-			out[i] = expr.Int(int64(v))
-		case int64:
-			out[i] = expr.Int(v)
-		case float32:
-			out[i] = expr.Float(float64(v))
-		case float64:
-			out[i] = expr.Float(v)
-		case string:
-			out[i] = expr.Str(v)
-		case bool:
-			out[i] = expr.Bool(v)
-		default:
-			return nil, fmt.Errorf("server: unsupported argument type %T (argument %d)", a, i+1)
-		}
-	}
-	return out, nil
 }

@@ -176,9 +176,6 @@ func (s *Server) feedResponse(changes []modelstore.Change, next modelstore.Curso
 // capture deltas, stamped with the cursor to poll from.
 func (sess *session) handleSubscribe() *Response {
 	srv := sess.srv
-	if srv.isDraining() {
-		return errResponse(fmt.Errorf("server: %w", wireerr.ErrDraining))
-	}
 	srv.metrics.RecordSubscribe()
 	// A zero cursor can never match the store's term (terms start at 1),
 	// so this is always the resync path: the whole catalog plus FeedPos.

@@ -128,10 +128,10 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-// temporaryAcceptErr mirrors the capture transport's classification:
-// timeouts, aborted handshakes and descriptor exhaustion recover on their
-// own and deserve a backoff-retry; anything else means the listener is
-// gone for good.
+// temporaryAcceptErr reports whether an Accept failure is worth retrying:
+// timeouts, aborted handshakes and descriptor exhaustion (which clears as
+// connections close) recover on their own and deserve a backoff-retry;
+// anything else means the listener is gone for good.
 func temporaryAcceptErr(err error) bool {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
@@ -294,12 +294,17 @@ func errResponse(err error) *Response {
 
 func (sess *session) handle(req *Request) *Response {
 	switch req.Op {
-	case OpPing:
-		return &Response{Done: true}
-	case OpPrepare:
+	case OpPrepare, OpQuery, OpStmtQuery, OpSubscribeModels, OpTableInfo, OpApproxPoint:
+		// The drain gate: no new work once Shutdown starts. Fetches of open
+		// cursors, closes and pings still run, so in-flight work finishes.
 		if sess.srv.isDraining() {
 			return errResponse(fmt.Errorf("server: %w", wireerr.ErrDraining))
 		}
+	}
+	switch req.Op {
+	case OpPing:
+		return &Response{Done: true}
+	case OpPrepare:
 		st, err := sess.srv.eng.Prepare(req.SQL)
 		if err != nil {
 			return errResponse(err)
@@ -335,6 +340,10 @@ func (sess *session) handle(req *Request) *Response {
 		return sess.handleSubscribe()
 	case OpModelDelta:
 		return sess.handleModelDelta(req)
+	case OpTableInfo:
+		return sess.handleTableInfo(req)
+	case OpApproxPoint:
+		return sess.handleApproxPoint(req)
 	}
 	return errResponse(fmt.Errorf("server: %w: unknown opcode %d", wireerr.ErrBadRequest, uint8(req.Op)))
 }
@@ -346,9 +355,6 @@ func (sess *session) releaseCursor(id uint64) {
 }
 
 func (sess *session) handleQuery(req *Request) *Response {
-	if sess.srv.isDraining() {
-		return errResponse(fmt.Errorf("server: %w", wireerr.ErrDraining))
-	}
 	start := time.Now()
 	var rows *datalaws.Rows
 	var err error

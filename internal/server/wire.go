@@ -63,6 +63,13 @@ const (
 	// replying with the deltas published since — or an empty batch after
 	// WaitMillis with no change.
 	OpModelDelta
+	// OpTableInfo answers a strawman's shape question: the table named in
+	// SQL replies with Columns = its schema and Rows = [[row count]].
+	OpTableInfo
+	// OpApproxPoint answers a strawman's point question from the model
+	// named in SQL; Args are (group, level, inputs...), and the reply is one
+	// (value, lo, hi) row plus Model/ModelVersion.
+	OpApproxPoint
 )
 
 func (o Op) String() string {
@@ -85,6 +92,10 @@ func (o Op) String() string {
 		return "subscribe-models"
 	case OpModelDelta:
 		return "model-delta"
+	case OpTableInfo:
+		return "table-info"
+	case OpApproxPoint:
+		return "approx-point"
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }

@@ -104,7 +104,7 @@ func (r *Rows) Scan(dest ...any) error {
 		return fmt.Errorf("datalaws: Scan got %d targets for %d columns", len(dest), len(r.cur))
 	}
 	for i, d := range dest {
-		if err := scanValue(r.cur[i], d); err != nil {
+		if err := r.cur[i].Scan(d); err != nil {
 			return fmt.Errorf("datalaws: Scan column %d (%s): %w", i, r.colName(i), err)
 		}
 	}
@@ -132,97 +132,6 @@ func (r *Rows) Close() error {
 		return r.op.Close()
 	}
 	return nil
-}
-
-func scanValue(v expr.Value, dest any) error {
-	switch d := dest.(type) {
-	case *expr.Value:
-		*d = v
-		return nil
-	case *any:
-		*d = valueToAny(v)
-		return nil
-	case *int64:
-		if v.K != expr.KindInt {
-			return fmt.Errorf("cannot scan %s into *int64", v.K)
-		}
-		*d = v.I
-		return nil
-	case *float64:
-		switch v.K {
-		case expr.KindFloat:
-			*d = v.F
-		case expr.KindInt:
-			*d = float64(v.I)
-		default:
-			return fmt.Errorf("cannot scan %s into *float64", v.K)
-		}
-		return nil
-	case *string:
-		if v.K != expr.KindString {
-			return fmt.Errorf("cannot scan %s into *string", v.K)
-		}
-		*d = v.S
-		return nil
-	case *bool:
-		if v.K != expr.KindBool {
-			return fmt.Errorf("cannot scan %s into *bool", v.K)
-		}
-		*d = v.B
-		return nil
-	}
-	return fmt.Errorf("unsupported Scan target %T", dest)
-}
-
-func valueToAny(v expr.Value) any {
-	switch v.K {
-	case expr.KindInt:
-		return v.I
-	case expr.KindFloat:
-		return v.F
-	case expr.KindString:
-		return v.S
-	case expr.KindBool:
-		return v.B
-	}
-	return nil
-}
-
-// toValues converts Go arguments to boxed SQL values for parameter binding.
-func toValues(args []any) ([]expr.Value, error) {
-	out := make([]expr.Value, len(args))
-	for i, a := range args {
-		v, err := toValue(a)
-		if err != nil {
-			return nil, fmt.Errorf("datalaws: argument %d: %w", i+1, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func toValue(a any) (expr.Value, error) {
-	switch v := a.(type) {
-	case nil:
-		return expr.Null(), nil
-	case expr.Value:
-		return v, nil
-	case int:
-		return expr.Int(int64(v)), nil
-	case int32:
-		return expr.Int(int64(v)), nil
-	case int64:
-		return expr.Int(v), nil
-	case float32:
-		return expr.Float(float64(v)), nil
-	case float64:
-		return expr.Float(v), nil
-	case string:
-		return expr.Str(v), nil
-	case bool:
-		return expr.Bool(v), nil
-	}
-	return expr.Value{}, fmt.Errorf("unsupported argument type %T", a)
 }
 
 // Stmt is a prepared statement: the SQL text is parsed once, `?`
@@ -267,9 +176,9 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	vals, err := toValues(args)
+	vals, err := expr.ValuesOf(args)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("datalaws: %w", err)
 	}
 	bound, err := sql.BindPrepared(s.ast, vals, s.nparams)
 	if err != nil {
