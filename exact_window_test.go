@@ -1,0 +1,146 @@
+package datalaws
+
+import (
+	"context"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"datalaws/internal/exec"
+	"datalaws/internal/expr"
+)
+
+// Allocation budgets for the exact path's two pipeline breakers beyond the
+// aggregate: a prepared window join and a prepared window top-k, the shapes
+// of the benchmark's exact mix scaled down to 80k rows — four sealed chunks
+// plus a tail — with the same 50k-row window, at a fixed worker budget of
+// 2. Budgets sit 20 % above the measured counts (≈ 1,990 and ≈ 685; on the
+// row join and sort they were ≈ 505,000 and ≈ 51,150).
+const (
+	windowJoinAllocBudget = 2390
+	windowTopKAllocBudget = 820
+)
+
+// windowFixture loads t(a, g, v) with a the row number and g a key into the
+// 1,000-row dim(g, w).
+func windowFixture(t *testing.T) *Engine {
+	t.Helper()
+	e := NewEngine()
+	e.SetParallelism(2)
+	e.MustExec("CREATE TABLE t (a BIGINT, g BIGINT, v DOUBLE)")
+	e.MustExec("CREATE TABLE dim (g BIGINT, w BIGINT)")
+	rng := rand.New(rand.NewSource(29))
+	const n = 80_000
+	rows := make([][]expr.Value, n)
+	for i := range rows {
+		rows[i] = []expr.Value{expr.Int(int64(i)), expr.Int(rng.Int63n(1000)), expr.Float(10 + rng.NormFloat64())}
+	}
+	if _, err := e.Append("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	dim := make([][]expr.Value, 1000)
+	for i := range dim {
+		dim[i] = []expr.Value{expr.Int(int64(i)), expr.Int(int64(rng.Intn(10)))}
+	}
+	if _, err := e.Append("dim", dim); err != nil {
+		t.Fatal(err)
+	}
+	tb, err := e.Catalog.Lookup("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cv := tb.Chunks(); cv.NumSealed() < 4 {
+		t.Fatalf("fixture has %d sealed chunks, want ≥ 4", cv.NumSealed())
+	}
+	return e
+}
+
+// checkWindowAllocs runs a prepared window statement once to warm it, then
+// measures it against a budget.
+func checkWindowAllocs(t *testing.T, q string, wantRows int, budget float64) {
+	e := windowFixture(t)
+	stmt, err := e.Prepare(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	run := func() {
+		res, err := stmt.Exec(ctx, 10_000, 60_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != wantRows {
+			t.Fatalf("%s: %d rows, want %d", q, len(res.Rows), wantRows)
+		}
+	}
+	run()
+	got := testing.AllocsPerRun(5, run)
+	t.Logf("%s: %.0f allocations", q, got)
+	if got > budget {
+		t.Errorf("%s: %.0f allocations, budget %.0f", q, got, budget)
+	}
+}
+
+const (
+	windowJoin = "SELECT w, count(*), avg(v) FROM t JOIN dim ON t.g = dim.g WHERE a >= ? AND a < ? GROUP BY w"
+	windowTopK = "SELECT a, v FROM t WHERE a >= ? AND a < ? ORDER BY v DESC LIMIT 10"
+)
+
+func TestWindowJoinAllocBudget(t *testing.T) {
+	checkWindowAllocs(t, windowJoin, 10, windowJoinAllocBudget)
+}
+
+func TestWindowTopKAllocBudget(t *testing.T) {
+	checkWindowAllocs(t, windowTopK, 10, windowTopKAllocBudget)
+}
+
+// TestWindowPlans pins where the window join and top-k run: in ModeAuto as
+// one gathered pipeline with no row operator in it, in ModeRow on the row
+// operators, exactly as before the pipeline had join and sort stages.
+func TestWindowPlans(t *testing.T) {
+	e := windowFixture(t)
+	explain := func(q string) string {
+		t.Helper()
+		res, err := e.Exec("EXPLAIN " + strings.NewReplacer("a >= ?", "a >= 10000", "a < ?", "a < 60000").Replace(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Info
+	}
+	for _, q := range []string{windowJoin, windowTopK} {
+		plan := explain(q)
+		if n := strings.Count(plan, "Gather"); n != 1 {
+			t.Errorf("%s: %d gathers, want 1:\n%s", q, n, plan)
+		}
+		for _, line := range strings.Split(plan, "\n") {
+			for _, row := range []string{"HashJoin", "Sort", "HashAggregate", "Filter", "Limit", "Project", "StripHiddenColumns"} {
+				if strings.HasPrefix(strings.TrimSpace(line), row) {
+					t.Errorf("%s: row operator %q in the plan:\n%s", q, line, plan)
+				}
+			}
+		}
+	}
+	e.ExecMode = exec.ModeRow
+	for q, want := range map[string]string{
+		windowJoin: `exact plan
+Project w, count(), avg(v)
+  HashAggregate group=[w] aggs=2
+    Filter ((a >= 10000) AND (a < 60000))
+      HashJoin on (t.g = dim.g)
+        TableScan t (80000 rows) chunks: 0/5 pruned
+        TableScan dim (1000 rows)
+`,
+		windowTopK: `exact plan
+Limit 10
+  StripHiddenColumns keep=2
+    Sort keys=1
+      Project a, v, $ord0
+        Filter ((a >= 10000) AND (a < 60000))
+          TableScan t (80000 rows) chunks: 0/5 pruned
+`,
+	} {
+		if plan := explain(q); plan != want {
+			t.Errorf("ModeRow plan changed:\n%s\nwant:\n%s", plan, want)
+		}
+	}
+}

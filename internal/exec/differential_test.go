@@ -126,7 +126,7 @@ var differentialQueries = []string{
 	// inline claim loop whatever the worker budget.
 	"SELECT id, x FROM t WHERE id >= 3990",
 	"SELECT count(*), sum(x), min(label) FROM t WHERE id >= 3990",
-	// Join: the join itself stays row-mode, scans underneath vectorize.
+	// Join: a probe stage in the pipeline over a build side from g.
 	"SELECT t.id, g.name FROM t JOIN g ON t.grp = g.grp ORDER BY t.id",
 	"SELECT g.name, count(*) FROM t JOIN g ON t.grp = g.grp GROUP BY g.name ORDER BY g.name",
 }
@@ -220,7 +220,8 @@ func TestCoreQueriesVectorize(t *testing.T) {
 		"SELECT id FROM t WHERE x > 0",
 		"SELECT count(*), avg(x) FROM t WHERE x > 0",
 		"SELECT grp, sum(x) FROM t GROUP BY grp",
-		"SELECT id, x FROM t ORDER BY x LIMIT 2", // sort stays row, scan vectorizes
+		"SELECT id, x FROM t ORDER BY x LIMIT 2",
+		"SELECT t.id, g.name FROM t JOIN g ON t.grp = g.grp",
 	} {
 		op, err := buildMode(t, cat, q, ModeAuto)
 		if err != nil {

@@ -98,6 +98,17 @@ func writeVecPlan(sb *strings.Builder, op VectorOperator, depth int) {
 		fmt.Fprintf(sb, "%sVecHashAggregate group=[%s] aggs=%d workers=%d (partial+merge)\n",
 			indent, strings.Join(parts, ", "), len(o.Aggs), o.Workers())
 		writeVecPlan(sb, o.pipes[0].pipe, depth+1)
+	case *VecHashJoin:
+		fmt.Fprintf(sb, "%sVecHashJoin on %s (build: right input, probe per morsel)\n", indent, o.build.On)
+		writeVecPlan(sb, o.Child, depth+1)
+		writeVecPlan(sb, o.build.right.pipes[0].pipe, depth+1)
+	case *VecSort:
+		limit, runs := "", "runs"
+		if o.Limit >= 0 {
+			limit, runs = fmt.Sprintf(" limit=%d", o.Limit), "bounded heaps"
+		}
+		fmt.Fprintf(sb, "%sVecSort keys=%d%s workers=%d (per-worker %s, one merge)\n", indent, len(o.Keys), limit, o.Workers(), runs)
+		writeVecPlan(sb, o.pipes[0].pipe, depth+1)
 	case *oneMorsel:
 		writeVecPlan(sb, o.VectorOperator, depth)
 	case *batchAdapter:

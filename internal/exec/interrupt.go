@@ -128,6 +128,13 @@ func bindVecCtx(op VectorOperator, ctx context.Context) {
 		for i := range o.pipes {
 			bindVecCtx(o.pipes[i].pipe, ctx)
 		}
+	case *VecSort:
+		for i := range o.pipes {
+			bindVecCtx(o.pipes[i].pipe, ctx)
+		}
+	case *VecHashJoin:
+		bindVecCtx(o.Child, ctx)
+		bindVecCtx(o.build.right, ctx)
 	case *batchAdapter:
 		bindRowCtx(o.Op, ctx)
 	}

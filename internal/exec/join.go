@@ -2,28 +2,31 @@ package exec
 
 import (
 	"fmt"
-	"strings"
+	"hash/maphash"
+	"math"
 
 	"datalaws/internal/expr"
 )
 
-// HashJoin is an inner equi-join. The ON condition must be a conjunction of
-// equalities, each comparing one left column with one right column. It
+// HashJoin is the row inner equi-join, ModeRow's reference for VecHashJoin.
+// The ON condition must be a conjunction of equalities, each comparing one
+// left column with one right column, under the join-key rule. It builds on
+// the right input and emits each left row's matches in build order. It
 // checks the statement context itself: a join can emit unboundedly many
-// rows per input row, so the leaf scans' interrupt checks alone would not
-// bound cancellation latency.
+// rows per input row, so the leaf scans' checks alone would not bound
+// cancellation latency.
 type HashJoin struct {
 	Left, Right Operator
 	On          expr.Expr
 	Interruptible
 
-	cols      []string
-	leftKeys  []int
-	rightKeys []int
-	built     map[string][]Row
-	cur       []Row // pending matches for the current left row
-	curLeft   Row
-	leftDone  bool
+	cols                []string
+	leftKeys, rightKeys []int
+	built               []Row
+	index               joinIndex
+	curLeft             Row
+	cand                int32 // next build row to test against curLeft; -1 when none
+	leftDone            bool
 }
 
 // Columns implements Operator.
@@ -46,7 +49,7 @@ func (j *HashJoin) Open() error {
 	if err := j.Right.Open(); err != nil {
 		return err
 	}
-	j.built = map[string][]Row{}
+	j.built = nil
 	for {
 		row, err := j.Right.Next()
 		if err != nil {
@@ -58,17 +61,13 @@ func (j *HashJoin) Open() error {
 		if row == nil {
 			break
 		}
-		key, ok := joinKey(row, j.rightKeys)
-		if !ok {
-			continue // NULL keys never match in an inner join
-		}
-		j.built[key] = append(j.built[key], row)
+		j.built = append(j.built, row)
 	}
 	if err := j.Right.Close(); err != nil {
 		return err
 	}
-	j.cur = nil
-	j.leftDone = false
+	j.index = newJoinIndex(len(j.built), func(r int) (uint64, bool) { return keyHash(j.rightKeys, j.built[r].at) })
+	j.cand, j.leftDone = -1, false
 	j.ResetInterrupt()
 	return j.Left.Open()
 }
@@ -79,9 +78,12 @@ func (j *HashJoin) Next() (Row, error) {
 		if err := j.CheckInterrupt(); err != nil {
 			return nil, err
 		}
-		if len(j.cur) > 0 {
-			r := j.cur[0]
-			j.cur = j.cur[1:]
+		if j.cand >= 0 {
+			r := j.built[j.cand]
+			j.cand = j.index.next[j.cand]
+			if !keysEqual(j.leftKeys, j.rightKeys, j.curLeft.at, r.at) {
+				continue
+			}
 			out := make(Row, 0, len(j.curLeft)+len(r))
 			out = append(out, j.curLeft...)
 			out = append(out, r...)
@@ -98,36 +100,102 @@ func (j *HashJoin) Next() (Row, error) {
 			j.leftDone = true
 			return nil, nil
 		}
-		key, ok := joinKey(row, j.leftKeys)
-		if !ok {
-			continue
+		if h, ok := keyHash(j.leftKeys, row.at); ok {
+			j.curLeft = row
+			j.cand = j.index.head[h] - 1
 		}
-		j.curLeft = row
-		j.cur = j.built[key]
 	}
 }
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	j.built = nil
+	j.built, j.index = nil, joinIndex{}
 	return j.Left.Close()
 }
 
-func joinKey(row Row, keys []int) (string, bool) {
-	var sb strings.Builder
-	for _, k := range keys {
-		v := row[k]
-		if v.IsNull() {
-			return "", false
+// The join-key rule, shared by HashJoin and VecHashJoin: a pair of keys
+// joins exactly when = in WHERE would be TRUE. NULL never joins; numbers
+// join numbers by expr.Compare (INTs as int64, an INT meets a DOUBLE at the
+// DOUBLE's value, -0 meets +0, NaN meets NaN); strings join strings and
+// booleans booleans. Numbers hash by float64 value with the zeros and the
+// NaNs folded, so every equal pair shares a bucket; the hash only finds
+// candidates, and joinKeyEqual confirms them (2^53+1 shares 2^53's bucket).
+func joinKeyHash(h uint64, v expr.Value) (uint64, bool) {
+	var x uint64
+	switch v.K {
+	case expr.KindNull:
+		return 0, false
+	case expr.KindString:
+		x = maphash.String(joinSeed, v.S)
+	case expr.KindBool:
+		if v.B {
+			x = 1
 		}
-		// Normalize numerics so 1 (int) joins 1.0 (float).
-		if v.K == expr.KindInt {
-			v = expr.Float(float64(v.I))
+	default:
+		switch f, _ := v.AsFloat(); {
+		case f != f:
+			x = 1
+		case f != 0:
+			x = math.Float64bits(f)
 		}
-		sb.WriteString(v.String())
-		sb.WriteByte('\x00')
 	}
-	return sb.String(), true
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>29, true
+}
+
+var joinSeed = maphash.MakeSeed()
+
+// joinKeyEqual reports whether two key values join.
+func joinKeyEqual(a, b expr.Value) bool {
+	if a.K != b.K && (a.K > expr.KindFloat || b.K > expr.KindFloat) {
+		return false // a string or a boolean against another kind
+	}
+	c, err := expr.Compare(a, b)
+	return err == nil && c == 0
+}
+
+// keyHash hashes one row's join keys, read through col; ok is false if any
+// is NULL.
+func keyHash(keys []int, col func(int) expr.Value) (uint64, bool) {
+	var h uint64
+	for _, k := range keys {
+		var ok bool
+		if h, ok = joinKeyHash(h, col(k)); !ok {
+			return 0, false
+		}
+	}
+	return h, true
+}
+
+// keysEqual reports whether a left and a right row join on every key pair.
+func keysEqual(lk, rk []int, l, r func(int) expr.Value) bool {
+	for i := range lk {
+		if !joinKeyEqual(l(lk[i]), r(rk[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+func (r Row) at(c int) expr.Value { return r[c] }
+
+// joinIndex is a join's build-side hash index: head maps a key hash to 1 +
+// its first build row, and next chains the rest (-1 ends), in build order;
+// rows with a NULL key are in no chain.
+type joinIndex struct {
+	head map[uint64]int32
+	next []int32
+}
+
+// newJoinIndex indexes n build rows by hash, which is false for NULL keys.
+func newJoinIndex(n int, hash func(r int) (uint64, bool)) joinIndex {
+	ix := joinIndex{head: make(map[uint64]int32, n), next: make([]int32, n)}
+	for r := n - 1; r >= 0; r-- {
+		if h, ok := hash(r); ok {
+			ix.next[r], ix.head[h] = ix.head[h]-1, int32(r)+1
+		}
+	}
+	return ix
 }
 
 // extractEquiKeys decomposes an ON conjunction into aligned left/right

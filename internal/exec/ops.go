@@ -129,8 +129,9 @@ type SortKey struct {
 	Desc bool
 }
 
-// Sort materializes the child and emits rows ordered by Keys. NULLs sort
-// first ascending (last descending).
+// Sort materializes the child and emits rows ordered by Keys, ties in input
+// order; NULLs sort first ascending (last descending). ModeRow runs it in
+// place of VecSort.
 type Sort struct {
 	Child Operator
 	Keys  []SortKey
@@ -149,6 +150,7 @@ func (s *Sort) Open() error {
 	}
 	s.rows = nil
 	s.pos = 0
+	check := make(sortCheck, len(s.Keys))
 	for {
 		row, err := s.Child.Next()
 		if err != nil {
@@ -157,27 +159,37 @@ func (s *Sort) Open() error {
 		if row == nil {
 			break
 		}
+		for k, key := range s.Keys {
+			check.observe(k, row[key.Col])
+		}
 		s.rows = append(s.rows, row)
 	}
-	var sortErr error
+	if err := check.err(); err != nil {
+		return err
+	}
 	sort.SliceStable(s.rows, func(i, j int) bool {
-		for _, k := range s.Keys {
-			a, b := s.rows[i][k.Col], s.rows[j][k.Col]
-			c, err := compareNullable(a, b)
-			if err != nil && sortErr == nil {
-				sortErr = err
-			}
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
+		return cmpSortKeys(s.Keys, s.rows[i], s.rows[j]) < 0
 	})
-	return sortErr
+	return nil
+}
+
+// cmpSortKeys orders two rows by the keys alone (0: a tie); key columns that
+// passed sortCheck compare without error.
+func cmpSortKeys(keys []SortKey, a, b []expr.Value) int {
+	for _, k := range keys {
+		if c := cmpSortKey(k, a[k.Col], b[k.Col]); c != 0 {
+			return c
+		}
+	}
+	return 0
+}
+
+func cmpSortKey(k SortKey, a, b expr.Value) int {
+	c, _ := compareNullable(a, b)
+	if k.Desc {
+		return -c
+	}
+	return c
 }
 
 func compareNullable(a, b expr.Value) (int, error) {
@@ -190,6 +202,47 @@ func compareNullable(a, b expr.Value) (int, error) {
 		return 1, nil
 	}
 	return expr.Compare(a, b)
+}
+
+// sortCheck decides whether an ORDER BY fails: expr.Compare orders strings
+// only with strings, so a key column holding both a string and a
+// non-string cannot be sorted. It reads values, not the pairs a sort
+// algorithm happens to compare, so Sort and VecSort fail alike at any pool
+// size. Per key: seen a string, seen a non-string.
+type sortCheck [][2]bool
+
+func (c sortCheck) observe(k int, v expr.Value) {
+	if !v.IsNull() {
+		str := v.K == expr.KindString
+		c[k][0], c[k][1] = c[k][0] || str, c[k][1] || !str
+	}
+}
+
+// observeVec records key k over a batch; a typed vector holds one class.
+func (c sortCheck) observeVec(k int, v *Vector, sel []int) {
+	for _, i := range sel {
+		if !v.IsNull(i) {
+			c.observe(k, v.Value(i))
+			if v.Kind != anyKind {
+				return
+			}
+		}
+	}
+}
+
+func (c sortCheck) merge(o sortCheck) {
+	for k := range c {
+		c[k][0], c[k][1] = c[k][0] || o[k][0], c[k][1] || o[k][1]
+	}
+}
+
+func (c sortCheck) err() error {
+	for k, seen := range c {
+		if seen[0] && seen[1] {
+			return fmt.Errorf("exec: ORDER BY key %d holds both strings and non-strings", k+1)
+		}
+	}
+	return nil
 }
 
 // Next implements Operator.

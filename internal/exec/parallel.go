@@ -1,14 +1,14 @@
 // Morsel-driven execution: the one vectorized pipeline.
 //
 // Every vectorized plan runs the same way, with a worker count. A pipeline —
-// a source, optionally under filters and projections — reads its input as
+// a source under filters, projections and join probes — reads its input as
 // morsels claimed from a shared atomic cursor, the scheduling unit of
 // [Leis et al., SIGMOD 2014]. For table scans a morsel is exactly one
 // storage chunk, so "claim a morsel" and "decode a chunk" coincide and
 // zone-map-pruned chunks never enter the morsel space at all; a partitioned
 // table's surviving partitions form one dense morsel space in range order.
 // Sources that cannot split (VALUES, a concat, a row source behind the
-// row→batch shim, an aggregate's output) are one morsel. Every worker owns a
+// row→batch shim, a breaker's output) are one morsel. Every worker owns a
 // private copy of the whole pipeline (its own compiled kernels, batch
 // buffers and interrupt state) over a shared immutable snapshot of the
 // input, so no synchronization happens on the data path; workers coordinate
@@ -22,27 +22,32 @@
 // of the snapshot. "Serial" execution is that case, not a second
 // implementation.
 //
-// Two operators recombine worker output:
+// A join probes on every pipeline of its left input, over a build table the
+// first worker drains from the right input (VecHashJoin). Three operators
+// recombine worker output:
 //
 //   - VecGather re-emits produced batches in morsel order — the scan's own
-//     order — whatever the pool size (ORDER BY ... LIMIT stays deterministic
-//     even with ties in the sort key).
+//     order — whatever the pool size.
 //   - VecHashAggregate folds a partial aggregate per worker and merges the
 //     partial states once at the end (COUNT/SUM/AVG additively, MIN/MAX by
 //     comparison, VAR/STDDEV through the Welford combination), emitting
 //     groups in first-seen order.
+//   - VecSort keeps each worker's rows (a bounded heap under a LIMIT) and
+//     merges them once, ties in input order.
 //
 // Because the merge reassociates floating-point addition, SUM/AVG/VAR
 // results can differ between pool sizes in the last few ulps; everything
 // else — row sets, row order, NULL (3VL) semantics, error messages — is
 // identical, and is checked against the independent row operators (ModeRow).
-// Subtrees with an expression that has no batch kernel, joins and sorts keep
-// their row operators and pull from vectorized inputs through the adapters.
+// A subtree with an expression that has no batch kernel keeps its row
+// operators and pulls from vectorized inputs through the adapters.
 package exec
 
 import (
+	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"datalaws/internal/expr"
 )
@@ -143,13 +148,15 @@ func onePipe(v VectorOperator) []workerPipe {
 	return pipesFromSources([]MorselSource{&oneMorsel{VectorOperator: v}})
 }
 
-// pipeSet is the state VecGather and VecHashAggregate share: the pipelines
-// built for the worker budget, how many of them this execution opened, and
-// the statement context the claim loops watch.
+// pipeSet is the state VecGather and the pipeline breakers share: the
+// pipelines built for the worker budget, how many of them this execution
+// opened, and the statement context the claim loops watch.
 type pipeSet struct {
 	pipes []workerPipe
 	n     int // pool size: pipelines opened by the current execution
 	Interruptible
+
+	failed atomic.Bool // a breaker's worker failed; siblings stop claiming
 }
 
 // Workers reports the worker budget the plan was built for; used by EXPLAIN.
@@ -183,6 +190,94 @@ func (p *pipeSet) close() error {
 	}
 	p.n = 0
 	return err
+}
+
+// openRun opens the pool and runs a pipeline breaker's whole computation;
+// a failure leaves no pipeline open.
+func (p *pipeSet) openRun(run func() error) error {
+	if err := p.open(); err != nil {
+		return err
+	}
+	err := run()
+	if err != nil {
+		p.close()
+	}
+	return err
+}
+
+// partialErr is a worker failure pinned to its input position, so a breaker
+// can report the error an in-order scan would have hit first.
+type partialErr struct {
+	err         error
+	morsel, row int64
+}
+
+func (e *partialErr) before(o *partialErr) bool {
+	return e.morsel < o.morsel || e.morsel == o.morsel && e.row < o.row
+}
+
+// runPool runs a breaker's work over the open pool — worker 0 in the
+// caller, the rest one goroutine each — and reports the failure an
+// in-order scan would have hit first.
+func (p *pipeSet) runPool(work func(w int) partialErr) error {
+	p.failed.Store(false)
+	fails := make([]partialErr, p.n)
+	run := func(w int) {
+		if fails[w] = work(w); fails[w].err != nil {
+			p.failed.Store(true)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < p.n; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	fail := partialErr{morsel: math.MaxInt64}
+	for _, e := range fails {
+		if e.err != nil && e.before(&fail) {
+			fail = e
+		}
+	}
+	return fail.err
+}
+
+// drain is a breaker worker's claim loop: it folds every batch of every
+// morsel it claims, with the morsel and the batch's first row within it.
+func (p *pipeSet) drain(wp workerPipe, fold func(b *Batch, sel []int, morsel, row int64) error) partialErr {
+	for {
+		// A failed sibling fails the whole Open: stop claiming. A canceled
+		// statement fails it too, before the next morsel's pipeline runs.
+		if p.failed.Load() {
+			return partialErr{}
+		}
+		if err := p.CheckInterruptNow(); err != nil {
+			return partialErr{err: err}
+		}
+		idx, ok := wp.src.NextMorsel()
+		if !ok {
+			return partialErr{}
+		}
+		var rows int64
+		for {
+			b, err := wp.pipe.NextBatch()
+			if err != nil {
+				return partialErr{err: err, morsel: idx, row: rows}
+			}
+			if b == nil {
+				break
+			}
+			sel := b.selection()
+			if err := fold(b, sel, idx, rows); err != nil {
+				return partialErr{err: err, morsel: idx, row: rows}
+			}
+			rows += int64(len(sel))
+		}
+	}
 }
 
 // morselItem is one morsel's worth of worker output: the compacted batches

@@ -277,3 +277,78 @@ func TestParallelOrderByDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestDifferentialParallelSortErrors pins the ORDER BY error rule: a key
+// column holding strings and non-strings fails, naming the first such key,
+// in row mode and at every pool size — here the classes sit in different
+// morsels, so at two workers and more no worker sees both; a column of mixed
+// INT and DOUBLE sorts.
+func TestDifferentialParallelSortErrors(t *testing.T) {
+	for _, c := range []struct {
+		keys []SortKey
+		in   []expr.Value
+		want string
+	}{
+		{[]SortKey{{Col: 1}}, []expr.Value{expr.Null(), expr.Int(3), expr.Str("b"), expr.Str("a"), expr.Int(1)}, "exec: ORDER BY key 1 holds both strings and non-strings"},
+		{[]SortKey{{Col: 2}, {Col: 1, Desc: true}}, []expr.Value{expr.Str("a"), expr.Null(), expr.Float(2.5)}, "exec: ORDER BY key 2 holds both strings and non-strings"},
+		{[]SortKey{{Col: 1}}, []expr.Value{expr.Float(2.5), expr.Null(), expr.Int(2), expr.Float(math.NaN()), expr.Int(2)}, ""},
+	} {
+		vals := &morselValues{ValuesScan: ValuesScan{Cols: []string{"id", "k", "g"}}, per: 2}
+		for i, k := range c.in {
+			vals.Rows = append(vals.Rows, Row{expr.Int(int64(i)), k, expr.Int(int64(i % 2))})
+		}
+		want, wantErr := Drain(&Sort{Child: &vals.ValuesScan, Keys: c.keys})
+		if (wantErr == nil) != (c.want == "") || wantErr != nil && wantErr.Error() != c.want {
+			t.Fatalf("%v: row sort err = %v, want %q", c.in, wantErr, c.want)
+		}
+		for _, p := range []int{1, 2, 4} {
+			got, err := Drain(LowerOpts(&Sort{Child: vals, Keys: c.keys}, p))
+			compareRuns(t, fmt.Sprint(c.in), fmt.Sprintf("p=%d", p), want, got, wantErr, err)
+		}
+	}
+}
+
+// morselValues is a VALUES source that splits into morsels of per rows,
+// striped across the workers (worker i claims morsels i, i+workers, …) so
+// every worker of the pool sees its own share whatever the scheduling.
+type morselValues struct {
+	ValuesScan
+	per int
+}
+
+func (m *morselValues) SplitMorsels(workers int) ([]MorselSource, bool) {
+	srcs := make([]MorselSource, workers)
+	for i := range srcs {
+		srcs[i] = &valuesMorsel{m: m, first: int64(i), stride: int64(workers)}
+	}
+	return srcs, true
+}
+
+type valuesMorsel struct {
+	m                        *morselValues
+	first, stride, cur, next int64
+	done                     bool
+}
+
+func (v *valuesMorsel) Columns() []string { return v.m.Cols }
+func (v *valuesMorsel) Close() error      { return nil }
+func (v *valuesMorsel) NumMorsels() int64 { return int64((len(v.m.Rows) + v.m.per - 1) / v.m.per) }
+func (v *valuesMorsel) Open() error       { v.next, v.done = v.first, true; return nil }
+
+func (v *valuesMorsel) NextMorsel() (int64, bool) {
+	if v.next >= v.NumMorsels() {
+		return 0, false
+	}
+	v.cur, v.done = v.next, false
+	v.next += v.stride
+	return v.cur, true
+}
+
+func (v *valuesMorsel) NextBatch() (*Batch, error) {
+	if v.done {
+		return nil, nil
+	}
+	v.done = true
+	lo := int(v.cur) * v.m.per
+	return batchFromRows(v.m.Rows[lo:min(lo+v.m.per, len(v.m.Rows))], len(v.m.Cols)), nil
+}

@@ -2,8 +2,10 @@ package exec
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"datalaws/internal/expr"
 	"datalaws/internal/sql"
@@ -21,7 +23,9 @@ func TestPlansShowWorkerBudget(t *testing.T) {
 		"SELECT grp, sum(x) FROM t GROUP BY grp":                       "VecHashAggregate group=[grp] aggs=1 workers=4",
 		"SELECT count(*) FROM t":                                       "VecHashAggregate group=[] aggs=1 workers=4",
 		"SELECT grp, count(*) FROM t GROUP BY grp HAVING count(*) > 1": "VecHashAggregate group=[grp] aggs=1 workers=4",
-		"SELECT id FROM t ORDER BY x LIMIT 2":                          "Gather workers=4", // sort stays row, scan vectorizes
+		"SELECT id FROM t ORDER BY x LIMIT 2":                          "VecSort keys=1 limit=2 workers=4",
+		"SELECT id FROM t ORDER BY x":                                  "VecSort keys=1 workers=4",
+		"SELECT t.id, g.name FROM t JOIN g ON t.grp = g.grp":           "Gather workers=4",
 	} {
 		op, err := buildParallel(t, cat, q, 4)
 		if err != nil {
@@ -31,14 +35,15 @@ func TestPlansShowWorkerBudget(t *testing.T) {
 			t.Errorf("%q plan missing %q:\n%s", q, want, plan)
 		}
 	}
-	// The join stage itself stays row-mode (its inputs still vectorize
-	// underneath).
+	// The join probes on every worker pipeline, over a build side drained
+	// from the right input.
 	op0, err := buildParallel(t, cat, "SELECT t.id, g.name FROM t JOIN g ON t.grp = g.grp", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plan := PlanString(op0); !strings.Contains(plan, "HashJoin") || !strings.Contains(plan, "VecMorselScan t") {
-		t.Errorf("join plan lost its row-mode join stage or its vectorized inputs:\n%s", plan)
+	want := "      VecHashJoin on (t.grp = g.grp) (build: right input, probe per morsel)\n        VecMorselScan t"
+	if plan := PlanString(op0); !strings.Contains(plan, want) || !strings.Contains(plan, "VecMorselScan g") {
+		t.Errorf("join plan is not a probe stage over vectorized inputs:\n%s", plan)
 	}
 	// Parallelism 1 is the same plan with a budget of one.
 	op, err := buildParallel(t, cat, "SELECT * FROM t", 1)
@@ -65,6 +70,10 @@ func walkVec(v VectorOperator, visit func(VectorOperator)) {
 		walkVec(o.pipes[0].pipe, visit)
 	case *VecHashAggregate:
 		walkVec(o.pipes[0].pipe, visit)
+	case *VecSort:
+		walkVec(o.pipes[0].pipe, visit)
+	case *VecHashJoin:
+		walkVec(o.Child, visit)
 	}
 }
 
@@ -158,16 +167,18 @@ func TestGatherPreservesScanOrder(t *testing.T) {
 }
 
 // TestParallelCancellation checks that a canceled statement context stops a
-// query mid-flight, through both the gather and the partial aggregate, in
-// the pooled and the inline (one-worker) claim loops.
+// query mid-flight, through the gather, the partial aggregate, the join
+// probe and the sort, in the pooled and the inline (one-worker) claim loops.
 func TestParallelCancellation(t *testing.T) {
 	withSmallMorsels(t, 256)
 	cat := largeDiffFixture(t, 20000)
 	for _, q := range []string{
 		"SELECT id, x FROM t WHERE x > -10000",
 		"SELECT grp, sum(x), avg(y) FROM t GROUP BY grp",
+		"SELECT t.id, g.name FROM t JOIN g ON t.grp = g.grp",
+		"SELECT id, x FROM t ORDER BY x DESC LIMIT 5",
 	} {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4} {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel() // already canceled: the first interrupt check must fire
 			op, err := buildParallel(t, cat, q, workers)
@@ -182,6 +193,52 @@ func TestParallelCancellation(t *testing.T) {
 			if drainErr != context.Canceled {
 				t.Fatalf("%q p=%d: err = %v, want context.Canceled", q, workers, drainErr)
 			}
+		}
+	}
+}
+
+// TestParallelCancellationMidProbe cancels a join while it streams: the
+// probe checks the context per batch and the gather per morsel, so the
+// statement ends with the context error within one morsel of join output
+// (each left row matches at most one g row).
+func TestParallelCancellationMidProbe(t *testing.T) {
+	withSmallMorsels(t, 256)
+	cat := largeDiffFixture(t, 20000)
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		op, err := buildParallel(t, cat, "SELECT t.id, g.name FROM t JOIN g ON t.grp = g.grp", workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		BindContext(op, ctx)
+		if err := op.Open(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 10; i++ {
+			if row, err := op.Next(); err != nil || row == nil {
+				t.Fatalf("p=%d row %d: %v, %v", workers, i, row, err)
+			}
+		}
+		cancel()
+		after := 0
+		for {
+			row, err := op.Next()
+			if err != nil {
+				if err != context.Canceled {
+					t.Fatalf("p=%d: err = %v, want context.Canceled", workers, err)
+				}
+				break
+			}
+			if row == nil {
+				t.Fatalf("p=%d: join ran to completion after cancellation", workers)
+			}
+			after++
+		}
+		if after > 256 {
+			t.Errorf("p=%d: %d rows after cancel, want at most one morsel (256)", workers, after)
+		}
+		if err := op.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -225,32 +282,58 @@ func TestInlineClaimLoopObservesContext(t *testing.T) {
 }
 
 // TestParallelEarlyClose checks that abandoning a cursor (LIMIT semantics)
-// shuts the pool down cleanly, and that the inline loop has nothing to shut
-// down.
+// shuts the pool down cleanly — over a scan, a join and a top-k — that the
+// inline loop has nothing to shut down, and that no goroutine outlives the
+// statement.
 func TestParallelEarlyClose(t *testing.T) {
 	withSmallMorsels(t, 256)
 	cat := largeDiffFixture(t, 20000)
-	for _, workers := range []int{1, 4} {
-		op, err := buildParallel(t, cat, "SELECT id FROM t LIMIT 3", workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := op.Open(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			row, err := op.Next()
-			if err != nil || row == nil {
-				t.Fatalf("p=%d row %d: %v, %v", workers, i, row, err)
+	before := runtime.NumGoroutine()
+	for _, c := range []struct {
+		q    string
+		rows int // read before the early Close
+	}{
+		{"SELECT id FROM t LIMIT 3", 3},
+		{"SELECT t.id, g.name FROM t JOIN g ON t.grp = g.grp LIMIT 1", 1},
+		{"SELECT id FROM t ORDER BY x DESC LIMIT 1", 1},
+	} {
+		for _, workers := range []int{1, 2, 4} {
+			op, err := buildParallel(t, cat, c.q, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := op.Open(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < c.rows; i++ {
+				row, err := op.Next()
+				if err != nil || row == nil {
+					t.Fatalf("%q p=%d row %d: %v, %v", c.q, workers, i, row, err)
+				}
+			}
+			// A LIMIT with no sort beneath keeps its row form.
+			adapter := op
+			if l, ok := op.(*Limit); ok {
+				adapter = l.Child
+			}
+			g := adapter.(*rowAdapter).V
+			if err := op.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if g.(*VecGather).done != nil {
+				t.Errorf("%q p=%d: Close left the pool running", c.q, workers)
+			}
+			// Close is idempotent.
+			if err := op.Close(); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if err := op.Close(); err != nil {
-			t.Fatal(err)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines outlive the statements, %d before", runtime.NumGoroutine(), before)
 		}
-		// Close is idempotent.
-		if err := op.Close(); err != nil {
-			t.Fatal(err)
-		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -16,9 +17,9 @@ import (
 )
 
 // Randomized differential testing: a seeded generator produces queries —
-// projections, filters, GROUP BY aggregates, ORDER BY/LIMIT — over
-// partitioned and unpartitioned fixtures, and every query runs through row
-// mode and through the vectorized pipeline at 1, 2 and 4 workers. All
+// projections, filters, GROUP BY aggregates, ORDER BY/LIMIT, equi-joins —
+// over partitioned and unpartitioned fixtures, and every query runs through
+// row mode and through the vectorized pipeline at 1, 2 and 4 workers. All
 // strategies must agree on results (exactly, except for documented
 // last-ulps float divergence in merged aggregates) and on error messages.
 //
@@ -27,7 +28,8 @@ import (
 //	RANDDIFF_SEED=<seed> RANDDIFF_ITERS=<n> go test -run TestRandomizedDifferential ./internal/exec
 //
 // RANDDIFF_ITERS bounds the query count (default 500; the race job runs a
-// smaller bound).
+// smaller bound). One equi-join query per four follows those, drawn from a
+// stream of its own so the base corpus of a seed does not depend on it.
 
 const (
 	defaultRanddiffIters = 500
@@ -112,6 +114,47 @@ func randdiffFixture(t *testing.T, rng *rand.Rand, rows int) *table.Catalog {
 		t.Fatalf("append flat: %d, %v", n, err)
 	}
 	return cat
+}
+
+// joinFixture adds a join partner: id BIGINT (the row number), k BIGINT and
+// f DOUBLE keys drawn from pools that meet t's keys and each other —
+// NULLs, ±0, NaN, values at and beyond 2^53, INTs equal to DOUBLEs — and g
+// BIGINT with four values, so ORDER BY g ties heavily.
+func joinFixture(t *testing.T, rng *rand.Rand, cat *table.Catalog, name string, rows int) {
+	t.Helper()
+	schema, err := table.NewSchema(
+		table.ColumnDef{Name: "id", Type: storage.TypeInt64},
+		table.ColumnDef{Name: "k", Type: storage.TypeInt64},
+		table.ColumnDef{Name: "f", Type: storage.TypeFloat64},
+		table.ColumnDef{Name: "g", Type: storage.TypeInt64},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb, err := cat.Create(name, schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const big = 1 << 53
+	ints := []expr.Value{expr.Null(), expr.Int(0), expr.Int(1), expr.Int(-1), expr.Int(250),
+		expr.Int(big), expr.Int(big + 1), expr.Int(big - 1), expr.Int(399)}
+	floats := []expr.Value{expr.Null(), expr.Float(0), expr.Float(math.Copysign(0, -1)), expr.Float(math.NaN()),
+		expr.Float(1), expr.Float(-1), expr.Float(2.5), expr.Float(big), expr.Float(250)}
+	batch := make([][]expr.Value, rows)
+	for i := range batch {
+		k := ints[rng.Intn(len(ints))]
+		if rng.Intn(2) == 0 {
+			k = expr.Int(int64(rng.Intn(400)))
+		}
+		f := floats[rng.Intn(len(floats))]
+		if rng.Intn(3) == 0 {
+			f = expr.Float(float64(rng.Intn(2000))/100 - 10)
+		}
+		batch[i] = []expr.Value{expr.Int(int64(i)), k, f, expr.Int(int64(rng.Intn(4)))}
+	}
+	if n, err := tb.AppendRows(batch); err != nil || n != rows {
+		t.Fatalf("append %s: %d, %v", name, n, err)
+	}
 }
 
 // genQuery emits one random SELECT; grouped reports whether it aggregates
@@ -200,6 +243,58 @@ func genQuery(rng *rand.Rand) (q string, grouped, ordered bool) {
 	return sb.String(), grouped, ordered
 }
 
+// genJoinQuery emits one equi-join: INT, DOUBLE and mixed key pairs, one
+// or two joins, with and without WHERE, GROUP BY and ORDER BY … LIMIT. Join
+// output keeps its input order (left rows in scan order, matches in build
+// order) in every strategy, so results compare positionally even when the
+// ORDER BY keys tie — which is how the top-k's tie order is checked.
+func genJoinQuery(rng *rand.Rand) (q string, grouped, ordered bool) {
+	joins := []struct{ from, l, r, where string }{
+		{"t JOIN u ON t.k = u.k", "t", "u", "t.x > 0"},
+		{"flat JOIN u ON flat.x = u.f", "flat", "u", "flat.s <> 's1'"},
+		{"flat JOIN u ON flat.k = u.f", "flat", "u", "u.g < 2"},
+		{"u JOIN v ON u.k = v.k", "u", "v", "v.g <> 1"},
+		{"u JOIN v ON u.f = v.f", "u", "v", "u.k IS NOT NULL"},
+		{"u JOIN v ON u.k = v.f", "u", "v", "v.f < 1"},
+		{"u JOIN v ON v.k = u.f AND u.g = v.g", "u", "v", "u.f >= 0"},
+		{"u JOIN t ON u.k = t.k JOIN v ON t.k = v.k", "u", "v", "t.b"},
+		{"u JOIN v ON u.g = v.g", "u", "v", "u.k < 10 AND v.k < 10"},
+	}
+	j := joins[rng.Intn(len(joins))]
+	var sb strings.Builder
+	where := ""
+	if rng.Intn(2) == 0 {
+		where = " WHERE " + j.where
+	}
+	if rng.Intn(3) == 0 {
+		val := j.l + ".x"
+		if j.l == "u" {
+			val = "u.f"
+		}
+		fmt.Fprintf(&sb, "SELECT u.g AS grp, count(*), sum(%s.id), min(%s) FROM %s%s GROUP BY u.g ORDER BY grp",
+			j.l, val, j.from, where)
+		if rng.Intn(2) == 0 {
+			sb.WriteString(" DESC")
+		}
+		return sb.String(), true, true
+	}
+	fmt.Fprintf(&sb, "SELECT %s.id, %s.id, %s.g FROM %s%s", j.l, j.r, j.r, j.from, where)
+	switch rng.Intn(3) {
+	case 0: // ties on g break by input position
+		dir := ""
+		if rng.Intn(2) == 0 {
+			dir = " DESC"
+		}
+		fmt.Fprintf(&sb, " ORDER BY %s.g%s", j.r, dir)
+	case 1:
+		fmt.Fprintf(&sb, " ORDER BY %s.g, %s.id DESC", j.r, j.l)
+	}
+	if rng.Intn(2) == 0 {
+		fmt.Fprintf(&sb, " LIMIT %d", 1+rng.Intn(60))
+	}
+	return sb.String(), false, true
+}
+
 func genWhere(rng *rand.Rand) string {
 	if rng.Intn(4) == 0 {
 		return ""
@@ -256,38 +351,51 @@ func TestRandomizedDifferential(t *testing.T) {
 
 	for i := 0; i < iters; i++ {
 		q, grouped, ordered := genQuery(rng)
-		st, err := sql.Parse(q)
+		checkRanddiff(t, cat, i, q, grouped, ordered)
+	}
+
+	jrng := rand.New(rand.NewSource(seed + 1))
+	joinFixture(t, jrng, cat, "u", 300)
+	joinFixture(t, jrng, cat, "v", 300)
+	for i := iters; i < iters+max(iters/4, 1); i++ {
+		q, grouped, ordered := genJoinQuery(jrng)
+		checkRanddiff(t, cat, i, q, grouped, ordered)
+	}
+}
+
+// checkRanddiff runs one generated query through every strategy and
+// compares each with the row-mode baseline.
+func checkRanddiff(t *testing.T, cat *table.Catalog, i int, q string, grouped, ordered bool) {
+	t.Helper()
+	if _, err := sql.Parse(q); err != nil {
+		t.Fatalf("iter %d: generator produced unparsable query %q: %v", i, q, err)
+	}
+	var baseRows []Row
+	var baseErr error
+	for si, opts := range randdiffStrategies() {
+		stmt, err := sql.Parse(q)
 		if err != nil {
-			t.Fatalf("iter %d: generator produced unparsable query %q: %v", i, q, err)
+			t.Fatal(err)
 		}
-		var baseRows []Row
-		var baseErr error
-		for si, opts := range randdiffStrategies() {
-			stmt, err := sql.Parse(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			op, err := BuildSelectOpts(cat, stmt.(*sql.SelectStmt), nil, opts)
-			if err != nil {
-				t.Fatalf("iter %d: plan %q (%+v): %v", i, q, opts, err)
-			}
-			rows, runErr := Drain(op)
-			if si == 0 {
-				baseRows, baseErr = rows, runErr
-				continue
-			}
-			if (runErr == nil) != (baseErr == nil) {
-				t.Fatalf("iter %d: %q: row err = %v, %+v err = %v", i, q, baseErr, opts, runErr)
-			}
-			if runErr != nil {
-				if runErr.Error() != baseErr.Error() {
-					t.Fatalf("iter %d: %q: error mismatch:\n  row:  %v\n  %+v: %v", i, q, baseErr, opts, runErr)
-				}
-				continue
-			}
-			compareRanddiff(t, i, q, opts, baseRows, rows, grouped, ordered)
+		op, err := BuildSelectOpts(cat, stmt.(*sql.SelectStmt), nil, opts)
+		if err != nil {
+			t.Fatalf("iter %d: plan %q (%+v): %v", i, q, opts, err)
 		}
-		_ = st
+		rows, runErr := Drain(op)
+		if si == 0 {
+			baseRows, baseErr = rows, runErr
+			continue
+		}
+		if (runErr == nil) != (baseErr == nil) {
+			t.Fatalf("iter %d: %q: row err = %v, %+v err = %v", i, q, baseErr, opts, runErr)
+		}
+		if runErr != nil {
+			if runErr.Error() != baseErr.Error() {
+				t.Fatalf("iter %d: %q: error mismatch:\n  row:  %v\n  %+v: %v", i, q, baseErr, opts, runErr)
+			}
+			continue
+		}
+		compareRanddiff(t, i, q, opts, baseRows, rows, grouped, ordered)
 	}
 }
 

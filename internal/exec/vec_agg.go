@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
 	"datalaws/internal/expr"
 )
@@ -32,7 +30,6 @@ type VecHashAggregate struct {
 	cols   []string
 	groups []*aggGroup
 	pos    int
-	failed atomic.Bool // set by the first failing worker; siblings stop claiming
 }
 
 // Columns implements VectorOperator.
@@ -43,111 +40,30 @@ func (h *VecHashAggregate) Columns() []string {
 	return h.cols
 }
 
-// partialErr is a worker failure pinned to its input position, so the merge
-// can report the error an in-order scan would have hit first.
-type partialErr struct {
-	err         error
-	morsel, row int64
-}
-
-func (e *partialErr) before(o *partialErr) bool {
-	if e.morsel != o.morsel {
-		return e.morsel < o.morsel
-	}
-	return e.row < o.row
-}
-
 // Open implements VectorOperator: it runs the full two-phase aggregation —
 // partial fold per worker, then merge — so NextBatch only emits results. A
 // failed Open leaves no pipeline open.
 func (h *VecHashAggregate) Open() error {
-	if err := h.pipeSet.open(); err != nil {
-		return err
-	}
 	h.groups, h.pos = nil, 0
-	h.failed.Store(false)
-	err := h.aggregate()
-	if err != nil {
-		h.pipeSet.close()
-	}
-	return err
+	return h.openRun(h.aggregate)
 }
 
-// aggregate folds the pool's pipelines — worker 0 in the caller, the rest
-// one goroutine each, so a pool of one starts none — and merges the partial
-// tables, reporting the failure an in-order scan would have hit first.
+// aggregate folds the pool's pipelines into one partial table per worker and
+// merges them.
 func (h *VecHashAggregate) aggregate() error {
 	partials := make([]*partialAgg, h.n)
-	fails := make([]partialErr, h.n)
-	var wg sync.WaitGroup
-	for w := 1; w < h.n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			partials[w], fails[w] = h.runWorker(h.pipes[w])
-		}()
-	}
-	partials[0], fails[0] = h.runWorker(h.pipes[0])
-	wg.Wait()
-	var fail *partialErr
-	for w := range fails {
-		e := &fails[w]
-		if e.err == nil {
-			continue
+	err := h.runPool(func(w int) partialErr {
+		pa, err := newPartialAgg(h.GroupExprs, h.Aggs, h.pipes[w].pipe.Columns())
+		if err != nil {
+			return partialErr{err: err}
 		}
-		if fail == nil || e.before(fail) {
-			fail = e
-		}
-	}
-	if fail != nil {
-		return fail.err
+		partials[w] = pa
+		return h.drain(h.pipes[w], pa.fold)
+	})
+	if err != nil {
+		return err
 	}
 	return h.merge(partials)
-}
-
-// runWorker drains one worker pipeline morsel by morsel into a private
-// partial-aggregate table.
-func (h *VecHashAggregate) runWorker(p workerPipe) (*partialAgg, partialErr) {
-	pa, err := newPartialAgg(h.GroupExprs, h.Aggs, p.pipe.Columns())
-	if err != nil {
-		h.failed.Store(true)
-		return nil, partialErr{err: err}
-	}
-	for {
-		// A sibling already failed: the whole Open will error, so stop
-		// claiming instead of draining the rest of the input for nothing.
-		if h.failed.Load() {
-			return pa, partialErr{}
-		}
-		// A canceled statement ends the claim loop before the next morsel's
-		// pipeline runs; the error surfaces through Open like any worker
-		// failure, so siblings stop too.
-		if err := h.CheckInterruptNow(); err != nil {
-			h.failed.Store(true)
-			return pa, partialErr{err: err}
-		}
-		idx, ok := p.src.NextMorsel()
-		if !ok {
-			return pa, partialErr{}
-		}
-		var rows int64
-		for {
-			b, err := p.pipe.NextBatch()
-			if err != nil {
-				h.failed.Store(true)
-				return pa, partialErr{err: err, morsel: idx, row: rows}
-			}
-			if b == nil {
-				break
-			}
-			sel := b.selection()
-			if err := pa.fold(b, sel, idx, rows); err != nil {
-				h.failed.Store(true)
-				return pa, partialErr{err: err, morsel: idx, row: rows}
-			}
-			rows += int64(len(sel))
-		}
-	}
 }
 
 // merge recombines the workers' partial tables into the final group list.

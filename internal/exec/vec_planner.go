@@ -28,29 +28,21 @@ const (
 
 // LowerOpts rewrites an operator tree so that every maximal vectorizable
 // subtree executes in batch mode behind a row adapter, as worker pipelines
-// under a gather (see parallel.go; workers is the budget). Operators with no
-// vectorized implementation (sort, limit, join) keep their row form and pull
-// from the adapters; plans with no vectorizable parts come back unchanged.
+// under a gather (see parallel.go; workers is the budget). Joins and sorts
+// are pipeline stages; an operator with an expression that has no batch
+// kernel keeps its row form and pulls from the adapters.
 func LowerOpts(op Operator, workers int) Operator {
-	// Pass-through tops: lower underneath, keep the row operator.
+	if v, ok := lowerVec(op, workers); ok {
+		return NewRowAdapter(v)
+	}
+	// Still lower the inputs, so vectorizable subtrees run in batch mode.
 	switch o := op.(type) {
 	case *Limit:
 		o.Child = LowerOpts(o.Child, workers)
-		return o
 	case *Sort:
 		o.Child = LowerOpts(o.Child, workers)
-		return o
 	case *sliceOp:
 		o.Child = LowerOpts(o.Child, workers)
-		return o
-	}
-	if pipes, ok := vectorize(op, workers); ok {
-		return NewRowAdapter(newVecGather(pipes))
-	}
-	// The operator itself cannot vectorize (unsupported expression, join,
-	// …): still lower its inputs so any vectorizable subtree underneath
-	// runs in batch mode.
-	switch o := op.(type) {
 	case *Filter:
 		o.Child = LowerOpts(o.Child, workers)
 	case *Project:
@@ -68,12 +60,38 @@ func LowerOpts(op Operator, workers int) Operator {
 	return op
 }
 
+// lowerVec lowers a subtree onto the pipeline under one gather. A LIMIT on
+// top lowers only when it bounds the sort beneath it; any other LIMIT keeps
+// its row form, and its Close stops the gather's pool.
+func lowerVec(op Operator, workers int) (VectorOperator, bool) {
+	lim, limited := op.(*Limit)
+	if limited {
+		below := lim.Child
+		if strip, ok := below.(*sliceOp); ok {
+			below = strip.Child
+		}
+		if _, ok := below.(*Sort); !ok {
+			return nil, false
+		}
+		op = lim.Child
+	}
+	pipes, ok := vectorize(op, workers)
+	if !ok {
+		return nil, false
+	}
+	if limited {
+		sortStage(pipes).Limit = lim.N
+	}
+	return newVecGather(pipes), true
+}
+
 // vectorize lowers a row subtree to vector form: one copy of the subtree's
 // pipeline per budgeted worker, over one shared morsel set. It reports false
 // when an operator or expression in the subtree has no batch implementation.
 // Sources that cannot split come back as a single one-morsel pipeline, and
-// the pipeline breakers (aggregate, concat) consume their input's pipelines
-// and continue as one.
+// the pipeline breakers (aggregate, sort, concat) consume their input's
+// pipelines and continue as one. A join puts its probe on every pipeline of
+// its left input.
 func vectorize(op Operator, workers int) ([]workerPipe, bool) {
 	switch o := op.(type) {
 	case *TableScan:
@@ -113,6 +131,39 @@ func vectorize(op Operator, workers int) ([]workerPipe, bool) {
 			}
 		}
 		return onePipe(&VecHashAggregate{pipeSet: pipeSet{pipes: pipes}, GroupExprs: o.GroupExprs, Aggs: o.Aggs}), true
+	case *HashJoin:
+		left, ok := vectorize(o.Left, workers)
+		if !ok {
+			return nil, false
+		}
+		lk, rk, err := extractEquiKeys(o.On, o.Left.Columns(), o.Right.Columns())
+		if err != nil {
+			return nil, false // the row join reports it at Open
+		}
+		// The build side drains in one worker, before the probes start.
+		right, ok := vectorize(o.Right, 1)
+		if !ok {
+			right = onePipe(NewBatchAdapter(LowerOpts(o.Right, workers)))
+		}
+		b := &joinBuild{On: o.On, right: newVecGather(right), cols: o.Columns(), leftKeys: lk, rightKeys: rk}
+		for i := range left {
+			left[i].pipe = &VecHashJoin{Child: left[i].pipe, build: b, lead: i == 0}
+		}
+		return left, true
+	case *Sort:
+		pipes, ok := vectorize(o.Child, workers)
+		if !ok {
+			return nil, false
+		}
+		return onePipe(&VecSort{pipeSet: pipeSet{pipes: pipes}, Keys: o.Keys, Limit: -1, Keep: len(o.Columns())}), true
+	case *sliceOp:
+		// Only ever above a sort: it drops the sort's trailing order keys.
+		pipes, ok := vectorize(o.Child, workers)
+		if !ok || sortStage(pipes) == nil {
+			return nil, false
+		}
+		sortStage(pipes).Keep = o.N
+		return pipes, true
 	case *Concat:
 		// Children run one worker each: the concat drains them one after
 		// another, and the hybrid plans that use it (model scan ∪ raw scan)

@@ -149,10 +149,14 @@ func TestAutoRefitDriftTriggerThroughSQL(t *testing.T) {
 	e.MustExec(`FIT MODEL law ON m AS 'y ~ p * pow(x, alpha)'
 		INPUTS (x) GROUP BY g START (p = 1, alpha = -1)`)
 
+	// The worker waits in OnEvent until the catalog is checked, so drifted
+	// rows that arrive after the first refit cannot land a second one first.
 	events := make(chan refit.Event, 4)
+	checked := make(chan struct{})
+	defer close(checked)
 	e.EnableAutoRefit(refit.Options{
 		Drift:   modelstore.DriftConfig{MinRows: 16, MaxRMSZ: 2, MaxGrowthFrac: -1},
-		OnEvent: func(ev refit.Event) { events <- ev },
+		OnEvent: func(ev refit.Event) { events <- ev; <-checked },
 	})
 	// The law moves (p 2 → 3); drifted rows arrive via plain INSERTs.
 	for i := 0; i < 48; i++ {

@@ -248,7 +248,7 @@ func TestLoadDirEmptyDirNoModels(t *testing.T) {
 func TestExplainExact(t *testing.T) {
 	e, _ := loadLOFAR(t, 10, 40)
 	res := e.MustExec("EXPLAIN SELECT source, avg(intensity) FROM measurements WHERE nu > 0.1 GROUP BY source ORDER BY source LIMIT 3")
-	for _, want := range []string{"exact plan", "VecMorselScan measurements", "Filter", "HashAggregate", "Sort", "Limit"} {
+	for _, want := range []string{"exact plan", "VecMorselScan measurements", "VecFilter", "VecHashAggregate", "VecSort keys=1 limit=3"} {
 		if !strings.Contains(res.Info, want) {
 			t.Fatalf("plan missing %q:\n%s", want, res.Info)
 		}
