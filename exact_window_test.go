@@ -10,15 +10,23 @@ import (
 	"datalaws/internal/expr"
 )
 
-// Allocation budgets for the exact path's two pipeline breakers beyond the
-// aggregate: a prepared window join and a prepared window top-k, the shapes
-// of the benchmark's exact mix scaled down to 80k rows — four sealed chunks
-// plus a tail — with the same 50k-row window, at a fixed worker budget of
-// 2. Budgets sit 20 % above the measured counts (≈ 1,990 and ≈ 685; on the
-// row join and sort they were ≈ 505,000 and ≈ 51,150).
+// Allocation budgets for the shapes of the benchmark's exact mix, scaled
+// down to 80k rows — four sealed chunks plus a tail — with the same
+// 50k-row window, at a fixed worker budget of 2: a prepared window join,
+// window top-k and window range aggregate, and the whole-table GROUP BY.
+// Budgets sit 20 % above the measured counts (≈ 1,990, ≈ 685 and ≈ 682;
+// on the row join and sort they were ≈ 505,000 and ≈ 51,150). None of them
+// may allocate per row: one allocation per row would add 50,000 or 80,000.
+//
+// The GROUP BY's count depends on scheduling: each worker that folds a
+// morsel builds its own 1,000 groups (≈ 4 allocations each) for the merge.
+// Its budget sits 20 % above the count when both workers do so in every
+// run (≈ 9,310; ≈ 5,250 when one worker folds every morsel).
 const (
-	windowJoinAllocBudget = 2390
-	windowTopKAllocBudget = 820
+	windowJoinAllocBudget     = 2390
+	windowTopKAllocBudget     = 820
+	windowRangeAggAllocBudget = 820
+	groupByAllocBudget        = 11170
 )
 
 // windowFixture loads t(a, g, v) with a the row number and g a key into the
@@ -58,6 +66,12 @@ func windowFixture(t *testing.T) *Engine {
 // checkWindowAllocs runs a prepared window statement once to warm it, then
 // measures it against a budget.
 func checkWindowAllocs(t *testing.T, q string, wantRows int, budget float64) {
+	checkStmtAllocs(t, q, []any{10_000, 60_000}, wantRows, budget)
+}
+
+// checkStmtAllocs runs a prepared statement over the window fixture once
+// to warm it, then measures it against a budget.
+func checkStmtAllocs(t *testing.T, q string, args []any, wantRows int, budget float64) {
 	e := windowFixture(t)
 	stmt, err := e.Prepare(q)
 	if err != nil {
@@ -65,7 +79,7 @@ func checkWindowAllocs(t *testing.T, q string, wantRows int, budget float64) {
 	}
 	ctx := context.Background()
 	run := func() {
-		res, err := stmt.Exec(ctx, 10_000, 60_000)
+		res, err := stmt.Exec(ctx, args...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -84,6 +98,9 @@ func checkWindowAllocs(t *testing.T, q string, wantRows int, budget float64) {
 const (
 	windowJoin = "SELECT w, count(*), avg(v) FROM t JOIN dim ON t.g = dim.g WHERE a >= ? AND a < ? GROUP BY w"
 	windowTopK = "SELECT a, v FROM t WHERE a >= ? AND a < ? ORDER BY v DESC LIMIT 10"
+
+	windowRangeAgg = "SELECT count(*), avg(v) FROM t WHERE a >= ? AND a < ?"
+	groupBy        = "SELECT g, count(*), avg(v) FROM t GROUP BY g"
 )
 
 func TestWindowJoinAllocBudget(t *testing.T) {
@@ -92,6 +109,14 @@ func TestWindowJoinAllocBudget(t *testing.T) {
 
 func TestWindowTopKAllocBudget(t *testing.T) {
 	checkWindowAllocs(t, windowTopK, 10, windowTopKAllocBudget)
+}
+
+func TestWindowRangeAggAllocBudget(t *testing.T) {
+	checkWindowAllocs(t, windowRangeAgg, 1, windowRangeAggAllocBudget)
+}
+
+func TestGroupByAllocBudget(t *testing.T) {
+	checkStmtAllocs(t, groupBy, nil, 1000, groupByAllocBudget)
 }
 
 // TestWindowPlans pins where the window join and top-k run: in ModeAuto as

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"datalaws/internal/expr"
@@ -52,6 +53,9 @@ type AggSpec struct {
 	Arg  expr.Expr
 }
 
+// aggState is one aggregate's running state for one group. count and sum
+// serve COUNT/SUM/AVG; the Welford mean and m2 are kept only for
+// VAR/STDDEV, the only aggregates whose final value reads them.
 type aggState struct {
 	count int64
 	sum   float64
@@ -74,11 +78,7 @@ func (st *aggState) update(kind AggKind, v expr.Value) error {
 		if err != nil {
 			return err
 		}
-		st.count++
-		st.sum += f
-		d := f - st.mean
-		st.mean += d / float64(st.count)
-		st.m2 += d * (f - st.mean)
+		st.addFloat(kind, f)
 	case AggMin:
 		if !st.seen {
 			st.min, st.seen = v, true
@@ -116,9 +116,11 @@ func (st *aggState) addFloat(kind AggKind, f float64) {
 		return
 	}
 	st.sum += f
-	d := f - st.mean
-	st.mean += d / float64(st.count)
-	st.m2 += d * (f - st.mean)
+	if kind == AggVar || kind == AggStdDev {
+		d := f - st.mean
+		st.mean += d / float64(st.count)
+		st.m2 += d * (f - st.mean)
+	}
 }
 
 // merge folds another partial state for the same group into st — the
@@ -217,6 +219,32 @@ func (st *aggState) final(kind AggKind) expr.Value {
 	return expr.Null()
 }
 
+// appendGroupKey appends one group-key entry and a separator to kb. It is
+// the group identity of both engines: two keys land in one group exactly
+// when their rendered bytes match. Values render as Value.String() does,
+// except that -0 renders as 0: the ±0 that = and expr.Compare equate
+// form one group. Every NaN renders as "NaN", so NaNs form one group too,
+// as they compare equal under expr.Compare.
+func appendGroupKey(kb []byte, v expr.Value) []byte {
+	switch v.K {
+	case expr.KindNull:
+		kb = append(kb, "NULL"...)
+	case expr.KindInt:
+		kb = strconv.AppendInt(kb, v.I, 10)
+	case expr.KindFloat:
+		f := v.F
+		if f == 0 {
+			f = 0 // folds -0
+		}
+		kb = strconv.AppendFloat(kb, f, 'g', -1, 64)
+	case expr.KindString:
+		kb = strconv.AppendQuote(kb, v.S)
+	default:
+		kb = append(kb, v.String()...)
+	}
+	return append(kb, 0)
+}
+
 // aggOutputCols builds the aggregate output column names — "$grp0…$grpN"
 // followed by "$agg0…$aggM" — shared by every aggregate operator so the
 // planner's post-projection contract lives in one place.
@@ -275,6 +303,7 @@ func (h *HashAggregate) Open() error {
 	}
 	index := map[string]*aggGroup{}
 	var order []*aggGroup
+	var kb []byte
 	for {
 		row, err := h.Child.Next()
 		if err != nil {
@@ -285,21 +314,19 @@ func (h *HashAggregate) Open() error {
 		}
 		env.bind(row)
 		key := make([]expr.Value, len(h.GroupExprs))
-		var kb strings.Builder
+		kb = kb[:0]
 		for i, g := range h.GroupExprs {
 			v, err := expr.Eval(g, env)
 			if err != nil {
 				return fmt.Errorf("exec: GROUP BY: %w", err)
 			}
 			key[i] = v
-			kb.WriteString(v.String())
-			kb.WriteByte('\x00')
+			kb = appendGroupKey(kb, v)
 		}
-		ks := kb.String()
-		grp, ok := index[ks]
+		grp, ok := index[string(kb)]
 		if !ok {
 			grp = &aggGroup{key: key, states: make([]aggState, len(h.Aggs))}
-			index[ks] = grp
+			index[string(kb)] = grp
 			order = append(order, grp)
 		}
 		for i, spec := range h.Aggs {

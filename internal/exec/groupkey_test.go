@@ -1,0 +1,167 @@
+package exec
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"datalaws/internal/expr"
+	"datalaws/internal/sql"
+	"datalaws/internal/storage"
+	"datalaws/internal/table"
+)
+
+// TestGroupKeyIdentity checks GROUP BY against a grouping oracle built on
+// expr.Compare, in row mode and at 1, 2 and 4 workers: two keys share a
+// group exactly when every entry is NULL on both sides or compares equal.
+// So -0 and 0 are one group (as `x = 0` counts both), NaN is one group,
+// NULL is one group, and BIGINT keys at 2^53 ± 1 stay apart. Groups come out
+// in first-seen order, each keyed by the value of its first row.
+func TestGroupKeyIdentity(t *testing.T) {
+	const morsel = 256
+	withSmallMorsels(t, morsel)
+	cat := table.NewCatalog()
+	schema, err := table.NewSchema(
+		table.ColumnDef{Name: "x", Type: storage.TypeFloat64},
+		table.ColumnDef{Name: "k", Type: storage.TypeInt64},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	z, err := cat.Create("z", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const big = 1 << 53
+	negZero := math.Copysign(0, -1)
+	xs := []expr.Value{expr.Null(), expr.Float(0), expr.Float(negZero), expr.Float(math.NaN()),
+		expr.Float(1), expr.Float(-1), expr.Float(2.5)}
+	ks := []expr.Value{expr.Null(), expr.Int(0), expr.Int(1), expr.Int(-1),
+		expr.Int(big), expr.Int(big + 1), expr.Int(big - 1)}
+	rng := rand.New(rand.NewSource(30))
+	rows := make([][]expr.Value, 3000)
+	for i := range rows {
+		rows[i] = []expr.Value{xs[rng.Intn(len(xs))], ks[rng.Intn(len(ks))]}
+	}
+	// The first morsel holds no zero and the second starts with -0, so the
+	// ±0 group's first row (and key, -0) is usually not the first zero the
+	// caller's own worker sees.
+	for _, r := range rows[:morsel] {
+		if r[0].K == expr.KindFloat && r[0].F == 0 {
+			r[0] = expr.Float(1)
+		}
+	}
+	rows[morsel][0] = expr.Float(negZero)
+	if _, err := z.AppendRows(rows); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		q    string
+		keys []int // key columns of z, in GROUP BY order
+	}{
+		{"SELECT x, count(*), count(k) FROM z GROUP BY x", []int{0}},
+		{"SELECT k, count(*), count(k) FROM z GROUP BY k", []int{1}},
+		{"SELECT x, k, count(*), count(k) FROM z GROUP BY x, k", []int{0, 1}},
+		{"SELECT k, x, count(*), count(k) FROM z GROUP BY k, x", []int{1, 0}},
+	} {
+		want := groupOracle(t, rows, tc.keys)
+		for _, opts := range randdiffStrategies() {
+			stmt, err := sql.Parse(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, err := BuildSelectOpts(cat, stmt.(*sql.SelectStmt), nil, opts)
+			if err != nil {
+				t.Fatalf("%s (%+v): %v", tc.q, opts, err)
+			}
+			got, err := Drain(op)
+			if err != nil {
+				t.Fatalf("%s (%+v): %v", tc.q, opts, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s (%+v): %d groups, want %d", tc.q, opts, len(got), len(want))
+			}
+			for r := range want {
+				for c := range want[r] {
+					if !sameValue(got[r][c], want[r][c]) {
+						t.Fatalf("%s (%+v) row %d: %v, want %v", tc.q, opts, r, got[r], want[r])
+					}
+				}
+			}
+		}
+	}
+
+	// Every strategy matched the oracle, so pinning the oracle's float groups
+	// pins the engines': one ±0 group keyed -0 and one NaN group.
+	zeros, nans := 0, 0
+	for _, r := range rows {
+		if r[0].K == expr.KindFloat && r[0].F == 0 {
+			zeros++
+		}
+		if r[0].K == expr.KindFloat && math.IsNaN(r[0].F) {
+			nans++
+		}
+	}
+	for _, g := range groupOracle(t, rows, []int{0}) {
+		switch key := g[0].String(); key {
+		case "-0":
+			if g[1].I != int64(zeros) {
+				t.Errorf("±0 group counts %d, want %d", g[1].I, zeros)
+			}
+		case "NaN":
+			if g[1].I != int64(nans) {
+				t.Errorf("NaN group counts %d, want %d", g[1].I, nans)
+			}
+		case "0":
+			t.Errorf("a second zero group, keyed %s", key)
+		}
+	}
+}
+
+// groupOracle groups rows on the given key columns by expr.Compare, in
+// first-seen order, and returns each group's key (its first row's values),
+// count(*) and count of non-NULL k (column 1).
+func groupOracle(t *testing.T, rows [][]expr.Value, keys []int) []Row {
+	t.Helper()
+	same := func(a, b expr.Value) bool {
+		if a.IsNull() || b.IsNull() {
+			return a.IsNull() && b.IsNull()
+		}
+		c, err := expr.Compare(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c == 0
+	}
+	var out []Row
+	for _, r := range rows {
+		var grp Row
+		for _, g := range out {
+			match := true
+			for j, c := range keys {
+				match = match && same(g[j], r[c])
+			}
+			if match {
+				grp = g
+				break
+			}
+		}
+		if grp == nil {
+			grp = make(Row, len(keys)+2)
+			for j, c := range keys {
+				grp[j] = r[c]
+			}
+			grp[len(keys)], grp[len(keys)+1] = expr.Int(0), expr.Int(0)
+			out = append(out, grp)
+		}
+		grp[len(keys)].I++
+		if !r[1].IsNull() {
+			grp[len(keys)+1].I++
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("oracle found no groups over %d rows", len(rows))
+	}
+	return out
+}

@@ -117,8 +117,13 @@ func constVector(v expr.Value, n int) *Vector {
 	return newNullVector(n)
 }
 
-// truth coerces entry i to SQL boolean: (value, isNull, error).
+// truth coerces entry i to SQL boolean: (value, isNull, error). A non-NULL
+// entry of a bool vector is read directly; only operands with no bool
+// representation (int and float truthiness, any-vectors) are boxed.
 func truth(v *Vector, i int) (bool, bool, error) {
+	if v.Kind == expr.KindBool && (v.Null == nil || !v.Null[i]) {
+		return v.B[i], false, nil
+	}
 	if v.IsNull(i) {
 		return false, true, nil
 	}

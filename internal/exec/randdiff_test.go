@@ -28,8 +28,9 @@ import (
 //	RANDDIFF_SEED=<seed> RANDDIFF_ITERS=<n> go test -run TestRandomizedDifferential ./internal/exec
 //
 // RANDDIFF_ITERS bounds the query count (default 500; the race job runs a
-// smaller bound). One equi-join query per four follows those, drawn from a
-// stream of its own so the base corpus of a seed does not depend on it.
+// smaller bound). One equi-join query per four follows those, then one
+// GROUP BY over the join tables per four, each loop drawn from a stream of
+// its own so the corpora before it do not depend on it.
 
 const (
 	defaultRanddiffIters = 500
@@ -295,6 +296,41 @@ func genJoinQuery(rng *rand.Rand) (q string, grouped, ordered bool) {
 	return sb.String(), false, true
 }
 
+// genGroupQuery emits one GROUP BY over a join table (u or v): keys k
+// (nullable BIGINT around 2^53), f (±0, NaN, NULL) and (k, g); aggregates
+// that keep the Welford state (var, stddev), that fold BIGINT arguments
+// typed (sum, avg over k) and count(f); and WHERE atoms that go NULL under
+// AND, OR and NOT. Groups come out in first-seen order in every strategy,
+// so results compare positionally with or without the ORDER BY.
+func genGroupQuery(rng *rand.Rand) (q string, grouped, ordered bool) {
+	keys := []string{"k", "f", "k, g"}[rng.Intn(3)]
+	aggPool := []string{"var(f)", "stddev(k)", "sum(k)", "avg(k)", "count(f)", "count(*)"}
+	rng.Shuffle(len(aggPool), func(i, j int) { aggPool[i], aggPool[j] = aggPool[j], aggPool[i] })
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "SELECT %s, %s FROM %s", keys, strings.Join(aggPool[:1+rng.Intn(3)], ", "),
+		[]string{"u", "v"}[rng.Intn(2)])
+	if rng.Intn(4) > 0 {
+		atoms := []string{"k > 100", "f < 1", "f = 0", "k = 9007199254740993", "g = 2",
+			"NOT (k < 250)", "NOT (f > 0)", "k IS NULL", "f IS NOT NULL"}
+		a, b := atoms[rng.Intn(len(atoms))], atoms[rng.Intn(len(atoms))]
+		switch rng.Intn(4) {
+		case 0:
+			fmt.Fprintf(&sb, " WHERE %s", a)
+		case 1:
+			fmt.Fprintf(&sb, " WHERE %s AND %s", a, b)
+		case 2:
+			fmt.Fprintf(&sb, " WHERE %s OR %s", a, b)
+		default:
+			fmt.Fprintf(&sb, " WHERE NOT (%s OR %s)", a, b)
+		}
+	}
+	fmt.Fprintf(&sb, " GROUP BY %s", keys)
+	if rng.Intn(2) == 0 {
+		fmt.Fprintf(&sb, " ORDER BY %s", keys)
+	}
+	return sb.String(), true, true
+}
+
 func genWhere(rng *rand.Rand) string {
 	if rng.Intn(4) == 0 {
 		return ""
@@ -359,6 +395,12 @@ func TestRandomizedDifferential(t *testing.T) {
 	joinFixture(t, jrng, cat, "v", 300)
 	for i := iters; i < iters+max(iters/4, 1); i++ {
 		q, grouped, ordered := genJoinQuery(jrng)
+		checkRanddiff(t, cat, i, q, grouped, ordered)
+	}
+
+	grng := rand.New(rand.NewSource(seed + 2))
+	for i := iters + max(iters/4, 1); i < iters+2*max(iters/4, 1); i++ {
+		q, grouped, ordered := genGroupQuery(grng)
 		checkRanddiff(t, cat, i, q, grouped, ordered)
 	}
 }

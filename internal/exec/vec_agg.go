@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"datalaws/internal/expr"
 )
@@ -88,7 +87,8 @@ func (h *VecHashAggregate) merge(partials []*partialAgg) error {
 				}
 			}
 			if pg.morsel < ex.morsel || (pg.morsel == ex.morsel && pg.row < ex.row) {
-				ex.morsel, ex.row = pg.morsel, pg.row
+				// The group's key is the value of its first row in input order.
+				ex.key, ex.morsel, ex.row = pg.key, pg.morsel, pg.row
 			}
 		}
 	}
@@ -152,7 +152,11 @@ type partialAgg struct {
 	order      []*partialGroup
 	keyVecs    []*Vector
 	argVecs    []*Vector
+	grps       []*aggGroup // the group of each row of the batch being folded
 	kb         []byte
+	// ints indexes the groups of a single integer key column by value,
+	// ahead of the rendered-key index it caches.
+	ints map[int64]*partialGroup
 }
 
 func newPartialAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string) (*partialAgg, error) {
@@ -163,6 +167,8 @@ func newPartialAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string) (*part
 		index:      map[string]*partialGroup{},
 		keyVecs:    make([]*Vector, len(groupExprs)),
 		argVecs:    make([]*Vector, len(aggs)),
+		grps:       make([]*aggGroup, 0, BatchSize),
+		ints:       map[int64]*partialGroup{},
 	}
 	for i, g := range groupExprs {
 		k, err := compileKernel(g, cols)
@@ -204,80 +210,91 @@ func (pa *partialAgg) fold(b *Batch, sel []int, morsel, rowBase int64) error {
 		}
 		pa.argVecs[i] = v
 	}
+	grps := pa.grps[:0]
 	if len(pa.groupKerns) == 0 {
-		// Global aggregation: one group, bulk fold.
+		// Global aggregation: every row folds into the one group.
 		if len(pa.order) == 0 {
 			grp := &partialGroup{morsel: morsel, row: rowBase}
 			grp.states = make([]aggState, len(pa.aggs))
 			pa.order = append(pa.order, grp)
 		}
-		return foldAggArgs(&pa.order[0].aggGroup, pa.aggs, pa.argVecs, sel)
-	}
-	kb := pa.kb
-	for pos, i := range sel {
-		kb = kb[:0]
-		for _, kv := range pa.keyVecs {
-			kb = appendKeyEntry(kb, kv, i)
-			kb = append(kb, 0)
+		for range sel {
+			grps = append(grps, &pa.order[0].aggGroup)
 		}
-		grp, ok := pa.index[string(kb)]
-		if !ok {
-			key := make([]expr.Value, len(pa.keyVecs))
-			for j, kv := range pa.keyVecs {
-				key[j] = kv.Value(i)
-			}
-			grp = &partialGroup{keyStr: string(kb), morsel: morsel, row: rowBase + int64(pos)}
-			grp.key = key
-			grp.states = make([]aggState, len(pa.aggs))
-			pa.index[grp.keyStr] = grp
-			pa.order = append(pa.order, grp)
+	} else {
+		var ints *Vector
+		if len(pa.keyVecs) == 1 && pa.keyVecs[0].Kind == expr.KindInt {
+			ints = pa.keyVecs[0]
 		}
-		for a, spec := range pa.aggs {
-			var v expr.Value
-			if spec.Arg == nil {
-				v = expr.Int(1)
-			} else {
-				v = pa.argVecs[a].Value(i)
+		for pos, i := range sel {
+			var grp *partialGroup
+			indexed := ints != nil && (ints.Null == nil || !ints.Null[i])
+			if indexed {
+				grp = pa.ints[ints.I[i]]
 			}
-			if err := grp.states[a].update(spec.Kind, v); err != nil {
-				return fmt.Errorf("exec: aggregate: %w", err)
+			if grp == nil {
+				grp = pa.group(i, morsel, rowBase+int64(pos))
+				if indexed {
+					pa.ints[ints.I[i]] = grp
+				}
 			}
+			grps = append(grps, &grp.aggGroup)
 		}
 	}
-	pa.kb = kb
-	return nil
+	pa.grps = grps
+	return foldAggArgs(grps, pa.aggs, pa.argVecs, sel)
 }
 
-// foldAggArgs folds a batch's aggregate argument vectors into one group's
-// states using bulk/typed paths where possible (the global-aggregate
-// path of partialAgg.fold).
-func foldAggArgs(grp *aggGroup, aggs []AggSpec, argVecs []*Vector, sel []int) error {
+// group finds or creates the group of row i by its rendered key, the
+// group's identity across key kinds and workers.
+func (pa *partialAgg) group(i int, morsel, row int64) *partialGroup {
+	kb := pa.kb[:0]
+	for _, kv := range pa.keyVecs {
+		kb = appendGroupKey(kb, kv.Value(i))
+	}
+	pa.kb = kb
+	if grp, ok := pa.index[string(kb)]; ok {
+		return grp
+	}
+	key := make([]expr.Value, len(pa.keyVecs))
+	for j, kv := range pa.keyVecs {
+		key[j] = kv.Value(i)
+	}
+	grp := &partialGroup{keyStr: string(kb), morsel: morsel, row: row}
+	grp.key = key
+	grp.states = make([]aggState, len(pa.aggs))
+	pa.index[grp.keyStr] = grp
+	pa.order = append(pa.order, grp)
+	return grp
+}
+
+// foldAggArgs folds a batch's aggregate argument vectors into the states
+// of the rows' groups, grps[pos] for row sel[pos], one aggregate at a time.
+// COUNT/SUM/AVG/VAR/STDDEV read float and int vectors directly; MIN/MAX and
+// arguments of other kinds take the boxed update.
+func foldAggArgs(grps []*aggGroup, aggs []AggSpec, argVecs []*Vector, sel []int) error {
 	for a, spec := range aggs {
-		st := &grp.states[a]
-		if spec.Arg == nil {
-			// COUNT(*): every selected row counts, no per-row work.
-			st.count += int64(len(sel))
-			continue
-		}
 		v := argVecs[a]
 		switch {
+		case spec.Arg == nil: // COUNT(*)
+			for _, g := range grps {
+				g.states[a].count++
+			}
 		case v.Kind == expr.KindFloat && isNumericAgg(spec.Kind):
-			for _, i := range sel {
-				if v.Null != nil && v.Null[i] {
-					continue
+			for pos, i := range sel {
+				if v.Null == nil || !v.Null[i] {
+					grps[pos].states[a].addFloat(spec.Kind, v.F[i])
 				}
-				st.addFloat(spec.Kind, v.F[i])
 			}
 		case v.Kind == expr.KindInt && isNumericAgg(spec.Kind):
-			for _, i := range sel {
-				if v.Null != nil && v.Null[i] {
-					continue
+			for pos, i := range sel {
+				if v.Null == nil || !v.Null[i] {
+					grps[pos].states[a].addFloat(spec.Kind, float64(v.I[i]))
 				}
-				st.addFloat(spec.Kind, float64(v.I[i]))
 			}
 		default:
-			for _, i := range sel {
-				if err := st.update(spec.Kind, v.Value(i)); err != nil {
+			for pos, i := range sel {
+				if err := grps[pos].states[a].update(spec.Kind, v.Value(i)); err != nil {
 					return fmt.Errorf("exec: aggregate: %w", err)
 				}
 			}
@@ -295,28 +312,6 @@ func isNumericAgg(k AggKind) bool {
 		return true
 	}
 	return false
-}
-
-// appendKeyEntry renders one group-key entry exactly as Value.String() does
-// so batch and row grouping agree byte-for-byte.
-func appendKeyEntry(kb []byte, v *Vector, i int) []byte {
-	if v.IsNull(i) {
-		return append(kb, "NULL"...)
-	}
-	switch v.Kind {
-	case expr.KindInt:
-		return strconv.AppendInt(kb, v.I[i], 10)
-	case expr.KindFloat:
-		return strconv.AppendFloat(kb, v.F[i], 'g', -1, 64)
-	case expr.KindString:
-		return strconv.AppendQuote(kb, v.S[i])
-	case expr.KindBool:
-		if v.B[i] {
-			return append(kb, "TRUE"...)
-		}
-		return append(kb, "FALSE"...)
-	}
-	return append(kb, v.Value(i).String()...)
 }
 
 // emitGroupBatch materializes groups [lo, hi) as a columnar batch.
