@@ -95,8 +95,8 @@ func TestRecaptureSameNameGetsFreshDomains(t *testing.T) {
 // interaction, as tier-1 assertions: a regression fails go test ./...
 // without the benchmark module.
 const (
-	approxPointAllocBudget       = 30  // no append since the last bind
-	appendApproxPointAllocBudget = 100 // a 64-row append, then the same read
+	approxPointAllocBudget       = 21 // no append since the last bind
+	appendApproxPointAllocBudget = 45 // a 64-row append, then the same read
 )
 
 func TestApproxPointAllocBudget(t *testing.T) {
@@ -139,5 +139,40 @@ func TestApproxPointAllocBudget(t *testing.T) {
 	t.Logf("64-row append + prepared APPROX point: %.0f allocations", got)
 	if got > appendApproxPointAllocBudget {
 		t.Errorf("64-row append + prepared APPROX point: %.0f allocations, budget %d", got, appendApproxPointAllocBudget)
+	}
+}
+
+// Allocation budgets of capturing the law itself on the same fixture: one
+// cold FIT MODEL (every group starts from the declared START) and one warm
+// REFIT MODEL (every group starts from its previous fit), each fitting 500
+// power laws over ≈ 20k rows.
+const (
+	fitAllocBudget   = 34245
+	refitAllocBudget = 18895
+)
+
+func TestFitAllocBudget(t *testing.T) {
+	e, _ := loadLOFAR(t, 500, 40)
+	n := 0
+	fit := func() {
+		n++
+		e.MustExec(fmt.Sprintf(`FIT MODEL spectra%d ON measurements
+			AS 'intensity ~ p * pow(nu, alpha)'
+			INPUTS (nu) GROUP BY source START (p = 1, alpha = -1)`, n))
+	}
+	got := testing.AllocsPerRun(2, fit)
+	t.Logf("cold FIT MODEL, 500 groups: %.0f allocations", got)
+	if got > fitAllocBudget {
+		t.Errorf("cold FIT MODEL: %.0f allocations, budget %d", got, fitAllocBudget)
+	}
+}
+
+func TestRefitAllocBudget(t *testing.T) {
+	e, _ := loadLOFAR(t, 500, 40)
+	fitSpectra(t, e)
+	got := testing.AllocsPerRun(3, func() { e.MustExec("REFIT MODEL spectra") })
+	t.Logf("warm REFIT MODEL, 500 groups: %.0f allocations", got)
+	if got > refitAllocBudget {
+		t.Errorf("warm REFIT MODEL: %.0f allocations, budget %d", got, refitAllocBudget)
 	}
 }

@@ -226,38 +226,45 @@ func ApplyBinary(op Op, l, r Value) (Value, error) {
 	return Value{}, fmt.Errorf("expr: bad binary op %s", op)
 }
 
-// funcTable maps built-in function names to float implementations, with the
-// number of expected arguments (-1 means variadic, at least one).
+// builtin is one built-in function: its float implementation and the number
+// of arguments it expects (-1 means variadic, at least one). unary is the
+// same function on a bare float64 when it takes one argument, so compiled
+// evaluators call it without building an argument slice.
 type builtin struct {
 	arity int
 	fn    func(args []float64) float64
+	unary func(float64) float64
+}
+
+func unary(f func(float64) float64) builtin {
+	return builtin{arity: 1, fn: func(a []float64) float64 { return f(a[0]) }, unary: f}
 }
 
 var builtins = map[string]builtin{
-	"abs":   {1, func(a []float64) float64 { return math.Abs(a[0]) }},
-	"sqrt":  {1, func(a []float64) float64 { return math.Sqrt(a[0]) }},
-	"exp":   {1, func(a []float64) float64 { return math.Exp(a[0]) }},
-	"log":   {1, func(a []float64) float64 { return math.Log(a[0]) }},
-	"log2":  {1, func(a []float64) float64 { return math.Log2(a[0]) }},
-	"log10": {1, func(a []float64) float64 { return math.Log10(a[0]) }},
-	"pow":   {2, func(a []float64) float64 { return math.Pow(a[0], a[1]) }},
-	"sin":   {1, func(a []float64) float64 { return math.Sin(a[0]) }},
-	"cos":   {1, func(a []float64) float64 { return math.Cos(a[0]) }},
-	"tan":   {1, func(a []float64) float64 { return math.Tan(a[0]) }},
-	"atan":  {1, func(a []float64) float64 { return math.Atan(a[0]) }},
-	"floor": {1, func(a []float64) float64 { return math.Floor(a[0]) }},
-	"ceil":  {1, func(a []float64) float64 { return math.Ceil(a[0]) }},
-	"round": {1, func(a []float64) float64 { return math.Round(a[0]) }},
-	"sign": {1, func(a []float64) float64 {
+	"abs":   unary(math.Abs),
+	"sqrt":  unary(math.Sqrt),
+	"exp":   unary(math.Exp),
+	"log":   unary(math.Log),
+	"log2":  unary(math.Log2),
+	"log10": unary(math.Log10),
+	"pow":   {arity: 2, fn: func(a []float64) float64 { return math.Pow(a[0], a[1]) }},
+	"sin":   unary(math.Sin),
+	"cos":   unary(math.Cos),
+	"tan":   unary(math.Tan),
+	"atan":  unary(math.Atan),
+	"floor": unary(math.Floor),
+	"ceil":  unary(math.Ceil),
+	"round": unary(math.Round),
+	"sign": unary(func(x float64) float64 {
 		switch {
-		case a[0] > 0:
+		case x > 0:
 			return 1
-		case a[0] < 0:
+		case x < 0:
 			return -1
 		}
 		return 0
-	}},
-	"min": {-1, func(a []float64) float64 {
+	}),
+	"min": {arity: -1, fn: func(a []float64) float64 {
 		m := a[0]
 		for _, v := range a[1:] {
 			if v < m {
@@ -266,7 +273,7 @@ var builtins = map[string]builtin{
 		}
 		return m
 	}},
-	"max": {-1, func(a []float64) float64 {
+	"max": {arity: -1, fn: func(a []float64) float64 {
 		m := a[0]
 		for _, v := range a[1:] {
 			if v > m {
@@ -471,6 +478,13 @@ func Compile(e Expr, index map[string]int) (func(row []float64) float64, error) 
 		if b.arity >= 0 && len(n.Args) != b.arity {
 			return nil, fmt.Errorf("expr: %s expects %d args, got %d", n.Name, b.arity, len(n.Args))
 		}
+		// pow lowers to the Pow operator and one-argument builtins call
+		// their bare float function: neither builds an argument slice.
+		// Variadic min and max keep one per evaluation, since a compiled
+		// function is shared by concurrent readers.
+		if n.Name == "pow" {
+			return Compile(&Binary{Op: OpPow, L: n.Args[0], R: n.Args[1]}, index)
+		}
 		argFns := make([]func([]float64) float64, len(n.Args))
 		for i, a := range n.Args {
 			f, err := Compile(a, index)
@@ -478,6 +492,10 @@ func Compile(e Expr, index map[string]int) (func(row []float64) float64, error) 
 				return nil, err
 			}
 			argFns[i] = f
+		}
+		if f := b.unary; f != nil {
+			x := argFns[0]
+			return func(row []float64) float64 { return f(x(row)) }, nil
 		}
 		fn := b.fn
 		return func(row []float64) float64 {

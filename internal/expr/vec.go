@@ -162,18 +162,16 @@ func compileVecCall(n *Call, index map[string]int) (VecKernel, error) {
 		}
 		argKs[i] = k
 	}
-	fn := b.fn
-	if len(argKs) == 1 {
+	if f := b.unary; f != nil {
 		x := argKs[0]
-		scratch := make([]float64, 1)
 		return func(n int, args []VecArg, out []float64) {
 			x(n, args, out)
 			for i := 0; i < n; i++ {
-				scratch[0] = out[i]
-				out[i] = fn(scratch)
+				out[i] = f(out[i])
 			}
 		}, nil
 	}
+	fn := b.fn
 	var tmps [][]float64
 	scratch := make([]float64, len(argKs))
 	return func(n int, args []VecArg, out []float64) {

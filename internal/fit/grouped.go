@@ -2,8 +2,9 @@ package fit
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -41,39 +42,20 @@ type GroupedFit struct {
 	MinObservations int
 }
 
-// Run executes the grouped fit over columnar data keyed by group.
+// Run executes the grouped fit over columnar data keyed by group. One
+// counting-sort scatter lays every group's rows out contiguously, in input
+// order; each worker then fits its groups column by column (see Model.Fit).
 func (g *GroupedFit) Run(group []int64, data map[string][]float64) ([]GroupResult, error) {
 	m := g.Model
-	y, ok := data[m.Output]
-	if !ok {
-		return nil, fmt.Errorf("%w: missing output column %q", ErrBadInput, m.Output)
+	y, inputs, err := m.columns(data)
+	if err != nil {
+		return nil, err
 	}
-	n := len(y)
-	if len(group) != n {
-		return nil, fmt.Errorf("%w: group column has %d rows, want %d", ErrBadInput, len(group), n)
+	if len(group) != len(y) {
+		return nil, fmt.Errorf("%w: group column has %d rows, want %d", ErrBadInput, len(group), len(y))
 	}
-	inputCols := make([][]float64, len(m.Inputs))
-	for k, in := range m.Inputs {
-		c, ok := data[in]
-		if !ok {
-			return nil, fmt.Errorf("%w: missing input column %q", ErrBadInput, in)
-		}
-		if len(c) != n {
-			return nil, fmt.Errorf("%w: column %q has %d rows, want %d", ErrBadInput, in, len(c), n)
-		}
-		inputCols[k] = c
-	}
-
-	// Partition row indices by group key.
-	byKey := map[int64][]int{}
-	for i, k := range group {
-		byKey[k] = append(byKey[k], i)
-	}
-	keys := make([]int64, 0, len(byKey))
-	for k := range byKey {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	keys, offs, cols := scatter(group, append(inputs, y))
+	ys := cols[len(inputs)]
 
 	minObs := g.MinObservations
 	if minObs == 0 {
@@ -86,30 +68,31 @@ func (g *GroupedFit) Run(group []int64, data map[string][]float64) ([]GroupResul
 	if workers > len(keys) && len(keys) > 0 {
 		workers = len(keys)
 	}
+	fitters := make([]*colFitter, workers)
+	for w := range fitters {
+		if fitters[w], err = m.newColFitter(); err != nil {
+			return nil, err
+		}
+	}
+	o := g.Opts.withDefaults()
 
 	results := make([]GroupResult, len(keys))
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for _, c := range fitters {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			groupIn := make([][]float64, len(inputs))
 			for idx := range next {
 				key := keys[idx]
-				rows := byKey[key]
-				if len(rows) < minObs {
-					results[idx] = GroupResult{Key: key, Err: fmt.Errorf("%w: group %d has %d rows, need %d", ErrTooFewObservations, key, len(rows), minObs)}
+				lo, hi := offs[idx], offs[idx+1]
+				if hi-lo < minObs {
+					results[idx] = GroupResult{Key: key, Err: fmt.Errorf("%w: group %d has %d rows, need %d", ErrTooFewObservations, key, hi-lo, minObs)}
 					continue
 				}
-				xs := make([][]float64, len(rows))
-				ys := make([]float64, len(rows))
-				for r, i := range rows {
-					row := make([]float64, len(m.Inputs))
-					for c := range m.Inputs {
-						row[c] = inputCols[c][i]
-					}
-					xs[r] = row
-					ys[r] = y[i]
+				for k := range groupIn {
+					groupIn[k] = cols[k][lo:hi]
 				}
 				start := g.Start
 				if g.StartFor != nil {
@@ -117,7 +100,7 @@ func (g *GroupedFit) Run(group []int64, data map[string][]float64) ([]GroupResul
 						start = s
 					}
 				}
-				res, err := m.FitRows(xs, ys, start, g.Opts)
+				res, err := c.fit(groupIn, ys[lo:hi], start, o)
 				results[idx] = GroupResult{Key: key, Res: res, Err: err}
 			}
 		}()
@@ -128,4 +111,32 @@ func (g *GroupedFit) Run(group []int64, data map[string][]float64) ([]GroupResul
 	close(next)
 	wg.Wait()
 	return results, nil
+}
+
+// scatter partitions rows by group key with one counting sort. keys are the
+// distinct keys in ascending order; group g's rows of every column land
+// contiguously in out[c][offs[g]:offs[g+1]], in input order.
+func scatter(group []int64, cols [][]float64) (keys []int64, offs []int, out [][]float64) {
+	at := make(map[int64]int) // a group's size, then its next free slot
+	for _, k := range group {
+		at[k]++
+	}
+	keys = slices.Sorted(maps.Keys(at))
+	offs = make([]int, len(keys)+1)
+	for g, k := range keys {
+		offs[g+1] = offs[g] + at[k]
+		at[k] = offs[g]
+	}
+	out = make([][]float64, len(cols))
+	for c := range out {
+		out[c] = make([]float64, len(group))
+	}
+	for i, k := range group {
+		r := at[k]
+		at[k]++
+		for c, col := range cols {
+			out[c][r] = col[i]
+		}
+	}
+	return keys, offs, out
 }

@@ -2,6 +2,8 @@ package fit
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"datalaws/internal/expr"
@@ -32,6 +34,9 @@ type Model struct {
 	// OLS path.
 	linear bool
 
+	// index binds params, then inputs, to positions: of the row the
+	// compiled evaluators read, and of the vector kernels' arguments.
+	index map[string]int
 	// Compiled evaluators against rows laid out as params followed by
 	// inputs.
 	fn      func(row []float64) float64
@@ -86,6 +91,7 @@ func NewModel(output string, rhs expr.Expr, inputs []string) (*Model, error) {
 		return nil, fmt.Errorf("fit: model body is not numeric: %w", err)
 	}
 	m.fn = fn
+	m.index = index
 
 	// Attempt analytic gradients; on failure the numeric Jacobian is used.
 	m.grads = make([]expr.Expr, len(params))
@@ -175,32 +181,6 @@ func (m *Model) Grad(params, inputs, out []float64) {
 	numericJacobian(func(p, x []float64) float64 { return m.Eval(p, x) })(params, inputs, out)
 }
 
-// modelFunc adapts the model to the NLS interface.
-func (m *Model) modelFunc() ModelFunc {
-	np := len(m.Params)
-	return func(params, x []float64) float64 {
-		row := make([]float64, np+len(x))
-		copy(row, params)
-		copy(row[np:], x)
-		return m.fn(row)
-	}
-}
-
-func (m *Model) jacFunc() JacFunc {
-	if m.gradFns == nil {
-		return nil
-	}
-	np := len(m.Params)
-	return func(params, x, grad []float64) {
-		row := make([]float64, np+len(x))
-		copy(row, params)
-		copy(row[np:], x)
-		for j, g := range m.gradFns {
-			grad[j] = g(row)
-		}
-	}
-}
-
 // Fit estimates the model parameters from columnar data. data must contain
 // the output column and every input column, all of equal length. start maps
 // parameter names to starting values (missing entries default to 1, which
@@ -209,101 +189,171 @@ func (m *Model) jacFunc() JacFunc {
 //
 // Linear-in-parameters models are solved directly by OLS on the analytic
 // design matrix; nonlinear models run Levenberg-Marquardt (or the method in
-// opts) seeded from start.
+// opts) seeded from start, with the model's own derivatives as Jacobian
+// (opts.Jacobian is unused). Both evaluate the model column by column.
 func (m *Model) Fit(data map[string][]float64, start map[string]float64, opts *NLSOptions) (*Result, error) {
+	y, inputs, err := m.columns(data)
+	if err != nil {
+		return nil, err
+	}
+	c, err := m.newColFitter()
+	if err != nil {
+		return nil, err
+	}
+	return c.fit(inputs, y, start, opts.withDefaults())
+}
+
+// columns resolves the output column and the input columns (parallel to
+// m.Inputs) of data, checking that they are present and of equal length.
+func (m *Model) columns(data map[string][]float64) (y []float64, inputs [][]float64, err error) {
 	y, ok := data[m.Output]
 	if !ok {
-		return nil, fmt.Errorf("%w: missing output column %q", ErrBadInput, m.Output)
+		return nil, nil, fmt.Errorf("%w: missing output column %q", ErrBadInput, m.Output)
 	}
-	n := len(y)
-	xs := make([][]float64, n)
-	inputCols := make([][]float64, len(m.Inputs))
+	inputs = make([][]float64, len(m.Inputs))
 	for k, in := range m.Inputs {
 		c, ok := data[in]
 		if !ok {
-			return nil, fmt.Errorf("%w: missing input column %q", ErrBadInput, in)
+			return nil, nil, fmt.Errorf("%w: missing input column %q", ErrBadInput, in)
 		}
-		if len(c) != n {
-			return nil, fmt.Errorf("%w: column %q has %d rows, want %d", ErrBadInput, in, len(c), n)
+		if len(c) != len(y) {
+			return nil, nil, fmt.Errorf("%w: column %q has %d rows, want %d", ErrBadInput, in, len(c), len(y))
 		}
-		inputCols[k] = c
+		inputs[k] = c
 	}
-	for i := 0; i < n; i++ {
-		row := make([]float64, len(m.Inputs))
-		for k := range m.Inputs {
-			row[k] = inputCols[k][i]
-		}
-		xs[i] = row
-	}
-	return m.FitRows(xs, y, start, opts)
+	return y, inputs, nil
 }
 
-// FitRows is Fit on row-major inputs, used by grouped fitting to avoid
-// re-slicing columns.
-func (m *Model) FitRows(xs [][]float64, y []float64, start map[string]float64, opts *NLSOptions) (*Result, error) {
-	if m.linear {
-		return m.fitLinear(xs, y)
+// colFitter fits a model over whole columns through the vector kernels
+// VecModelScan evaluates APPROX scans with, doing per row the float
+// operations of Eval and Grad in their order. Kernels keep scratch between
+// calls, so each fitting worker owns a colFitter and reuses it across groups.
+type colFitter struct {
+	m     *Model
+	fn    expr.VecKernel
+	grads []expr.VecKernel // nil: central differences over whole columns
+	args  []expr.VecArg    // params as scalars, then the input columns
+	n     int              // observations bound in args
+	a, b  []float64        // one Jacobian column; its backward difference
+	work  lmWork
+}
+
+func (m *Model) newColFitter() (*colFitter, error) {
+	fn, err := expr.CompileVec(m.RHS, m.index)
+	if err != nil {
+		return nil, fmt.Errorf("fit: model body is not numeric: %w", err)
 	}
-	s := make([]float64, len(m.Params))
-	for j, p := range m.Params {
+	c := &colFitter{m: m, fn: fn, args: make([]expr.VecArg, len(m.Params)+len(m.Inputs))}
+	for j, d := range m.grads {
+		g, err := expr.CompileVec(d, m.index)
+		if err != nil {
+			return nil, fmt.Errorf("fit: partial ∂/∂%s is not numeric: %w", m.Params[j], err)
+		}
+		c.grads = append(c.grads, g)
+	}
+	return c, nil
+}
+
+// fit fits the model to y and the input columns parallel to m.Inputs.
+func (c *colFitter) fit(inputs [][]float64, y []float64, start map[string]float64, o NLSOptions) (*Result, error) {
+	np := len(c.m.Params)
+	c.n = len(y)
+	for k, col := range inputs {
+		c.args[np+k].Vec = col
+	}
+	if c.m.linear {
+		return c.fitLinear(y)
+	}
+	beta := make([]float64, np)
+	for j, p := range c.m.Params {
+		beta[j] = 1
 		if v, ok := start[p]; ok {
-			s[j] = v
-		} else {
-			s[j] = 1
+			beta[j] = v
 		}
 	}
-	o := opts.withDefaults()
-	if o.Jacobian == nil {
-		o.Jacobian = m.jacFunc()
+	return c.work.solve(c, y, beta, c.m.Params, o)
+}
+
+func (c *colFitter) setParams(beta []float64) {
+	for j, v := range beta {
+		c.args[j].Scalar = v
 	}
-	return NLS(m.modelFunc(), xs, y, s, m.Params, &o)
+}
+
+func (c *colFitter) eval(beta, out []float64) {
+	c.setParams(beta)
+	c.fn(c.n, c.args, out)
+}
+
+// jacobian fills j column by column, from the analytic partials or from
+// central differences with the row path's step sizes.
+func (c *colFitter) jacobian(beta []float64, j *mat.Matrix) {
+	p := j.Cols
+	c.a, c.b = slices.Grow(c.a[:0], c.n)[:c.n], slices.Grow(c.b[:0], c.n)[:c.n]
+	c.setParams(beta)
+	for k := range beta {
+		if c.grads != nil {
+			c.grads[k](c.n, c.args, c.a)
+		} else {
+			h := 1e-7 * (math.Abs(beta[k]) + 1e-7)
+			c.args[k].Scalar = beta[k] + h
+			c.fn(c.n, c.args, c.a)
+			c.args[k].Scalar = beta[k] - h
+			c.fn(c.n, c.args, c.b)
+			c.args[k].Scalar = beta[k]
+			for i := range c.a {
+				c.a[i] = (c.a[i] - c.b[i]) / (2 * h)
+			}
+		}
+		for i, v := range c.a {
+			j.Data[i*p+k] = v
+		}
+	}
 }
 
 // fitLinear solves a linear-in-parameters model directly. Writing
 // f(β, x) = f(0, x) + Σ βj·gj(x) with gj = ∂f/∂βj, OLS on the gj columns
 // against y − f(0, x) yields the exact least-squares estimate.
-func (m *Model) fitLinear(xs [][]float64, y []float64) (*Result, error) {
-	n := len(y)
-	p := len(m.Params)
+func (c *colFitter) fitLinear(y []float64) (*Result, error) {
+	n, p := len(y), len(c.m.Params)
 	if n <= p {
 		return nil, fmt.Errorf("%w: n=%d, p=%d", ErrTooFewObservations, n, p)
 	}
-	zero := make([]float64, p)
-	design := make([][]float64, n)
-	adj := make([]float64, n)
-	grad := make([]float64, p)
-	hasIntercept := false
-	for i := 0; i < n; i++ {
-		m.Grad(zero, xs[i], grad)
-		row := append([]float64(nil), grad...)
-		design[i] = row
-		adj[i] = y[i] - m.Eval(zero, xs[i])
+	// OLS keeps neither the design nor the adjusted response, so both live
+	// in the workspace.
+	w := &c.work
+	w.size(n, p)
+	zero := w.trial
+	clear(zero)
+	c.jacobian(zero, &w.j)
+	design := &w.j
+	adj := w.resid
+	c.eval(zero, adj)
+	for i := range adj {
+		adj[i] = y[i] - adj[i]
 	}
 	// Detect a constant design column, which plays the intercept role.
+	hasIntercept := false
 	for j := 0; j < p; j++ {
 		constant := true
 		for i := 1; i < n; i++ {
-			if design[i][j] != design[0][j] {
+			if design.At(i, j) != design.At(0, j) {
 				constant = false
 				break
 			}
 		}
-		if constant && design[0][j] != 0 {
+		if constant && design.At(0, j) != 0 {
 			hasIntercept = true
 			break
 		}
 	}
-	x, err := mat.NewFromRows(design)
-	if err != nil {
-		return nil, err
-	}
-	res, err := OLS(x, adj, m.Params, hasIntercept)
+	res, err := OLS(design, adj, c.m.Params, hasIntercept)
 	if err != nil {
 		return nil, err
 	}
 	// Restore fitted/residuals on the original y scale.
+	c.eval(res.Params, res.Fitted)
 	for i := range res.Fitted {
-		res.Fitted[i] = m.Eval(res.Params, xs[i])
 		res.Residuals[i] = y[i] - res.Fitted[i]
 	}
 	return res, nil

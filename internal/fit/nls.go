@@ -3,6 +3,7 @@ package fit
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"datalaws/internal/mat"
 )
@@ -39,7 +40,7 @@ type NLSOptions struct {
 	MaxIter  int     // default 100
 	TolRSS   float64 // relative RSS improvement threshold, default 1e-10
 	TolStep  float64 // relative parameter step threshold, default 1e-10
-	Jacobian JacFunc // analytic Jacobian; nil selects central differences
+	Jacobian JacFunc // NLS's analytic Jacobian (nil: central differences); Model fits use their own
 	// Levenberg-Marquardt damping schedule.
 	LambdaInit, LambdaUp, LambdaDown float64 // defaults 1e-3, 10, 0.1
 }
@@ -77,11 +78,69 @@ func (o *NLSOptions) withDefaults() NLSOptions {
 // augments the system with the damped rows √λ·diag(JᵀJ)^½ and adapts λ,
 // accepting only steps that reduce the residual sum of squares.
 func NLS(f ModelFunc, xs [][]float64, y []float64, start []float64, names []string, opts *NLSOptions) (*Result, error) {
-	o := opts.withDefaults()
-	n, p := len(y), len(start)
-	if len(xs) != n {
-		return nil, fmt.Errorf("%w: %d input rows vs %d responses", ErrBadInput, len(xs), n)
+	if len(xs) != len(y) {
+		return nil, fmt.Errorf("%w: %d input rows vs %d responses", ErrBadInput, len(xs), len(y))
 	}
+	o := opts.withDefaults()
+	jac := o.Jacobian
+	if jac == nil {
+		jac = numericJacobian(f)
+	}
+	var w lmWork
+	return w.solve(&rowEval{f: f, jac: jac, xs: xs}, y, append([]float64(nil), start...), names, o)
+}
+
+// evaluator is what the solver asks of a model over one fit's n
+// observations: the fitted values and the n×p Jacobian at β.
+type evaluator interface {
+	eval(beta, out []float64)
+	jacobian(beta []float64, j *mat.Matrix)
+}
+
+// rowEval evaluates a ModelFunc over row-major inputs, one call per
+// observation.
+type rowEval struct {
+	f   ModelFunc
+	jac JacFunc
+	xs  [][]float64
+}
+
+func (r *rowEval) eval(beta, out []float64) {
+	for i, x := range r.xs {
+		out[i] = r.f(beta, x)
+	}
+}
+
+func (r *rowEval) jacobian(beta []float64, j *mat.Matrix) {
+	p := j.Cols
+	for i, x := range r.xs {
+		r.jac(beta, x, j.Data[i*p:(i+1)*p])
+	}
+}
+
+// lmWork is one solver's reusable state. aug is the augmented system
+// [J; √λ·D] of a Levenberg-Marquardt step, whose top n×p block doubles as
+// the Jacobian j; rhs is its right-hand side. Buffers grow to the largest
+// fit a worker runs and are reused across iterations and fits.
+type lmWork struct {
+	j, aug                        mat.Matrix
+	rhs, resid, trialResid, trial []float64
+}
+
+// size shapes the workspace for n observations and p parameters.
+func (w *lmWork) size(n, p int) {
+	w.aug = mat.Matrix{Rows: n + p, Cols: p, Data: slices.Grow(w.aug.Data[:0], (n+p)*p)[:(n+p)*p]}
+	w.j = mat.Matrix{Rows: n, Cols: p, Data: w.aug.Data[:n*p]}
+	w.rhs = slices.Grow(w.rhs[:0], n+p)[:n+p]
+	w.resid = slices.Grow(w.resid[:0], n)[:n]
+	w.trialResid = slices.Grow(w.trialResid[:0], n)[:n]
+	w.trial = slices.Grow(w.trial[:0], p)[:p]
+}
+
+// solve runs the optimizer from beta, which it owns and returns as the
+// fitted parameters.
+func (w *lmWork) solve(ev evaluator, y, beta []float64, names []string, o NLSOptions) (*Result, error) {
+	n, p := len(y), len(beta)
 	if len(names) != p {
 		return nil, fmt.Errorf("%w: %d names for %d params", ErrBadInput, len(names), p)
 	}
@@ -91,19 +150,14 @@ func NLS(f ModelFunc, xs [][]float64, y []float64, start []float64, names []stri
 	if err := checkFinite(y); err != nil {
 		return nil, err
 	}
-	if err := checkFinite(start); err != nil {
+	if err := checkFinite(beta); err != nil {
 		return nil, err
 	}
 
-	beta := append([]float64(nil), start...)
-	resid := make([]float64, n)
-	rss := residuals(f, beta, xs, y, resid)
+	w.size(n, p)
+	rss := residuals(ev, beta, y, w.resid)
 	if math.IsNaN(rss) || math.IsInf(rss, 0) {
 		return nil, fmt.Errorf("%w: model not finite at starting parameters", ErrBadInput)
-	}
-	jac := o.Jacobian
-	if jac == nil {
-		jac = numericJacobian(f)
 	}
 
 	lambda := o.LambdaInit
@@ -112,27 +166,26 @@ func NLS(f ModelFunc, xs [][]float64, y []float64, start []float64, names []stri
 	}
 	var iter int
 	converged := false
-	grad := make([]float64, p)
-	trial := make([]float64, p)
-	trialResid := make([]float64, n)
+	// jacFresh reports whether w.j holds the Jacobian at beta; a rejected
+	// step leaves beta, and so the Jacobian, unchanged.
+	jacFresh := false
 
 	for iter = 1; iter <= o.MaxIter; iter++ {
-		// Build the Jacobian J (n×p) of the model, so residual Jacobian is −J.
-		j := mat.New(n, p)
-		for i := 0; i < n; i++ {
-			jac(beta, xs[i], grad)
-			copy(j.Data[i*p:(i+1)*p], grad)
+		// The Jacobian J (n×p) of the model, so residual Jacobian is −J.
+		if !jacFresh {
+			ev.jacobian(beta, &w.j)
+			jacFresh = true
 		}
 
 		var step []float64
 		var err error
 		if o.Method == GaussNewton {
-			step, err = mat.SolveLS(j, resid)
+			step, err = mat.SolveLS(&w.j, w.resid)
 			if err != nil {
 				return nil, fmt.Errorf("fit: gauss-newton step failed at iteration %d: %w", iter, err)
 			}
 		} else {
-			step, err = lmStep(j, resid, lambda)
+			step, err = w.lmStep(lambda)
 			if err != nil {
 				// Increase damping and retry on singular systems.
 				lambda *= o.LambdaUp
@@ -140,10 +193,10 @@ func NLS(f ModelFunc, xs [][]float64, y []float64, start []float64, names []stri
 			}
 		}
 
-		for k := range trial {
-			trial[k] = beta[k] + step[k]
+		for k := range w.trial {
+			w.trial[k] = beta[k] + step[k]
 		}
-		newRSS := residuals(f, trial, xs, y, trialResid)
+		newRSS := residuals(ev, w.trial, y, w.trialResid)
 
 		accepted := !math.IsNaN(newRSS) && !math.IsInf(newRSS, 0) && newRSS <= rss
 		if o.Method == GaussNewton {
@@ -160,8 +213,9 @@ func NLS(f ModelFunc, xs [][]float64, y []float64, start []float64, names []stri
 				relImprove = (rss - newRSS) / rss
 			}
 			relStep := relativeStep(step, beta)
-			copy(beta, trial)
-			copy(resid, trialResid)
+			copy(beta, w.trial)
+			w.resid, w.trialResid = w.trialResid, w.resid
+			jacFresh = false
 			rss = newRSS
 			lambda *= o.LambdaDown
 			if lambda < 1e-12 {
@@ -196,17 +250,13 @@ func NLS(f ModelFunc, xs [][]float64, y []float64, start []float64, names []stri
 	}
 
 	// Final Jacobian at the solution for the covariance estimate.
-	j := mat.New(n, p)
-	for i := 0; i < n; i++ {
-		jac(beta, xs[i], grad)
-		copy(j.Data[i*p:(i+1)*p], grad)
+	if !jacFresh {
+		ev.jacobian(beta, &w.j)
 	}
 	fitted := make([]float64, n)
-	for i := 0; i < n; i++ {
-		fitted[i] = f(beta, xs[i])
-	}
+	ev.eval(beta, fitted)
 	var fqr *mat.QR
-	if q, err := mat.Factor(j); err == nil {
+	if q, err := mat.Factor(&w.j); err == nil {
 		fqr = q
 	}
 	r := &Result{
@@ -221,10 +271,11 @@ func NLS(f ModelFunc, xs [][]float64, y []float64, start []float64, names []stri
 }
 
 // residuals fills out with y − f(β, x) and returns the RSS.
-func residuals(f ModelFunc, beta []float64, xs [][]float64, y []float64, out []float64) float64 {
+func residuals(ev evaluator, beta, y, out []float64) float64 {
+	ev.eval(beta, out)
 	var rss float64
 	for i := range y {
-		r := y[i] - f(beta, xs[i])
+		r := y[i] - out[i]
 		out[i] = r
 		rss += r * r
 	}
@@ -260,31 +311,27 @@ func numericJacobian(f ModelFunc) JacFunc {
 
 // lmStep solves the damped system (JᵀJ + λ·diag(JᵀJ))·δ = Jᵀr by augmenting
 // the least-squares problem with scaled unit rows, preserving QR stability.
-func lmStep(j *mat.Matrix, resid []float64, lambda float64) ([]float64, error) {
-	n, p := j.Rows, j.Cols
+func (w *lmWork) lmStep(lambda float64) ([]float64, error) {
+	n, p := w.j.Rows, w.j.Cols
 	if lambda == 0 {
-		return mat.SolveLS(j, resid)
+		return mat.SolveLS(&w.j, w.resid)
 	}
-	// Column norms give diag(JᵀJ).
-	diag := make([]float64, p)
+	damp := w.aug.Data[n*p:]
+	clear(damp)
 	for c := 0; c < p; c++ {
+		// Column norms give diag(JᵀJ).
 		var s float64
 		for i := 0; i < n; i++ {
-			v := j.At(i, c)
+			v := w.j.At(i, c)
 			s += v * v
 		}
 		// Guard zero columns so the augmented matrix keeps full rank.
 		if s == 0 {
 			s = 1e-12
 		}
-		diag[c] = s
+		damp[c*p+c] = math.Sqrt(lambda * s)
 	}
-	aug := mat.New(n+p, p)
-	copy(aug.Data[:n*p], j.Data)
-	for c := 0; c < p; c++ {
-		aug.Set(n+c, c, math.Sqrt(lambda*diag[c]))
-	}
-	rhs := make([]float64, n+p)
-	copy(rhs, resid)
-	return mat.SolveLS(aug, rhs)
+	copy(w.rhs, w.resid)
+	clear(w.rhs[n:])
+	return mat.SolveLS(&w.aug, w.rhs)
 }

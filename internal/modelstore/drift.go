@@ -130,8 +130,9 @@ func (d *DriftDetector) Observe(m *CapturedModel, schema *table.Schema, rows [][
 	var observed, skipped int
 	var sumSqZ float64
 	inputs := make([]float64, len(m.Model.Inputs))
+	scratch := make([]float64, len(m.Model.Params)+len(m.Model.Inputs))
 	for _, row := range rows {
-		z, ok := plan.standardizedResidual(m, row, inputs)
+		z, ok := plan.standardizedResidual(m, row, inputs, scratch)
 		if !ok {
 			skipped++
 			continue
@@ -243,7 +244,9 @@ func newRowPlan(m *CapturedModel, schema *table.Schema) (*rowPlan, bool) {
 
 // standardizedResidual computes (y − f(β̂, x)) / ResidualSE for one appended
 // row, reporting ok=false for rows that cannot be attributed to the model.
-func (p *rowPlan) standardizedResidual(m *CapturedModel, row []expr.Value, inputs []float64) (float64, bool) {
+// inputs and scratch are the caller's per-batch buffers for the row's input
+// values and the model evaluator's row.
+func (p *rowPlan) standardizedResidual(m *CapturedModel, row []expr.Value, inputs, scratch []float64) (float64, bool) {
 	if p.where != nil {
 		for _, wc := range p.whereCols {
 			if wc.idx >= len(row) {
@@ -287,7 +290,7 @@ func (p *rowPlan) standardizedResidual(m *CapturedModel, row []expr.Value, input
 	if err != nil {
 		return 0, false
 	}
-	yhat := m.Model.Eval(g.Params, inputs)
+	yhat := m.Model.EvalInto(scratch, g.Params, inputs)
 	se := g.ResidualSE
 	if se <= 0 || math.IsNaN(se) {
 		// A perfect historical fit has no noise scale; any deviation is

@@ -97,6 +97,29 @@ func TestDriftDetectorLawChangeTriggers(t *testing.T) {
 	}
 }
 
+// TestDriftObserveAllocsFlat pins the ingest-path cost of drift observation
+// for a model without WHERE: the per-batch buffers are the only
+// allocations, so a 640-row batch allocates exactly as much as a 64-row one.
+func TestDriftObserveAllocsFlat(t *testing.T) {
+	tb, _, m := driftFixture(t, 4, 40)
+	det := NewDriftDetector(DriftConfig{})
+	rng := rand.New(rand.NewSource(17))
+	batch := func(n int) [][]expr.Value {
+		rows := make([][]expr.Value, n)
+		for i := range rows {
+			rows[i] = lawRow(int64(i%4+1), 0.15, 2.5, -0.7, 0.02, rng)
+		}
+		return rows
+	}
+	small, large := batch(64), batch(640)
+	observe := func(rows [][]expr.Value) float64 {
+		return testing.AllocsPerRun(20, func() { det.Observe(m, tb.Schema(), rows) })
+	}
+	if a, b := observe(small), observe(large); a != b {
+		t.Fatalf("Observe allocates %.0f for 64 rows but %.0f for 640", a, b)
+	}
+}
+
 func TestDriftDetectorGrowthTrigger(t *testing.T) {
 	tb, _, m := driftFixture(t, 4, 40)
 	det := NewDriftDetector(DriftConfig{MinRows: 1 << 30, MaxRMSZ: 1e9, MaxGrowthFrac: 0.5})
