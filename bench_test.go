@@ -23,7 +23,7 @@ import (
 	"datalaws/internal/fit"
 	"datalaws/internal/histsyn"
 	"datalaws/internal/modelstore"
-	"datalaws/internal/sampling"
+	"datalaws/internal/repro"
 	"datalaws/internal/server"
 	"datalaws/internal/sql"
 	"datalaws/internal/synth"
@@ -521,7 +521,7 @@ func BenchmarkLegalCombinationsExactBuild(b *testing.B) {
 	_, tb, _, _ := benchEngine(b, 1000, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := aqp.BuildLegalSet(tb.Chunks(), "source", []string{"nu"}, false, 0); err != nil {
+		if _, err := aqp.BuildLegalSet(tb.Chunks(), "source", []string{"nu"}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -531,7 +531,7 @@ func BenchmarkLegalCombinationsBloomBuild(b *testing.B) {
 	_, tb, _, _ := benchEngine(b, 1000, 0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := aqp.BuildLegalSet(tb.Chunks(), "source", []string{"nu"}, true, 0.01); err != nil {
+		if _, err := repro.BloomLegalSet(tb.Chunks(), "source", []string{"nu"}, 0.01); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -540,11 +540,11 @@ func BenchmarkLegalCombinationsBloomBuild(b *testing.B) {
 func BenchmarkLegalCombinationsLookup(b *testing.B) {
 	_, tb, _, d := benchEngine(b, 1000, 0)
 	v := tb.Chunks()
-	exact, err := aqp.BuildLegalSet(v, "source", []string{"nu"}, false, 0)
+	exact, err := aqp.BuildLegalSet(v, "source", []string{"nu"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	bl, err := aqp.BuildLegalSet(v, "source", []string{"nu"}, true, 0.01)
+	bl, err := repro.BloomLegalSet(v, "source", []string{"nu"}, 0.01)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -556,7 +556,7 @@ func BenchmarkLegalCombinationsLookup(b *testing.B) {
 	})
 	b.Run("bloom", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			bl.Contains(d.Source[i%len(d.Source)], probe)
+			bl.ContainsUint64s(uint64(d.Source[i%len(d.Source)]), math.Float64bits(probe[0]))
 		}
 	})
 }
@@ -587,33 +587,15 @@ func BenchmarkScalingPrecision(b *testing.B) {
 
 func BenchmarkAQPBaselines(b *testing.B) {
 	e, tb, m, _ := benchEngine(b, 1000, 0)
-	_, cols, err := tb.Chunks().Numeric("", []string{"intensity", "nu"})
+	_, cols, err := tb.Chunks().Numeric("", []string{"intensity"})
 	if err != nil {
 		b.Fatal(err)
 	}
-	vals, nus := cols[0], cols[1]
-	frac := float64(m.ParamSizeBytes()) / float64(16*len(vals))
-	if frac > 1 {
-		frac = 1
-	}
+	vals := cols[0]
 	b.Run("model", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := e.Exec("APPROX SELECT avg(intensity) FROM measurements WHERE nu = 0.12"); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("sample", func(b *testing.B) {
-		s, err := sampling.Uniform(vals, frac, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = nus
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			est := s.Mean()
-			if math.IsNaN(est.Value) {
-				b.Fatal("NaN estimate")
 			}
 		}
 	})

@@ -72,12 +72,9 @@ func TestDomainsForAndGridSize(t *testing.T) {
 
 func TestLegalSetExact(t *testing.T) {
 	_, tb, _, _, d := fixture(t)
-	ls, err := BuildLegalSet(tb.Chunks(), "source", []string{"nu"}, false, 0)
+	ls, err := BuildLegalSet(tb.Chunks(), "source", []string{"nu"})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !ls.Exact() {
-		t.Fatal("exact set reports inexact")
 	}
 	// Every observed combination is legal.
 	for i := 0; i < 200; i++ {
@@ -91,31 +88,6 @@ func TestLegalSetExact(t *testing.T) {
 	}
 	if ls.Contains(99999, []float64{0.12}) {
 		t.Fatal("unknown group accepted")
-	}
-}
-
-func TestLegalSetBloom(t *testing.T) {
-	_, tb, _, _, d := fixture(t)
-	ls, err := BuildLegalSet(tb.Chunks(), "source", []string{"nu"}, true, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ls.Exact() {
-		t.Fatal("bloom set reports exact")
-	}
-	for i := 0; i < 200; i++ {
-		if !ls.Contains(d.Source[i], []float64{d.Nu[i]}) {
-			t.Fatal("bloom filter false negative")
-		}
-	}
-	bl := ls.(*BloomLegalSet)
-	if bl.FPRate() > 0.05 {
-		t.Fatalf("fp rate = %g", bl.FPRate())
-	}
-	// Bloom must be much smaller than exact for this data.
-	exact, _ := BuildLegalSet(tb.Chunks(), "source", []string{"nu"}, false, 0)
-	if bl.SizeBytes() >= exact.SizeBytes() {
-		t.Fatalf("bloom %d >= exact %d bytes", bl.SizeBytes(), exact.SizeBytes())
 	}
 }
 
@@ -456,12 +428,5 @@ func TestHybridPartialCoverage(t *testing.T) {
 	exRows, _ := exec.Drain(exOp)
 	if rows[0][0].I != exRows[0][0].I {
 		t.Fatalf("hybrid raw side: %v vs exact %v", rows[0][0], exRows[0][0])
-	}
-}
-
-func TestAllowAllLegalSet(t *testing.T) {
-	var ls LegalSet = AllowAll{}
-	if !ls.Contains(1, []float64{9.9}) || ls.SizeBytes() != 0 || ls.Exact() {
-		t.Fatal("AllowAll semantics")
 	}
 }

@@ -9,6 +9,8 @@
 package aqp
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -16,7 +18,6 @@ import (
 	"sort"
 	"weak"
 
-	"datalaws/internal/bloom"
 	"datalaws/internal/table"
 )
 
@@ -65,38 +66,13 @@ func GridSize(domains []Domain) int {
 	return n
 }
 
-// LegalSet answers whether a (group, inputs) combination occurred in the
-// original data, preserving relational semantics for point queries (§4.2
-// "legal parameter combinations"). Implementations trade memory for
-// exactness.
-type LegalSet interface {
-	Contains(group int64, inputs []float64) bool
-	SizeBytes() int
-	// Exact reports whether Contains can return false positives.
-	Exact() bool
-}
-
-// AllowAll is a LegalSet that admits every combination (used when the model
-// is trusted to generalize, accepting the relational-semantics violation the
-// paper warns about).
-type AllowAll struct{}
-
-// Contains implements LegalSet.
-func (AllowAll) Contains(int64, []float64) bool { return true }
-
-// SizeBytes implements LegalSet.
-func (AllowAll) SizeBytes() int { return 0 }
-
-// Exact implements LegalSet.
-func (AllowAll) Exact() bool { return false }
-
 // putKey writes the fixed-width binary key of one (group, inputs)
 // combination into b, which keyBuf sized. math.Float64bits keeps -0/0
 // distinct, which is fine for legality checks built from the same encoder.
 func putKey(b []byte, group int64, inputs []float64) {
-	putUint64(b, uint64(group))
+	binary.LittleEndian.PutUint64(b, uint64(group))
 	for i, v := range inputs {
-		putUint64(b[8+8*i:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(b[8+8*i:], math.Float64bits(v))
 	}
 }
 
@@ -109,21 +85,17 @@ func keyBuf(arr *[64]byte, n int) []byte {
 	return make([]byte, 8+8*n)
 }
 
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-}
-
-// ExactLegalSet stores every observed combination in a hash set.
+// ExactLegalSet is the set of (group, inputs) combinations that occur in a
+// table's rows. Point queries and model scans answer only for these, which
+// preserves relational semantics (§4.2 "legal parameter combinations").
 type ExactLegalSet struct {
 	set map[string]struct{}
 }
 
-// Contains implements LegalSet. The key is built on the stack (for up to 7
-// inputs) and the string conversion in the map probe is elided by the
-// compiler, so the model scan's per-combination legality check is
-// allocation-free and safe under concurrent scans sharing a cached set.
+// Contains reports whether the combination occurred. The key is built on the
+// stack (for up to 7 inputs) and the string conversion in the map probe is
+// elided by the compiler, so the model scan's per-combination legality check
+// is allocation-free and safe under concurrent scans sharing a cached set.
 func (s *ExactLegalSet) Contains(group int64, inputs []float64) bool {
 	var arr [64]byte
 	b := keyBuf(&arr, len(inputs))
@@ -132,7 +104,7 @@ func (s *ExactLegalSet) Contains(group int64, inputs []float64) bool {
 	return ok
 }
 
-// SizeBytes implements LegalSet.
+// SizeBytes estimates the set's memory footprint.
 func (s *ExactLegalSet) SizeBytes() int {
 	n := 0
 	for k := range s.set {
@@ -141,133 +113,52 @@ func (s *ExactLegalSet) SizeBytes() int {
 	return n
 }
 
-// Exact implements LegalSet.
-func (s *ExactLegalSet) Exact() bool { return true }
-
-// BloomLegalSet approximates the combination set with a Bloom filter.
-type BloomLegalSet struct {
-	f *bloom.Filter
-}
-
-// Contains implements LegalSet, stack-allocating the hash parts for up to 7
-// inputs (see ExactLegalSet.Contains).
-func (s *BloomLegalSet) Contains(group int64, inputs []float64) bool {
-	var arr [8]uint64
-	var parts []uint64
-	if 1+len(inputs) <= len(arr) {
-		parts = arr[:1+len(inputs)]
-	} else {
-		parts = make([]uint64, 1+len(inputs))
-	}
-	parts[0] = uint64(group)
-	for i, v := range inputs {
-		parts[1+i] = math.Float64bits(v)
-	}
-	return s.f.ContainsUint64s(parts...)
-}
-
-// SizeBytes implements LegalSet.
-func (s *BloomLegalSet) SizeBytes() int { return s.f.SizeBytes() }
-
-// Exact implements LegalSet.
-func (s *BloomLegalSet) Exact() bool { return false }
-
-// FPRate returns the theoretical false-positive rate at the current fill.
-func (s *BloomLegalSet) FPRate() float64 { return s.f.EstimatedFPRate() }
-
 // BuildLegalSet scans one view of the table and records every observed
-// (group, inputs) combination. groupCol may be "" for ungrouped models. The
-// exact set is an empty domain state extended over the view; with useBloom,
-// a Bloom filter sized for fpRate replaces it.
-func BuildLegalSet(v *table.ChunkView, groupCol string, inputCols []string, useBloom bool, fpRate float64) (LegalSet, error) {
-	if !useBloom {
-		_, ls, err := newDomainState(groupCol, inputCols, 0, &ExactLegalSet{}).extend(v).result()
-		return ls, err
-	}
-	group, inputs, err := v.Numeric(groupCol, inputCols)
-	if err != nil {
-		return nil, err
-	}
-	n := v.Rows()
-	f := bloom.New(n, fpRate)
-	parts := make([]uint64, 1+len(inputCols))
-	for r := 0; r < n; r++ {
-		if group != nil {
-			parts[0] = uint64(group[r])
-		} else {
-			parts[0] = 0
-		}
-		for i := range inputs {
-			parts[1+i] = math.Float64bits(inputs[i][r])
-		}
-		f.AddUint64s(parts...)
-	}
-	return &BloomLegalSet{f: f}, nil
+// (group, inputs) combination. groupCol may be "" for ungrouped models. It is
+// an empty domain state extended over the view.
+func BuildLegalSet(v *table.ChunkView, groupCol string, inputCols []string) (*ExactLegalSet, error) {
+	_, ls, err := newDomainState(groupCol, inputCols, 0, &ExactLegalSet{}).extend(v).result()
+	return ls, err
 }
 
-// ExportLegalCombos flattens an exact legal set for the replication wire:
-// one group key plus width input values per combination, inputs
-// concatenated row-major. ok is false for inexact sets (Bloom, AllowAll) —
-// their combinations cannot be enumerated, so replicas receiving such a
-// model fall back to AllowAll.
-func ExportLegalCombos(ls LegalSet) (groups []int64, inputs []float64, width int, ok bool) {
-	els, isExact := ls.(*ExactLegalSet)
-	if !isExact {
-		return nil, nil, 0, false
-	}
-	for k := range els.set {
-		w := len(k)/8 - 1
-		if width == 0 {
-			width = w
-		}
-		groups = append(groups, int64(getUint64(k)))
-		for i := 0; i < w; i++ {
-			inputs = append(inputs, math.Float64frombits(getUint64(k[8+8*i:])))
-		}
-	}
-	return groups, inputs, width, true
-}
-
-// LegalSetFromCombos rebuilds an exact legal set from ExportLegalCombos
-// output — the replica-side constructor, no table scan involved.
-func LegalSetFromCombos(groups []int64, inputs []float64, width int) LegalSet {
-	set := make(map[string]struct{}, len(groups))
-	var arr [64]byte
-	b := keyBuf(&arr, width)
-	for i, g := range groups {
-		putKey(b, g, inputs[i*width:(i+1)*width])
-		set[string(b)] = struct{}{}
-	}
-	return &ExactLegalSet{set: set}
-}
-
-func getUint64(s string) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(s[i]) << (8 * i)
-	}
-	return v
+// Increment is what a run of a table's rows adds to a domain state: the
+// input values and (group, inputs) combinations the state lacked, and the
+// enumeration status after them. The primary's Cache derives increments
+// from appended rows; a replica, which holds no rows, applies the ones its
+// primary ships (Feed, Cache.Apply).
+type Increment struct {
+	From, To int         // the table rows the state covers before and after
+	Values   [][]float64 // per input, new values sorted and distinct; nil when none
+	Bad      []bool      // per input, not enumerable (NULLs, not numeric, > DefaultMaxDistinct values): for good
+	// Groups and Inputs are the new combinations: a group key and Width
+	// input values each, the inputs row-major.
+	Groups []int64
+	Inputs []float64
+	Width  int
+	Err    string // what a from-zero BuildLegalSet reports for the rows; "" for no error
 }
 
 // domainState is one immutable enumeration of a table's model inputs over
 // its first rows rows: the sorted domain of each input and the exact set of
 // observed (group, inputs) combinations. It is the one enumeration routine:
-// DomainsFor and the exact BuildLegalSet extend an empty state over a whole
-// view, and Cache extends its last state over the rows appended since.
+// DomainsFor and BuildLegalSet extend an empty state over a whole view,
+// Cache extends its last state over the rows appended since, and a replica
+// extends its state by the increments its primary ships.
 type domainState struct {
 	t           weak.Pointer[table.Table] // the table described; weak, so a dropped table is not kept alive
-	rows        int
-	group       string // "" when ungrouped or when no legal set is tracked
+	rows        int                       // rows of t covered
+	covered     int                       // rows of the source table covered: rows on a primary, the primary's on a replica (its stub holds none)
+	group       string                    // "" when ungrouped or when no legal set is tracked
 	inputs      []string
 	maxDistinct int // per domain; 0 enumerates no domains
 
 	domains  []Domain
-	bad      []bool   // per input, once not enumerable (NULL, non-numeric, > maxDistinct values): for good
-	legal    LegalSet // nil when not tracked; extended only while an *ExactLegalSet
-	legalErr error    // what BuildLegalSet reports for these rows
+	bad      []bool         // per input, once not enumerable (NULL, non-numeric, > maxDistinct values): for good
+	legal    *ExactLegalSet // nil when not tracked
+	legalErr error          // what BuildLegalSet reports for these rows
 }
 
-func newDomainState(group string, inputs []string, maxDistinct int, legal LegalSet) *domainState {
+func newDomainState(group string, inputs []string, maxDistinct int, legal *ExactLegalSet) *domainState {
 	st := &domainState{group: group, inputs: inputs, maxDistinct: maxDistinct, legal: legal, domains: make([]Domain, len(inputs))}
 	for i, c := range inputs {
 		st.domains[i].Col = c
@@ -279,46 +170,103 @@ func newDomainState(group string, inputs []string, maxDistinct int, legal LegalS
 }
 
 // extend returns the successor of s covering every row of v, a view of the
-// same table at least as new, reading only the rows past s.rows. s is never
-// modified: the successor shares its domain slices and legal map unless a
-// new value or combination appears, and then copies them, so a ModelScan
-// holding s's artifacts never sees them change. NumericFrom checks its
-// columns over the whole view, so errors read exactly as a scratch build's.
+// same table at least as new, reading only the rows past s.rows.
 func (s *domainState) extend(v *table.ChunkView) *domainState {
-	n := *s
+	inc := s.diff(v)
+	n := s.apply(&inc)
 	n.rows = v.Rows()
+	return n
+}
+
+// diff returns the increment the rows of v past s.rows add to s, v being a
+// view of the same table at least as new. NumericFrom checks its columns
+// over the whole view, so errors read exactly as a scratch build's.
+func (s *domainState) diff(v *table.ChunkView) Increment {
+	inc := Increment{From: s.rows, To: v.Rows(), Bad: s.bad, Width: len(s.inputs)}
 	group, cols, err := v.NumericFrom(s.group, s.inputs, s.rows)
-	if s.maxDistinct > 0 {
-		n.domains, n.bad = slices.Clone(s.domains), slices.Clone(s.bad)
-		for i, in := range s.inputs {
-			if n.bad[i] {
-				continue
+	for i, in := range s.inputs {
+		if s.maxDistinct == 0 || s.bad[i] {
+			continue
+		}
+		// When some column is unusable, each input is read alone.
+		var vals []float64
+		bad := err != nil
+		if !bad {
+			vals, bad = freshValues(s.domains[i].Vals, cols[i], s.maxDistinct)
+		} else if _, one, ierr := v.NumericFrom("", []string{in}, s.rows); ierr == nil {
+			vals, bad = freshValues(s.domains[i].Vals, one[0], s.maxDistinct)
+		}
+		switch {
+		case bad:
+			inc.Bad = slices.Clone(inc.Bad)
+			inc.Bad[i] = true
+		case vals != nil:
+			if inc.Values == nil {
+				inc.Values = make([][]float64, len(s.inputs))
 			}
-			// When some column is unusable, each input is read alone.
-			var col []float64
-			if err == nil {
-				col = cols[i]
-			} else if _, one, ierr := v.NumericFrom("", []string{in}, s.rows); ierr == nil {
-				col = one[0]
-			} else {
-				n.bad[i] = true
-				continue
-			}
-			n.domains[i].Vals, n.bad[i] = withValues(s.domains[i].Vals, col, s.maxDistinct)
+			inc.Values[i] = vals
 		}
 	}
-	if set, ok := s.legal.(*ExactLegalSet); ok {
-		if n.legalErr = err; err == nil {
-			n.legal = set.with(n.rows-s.rows, group, cols)
+	if s.legal != nil {
+		if err != nil {
+			inc.Err = err.Error()
+		} else {
+			inc.Groups, inc.Inputs = s.legal.fresh(inc.To-inc.From, group, cols)
 		}
 	}
+	return inc
+}
+
+// apply returns s extended by inc. s is never modified: the successor shares
+// its domain slices and legal map unless inc adds to them, and then copies
+// them, so a ModelScan holding s's artifacts never sees them change.
+func (s *domainState) apply(inc *Increment) *domainState {
+	n := *s
+	n.bad = inc.Bad
+	if inc.Values != nil {
+		n.domains = slices.Clone(s.domains)
+	}
+	for i, vals := range inc.Values {
+		if len(vals) > 0 && !n.bad[i] {
+			n.domains[i].Vals = mergeValues(s.domains[i].Vals, vals)
+		}
+	}
+	if n.legalErr = nil; inc.Err != "" {
+		n.legalErr = errors.New(inc.Err)
+	} else if s.legal != nil {
+		n.legal = s.legal.with(inc.Groups, inc.Inputs, inc.Width)
+	}
+	n.covered = inc.To
 	return &n
 }
 
-// withValues returns the sorted domain old extended by the values of col:
-// old itself when col adds none, else a new slice. bad reports more than
-// maxDistinct values.
-func withValues(old, col []float64, maxDistinct int) (vals []float64, bad bool) {
+// check reports why a shipped increment cannot extend s: it must continue
+// from the primary rows s covers, lay out its combinations in the state's
+// width, and ship per-input values sorted and distinct.
+func (s *domainState) check(inc *Increment) error {
+	w := len(s.inputs)
+	switch {
+	case inc.From != s.covered || inc.To < inc.From:
+		return fmt.Errorf("aqp: increment covers rows %d to %d, state holds %d", inc.From, inc.To, s.covered)
+	case inc.Width != w || len(inc.Inputs) != len(inc.Groups)*w:
+		return fmt.Errorf("aqp: %d groups of width %d with %d inputs, for %d model inputs", len(inc.Groups), inc.Width, len(inc.Inputs), w)
+	case len(inc.Bad) != w || len(inc.Values) != 0 && len(inc.Values) != w:
+		return fmt.Errorf("aqp: increment has %d statuses and %d value lists for %d inputs", len(inc.Bad), len(inc.Values), w)
+	}
+	for i, vals := range inc.Values {
+		for j, x := range vals {
+			if math.IsNaN(x) || j > 0 && vals[j-1] >= x {
+				return fmt.Errorf("aqp: values of input %q are not sorted and distinct", s.inputs[i])
+			}
+		}
+	}
+	return nil
+}
+
+// freshValues returns the sorted values of col missing from the sorted
+// domain old, nil when there are none; bad reports more than maxDistinct
+// values in all.
+func freshValues(old, col []float64, maxDistinct int) (vals []float64, bad bool) {
 	var fresh map[float64]struct{}
 	for _, x := range col {
 		if j := sort.SearchFloat64s(old, x); j < len(old) && old[j] == x {
@@ -332,22 +280,28 @@ func withValues(old, col []float64, maxDistinct int) (vals []float64, bad bool) 
 		}
 	}
 	if fresh == nil {
-		return old, false
+		return nil, false
 	}
-	vals = append(slices.Clip(old), slices.Collect(maps.Keys(fresh))...)
-	sort.Float64s(vals)
-	return vals, false
+	return slices.Sorted(maps.Keys(fresh)), false
 }
 
-// with returns s extended by the combinations of n rows (group nil when
-// ungrouped): s itself when they add none, else a new set. Probes build the
-// key on the stack, as Contains does; s is never modified.
-func (s *ExactLegalSet) with(n int, group []int64, inputs [][]float64) *ExactLegalSet {
+// mergeValues returns a new sorted slice holding the values of the sorted
+// slices a and b, each once.
+func mergeValues(a, b []float64) []float64 {
+	vals := append(slices.Clip(a), b...)
+	sort.Float64s(vals)
+	return slices.Compact(vals)
+}
+
+// fresh returns the distinct combinations of n rows (group nil when
+// ungrouped) missing from s, one group key and len(inputs) values each.
+// Probes build the key on the stack, as Contains does.
+func (s *ExactLegalSet) fresh(n int, group []int64, inputs [][]float64) (groups []int64, flat []float64) {
 	var keyArr [64]byte
 	var rowArr [7]float64
 	key := keyBuf(&keyArr, len(inputs))
 	row := slices.Grow(rowArr[:0], len(inputs))[:len(inputs)]
-	var fresh map[string]struct{}
+	var seen map[string]struct{}
 	for r := 0; r < n; r++ {
 		var g int64
 		if group != nil {
@@ -357,30 +311,40 @@ func (s *ExactLegalSet) with(n int, group []int64, inputs [][]float64) *ExactLeg
 			row[i] = inputs[i][r]
 		}
 		putKey(key, g, row)
-		if _, ok := s.set[string(key)]; ok {
+		_, old := s.set[string(key)]
+		if _, dup := seen[string(key)]; old || dup {
 			continue
 		}
-		if _, ok := fresh[string(key)]; !ok {
-			if fresh == nil {
-				fresh = map[string]struct{}{}
-			}
-			fresh[string(key)] = struct{}{}
+		if seen == nil {
+			seen = map[string]struct{}{}
 		}
+		seen[string(key)] = struct{}{}
+		groups, flat = append(groups, g), append(flat, row...)
 	}
-	if fresh == nil {
+	return groups, flat
+}
+
+// with returns s extended by the combinations groups and inputs (width
+// inputs each, row-major): s itself when there are none, else a new set. s
+// is never modified.
+func (s *ExactLegalSet) with(groups []int64, inputs []float64, width int) *ExactLegalSet {
+	if len(groups) == 0 {
 		return s
 	}
-	if len(s.set) > 0 {
-		merged := maps.Clone(s.set)
-		maps.Copy(merged, fresh)
-		fresh = merged
+	set := make(map[string]struct{}, len(s.set)+len(groups))
+	maps.Copy(set, s.set)
+	var arr [64]byte
+	key := keyBuf(&arr, width)
+	for i, g := range groups {
+		putKey(key, g, inputs[i*width:(i+1)*width])
+		set[string(key)] = struct{}{}
 	}
-	return &ExactLegalSet{set: fresh}
+	return &ExactLegalSet{set: set}
 }
 
 // result returns the state's domains and legal set, or the error a scratch
 // DomainsFor (checked first) or BuildLegalSet reports for the same rows.
-func (s *domainState) result() ([]Domain, LegalSet, error) {
+func (s *domainState) result() ([]Domain, *ExactLegalSet, error) {
 	for i, bad := range s.bad {
 		if bad {
 			return nil, nil, fmt.Errorf("aqp: column %q is not enumerable (more than %d distinct values)", s.inputs[i], s.maxDistinct)

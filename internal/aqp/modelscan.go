@@ -22,7 +22,7 @@ type ModelScan struct {
 	// order.
 	Domains []Domain
 	// Legal restricts emitted combinations; nil admits everything.
-	Legal LegalSet
+	Legal *ExactLegalSet
 	// Groups optionally restricts the scan to these group keys (nil scans
 	// every fitted group). The approximate planner pushes equality
 	// predicates on the group column down to this list, so a point query
@@ -52,7 +52,7 @@ type ModelScan struct {
 }
 
 // NewModelScan validates and constructs a scan.
-func NewModelScan(m *modelstore.CapturedModel, domains []Domain, legal LegalSet) (*ModelScan, error) {
+func NewModelScan(m *modelstore.CapturedModel, domains []Domain, legal *ExactLegalSet) (*ModelScan, error) {
 	if len(domains) != len(m.Model.Inputs) {
 		return nil, fmt.Errorf("aqp: %d domains for %d model inputs", len(domains), len(m.Model.Inputs))
 	}
@@ -263,11 +263,7 @@ func PointLookupScaled(m *modelstore.CapturedModel, group int64, inputs []float6
 func (s *ModelScan) ExplainInfo() string {
 	legal := "all combinations"
 	if s.Legal != nil {
-		if s.Legal.Exact() {
-			legal = "exact legal set"
-		} else {
-			legal = "bloom legal set"
-		}
+		legal = "exact legal set"
 	}
 	groups := s.Model.Quality.GroupsOK
 	note := ""

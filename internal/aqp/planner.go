@@ -128,9 +128,10 @@ type Prepared struct {
 	// Bind so appends and refits are picked up without a re-prepare.
 	model        *modelstore.CapturedModel
 	domains      []Domain
-	legal        LegalSet
+	legal        *ExactLegalSet
 	tableVersion uint64
 	modelVersion int
+	applied      uint64  // Options.Cache's count of shipped increments (replicas)
 	inflate      float64 // staleness SE widening; 1 when fresh
 }
 
@@ -176,7 +177,7 @@ func (p *Prepared) revalidateLocked() error {
 	if err != nil {
 		return fmt.Errorf("aqp: %w", err)
 	}
-	if p.model != nil && t.Version() == p.tableVersion {
+	if p.model != nil && t.Version() == p.tableVersion && p.opts.Cache.appliedCount() == p.applied {
 		if cur, ok := p.store.Get(p.model.Spec.Name); ok && cur == p.model && cur.Version == p.modelVersion {
 			return nil
 		}
@@ -194,11 +195,12 @@ func (p *Prepared) rebuildLocked(t *table.Table) error {
 	if err != nil {
 		return err
 	}
+	applied := p.opts.Cache.appliedCount()
 	domains, legal, version, err := p.opts.Cache.Get(t, model)
 	if err != nil {
 		return err
 	}
-	p.model, p.domains, p.legal = model, domains, legal
+	p.model, p.domains, p.legal, p.applied = model, domains, legal, applied
 	p.tableVersion, p.modelVersion = version, model.Version
 	p.inflate = staleInflation(model, t, p.opts)
 	return nil

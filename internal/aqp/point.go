@@ -19,7 +19,7 @@ import (
 // empty-result conditions (unfitted group, value outside the enumerated
 // domain, illegal combination) replicate exactly what the generic
 // ModelScan + Filter + Project pipeline would produce.
-func (p *Prepared) bindPointLookup(st *sql.SelectStmt, model *modelstore.CapturedModel, domains []Domain, legal LegalSet, inflate float64) (exec.Operator, bool) {
+func (p *Prepared) bindPointLookup(st *sql.SelectStmt, model *modelstore.CapturedModel, domains []Domain, legal *ExactLegalSet, inflate float64) (exec.Operator, bool) {
 	if model.Spec.Where != nil { // hybrid plans route through the raw side
 		return nil, false
 	}

@@ -3,6 +3,7 @@ package aqp
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -133,16 +134,23 @@ func reference(t *testing.T, v *table.ChunkView, m *modelstore.CapturedModel) (d
 
 func comboString(g int64, inputs []float64) string { return fmt.Sprint(g, inputs) }
 
-// combosOf lists an exact legal set's combinations.
-func combosOf(t *testing.T, ls LegalSet) map[string]bool {
+// combosOf lists an exact legal set's combinations, decoding its keys.
+func combosOf(t *testing.T, ls *ExactLegalSet) map[string]bool {
 	t.Helper()
-	groups, inputs, width, ok := ExportLegalCombos(ls)
-	if !ok {
-		t.Fatalf("legal set %T is not exact", ls)
+	word := func(k string, i int) uint64 {
+		var v uint64
+		for b := 0; b < 8; b++ {
+			v |= uint64(k[8*i+b]) << (8 * b)
+		}
+		return v
 	}
 	out := map[string]bool{}
-	for i, g := range groups {
-		out[comboString(g, inputs[i*width:(i+1)*width])] = true
+	for k := range ls.set {
+		inputs := make([]float64, len(k)/8-1)
+		for i := range inputs {
+			inputs[i] = math.Float64frombits(word(k, 1+i))
+		}
+		out[comboString(int64(word(k, 0)), inputs)] = true
 	}
 	return out
 }
@@ -154,7 +162,7 @@ func combosOf(t *testing.T, ls LegalSet) map[string]bool {
 func checkAgainstReference(t *testing.T, c *Cache, tb *table.Table, m *modelstore.CapturedModel, step string) {
 	t.Helper()
 	wantDoms, wantCombos, badInput, legalBad := reference(t, tb.Chunks(), m)
-	same := func(what string, doms []Domain, legal LegalSet, err error) {
+	same := func(what string, doms []Domain, legal *ExactLegalSet, err error) {
 		t.Helper()
 		switch {
 		case badInput != "":
@@ -184,9 +192,9 @@ func checkAgainstReference(t *testing.T, c *Cache, tb *table.Table, m *modelstor
 	same("incremental", doms, legal, err)
 	v := tb.Chunks()
 	sdoms, serr := DomainsFor(v, m.Model.Inputs, 0)
-	var slegal LegalSet
+	var slegal *ExactLegalSet
 	if serr == nil {
-		slegal, serr = BuildLegalSet(v, m.Spec.GroupBy, m.Model.Inputs, false, 0)
+		slegal, serr = BuildLegalSet(v, m.Spec.GroupBy, m.Model.Inputs)
 	}
 	same("from zero", sdoms, slegal, serr)
 	if err != nil && err.Error() != serr.Error() {
@@ -433,4 +441,91 @@ func TestDomainStateConcurrentBinds(t *testing.T) {
 	}
 	wg.Wait()
 	checkAgainstReference(t, opts.Cache, tb, m, "after concurrent binds")
+}
+
+// TestIncrementChainMatchesFromZeroBuild is the replica's side of the
+// contract: a table split at random row boundaries ships a chain of
+// increments through a Feed, and the state a replica Cache builds from them
+// over a zero-row stub equals a from-zero build of the primary's rows —
+// domains, legal-set membership and error text — after every link,
+// through a NULL group key and an input past DefaultMaxDistinct values.
+func TestIncrementChainMatchesFromZeroBuild(t *testing.T) {
+	withChunkRows(t, 64)
+	type scenario struct {
+		name   string
+		rows   [][]expr.Value
+		models []*modelstore.CapturedModel
+	}
+	rng := rand.New(rand.NewSource(5))
+	var nullGroup [][]expr.Value
+	for i := 0; i < 400; i++ {
+		r := stateRow(1+rng.Int63n(6), []float64{0.12, 0.14, 0.16, 0.2 + float64(i/40)/100}[rng.Intn(4)], rng.Int63n(3))
+		if i == 250 {
+			r[0] = expr.Null()
+		}
+		nullGroup = append(nullGroup, r)
+	}
+	var wide [][]expr.Value
+	for i := 0; i < DefaultMaxDistinct+600; i++ {
+		wide = append(wide, stateRow(int64(i%7), float64(i), int64(i%3)))
+	}
+	for _, sc := range []scenario{
+		{"NULL group key", nullGroup, []*modelstore.CapturedModel{lawOver(1, "g", "x", "n"), lawOver(1, "", "x"), lawOver(1, "g", "n")}},
+		{"past DefaultMaxDistinct", wide, []*modelstore.CapturedModel{lawOver(1, "g", "x"), lawOver(1, "g", "n")}},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			tb, stub := stateTable(t), stateTable(t)
+			primary, replica, feed := NewCache(), NewCache(), Feed{}
+			for from, step := 0, 0; from < len(sc.rows); step++ {
+				to := min(len(sc.rows), from+1+rng.Intn(len(sc.rows)/8))
+				if _, err := tb.AppendRows(sc.rows[from:to]); err != nil {
+					t.Fatal(err)
+				}
+				from = to
+				for _, m := range sc.models {
+					inc, ok := feed.Next(primary, tb, m)
+					if !ok {
+						t.Fatalf("step %d: no increment after %d appended rows", step, to)
+					}
+					if err := replica.Apply(stub, m, &inc); err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					if _, again := feed.Next(primary, tb, m); again {
+						t.Fatalf("step %d: a second increment with no rows appended", step)
+					}
+					sameAsFromZero(t, replica, stub, tb, m, fmt.Sprintf("step %d (%d rows) %s|%v", step, to, m.Spec.GroupBy, m.Model.Inputs))
+				}
+			}
+			if _, _, _, err := replica.Get(stub, sc.models[0]); err == nil {
+				t.Fatal("the first model enumerates; the scenario must end in its error")
+			}
+		})
+	}
+}
+
+// sameAsFromZero asserts that the replica state of m over stub equals
+// DomainsFor plus BuildLegalSet over tb's rows, errors included.
+func sameAsFromZero(t *testing.T, replica *Cache, stub, tb *table.Table, m *modelstore.CapturedModel, step string) {
+	t.Helper()
+	v := tb.Chunks()
+	wantDoms, wantErr := DomainsFor(v, m.Model.Inputs, 0)
+	var wantLegal *ExactLegalSet
+	if wantErr == nil {
+		wantLegal, wantErr = BuildLegalSet(v, m.Spec.GroupBy, m.Model.Inputs)
+	}
+	doms, legal, _, err := replica.Get(stub, m)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: replica error %v, from zero %v", step, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	for i := range doms {
+		if doms[i].Col != wantDoms[i].Col || !slices.Equal(doms[i].Vals, wantDoms[i].Vals) {
+			t.Fatalf("%s: domain %d = %v, from zero %v", step, i, doms[i].Vals, wantDoms[i].Vals)
+		}
+	}
+	if got, want := combosOf(t, legal), combosOf(t, wantLegal); !maps.Equal(got, want) {
+		t.Fatalf("%s: %d legal combinations, from zero %d", step, len(got), len(want))
+	}
 }

@@ -1,7 +1,8 @@
-// Package bloom implements a Bloom filter with double hashing over FNV-1a,
-// used by the approximate query layer to encode the set of legal parameter
-// combinations (§4.2: "generate a compressed lookup structure (e.g. Bloom
-// filters) to encode all legal parameter combinations").
+// Package bloom implements a Bloom filter with double hashing over FNV-1a.
+// Repro T2i uses it to measure the paper's suggestion for the set of legal
+// parameter combinations (§4.2: "generate a compressed lookup structure
+// (e.g. Bloom filters) to encode all legal parameter combinations") against
+// the exact set the planner keeps.
 package bloom
 
 import (

@@ -1,8 +1,11 @@
 package repro
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"datalaws/internal/aqp"
 )
 
 // TestAllExperimentsAtSmallScale runs every registered experiment end to
@@ -46,5 +49,32 @@ func TestByID(t *testing.T) {
 	}
 	if len(IDs()) != len(Experiments) {
 		t.Fatal("IDs() incomplete")
+	}
+}
+
+func TestLegalSetBloom(t *testing.T) {
+	_, tb, d, err := lofarEngine(SmallScale(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bl, err := BloomLegalSet(tb.Chunks(), "source", []string{"nu"}, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if !bl.ContainsUint64s(uint64(d.Source[i]), math.Float64bits(d.Nu[i])) {
+			t.Fatal("bloom filter false negative")
+		}
+	}
+	if bl.EstimatedFPRate() > 0.05 {
+		t.Fatalf("fp rate = %g", bl.EstimatedFPRate())
+	}
+	// Bloom must be much smaller than exact for this data.
+	exact, err := aqp.BuildLegalSet(tb.Chunks(), "source", []string{"nu"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bl.SizeBytes() >= exact.SizeBytes() {
+		t.Fatalf("bloom %d >= exact %d bytes", bl.SizeBytes(), exact.SizeBytes())
 	}
 }

@@ -286,12 +286,14 @@ func (r *Rows) Close() error {
 	return err
 }
 
-// DeltaBatch is one reply from the model changefeed: deltas to apply, the
-// cursor to poll from next, and the primary's current growth snapshot.
+// DeltaBatch is one reply from the model changefeed: deltas and domain
+// increments to apply, the cursor to poll from next, and the primary's
+// current growth snapshot.
 type DeltaBatch struct {
-	Deltas []ModelDelta
-	Term   uint64
-	Seq    uint64
+	Deltas     []ModelDelta
+	Increments []DomainIncrement
+	Term       uint64
+	Seq        uint64
 	// Resync marks a batch that replaces the subscriber's whole model
 	// catalog: models absent from it no longer exist on the primary.
 	Resync bool
@@ -300,14 +302,19 @@ type DeltaBatch struct {
 	Growth map[string]float64
 }
 
-func deltaBatch(resp *Response) *DeltaBatch {
-	return &DeltaBatch{
-		Deltas: resp.Deltas,
-		Term:   resp.FeedTerm,
-		Seq:    resp.FeedSeq,
-		Resync: resp.Resync,
-		Growth: resp.Growth,
+func deltaBatch(resp *Response) (*DeltaBatch, error) {
+	incs, err := decodeIncrements(resp.Increments)
+	if err != nil {
+		return nil, err
 	}
+	return &DeltaBatch{
+		Deltas:     resp.Deltas,
+		Increments: incs,
+		Term:       resp.FeedTerm,
+		Seq:        resp.FeedSeq,
+		Resync:     resp.Resync,
+		Growth:     resp.Growth,
+	}, nil
 }
 
 // SubscribeModels fetches the primary's full model catalog as a resync
@@ -317,7 +324,7 @@ func (c *Client) SubscribeModels() (*DeltaBatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return deltaBatch(resp), nil
+	return deltaBatch(resp)
 }
 
 // PollDeltas long-polls the model changefeed from (term, seq), blocking
@@ -335,5 +342,5 @@ func (c *Client) PollDeltas(term, seq uint64, wait time.Duration, max int) (*Del
 	if err != nil {
 		return nil, err
 	}
-	return deltaBatch(resp), nil
+	return deltaBatch(resp)
 }

@@ -3,11 +3,13 @@ package server
 // Model replication, the paper's client/server split taken to its
 // conclusion: a replica that never holds a raw measurement row can still
 // answer approximate queries, because everything the planner needs — model
-// parameters, table manifests, enumerated input domains, observed-combo
-// legal sets — is kilobytes, not gigabytes. The primary publishes its model
-// store's changefeed over the session protocol: OpSubscribeModels replies
-// with a full catalog snapshot plus a feed cursor, OpModelDelta long-polls
-// that cursor for increments. Rows never cross this wire.
+// parameters, table manifests, input domains, legal combinations — is
+// kilobytes, not gigabytes. OpSubscribeModels replies with the primary's
+// full model catalog plus a changefeed cursor; OpModelDelta long-polls that
+// cursor for model deltas. Each reply also carries, per domain state a
+// shipped model binds against, the increment of the rows appended since the
+// session's last reply (from row 0 on subscribe), which the replica applies
+// as the primary's cache applies its own. Rows never cross this wire.
 
 import (
 	"fmt"
@@ -28,8 +30,9 @@ const defaultMaxDeltas = 256
 const maxWaitMillis = 60_000
 
 // ModelDelta is one changefeed entry on the wire: a captured model's
-// parameters plus the planning artifacts a row-less replica cannot derive
-// itself. For drops only Kind and Name are set.
+// parameters and the manifest of its table. It carries no enumeration
+// artifacts; the reply's increments do. For drops only Kind and Name are
+// set.
 type ModelDelta struct {
 	Kind  modelstore.ChangeKind
 	Name  string
@@ -39,21 +42,6 @@ type ModelDelta struct {
 	// parent's partitioning so the replica can rebuild the family shape).
 	// Nil when the primary's table vanished between publish and build.
 	Table *TableMeta
-
-	// Domains are the model's enumerated input domains and LegalGroups/
-	// LegalInputs/LegalWidth the observed (group, inputs) combinations —
-	// both scanned from rows the replica will never see. DomainsOK is
-	// false when the primary could not enumerate them (a domain exceeded
-	// aqp.DefaultMaxDistinct, say), and the replica then refuses the model's
-	// APPROX queries as the primary does; LegalOK is false when the primary
-	// could not export an exact legal set, and the replica admits every
-	// combination instead.
-	Domains     []aqp.Domain
-	DomainsOK   bool
-	LegalGroups []int64
-	LegalInputs []float64
-	LegalWidth  int
-	LegalOK     bool
 }
 
 // TableMeta is a table's shape without its rows: enough for a replica to
@@ -85,28 +73,15 @@ type PartRange struct {
 }
 
 // buildDelta turns one changefeed entry into its wire form, attaching the
-// table manifest and the enumeration artifacts, read from one view of the
-// table through the cache the primary's own planner binds under.
+// table manifest.
 func (s *Server) buildDelta(c modelstore.Change) ModelDelta {
 	d := ModelDelta{Kind: c.Kind, Name: c.Name}
-	if c.Kind == modelstore.ChangeDrop || c.Model == nil {
+	if c.Model == nil { // a drop
 		return d
 	}
 	rec := modelstore.RecordOf(c.Model)
 	d.Model = &rec
-	t, ok := s.eng.Catalog.Get(c.Model.Spec.Table)
-	if !ok {
-		return d
-	}
 	d.Table = s.tableMeta(c.Model.Spec.Table)
-	doms, ls, _, err := s.eng.AQPOptions().Cache.Get(t, c.Model)
-	if err != nil {
-		return d
-	}
-	d.Domains, d.DomainsOK = doms, true
-	if groups, inputs, width, exact := aqp.ExportLegalCombos(ls); exact {
-		d.LegalGroups, d.LegalInputs, d.LegalWidth, d.LegalOK = groups, inputs, width, true
-	}
 	return d
 }
 
@@ -153,34 +128,57 @@ func (s *Server) growthMap() map[string]float64 {
 	return g
 }
 
-// feedResponse assembles one subscribe/poll reply.
-func (s *Server) feedResponse(changes []modelstore.Change, next modelstore.Cursor, resync bool) *Response {
+// feedResponse assembles one subscribe/poll reply: the model deltas, then
+// an increment for each domain state of a model this session has shipped
+// whose table grew since the session's last reply. A resync ships every
+// state again from row 0.
+func (sess *session) feedResponse(changes []modelstore.Change, next modelstore.Cursor, resync bool) *Response {
+	srv := sess.srv
 	resp := &Response{
 		Done:     true,
 		Resync:   resync,
 		FeedTerm: next.Term,
 		FeedSeq:  next.Seq,
-		Growth:   s.growthMap(),
+		Growth:   srv.growthMap(),
 	}
-	if len(changes) > 0 {
-		resp.Deltas = make([]ModelDelta, 0, len(changes))
-		for _, c := range changes {
-			resp.Deltas = append(resp.Deltas, s.buildDelta(c))
+	if resync || sess.shipped == nil {
+		sess.shipped, sess.feed = map[string]*modelstore.CapturedModel{}, aqp.Feed{}
+	}
+	for _, c := range changes {
+		resp.Deltas = append(resp.Deltas, srv.buildDelta(c))
+		if c.Model == nil {
+			delete(sess.shipped, c.Name)
+		} else {
+			sess.shipped[c.Name] = c.Model
 		}
 	}
-	s.metrics.RecordDeltasSent(len(resp.Deltas))
+	var incs []DomainIncrement
+	cache := srv.eng.AQPOptions().Cache
+	for name, m := range sess.shipped {
+		if t, ok := srv.eng.Catalog.Get(m.Spec.Table); ok {
+			if inc, ok := sess.feed.Next(cache, t, m); ok {
+				incs = append(incs, DomainIncrement{Model: name, Increment: inc})
+			}
+		}
+	}
+	var err error
+	if resp.Increments, err = encodeIncrements(incs); err != nil {
+		return errResponse(err)
+	}
+	srv.metrics.RecordDeltasSent(len(resp.Deltas))
 	return resp
 }
 
 // handleSubscribe answers OpSubscribeModels: the full current catalog as
-// capture deltas, stamped with the cursor to poll from.
+// capture deltas, stamped with the cursor to poll from, and every domain
+// state from row 0.
 func (sess *session) handleSubscribe() *Response {
 	srv := sess.srv
 	srv.metrics.RecordSubscribe()
 	// A zero cursor can never match the store's term (terms start at 1),
 	// so this is always the resync path: the whole catalog plus FeedPos.
 	changes, next, _ := srv.eng.Models.ChangesSince(modelstore.Cursor{}, 0)
-	return srv.feedResponse(changes, next, true)
+	return sess.feedResponse(changes, next, true)
 }
 
 // handleModelDelta answers OpModelDelta: deltas past the client's cursor,
@@ -214,14 +212,14 @@ func (sess *session) handleModelDelta(req *Request) *Response {
 		wake := store.Watch()
 		changes, next, resync := store.ChangesSince(cur, max)
 		if len(changes) > 0 || resync || timeout == nil {
-			return srv.feedResponse(changes, next, resync)
+			return sess.feedResponse(changes, next, resync)
 		}
 		select {
 		case <-wake:
 		case <-timeout:
 			// Caught up: an empty reply hands the cursor back unchanged
 			// (next == cur here) with a fresh growth snapshot.
-			return srv.feedResponse(nil, next, false)
+			return sess.feedResponse(nil, next, false)
 		case <-sess.ctx.Done():
 			return errResponse(fmt.Errorf("server: %w: session closed", wireerr.ErrBadRequest))
 		case <-srv.done:

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"datalaws"
-	"datalaws/internal/aqp"
 	"datalaws/internal/modelstore"
 	"datalaws/internal/storage"
 	"datalaws/internal/table"
@@ -52,10 +51,10 @@ func (c *ReplicaConfig) withDefaults() ReplicaConfig {
 
 // Replicator keeps a replica engine's model catalog synchronized with a
 // primary's changefeed: subscribe for the full catalog, then long-poll for
-// deltas, installing each model (with its shipped planning artifacts) into
-// the local store. It doubles as the engine's aqp.Inflator: the primary's
-// reported growth plus measured feed lag widen every WITH ERROR bound the
-// replica serves.
+// deltas, installing each model into the local store and extending the
+// planner's domain states by the shipped increments. It doubles as the
+// engine's aqp.Inflator: the primary's reported growth plus measured feed
+// lag widen every WITH ERROR bound the replica serves.
 type Replicator struct {
 	// cat/models are held directly rather than through the engine: a
 	// replica has no WAL, deliberately — its durable state IS the
@@ -78,7 +77,7 @@ type Replicator struct {
 	growth    map[string]float64
 	lastSync  time.Time
 	connected bool
-	applied   uint64
+	syncs     uint64 // feed replies applied
 	resyncs   uint64
 }
 
@@ -98,7 +97,6 @@ func OpenReplica(addr string, cfg *ReplicaConfig) (*datalaws.Engine, *Replicator
 		addr:   addr,
 		cfg:    cfg.withDefaults(),
 		done:   make(chan struct{}),
-		growth: map[string]float64{},
 	}
 	eng.SetReplica(r)
 	return eng, r
@@ -144,17 +142,6 @@ func (r *Replicator) InflationFor(model string) float64 {
 	return f
 }
 
-// Lag reports the time since the last successful feed poll; ok is false
-// before the first sync.
-func (r *Replicator) Lag() (time.Duration, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.lastSync.IsZero() {
-		return 0, false
-	}
-	return time.Since(r.lastSync), true
-}
-
 // Connected reports whether the feed link to the primary is currently up.
 func (r *Replicator) Connected() bool {
 	r.mu.Lock()
@@ -162,11 +149,11 @@ func (r *Replicator) Connected() bool {
 	return r.connected
 }
 
-// Stats reports deltas applied and full resyncs since Start.
-func (r *Replicator) Stats() (applied, resyncs uint64) {
+// Stats reports feed replies applied and full resyncs since Start.
+func (r *Replicator) Stats() (syncs, resyncs uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.applied, r.resyncs
+	return r.syncs, r.resyncs
 }
 
 func (r *Replicator) setConnected(up bool) {
@@ -193,8 +180,7 @@ func (r *Replicator) run() {
 			return
 		default:
 		}
-		cur, err := r.syncOnce()
-		if err != nil {
+		if err := r.syncOnce(); err != nil {
 			r.setConnected(false)
 			r.cfg.Logf("replica: feed to %s down: %v (retry in %s)", r.addr, err, backoff)
 			select {
@@ -208,48 +194,42 @@ func (r *Replicator) run() {
 			continue
 		}
 		backoff = r.cfg.RedialBackoff / 8
-		_ = cur
 	}
 }
 
 // syncOnce runs one feed session: subscribe, apply the resync, then poll
 // until an error (redial) or Stop. Returns nil only on Stop.
-func (r *Replicator) syncOnce() (modelstore.Cursor, error) {
-	var cur modelstore.Cursor
+func (r *Replicator) syncOnce() error {
 	c, err := Dial(r.addr)
 	if err != nil {
-		return cur, err
+		return err
 	}
 	defer func() { _ = c.Close() }()
 	batch, err := c.SubscribeModels()
 	if err != nil {
-		return cur, err
+		return err
 	}
 	r.setConnected(true)
-	if err := r.applyBatch(batch); err != nil {
-		return cur, err
-	}
-	cur = modelstore.Cursor{Term: batch.Term, Seq: batch.Seq}
 	for {
+		if err := r.applyBatch(batch); err != nil {
+			return err
+		}
 		select {
 		case <-r.done:
-			return cur, nil
+			return nil
 		default:
 		}
-		batch, err := c.PollDeltas(cur.Term, cur.Seq, r.cfg.PollWait, r.cfg.MaxDeltas)
-		if err != nil {
-			return cur, err
+		if batch, err = c.PollDeltas(batch.Term, batch.Seq, r.cfg.PollWait, r.cfg.MaxDeltas); err != nil {
+			return err
 		}
-		if err := r.applyBatch(batch); err != nil {
-			return cur, err
-		}
-		cur = modelstore.Cursor{Term: batch.Term, Seq: batch.Seq}
 	}
 }
 
 // applyBatch installs one feed reply: on resync, models the batch does not
 // mention are dropped first (they no longer exist on the primary); then
-// each delta applies in feed order, and the growth/lag snapshot updates.
+// each delta applies in feed order, then each domain increment, and the
+// growth/lag snapshot updates. A malformed reply is an error, never a
+// panic, and the caller redials and resyncs.
 func (r *Replicator) applyBatch(b *DeltaBatch) error {
 	if b.Resync {
 		keep := make(map[string]bool, len(b.Deltas))
@@ -271,13 +251,15 @@ func (r *Replicator) applyBatch(b *DeltaBatch) error {
 		}
 		applied++
 	}
-	r.mu.Lock()
-	r.growth = b.Growth
-	if r.growth == nil {
-		r.growth = map[string]float64{}
+	for i := range b.Increments {
+		if err := r.applyIncrement(&b.Increments[i]); err != nil {
+			return fmt.Errorf("replica: applying increment for %q: %w", b.Increments[i].Model, err)
+		}
 	}
+	r.mu.Lock()
+	r.growth = b.Growth // read only; a nil map reads as no growth
 	r.lastSync = time.Now()
-	r.applied += uint64(applied)
+	r.syncs++
 	if b.Resync {
 		r.resyncs++
 	}
@@ -292,9 +274,7 @@ func (r *Replicator) applyBatch(b *DeltaBatch) error {
 	return nil
 }
 
-// applyDelta installs or removes one model, registering its stub table and
-// priming the planner caches with the shipped enumeration artifacts, so
-// local planning finds them instead of scanning the (empty) stub.
+// applyDelta installs or removes one model, registering its stub table.
 func (r *Replicator) applyDelta(d ModelDelta) error {
 	if d.Kind == modelstore.ChangeDrop {
 		r.models.Uninstall(d.Name)
@@ -307,36 +287,38 @@ func (r *Replicator) applyDelta(d ModelDelta) error {
 	if err != nil {
 		return err
 	}
-	t, err := r.ensureStubTable(d.Table, cm.Spec.Table)
-	if err != nil {
+	if err := r.ensureStubTable(d.Table, cm.Spec.Table); err != nil {
 		return err
 	}
 	r.models.Install(cm)
-	if t != nil {
-		// Without an exact legal set from the primary, admit every grid
-		// combination rather than none. d.Domains is nil unless DomainsOK.
-		var legal aqp.LegalSet = aqp.AllowAll{}
-		if d.LegalOK {
-			legal = aqp.LegalSetFromCombos(d.LegalGroups, d.LegalInputs, d.LegalWidth)
-		}
-		r.eng.AQPOptions().Cache.Prime(t, cm, d.Domains, legal)
-	}
 	return nil
+}
+
+// applyIncrement extends the planner's domain state of the named model's
+// inputs, the one local planning binds against instead of enumerating the
+// (empty) stub.
+func (r *Replicator) applyIncrement(inc *DomainIncrement) error {
+	m, ok := r.models.Get(inc.Model)
+	if !ok {
+		return fmt.Errorf("no such model")
+	}
+	t, ok := r.cat.Get(m.Spec.Table)
+	if !ok {
+		// The model shipped without its table: nothing binds against it.
+		return nil
+	}
+	return r.eng.AQPOptions().Cache.Apply(t, m, &inc.Increment)
 }
 
 // ensureStubTable registers the zero-row table a shipped model binds
 // against (partitioned families register the whole parent, so every
 // sibling child exists once the first family member arrives). The stub
-// never receives rows, so a primed domain state stays valid until the next
-// delta re-primes it.
-func (r *Replicator) ensureStubTable(tm *TableMeta, name string) (*table.Table, error) {
-	if t, ok := r.cat.Get(name); ok {
-		return t, nil
-	}
-	if tm == nil {
-		// The primary's table vanished between publish and ship; the model
-		// still installs, but without a table the planner cannot bind it.
-		return nil, nil
+// never receives rows; the shipped increments stand in for them.
+func (r *Replicator) ensureStubTable(tm *TableMeta, name string) error {
+	if _, ok := r.cat.Get(name); ok || tm == nil {
+		// A nil manifest: the primary's table vanished between publish and
+		// ship; the model still installs, but the planner cannot bind it.
+		return nil
 	}
 	defs := make([]table.ColumnDef, len(tm.Cols))
 	for i, c := range tm.Cols {
@@ -344,21 +326,21 @@ func (r *Replicator) ensureStubTable(tm *TableMeta, name string) (*table.Table, 
 	}
 	schema, err := table.NewSchema(defs...)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if tm.Parent != "" {
-		ranges := make([]table.RangePartition, len(tm.Ranges))
-		for i, rg := range tm.Ranges {
-			ranges[i] = table.RangePartition{Name: rg.Name, Upper: rg.Upper, Max: rg.Max}
-		}
-		if _, err := r.cat.CreatePartitioned(tm.Parent, schema, tm.Column, ranges); err != nil {
-			return nil, err
-		}
-		t, ok := r.cat.Get(name)
-		if !ok {
-			return nil, fmt.Errorf("partition child %q missing after creating %q", name, tm.Parent)
-		}
-		return t, nil
+	if tm.Parent == "" {
+		_, err = r.cat.Create(name, schema)
+		return err
 	}
-	return r.cat.Create(name, schema)
+	ranges := make([]table.RangePartition, len(tm.Ranges))
+	for i, rg := range tm.Ranges {
+		ranges[i] = table.RangePartition{Name: rg.Name, Upper: rg.Upper, Max: rg.Max}
+	}
+	if _, err := r.cat.CreatePartitioned(tm.Parent, schema, tm.Column, ranges); err != nil {
+		return err
+	}
+	if _, ok := r.cat.Get(name); !ok {
+		return fmt.Errorf("partition child %q missing after creating %q", name, tm.Parent)
+	}
+	return nil
 }

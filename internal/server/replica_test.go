@@ -409,3 +409,102 @@ func TestDrainUnblocksFeedLongPoll(t *testing.T) {
 		t.Fatalf("shutdown did not complete cleanly: %v", err)
 	}
 }
+
+// awaitPollAfter waits until a feed poll that started after this call has
+// been applied: the poll in flight now completes first, then the next.
+func awaitPollAfter(t *testing.T, rep *Replicator) {
+	t.Helper()
+	s0, _ := rep.Stats()
+	waitFor(t, "a replica poll started after the append", func() bool {
+		s, _ := rep.Stats()
+		return s >= s0+2
+	})
+}
+
+// sameAnswer runs q on the primary engine and over the replica's wire and
+// requires identical rows.
+func sameAnswer(t *testing.T, peng *datalaws.Engine, cli *Client, q string) {
+	t.Helper()
+	want := peng.MustExec(q).Rows
+	rows, err := cli.Query(q)
+	if err != nil {
+		t.Fatalf("replica %s: %v", q, err)
+	}
+	defer func() { _ = rows.Close() }()
+	var got [][]expr.Value
+	for rows.Next() {
+		got = append(got, rows.Row())
+	}
+	if rows.Err() != nil {
+		t.Fatalf("replica %s: %v", q, rows.Err())
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s: replica %v, primary %v", q, got, want)
+	}
+}
+
+// TestReplicaFollowsAppendsWithoutRefit appends rows on the primary with no
+// refit: the replica's legal set must follow within one poll, so that
+// counts, group sums and point lookups on the new combinations match the
+// primary's.
+func TestReplicaFollowsAppendsWithoutRefit(t *testing.T) {
+	srv, peng := newPrimary(t)
+	reng, rep, cli := newReplica(t, srv.Addr())
+	replicaHasModel(t, reng, "law", 1)
+	for _, step := range []struct {
+		what string
+		row  []expr.Value
+	}{
+		// A new nu for a fitted source, then a new combination of a source
+		// and a nu that both exist already.
+		{"new value", []expr.Value{expr.Int(1), expr.Float(2.25), expr.Float(3*2.25 + 1)}},
+		{"new combination", []expr.Value{expr.Int(2), expr.Float(2.25), expr.Float(4*2.25 + 2)}},
+	} {
+		if _, err := peng.Append("m", [][]expr.Value{step.row}); err != nil {
+			t.Fatal(err)
+		}
+		awaitPollAfter(t, rep)
+		if m, _ := reng.Models.Get("law"); m.Version != 1 {
+			t.Fatalf("%s: replica model version %d, want no refit", step.what, m.Version)
+		}
+		sameAnswer(t, peng, cli, "APPROX SELECT count(*) FROM m")
+		sameAnswer(t, peng, cli, "APPROX SELECT source, sum(intensity) FROM m GROUP BY source")
+		sameAnswer(t, peng, cli, fmt.Sprintf("APPROX SELECT intensity FROM m WHERE source = %d AND nu = 2.25", step.row[0].I))
+	}
+	if res := peng.MustExec("APPROX SELECT count(*) FROM m WHERE nu = 2.25"); res.Rows[0][0].I != 2 {
+		t.Fatalf("primary: %v combinations at nu = 2.25, want 2", res.Rows[0][0])
+	}
+}
+
+// TestReplicaStateReplacedOnTableRecreate drops the primary's table and
+// re-creates it under the same name with other frequencies and more rows
+// than before: the state the replica built from the old table's increments
+// is replaced from row 0, not extended past the old row count.
+func TestReplicaStateReplacedOnTableRecreate(t *testing.T) {
+	srv, peng := newPrimary(t)
+	reng, rep, cli := newReplica(t, srv.Addr())
+	replicaHasModel(t, reng, "law", 1)
+	peng.MustExec("DROP TABLE m")
+	peng.MustExec("CREATE TABLE m (source BIGINT, nu DOUBLE, intensity DOUBLE)")
+	var rows [][]expr.Value
+	for rep := 0; rep < 4; rep++ {
+		for s := 0; s < 3; s++ {
+			for _, nu := range []float64{3, 4, 5} {
+				rows = append(rows, []expr.Value{expr.Int(int64(s)), expr.Float(nu), expr.Float((2+float64(s))*nu + float64(s))})
+			}
+		}
+	}
+	if _, err := peng.Append("m", rows); err != nil {
+		t.Fatal(err)
+	}
+	peng.MustExec(`FIT MODEL law ON m AS 'intensity ~ a * nu + b'
+		INPUTS (nu) GROUP BY source START (a = 1, b = 0)`)
+	waitFor(t, "the re-captured model", func() bool {
+		m, ok := reng.Models.Get("law")
+		return ok && m.Spec.Table == "m" && m.Quality.GroupsOK == 3
+	})
+	awaitPollAfter(t, rep)
+	sameAnswer(t, peng, cli, "APPROX SELECT count(*) FROM m")
+	sameAnswer(t, peng, cli, "APPROX SELECT source, sum(intensity) FROM m GROUP BY source")
+	sameAnswer(t, peng, cli, "APPROX SELECT count(*) FROM m WHERE nu = 0.5")
+}

@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"datalaws"
+	"datalaws/internal/aqp"
 	"datalaws/internal/expr"
+	"datalaws/internal/modelstore"
 	"datalaws/internal/wireerr"
 )
 
@@ -194,6 +196,11 @@ type session struct {
 	nextCursor uint64
 
 	openCursors atomic.Int64
+
+	// What this session shipped on the model changefeed: the models, and
+	// the domain states the replica holds.
+	shipped map[string]*modelstore.CapturedModel
+	feed    aqp.Feed
 }
 
 func (s *Server) serveConn(conn net.Conn) {

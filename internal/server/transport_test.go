@@ -163,7 +163,7 @@ func TestClientPoisonedAfterTransportError(t *testing.T) {
 // TestFrameAllocBudget bounds one frame encode + decode, the per-round-trip
 // floor every statement pays: a two-argument prepared-statement request and
 // a one-row, three-column point reply. The budgets are the counts measured
-// with go1.24 (251 and 714) plus 3%, so a new field on Request or Response
+// with go1.24 (251 and 646) plus 3%, so a new field on Request or Response
 // (each frame re-sends its gob type descriptors) fails the test.
 func TestFrameAllocBudget(t *testing.T) {
 	req := &Request{Op: OpStmtQuery, StmtID: 1, Args: []expr.Value{expr.Int(42), expr.Float(0.14)}}
@@ -179,7 +179,7 @@ func TestFrameAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"stmt-query request", req, func() any { return new(Request) }, 258},
-		{"point reply", reply, func() any { return new(Response) }, 735},
+		{"point reply", reply, func() any { return new(Response) }, 665},
 	} {
 		var buf bytes.Buffer
 		allocs := testing.AllocsPerRun(200, func() {

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 
+	"datalaws/internal/aqp"
 	"datalaws/internal/expr"
 )
 
@@ -159,18 +160,21 @@ type Response struct {
 	PartitionsPruned int
 
 	// Replication payload (OpSubscribeModels, OpModelDelta). Deltas carry
-	// model parameters and table manifests, never rows; FeedTerm/FeedSeq is
-	// the cursor to poll from next; Resync marks a reply that replaces the
+	// model parameters and table manifests, never rows; Increments carry
+	// what the rows appended since the session's last reply add to the
+	// domain states those models bind against; FeedTerm/FeedSeq is the
+	// cursor to poll from next; Resync marks a reply that replaces the
 	// subscriber's whole catalog rather than extending it (first subscribe,
 	// or a poll whose cursor the primary could no longer serve
 	// incrementally). Growth maps model name → fraction of unmodeled rows
 	// appended since that model's fit, shipped on every reply so the
 	// replica can widen its intervals for staleness it cannot observe.
-	Deltas   []ModelDelta
-	FeedTerm uint64
-	FeedSeq  uint64
-	Resync   bool
-	Growth   map[string]float64
+	Deltas     []ModelDelta
+	Increments []byte // a gob of []DomainIncrement: see encodeIncrements
+	FeedTerm   uint64
+	FeedSeq    uint64
+	Resync     bool
+	Growth     map[string]float64
 }
 
 // DefaultMaxFrame bounds a single frame's payload. Row batches dominate
@@ -233,4 +237,39 @@ func readMsg(r io.Reader, v any, max int) error {
 		return fmt.Errorf("server: decode: %w", err)
 	}
 	return nil
+}
+
+// DomainIncrement is one domain state's increment on the wire, named by a
+// shipped model that binds against the state (models with the same table,
+// group column and inputs share one).
+type DomainIncrement struct {
+	Model string
+	aqp.Increment
+}
+
+// encodeIncrements gob-encodes a reply's increments as a stream of their
+// own, nil when there are none. Every frame re-sends the gob type preamble
+// of Response, so frames of other replies pay for one []byte field, not for
+// the increment's types.
+func encodeIncrements(incs []DomainIncrement) ([]byte, error) {
+	if len(incs) == 0 {
+		return nil, nil
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(incs); err != nil {
+		return nil, fmt.Errorf("server: encode increments: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+// decodeIncrements parses what encodeIncrements wrote. It checks only that
+// the bytes parse; whether an increment fits the state it extends is
+// aqp.Cache.Apply's to check.
+func decodeIncrements(b []byte) (incs []DomainIncrement, err error) {
+	if len(b) > 0 {
+		if err = gob.NewDecoder(bytes.NewReader(b)).Decode(&incs); err != nil {
+			return nil, fmt.Errorf("server: decode increments: %w", err)
+		}
+	}
+	return incs, nil
 }

@@ -63,7 +63,7 @@ func benchReplica(b *testing.B, addr string) (*datalaws.Engine, *server.Replicat
 
 // BenchmarkReplicaDeltaApply measures end-to-end delta propagation: one
 // REFIT on the primary until the new version is installed and queryable on
-// the replica (publish, long-poll wake, wire, rebuild, cache prime).
+// the replica (publish, long-poll wake, wire, install).
 func BenchmarkReplicaDeltaApply(b *testing.B) {
 	srv, peng := benchPrimary(b)
 	reng, _ := benchReplica(b, srv.Addr())

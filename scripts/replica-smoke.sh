@@ -2,7 +2,8 @@
 # End-to-end smoke of model-shipping replication: boot a primary datalawsd
 # with data and a fitted model, boot a second datalawsd as -replica-of the
 # primary, and assert the replica (which never held a raw row) answers
-# APPROX queries over the wire, rejects exact/ingest statements with the
+# APPROX queries over the wire, follows a row appended on the primary
+# without a refit, rejects exact/ingest statements with the
 # replica_readonly code, and reports a fresh feed in /metrics. Both
 # processes must then drain cleanly on SIGTERM. Matches the CI
 # "replica smoke" step.
@@ -56,8 +57,9 @@ replica_addr="$(sed -n 1p "$workdir/replica.ports")"
 replica_metrics="$(sed -n 2p "$workdir/replica.ports")"
 echo "replica-smoke: primary on $primary_addr, replica on $replica_addr"
 
-# The checker retries internally while the first sync lands.
-go run scripts/replica_check.go -replica "$replica_addr"
+# The checker retries internally while the first sync lands, then appends
+# a row on the primary and waits for the replica's legal set to admit it.
+go run scripts/replica_check.go -replica "$replica_addr" -primary "$primary_addr"
 
 scrape="$(curl -fsS "http://$replica_metrics/metrics")"
 echo "$scrape" | grep -E '^datalaws_replica_(connected|lag_seconds|deltas_applied_total) ' || {
