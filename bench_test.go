@@ -183,107 +183,72 @@ func BenchmarkFlateBaseline(b *testing.B) {
 	}
 }
 
-// --- T2b: zero-IO scan vs exact scan, row vs batch execution ---
-
-// execModes drives the row-vs-batch benchmark pairs: "batch" lowers to the
-// vectorized pipeline (the engine default), "row" forces the volcano path.
-var execModes = []struct {
-	name string
-	mode exec.Mode
-}{
-	{"batch", exec.ModeAuto},
-	{"row", exec.ModeRow},
-}
+// --- T2b: zero-IO scan vs exact scan ---
 
 func BenchmarkZeroIOScan(b *testing.B) {
-	for _, m := range execModes {
-		b.Run(m.name, func(b *testing.B) {
-			e, _, _, _ := benchEngine(b, 1000, 0)
-			e.AQP.ExecMode = m.mode
-			const q = "APPROX SELECT avg(intensity) FROM measurements WHERE nu = 0.12"
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Exec(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	e, _, _, _ := benchEngine(b, 1000, 0)
+	const q = "APPROX SELECT avg(intensity) FROM measurements WHERE nu = 0.12"
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Exec(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkExactScanBaseline(b *testing.B) {
-	for _, m := range execModes {
-		b.Run(m.name, func(b *testing.B) {
-			e, _, _, _ := benchEngine(b, 1000, 0)
-			e.ExecMode = m.mode
-			const q = "SELECT avg(intensity) FROM measurements WHERE nu = 0.12"
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Exec(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	e, _, _, _ := benchEngine(b, 1000, 0)
+	const q = "SELECT avg(intensity) FROM measurements WHERE nu = 0.12"
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Exec(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // --- V1: vectorized operator microbenchmarks (filter, aggregate, project) ---
 
 func BenchmarkVectorizedFilterAggregate(b *testing.B) {
-	for _, m := range execModes {
-		b.Run(m.name, func(b *testing.B) {
-			e, tb, _, _ := benchEngine(b, 1000, 0)
-			e.ExecMode = m.mode
-			const q = "SELECT count(*), avg(intensity) FROM measurements WHERE nu < 0.13 AND intensity > 0.01"
-			b.SetBytes(int64(16 * tb.NumRows()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Exec(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	e, tb, _, _ := benchEngine(b, 1000, 0)
+	const q = "SELECT count(*), avg(intensity) FROM measurements WHERE nu < 0.13 AND intensity > 0.01"
+	b.SetBytes(int64(16 * tb.NumRows()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Exec(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkVectorizedGroupBy(b *testing.B) {
-	for _, m := range execModes {
-		b.Run(m.name, func(b *testing.B) {
-			e, tb, _, _ := benchEngine(b, 1000, 0)
-			e.ExecMode = m.mode
-			const q = "SELECT source, avg(intensity), max(intensity) FROM measurements GROUP BY source"
-			b.SetBytes(int64(16 * tb.NumRows()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Exec(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	e, tb, _, _ := benchEngine(b, 1000, 0)
+	const q = "SELECT source, avg(intensity), max(intensity) FROM measurements GROUP BY source"
+	b.SetBytes(int64(16 * tb.NumRows()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Exec(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 func BenchmarkVectorizedProjection(b *testing.B) {
-	for _, m := range execModes {
-		b.Run(m.name, func(b *testing.B) {
-			e, tb, _, _ := benchEngine(b, 200, 0)
-			e.ExecMode = m.mode
-			const q = "SELECT sum(intensity * 2.0 + nu / 0.12) FROM measurements"
-			b.SetBytes(int64(16 * tb.NumRows()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Exec(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	e, tb, _, _ := benchEngine(b, 200, 0)
+	const q = "SELECT sum(intensity * 2.0 + nu / 0.12) FROM measurements"
+	b.SetBytes(int64(16 * tb.NumRows()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Exec(q); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // BenchmarkVectorizedModelScan measures the zero-IO scan operator itself:
 // the batch side consumes columnar batches natively (summing the predicted
-// output column), the row side pulls boxed rows — both regenerate and fold
-// the full 80k-row grid of the linear sensor model.
+// output column), the row side pulls boxed rows through the row adapter —
+// both regenerate and fold the full 80k-row grid of the linear sensor model.
 func BenchmarkVectorizedModelScan(b *testing.B) {
 	_, m, doms := sensorModel(b, 4000)
 	rows := int64(20 * 4001)
@@ -295,9 +260,9 @@ func BenchmarkVectorizedModelScan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			srcs, ok := scan.SplitMorsels(1)
-			if !ok {
-				b.Fatal("model scan did not vectorize")
+			srcs, err := scan.SplitMorsels(1)
+			if err != nil {
+				b.Fatal(err)
 			}
 			vop := srcs[0]
 			if err := vop.Open(); err != nil {
@@ -999,7 +964,7 @@ func BenchmarkDriftObserve(b *testing.B) {
 // parallelWorkerCounts are the sub-benchmark pool sizes; workers=1 is the
 // serial baseline the ISSUE's speedup targets compare against. Speedups
 // only materialize with as many free cores, so run these on a 4+ core
-// machine (scripts/bench.sh parallel).
+// machine.
 var parallelWorkerCounts = []int{1, 2, 4, 8}
 
 // parallelBenchEngine builds an engine holding one wide synthetic table

@@ -82,10 +82,6 @@ type Engine struct {
 	Models *modelstore.Store
 	// AQP configures the approximate query path.
 	AQP aqp.Options
-	// ExecMode selects batch (vectorized) or row execution for exact
-	// queries; the zero value lowers to the batch pipeline whenever
-	// possible. Approximate queries follow AQP.ExecMode.
-	ExecMode exec.Mode
 	// Parallelism bounds the morsel-driven worker pool for exact query
 	// pipelines: 0 selects GOMAXPROCS, 1 forces the serial pipeline.
 	// Approximate queries follow AQP.Parallelism; SetParallelism points
@@ -95,9 +91,9 @@ type Engine struct {
 	// plans memoizes compiled statements for unprepared Query/Exec traffic.
 	plans *planCache
 
-	// knobMu guards the execution knobs (ExecMode, Parallelism, AQP)
-	// against SetParallelism racing queries on other sessions; per-query
-	// reads go through execOptions/aqpOptions. Sessions that assign the
+	// knobMu guards the execution knobs (Parallelism, AQP) against
+	// SetParallelism racing queries on other sessions; per-query reads go
+	// through parallelism/aqpOptions. Sessions that assign the
 	// exported fields directly should do so before serving traffic.
 	knobMu sync.RWMutex
 	// replica marks a model-only read replica (SetReplica): mutations and
@@ -473,7 +469,7 @@ func (e *Engine) execExplain(s *sql.ExplainStmt) (*Result, error) {
 		return &Result{Info: info, Model: plan.Model.Spec.Name, ApproxGrid: plan.GridRows, Hybrid: plan.Hybrid,
 			Partitions: plan.PartsTotal, PartitionsPruned: plan.PartsPruned}, nil
 	}
-	op, err := exec.BuildSelectOpts(e.Catalog, s.Inner, nil, e.execOptions())
+	op, err := exec.BuildSelect(e.Catalog, s.Inner, nil, e.parallelism())
 	if err != nil {
 		return nil, err
 	}
@@ -487,11 +483,11 @@ func (e *Engine) execExplain(s *sql.ExplainStmt) (*Result, error) {
 //lint:ignore walgate RegisterTable predates AttachWAL by contract; registration is deliberately unlogged
 func (e *Engine) RegisterTable(t *table.Table) error { return e.Catalog.Add(t) }
 
-// execOptions bundles the engine's exact-pipeline execution knobs.
-func (e *Engine) execOptions() exec.Options {
+// parallelism snapshots the exact pipelines' worker budget.
+func (e *Engine) parallelism() int {
 	e.knobMu.RLock()
 	defer e.knobMu.RUnlock()
-	return exec.Options{Mode: e.ExecMode, Parallelism: e.Parallelism}
+	return e.Parallelism
 }
 
 // aqpOptions snapshots the approximate-planning options for one execution.

@@ -166,6 +166,11 @@ func TestApproxFallbackExact(t *testing.T) {
 	if len(res.Rows) != 1 {
 		t.Fatalf("rows = %v", res.Rows)
 	}
+	// A statement whose exact plan cannot be built either (it projects a
+	// model-only bound column) reports the approximate-planning error.
+	if _, err := e.Exec("APPROX SELECT intensity_lo FROM measurements WHERE nu = 0.15 WITH ERROR"); !errors.Is(err, ErrNoModel) {
+		t.Fatalf("model-only column with fallback: want ErrNoModel, got %v", err)
+	}
 	// Once a model exists, the same statement routes back through it.
 	e.MustExec(`FIT MODEL spectra ON measurements
 		AS 'intensity ~ p * pow(nu, alpha)'

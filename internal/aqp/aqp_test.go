@@ -101,7 +101,7 @@ func TestModelScanGeneratesGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.Drain(scan)
+	rows, err := drainLowered(t, scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestModelScanWithErrorBounds(t *testing.T) {
 	}
 	scan.WithError = true
 	scan.Level = 0.95
-	rows, err := exec.Drain(scan)
+	rows, err := drainLowered(t, scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestAnalyticAggregatesLinearModel(t *testing.T) {
 	}
 	// Enumerate via ModelScan for the reference.
 	scan, _ := NewModelScan(m, doms, nil)
-	rows, err := exec.Drain(scan)
+	rows, err := drainLowered(t, scan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestBuildApproxSelectRangeQuery(t *testing.T) {
 	}
 	// Exact reference.
 	exactStmt, _ := sql.Parse("SELECT source, intensity FROM measurements WHERE nu = 0.12 AND intensity > 3.0")
-	exOp, err := exec.BuildSelect(cat, exactStmt.(*sql.SelectStmt))
+	exOp, err := exec.BuildSelect(cat, exactStmt.(*sql.SelectStmt), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestBuildApproxAggregates(t *testing.T) {
 	}
 	// Exact average per measurement (multiple obs per source at 0.12).
 	ex, _ := sql.Parse("SELECT avg(intensity) FROM measurements WHERE nu = 0.12")
-	exOp, _ := exec.BuildSelect(cat, ex.(*sql.SelectStmt))
+	exOp, _ := exec.BuildSelect(cat, ex.(*sql.SelectStmt), nil, 1)
 	exRows, _ := exec.Drain(exOp)
 	rel := math.Abs(rows[0][1].F-exRows[0][0].F) / exRows[0][0].F
 	if rel > 0.1 {
@@ -417,6 +417,9 @@ func TestHybridPartialCoverage(t *testing.T) {
 	if !plan.Hybrid {
 		t.Fatal("plan should be hybrid")
 	}
+	if err := exec.OnePipeline(exec.PlanString(plan.Op)); err != nil {
+		t.Fatal(err)
+	}
 	rows, err := exec.Drain(plan.Op)
 	if err != nil {
 		t.Fatal(err)
@@ -424,9 +427,20 @@ func TestHybridPartialCoverage(t *testing.T) {
 	// nu < 0.13 lies outside the model region, so the answer must equal the
 	// exact count of raw 0.12-band rows.
 	ex, _ := sql.Parse("SELECT count(*) FROM measurements WHERE nu < 0.13")
-	exOp, _ := exec.BuildSelect(cat, ex.(*sql.SelectStmt))
+	exOp, _ := exec.BuildSelect(cat, ex.(*sql.SelectStmt), nil, 1)
 	exRows, _ := exec.Drain(exOp)
 	if rows[0][0].I != exRows[0][0].I {
 		t.Fatalf("hybrid raw side: %v vs exact %v", rows[0][0], exRows[0][0])
 	}
+}
+
+// drainLowered runs a model scan the way plans do, as a one-worker
+// pipeline, and materializes it.
+func drainLowered(t *testing.T, scan *ModelScan) ([]exec.Row, error) {
+	t.Helper()
+	op, err := exec.Lower(scan, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return exec.Drain(op)
 }

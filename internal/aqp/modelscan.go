@@ -5,17 +5,17 @@ import (
 	"math"
 
 	"datalaws/internal/exec"
-	"datalaws/internal/expr"
 	"datalaws/internal/modelstore"
 	"datalaws/internal/stats"
 )
 
-// ModelScan is the paper's zero-IO scan (§4.1): an exec.Operator that
+// ModelScan is the paper's zero-IO scan (§4.1): a plan node that
 // regenerates tuples from a captured model and its parameter table instead
 // of reading stored measurements. Output columns mirror the base table
 // (group column, input columns, predicted output), so the relational
 // pipeline above is unchanged; with WithError, <output>_lo and <output>_hi
-// prediction-interval bounds are appended.
+// prediction-interval bounds are appended. Plans run it as vector scans
+// (SplitMorsels).
 type ModelScan struct {
 	Model *modelstore.CapturedModel
 	// Domains enumerates each input column's legal values, in model input
@@ -37,18 +37,12 @@ type ModelScan struct {
 	// TableName qualifies output column names; defaults to the model's
 	// table.
 	TableName string
-	// Interruptible binds the statement context so grid enumeration stops
-	// promptly on cancellation, even when the legal set rejects long runs of
-	// combinations without emitting a row.
+	// Interruptible holds the statement context a row plan binds, for the
+	// pipeline Open runs; lowered plans bind each vector scan instead.
 	exec.Interruptible
 
-	cols     []string
-	groupIdx int
-	comboIdx []int
-	done     bool
-	scratch  []float64
-	grad     []float64
-	rowsOut  int
+	cols []string
+	run  exec.Operator // Open's one-worker pipeline
 }
 
 // NewModelScan validates and constructs a scan.
@@ -100,91 +94,19 @@ func (s *ModelScan) orderKeys() []int64 {
 	return s.Model.Order
 }
 
-// Open implements exec.Operator.
+// Open implements exec.Operator, so the scan can stand in a plan as a row
+// operator: it runs as a one-worker pipeline read through the row adapter.
 func (s *ModelScan) Open() error {
-	if s.Level == 0 {
-		s.Level = 0.95
+	run, err := exec.Lower(s, 1)
+	if err != nil {
+		return err
 	}
-	s.groupIdx = 0
-	s.comboIdx = make([]int, len(s.Domains))
-	s.done = len(s.orderKeys()) == 0
-	np := len(s.Model.Model.Params)
-	s.scratch = make([]float64, np+len(s.Model.Model.Inputs))
-	s.grad = make([]float64, np)
-	s.rowsOut = 0
-	s.ResetInterrupt()
-	// Skip leading failed groups.
-	s.skipBadGroups()
-	return nil
-}
-
-func (s *ModelScan) skipBadGroups() {
-	order := s.orderKeys()
-	for s.groupIdx < len(order) {
-		key := order[s.groupIdx]
-		if g, ok := s.Model.Groups[key]; ok && g.OK() {
-			return
-		}
-		s.groupIdx++
-	}
-	s.done = true
+	s.run = exec.BindContext(run, s.Context())
+	return s.run.Open()
 }
 
 // Next implements exec.Operator.
-func (s *ModelScan) Next() (exec.Row, error) {
-	model := s.Model.Model
-	order := s.orderKeys()
-	for {
-		if err := s.CheckInterrupt(); err != nil {
-			return nil, err
-		}
-		if s.done || s.groupIdx >= len(order) {
-			return nil, nil
-		}
-		key := order[s.groupIdx]
-		g := s.Model.Groups[key]
-
-		inputs := make([]float64, len(s.Domains))
-		for i, d := range s.Domains {
-			inputs[i] = d.Vals[s.comboIdx[i]]
-		}
-		s.advance()
-
-		if s.Legal != nil && !s.Legal.Contains(key, inputs) {
-			continue
-		}
-
-		yhat := model.EvalInto(s.scratch, g.Params, inputs)
-		row := make(exec.Row, 0, len(s.Columns()))
-		if s.Model.Grouped() {
-			row = append(row, expr.Int(key))
-		}
-		for _, v := range inputs {
-			row = append(row, expr.Float(v))
-		}
-		row = append(row, expr.Float(yhat))
-		if s.WithError {
-			lo, hi := s.predictionInterval(g, inputs, yhat, s.grad)
-			row = append(row, expr.Float(lo), expr.Float(hi))
-		}
-		s.rowsOut++
-		return row, nil
-	}
-}
-
-// advance moves the (group, combo) cursor one step in odometer order.
-func (s *ModelScan) advance() {
-	for i := len(s.comboIdx) - 1; i >= 0; i-- {
-		s.comboIdx[i]++
-		if s.comboIdx[i] < len(s.Domains[i].Vals) {
-			return
-		}
-		s.comboIdx[i] = 0
-	}
-	// Odometer wrapped: next group.
-	s.groupIdx++
-	s.skipBadGroups()
-}
+func (s *ModelScan) Next() (exec.Row, error) { return s.run.Next() }
 
 // predictionInterval computes the delta-method prediction interval from the
 // stored per-group covariance — the "error bounds" annotation of Figure 2
@@ -213,10 +135,12 @@ func (s *ModelScan) predictionInterval(g *modelstore.GroupParams, inputs []float
 }
 
 // Close implements exec.Operator.
-func (s *ModelScan) Close() error { return nil }
-
-// RowsEmitted reports how many rows the last run produced.
-func (s *ModelScan) RowsEmitted() int { return s.rowsOut }
+func (s *ModelScan) Close() error {
+	if s.run == nil {
+		return nil
+	}
+	return s.run.Close()
+}
 
 // PointLookup answers the paper's first example query — a point query on
 // (group, inputs) — directly from the parameter table: one hash lookup and

@@ -129,7 +129,7 @@ func (p *Prepared) bindPartitioned(st *sql.SelectStmt) (*Plan, error) {
 		source = &exec.Concat{Children: sources}
 	}
 
-	op, err := exec.BuildSelectOpts(p.cat, st, source, exec.Options{Mode: p.opts.ExecMode, Parallelism: p.opts.Parallelism})
+	op, err := exec.BuildSelect(p.cat, st, source, p.opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}

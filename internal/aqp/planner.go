@@ -21,9 +21,6 @@ type Options struct {
 	// Cache keeps one domain state per table and model inputs across
 	// queries, extended on append (nil rebuilds it on every bind).
 	Cache *Cache
-	// ExecMode selects batch (vectorized) or row execution for the plan; the
-	// zero value lowers to the batch pipeline whenever possible.
-	ExecMode exec.Mode
 	// Parallelism is the worker budget of the lowered plan (0 = GOMAXPROCS,
 	// 1 = one worker). Grouped model scans split across workers by
 	// parameter-table ranges; one-group scans and ungrouped models are a
@@ -289,7 +286,7 @@ func (p *Prepared) Bind(st *sql.SelectStmt) (*Plan, error) {
 		}}
 	}
 
-	op, err := exec.BuildSelectOpts(p.cat, st, source, exec.Options{Mode: p.opts.ExecMode, Parallelism: p.opts.Parallelism})
+	op, err := exec.BuildSelect(p.cat, st, source, p.opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}

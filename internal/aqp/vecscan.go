@@ -10,30 +10,30 @@ import (
 	"datalaws/internal/modelstore"
 )
 
-// SplitMorsels implements exec.MorselSplitter: the plan lowering swaps the
-// row-at-a-time ModelScan for batch scans that evaluate the captured model's
-// formula over whole input-grid slices in one compiled kernel pass — the
-// paper's zero-IO scan at vectorized speed. The scans claim contiguous
-// ranges of the parameter table (group keys) from a shared cursor.
-// Statistical-law extraction is independent per group, so workers regenerate
-// disjoint grid slices with no coordination beyond the claim; morsel indexes
-// follow group order, which lets the exec gather reproduce the row scan's
-// order exactly. There is never more than one scan per group, so a scan
+// SplitMorsels implements exec.MorselSplitter: the plan lowering runs the
+// ModelScan as batch scans that evaluate the captured model's formula over
+// whole input-grid slices in one compiled kernel pass — the paper's zero-IO
+// scan at vectorized speed. The scans claim contiguous ranges of the
+// parameter table (group keys) from a shared cursor. Statistical-law
+// extraction is independent per group, so workers regenerate disjoint grid
+// slices with no coordination beyond the claim; morsel indexes follow group
+// order, so the exec gather emits the same rows in the same order at any
+// pool size. There is never more than one scan per group, so a scan
 // restricted to a single group (the planner's point pushdown) or an
-// ungrouped model is one scan with one morsel. It reports false when the
-// model's formula has no vector kernel.
-func (s *ModelScan) SplitMorsels(workers int) ([]exec.MorselSource, bool) {
+// ungrouped model is one scan with one morsel. It fails when the model's
+// formula has no vector kernel.
+func (s *ModelScan) SplitMorsels(workers int) ([]exec.MorselSource, error) {
 	workers = max(1, min(workers, len(s.orderKeys())))
 	shared := &modelMorsels{scan: s, workers: workers}
 	out := make([]exec.MorselSource, workers)
 	for i := range out {
 		v, err := newVecModelScan(shared, i == 0)
 		if err != nil {
-			return nil, false
+			return nil, err
 		}
 		out[i] = v
 	}
-	return out, true
+	return out, nil
 }
 
 // modelMorsels is the morsel set the workers of a model scan share: the
@@ -56,14 +56,13 @@ func (m *modelMorsels) capture() {
 	m.chunk = max(1, (len(m.keys)+m.workers*4-1)/(m.workers*4))
 	m.total = int64((len(m.keys) + m.chunk - 1) / m.chunk)
 	m.cursor.Store(0)
-	m.scan.rowsOut = 0
 }
 
 // vecModelScan regenerates tuples from a captured model in columnar batches,
-// one scan per worker. It enumerates the same (group, input-combination)
-// odometer as ModelScan over each claimed group range, but fills input and
-// parameter vectors for up to BatchSize legal rows and evaluates the model
-// once per batch through an expr.VecKernel, so batches freely span group
+// one scan per worker. It enumerates the (group, input-combination)
+// odometer over each claimed group range, filling input and parameter
+// vectors for up to BatchSize legal rows, and evaluates the model once per
+// batch through an expr.VecKernel, so batches freely span group
 // boundaries within a morsel (fitted parameters ride along as per-row
 // vectors). All mutable state — kernels, buffers, cursor, interrupt counter
 // — is private to the scan, so siblings run in parallel.
@@ -88,7 +87,6 @@ type vecModelScan struct {
 	lo, hi   []float64
 	inputs   []float64 // one-row scratch for legality checks
 	grad     []float64 // per-scan gradient scratch for error bounds
-	rowsOut  int
 	batch    exec.Batch
 }
 
@@ -155,7 +153,6 @@ func (v *vecModelScan) Open() error {
 	v.inputs = make([]float64, ni)
 	v.grad = make([]float64, np)
 	v.setKeys(nil)
-	v.rowsOut = 0
 	v.ResetInterrupt()
 	return nil
 }
@@ -200,8 +197,7 @@ func (v *vecModelScan) skipBadGroups() {
 	v.done = true
 }
 
-// advance moves the (group, combo) cursor one step in odometer order,
-// exactly as the row scan does.
+// advance moves the (group, combo) cursor one step in odometer order.
 func (v *vecModelScan) advance() {
 	s := v.s
 	for i := len(v.comboIdx) - 1; i >= 0; i-- {
@@ -254,7 +250,6 @@ func (v *vecModelScan) NextBatch() (*exec.Batch, error) {
 		v.args[np+j] = expr.VecArg{Vec: v.inputBuf[j]}
 	}
 	v.kern(n, v.args, v.yhat)
-	v.rowsOut += n
 
 	cols := make([]*exec.Vector, 0, len(v.Columns()))
 	if s.Model.Grouped() {
@@ -280,14 +275,8 @@ func (v *vecModelScan) NextBatch() (*exec.Batch, error) {
 	return &v.batch, nil
 }
 
-// Close implements exec.VectorOperator. Emitted-row counts flow back to the
-// wrapped scan here; siblings are closed sequentially once the pool has
-// stopped, so the addition never races.
-func (v *vecModelScan) Close() error {
-	v.s.rowsOut += v.rowsOut
-	v.rowsOut = 0
-	return nil
-}
+// Close implements exec.VectorOperator.
+func (v *vecModelScan) Close() error { return nil }
 
-// ExplainInfo mirrors the row scan's EXPLAIN rendering.
+// ExplainInfo renders the scan as the ModelScan it runs.
 func (v *vecModelScan) ExplainInfo() string { return "Vec" + v.s.ExplainInfo() }

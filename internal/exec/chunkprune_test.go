@@ -86,7 +86,7 @@ func TestSelectiveScanDecodesFewChunks(t *testing.T) {
 			}
 		}
 	}
-	run("row", func() (Operator, error) { return buildMode(t, cat, q, ModeRow) })
+	run("row", func() (Operator, error) { return rowPlan(t, cat, q) })
 	run("batch", func() (Operator, error) { return buildParallel(t, cat, q, 1) })
 	run("parallel", func() (Operator, error) { return buildParallel(t, cat, q, 4) })
 
@@ -97,7 +97,7 @@ func TestSelectiveScanDecodesFewChunks(t *testing.T) {
 	}
 
 	// EXPLAIN renders the pruning on both the row and vectorized plans.
-	rowOp, err := buildMode(t, cat, q, ModeRow)
+	rowOp, err := rowPlan(t, cat, q)
 	if err != nil {
 		t.Fatal(err)
 	}

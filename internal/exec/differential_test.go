@@ -131,13 +131,15 @@ var differentialQueries = []string{
 	"SELECT g.name, count(*) FROM t JOIN g ON t.grp = g.grp GROUP BY g.name ORDER BY g.name",
 }
 
-func buildMode(t *testing.T, cat *table.Catalog, q string, mode Mode) (Operator, error) {
+// rowPlan builds q's logical plan without lowering it: drained as is, its
+// row operators are the reference every pipeline is compared against.
+func rowPlan(t *testing.T, cat *table.Catalog, q string) (Operator, error) {
 	t.Helper()
 	st, err := sql.Parse(q)
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	return BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, Options{Mode: mode, Parallelism: 1})
+	return buildPlan(cat, st.(*sql.SelectStmt), nil)
 }
 
 // sameValue compares kind and content exactly (String() folds -0/0 and NaN
@@ -149,11 +151,11 @@ func sameValue(a, b expr.Value) bool {
 func TestDifferentialRowVsBatch(t *testing.T) {
 	cat := diffFixture(t)
 	for _, q := range differentialQueries {
-		rowOp, err := buildMode(t, cat, q, ModeRow)
+		rowOp, err := rowPlan(t, cat, q)
 		if err != nil {
 			t.Fatalf("plan (row) %q: %v", q, err)
 		}
-		batchOp, err := buildMode(t, cat, q, ModeAuto)
+		batchOp, err := buildParallel(t, cat, q, 1)
 		if err != nil {
 			t.Fatalf("plan (batch) %q: %v", q, err)
 		}
@@ -185,8 +187,8 @@ func TestDifferentialRowVsBatch(t *testing.T) {
 	}
 }
 
-// TestDifferentialErrors checks that runtime errors surface identically in
-// both modes.
+// TestDifferentialErrors checks that runtime errors surface in the pipeline
+// exactly as in the row reference.
 func TestDifferentialErrors(t *testing.T) {
 	cat := diffFixture(t)
 	for _, q := range []string{
@@ -195,15 +197,15 @@ func TestDifferentialErrors(t *testing.T) {
 		"SELECT id + label FROM t WHERE label = 'a'",
 		"SELECT id FROM t WHERE label AND flag",
 	} {
-		rowOp, rerr := buildMode(t, cat, q, ModeRow)
-		batchOp, berr := buildMode(t, cat, q, ModeAuto)
+		rowOp, rerr := rowPlan(t, cat, q)
+		batchOp, berr := buildParallel(t, cat, q, 1)
 		if rerr != nil || berr != nil {
 			t.Fatalf("plan %q: %v / %v", q, rerr, berr)
 		}
 		_, rowErr := Drain(rowOp)
 		_, batchErr := Drain(batchOp)
 		if rowErr == nil || batchErr == nil {
-			t.Fatalf("%q: want errors from both modes, got row=%v batch=%v", q, rowErr, batchErr)
+			t.Fatalf("%q: want errors from both, got row=%v batch=%v", q, rowErr, batchErr)
 		}
 		if rowErr.Error() != batchErr.Error() {
 			t.Fatalf("%q: error mismatch:\n  row:   %v\n  batch: %v", q, rowErr, batchErr)
@@ -211,8 +213,8 @@ func TestDifferentialErrors(t *testing.T) {
 	}
 }
 
-// TestCoreQueriesVectorize pins that the flagship shapes actually lower to
-// the batch pipeline rather than silently falling back to row mode.
+// TestCoreQueriesVectorize pins that the flagship shapes, a LIMIT with no
+// ORDER BY among them, lower to one pipeline.
 func TestCoreQueriesVectorize(t *testing.T) {
 	cat := diffFixture(t)
 	for _, q := range []string{
@@ -221,23 +223,16 @@ func TestCoreQueriesVectorize(t *testing.T) {
 		"SELECT count(*), avg(x) FROM t WHERE x > 0",
 		"SELECT grp, sum(x) FROM t GROUP BY grp",
 		"SELECT id, x FROM t ORDER BY x LIMIT 2",
+		"SELECT id FROM t LIMIT 2",
 		"SELECT t.id, g.name FROM t JOIN g ON t.grp = g.grp",
 	} {
-		op, err := buildMode(t, cat, q, ModeAuto)
+		op, err := buildParallel(t, cat, q, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Vectorized(op) {
-			t.Errorf("%q did not lower to the batch pipeline:\n%s", q, PlanString(op))
+		if err := OnePipeline(PlanString(op)); err != nil {
+			t.Fatalf("%s: %v", q, err)
 		}
-	}
-	// And that ModeRow really is row mode.
-	op, err := buildMode(t, cat, "SELECT id FROM t WHERE x > 0", ModeRow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if Vectorized(op) {
-		t.Error("ModeRow plan reports vectorized")
 	}
 }
 
@@ -272,7 +267,7 @@ func TestAmbiguousColumnErrorsAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, Options{Mode: ModeRow})
+	op, err := buildPlan(cat, st.(*sql.SelectStmt), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,7 +67,7 @@ func run(t *testing.T, cat *table.Catalog, q string) ([]string, []Row) {
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	op, err := BuildSelect(cat, st.(*sql.SelectStmt))
+	op, err := BuildSelect(cat, st.(*sql.SelectStmt), nil, 1)
 	if err != nil {
 		t.Fatalf("plan %q: %v", q, err)
 	}
@@ -180,7 +180,7 @@ func TestUngroupedColumnRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildSelect(cat, st.(*sql.SelectStmt)); err == nil {
+	if _, err := BuildSelect(cat, st.(*sql.SelectStmt), nil, 1); err == nil {
 		t.Fatal("want error for ungrouped column")
 	}
 }
@@ -191,7 +191,7 @@ func TestHavingWithoutGroupRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildSelect(cat, st.(*sql.SelectStmt)); err == nil {
+	if _, err := BuildSelect(cat, st.(*sql.SelectStmt), nil, 1); err == nil {
 		t.Fatal("want error for HAVING without grouping")
 	}
 }
@@ -258,31 +258,38 @@ func TestJoinNonEquiRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := BuildSelect(cat, st.(*sql.SelectStmt))
-	if err == nil {
-		if _, err = Drain(op); err == nil {
-			t.Fatal("want error for non-equi join")
-		}
+	_, err = BuildSelect(cat, st.(*sql.SelectStmt), nil, 1)
+	if want := "exec: join condition (source < id) is not an equality"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
 	}
 }
 
 func TestUnknownTable(t *testing.T) {
 	cat := fixture(t)
 	st, _ := sql.Parse("SELECT a FROM nope")
-	if _, err := BuildSelect(cat, st.(*sql.SelectStmt)); err == nil {
+	if _, err := BuildSelect(cat, st.(*sql.SelectStmt), nil, 1); err == nil {
 		t.Fatal("want unknown-table error")
 	}
 }
 
+// TestUnknownColumnErrorsAtExec pins that a plan that cannot run fails at
+// plan time, with the text the row operators give when they evaluate it.
 func TestUnknownColumnErrorsAtExec(t *testing.T) {
 	cat := fixture(t)
-	st, _ := sql.Parse("SELECT nope FROM measurements")
-	op, err := BuildSelect(cat, st.(*sql.SelectStmt))
-	if err != nil {
-		return // also acceptable at plan time
-	}
-	if _, err := Drain(op); err == nil {
-		t.Fatal("want unknown-column error")
+	for q, want := range map[string]string{
+		"SELECT nope FROM measurements":              `exec: projecting nope: expr: unknown identifier "nope"`,
+		"SELECT source FROM measurements WHERE nope": `exec: WHERE: expr: unknown identifier "nope"`,
+		"SELECT nope(nu) FROM measurements":          `exec: projecting nope(nu): expr: unknown function "nope"`,
+	} {
+		st, _ := sql.Parse(q)
+		_, err := BuildSelect(cat, st.(*sql.SelectStmt), nil, 1)
+		if err == nil || err.Error() != want {
+			t.Errorf("%q: err = %v, want %q", q, err, want)
+		}
+		ref, _ := buildPlan(cat, st.(*sql.SelectStmt), nil)
+		if _, err := Drain(ref); err == nil || err.Error() != want {
+			t.Errorf("%q: row reference err = %v, want %q", q, err, want)
+		}
 	}
 }
 

@@ -70,7 +70,7 @@ func writePlan(sb *strings.Builder, op Operator, depth int) {
 	}
 }
 
-// writeVecPlan renders the batch pipeline below a row adapter.
+// writeVecPlan renders the batch pipeline below the row adapter.
 func writeVecPlan(sb *strings.Builder, op VectorOperator, depth int) {
 	indent := strings.Repeat("  ", depth)
 	switch o := op.(type) {
@@ -88,7 +88,11 @@ func writeVecPlan(sb *strings.Builder, op VectorOperator, depth int) {
 			writeVecPlan(sb, c, depth+1)
 		}
 	case *VecGather:
-		fmt.Fprintf(sb, "%sGather workers=%d (morsel-driven, in order)\n", indent, o.Workers())
+		limit := ""
+		if o.limit >= 0 {
+			limit = fmt.Sprintf(" limit=%d", o.limit)
+		}
+		fmt.Fprintf(sb, "%sGather workers=%d%s (morsel-driven, in order)\n", indent, o.Workers(), limit)
 		writeVecPlan(sb, o.pipes[0].pipe, depth+1)
 	case *VecHashAggregate:
 		var parts []string
@@ -111,9 +115,6 @@ func writeVecPlan(sb *strings.Builder, op VectorOperator, depth int) {
 		writeVecPlan(sb, o.pipes[0].pipe, depth+1)
 	case *oneMorsel:
 		writeVecPlan(sb, o.VectorOperator, depth)
-	case *batchAdapter:
-		fmt.Fprintf(sb, "%sRowSource\n", indent)
-		writePlan(sb, o.Op, depth+1)
 	default:
 		if ex, ok := op.(Explainer); ok {
 			fmt.Fprintf(sb, "%s%s\n", indent, ex.ExplainInfo())
@@ -121,4 +122,30 @@ func writeVecPlan(sb *strings.Builder, op VectorOperator, depth int) {
 		}
 		fmt.Fprintf(sb, "%s%T\n", indent, op)
 	}
+}
+
+// OnePipeline returns an error unless plan, an EXPLAIN rendering, is one
+// pipeline: one Gather drives it besides the one-worker gathers a VecConcat
+// drains its children through, and no line names a row operator. The row
+// operators remain as the logical plan and the differential reference.
+func OnePipeline(plan string) error {
+	var path []string // path[d]: the last operator rendered at depth d
+	gathers := 0
+	for _, line := range strings.Split(plan, "\n") {
+		op := strings.TrimLeft(line, " ")
+		for _, row := range []string{"Filter", "Project", "HashAggregate", "HashJoin", "Sort", "Limit",
+			"StripHiddenColumns", "TableScan", "PartitionScan", "Concat", "ModelScan"} {
+			if strings.HasPrefix(op, row) {
+				return fmt.Errorf("row operator %q in the plan:\n%s", op, plan)
+			}
+		}
+		d := min((len(line)-len(op))/2, len(path))
+		if path = append(path[:d], op); strings.HasPrefix(op, "Gather") && (d == 0 || !strings.HasPrefix(path[d-1], "VecConcat")) {
+			gathers++
+		}
+	}
+	if gathers != 1 {
+		return fmt.Errorf("%d gathers, want 1:\n%s", gathers, plan)
+	}
+	return nil
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // TestGroupKeyIdentity checks GROUP BY against a grouping oracle built on
-// expr.Compare, in row mode and at 1, 2 and 4 workers: two keys share a
-// group exactly when every entry is NULL on both sides or compares equal.
+// expr.Compare, in the row reference and at 1, 2 and 4 workers: two keys
+// share a group exactly when every entry is NULL on both sides or compares
+// equal.
 // So -0 and 0 are one group (as `x = 0` counts both), NaN is one group,
 // NULL is one group, and BIGINT keys at 2^53 ± 1 stay apart. Groups come out
 // in first-seen order, each keyed by the value of its first row.
@@ -66,26 +67,26 @@ func TestGroupKeyIdentity(t *testing.T) {
 		{"SELECT k, x, count(*), count(k) FROM z GROUP BY k, x", []int{1, 0}},
 	} {
 		want := groupOracle(t, rows, tc.keys)
-		for _, opts := range randdiffStrategies() {
+		for _, strategy := range randdiffStrategies() {
 			stmt, err := sql.Parse(tc.q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			op, err := BuildSelectOpts(cat, stmt.(*sql.SelectStmt), nil, opts)
+			op, err := buildStrategy(cat, stmt.(*sql.SelectStmt), strategy)
 			if err != nil {
-				t.Fatalf("%s (%+v): %v", tc.q, opts, err)
+				t.Fatalf("%s (%s): %v", tc.q, strategyName(strategy), err)
 			}
 			got, err := Drain(op)
 			if err != nil {
-				t.Fatalf("%s (%+v): %v", tc.q, opts, err)
+				t.Fatalf("%s (%s): %v", tc.q, strategyName(strategy), err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("%s (%+v): %d groups, want %d", tc.q, opts, len(got), len(want))
+				t.Fatalf("%s (%s): %d groups, want %d", tc.q, strategyName(strategy), len(got), len(want))
 			}
 			for r := range want {
 				for c := range want[r] {
 					if !sameValue(got[r][c], want[r][c]) {
-						t.Fatalf("%s (%+v) row %d: %v, want %v", tc.q, opts, r, got[r], want[r])
+						t.Fatalf("%s (%s) row %d: %v, want %v", tc.q, strategyName(strategy), r, got[r], want[r])
 					}
 				}
 			}

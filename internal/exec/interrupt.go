@@ -61,10 +61,10 @@ func (in *Interruptible) CheckInterruptNow() error {
 	return in.ctx.Err()
 }
 
-// BindContext attaches ctx to every ContextAware operator in a plan,
-// descending through both the row and the vectorized pipeline (including the
-// row↔batch adapter shims). Binding a nil or Background context is a no-op
-// at execution time. It returns op for chaining.
+// BindContext attaches ctx to every ContextAware operator in a plan: a
+// lowered plan's pipeline below the row adapter, or a row reference plan.
+// Binding a nil or Background context is a no-op at execution time. It
+// returns op for chaining.
 func BindContext(op Operator, ctx context.Context) Operator {
 	bindRowCtx(op, ctx)
 	return op
@@ -135,7 +135,5 @@ func bindVecCtx(op VectorOperator, ctx context.Context) {
 	case *VecHashJoin:
 		bindVecCtx(o.Child, ctx)
 		bindVecCtx(o.build.right, ctx)
-	case *batchAdapter:
-		bindRowCtx(o.Op, ctx)
 	}
 }

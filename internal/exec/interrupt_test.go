@@ -34,12 +34,12 @@ func bigTable(t *testing.T, n int) *table.Catalog {
 
 func TestBindContextCancelsScan(t *testing.T) {
 	cat := bigTable(t, 50_000)
-	for _, mode := range []Mode{ModeAuto, ModeRow} {
+	for _, strategy := range []int{1, rowRef} {
 		st, err := sql.Parse("SELECT a FROM t")
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, err := BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, Options{Mode: mode, Parallelism: 1})
+		op, err := buildStrategy(cat, st.(*sql.SelectStmt), strategy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,10 +67,10 @@ func TestBindContextCancelsScan(t *testing.T) {
 		}
 		op.Close()
 		if !errors.Is(scanErr, context.Canceled) {
-			t.Fatalf("mode %d: err = %v after %d rows, want context.Canceled", mode, scanErr, n)
+			t.Fatalf("%s: err = %v after %d rows, want context.Canceled", strategyName(strategy), scanErr, n)
 		}
 		if n > 3+2*interruptStride {
-			t.Fatalf("mode %d: %d rows after cancellation", mode, n)
+			t.Fatalf("%s: %d rows after cancellation", strategyName(strategy), n)
 		}
 		cancel()
 	}
@@ -82,7 +82,7 @@ func TestBindContextPreCanceledBlocksAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := BuildSelect(cat, st.(*sql.SelectStmt))
+	op, err := BuildSelect(cat, st.(*sql.SelectStmt), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestBindContextCancelsJoinAmplification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := BuildSelect(cat, st.(*sql.SelectStmt))
+	op, err := BuildSelect(cat, st.(*sql.SelectStmt), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestBindContextCancelsJoinAmplification(t *testing.T) {
 func TestBindContextNilIsNoOp(t *testing.T) {
 	cat := bigTable(t, 100)
 	st, _ := sql.Parse("SELECT a FROM t")
-	op, err := BuildSelect(cat, st.(*sql.SelectStmt))
+	op, err := BuildSelect(cat, st.(*sql.SelectStmt), nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 	"datalaws/internal/expr"
 )
 
-// HashJoin is the row inner equi-join, ModeRow's reference for VecHashJoin.
+// HashJoin is the row inner equi-join, the reference for VecHashJoin.
 // The ON condition must be a conjunction of equalities, each comparing one
 // left column with one right column, under the join-key rule. It builds on
 // the right input and emits each left row's matches in build order. It

@@ -81,17 +81,17 @@ func TestJoinKeyRule(t *testing.T) {
 				// The same equality in WHERE must not drop a joined row.
 				fmt.Sprintf("SELECT %[1]s.id, %[2]s.id FROM %[1]s JOIN %[2]s ON %[1]s.k = %[2]s.k WHERE %[1]s.k = %[2]s.k", l, r),
 			} {
-				for _, opts := range []Options{{Mode: ModeRow}, {Parallelism: 1}, {Parallelism: 2}} {
-					rows, err := Drain(mustBuild(t, cat, q, opts))
+				for _, strategy := range []int{rowRef, 1, 2} {
+					rows, err := Drain(mustBuild(t, cat, q, strategy))
 					if err != nil {
-						t.Fatalf("%s %+v: %v", q, opts, err)
+						t.Fatalf("%s %s: %v", q, strategyName(strategy), err)
 					}
 					got := make([]string, len(rows))
 					for i, row := range rows {
 						got[i] = fmt.Sprintf("%d-%d", row[0].I, row[1].I)
 					}
 					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Errorf("%s %+v:\n got  %v\n want %v", q, opts, got, want)
+						t.Errorf("%s %s:\n got  %v\n want %v", q, strategyName(strategy), got, want)
 					}
 				}
 			}
@@ -99,13 +99,13 @@ func TestJoinKeyRule(t *testing.T) {
 	}
 }
 
-func mustBuild(t *testing.T, cat *table.Catalog, q string, opts Options) Operator {
+func mustBuild(t *testing.T, cat *table.Catalog, q string, strategy int) Operator {
 	t.Helper()
 	st, err := sql.Parse(q)
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	op, err := BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, opts)
+	op, err := buildStrategy(cat, st.(*sql.SelectStmt), strategy)
 	if err != nil {
 		t.Fatalf("plan %q: %v", q, err)
 	}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -16,8 +17,9 @@ import (
 type kernelFn func(b *Batch, sel []int) (*Vector, error)
 
 // compileKernel lowers an expression into a vector kernel against the given
-// column layout. Identifiers are resolved eagerly, so ambiguous or unknown
-// columns fail here — at plan/open time — rather than on the first row.
+// column layout. Identifiers and functions are resolved eagerly, so an
+// ambiguous or unknown column or an unknown function fails here — at plan
+// time — rather than on the first row, with the row evaluator's text.
 func compileKernel(e expr.Expr, cols []string) (kernelFn, error) {
 	switch n := e.(type) {
 	case *expr.Lit:
@@ -31,8 +33,11 @@ func compileKernel(e expr.Expr, cols []string) (kernelFn, error) {
 		}, nil
 	case *expr.Ident:
 		idx, err := ResolveColumn(cols, n.Name)
-		if err != nil {
+		if errors.Is(err, ErrAmbiguous) {
 			return nil, err
+		}
+		if err != nil {
+			return nil, fmt.Errorf("expr: unknown identifier %q", n.Name)
 		}
 		return func(b *Batch, _ []int) (*Vector, error) {
 			return b.Cols[idx], nil

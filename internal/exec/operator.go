@@ -1,11 +1,12 @@
-// Package exec implements the volcano-style execution engine: table scans,
-// filters, projections, hash aggregation, hash joins, sorting and limits,
-// plus the planner that lowers a parsed SELECT onto those operators —
-// vectorized where possible into morsel-driven pipelines of columnar
-// batches that run with a worker budget (Options; see parallel.go). The
-// model-based "zero-IO" scan of the paper plugs into the same Operator
-// interface (see internal/aqp), so approximate and exact plans compose with
-// the same machinery.
+// Package exec implements the execution engine. The planner builds a parsed
+// SELECT as a logical plan of row operators — table scans, filters,
+// projections, hash aggregation, hash joins, sorting and limits — and lowers
+// every plan into one morsel-driven pipeline of columnar batches that runs
+// with a worker budget (see Lower and parallel.go). Drained as they are, the
+// row operators are the reference the differential tests compare the
+// pipeline against. The model-based "zero-IO" scan of the paper plugs into
+// the same plan (see internal/aqp), so approximate and exact plans compose
+// with the same machinery.
 package exec
 
 import (

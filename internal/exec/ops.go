@@ -130,8 +130,8 @@ type SortKey struct {
 }
 
 // Sort materializes the child and emits rows ordered by Keys, ties in input
-// order; NULLs sort first ascending (last descending). ModeRow runs it in
-// place of VecSort.
+// order; NULLs sort first ascending (last descending). It is the reference
+// for VecSort.
 type Sort struct {
 	Child Operator
 	Keys  []SortKey

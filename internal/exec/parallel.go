@@ -7,14 +7,13 @@
 // storage chunk, so "claim a morsel" and "decode a chunk" coincide and
 // zone-map-pruned chunks never enter the morsel space at all; a partitioned
 // table's surviving partitions form one dense morsel space in range order.
-// Sources that cannot split (VALUES, a concat, a row source behind the
-// row→batch shim, a breaker's output) are one morsel. Every worker owns a
-// private copy of the whole pipeline (its own compiled kernels, batch
-// buffers and interrupt state) over a shared immutable snapshot of the
-// input, so no synchronization happens on the data path; workers coordinate
-// only when claiming the next morsel.
+// Sources that cannot split (VALUES, a concat, a breaker's output) are one
+// morsel. Every worker owns a private copy of the whole pipeline (its own
+// compiled kernels, batch buffers and interrupt state) over a shared
+// immutable snapshot of the input, so no synchronization happens on the
+// data path; workers coordinate only when claiming the next morsel.
 //
-// The plan is built with one pipeline per budgeted worker (Options). The
+// The plan is built with one pipeline per budgeted worker (Lower). The
 // pool is sized when the plan opens: min(budget, surviving morsels). With
 // one pipeline in the pool — a budget of 1, a one-morsel source, or pruning
 // that left at most one morsel — the caller runs the claim loop itself: no
@@ -38,40 +37,17 @@
 // Because the merge reassociates floating-point addition, SUM/AVG/VAR
 // results can differ between pool sizes in the last few ulps; everything
 // else — row sets, row order, NULL (3VL) semantics, error messages — is
-// identical, and is checked against the independent row operators (ModeRow).
-// A subtree with an expression that has no batch kernel keeps its row
-// operators and pulls from vectorized inputs through the adapters.
+// identical, and is checked against the row operators, which drain the same
+// logical plan a row at a time and serve only as that reference.
 package exec
 
 import (
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"datalaws/internal/expr"
 )
-
-// Options configures how BuildSelectOpts lowers a plan.
-type Options struct {
-	// Mode selects batch versus row execution (see Mode).
-	Mode Mode
-	// Parallelism is the worker budget of the vectorized pipeline: 0
-	// selects GOMAXPROCS, 1 one worker. The pool a plan actually runs is
-	// the smaller of the budget and its surviving morsel count.
-	Parallelism int
-}
-
-// Workers resolves the configured parallelism to a concrete worker count.
-func (o Options) Workers() int {
-	if o.Parallelism == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if o.Parallelism < 1 {
-		return 1
-	}
-	return o.Parallelism
-}
 
 // MorselSource is one worker's view of a pipeline's input: a VectorOperator
 // that cooperates with sibling sources on a shared morsel queue. NextBatch
@@ -93,18 +69,18 @@ type MorselSource interface {
 	NumMorsels() int64
 }
 
-// MorselSplitter is the one hook through which a row operator defined
-// outside this package (the aqp model scan) enters the vectorized pipeline:
-// it returns between one and workers cooperating sources over one shared
-// morsel set, ordered as MorselSource requires, or false when it has no
-// batch form and must stay a row operator.
+// MorselSplitter is the one hook through which a plan node defined outside
+// this package (the aqp model scan) enters the vectorized pipeline: it
+// returns between one and workers cooperating sources over one shared
+// morsel set, ordered as MorselSource requires, or the error that keeps the
+// plan from running.
 type MorselSplitter interface {
-	SplitMorsels(workers int) ([]MorselSource, bool)
+	SplitMorsels(workers int) ([]MorselSource, error)
 }
 
-// oneMorsel presents an operator that cannot split — VALUES, a concat, the
-// row→batch shim, an aggregate's output — as a source whose whole output is
-// morsel 0, so it runs under the same claim loop as a scan.
+// oneMorsel presents an operator that cannot split — VALUES, a concat, an
+// aggregate's output — as a source whose whole output is morsel 0, so it
+// runs under the same claim loop as a scan.
 type oneMorsel struct {
 	VectorOperator
 	claimed bool
@@ -304,8 +280,13 @@ const morselLead = 4
 // morsel's output, and out-of-order morsels wait in a reorder buffer until
 // their turn; closing the gather (early termination, LIMIT) stops the pool
 // without draining the input.
+//
+// A LIMIT with no sort beneath it caps the gather: it emits the first limit
+// rows in morsel order and then reports the end of input.
 type VecGather struct {
 	pipeSet
+	limit int // rows to emit; -1 emits every row
+	left  int // rows the cap still admits in this execution; -1 without a cap
 
 	claimed bool // pool of one: a morsel is claimed and not yet drained
 
@@ -324,7 +305,7 @@ type VecGather struct {
 
 // newVecGather wraps per-worker pipelines in a gather.
 func newVecGather(pipes []workerPipe) *VecGather {
-	return &VecGather{pipeSet: pipeSet{pipes: pipes}}
+	return &VecGather{pipeSet: pipeSet{pipes: pipes}, limit: -1}
 }
 
 // Columns implements VectorOperator.
@@ -336,7 +317,7 @@ func (g *VecGather) Open() error {
 	if err := g.pipeSet.open(); err != nil {
 		return err
 	}
-	g.claimed = false
+	g.claimed, g.left = false, g.limit
 	if g.n == 1 {
 		return nil
 	}
@@ -405,8 +386,24 @@ func (g *VecGather) worker(p workerPipe) {
 	}
 }
 
-// NextBatch implements VectorOperator, emitting batches in morsel order.
+// NextBatch implements VectorOperator, emitting batches in morsel order up
+// to the cap.
 func (g *VecGather) NextBatch() (*Batch, error) {
+	if g.left == 0 {
+		return nil, nil
+	}
+	b, err := g.next()
+	if err != nil || b == nil || g.left < 0 {
+		return b, err
+	}
+	if sel := b.selection(); len(sel) > g.left {
+		b.Sel = sel[:g.left]
+	}
+	g.left -= len(b.selection())
+	return b, nil
+}
+
+func (g *VecGather) next() (*Batch, error) {
 	if g.n == 1 {
 		return g.nextInline()
 	}

@@ -135,7 +135,7 @@ func buildParallel(t *testing.T, cat *table.Catalog, q string, workers int) (Ope
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	return BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, Options{Mode: ModeAuto, Parallelism: workers})
+	return BuildSelect(cat, st.(*sql.SelectStmt), nil, workers)
 }
 
 // compareRuns checks two drained results row by row IN ORDER: the gather
@@ -185,7 +185,7 @@ func TestDifferentialParallelVsSerial(t *testing.T) {
 	}
 	for _, fx := range fixtures {
 		for _, q := range differentialQueries {
-			rowOp, err := buildMode(t, fx.cat, q, ModeRow)
+			rowOp, err := rowPlan(t, fx.cat, q)
 			if err != nil {
 				t.Fatalf("plan (row) %q: %v", q, err)
 			}
@@ -219,7 +219,7 @@ func TestDifferentialParallelErrors(t *testing.T) {
 		"SELECT 1 / (id - 2995) FROM t WHERE id >= 2990",
 		"SELECT sum(1 / (id - 2995)) FROM t WHERE id >= 2990",
 	} {
-		rowOp, err := buildMode(t, cat, q, ModeRow)
+		rowOp, err := rowPlan(t, cat, q)
 		if err != nil {
 			t.Fatalf("plan (row) %q: %v", q, err)
 		}
@@ -280,7 +280,7 @@ func TestParallelOrderByDeterministic(t *testing.T) {
 
 // TestDifferentialParallelSortErrors pins the ORDER BY error rule: a key
 // column holding strings and non-strings fails, naming the first such key,
-// in row mode and at every pool size — here the classes sit in different
+// in the row reference and at every pool size — here the classes sit in different
 // morsels, so at two workers and more no worker sees both; a column of mixed
 // INT and DOUBLE sorts.
 func TestDifferentialParallelSortErrors(t *testing.T) {
@@ -302,7 +302,11 @@ func TestDifferentialParallelSortErrors(t *testing.T) {
 			t.Fatalf("%v: row sort err = %v, want %q", c.in, wantErr, c.want)
 		}
 		for _, p := range []int{1, 2, 4} {
-			got, err := Drain(LowerOpts(&Sort{Child: vals, Keys: c.keys}, p))
+			op, err := Lower(&Sort{Child: vals, Keys: c.keys}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Drain(op)
 			compareRuns(t, fmt.Sprint(c.in), fmt.Sprintf("p=%d", p), want, got, wantErr, err)
 		}
 	}
@@ -316,12 +320,12 @@ type morselValues struct {
 	per int
 }
 
-func (m *morselValues) SplitMorsels(workers int) ([]MorselSource, bool) {
+func (m *morselValues) SplitMorsels(workers int) ([]MorselSource, error) {
 	srcs := make([]MorselSource, workers)
 	for i := range srcs {
 		srcs[i] = &valuesMorsel{m: m, first: int64(i), stride: int64(workers)}
 	}
-	return srcs, true
+	return srcs, nil
 }
 
 type valuesMorsel struct {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -140,7 +141,7 @@ func TestPoolSizedAtOpen(t *testing.T) {
 func TestGatherPreservesScanOrder(t *testing.T) {
 	withSmallMorsels(t, 256)
 	cat := largeDiffFixture(t, 5000)
-	serialOp, err := buildMode(t, cat, "SELECT id FROM t", ModeRow)
+	serialOp, err := rowPlan(t, cat, "SELECT id FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,8 +284,9 @@ func TestInlineClaimLoopObservesContext(t *testing.T) {
 
 // TestParallelEarlyClose checks that abandoning a cursor (LIMIT semantics)
 // shuts the pool down cleanly — over a scan, a join and a top-k — that the
-// inline loop has nothing to shut down, and that no goroutine outlives the
-// statement.
+// rows read first are the row reference's, that a capped scan stops
+// claiming morsels instead of draining the table, that the inline loop has
+// nothing to shut down, and that no goroutine outlives the statement.
 func TestParallelEarlyClose(t *testing.T) {
 	withSmallMorsels(t, 256)
 	cat := largeDiffFixture(t, 20000)
@@ -297,6 +299,14 @@ func TestParallelEarlyClose(t *testing.T) {
 		{"SELECT t.id, g.name FROM t JOIN g ON t.grp = g.grp LIMIT 1", 1},
 		{"SELECT id FROM t ORDER BY x DESC LIMIT 1", 1},
 	} {
+		ref, err := rowPlan(t, cat, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Drain(ref)
+		if err != nil || len(want) != c.rows {
+			t.Fatalf("%q: row reference %v, %v", c.q, want, err)
+		}
 		for _, workers := range []int{1, 2, 4} {
 			op, err := buildParallel(t, cat, c.q, workers)
 			if err != nil {
@@ -310,18 +320,19 @@ func TestParallelEarlyClose(t *testing.T) {
 				if err != nil || row == nil {
 					t.Fatalf("%q p=%d row %d: %v, %v", c.q, workers, i, row, err)
 				}
+				compareRuns(t, c.q, fmt.Sprintf("p=%d row %d", workers, i), want[i:i+1], []Row{row}, nil, nil)
 			}
-			// A LIMIT with no sort beneath keeps its row form.
-			adapter := op
-			if l, ok := op.(*Limit); ok {
-				adapter = l.Child
-			}
-			g := adapter.(*rowAdapter).V
+			g := op.(*rowAdapter).V.(*VecGather)
 			if err := op.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if g.(*VecGather).done != nil {
+			if g.done != nil {
 				t.Errorf("%q p=%d: Close left the pool running", c.q, workers)
+			}
+			if s, ok := g.pipes[0].src.(*vecMorselScan); ok {
+				if claimed := s.shared.cursor.Load(); claimed >= s.NumMorsels() {
+					t.Errorf("%q p=%d: the scan claimed all %d morsels", c.q, workers, s.NumMorsels())
+				}
 			}
 			// Close is idempotent.
 			if err := op.Close(); err != nil {
@@ -405,7 +416,7 @@ func TestParallelReExecute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, Options{Parallelism: 4})
+	op, err := BuildSelect(cat, st.(*sql.SelectStmt), nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestPartitionScanMatchesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flatOp, err := BuildSelectOpts(cat, flatSt.(*sql.SelectStmt), nil, Options{Mode: ModeRow})
+		flatOp, err := buildPlan(cat, flatSt.(*sql.SelectStmt), nil)
 		if err != nil {
 			t.Fatalf("plan flat %q: %v", flatQ, err)
 		}
@@ -92,24 +92,20 @@ func TestPartitionScanMatchesFlat(t *testing.T) {
 			t.Fatalf("flat %q: %v", flatQ, wantErr)
 		}
 		ordered := strings.Contains(q, "ORDER BY")
-		for _, opts := range []Options{
-			{Mode: ModeRow},
-			{Mode: ModeAuto, Parallelism: 1},
-			{Mode: ModeAuto, Parallelism: 4},
-		} {
+		for _, strategy := range []int{rowRef, 1, 4} {
 			st, err := sql.Parse(q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			op, err := BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, opts)
+			op, err := buildStrategy(cat, st.(*sql.SelectStmt), strategy)
 			if err != nil {
-				t.Fatalf("plan %q (%+v): %v", q, opts, err)
+				t.Fatalf("plan %q (%s): %v", q, strategyName(strategy), err)
 			}
 			got, gotErr := Drain(op)
 			if gotErr != nil {
-				t.Fatalf("%q (%+v): %v", q, opts, gotErr)
+				t.Fatalf("%q (%s): %v", q, strategyName(strategy), gotErr)
 			}
-			compareRows(t, fmt.Sprintf("%q (%+v)", q, opts), want, got, ordered)
+			compareRows(t, fmt.Sprintf("%q (%s)", q, strategyName(strategy)), want, got, ordered)
 		}
 	}
 }
@@ -119,18 +115,14 @@ func TestPartitionScanMatchesFlat(t *testing.T) {
 // the scan has not reached yet — are not returned, in any strategy.
 func TestPartitionScanSnapshotsAtOpen(t *testing.T) {
 	withSmallMorsels(t, 256)
-	for _, opts := range []Options{
-		{Mode: ModeRow},
-		{Mode: ModeAuto, Parallelism: 1},
-		{Mode: ModeAuto, Parallelism: 4},
-	} {
+	for _, strategy := range []int{rowRef, 1, 4} {
 		cat := partedFixture(t, 4000)
 		pt, _ := cat.GetPartitioned("t")
 		st, err := sql.Parse("SELECT k FROM t")
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, err := BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, opts)
+		op, err := buildStrategy(cat, st.(*sql.SelectStmt), strategy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +151,7 @@ func TestPartitionScanSnapshotsAtOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rows != 4000 {
-			t.Errorf("%+v: scan returned %d rows, want the 4000 present at Open", opts, rows)
+			t.Errorf("%s: scan returned %d rows, want the 4000 present at Open", strategyName(strategy), rows)
 		}
 	}
 }
@@ -214,7 +206,7 @@ func TestPartitionPruningInPlan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, err := BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, Options{Mode: ModeRow})
+		op, err := buildPlan(cat, st.(*sql.SelectStmt), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +263,7 @@ func TestPartitionScanParallelExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := BuildSelectOpts(cat, st.(*sql.SelectStmt), nil, Options{Mode: ModeAuto, Parallelism: 4})
+	op, err := BuildSelect(cat, st.(*sql.SelectStmt), nil, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,24 +9,30 @@ import (
 	"datalaws/internal/table"
 )
 
-// BuildSelect is BuildSelectOpts over the FROM table in batch mode with one
-// worker.
-func BuildSelect(cat *table.Catalog, st *sql.SelectStmt) (Operator, error) {
-	return BuildSelectOpts(cat, st, nil, Options{Parallelism: 1})
-}
-
-// BuildSelectOpts lowers a parsed SELECT onto a physical operator tree:
-//
-//	scan → joins → filter → [aggregate → having] → project(+order keys)
-//	     → sort → strip order keys → limit
-//
-// and then, unless opts.Mode is ModeRow, onto the vectorized pipeline where
-// the operators support it, with opts' worker budget (see Options).
+// BuildSelect plans a parsed SELECT and lowers it onto the vectorized
+// pipeline with a budget of workers (0 selects GOMAXPROCS; see Lower). A
+// plan that cannot run fails here.
 //
 // A non-nil source replaces the FROM-table scan: the approximate query layer
 // substitutes a model scan for the raw table scan while reusing the full
 // relational pipeline on top (§4.2 zero-IO scans).
-func BuildSelectOpts(cat *table.Catalog, st *sql.SelectStmt, source Operator, opts Options) (Operator, error) {
+func BuildSelect(cat *table.Catalog, st *sql.SelectStmt, source Operator, workers int) (Operator, error) {
+	op, err := buildPlan(cat, st, source)
+	if err != nil {
+		return nil, err
+	}
+	return Lower(op, workers)
+}
+
+// buildPlan builds the logical plan of a parsed SELECT from the row
+// operators:
+//
+//	scan → joins → filter → [aggregate → having] → project(+order keys)
+//	     → sort → strip order keys → limit
+//
+// Lower runs it as a pipeline; drained as is, it is the row-at-a-time
+// reference the differential tests compare the pipeline against.
+func buildPlan(cat *table.Catalog, st *sql.SelectStmt, source Operator) (Operator, error) {
 	base, err := buildFrom(cat, st, source)
 	if err != nil {
 		return nil, err
@@ -115,9 +121,6 @@ func BuildSelectOpts(cat *table.Catalog, st *sql.SelectStmt, source Operator, op
 	}
 	if st.Limit >= 0 {
 		op = &Limit{Child: op, N: st.Limit}
-	}
-	if opts.Mode != ModeRow {
-		op = LowerOpts(op, opts.Workers())
 	}
 	return op, nil
 }

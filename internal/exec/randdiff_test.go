@@ -19,9 +19,12 @@ import (
 // Randomized differential testing: a seeded generator produces queries —
 // projections, filters, GROUP BY aggregates, ORDER BY/LIMIT, equi-joins —
 // over partitioned and unpartitioned fixtures, and every query runs through
-// row mode and through the vectorized pipeline at 1, 2 and 4 workers. All
-// strategies must agree on results (exactly, except for documented
-// last-ulps float divergence in merged aggregates) and on error messages.
+// the row reference (its logical plan drained on the row operators) and
+// through the vectorized pipeline at 1, 2 and 4 workers. Every lowered plan
+// must be one pipeline, and all strategies must agree on results (exactly,
+// except that MIN/MAX may return an equal value and SUM/AVG/VAR/STDDEV may
+// differ within their summation error bound; see aggBound) and on error
+// messages.
 //
 // The run is deterministic from the logged seed: reproduce a failure with
 //
@@ -355,15 +358,29 @@ func genWhere(rng *rand.Rand) string {
 	return "(" + strings.Join(parts, op) + ")"
 }
 
+// rowRef is the strategy that drains a query's logical plan on the row
+// operators: the reference every other strategy, a worker budget of the
+// pipeline, is compared against.
+const rowRef = 0
+
 // randdiffStrategies are the execution strategies every generated query
-// must agree across; row mode is the baseline.
-func randdiffStrategies() []Options {
-	return []Options{
-		{Mode: ModeRow},
-		{Mode: ModeAuto, Parallelism: 1},
-		{Mode: ModeAuto, Parallelism: 2},
-		{Mode: ModeAuto, Parallelism: 4},
+// must agree across: the row reference first, then the pipeline at 1, 2 and
+// 4 workers.
+func randdiffStrategies() []int { return []int{rowRef, 1, 2, 4} }
+
+// buildStrategy plans st for one strategy.
+func buildStrategy(cat *table.Catalog, st *sql.SelectStmt, strategy int) (Operator, error) {
+	if strategy == rowRef {
+		return buildPlan(cat, st, nil)
 	}
+	return BuildSelect(cat, st, nil, strategy)
+}
+
+func strategyName(strategy int) string {
+	if strategy == rowRef {
+		return "row"
+	}
+	return fmt.Sprintf("workers=%d", strategy)
 }
 
 func TestRandomizedDifferential(t *testing.T) {
@@ -405,68 +422,158 @@ func TestRandomizedDifferential(t *testing.T) {
 	}
 }
 
-// checkRanddiff runs one generated query through every strategy and
-// compares each with the row-mode baseline.
+// checkRanddiff runs one generated query through every strategy, checks
+// that each lowered plan is one pipeline, and compares each result with the
+// row reference's.
 func checkRanddiff(t *testing.T, cat *table.Catalog, i int, q string, grouped, ordered bool) {
 	t.Helper()
-	if _, err := sql.Parse(q); err != nil {
-		t.Fatalf("iter %d: generator produced unparsable query %q: %v", i, q, err)
-	}
-	var baseRows []Row
-	var baseErr error
-	for si, opts := range randdiffStrategies() {
+	var want []Row
+	var wantErr error
+	var bounds []aggBound
+	var extra int
+	for _, strategy := range randdiffStrategies() {
 		stmt, err := sql.Parse(q)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("iter %d: generator produced unparsable query %q: %v", i, q, err)
 		}
-		op, err := BuildSelectOpts(cat, stmt.(*sql.SelectStmt), nil, opts)
+		st := stmt.(*sql.SelectStmt)
+		if strategy == rowRef && grouped {
+			bounds, extra = addBoundCompanions(st)
+		}
+		op, err := buildStrategy(cat, st, strategy)
 		if err != nil {
-			t.Fatalf("iter %d: plan %q (%+v): %v", i, q, opts, err)
+			t.Fatalf("iter %d: plan %q (%s): %v", i, q, strategyName(strategy), err)
+		}
+		if strategy != rowRef {
+			if err := OnePipeline(PlanString(op)); err != nil {
+				t.Fatalf("iter %d: %q (%s): %v", i, q, strategyName(strategy), err)
+			}
 		}
 		rows, runErr := Drain(op)
-		if si == 0 {
-			baseRows, baseErr = rows, runErr
+		if strategy == rowRef {
+			want, wantErr = rows, runErr
 			continue
 		}
-		if (runErr == nil) != (baseErr == nil) {
-			t.Fatalf("iter %d: %q: row err = %v, %+v err = %v", i, q, baseErr, opts, runErr)
+		if (runErr == nil) != (wantErr == nil) {
+			t.Fatalf("iter %d: %q: row err = %v, %s err = %v", i, q, wantErr, strategyName(strategy), runErr)
 		}
 		if runErr != nil {
-			if runErr.Error() != baseErr.Error() {
-				t.Fatalf("iter %d: %q: error mismatch:\n  row:  %v\n  %+v: %v", i, q, baseErr, opts, runErr)
+			if runErr.Error() != wantErr.Error() {
+				t.Fatalf("iter %d: %q: error mismatch:\n  row:  %v\n  %s: %v", i, q, wantErr, strategyName(strategy), runErr)
 			}
 			continue
 		}
-		compareRanddiff(t, i, q, opts, baseRows, rows, grouped, ordered)
+		compareRanddiff(t, i, q, strategy, want, rows, bounds, extra, ordered)
 	}
 }
 
-// compareRanddiff compares a strategy's result against the row-mode
-// baseline. Ordered results compare positionally; unordered ones as sorted
-// multisets. Grouped (aggregated) queries tolerate last-ulps float drift
-// from the parallel partial-aggregate merge; everything else must match
-// exactly.
-func compareRanddiff(t *testing.T, iter int, q string, opts Options, want, got []Row, grouped, ordered bool) {
+// aggBound is how far one aggregate result column may stray from the row
+// reference's. MIN and MAX may return any value equal to the reference's
+// (-0 for 0: which of the equal values a merge keeps depends on which
+// worker claimed which morsel). SUM and AVG may differ within the error
+// bound of the summation they perform, n·ε·Σ|xᵢ|, with ε = 2⁻⁵² and n and
+// Σ|xᵢ| taken from the row reference over the same group's rows. Two
+// evaluation orders of a sum of n terms, such as the row fold and the
+// pipeline's per-worker partials merged, each err by at most γ(n−1)·Σ|xᵢ|
+// (Higham, Accuracy and Stability of Numerical Algorithms, §4.2), so they
+// differ by at most n·ε·Σ|xᵢ|. VAR and STDDEV keep a 10⁻⁹ relative
+// tolerance (closeValue), which a zero-variance reference turns into an
+// exact compare: the Welford state must not cancel where a naive
+// Σx²−n·x̄² fold would.
+type aggBound struct {
+	kind   AggKind
+	col    int // result column
+	n, mag int // SUM/AVG: companion columns count(x) and sum(abs(x))
+}
+
+// addBoundCompanions returns the bounds of st's MIN/MAX/SUM/AVG/VAR/STDDEV
+// items. For each SUM/AVG item over x it appends count(x) and sum(abs(x))
+// to st's select list, so the row reference reports the bound's inputs
+// after the query's own columns; appended aggregates change neither the
+// groups nor their order. It reports how many columns it appended.
+func addBoundCompanions(st *sql.SelectStmt) (bounds []aggBound, extra int) {
+	n := len(st.Items)
+	for c := 0; c < n; c++ {
+		call, ok := st.Items[c].Expr.(*expr.Call)
+		if !ok {
+			continue
+		}
+		kind, ok := IsAggregateCall(call)
+		switch {
+		case !ok || kind == AggCount:
+			continue
+		case kind != AggSum && kind != AggAvg:
+			bounds = append(bounds, aggBound{kind: kind, col: c})
+			continue
+		}
+		x := call.Args[0]
+		bounds = append(bounds, aggBound{kind: kind, col: c, n: len(st.Items), mag: len(st.Items) + 1})
+		st.Items = append(st.Items,
+			sql.SelectItem{Expr: &expr.Call{Name: "count", Args: []expr.Expr{x}}},
+			sql.SelectItem{Expr: &expr.Call{Name: "sum", Args: []expr.Expr{&expr.Call{Name: "abs", Args: []expr.Expr{x}}}}})
+	}
+	return bounds, len(st.Items) - n
+}
+
+// admits reports whether got is a correct value of the bound's column,
+// given the reference row.
+func (b aggBound) admits(ref Row, got expr.Value) bool {
+	want := ref[b.col]
+	switch {
+	case want.K != got.K:
+		return false
+	case b.kind == AggMin || b.kind == AggMax:
+		c, err := expr.Compare(want, got)
+		return err == nil && c == 0
+	case b.kind == AggVar || b.kind == AggStdDev:
+		return closeValue(want, got)
+	}
+	return want.K == expr.KindFloat && math.Abs(want.F-got.F) <= b.tolerance(ref)
+}
+
+// tolerance is the summation error bound of a SUM or AVG column. Σ|xᵢ| is
+// an integer column when x is.
+func (b aggBound) tolerance(ref Row) float64 {
+	const eps = 0x1p-52
+	n := float64(ref[b.n].I)
+	mag, _ := ref[b.mag].AsFloat() // 0 for a group of NULLs, whose SUM/AVG is NULL
+	if b.kind == AggAvg {
+		// The sum's bound divided by n, plus the division's rounding.
+		return (n + 1) * eps * mag / n
+	}
+	return n * eps * mag
+}
+
+// compareRanddiff compares a strategy's result against the row reference's.
+// Ordered results compare positionally; unordered ones as sorted multisets.
+// Aggregate columns compare within their bounds (grouped results are always
+// ordered, and reference rows carry extra columns of bound inputs after the
+// query's); everything else must match exactly.
+func compareRanddiff(t *testing.T, iter int, q string, strategy int, want, got []Row, bounds []aggBound, extra int, ordered bool) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("iter %d: %q (%+v): %d rows, want %d", iter, q, opts, len(got), len(want))
+		t.Fatalf("iter %d: %q (%s): %d rows, want %d", iter, q, strategyName(strategy), len(got), len(want))
 	}
 	w, g := want, got
 	if !ordered {
 		w, g = sortedRows(want), sortedRows(got)
 	}
+	byCol := make(map[int]aggBound, len(bounds))
+	for _, b := range bounds {
+		byCol[b.col] = b
+	}
 	for r := range w {
-		if len(w[r]) != len(g[r]) {
-			t.Fatalf("iter %d: %q (%+v) row %d: width %d vs %d", iter, q, opts, r, len(g[r]), len(w[r]))
+		if len(w[r])-extra != len(g[r]) {
+			t.Fatalf("iter %d: %q (%s) row %d: width %d vs %d", iter, q, strategyName(strategy), r, len(g[r]), len(w[r])-extra)
 		}
-		for c := range w[r] {
+		for c := range g[r] {
 			same := sameValue(w[r][c], g[r][c])
-			if !same && grouped {
-				same = closeValue(w[r][c], g[r][c])
+			if b, ok := byCol[c]; ok && !same {
+				same = b.admits(w[r], g[r][c])
 			}
 			if !same {
-				t.Fatalf("iter %d: %q (%+v) row %d col %d: %v (%s) vs baseline %v (%s)",
-					iter, q, opts, r, c, g[r][c], g[r][c].K, w[r][c], w[r][c].K)
+				t.Fatalf("iter %d: %q (%s) row %d col %d: %v (%s) vs reference %v (%s)",
+					iter, q, strategyName(strategy), r, c, g[r][c], g[r][c].K, w[r][c], w[r][c].K)
 			}
 		}
 	}

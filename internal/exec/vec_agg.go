@@ -170,12 +170,24 @@ func newPartialAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string) (*part
 		grps:       make([]*aggGroup, 0, BatchSize),
 		ints:       map[int64]*partialGroup{},
 	}
+	if err := compileAgg(groupExprs, aggs, cols, pa.groupKerns, pa.argKerns); err != nil {
+		return nil, err
+	}
+	return pa, nil
+}
+
+// compileAgg compiles an aggregate's group-key and argument kernels into
+// groupKerns and argKerns (COUNT(*) has none); a failure reads as the row
+// HashAggregate's. The planner passes nil slices, to check only.
+func compileAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string, groupKerns, argKerns []kernelFn) error {
 	for i, g := range groupExprs {
 		k, err := compileKernel(g, cols)
 		if err != nil {
-			return nil, fmt.Errorf("exec: GROUP BY: %w", err)
+			return rowError(err, "exec: GROUP BY")
 		}
-		pa.groupKerns[i] = k
+		if groupKerns != nil {
+			groupKerns[i] = k
+		}
 	}
 	for i, spec := range aggs {
 		if spec.Arg == nil {
@@ -183,11 +195,13 @@ func newPartialAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string) (*part
 		}
 		k, err := compileKernel(spec.Arg, cols)
 		if err != nil {
-			return nil, fmt.Errorf("exec: aggregate arg: %w", err)
+			return rowError(err, "exec: aggregate arg")
 		}
-		pa.argKerns[i] = k
+		if argKerns != nil {
+			argKerns[i] = k
+		}
 	}
-	return pa, nil
+	return nil
 }
 
 // fold accumulates one batch. morsel and rowBase locate the batch's first

@@ -330,12 +330,22 @@ func (f *VecFilter) Columns() []string { return f.Child.Columns() }
 
 // Open implements VectorOperator.
 func (f *VecFilter) Open() error {
-	k, err := compileKernel(f.Pred, f.Child.Columns())
+	k, err := whereKernel(f.Pred, f.Child.Columns())
 	if err != nil {
 		return err
 	}
 	f.kern = k
 	return f.Child.Open()
+}
+
+// whereKernel compiles a WHERE or HAVING predicate; a failure reads as the
+// row Filter's.
+func whereKernel(pred expr.Expr, cols []string) (kernelFn, error) {
+	k, err := compileKernel(pred, cols)
+	if err != nil {
+		return nil, rowError(err, "exec: WHERE")
+	}
+	return k, nil
 }
 
 // NextBatch implements VectorOperator.
@@ -393,7 +403,7 @@ func (p *VecProject) Open() error {
 	cols := p.Child.Columns()
 	p.kerns = make([]kernelFn, len(p.Exprs))
 	for i, e := range p.Exprs {
-		k, err := compileKernel(e, cols)
+		k, err := projectKernel(e, cols)
 		if err != nil {
 			return err
 		}
@@ -401,6 +411,16 @@ func (p *VecProject) Open() error {
 	}
 	p.out.Cols = make([]*Vector, len(p.Exprs))
 	return p.Child.Open()
+}
+
+// projectKernel compiles one projected expression; a failure reads as the
+// row Project's.
+func projectKernel(e expr.Expr, cols []string) (kernelFn, error) {
+	k, err := compileKernel(e, cols)
+	if err != nil {
+		return nil, rowError(err, fmt.Sprintf("exec: projecting %s", e))
+	}
+	return k, nil
 }
 
 // NextBatch implements VectorOperator.
@@ -492,9 +512,8 @@ func (c *VecConcat) Close() error {
 	return nil
 }
 
-// rowAdapter adapts a VectorOperator to the row Operator interface (the
-// batch→row shim): downstream row operators and Drain keep working
-// unchanged above a vectorized pipeline.
+// rowAdapter adapts a VectorOperator to the row Operator interface: it is
+// the cursor every lowered plan is read through, a row at a time.
 type rowAdapter struct {
 	V VectorOperator
 
@@ -502,9 +521,6 @@ type rowAdapter struct {
 	sel []int
 	pos int
 }
-
-// NewRowAdapter wraps a vectorized pipeline as a row Operator.
-func NewRowAdapter(v VectorOperator) Operator { return &rowAdapter{V: v} }
 
 // Columns implements Operator.
 func (a *rowAdapter) Columns() []string { return a.V.Columns() }
@@ -542,45 +558,3 @@ func (a *rowAdapter) Next() (Row, error) {
 
 // Close implements Operator.
 func (a *rowAdapter) Close() error { return a.V.Close() }
-
-// batchAdapter adapts a row Operator to the VectorOperator interface (the
-// row→batch shim), transposing pulled rows into columnar batches so a
-// row-only source can feed a vectorized pipeline.
-type batchAdapter struct {
-	Op  Operator
-	buf []Row
-}
-
-// NewBatchAdapter wraps a row operator as a vectorized one.
-func NewBatchAdapter(op Operator) VectorOperator { return &batchAdapter{Op: op} }
-
-// Columns implements VectorOperator.
-func (a *batchAdapter) Columns() []string { return a.Op.Columns() }
-
-// Open implements VectorOperator.
-func (a *batchAdapter) Open() error { return a.Op.Open() }
-
-// NextBatch implements VectorOperator.
-func (a *batchAdapter) NextBatch() (*Batch, error) {
-	if a.buf == nil {
-		a.buf = make([]Row, 0, BatchSize)
-	}
-	a.buf = a.buf[:0]
-	for len(a.buf) < BatchSize {
-		row, err := a.Op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			break
-		}
-		a.buf = append(a.buf, row)
-	}
-	if len(a.buf) == 0 {
-		return nil, nil
-	}
-	return batchFromRows(a.buf, len(a.Op.Columns())), nil
-}
-
-// Close implements VectorOperator.
-func (a *batchAdapter) Close() error { return a.Op.Close() }

@@ -47,7 +47,7 @@ func TestVecTableScanSnapshotsRowCount(t *testing.T) {
 
 func TestRowAdapterReopens(t *testing.T) {
 	vs := &VecValuesScan{Cols: []string{"a"}, Rows: []Row{{expr.Int(1)}, {expr.Int(2)}}}
-	op := NewRowAdapter(vs)
+	op := &rowAdapter{V: vs}
 	for pass := 0; pass < 2; pass++ {
 		rows, err := Drain(op)
 		if err != nil || len(rows) != 2 {
@@ -59,13 +59,15 @@ func TestRowAdapterReopens(t *testing.T) {
 	}
 }
 
-func TestBatchAdapterRoundTrip(t *testing.T) {
-	src := &ValuesScan{Cols: []string{"a", "b"}, Rows: []Row{
+// TestValuesBatchRoundTrip: boxed rows transposed into a batch and read
+// back through the row adapter keep their values and NULLs.
+func TestValuesBatchRoundTrip(t *testing.T) {
+	src := &VecValuesScan{Cols: []string{"a", "b"}, Rows: []Row{
 		{expr.Int(1), expr.Str("x")},
 		{expr.Null(), expr.Str("y")},
 		{expr.Int(3), expr.Null()},
 	}}
-	rows, err := Drain(NewRowAdapter(NewBatchAdapter(src)))
+	rows, err := Drain(&rowAdapter{V: src})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestVecFilterEmptyBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := &VecFilter{Child: &VecValuesScan{Cols: []string{"v"}, Rows: rows}, Pred: pred}
-	out, err := Drain(NewRowAdapter(f))
+	out, err := Drain(&rowAdapter{V: f})
 	if err != nil {
 		t.Fatal(err)
 	}

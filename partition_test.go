@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"datalaws/internal/exec"
 	"datalaws/internal/expr"
 	"datalaws/internal/modelstore"
 	"datalaws/internal/refit"
@@ -118,10 +119,14 @@ func TestPartitionedApproxPointPrunes(t *testing.T) {
 		t.Fatalf("EXPLAIN APPROX missing pruning info:\n%s", res.Info)
 	}
 
-	// A range predicate over two partitions keeps exactly those.
+	// A range predicate over two partitions keeps exactly those, and runs
+	// their model scans as one pipeline.
 	res = eng.MustExec(`APPROX SELECT avg(intensity) FROM m WHERE source >= 100 AND source < 300`)
 	if res.Partitions != 16 || res.PartitionsPruned != 14 {
 		t.Fatalf("range query partitions = %d pruned = %d, want 16/14", res.Partitions, res.PartitionsPruned)
+	}
+	if err := exec.OnePipeline(eng.MustExec(`EXPLAIN APPROX SELECT avg(intensity) FROM m WHERE source >= 100 AND source < 300`).Info); err != nil {
+		t.Fatal(err)
 	}
 
 	// An unselective aggregate touches every partition's model and agrees

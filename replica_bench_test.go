@@ -1,7 +1,8 @@
 // Benchmarks for model-shipping replication: how fast a refit on the
 // primary lands on a replica (the full publish → long-poll → install
 // path), and what a replica charges for an APPROX point query over the
-// wire. Run with scripts/bench.sh replica.
+// wire. Run with
+// go test -run='^$' -bench='ReplicaDeltaApply|ReplicaPointQuery' -benchmem .
 package datalaws_test
 
 import (

@@ -245,7 +245,7 @@ func (s *Stmt) querySelect(ctx context.Context, sel *sql.SelectStmt) (*Rows, err
 			if !s.eng.aqpOptions().FallbackExact || !errors.Is(err, modelstore.ErrNoModel) {
 				return nil, err
 			}
-			exact, exErr := exec.BuildSelectOpts(s.eng.Catalog, sel, nil, s.eng.execOptions())
+			exact, exErr := exec.BuildSelect(s.eng.Catalog, sel, nil, s.eng.parallelism())
 			if exErr != nil {
 				return nil, err
 			}
@@ -269,7 +269,7 @@ func (s *Stmt) querySelect(ctx context.Context, sel *sql.SelectStmt) (*Rows, err
 			return nil, fmt.Errorf("datalaws: exact SELECT needs raw rows: %w", wireerr.ErrReplicaReadOnly)
 		}
 		var err error
-		op, err = exec.BuildSelectOpts(s.eng.Catalog, sel, nil, s.eng.execOptions())
+		op, err = exec.BuildSelect(s.eng.Catalog, sel, nil, s.eng.parallelism())
 		if err != nil {
 			return nil, err
 		}

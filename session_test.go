@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"datalaws/internal/exec"
 	"datalaws/internal/expr"
 )
 
@@ -81,35 +80,34 @@ func TestQueryEarlyCloseStopsStreaming(t *testing.T) {
 }
 
 func TestQueryCancelMidScan(t *testing.T) {
-	for _, mode := range []exec.Mode{exec.ModeAuto, exec.ModeRow} {
-		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
-			e := NewEngine()
-			e.ExecMode = mode
-			fillSequential(t, e, 200_000)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			rows, err := e.Query(ctx, "SELECT a, b FROM big")
-			if err != nil {
-				t.Fatal(err)
+	// The subtest keeps its name from when the engine had several execution
+	// modes; mode 0 was the vectorized pipeline, now the only one.
+	t.Run("mode=0", func(t *testing.T) {
+		e := NewEngine()
+		fillSequential(t, e, 200_000)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		rows, err := e.Query(ctx, "SELECT a, b FROM big")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rows.Close()
+		n := 0
+		for rows.Next() {
+			n++
+			if n == 10 {
+				cancel()
 			}
-			defer rows.Close()
-			n := 0
-			for rows.Next() {
-				n++
-				if n == 10 {
-					cancel()
-				}
-			}
-			if !errors.Is(rows.Err(), context.Canceled) {
-				t.Fatalf("err = %v after %d rows, want context.Canceled", rows.Err(), n)
-			}
-			// The scan must stop within one interrupt stride of the cancel,
-			// far short of the full table.
-			if n >= 100_000 {
-				t.Fatalf("scan consumed %d rows after cancellation", n)
-			}
-		})
-	}
+		}
+		if !errors.Is(rows.Err(), context.Canceled) {
+			t.Fatalf("err = %v after %d rows, want context.Canceled", rows.Err(), n)
+		}
+		// The scan must stop within one interrupt stride of the cancel,
+		// far short of the full table.
+		if n >= 100_000 {
+			t.Fatalf("scan consumed %d rows after cancellation", n)
+		}
+	})
 }
 
 func TestQueryPreCanceledContext(t *testing.T) {
