@@ -247,8 +247,9 @@ func BenchmarkVectorizedProjection(b *testing.B) {
 
 // BenchmarkVectorizedModelScan measures the zero-IO scan operator itself:
 // the batch side consumes columnar batches natively (summing the predicted
-// output column), the row side pulls boxed rows through the row adapter —
-// both regenerate and fold the full 80k-row grid of the linear sensor model.
+// output column), the row side reads exec.Lower(scan, 1), the row cursor
+// every statement reads through — both regenerate and fold the full 80k-row
+// grid of the linear sensor model.
 func BenchmarkVectorizedModelScan(b *testing.B) {
 	_, m, doms := sensorModel(b, 4000)
 	rows := int64(20 * 4001)
@@ -298,12 +299,16 @@ func BenchmarkVectorizedModelScan(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := scan.Open(); err != nil {
+			op, err := exec.Lower(scan, 1)
+			if err != nil {
 				b.Fatal(err)
 			}
-			yhatCol := len(scan.Columns()) - 1
+			if err := op.Open(); err != nil {
+				b.Fatal(err)
+			}
+			yhatCol := len(op.Columns()) - 1
 			for {
-				row, err := scan.Next()
+				row, err := op.Next()
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -312,7 +317,7 @@ func BenchmarkVectorizedModelScan(b *testing.B) {
 				}
 				sink += row[yhatCol].F
 			}
-			scan.Close()
+			op.Close()
 		}
 		_ = sink
 	})
@@ -360,7 +365,11 @@ func BenchmarkEnumeratedAggregatesBaseline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rows, err := exec.Drain(scan)
+		op, err := exec.Lower(scan, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, err := exec.Drain(op)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -461,12 +470,16 @@ func BenchmarkParameterEnumeration(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				op, err := exec.Lower(scan, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
 				n := 0
-				if err := scan.Open(); err != nil {
+				if err := op.Open(); err != nil {
 					b.Fatal(err)
 				}
 				for {
-					row, err := scan.Next()
+					row, err := op.Next()
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -475,6 +488,7 @@ func BenchmarkParameterEnumeration(b *testing.B) {
 					}
 					n++
 				}
+				op.Close()
 			}
 		})
 	}

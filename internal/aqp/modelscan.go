@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"datalaws/internal/exec"
 	"datalaws/internal/modelstore"
 	"datalaws/internal/stats"
 )
@@ -14,8 +13,8 @@ import (
 // of reading stored measurements. Output columns mirror the base table
 // (group column, input columns, predicted output), so the relational
 // pipeline above is unchanged; with WithError, <output>_lo and <output>_hi
-// prediction-interval bounds are appended. Plans run it as vector scans
-// (SplitMorsels).
+// prediction-interval bounds are appended. It is an exec.Node that the plan
+// lowering splits into vector scans (SplitMorsels).
 type ModelScan struct {
 	Model *modelstore.CapturedModel
 	// Domains enumerates each input column's legal values, in model input
@@ -37,12 +36,8 @@ type ModelScan struct {
 	// TableName qualifies output column names; defaults to the model's
 	// table.
 	TableName string
-	// Interruptible holds the statement context a row plan binds, for the
-	// pipeline Open runs; lowered plans bind each vector scan instead.
-	exec.Interruptible
 
 	cols []string
-	run  exec.Operator // Open's one-worker pipeline
 }
 
 // NewModelScan validates and constructs a scan.
@@ -61,7 +56,7 @@ func NewModelScan(m *modelstore.CapturedModel, domains []Domain, legal *ExactLeg
 	return &ModelScan{Model: m, Domains: domains, Legal: legal}, nil
 }
 
-// Columns implements exec.Operator.
+// Columns implements exec.Node.
 func (s *ModelScan) Columns() []string {
 	if s.cols != nil {
 		return s.cols
@@ -94,20 +89,6 @@ func (s *ModelScan) orderKeys() []int64 {
 	return s.Model.Order
 }
 
-// Open implements exec.Operator, so the scan can stand in a plan as a row
-// operator: it runs as a one-worker pipeline read through the row adapter.
-func (s *ModelScan) Open() error {
-	run, err := exec.Lower(s, 1)
-	if err != nil {
-		return err
-	}
-	s.run = exec.BindContext(run, s.Context())
-	return s.run.Open()
-}
-
-// Next implements exec.Operator.
-func (s *ModelScan) Next() (exec.Row, error) { return s.run.Next() }
-
 // predictionInterval computes the delta-method prediction interval from the
 // stored per-group covariance — the "error bounds" annotation of Figure 2
 // step 5. grad is caller-owned scratch (one per concurrent scan).
@@ -132,14 +113,6 @@ func (s *ModelScan) predictionInterval(g *modelstore.GroupParams, inputs []float
 	}
 	tcrit := stats.StudentT{Nu: float64(g.DF)}.Quantile(0.5 + s.Level/2)
 	return yhat - tcrit*se, yhat + tcrit*se
-}
-
-// Close implements exec.Operator.
-func (s *ModelScan) Close() error {
-	if s.run == nil {
-		return nil
-	}
-	return s.run.Close()
 }
 
 // PointLookup answers the paper's first example query — a point query on

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"datalaws/internal/exec"
-	"datalaws/internal/expr"
 	"datalaws/internal/modelstore"
 	"datalaws/internal/sql"
 )
@@ -47,7 +46,7 @@ func (p *Prepared) bindPartitioned(st *sql.SelectStmt) (*Plan, error) {
 	}
 	keep := pt.PruneExpr(st.Where, pt.Name)
 
-	var sources []exec.Operator
+	var sources []exec.Node
 	var firstModel *modelstore.CapturedModel
 	grid := 0
 	hybrid := false
@@ -58,11 +57,7 @@ func (p *Prepared) bindPartitioned(st *sql.SelectStmt) (*Plan, error) {
 		if err != nil {
 			// No trusted model for this partition (never fitted, fit failed,
 			// or revoked by staleness): answer its region from raw rows.
-			raw, rerr := rawProjection(child, pt.Name, template, p.withError)
-			if rerr != nil {
-				return nil, rerr
-			}
-			sources = append(sources, raw)
+			sources = append(sources, rawProjection(child, pt.Name, template, p.withError))
 			hybrid = true
 			continue
 		}
@@ -77,35 +72,12 @@ func (p *Prepared) bindPartitioned(st *sql.SelectStmt) (*Plan, error) {
 		if inflate > inflateMax {
 			inflateMax = inflate
 		}
-		scan, err := NewModelScan(model, domains, legal)
+		source, partial, err := p.modelSource(st, child, pt.Name, model, domains, legal, inflate)
 		if err != nil {
 			return nil, err
 		}
-		scan.WithError = st.WithError
-		scan.Level = p.opts.Level
-		scan.SEInflation = inflate
-		scan.TableName = pt.Name
 		grid += GridSize(domains) * model.Quality.GroupsOK
-
-		var source exec.Operator = scan
-		if empty := pushDownEqualities(scan, st, model, domains); empty {
-			source = &exec.ValuesScan{Cols: scan.Columns()}
-		}
-		if model.Spec.Where != nil {
-			// The family was fitted on a restricted region: model tuples
-			// inside it, this partition's raw rows outside it.
-			modelSide := &exec.Filter{Child: source, Pred: model.Spec.Where}
-			rawSide, err := rawProjection(child, pt.Name, model, st.WithError)
-			if err != nil {
-				return nil, err
-			}
-			notWhere := &expr.Unary{Op: expr.OpNot, X: model.Spec.Where}
-			source = &exec.Concat{Children: []exec.Operator{
-				modelSide,
-				&exec.Filter{Child: rawSide, Pred: notWhere},
-			}}
-			hybrid = true
-		}
+		hybrid = hybrid || partial
 		sources = append(sources, source)
 	}
 
@@ -117,7 +89,7 @@ func (p *Prepared) bindPartitioned(st *sql.SelectStmt) (*Plan, error) {
 		firstModel = template
 	}
 
-	var source exec.Operator
+	var source exec.Node
 	switch len(sources) {
 	case 0:
 		// Every partition pruned: the result is provably empty.

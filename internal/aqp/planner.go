@@ -245,52 +245,55 @@ func (p *Prepared) Bind(st *sql.SelectStmt) (*Plan, error) {
 		return &Plan{Op: op, Model: model, GridRows: GridSize(domains) * model.Quality.GroupsOK, SEInflation: inflate}, nil
 	}
 
-	scan, err := NewModelScan(model, domains, legal)
+	t, err := p.cat.Lookup(st.From)
+	if err != nil {
+		return nil, fmt.Errorf("aqp: %w", err)
+	}
+	source, hybrid, err := p.modelSource(st, t, st.From, model, domains, legal, inflate)
 	if err != nil {
 		return nil, err
 	}
-	scan.WithError = st.WithError
-	scan.Level = p.opts.Level
-	scan.SEInflation = inflate
-	scan.TableName = st.From
-
-	// Point-lookup pushdown: equality conjuncts on the group column or an
-	// input column narrow the enumerated grid before it is generated, so a
-	// bound `source = ? AND nu = ?` touches one parameter-table entry
-	// instead of the full grid. The original WHERE still runs above the
-	// scan, so pushdown is purely an enumeration restriction. A literal
-	// outside the enumerated domain (all values the table has ever held)
-	// proves the whole result empty.
-	var source exec.Operator = scan
-	if empty := pushDownEqualities(scan, st, model, domains); empty {
-		source = &exec.ValuesScan{Cols: scan.Columns()}
-	}
-	hybrid := false
-	if model.Spec.Where != nil {
-		// Partial coverage: model rows must satisfy the fitted region, raw
-		// rows cover its complement.
-		hybrid = true
-		t, err := p.cat.Lookup(st.From)
-		if err != nil {
-			return nil, fmt.Errorf("aqp: %w", err)
-		}
-		modelSide := &exec.Filter{Child: source, Pred: model.Spec.Where}
-		rawSide, err := rawProjection(t, st.From, model, st.WithError)
-		if err != nil {
-			return nil, err
-		}
-		notWhere := &expr.Unary{Op: expr.OpNot, X: model.Spec.Where}
-		source = &exec.Concat{Children: []exec.Operator{
-			modelSide,
-			&exec.Filter{Child: rawSide, Pred: notWhere},
-		}}
-	}
-
 	op, err := exec.BuildSelect(p.cat, st, source, p.opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}
 	return &Plan{Op: op, Model: model, Hybrid: hybrid, GridRows: GridSize(domains) * model.Quality.GroupsOK, SEInflation: inflate}, nil
+}
+
+// modelSource builds the source an APPROX plan reads in place of t's rows
+// (t is a partition child when tableName names its parent): a ModelScan
+// over the model's grid. Point-lookup pushdown narrows it first: equality
+// conjuncts on the group column or an input column narrow the enumerated
+// grid before it is generated, so a bound `source = ? AND nu = ?` touches
+// one parameter-table entry instead of the full grid. The original WHERE
+// still runs above the scan, so pushdown is purely an enumeration
+// restriction. A literal outside the enumerated domain (all values the
+// table has ever held) proves the model side empty. A model fitted on a
+// restricted region (Spec.Where) answers only inside it: the source is then
+// the hybrid concat of model tuples inside the region and t's raw rows
+// outside it, and hybrid reports that (§4.1 "partial models").
+func (p *Prepared) modelSource(st *sql.SelectStmt, t *table.Table, tableName string, model *modelstore.CapturedModel, domains []Domain, legal *ExactLegalSet, inflate float64) (source exec.Node, hybrid bool, err error) {
+	scan, err := NewModelScan(model, domains, legal)
+	if err != nil {
+		return nil, false, err
+	}
+	scan.WithError = st.WithError
+	scan.Level = p.opts.Level
+	scan.SEInflation = inflate
+	scan.TableName = tableName
+
+	source = scan
+	if empty := pushDownEqualities(scan, st, model, domains); empty {
+		source = &exec.ValuesScan{Cols: scan.Columns()}
+	}
+	if model.Spec.Where == nil {
+		return source, false, nil
+	}
+	notWhere := &expr.Unary{Op: expr.OpNot, X: model.Spec.Where}
+	return &exec.Concat{Children: []exec.Node{
+		&exec.Filter{Child: source, Pred: model.Spec.Where},
+		&exec.Filter{Child: rawProjection(t, tableName, model, st.WithError), Pred: notWhere},
+	}}, true, nil
 }
 
 // pushDownEqualities narrows a model scan using top-level `col = literal`
@@ -513,7 +516,7 @@ func covers(m *modelstore.CapturedModel, tableName string, refs map[string]bool,
 // the two sides of a hybrid plan concatenate. Raw rows are exact, so their
 // error bounds collapse to the value itself. tableName qualifies the output
 // columns (the parent name when t is a partition child).
-func rawProjection(t *table.Table, tableName string, m *modelstore.CapturedModel, withError bool) (exec.Operator, error) {
+func rawProjection(t *table.Table, tableName string, m *modelstore.CapturedModel, withError bool) exec.Node {
 	scan := exec.NewTableScanAs(t, tableName)
 	var exprs []expr.Expr
 	var names []string
@@ -535,5 +538,5 @@ func rawProjection(t *table.Table, tableName string, m *modelstore.CapturedModel
 			tableName+"."+m.Model.Output+"_lo",
 			tableName+"."+m.Model.Output+"_hi")
 	}
-	return &exec.Project{Child: scan, Exprs: exprs, Names: names}, nil
+	return &exec.Project{Child: scan, Exprs: exprs, Names: names}
 }

@@ -1,7 +1,6 @@
 package aqp
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 
@@ -110,10 +109,6 @@ func newVecModelScan(shared *modelMorsels, lead bool) (*vecModelScan, error) {
 
 // Columns implements exec.VectorOperator.
 func (v *vecModelScan) Columns() []string { return v.s.Columns() }
-
-// SetContext implements exec.ContextAware; each scan owns its interrupt
-// state, so parallel siblings never share a counter.
-func (v *vecModelScan) SetContext(ctx context.Context) { v.Interruptible.SetContext(ctx) }
 
 // Open implements exec.VectorOperator: it allocates the scan's private
 // buffers; NextMorsel positions the group cursor.

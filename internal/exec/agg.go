@@ -80,32 +80,41 @@ func (st *aggState) update(kind AggKind, v expr.Value) error {
 		}
 		st.addFloat(kind, f)
 	case AggMin:
-		if !st.seen {
-			st.min, st.seen = v, true
-			return nil
-		}
-		c, err := expr.Compare(v, st.min)
-		if err != nil {
-			return err
-		}
-		if c < 0 {
-			st.min = v
-		}
+		return st.fold(&st.min, v, -1)
 	case AggMax:
-		if !st.seen {
-			st.max, st.seen = v, true
-			return nil
-		}
-		c, err := expr.Compare(v, st.max)
-		if err != nil {
-			return err
-		}
-		if c > 0 {
-			st.max = v
-		}
+		return st.fold(&st.max, v, 1)
 	}
 	return nil
 }
+
+// fold replaces *cur, the running MIN (dir −1) or MAX (dir 1), with v when
+// v orders on dir's side of it. Ties under expr.Compare break by one rule,
+// so the answer does not depend on the order values fold or partials
+// merge: −0 orders below 0, so MIN keeps −0 and MAX keeps 0.
+func (st *aggState) fold(cur *expr.Value, v expr.Value, dir int) error {
+	if !st.seen {
+		*cur, st.seen = v, true
+		return nil
+	}
+	c, err := expr.Compare(v, *cur)
+	if err != nil {
+		return err
+	}
+	if c == 0 {
+		switch vn, cn := negZero(v), negZero(*cur); {
+		case vn && !cn:
+			c = -1
+		case cn && !vn:
+			c = 1
+		}
+	}
+	if c == dir {
+		*cur = v
+	}
+	return nil
+}
+
+func negZero(v expr.Value) bool { return v.K == expr.KindFloat && v.F == 0 && math.Signbit(v.F) }
 
 // addFloat is update for a known-numeric non-NULL argument: the vectorized
 // aggregate calls it with raw floats, skipping the boxing and coercion of
@@ -125,10 +134,10 @@ func (st *aggState) addFloat(kind AggKind, f float64) {
 
 // merge folds another partial state for the same group into st — the
 // recombination step of parallel aggregation. COUNT/SUM/AVG merge
-// additively, MIN/MAX by comparison, and VAR/STDDEV through the two-sample
-// Welford combination. Merging reassociates floating-point addition, so
-// SUM/AVG/VAR/STDDEV results can differ between pool sizes in the last few
-// ulps.
+// additively, MIN/MAX by comparison under fold's tie rule, and VAR/STDDEV
+// through the two-sample Welford combination. Merging reassociates
+// floating-point addition, so SUM/AVG/VAR/STDDEV results can differ between
+// pool sizes in the last few ulps.
 func (st *aggState) merge(o *aggState, kind AggKind) error {
 	switch kind {
 	case AggCount:
@@ -148,34 +157,12 @@ func (st *aggState) merge(o *aggState, kind AggKind) error {
 		st.sum += o.sum
 		st.count += o.count
 	case AggMin:
-		if !o.seen {
-			return nil
-		}
-		if !st.seen {
-			st.min, st.seen = o.min, true
-			return nil
-		}
-		c, err := expr.Compare(o.min, st.min)
-		if err != nil {
-			return err
-		}
-		if c < 0 {
-			st.min = o.min
+		if o.seen {
+			return st.fold(&st.min, o.min, -1)
 		}
 	case AggMax:
-		if !o.seen {
-			return nil
-		}
-		if !st.seen {
-			st.max, st.seen = o.max, true
-			return nil
-		}
-		c, err := expr.Compare(o.max, st.max)
-		if err != nil {
-			return err
-		}
-		if c > 0 {
-			st.max = o.max
+		if o.seen {
+			return st.fold(&st.max, o.max, 1)
 		}
 	}
 	return nil
@@ -263,13 +250,9 @@ func aggOutputCols(ngroup, nagg int) []string {
 // output columns are "$grp0…$grpN" followed by "$agg0…$aggM", which the
 // planner's post-projection maps back to user-visible expressions.
 type HashAggregate struct {
-	Child      Operator
+	Child      Node
 	GroupExprs []expr.Expr
 	Aggs       []AggSpec
-
-	cols   []string
-	groups []*aggGroup
-	pos    int
 }
 
 type aggGroup struct {
@@ -277,98 +260,7 @@ type aggGroup struct {
 	states []aggState
 }
 
-// Columns implements Operator.
+// Columns implements Node.
 func (h *HashAggregate) Columns() []string {
-	if h.cols == nil {
-		h.cols = aggOutputCols(len(h.GroupExprs), len(h.Aggs))
-	}
-	return h.cols
-}
-
-// Open implements Operator: it fully consumes the child and builds groups.
-func (h *HashAggregate) Open() error {
-	if err := h.Child.Open(); err != nil {
-		return err
-	}
-	h.groups = nil
-	h.pos = 0
-	env := newRowEnv(h.Child.Columns())
-	if err := env.resolve(h.GroupExprs...); err != nil {
-		return err
-	}
-	for _, spec := range h.Aggs {
-		if err := env.resolve(spec.Arg); err != nil {
-			return err
-		}
-	}
-	index := map[string]*aggGroup{}
-	var order []*aggGroup
-	var kb []byte
-	for {
-		row, err := h.Child.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			break
-		}
-		env.bind(row)
-		key := make([]expr.Value, len(h.GroupExprs))
-		kb = kb[:0]
-		for i, g := range h.GroupExprs {
-			v, err := expr.Eval(g, env)
-			if err != nil {
-				return fmt.Errorf("exec: GROUP BY: %w", err)
-			}
-			key[i] = v
-			kb = appendGroupKey(kb, v)
-		}
-		grp, ok := index[string(kb)]
-		if !ok {
-			grp = &aggGroup{key: key, states: make([]aggState, len(h.Aggs))}
-			index[string(kb)] = grp
-			order = append(order, grp)
-		}
-		for i, spec := range h.Aggs {
-			var v expr.Value
-			if spec.Arg == nil {
-				v = expr.Int(1) // COUNT(*): any non-null marker
-			} else {
-				v, err = expr.Eval(spec.Arg, env)
-				if err != nil {
-					return fmt.Errorf("exec: aggregate arg: %w", err)
-				}
-			}
-			if err := grp.states[i].update(spec.Kind, v); err != nil {
-				return fmt.Errorf("exec: aggregate: %w", err)
-			}
-		}
-	}
-	// A global aggregate over zero rows still yields one output row.
-	if len(order) == 0 && len(h.GroupExprs) == 0 {
-		order = append(order, &aggGroup{states: make([]aggState, len(h.Aggs))})
-	}
-	h.groups = order
-	return nil
-}
-
-// Next implements Operator.
-func (h *HashAggregate) Next() (Row, error) {
-	if h.pos >= len(h.groups) {
-		return nil, nil
-	}
-	g := h.groups[h.pos]
-	h.pos++
-	out := make(Row, 0, len(g.key)+len(h.Aggs))
-	out = append(out, g.key...)
-	for i, spec := range h.Aggs {
-		out = append(out, g.states[i].final(spec.Kind))
-	}
-	return out, nil
-}
-
-// Close implements Operator.
-func (h *HashAggregate) Close() error {
-	h.groups = nil
-	return h.Child.Close()
+	return aggOutputCols(len(h.GroupExprs), len(h.Aggs))
 }

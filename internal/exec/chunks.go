@@ -33,14 +33,6 @@ func captureChunks(t *table.Table, where expr.Expr, alias string) (chunkSet, err
 // numChunks returns the surviving chunk count.
 func (cs chunkSet) numChunks() int { return len(cs.keep) }
 
-// rows returns the view's total (pre-pruning) row count.
-func (cs chunkSet) rows() int {
-	if cs.view == nil {
-		return 0
-	}
-	return cs.view.Rows()
-}
-
 // rawColumns materializes surviving chunk k's column set (decoded through
 // the shared cache) and its row count.
 func (cs chunkSet) rawColumns(k int) ([]storage.Column, int, error) {

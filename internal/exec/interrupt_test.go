@@ -44,7 +44,7 @@ func TestBindContextCancelsScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		BindContext(op, ctx)
+		bindReference(op, ctx)
 		if err := op.Open(); err != nil {
 			t.Fatal(err)
 		}

@@ -8,118 +8,28 @@ import (
 	"datalaws/internal/expr"
 )
 
-// HashJoin is the row inner equi-join, the reference for VecHashJoin.
-// The ON condition must be a conjunction of equalities, each comparing one
-// left column with one right column, under the join-key rule. It builds on
-// the right input and emits each left row's matches in build order. It
-// checks the statement context itself: a join can emit unboundedly many
-// rows per input row, so the leaf scans' checks alone would not bound
-// cancellation latency.
+// HashJoin is the inner equi-join: its ON condition must be a conjunction
+// of equalities, each comparing one left column with one right column,
+// under the join-key rule. It builds on the right input and emits each left
+// row's matches in build order. It lowers to VecHashJoin.
 type HashJoin struct {
-	Left, Right Operator
+	Left, Right Node
 	On          expr.Expr
-	Interruptible
-
-	cols                []string
-	leftKeys, rightKeys []int
-	built               []Row
-	index               joinIndex
-	curLeft             Row
-	cand                int32 // next build row to test against curLeft; -1 when none
-	leftDone            bool
 }
 
-// Columns implements Operator.
+// Columns implements Node.
 func (j *HashJoin) Columns() []string {
-	if j.cols == nil {
-		j.cols = append(append([]string{}, j.Left.Columns()...), j.Right.Columns()...)
-	}
-	return j.cols
+	return append(append([]string{}, j.Left.Columns()...), j.Right.Columns()...)
 }
 
-// Open implements Operator: it extracts the equi-keys, builds a hash table
-// on the right input, and prepares to stream the left input.
-func (j *HashJoin) Open() error {
-	lcols, rcols := j.Left.Columns(), j.Right.Columns()
-	lk, rk, err := extractEquiKeys(j.On, lcols, rcols)
-	if err != nil {
-		return err
-	}
-	j.leftKeys, j.rightKeys = lk, rk
-	if err := j.Right.Open(); err != nil {
-		return err
-	}
-	j.built = nil
-	for {
-		row, err := j.Right.Next()
-		if err != nil {
-			// Close the build side on a failed drain so a parallel input
-			// (gather worker pool) shuts down instead of leaking.
-			j.Right.Close()
-			return err
-		}
-		if row == nil {
-			break
-		}
-		j.built = append(j.built, row)
-	}
-	if err := j.Right.Close(); err != nil {
-		return err
-	}
-	j.index = newJoinIndex(len(j.built), func(r int) (uint64, bool) { return keyHash(j.rightKeys, j.built[r].at) })
-	j.cand, j.leftDone = -1, false
-	j.ResetInterrupt()
-	return j.Left.Open()
-}
-
-// Next implements Operator.
-func (j *HashJoin) Next() (Row, error) {
-	for {
-		if err := j.CheckInterrupt(); err != nil {
-			return nil, err
-		}
-		if j.cand >= 0 {
-			r := j.built[j.cand]
-			j.cand = j.index.next[j.cand]
-			if !keysEqual(j.leftKeys, j.rightKeys, j.curLeft.at, r.at) {
-				continue
-			}
-			out := make(Row, 0, len(j.curLeft)+len(r))
-			out = append(out, j.curLeft...)
-			out = append(out, r...)
-			return out, nil
-		}
-		if j.leftDone {
-			return nil, nil
-		}
-		row, err := j.Left.Next()
-		if err != nil {
-			return nil, err
-		}
-		if row == nil {
-			j.leftDone = true
-			return nil, nil
-		}
-		if h, ok := keyHash(j.leftKeys, row.at); ok {
-			j.curLeft = row
-			j.cand = j.index.head[h] - 1
-		}
-	}
-}
-
-// Close implements Operator.
-func (j *HashJoin) Close() error {
-	j.built, j.index = nil, joinIndex{}
-	return j.Left.Close()
-}
-
-// The join-key rule, shared by HashJoin and VecHashJoin: a pair of keys
-// joins exactly when = in WHERE would be TRUE. NULL never joins; numbers
-// join numbers by expr.Compare (INTs as int64, an INT meets a DOUBLE at the
-// DOUBLE's value, -0 meets +0, NaN meets NaN); strings join strings and
-// booleans booleans. Numbers hash by float64 value with the zeros and the
-// NaNs folded, so every equal pair shares a bucket; the hash only finds
-// candidates, and joinKeyEqual confirms them (2^53+1 shares 2^53's bucket).
+// The join-key rule, shared by VecHashJoin and the row reference: a pair
+// of keys joins exactly when = in WHERE would be TRUE. NULL never joins;
+// numbers join numbers by expr.Compare (INTs as int64, an INT meets a
+// DOUBLE at the DOUBLE's value, -0 meets +0, NaN meets NaN); strings join
+// strings and booleans booleans. Numbers hash by float64 value with the
+// zeros and the NaNs folded, so every equal pair shares a bucket; the hash
+// only finds candidates, and joinKeyEqual confirms them (2^53+1 shares
+// 2^53's bucket).
 func joinKeyHash(h uint64, v expr.Value) (uint64, bool) {
 	var x uint64
 	switch v.K {
@@ -176,8 +86,6 @@ func keysEqual(lk, rk []int, l, r func(int) expr.Value) bool {
 	}
 	return true
 }
-
-func (r Row) at(c int) expr.Value { return r[c] }
 
 // joinIndex is a join's build-side hash index: head maps a key hash to 1 +
 // its first build row, and next chains the rest (-1 ends), in build order;

@@ -286,8 +286,8 @@ func mergedNulls(l, r *Vector, n int) []bool {
 	return out
 }
 
-// cmpF orders two floats with the row engine's NaN semantics (NaN sorts
-// below every number).
+// cmpF orders two floats with expr.Compare's NaN semantics (NaN sorts below
+// every number).
 func cmpF(a, b float64) int {
 	switch {
 	case a < b:

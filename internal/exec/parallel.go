@@ -37,8 +37,8 @@
 // Because the merge reassociates floating-point addition, SUM/AVG/VAR
 // results can differ between pool sizes in the last few ulps; everything
 // else — row sets, row order, NULL (3VL) semantics, error messages — is
-// identical, and is checked against the row operators, which drain the same
-// logical plan a row at a time and serve only as that reference.
+// identical, and is checked against the row reference in this package's
+// tests, which drains the same logical plan a row at a time.
 package exec
 
 import (

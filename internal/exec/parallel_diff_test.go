@@ -297,7 +297,7 @@ func TestDifferentialParallelSortErrors(t *testing.T) {
 		for i, k := range c.in {
 			vals.Rows = append(vals.Rows, Row{expr.Int(int64(i)), k, expr.Int(int64(i % 2))})
 		}
-		want, wantErr := Drain(&Sort{Child: &vals.ValuesScan, Keys: c.keys})
+		want, wantErr := Drain(rowReference(&Sort{Child: &vals.ValuesScan, Keys: c.keys}))
 		if (wantErr == nil) != (c.want == "") || wantErr != nil && wantErr.Error() != c.want {
 			t.Fatalf("%v: row sort err = %v, want %q", c.in, wantErr, c.want)
 		}

@@ -12,10 +12,8 @@ import (
 // partitions whose range cannot satisfy the statement's WHERE predicate
 // before the scan is built, so a selective query touches only the rows (and,
 // on the approximate path, the models) of the partitions it can match.
-//
-// This is the row-at-a-time form; the plan lowering turns it into a
-// vecMorselScan over the surviving partitions' chunks (one dense morsel
-// space, see tableMorsels).
+// The plan lowering turns it into a vecMorselScan over the surviving
+// partitions' chunks (one dense morsel space, see tableMorsels).
 type PartitionScan struct {
 	Parted *table.PartitionedTable
 	// Parts are the surviving partitions in range order; Total counts the
@@ -25,11 +23,8 @@ type PartitionScan struct {
 	// Where is the statement's WHERE predicate, carried down so the
 	// surviving partitions' scans can zone-map-prune their chunks with it.
 	Where expr.Expr
-	Interruptible
 
-	cols  []string
-	scans []*TableScan
-	cur   int
+	cols []string
 }
 
 // NewPartitionScan prunes pt's partitions with the bounds where implies for
@@ -52,7 +47,7 @@ func partitionCols(pt *table.PartitionedTable) []string {
 	return cols
 }
 
-// Columns implements Operator.
+// Columns implements Node.
 func (s *PartitionScan) Columns() []string { return s.cols }
 
 // ExplainInfo implements Explainer.
@@ -63,40 +58,4 @@ func (s *PartitionScan) ExplainInfo() string {
 	}
 	return fmt.Sprintf("PartitionScan %s (%d rows) partitions: %d/%d pruned",
 		s.Parted.Name, rows, s.Total-len(s.Parts), s.Total)
-}
-
-// Open implements Operator. Every surviving partition is captured here, not
-// when the scan reaches it, so the whole scan reads one snapshot — the same
-// one the vectorized scan captures.
-func (s *PartitionScan) Open() error {
-	s.scans = make([]*TableScan, len(s.Parts))
-	for i, p := range s.Parts {
-		ts := NewTableScanAs(p, s.Parted.Name)
-		ts.Where = s.Where
-		ts.SetContext(s.Context())
-		if err := ts.Open(); err != nil {
-			return err
-		}
-		s.scans[i] = ts
-	}
-	s.cur = 0
-	return nil
-}
-
-// Next implements Operator, draining each surviving partition in turn.
-func (s *PartitionScan) Next() (Row, error) {
-	for s.cur < len(s.scans) {
-		row, err := s.scans[s.cur].Next()
-		if err != nil || row != nil {
-			return row, err
-		}
-		s.cur++
-	}
-	return nil, nil
-}
-
-// Close implements Operator.
-func (s *PartitionScan) Close() error {
-	s.scans = nil
-	return nil
 }

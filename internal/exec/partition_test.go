@@ -87,7 +87,7 @@ func TestPartitionScanMatchesFlat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("plan flat %q: %v", flatQ, err)
 		}
-		want, wantErr := Drain(flatOp)
+		want, wantErr := Drain(rowReference(flatOp))
 		if wantErr != nil {
 			t.Fatalf("flat %q: %v", flatQ, wantErr)
 		}
@@ -201,7 +201,7 @@ func sortStrings(s []string) {
 // from the plan and that EXPLAIN reports it.
 func TestPartitionPruningInPlan(t *testing.T) {
 	cat := partedFixture(t, 400)
-	build := func(q string) Operator {
+	build := func(q string) Node {
 		st, err := sql.Parse(q)
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +212,7 @@ func TestPartitionPruningInPlan(t *testing.T) {
 		}
 		return op
 	}
-	findScan := func(op Operator) *PartitionScan {
+	findScan := func(op Node) *PartitionScan {
 		for {
 			switch o := op.(type) {
 			case *PartitionScan:
@@ -248,7 +248,11 @@ func TestPartitionPruningInPlan(t *testing.T) {
 			t.Errorf("%q: %d surviving partitions, want %d", c.q, len(ps.Parts), c.surviving)
 		}
 		wantLine := fmt.Sprintf("partitions: %d/4 pruned", 4-c.surviving)
-		if plan := PlanString(build(c.q)); !strings.Contains(plan, wantLine) {
+		op, err := Lower(build(c.q), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan := PlanString(op); !strings.Contains(plan, wantLine) {
 			t.Errorf("%q: EXPLAIN missing %q:\n%s", c.q, wantLine, plan)
 		}
 	}

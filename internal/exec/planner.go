@@ -16,7 +16,7 @@ import (
 // A non-nil source replaces the FROM-table scan: the approximate query layer
 // substitutes a model scan for the raw table scan while reusing the full
 // relational pipeline on top (§4.2 zero-IO scans).
-func BuildSelect(cat *table.Catalog, st *sql.SelectStmt, source Operator, workers int) (Operator, error) {
+func BuildSelect(cat *table.Catalog, st *sql.SelectStmt, source Node, workers int) (Operator, error) {
 	op, err := buildPlan(cat, st, source)
 	if err != nil {
 		return nil, err
@@ -24,15 +24,13 @@ func BuildSelect(cat *table.Catalog, st *sql.SelectStmt, source Operator, worker
 	return Lower(op, workers)
 }
 
-// buildPlan builds the logical plan of a parsed SELECT from the row
-// operators:
+// buildPlan builds the logical plan of a parsed SELECT from plan nodes:
 //
 //	scan → joins → filter → [aggregate → having] → project(+order keys)
 //	     → sort → strip order keys → limit
 //
-// Lower runs it as a pipeline; drained as is, it is the row-at-a-time
-// reference the differential tests compare the pipeline against.
-func buildPlan(cat *table.Catalog, st *sql.SelectStmt, source Operator) (Operator, error) {
+// Lower runs it as a pipeline.
+func buildPlan(cat *table.Catalog, st *sql.SelectStmt, source Node) (Node, error) {
 	base, err := buildFrom(cat, st, source)
 	if err != nil {
 		return nil, err
@@ -109,7 +107,7 @@ func buildPlan(cat *table.Catalog, st *sql.SelectStmt, source Operator) (Operato
 		projExprs = append(projExprs, oe)
 		projNames = append(projNames, fmt.Sprintf("$ord%d", i))
 	}
-	var op Operator = &Project{Child: base, Exprs: projExprs, Names: projNames}
+	var op Node = &Project{Child: base, Exprs: projExprs, Names: projNames}
 
 	if len(orderExprs) > 0 {
 		keys := make([]SortKey, len(orderExprs))
@@ -125,8 +123,8 @@ func buildPlan(cat *table.Catalog, st *sql.SelectStmt, source Operator) (Operato
 	return op, nil
 }
 
-func buildFrom(cat *table.Catalog, st *sql.SelectStmt, source Operator) (Operator, error) {
-	var op Operator
+func buildFrom(cat *table.Catalog, st *sql.SelectStmt, source Node) (Node, error) {
+	var op Node
 	if source != nil {
 		op = source
 	} else {
@@ -151,7 +149,7 @@ func buildFrom(cat *table.Catalog, st *sql.SelectStmt, source Operator) (Operato
 
 // buildScan builds the base scan for a named table: a pruned PartitionScan
 // for range-partitioned tables, a plain TableScan otherwise.
-func buildScan(cat *table.Catalog, name string, where expr.Expr) (Operator, error) {
+func buildScan(cat *table.Catalog, name string, where expr.Expr) (Node, error) {
 	if pt, ok := cat.GetPartitioned(name); ok {
 		return NewPartitionScan(pt, where), nil
 	}
@@ -267,17 +265,8 @@ func (a *aggAnalysis) validate(e expr.Expr) error {
 // sliceOp keeps only the first N columns of each row (dropping hidden sort
 // keys).
 type sliceOp struct {
-	Child Operator
+	Child Node
 	N     int
 }
 
 func (s *sliceOp) Columns() []string { return s.Child.Columns()[:s.N] }
-func (s *sliceOp) Open() error       { return s.Child.Open() }
-func (s *sliceOp) Next() (Row, error) {
-	row, err := s.Child.Next()
-	if err != nil || row == nil {
-		return nil, err
-	}
-	return row[:s.N], nil
-}
-func (s *sliceOp) Close() error { return s.Child.Close() }

@@ -358,9 +358,9 @@ func genWhere(rng *rand.Rand) string {
 	return "(" + strings.Join(parts, op) + ")"
 }
 
-// rowRef is the strategy that drains a query's logical plan on the row
-// operators: the reference every other strategy, a worker budget of the
-// pipeline, is compared against.
+// rowRef is the strategy that drains a query's logical plan through the row
+// reference (rowReference): the oracle every other strategy, a worker budget
+// of the pipeline, is compared against.
 const rowRef = 0
 
 // randdiffStrategies are the execution strategies every generated query
@@ -371,7 +371,11 @@ func randdiffStrategies() []int { return []int{rowRef, 1, 2, 4} }
 // buildStrategy plans st for one strategy.
 func buildStrategy(cat *table.Catalog, st *sql.SelectStmt, strategy int) (Operator, error) {
 	if strategy == rowRef {
-		return buildPlan(cat, st, nil)
+		n, err := buildPlan(cat, st, nil)
+		if err != nil {
+			return nil, err
+		}
+		return rowReference(n), nil
 	}
 	return BuildSelect(cat, st, nil, strategy)
 }
@@ -468,17 +472,17 @@ func checkRanddiff(t *testing.T, cat *table.Catalog, i int, q string, grouped, o
 }
 
 // aggBound is how far one aggregate result column may stray from the row
-// reference's. MIN and MAX may return any value equal to the reference's
-// (-0 for 0: which of the equal values a merge keeps depends on which
-// worker claimed which morsel). SUM and AVG may differ within the error
-// bound of the summation they perform, n·ε·Σ|xᵢ|, with ε = 2⁻⁵² and n and
-// Σ|xᵢ| taken from the row reference over the same group's rows. Two
-// evaluation orders of a sum of n terms, such as the row fold and the
-// pipeline's per-worker partials merged, each err by at most γ(n−1)·Σ|xᵢ|
-// (Higham, Accuracy and Stability of Numerical Algorithms, §4.2), so they
-// differ by at most n·ε·Σ|xᵢ|. VAR and STDDEV keep a 10⁻⁹ relative
-// tolerance (closeValue), which a zero-variance reference turns into an
-// exact compare: the Welford state must not cancel where a naive
+// reference's. MIN and MAX must match it bit for bit, sign of zero included
+// (any NaN matches any NaN): aggState.fold breaks ties by one rule, so which
+// worker claimed which morsel cannot change them. SUM and AVG may differ
+// within the error bound of the summation they perform, n·ε·Σ|xᵢ|, with ε =
+// 2⁻⁵² and n and Σ|xᵢ| taken from the row reference over the same group's
+// rows. Two evaluation orders of a sum of n terms, such as the row fold and
+// the pipeline's per-worker partials merged, each err by at most
+// γ(n−1)·Σ|xᵢ| (Higham, Accuracy and Stability of Numerical Algorithms,
+// §4.2), so they differ by at most n·ε·Σ|xᵢ|. VAR and STDDEV keep a 10⁻⁹
+// relative tolerance (closeValue), which a zero-variance reference turns
+// into an exact compare: the Welford state must not cancel where a naive
 // Σx²−n·x̄² fold would.
 type aggBound struct {
 	kind   AggKind
@@ -520,11 +524,12 @@ func addBoundCompanions(st *sql.SelectStmt) (bounds []aggBound, extra int) {
 func (b aggBound) admits(ref Row, got expr.Value) bool {
 	want := ref[b.col]
 	switch {
+	case b.kind == AggMin || b.kind == AggMax:
+		return sameValue(want, got) && (math.Signbit(want.F) == math.Signbit(got.F) || math.IsNaN(want.F))
+	case sameValue(want, got):
+		return true
 	case want.K != got.K:
 		return false
-	case b.kind == AggMin || b.kind == AggMax:
-		c, err := expr.Compare(want, got)
-		return err == nil && c == 0
 	case b.kind == AggVar || b.kind == AggStdDev:
 		return closeValue(want, got)
 	}
@@ -568,7 +573,7 @@ func compareRanddiff(t *testing.T, iter int, q string, strategy int, want, got [
 		}
 		for c := range g[r] {
 			same := sameValue(w[r][c], g[r][c])
-			if b, ok := byCol[c]; ok && !same {
+			if b, ok := byCol[c]; ok {
 				same = b.admits(w[r], g[r][c])
 			}
 			if !same {

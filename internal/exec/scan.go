@@ -2,29 +2,22 @@ package exec
 
 import (
 	"datalaws/internal/expr"
-	"datalaws/internal/storage"
 	"datalaws/internal/table"
 )
 
-// TableScan reads a base table chunk by chunk, capturing one consistent
-// ChunkView at Open so concurrent appends do not tear the scan. Where is the
-// statement's WHERE predicate, used only for zone-map pruning — sealed
-// chunks whose per-column min/max provably cannot satisfy it are skipped
-// without being decoded; exact filtering still happens in the Filter
-// operator above.
+// TableScan reads a base table. Where is the statement's WHERE predicate,
+// used only for zone-map pruning — sealed chunks whose per-column min/max
+// provably cannot satisfy it are skipped without being decoded; exact
+// filtering still happens in the Filter above. It lowers to one morsel scan
+// per worker over one chunk capture taken when the plan opens, so
+// concurrent appends do not tear the scan.
 type TableScan struct {
 	Table *table.Table
 	// Where prunes sealed chunks by zone map; nil scans everything.
 	Where expr.Expr
-	Interruptible
 
 	cols  []string
 	alias string
-
-	cs     chunkSet
-	ki     int
-	cur    []storage.Column
-	n, pos int
 }
 
 // NewTableScan builds a scan over t with qualified output columns.
@@ -39,8 +32,8 @@ func NewTableScanAs(t *table.Table, alias string) *TableScan {
 	return &TableScan{Table: t, cols: qualifiedColsAs(t, alias), alias: alias}
 }
 
-// qualifiedCols names a table's columns as "table.column", the form every
-// scan variant (row, vectorized, morsel) exposes.
+// qualifiedCols names a table's columns as "table.column", the form a scan
+// exposes.
 func qualifiedCols(t *table.Table) []string {
 	return qualifiedColsAs(t, t.Name)
 }
@@ -55,87 +48,15 @@ func qualifiedColsAs(t *table.Table, alias string) []string {
 	return cols
 }
 
-// Columns implements Operator.
+// Columns implements Node.
 func (s *TableScan) Columns() []string { return s.cols }
 
-// Open implements Operator.
-func (s *TableScan) Open() error {
-	cs, err := captureChunks(s.Table, s.Where, s.alias)
-	if err != nil {
-		return err
-	}
-	s.cs = cs
-	s.ki = 0
-	s.cur, s.n, s.pos = nil, 0, 0
-	s.ResetInterrupt()
-	return nil
-}
-
-// Next implements Operator, advancing to the next surviving chunk when the
-// current one drains. Chunks decode through the shared cache on first
-// touch, so a row loop over a cold table pays one decode per chunk.
-func (s *TableScan) Next() (Row, error) {
-	if err := s.CheckInterrupt(); err != nil {
-		return nil, err
-	}
-	for {
-		if s.cur == nil {
-			if s.ki >= s.cs.numChunks() {
-				return nil, nil
-			}
-			cols, n, err := s.cs.rawColumns(s.ki)
-			if err != nil {
-				return nil, err
-			}
-			s.cur, s.n, s.pos = cols, n, 0
-		}
-		if s.pos >= s.n {
-			s.cur = nil
-			s.ki++
-			continue
-		}
-		row := make(Row, len(s.cur))
-		for c, col := range s.cur {
-			row[c] = col.Value(s.pos)
-		}
-		s.pos++
-		return row, nil
-	}
-}
-
-// Close implements Operator.
-func (s *TableScan) Close() error {
-	s.cur, s.cs = nil, chunkSet{}
-	return nil
-}
-
-// ValuesScan replays pre-materialized rows; used for model scans' grids and
-// tests.
+// ValuesScan replays pre-materialized rows: an empty result of a known
+// shape, and test inputs.
 type ValuesScan struct {
 	Cols []string
 	Rows []Row
-	Interruptible
-	pos int
 }
 
-// Columns implements Operator.
+// Columns implements Node.
 func (s *ValuesScan) Columns() []string { return s.Cols }
-
-// Open implements Operator.
-func (s *ValuesScan) Open() error { s.pos = 0; s.ResetInterrupt(); return nil }
-
-// Next implements Operator.
-func (s *ValuesScan) Next() (Row, error) {
-	if err := s.CheckInterrupt(); err != nil {
-		return nil, err
-	}
-	if s.pos >= len(s.Rows) {
-		return nil, nil
-	}
-	r := s.Rows[s.pos]
-	s.pos++
-	return r, nil
-}
-
-// Close implements Operator.
-func (s *ValuesScan) Close() error { return nil }

@@ -10,7 +10,7 @@ import (
 // VecHashAggregate is the vectorized hash aggregate. Group keys and aggregate
 // arguments are evaluated once per batch through compiled kernels (no
 // per-row expression trees, no per-identifier map lookups) and folded into
-// the same aggState machinery as the row operator. It runs in two phases:
+// the same aggState machinery as the row reference. It runs in two phases:
 // every worker of the pool folds its morsels into a private partial-aggregate
 // table (no locks on the data path), then a single merge recombines the
 // partial states — COUNT/SUM/AVG additively, MIN/MAX by comparison,

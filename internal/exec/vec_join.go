@@ -9,8 +9,8 @@ import (
 // execution by the first worker while it opens (before the others) into
 // typed vectors plus a joinIndex. Output is gathered column-wise, left then
 // right, in (left row, build order) — HashJoin's order, so VecGather keeps
-// results identical to the row reference at any pool size — at most BatchSize rows a
-// batch, a left row's remaining matches carrying over.
+// results identical to the row reference at any pool size — at most
+// BatchSize rows a batch, a left row's remaining matches carrying over.
 type VecHashJoin struct {
 	Child VectorOperator // this worker's probe (left) pipeline
 	build *joinBuild

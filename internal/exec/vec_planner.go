@@ -14,15 +14,15 @@ import (
 // parallel.go). A LIMIT caps the sort beneath it, or else the gather, whose
 // Close stops the pool.
 //
-// Every row operator and expression has a batch form, so lowering is total:
-// a plan that cannot run fails here, with the error its row operator gives
+// Every plan node and expression has a batch form, so lowering is total: a
+// plan that cannot run fails here, with the error the row reference gives
 // for it (an unknown column or function, a join condition that is not an
 // equality). As in other vectorized engines, a runtime expression error
 // (e.g. division by zero) is raised for a whole batch, even when a LIMIT
 // would have stopped a row-at-a-time plan before the offending row; errors
 // guarded by a preceding WHERE are unaffected, because filters narrow the
 // selection before later kernels run.
-func Lower(op Operator, workers int) (Operator, error) {
+func Lower(op Node, workers int) (Operator, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -44,14 +44,14 @@ func Lower(op Operator, workers int) (Operator, error) {
 	return &rowAdapter{V: g}, nil
 }
 
-// vectorize lowers a row subtree to vector form: one copy of the subtree's
+// vectorize lowers a plan subtree to vector form: one copy of the subtree's
 // pipeline per budgeted worker, over one shared morsel set. Every kernel is
 // compiled here once, so a subtree that cannot run fails at plan time.
 // Sources that cannot split come back as a single one-morsel pipeline, and
 // the pipeline breakers (aggregate, sort, concat) consume their input's
 // pipelines and continue as one. A join puts its probe on every pipeline of
 // its left input.
-func vectorize(op Operator, workers int) ([]workerPipe, error) {
+func vectorize(op Node, workers int) ([]workerPipe, error) {
 	switch o := op.(type) {
 	case *TableScan:
 		shared := &tableMorsels{parts: []*table.Table{o.Table}, where: o.Where, alias: o.alias, cols: o.cols}
@@ -152,10 +152,10 @@ func vectorize(op Operator, workers int) ([]workerPipe, error) {
 	return nil, fmt.Errorf("exec: %T has no batch form", op)
 }
 
-// rowError gives a kernel that does not compile the error the row operator
+// rowError gives a kernel that does not compile the error the row reference
 // gives for the same expression: an ambiguous column as its Open does,
 // anything else (an unknown column or function) as its per-row evaluation
-// does, under the operator's context.
+// does, under the node's context.
 func rowError(err error, context string) error {
 	if errors.Is(err, ErrAmbiguous) {
 		return err

@@ -295,20 +295,27 @@ func evalCall(n *Call, env Env) (Value, error) {
 	if b.arity < 0 && len(n.Args) == 0 {
 		return Value{}, fmt.Errorf("expr: %s expects at least one arg", n.Name)
 	}
+	// Every argument is evaluated, as for a binary operator and in the
+	// batch kernels, so an error in one is raised even when an earlier one
+	// is NULL; the result is NULL as ApplyCall decides it.
 	args := make([]float64, len(n.Args))
+	null := false
 	for i, a := range n.Args {
 		v, err := Eval(a, env)
 		if err != nil {
 			return Value{}, err
 		}
-		if v.IsNull() {
-			return Null(), nil
+		if null = null || v.IsNull(); null {
+			continue
 		}
 		f, err := v.AsFloat()
 		if err != nil {
 			return Value{}, err
 		}
 		args[i] = f
+	}
+	if null {
+		return Null(), nil
 	}
 	return Float(b.fn(args)), nil
 }

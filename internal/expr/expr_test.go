@@ -461,3 +461,51 @@ func TestExprStringRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestBindParams binds placeholders in every node kind: each Param becomes
+// the literal at its index, subtrees without one are shared, not copied,
+// and an index past the bound arguments fails.
+func TestBindParams(t *testing.T) {
+	x := &Ident{Name: "x"}
+	plain := &Binary{Op: OpMul, L: x, R: &Lit{Val: Float(2)}}
+	e := &Binary{Op: OpAnd,
+		L: &Binary{Op: OpEq, L: &Call{Name: "pow", Args: []Expr{x, &Param{Index: 2}}}, R: &Unary{Op: OpNeg, X: &Param{Index: 1}}},
+		R: &Binary{Op: OpOr, L: &IsNullExpr{X: &Param{Index: 3}, Negate: true}, R: plain},
+	}
+	if got := MaxParam(e); got != 3 {
+		t.Fatalf("MaxParam = %d, want 3", got)
+	}
+	if got := MaxParam(plain); got != 0 {
+		t.Fatalf("MaxParam(%s) = %d, want 0", plain, got)
+	}
+	if s := e.String(); !strings.Contains(s, "$2") || !strings.Contains(s, "$3") {
+		t.Fatalf("String = %s", s)
+	}
+	bound, err := BindParams(e, []Value{Float(-4), Float(2), Null()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if MaxParam(bound) != 0 {
+		t.Fatalf("bound expression %s keeps a placeholder", bound)
+	}
+	if bound.(*Binary).R.(*Binary).R != plain {
+		t.Fatal("a subtree without placeholders was copied")
+	}
+	// pow(x, 2) = -(-4) is TRUE at x = 2, and NULL IS NOT NULL is FALSE.
+	v, err := Eval(bound.(*Binary).L, MapEnv{"x": Float(2)})
+	if err != nil || !v.B {
+		t.Fatalf("%s = %v, %v; want TRUE", bound.(*Binary).L, v, err)
+	}
+	if v, err := Eval(bound.(*Binary).R.(*Binary).L, MapEnv{}); err != nil || v.B {
+		t.Fatalf("NULL IS NOT NULL = %v, %v", v, err)
+	}
+	if same, err := BindParams(plain, nil); err != nil || same != plain {
+		t.Fatalf("binding a placeholder-free expression: %v, %v", same, err)
+	}
+	if _, err := BindParams(e, []Value{Float(1)}); err == nil || !strings.Contains(err.Error(), "$2 out of range") {
+		t.Fatalf("err = %v, want $2 out of range", err)
+	}
+	if _, err := Eval(&Param{Index: 1}, MapEnv{}); err == nil {
+		t.Fatal("evaluated an unbound parameter")
+	}
+}

@@ -167,7 +167,11 @@ func T2c(sc Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := exec.Drain(scan)
+	op, err := exec.Lower(scan, 1)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := exec.Drain(op)
 	if err != nil {
 		return nil, err
 	}
@@ -468,7 +472,11 @@ func T2h(sc Scale) (*Report, error) {
 			return nil, err
 		}
 		t0 := time.Now()
-		rows, err := exec.Drain(scan)
+		op, err := exec.Lower(scan, 1)
+		if err != nil {
+			return nil, err
+		}
+		rows, err := exec.Drain(op)
 		if err != nil {
 			return nil, err
 		}

@@ -13,14 +13,14 @@ import (
 // withChunkRows shrinks the seal threshold for tables created inside the
 // test, restoring it when the test ends. It must run before the fixture is
 // built: the threshold is captured at New.
-func withChunkRows(t *testing.T, n int) {
+func withChunkRows(t testing.TB, n int) {
 	t.Helper()
 	old := DefaultChunkRows
 	DefaultChunkRows = n
 	t.Cleanup(func() { DefaultChunkRows = old })
 }
 
-func chunkFixtureSchema(t *testing.T) *Schema {
+func chunkFixtureSchema(t testing.TB) *Schema {
 	t.Helper()
 	schema, err := NewSchema(
 		ColumnDef{Name: "id", Type: storage.TypeInt64},
@@ -53,7 +53,7 @@ func chunkFixtureRow(i int) []expr.Value {
 	return row
 }
 
-func buildChunkFixture(t *testing.T, rows int) *Table {
+func buildChunkFixture(t testing.TB, rows int) *Table {
 	t.Helper()
 	tb := New("cf", chunkFixtureSchema(t))
 	batch := make([][]expr.Value, rows)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"datalaws/internal/expr"
 	"datalaws/internal/storage"
@@ -305,6 +306,9 @@ func readUvarint(r io.Reader) (uint64, error) {
 	return binary.ReadUvarint(byteReaderWrap{r})
 }
 
+// readBytes reads a uvarint-prefixed byte string. The buffer grows with the
+// bytes actually read, doubling from readStep, not with the prefix: a
+// corrupt length costs at most about twice what the input holds.
 func readBytes(r io.Reader) ([]byte, error) {
 	n, err := readUvarint(r)
 	if err != nil {
@@ -313,9 +317,22 @@ func readBytes(r io.Reader) ([]byte, error) {
 	if n > 1<<31 {
 		return nil, fmt.Errorf("table: implausible length %d", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
+	b := make([]byte, 0, min(n, readStep))
+	for len(b) < int(n) {
+		if len(b) == cap(b) {
+			b = slices.Grow(b, min(int(n), 2*cap(b))-len(b))
+		}
+		k, err := io.ReadFull(r, b[len(b):min(int(n), cap(b))])
+		b = b[:len(b)+k]
+		if err != nil {
+			if err == io.EOF && len(b) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
 	return b, nil
 }
+
+// readStep is readBytes' first buffer size for a long byte string.
+const readStep = 64 << 10

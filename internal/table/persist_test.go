@@ -2,7 +2,10 @@ package table
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
+	"testing/iotest"
 
 	"datalaws/internal/expr"
 	"datalaws/internal/storage"
@@ -132,4 +135,71 @@ func TestWriteBinaryConcurrentAppend(t *testing.T) {
 	}
 	close(stop)
 	<-done
+}
+
+// TestReadBinaryCorruptLengthAllocatesLittle: a length prefix is not trusted
+// for an allocation. "DLTB2" and a 2^31 name length with nothing behind it
+// must fail after allocating about what the input holds, not 2 GiB.
+func TestReadBinaryCorruptLengthAllocatesLittle(t *testing.T) {
+	in := binary.AppendUvarint([]byte("DLTB2"), 1<<31)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadBinary(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("want an error for a truncated name")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("reading %d bytes allocated %d bytes", len(in), got)
+	}
+}
+
+// FuzzReadBinary feeds arbitrary bytes to ReadBinary, one byte per Read
+// call, so no length is read in one piece: it must not panic, and a table
+// it accepts must save to bytes that load again with the same rows. Seeds:
+// a DLTB2 table with sealed chunks and a tail, a DLTB1 table, and
+// truncations of both.
+func FuzzReadBinary(f *testing.F) {
+	withChunkRows(f, 8)
+	var v2 bytes.Buffer
+	if err := WriteBinary(buildChunkFixture(f, 35), &v2); err != nil {
+		f.Fatal(err)
+	}
+	ic, fc := storage.NewInt64Column(), storage.NewFloat64Column()
+	for i := 0; i < 20; i++ {
+		ic.Append(int64(i))
+		fc.Append(float64(i) * 1.5)
+	}
+	var v1 bytes.Buffer
+	v1.WriteString("DLTB1")
+	writeBytes(&v1, []byte("legacy"))
+	writeUvarint(&v1, 2)
+	writeBytes(&v1, []byte("id"))
+	writeBytes(&v1, storage.EncodeColumn(ic))
+	writeBytes(&v1, []byte("x"))
+	writeBytes(&v1, storage.EncodeColumn(fc))
+	for _, seed := range [][]byte{v2.Bytes(), v1.Bytes()} {
+		f.Add(seed)
+		for _, cut := range []int{3, 5, 9, len(seed) / 2, len(seed) - 1} {
+			f.Add(seed[:cut])
+		}
+	}
+	f.Add(binary.AppendUvarint([]byte("DLTB2"), 1<<31))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tb, err := ReadBinary(iotest.OneByteReader(bytes.NewReader(data)))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(tb, &buf); err != nil {
+			t.Fatalf("re-save: %v", err)
+		}
+		back, err := ReadBinary(&buf)
+		if err != nil {
+			t.Fatalf("re-saved table does not load: %v", err)
+		}
+		if back.NumRows() != tb.NumRows() || back.Name != tb.Name {
+			t.Fatalf("reload: %q with %d rows, want %q with %d", back.Name, back.NumRows(), tb.Name, tb.NumRows())
+		}
+	})
 }

@@ -42,7 +42,8 @@ type Schema struct {
 	Cols []ColumnDef
 }
 
-// NewSchema builds a schema, rejecting duplicate column names.
+// NewSchema builds a schema, rejecting duplicate column names and unknown
+// column types.
 func NewSchema(cols ...ColumnDef) (*Schema, error) {
 	seen := map[string]bool{}
 	for _, c := range cols {
@@ -51,6 +52,9 @@ func NewSchema(cols ...ColumnDef) (*Schema, error) {
 		}
 		if seen[c.Name] {
 			return nil, fmt.Errorf("table: duplicate column %q", c.Name)
+		}
+		if c.Type > storage.TypeBool {
+			return nil, fmt.Errorf("table: column %q has unknown type %v", c.Name, c.Type)
 		}
 		seen[c.Name] = true
 	}
