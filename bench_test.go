@@ -650,7 +650,7 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 	})
 }
 
-// Compiled closures vs tree-walking evaluation for model formulas.
+// Compiled closures vs the tree-walking Eval for model formulas.
 func BenchmarkAblationExprEval(b *testing.B) {
 	e := expr.MustParse("p * pow(nu, alpha)")
 	index := map[string]int{"alpha": 0, "p": 1, "nu": 2}
@@ -659,13 +659,7 @@ func BenchmarkAblationExprEval(b *testing.B) {
 		b.Fatal(err)
 	}
 	row := []float64{-0.7, 0.06, 0.14}
-	env := func(name string) (float64, bool) {
-		i, ok := index[name]
-		if !ok {
-			return 0, false
-		}
-		return row[i], true
-	}
+	env := expr.MapEnv{"alpha": expr.Float(row[0]), "p": expr.Float(row[1]), "nu": expr.Float(row[2])}
 	b.Run("compiled", func(b *testing.B) {
 		var sink float64
 		for i := 0; i < b.N; i++ {
@@ -676,11 +670,11 @@ func BenchmarkAblationExprEval(b *testing.B) {
 	b.Run("interpreted", func(b *testing.B) {
 		var sink float64
 		for i := 0; i < b.N; i++ {
-			v, err := expr.EvalFloat(e, env)
+			v, err := expr.Eval(e, env)
 			if err != nil {
 				b.Fatal(err)
 			}
-			sink += v
+			sink += v.F
 		}
 		_ = sink
 	})

@@ -215,45 +215,24 @@ func (e *Engine) applyDropModel(name string) (*Result, error) {
 }
 
 func (e *Engine) execCreate(s *sql.CreateTableStmt) (*Result, error) {
-	defs := make([]table.ColumnDef, len(s.Cols))
-	rec := &wal.Record{Type: wal.TypeCreateTable, Table: s.Name}
-	rec.Cols = make([]wal.ColumnDef, len(s.Cols))
-	for i, c := range s.Cols {
-		defs[i] = table.ColumnDef{Name: c.Name, Type: c.Type}
-		rec.Cols[i] = wal.ColumnDef{Name: c.Name, Type: uint8(c.Type)}
-	}
-	schema, err := table.NewSchema(defs...)
-	if err != nil {
+	// A schema that cannot be built is refused before it reaches the log.
+	if _, err := table.NewSchema(s.Cols...); err != nil {
 		return nil, err
 	}
-	var ranges []table.RangePartition
-	if s.Partition != nil {
-		rec.PartCol = s.Partition.Column
-		ranges = make([]table.RangePartition, len(s.Partition.Parts))
-		rec.Parts = make([]wal.PartDef, len(s.Partition.Parts))
-		for i, p := range s.Partition.Parts {
-			ranges[i] = table.RangePartition{Name: p.Name, Upper: p.Upper, Max: p.Max}
-			rec.Parts[i] = wal.PartDef{Name: p.Name, Upper: p.Upper, Max: p.Max}
-		}
-	}
-	return e.mutate(rec, func() (*Result, error) {
-		return e.applyCreate(s.Name, schema, rec.PartCol, ranges)
+	return e.mutate(&wal.Record{Type: wal.TypeCreateTable, Decl: &s.Decl}, func() (*Result, error) {
+		return e.applyCreate(s.Decl)
 	})
 }
 
-func (e *Engine) applyCreate(name string, schema *table.Schema, partCol string, ranges []table.RangePartition) (*Result, error) {
-	if partCol != "" {
-		pt, err := e.Catalog.CreatePartitioned(name, schema, partCol, ranges)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Info: fmt.Sprintf("table %s created (%d partitions by range(%s))",
-			name, pt.NumParts(), pt.Column())}, nil
-	}
-	if _, err := e.Catalog.Create(name, schema); err != nil {
+func (e *Engine) applyCreate(d table.Decl) (*Result, error) {
+	if err := e.Catalog.Declare(d); err != nil {
 		return nil, err
 	}
-	return &Result{Info: fmt.Sprintf("table %s created", name)}, nil
+	if d.PartCol != "" {
+		return &Result{Info: fmt.Sprintf("table %s created (%d partitions by range(%s))",
+			d.Name, len(d.Parts), d.PartCol)}, nil
+	}
+	return &Result{Info: fmt.Sprintf("table %s created", d.Name)}, nil
 }
 
 func (e *Engine) execDropTable(s *sql.DropTableStmt) (*Result, error) {
@@ -324,19 +303,9 @@ func (e *Engine) execInsert(s *sql.InsertStmt) (*Result, error) {
 	return &Result{Info: fmt.Sprintf("%d rows inserted", n)}, nil
 }
 
-func (e *Engine) execFit(s *sql.FitModelStmt) (*Result, error) {
-	spec := modelstore.Spec{
-		Name:    s.Name,
-		Table:   s.Table,
-		Formula: s.Formula,
-		Inputs:  s.Inputs,
-		GroupBy: s.GroupBy,
-		Where:   s.Where,
-		Start:   s.Start,
-		Method:  s.Method,
-	}
-	return e.mutate(&wal.Record{Type: wal.TypeFitModel, Fit: fitSpecRecord(spec)}, func() (*Result, error) {
-		return e.applyFit(spec)
+func (e *Engine) execFit(spec *modelstore.Spec) (*Result, error) {
+	return e.mutate(fitRecord(*spec), func() (*Result, error) {
+		return e.applyFit(*spec)
 	})
 }
 
@@ -535,9 +504,10 @@ func (e *Engine) IsReplica() bool {
 	return e.replica
 }
 
-// AQPOptions snapshots the engine's approximate-query options (the exported
-// surface the network server's delta builder uses, so shipped domains and
-// legal sets are built with exactly the knobs local planning would use).
+// AQPOptions snapshots the engine's approximate-query options. The network
+// server's feed reads only its Cache: the domain states that local planning
+// binds against are the ones shipped increments are cut from on a primary
+// and applied to on a replica.
 func (e *Engine) AQPOptions() aqp.Options {
 	return e.aqpOptions()
 }
@@ -573,7 +543,7 @@ func (e *Engine) FitModel(spec modelstore.Spec) (capture.FitSummary, error) {
 	// The transparent capture is a mutation like FIT MODEL: it is logged (as
 	// the same logical record) before the model store changes, so a captured
 	// session model survives recovery.
-	res, err := e.mutate(&wal.Record{Type: wal.TypeFitModel, Fit: fitSpecRecord(spec)}, func() (*Result, error) {
+	res, err := e.mutate(fitRecord(spec), func() (*Result, error) {
 		return e.applyFit(spec)
 	})
 	if err != nil {

@@ -23,7 +23,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "walgate",
 	Doc: `mutations must go through the Engine.mutate log-then-apply gate
 
-Gated primitives are the catalog mutators (Create/CreatePartitioned/Add/
+Gated primitives are the catalog mutators (Create/Declare/Add/
 AddPartitioned/Drop), table appends (AppendRow/AppendRows) and model-store
 mutators (Capture/CapturePartitioned/Refit/RefitCold/Drop/DropFamily/
 DropForTable/Load).
@@ -47,7 +47,7 @@ var gated = map[[2]string]map[string]bool{
 		"AppendRow": true, "AppendRows": true,
 	},
 	{"datalaws/internal/table", "Catalog"}: {
-		"Create": true, "CreatePartitioned": true, "Add": true,
+		"Create": true, "Declare": true, "Add": true,
 		"AddPartitioned": true, "Drop": true,
 	},
 	{"datalaws/internal/modelstore", "Store"}: {

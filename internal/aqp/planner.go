@@ -461,23 +461,9 @@ func queryColumnRefs(st *sql.SelectStmt) map[string]bool {
 // partitions, whose models live on the child table while queries reference
 // the parent.
 func chooseModel(store *modelstore.Store, lookupName, qualName string, t *table.Table, refs map[string]bool, withError bool, pol modelstore.SelectionPolicy) (*modelstore.CapturedModel, error) {
-	var best *modelstore.CapturedModel
-	for _, m := range store.ForTable(lookupName) {
-		if m.Quality.MedianR2 < pol.MinMedianR2 {
-			continue
-		}
-		if pol.MaxStalenessFrac > 0 && m.StalenessAgainst(t).GrowthFrac > pol.MaxStalenessFrac {
-			continue
-		}
-		if !covers(m, qualName, refs, withError) {
-			continue
-		}
-		if best == nil || m.Quality.MedianR2 > best.Quality.MedianR2 ||
-			(m.Quality.MedianR2 == best.Quality.MedianR2 &&
-				m.Quality.MedianResidualSE < best.Quality.MedianResidualSE) {
-			best = m
-		}
-	}
+	best := pol.Choose(store.ForTable(lookupName), t, func(m *modelstore.CapturedModel) bool {
+		return covers(m, qualName, refs, withError)
+	})
 	if best == nil {
 		return nil, fmt.Errorf("%w: no trusted model covers the referenced columns of %q", modelstore.ErrNoModel, lookupName)
 	}

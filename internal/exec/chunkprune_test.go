@@ -150,13 +150,13 @@ func TestPartitionScanPrunesChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := cat.CreatePartitioned("pt", schema, "k", []table.RangePartition{
+	if err := cat.Declare(table.Decl{Name: "pt", Cols: schema.Cols, PartCol: "k", Parts: []table.RangePartition{
 		{Name: "lo", Upper: 1000},
 		{Name: "hi", Max: true},
-	})
-	if err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
+	pt, _ := cat.GetPartitioned("pt")
 	const rows = 2000
 	batch := make([][]expr.Value, rows)
 	for i := range batch {

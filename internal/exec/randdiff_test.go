@@ -80,15 +80,15 @@ func randdiffFixture(t *testing.T, rng *rand.Rand, rows int) *table.Catalog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pt, err := cat.CreatePartitioned("t", schema, "k", []table.RangePartition{
+	if err := cat.Declare(table.Decl{Name: "t", Cols: schema.Cols, PartCol: "k", Parts: []table.RangePartition{
 		{Name: "p0", Upper: 100},
 		{Name: "p1", Upper: 200},
 		{Name: "p2", Upper: 300},
 		{Name: "p3", Max: true},
-	})
-	if err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
+	pt, _ := cat.GetPartitioned("t")
 	flat, err := cat.Create("flat", schema)
 	if err != nil {
 		t.Fatal(err)

@@ -19,9 +19,6 @@ func (m MapEnv) Lookup(name string) (Value, bool) {
 	return v, ok
 }
 
-// FloatEnv resolves identifiers to float64, the fast path for fitting loops.
-type FloatEnv func(name string) (float64, bool)
-
 // Eval evaluates e under env with SQL semantics: NULL propagates through
 // arithmetic and comparison; AND/OR use three-valued logic collapsed to
 // (value, isNull).
@@ -357,75 +354,6 @@ func ApplyCall(name string, args []Value) (Value, error) {
 		fargs[i] = f
 	}
 	return Float(b.fn(fargs)), nil
-}
-
-// EvalFloat evaluates e as a float64 under a FloatEnv, without Value boxing.
-// It is the inner loop of the fitting engine and model scans; unresolvable
-// names or non-numeric constructs return an error.
-func EvalFloat(e Expr, env FloatEnv) (float64, error) {
-	switch n := e.(type) {
-	case *Lit:
-		return n.Val.AsFloat()
-	case *Ident:
-		v, ok := env(n.Name)
-		if !ok {
-			return 0, fmt.Errorf("expr: unknown identifier %q", n.Name)
-		}
-		return v, nil
-	case *Unary:
-		x, err := EvalFloat(n.X, env)
-		if err != nil {
-			return 0, err
-		}
-		if n.Op == OpNeg {
-			return -x, nil
-		}
-		return 0, fmt.Errorf("expr: operator %s not numeric", n.Op)
-	case *Binary:
-		l, err := EvalFloat(n.L, env)
-		if err != nil {
-			return 0, err
-		}
-		r, err := EvalFloat(n.R, env)
-		if err != nil {
-			return 0, err
-		}
-		switch n.Op {
-		case OpAdd:
-			return l + r, nil
-		case OpSub:
-			return l - r, nil
-		case OpMul:
-			return l * r, nil
-		case OpDiv:
-			return l / r, nil
-		case OpMod:
-			return math.Mod(l, r), nil
-		case OpPow:
-			return math.Pow(l, r), nil
-		}
-		return 0, fmt.Errorf("expr: operator %s not numeric", n.Op)
-	case *Call:
-		b, ok := builtins[n.Name]
-		if !ok {
-			return 0, fmt.Errorf("expr: unknown function %q", n.Name)
-		}
-		args := make([]float64, len(n.Args))
-		for i, a := range n.Args {
-			v, err := EvalFloat(a, env)
-			if err != nil {
-				return 0, err
-			}
-			args[i] = v
-		}
-		if b.arity >= 0 && len(args) != b.arity {
-			return 0, fmt.Errorf("expr: %s expects %d args, got %d", n.Name, b.arity, len(args))
-		}
-		return b.fn(args), nil
-	case *Param:
-		return 0, fmt.Errorf("expr: unbound parameter $%d", n.Index)
-	}
-	return 0, fmt.Errorf("expr: cannot numerically evaluate %T", e)
 }
 
 // Compile lowers e into a closure evaluating against a positional slice,

@@ -14,14 +14,26 @@ func evalF(t *testing.T, src string, env map[string]float64) float64 {
 	if err != nil {
 		t.Fatalf("Parse(%q): %v", src, err)
 	}
-	got, err := EvalFloat(e, func(name string) (float64, bool) {
-		v, ok := env[name]
-		return v, ok
-	})
+	got, err := evalAt(e, env)
 	if err != nil {
-		t.Fatalf("EvalFloat(%q): %v", src, err)
+		t.Fatalf("Eval(%q): %v", src, err)
 	}
 	return got
+}
+
+// evalAt evaluates e with Eval, binding vars as DOUBLE values: the
+// interpreter is the oracle the compiled and derived forms are checked
+// against.
+func evalAt(e Expr, vars map[string]float64) (float64, error) {
+	env := MapEnv{}
+	for k, v := range vars {
+		env[k] = Float(v)
+	}
+	v, err := Eval(e, env)
+	if err != nil {
+		return 0, err
+	}
+	return v.AsFloat()
 }
 
 func TestParseArithmetic(t *testing.T) {
@@ -75,7 +87,7 @@ func TestParseErrors(t *testing.T) {
 		e, err := Parse(src)
 		if err == nil {
 			// Arity errors surface at eval time for function calls.
-			if _, everr := EvalFloat(e, func(string) (float64, bool) { return 1, true }); everr == nil {
+			if _, everr := evalAt(e, map[string]float64{"x": 1}); everr == nil {
 				t.Errorf("Parse(%q): want error", src)
 			}
 		}
@@ -171,12 +183,7 @@ func TestVars(t *testing.T) {
 func TestSubstitute(t *testing.T) {
 	e := MustParse("a + b*2")
 	s := Substitute(e, map[string]Expr{"a": MustParse("10"), "b": MustParse("x")})
-	got, err := EvalFloat(s, func(n string) (float64, bool) {
-		if n == "x" {
-			return 3, true
-		}
-		return 0, false
-	})
+	got, err := evalAt(s, map[string]float64{"x": 3})
 	if err != nil || got != 16 {
 		t.Fatalf("Substitute eval = %g, %v", got, err)
 	}
@@ -206,10 +213,7 @@ func TestDiffBasics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Diff(%q): %v", c.src, err)
 		}
-		got, err := EvalFloat(d, func(n string) (float64, bool) {
-			v, ok := c.at[n]
-			return v, ok
-		})
+		got, err := evalAt(d, c.at)
 		if err != nil {
 			t.Fatalf("eval d(%q)/d%s = %v: %v", c.src, c.wrt, d, err)
 		}
@@ -222,16 +226,12 @@ func TestDiffBasics(t *testing.T) {
 func TestDiffPowerLawModel(t *testing.T) {
 	// The LOFAR model I = p·ν^α: ∂I/∂p = ν^α, ∂I/∂α = p·ν^α·ln(ν).
 	e := MustParse("p * pow(nu, alpha)")
-	env := func(n string) (float64, bool) {
-		m := map[string]float64{"p": 0.06, "nu": 0.14, "alpha": -0.7}
-		v, ok := m[n]
-		return v, ok
-	}
+	env := map[string]float64{"p": 0.06, "nu": 0.14, "alpha": -0.7}
 	dp, err := Diff(e, "p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := EvalFloat(dp, env)
+	got, err := evalAt(dp, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestDiffPowerLawModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = EvalFloat(da, env)
+	got, err = evalAt(da, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,21 +267,14 @@ func TestDiffMatchesNumericProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		envAt := func(xx float64) FloatEnv {
-			return func(n string) (float64, bool) {
-				if n == "x" {
-					return xx, true
-				}
-				return 0, false
-			}
-		}
-		analytic, err := EvalFloat(d, envAt(x))
+		envAt := func(xx float64) map[string]float64 { return map[string]float64{"x": xx} }
+		analytic, err := evalAt(d, envAt(x))
 		if err != nil {
 			return false
 		}
 		const h = 1e-6
-		fp, err1 := EvalFloat(e, envAt(x+h))
-		fm, err2 := EvalFloat(e, envAt(x-h))
+		fp, err1 := evalAt(e, envAt(x+h))
+		fm, err2 := evalAt(e, envAt(x-h))
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -313,7 +306,7 @@ func TestSimplify(t *testing.T) {
 	}
 }
 
-func TestCompileMatchesEvalFloat(t *testing.T) {
+func TestCompileMatchesEval(t *testing.T) {
 	index := map[string]int{"x": 0, "y": 1}
 	exprs := []string{"x + y", "x*y - 2", "pow(x, 2) + sqrt(y)", "max(x, y)", "-x^2"}
 	f := func(seed int64) bool {
@@ -325,9 +318,7 @@ func TestCompileMatchesEvalFloat(t *testing.T) {
 			return false
 		}
 		row := []float64{rng.Float64()*10 + 0.1, rng.Float64()*10 + 0.1}
-		want, err := EvalFloat(e, func(n string) (float64, bool) {
-			return row[index[n]], true
-		})
+		want, err := evalAt(e, map[string]float64{"x": row[0], "y": row[1]})
 		if err != nil {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"datalaws/internal/expr"
 	"datalaws/internal/fit"
@@ -14,8 +15,10 @@ import (
 // (formula and WHERE predicate as text, §3: "we can store the models in
 // their source code form inside the database") plus the numeric parameter
 // tables; compiled evaluators and Jacobians are rebuilt on load. The same
-// record types ship over the replication wire (gob), which is why they are
-// exported: a model delta is exactly a persisted model, minus the rows.
+// record type ships over the replication wire (gob), which is why it is
+// exported: a model delta is exactly a persisted model, minus the rows. Its
+// spec fields alone are a law's one source form, which the WAL's FIT MODEL
+// record carries too; SpecRecord and ParseSpec convert it to and from Spec.
 
 // GroupRecord is the serialized form of one GroupParams row.
 type GroupRecord struct {
@@ -32,21 +35,51 @@ type GroupRecord struct {
 }
 
 // ModelRecord is the serialized form of one CapturedModel: the spec in
-// source form plus the fitted parameter table.
+// source form (Name through Method) plus the fitted parameter table. It
+// stays flat: every replica reply re-sends its gob type tree.
 type ModelRecord struct {
-	ID            int                `json:"id"`
-	Name          string             `json:"name"`
-	Table         string             `json:"table"`
-	Formula       string             `json:"formula"`
-	Inputs        []string           `json:"inputs"`
-	GroupBy       string             `json:"group_by,omitempty"`
-	WhereSrc      string             `json:"where,omitempty"`
-	Start         map[string]float64 `json:"start,omitempty"`
-	Method        string             `json:"method,omitempty"`
-	Groups        []GroupRecord      `json:"groups"`
-	FittedVersion uint64             `json:"fitted_version"`
-	FittedRows    int                `json:"fitted_rows"`
-	Version       int                `json:"version"`
+	ID         int                `json:"id"`
+	Name       string             `json:"name"`
+	Table      string             `json:"table"`
+	Formula    string             `json:"formula"`
+	Inputs     []string           `json:"inputs"`
+	GroupBy    string             `json:"group_by,omitempty"`
+	WhereSrc   string             `json:"where,omitempty"`
+	Start      map[string]float64 `json:"start,omitempty"`
+	Method     string             `json:"method,omitempty"`
+	Groups     []GroupRecord      `json:"groups"`
+	FittedRows int                `json:"fitted_rows"`
+	Version    int                `json:"version"`
+}
+
+// SpecRecord is a spec in source form: a ModelRecord with only its spec
+// fields set.
+func SpecRecord(spec Spec) ModelRecord {
+	r := ModelRecord{
+		Name: spec.Name, Table: spec.Table, Formula: spec.Formula, Inputs: spec.Inputs,
+		GroupBy: spec.GroupBy, Start: spec.Start, Method: spec.Method,
+	}
+	if spec.Where != nil {
+		r.WhereSrc = spec.Where.String()
+	}
+	return r
+}
+
+// ParseSpec rebuilds the spec from a record's spec fields, re-parsing the
+// predicate source.
+func (r *ModelRecord) ParseSpec() (Spec, error) {
+	spec := Spec{
+		Name: r.Name, Table: r.Table, Formula: r.Formula, Inputs: r.Inputs,
+		GroupBy: r.GroupBy, Start: r.Start, Method: r.Method,
+	}
+	if r.WhereSrc != "" {
+		w, err := expr.Parse(r.WhereSrc)
+		if err != nil {
+			return spec, fmt.Errorf("parsing where %q: %w", r.WhereSrc, err)
+		}
+		spec.Where = w
+	}
+	return spec, nil
 }
 
 type persistFile struct {
@@ -60,22 +93,8 @@ type persistFile struct {
 // RecordOf serializes a captured model. Captured models are immutable after
 // the store swap, so no lock is needed.
 func RecordOf(m *CapturedModel) ModelRecord {
-	r := ModelRecord{
-		ID:            m.ID,
-		Name:          m.Spec.Name,
-		Table:         m.Spec.Table,
-		Formula:       m.Spec.Formula,
-		Inputs:        m.Spec.Inputs,
-		GroupBy:       m.Spec.GroupBy,
-		Start:         m.Spec.Start,
-		Method:        m.Spec.Method,
-		FittedVersion: m.FittedVersion,
-		FittedRows:    m.FittedRows,
-		Version:       m.Version,
-	}
-	if m.Spec.Where != nil {
-		r.WhereSrc = m.Spec.Where.String()
-	}
+	r := SpecRecord(m.Spec)
+	r.ID, r.FittedRows, r.Version = m.ID, m.FittedRows, m.Version
 	for _, key := range m.Order {
 		g := m.Groups[key]
 		r.Groups = append(r.Groups, GroupRecord{
@@ -159,43 +178,65 @@ func (s *Store) Load(r io.Reader) error {
 	return nil
 }
 
+// rebuildModel is the one model-record decoder, behind both models.json
+// and replica deltas. It refuses a record the engine could not serve: a
+// fitted group whose parameters or covariance do not match the formula's
+// parameter count, a group key listed twice, or negative counts.
 func rebuildModel(pm ModelRecord) (*CapturedModel, error) {
 	model, err := fit.ParseModel(pm.Formula, pm.Inputs)
 	if err != nil {
 		return nil, err
 	}
-	spec := Spec{
-		Name: pm.Name, Table: pm.Table, Formula: pm.Formula,
-		Inputs: pm.Inputs, GroupBy: pm.GroupBy, Start: pm.Start, Method: pm.Method,
-	}
-	if pm.WhereSrc != "" {
-		w, err := expr.Parse(pm.WhereSrc)
-		if err != nil {
-			return nil, fmt.Errorf("parsing where %q: %w", pm.WhereSrc, err)
-		}
-		spec.Where = w
+	spec, err := pm.ParseSpec()
+	if err != nil {
+		return nil, err
 	}
 	cm := &CapturedModel{
 		ID: pm.ID, Spec: spec, Model: model,
-		Groups:        map[int64]*GroupParams{},
-		FittedVersion: pm.FittedVersion,
-		FittedRows:    pm.FittedRows,
-		Version:       pm.Version,
+		Groups:     map[int64]*GroupParams{},
+		FittedRows: pm.FittedRows,
+		Version:    pm.Version,
 	}
+	p := len(model.Params)
 	for _, pg := range pm.Groups {
 		g := &GroupParams{
 			Key: pg.Key, Params: pg.Params, ResidualSE: pg.ResidualSE,
 			R2: pg.R2, N: pg.N, DF: pg.DF, Iters: pg.Iters, Retained: pg.Retained,
 			Cov: pg.Cov, FitErr: pg.FitErr,
 		}
-		if g.OK() && len(g.Params) != len(model.Params) {
-			return nil, fmt.Errorf("group %d has %d params, formula has %d", pg.Key, len(g.Params), len(model.Params))
+		if _, dup := cm.Groups[pg.Key]; dup {
+			return nil, fmt.Errorf("group %d listed twice", pg.Key)
+		}
+		if g.N < 0 || g.DF < 0 {
+			return nil, fmt.Errorf("group %d has negative counts (n=%d, df=%d)", pg.Key, g.N, g.DF)
+		}
+		if g.OK() {
+			if len(g.Params) != p {
+				return nil, fmt.Errorf("group %d has %d params, formula has %d", pg.Key, len(g.Params), p)
+			}
+			if g.Cov != nil && !square(g.Cov, p) {
+				return nil, fmt.Errorf("group %d has a covariance that is not %d×%d", pg.Key, p, p)
+			}
 		}
 		cm.Groups[pg.Key] = g
 		cm.Order = append(cm.Order, pg.Key)
 	}
+	slices.Sort(cm.Order) // Order is ascending whatever order the record lists
 	cm.Quality = computeQuality(cm)
 	return cm, nil
+}
+
+// square reports whether m is n×n.
+func square(m [][]float64, n int) bool {
+	if len(m) != n {
+		return false
+	}
+	for _, row := range m {
+		if len(row) != n {
+			return false
+		}
+	}
+	return true
 }
 
 // SaveParamTableCSV exports a model's parameter table as CSV — the shape of

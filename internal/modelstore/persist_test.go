@@ -2,6 +2,7 @@ package modelstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -123,5 +124,62 @@ func TestSaveParamTableCSV(t *testing.T) {
 	}
 	if len(strings.Split(strings.TrimSpace(out), "\n")) != 31 { // header + 30 groups
 		t.Fatalf("rows: %d", len(strings.Split(strings.TrimSpace(out), "\n")))
+	}
+}
+
+// TestDecoderRejectsUnservableRecords: the model-record decoder behind
+// Store.Load (models.json) and ModelFromRecord (replica deltas) refuses a
+// record the engine could not serve — a fitted group whose covariance is
+// not p×p (its first WITH ERROR point would index past it), a group key
+// listed twice (every APPROX aggregate would count it twice), and negative
+// row or residual degree-of-freedom counts.
+func TestDecoderRejectsUnservableRecords(t *testing.T) {
+	tb, _ := lofarFixture(t)
+	s := NewStore()
+	m, err := s.Capture(tb, powerSpec("spectra"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := RecordOf(m)
+	if len(good.Groups) < 2 || len(good.Groups[0].Cov) != 2 {
+		t.Fatalf("fixture: %d groups, first cov %d×?", len(good.Groups), len(good.Groups[0].Cov))
+	}
+	edited := func(edit func(*ModelRecord)) ModelRecord {
+		var r ModelRecord
+		b, _ := json.Marshal(good)
+		if err := json.Unmarshal(b, &r); err != nil {
+			t.Fatal(err)
+		}
+		edit(&r)
+		return r
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*ModelRecord)
+	}{
+		{"1x1 cov for 2 params", func(r *ModelRecord) { r.Groups[0].Cov = [][]float64{{1}} }},
+		{"ragged cov", func(r *ModelRecord) { r.Groups[0].Cov[1] = r.Groups[0].Cov[1][:1] }},
+		{"duplicate group", func(r *ModelRecord) { r.Groups = append(r.Groups, r.Groups[0]) }},
+		{"negative N", func(r *ModelRecord) { r.Groups[0].N = -1 }},
+		{"negative DF", func(r *ModelRecord) { r.Groups[0].DF = -3 }},
+	} {
+		bad := edited(tc.edit)
+		if _, err := ModelFromRecord(bad); err == nil {
+			t.Errorf("%s: ModelFromRecord accepted it", tc.name)
+		}
+		var buf bytes.Buffer
+		if err := json.NewEncoder(&buf).Encode(map[string]any{"format_version": 1, "models": []ModelRecord{bad}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewStore().Load(&buf); err == nil {
+			t.Errorf("%s: Store.Load accepted it", tc.name)
+		}
+	}
+	// Unedited records, and a fitted group without a covariance (a singular
+	// information matrix), still decode.
+	for _, r := range []ModelRecord{good, edited(func(r *ModelRecord) { r.Groups[0].Cov = nil })} {
+		if _, err := ModelFromRecord(r); err != nil {
+			t.Fatalf("valid record rejected: %v", err)
+		}
 	}
 }

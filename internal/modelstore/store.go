@@ -17,6 +17,7 @@ import (
 
 	"datalaws/internal/expr"
 	"datalaws/internal/fit"
+	"datalaws/internal/sql"
 	"datalaws/internal/stats"
 	"datalaws/internal/storage"
 	"datalaws/internal/table"
@@ -68,18 +69,9 @@ type Quality struct {
 	GroupsFailed     int
 }
 
-// Spec describes what to fit: it is the declarative content of a FIT MODEL
-// statement.
-type Spec struct {
-	Name    string
-	Table   string
-	Formula string
-	Inputs  []string
-	GroupBy string // optional single grouping column
-	Where   expr.Expr
-	Start   map[string]float64
-	Method  string // "", "lm", "gn"
-}
+// Spec describes what to fit. It is the FIT MODEL statement itself, so the
+// parser's output is the law's one in-memory form.
+type Spec = sql.FitModelStmt
 
 // CapturedModel is one harvested model with its trained parameters.
 type CapturedModel struct {
@@ -91,9 +83,8 @@ type CapturedModel struct {
 	Quality Quality
 
 	// Fit-time snapshot for staleness detection.
-	FittedVersion uint64
-	FittedRows    int
-	Version       int // bumped by every refit
+	FittedRows int
+	Version    int // bumped by every refit
 }
 
 // Grouped reports whether the model was fitted per group.
@@ -398,8 +389,10 @@ func (s *Store) ForTable(tableName string) []*CapturedModel {
 	return out
 }
 
-// SelectionPolicy tunes BestFor's choice among multiple candidate models —
-// the §4.1 "multiple, partial or grouped models" challenge.
+// SelectionPolicy is the one trust rule for choosing among multiple
+// candidate models — the §4.1 "multiple, partial or grouped models"
+// challenge. BestFor and the approximate planner both apply it through
+// Choose.
 type SelectionPolicy struct {
 	// MinMedianR2 rejects models whose median group R² is below this bound.
 	MinMedianR2 float64
@@ -412,30 +405,35 @@ type SelectionPolicy struct {
 // rows) models.
 var DefaultPolicy = SelectionPolicy{MinMedianR2: 0.8, MaxStalenessFrac: 0.2}
 
-// BestFor picks the best stored model that predicts output on tableName,
-// preferring higher median R² and breaking ties with lower residual SE.
-func (s *Store) BestFor(tableName, output string, t *table.Table, pol SelectionPolicy) (*CapturedModel, error) {
-	candidates := s.ForTable(tableName)
+// Choose returns the candidate the policy trusts most, or nil. It refuses
+// models below the R² floor, models whose table t grew past the staleness
+// cap (unchecked when t is nil), and models accept rejects; the rest rank
+// by median R², ties going to the lower median residual SE.
+func (pol SelectionPolicy) Choose(cands []*CapturedModel, t *table.Table, accept func(*CapturedModel) bool) *CapturedModel {
 	var best *CapturedModel
-	for _, m := range candidates {
-		if m.Model.Output != output {
-			continue
-		}
+	for _, m := range cands {
 		if m.Quality.MedianR2 < pol.MinMedianR2 {
 			continue
 		}
-		if t != nil && pol.MaxStalenessFrac > 0 {
-			if st := m.StalenessAgainst(t); st.GrowthFrac > pol.MaxStalenessFrac {
-				continue
-			}
+		if t != nil && pol.MaxStalenessFrac > 0 && m.StalenessAgainst(t).GrowthFrac > pol.MaxStalenessFrac {
+			continue
 		}
-		if best == nil ||
-			m.Quality.MedianR2 > best.Quality.MedianR2 ||
+		if !accept(m) {
+			continue
+		}
+		if best == nil || m.Quality.MedianR2 > best.Quality.MedianR2 ||
 			(m.Quality.MedianR2 == best.Quality.MedianR2 &&
 				m.Quality.MedianResidualSE < best.Quality.MedianResidualSE) {
 			best = m
 		}
 	}
+	return best
+}
+
+// BestFor picks the stored model on tableName that predicts output and
+// that pol trusts most.
+func (s *Store) BestFor(tableName, output string, t *table.Table, pol SelectionPolicy) (*CapturedModel, error) {
+	best := pol.Choose(s.ForTable(tableName), t, func(m *CapturedModel) bool { return m.Model.Output == output })
 	if best == nil {
 		return nil, fmt.Errorf("%w: table %q output %q", ErrNoModel, tableName, output)
 	}
@@ -494,11 +492,10 @@ func fitSpec(v *table.ChunkView, spec Spec, prev *CapturedModel, parallelism int
 	}
 
 	cm := &CapturedModel{
-		Spec:          spec,
-		Model:         model,
-		Groups:        map[int64]*GroupParams{},
-		FittedVersion: v.Version(),
-		FittedRows:    v.Rows(),
+		Spec:       spec,
+		Model:      model,
+		Groups:     map[int64]*GroupParams{},
+		FittedRows: v.Rows(),
 	}
 	if spec.GroupBy == "" {
 		start := spec.Start

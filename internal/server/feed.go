@@ -3,7 +3,7 @@ package server
 // Model replication, the paper's client/server split taken to its
 // conclusion: a replica that never holds a raw measurement row can still
 // answer approximate queries, because everything the planner needs — model
-// parameters, table manifests, input domains, legal combinations — is
+// parameters, table declarations, input domains, legal combinations — is
 // kilobytes, not gigabytes. OpSubscribeModels replies with the primary's
 // full model catalog plus a changefeed cursor; OpModelDelta long-polls that
 // cursor for model deltas. Each reply also carries, per domain state a
@@ -13,11 +13,11 @@ package server
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"datalaws/internal/aqp"
 	"datalaws/internal/modelstore"
+	"datalaws/internal/table"
 	"datalaws/internal/wireerr"
 )
 
@@ -30,7 +30,7 @@ const defaultMaxDeltas = 256
 const maxWaitMillis = 60_000
 
 // ModelDelta is one changefeed entry on the wire: a captured model's
-// parameters and the manifest of its table. It carries no enumeration
+// parameters and the declaration of its table. It carries no enumeration
 // artifacts; the reply's increments do. For drops only Kind and Name are
 // set.
 type ModelDelta struct {
@@ -38,42 +38,16 @@ type ModelDelta struct {
 	Name  string
 	Model *modelstore.ModelRecord
 
-	// Table manifests the model's table (a partition child carries its
-	// parent's partitioning so the replica can rebuild the family shape).
-	// Nil when the primary's table vanished between publish and build.
-	Table *TableMeta
-}
-
-// TableMeta is a table's shape without its rows: enough for a replica to
-// register a zero-row stub the planner can bind models against.
-type TableMeta struct {
-	// Name is the table the model references — a partition child's
-	// "<parent>#<partition>" name when Parent is set.
-	Name string
-	// Parent/Column/Ranges carry the partitioned parent's declaration;
-	// empty for plain tables.
-	Parent string
-	Column string
-	Ranges []PartRange
-	// Cols is the schema, types in storage.ColType encoding.
-	Cols []ColMeta
-}
-
-// ColMeta is one schema column on the wire.
-type ColMeta struct {
-	Name string
-	Type uint8
-}
-
-// PartRange mirrors table.RangePartition on the wire.
-type PartRange struct {
-	Name  string
-	Upper float64
-	Max   bool
+	// Table declares the model's table, enough for a replica to register a
+	// zero-row stub the planner can bind models against; a partition
+	// child's is its parent's declaration, so the replica rebuilds the
+	// family shape. Nil when the primary's table vanished between publish
+	// and build.
+	Table *table.Decl
 }
 
 // buildDelta turns one changefeed entry into its wire form, attaching the
-// table manifest.
+// table's declaration.
 func (s *Server) buildDelta(c modelstore.Change) ModelDelta {
 	d := ModelDelta{Kind: c.Kind, Name: c.Name}
 	if c.Model == nil { // a drop
@@ -81,30 +55,10 @@ func (s *Server) buildDelta(c modelstore.Change) ModelDelta {
 	}
 	rec := modelstore.RecordOf(c.Model)
 	d.Model = &rec
-	d.Table = s.tableMeta(c.Model.Spec.Table)
+	if decl, ok := s.eng.Catalog.DeclOf(c.Model.Spec.Table); ok {
+		d.Table = &decl
+	}
 	return d
-}
-
-// tableMeta manifests one catalog table; nil if it does not exist.
-func (s *Server) tableMeta(name string) *TableMeta {
-	t, ok := s.eng.Catalog.Get(name)
-	if !ok {
-		return nil
-	}
-	tm := &TableMeta{Name: name}
-	for _, c := range t.Schema().Cols {
-		tm.Cols = append(tm.Cols, ColMeta{Name: c.Name, Type: uint8(c.Type)})
-	}
-	if parent, _, found := strings.Cut(name, "#"); found {
-		if pt, ok := s.eng.Catalog.GetPartitioned(parent); ok {
-			tm.Parent = parent
-			tm.Column = pt.Column()
-			for _, rg := range pt.Ranges() {
-				tm.Ranges = append(tm.Ranges, PartRange{Name: rg.Name, Upper: rg.Upper, Max: rg.Max})
-			}
-		}
-	}
-	return tm
 }
 
 // growthMap snapshots each model's unmodeled-row growth fraction. Shipped

@@ -205,3 +205,57 @@ func FuzzFeedIncrement(f *testing.F) {
 		}
 	})
 }
+
+// TestReplicaRejectsUnservableModelDeltas hands applyBatch a model delta
+// whose record the replica could not serve: a covariance too small for the
+// law's parameters (the first WITH ERROR point would panic the replica) or
+// a group listed twice (APPROX counts would double it). Each must come back
+// as an error and leave the installed model answering as before.
+func TestReplicaRejectsUnservableModelDeltas(t *testing.T) {
+	srv, _ := newPrimary(t)
+	sub, err := dialTest(t, srv).SubscribeModels()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reng, rep := OpenReplica(srv.Addr(), nil) // never started: applyBatch is driven by hand
+	if err := rep.applyBatch(sub); err != nil {
+		t.Fatal(err)
+	}
+	const point = "APPROX SELECT intensity, intensity_lo FROM m WHERE source = 0 AND nu = 1.5 WITH ERROR"
+	check := func(when string) {
+		t.Helper()
+		if n := reng.MustExec("APPROX SELECT count(*) FROM m").Rows[0][0].I; n != 32 {
+			t.Fatalf("%s: count = %d, want 32", when, n)
+		}
+		if _, err := reng.Exec(point); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	check("after the subscribe")
+	var law ModelDelta
+	for _, d := range sub.Deltas {
+		if d.Name == "law" {
+			law = d
+		}
+	}
+	if law.Model == nil || len(law.Model.Groups) < 2 {
+		t.Fatal("subscribe shipped no grouped law")
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*modelstore.ModelRecord)
+	}{
+		{"1x1 cov for 2 params", func(r *modelstore.ModelRecord) { r.Groups[0].Cov = [][]float64{{1}} }},
+		{"duplicate group", func(r *modelstore.ModelRecord) { r.Groups = append(r.Groups, r.Groups[0]) }},
+	} {
+		rec := *law.Model
+		rec.Groups = append([]modelstore.GroupRecord(nil), rec.Groups...)
+		tc.edit(&rec)
+		d := law
+		d.Model = &rec
+		if err := rep.applyBatch(&DeltaBatch{Deltas: []ModelDelta{d}}); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		check(tc.name)
+	}
+}

@@ -7,7 +7,6 @@ import (
 
 	"datalaws"
 	"datalaws/internal/modelstore"
-	"datalaws/internal/storage"
 	"datalaws/internal/table"
 )
 
@@ -314,33 +313,17 @@ func (r *Replicator) applyIncrement(inc *DomainIncrement) error {
 // against (partitioned families register the whole parent, so every
 // sibling child exists once the first family member arrives). The stub
 // never receives rows; the shipped increments stand in for them.
-func (r *Replicator) ensureStubTable(tm *TableMeta, name string) error {
-	if _, ok := r.cat.Get(name); ok || tm == nil {
-		// A nil manifest: the primary's table vanished between publish and
-		// ship; the model still installs, but the planner cannot bind it.
+func (r *Replicator) ensureStubTable(d *table.Decl, name string) error {
+	if _, ok := r.cat.Get(name); ok || d == nil {
+		// A nil declaration: the primary's table vanished between publish
+		// and ship; the model still installs, but the planner cannot bind it.
 		return nil
 	}
-	defs := make([]table.ColumnDef, len(tm.Cols))
-	for i, c := range tm.Cols {
-		defs[i] = table.ColumnDef{Name: c.Name, Type: storage.ColType(c.Type)}
-	}
-	schema, err := table.NewSchema(defs...)
-	if err != nil {
-		return err
-	}
-	if tm.Parent == "" {
-		_, err = r.cat.Create(name, schema)
-		return err
-	}
-	ranges := make([]table.RangePartition, len(tm.Ranges))
-	for i, rg := range tm.Ranges {
-		ranges[i] = table.RangePartition{Name: rg.Name, Upper: rg.Upper, Max: rg.Max}
-	}
-	if _, err := r.cat.CreatePartitioned(tm.Parent, schema, tm.Column, ranges); err != nil {
+	if err := r.cat.Declare(*d); err != nil {
 		return err
 	}
 	if _, ok := r.cat.Get(name); !ok {
-		return fmt.Errorf("partition child %q missing after creating %q", name, tm.Parent)
+		return fmt.Errorf("table %q missing after declaring %q", name, d.Name)
 	}
 	return nil
 }

@@ -160,7 +160,7 @@ type Response struct {
 	PartitionsPruned int
 
 	// Replication payload (OpSubscribeModels, OpModelDelta). Deltas carry
-	// model parameters and table manifests, never rows; Increments carry
+	// model parameters and table declarations, never rows; Increments carry
 	// what the rows appended since the session's last reply add to the
 	// domain states those models bind against; FeedTerm/FeedSeq is the
 	// cursor to poll from next; Resync marks a reply that replaces the

@@ -2,7 +2,7 @@ package sql
 
 import (
 	"datalaws/internal/expr"
-	"datalaws/internal/storage"
+	"datalaws/internal/table"
 )
 
 // Stmt is any parsed statement.
@@ -47,31 +47,9 @@ type SelectStmt struct {
 
 func (*SelectStmt) stmt() {}
 
-// PartitionDef is one partition of a PARTITION BY RANGE clause: rows route
-// here while the partition column is below Upper; Max marks VALUES LESS
-// THAN (MAXVALUE).
-type PartitionDef struct {
-	Name  string
-	Upper float64
-	Max   bool
-}
-
-// PartitionBySpec is the PARTITION BY RANGE(col) (...) clause of CREATE
-// TABLE.
-type PartitionBySpec struct {
-	Column string
-	Parts  []PartitionDef
-}
-
-// CreateTableStmt creates a table, optionally range-partitioned.
-type CreateTableStmt struct {
-	Name string
-	Cols []struct {
-		Name string
-		Type storage.ColType
-	}
-	Partition *PartitionBySpec
-}
+// CreateTableStmt creates a table, optionally range-partitioned. The
+// parser fills the table's declaration directly.
+type CreateTableStmt struct{ table.Decl }
 
 func (*CreateTableStmt) stmt() {}
 
@@ -84,6 +62,8 @@ type InsertStmt struct {
 func (*InsertStmt) stmt() {}
 
 // FitModelStmt captures a user model server-side: the FIT MODEL extension.
+// It is also the in-memory spec of a captured law (modelstore.Spec), so the
+// statement the parser produces is what the model store fits and keeps.
 //
 //	FIT MODEL spectra ON measurements
 //	    AS 'intensity ~ p * pow(nu, alpha)'

@@ -7,6 +7,7 @@ import (
 
 	"datalaws/internal/expr"
 	"datalaws/internal/storage"
+	"datalaws/internal/table"
 )
 
 // Parse parses one SQL statement (a trailing semicolon is permitted).
@@ -286,7 +287,7 @@ func (p *parser) parseCreateTable() (*CreateTableStmt, error) {
 	if _, err := p.expect(TokOp, "("); err != nil {
 		return nil, err
 	}
-	st := &CreateTableStmt{Name: name.Text}
+	st := &CreateTableStmt{table.Decl{Name: name.Text}}
 	for {
 		cn, err := p.expect(TokIdent, "")
 		if err != nil {
@@ -297,10 +298,7 @@ func (p *parser) parseCreateTable() (*CreateTableStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.Cols = append(st.Cols, struct {
-			Name string
-			Type storage.ColType
-		}{cn.Text, ct})
+		st.Cols = append(st.Cols, table.ColumnDef{Name: cn.Text, Type: ct})
 		if p.accept(TokOp, ",") {
 			continue
 		}
@@ -310,11 +308,9 @@ func (p *parser) parseCreateTable() (*CreateTableStmt, error) {
 		return nil, err
 	}
 	if p.atWord("PARTITION") {
-		spec, err := p.parsePartitionBy()
-		if err != nil {
+		if err := p.parsePartitionBy(&st.Decl); err != nil {
 			return nil, err
 		}
-		st.Partition = spec
 	}
 	return st, nil
 }
@@ -325,60 +321,62 @@ func (p *parser) parseCreateTable() (*CreateTableStmt, error) {
 //	    PARTITION p0 VALUES LESS THAN (10),
 //	    PARTITION p1 VALUES LESS THAN (MAXVALUE)
 //	)
-func (p *parser) parsePartitionBy() (*PartitionBySpec, error) {
+//
+// into d's partition column and partitions.
+func (p *parser) parsePartitionBy(d *table.Decl) error {
 	p.advance() // PARTITION
 	if _, err := p.expect(TokKeyword, "BY"); err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := p.expectWord("RANGE"); err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := p.expect(TokOp, "("); err != nil {
-		return nil, err
+		return err
 	}
 	col, err := p.expect(TokIdent, "")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := p.expect(TokOp, ")"); err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := p.expect(TokOp, "("); err != nil {
-		return nil, err
+		return err
 	}
-	spec := &PartitionBySpec{Column: col.Text}
+	d.PartCol = col.Text
 	for {
 		if _, err := p.expectWord("PARTITION"); err != nil {
-			return nil, err
+			return err
 		}
 		name, err := p.expect(TokIdent, "")
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := p.expect(TokKeyword, "VALUES"); err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := p.expectWord("LESS"); err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := p.expectWord("THAN"); err != nil {
-			return nil, err
+			return err
 		}
 		if _, err := p.expect(TokOp, "("); err != nil {
-			return nil, err
+			return err
 		}
-		def := PartitionDef{Name: name.Text}
+		def := table.RangePartition{Name: name.Text}
 		if p.acceptWord("MAXVALUE") {
 			def.Max = true
 		} else {
 			neg := p.accept(TokOp, "-")
 			num, err := p.expect(TokNumber, "")
 			if err != nil {
-				return nil, err
+				return err
 			}
 			v, err := strconv.ParseFloat(num.Text, 64)
 			if err != nil {
-				return nil, fmt.Errorf("sql: bad partition bound %q", num.Text)
+				return fmt.Errorf("sql: bad partition bound %q", num.Text)
 			}
 			if neg {
 				v = -v
@@ -386,18 +384,18 @@ func (p *parser) parsePartitionBy() (*PartitionBySpec, error) {
 			def.Upper = v
 		}
 		if _, err := p.expect(TokOp, ")"); err != nil {
-			return nil, err
+			return err
 		}
-		spec.Parts = append(spec.Parts, def)
+		d.Parts = append(d.Parts, def)
 		if p.accept(TokOp, ",") {
 			continue
 		}
 		break
 	}
 	if _, err := p.expect(TokOp, ")"); err != nil {
-		return nil, err
+		return err
 	}
-	return spec, nil
+	return nil
 }
 
 func typeFromKeyword(t Token) (storage.ColType, error) {

@@ -20,16 +20,13 @@ func TestParseCreateTablePartitioned(t *testing.T) {
 	if !ok {
 		t.Fatalf("got %T", st)
 	}
-	if ct.Partition == nil {
-		t.Fatal("missing partition spec")
+	if ct.PartCol != "source" {
+		t.Fatalf("column = %q", ct.PartCol)
 	}
-	if ct.Partition.Column != "source" {
-		t.Fatalf("column = %q", ct.Partition.Column)
+	if len(ct.Parts) != 3 {
+		t.Fatalf("parts = %d", len(ct.Parts))
 	}
-	if len(ct.Partition.Parts) != 3 {
-		t.Fatalf("parts = %d", len(ct.Partition.Parts))
-	}
-	p := ct.Partition.Parts
+	p := ct.Parts
 	if p[0].Name != "p0" || p[0].Upper != 100 || p[0].Max {
 		t.Errorf("p0 = %+v", p[0])
 	}
@@ -50,8 +47,8 @@ func TestParseCreateTableUnpartitionedUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ct := st.(*CreateTableStmt); ct.Partition != nil {
-		t.Fatalf("unexpected partition spec: %+v", ct.Partition)
+	if ct := st.(*CreateTableStmt); ct.PartCol != "" || ct.Parts != nil {
+		t.Fatalf("unexpected partition spec: %+v", ct.Decl)
 	}
 }
 
@@ -75,8 +72,8 @@ func TestPartitionWordsNotReserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	ct := st.(*CreateTableStmt)
-	if ct.Partition == nil || ct.Partition.Column != "partition" || ct.Partition.Parts[0].Name != "less" {
-		t.Fatalf("partition spec = %+v", ct.Partition)
+	if ct.PartCol != "partition" || len(ct.Parts) != 1 || ct.Parts[0].Name != "less" {
+		t.Fatalf("partition spec = %+v", ct.Decl)
 	}
 }
 

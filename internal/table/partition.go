@@ -31,9 +31,22 @@ var ErrNoPartition = errors.New("no partition admits value")
 // partition column is below Upper (and at or above the previous partition's
 // Upper). Max marks VALUES LESS THAN (MAXVALUE) — an unbounded final range.
 type RangePartition struct {
-	Name  string
-	Upper float64
-	Max   bool
+	Name  string  `json:"name"`
+	Upper float64 `json:"upper,omitempty"`
+	Max   bool    `json:"max,omitempty"`
+}
+
+// Decl is a table's declaration, the one form of it that everything which
+// rebuilds a table without its rows carries unchanged: the CREATE TABLE
+// statement, its WAL record, the snapshot's partitions.json and the replica
+// feed's model delta. PartCol is "" for a plain table. The JSON form is a
+// partitions.json entry; it omits Cols because a snapshot keeps each
+// partition's schema in its own .dltab file.
+type Decl struct {
+	Name    string           `json:"table"`
+	Cols    []ColumnDef      `json:"-"`
+	PartCol string           `json:"column"`
+	Parts   []RangePartition `json:"parts"`
 }
 
 // PartitionedTable is a range-partitioned table: a schema shared by ordered
@@ -153,6 +166,11 @@ func (pt *PartitionedTable) Schema() *Schema { return pt.schema }
 
 // Column returns the partition column name.
 func (pt *PartitionedTable) Column() string { return pt.column }
+
+// Decl returns the table's declaration.
+func (pt *PartitionedTable) Decl() Decl {
+	return Decl{Name: pt.Name, Cols: pt.schema.Cols, PartCol: pt.column, Parts: pt.Ranges()}
+}
 
 // Ranges returns the partition declarations in range order.
 func (pt *PartitionedTable) Ranges() []RangePartition {

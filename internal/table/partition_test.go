@@ -1,8 +1,10 @@
 package table
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"datalaws/internal/expr"
@@ -254,14 +256,14 @@ func TestPruneHugeIntBoundsConservative(t *testing.T) {
 func TestCatalogPartitioned(t *testing.T) {
 	c := NewCatalog()
 	e0 := c.Epoch()
-	pt, err := c.CreatePartitioned("t", partSchema(t), "k", []RangePartition{
+	d := Decl{Name: "t", Cols: partSchema(t).Cols, PartCol: "k", Parts: []RangePartition{
 		{Name: "p0", Upper: 10}, {Name: "p1", Max: true},
-	})
-	if err != nil {
+	}}
+	if err := c.Declare(d); err != nil {
 		t.Fatal(err)
 	}
 	if c.Epoch() == e0 {
-		t.Error("CreatePartitioned did not bump the epoch")
+		t.Error("Declare did not bump the epoch")
 	}
 	if _, ok := c.GetPartitioned("t"); !ok {
 		t.Fatal("GetPartitioned(t) not found")
@@ -276,8 +278,8 @@ func TestCatalogPartitioned(t *testing.T) {
 	if _, err := c.Create("t", partSchema(t)); err == nil {
 		t.Error("Create over partitioned name: want error")
 	}
-	if _, err := c.CreatePartitioned("t", partSchema(t), "k", pt.Ranges()); err == nil {
-		t.Error("duplicate CreatePartitioned: want error")
+	if err := c.Declare(d); err == nil {
+		t.Error("duplicate Declare: want error")
 	}
 	// Children cannot be dropped out from under the parent.
 	if c.Drop(PartitionTableName("t", "p0")) {
@@ -296,5 +298,41 @@ func TestCatalogPartitioned(t *testing.T) {
 	}
 	if _, ok := c.GetPartitioned("t"); ok {
 		t.Error("parent survived drop")
+	}
+}
+
+// TestDeclRoundTrip: DeclOf returns what Declare was given — for a plain
+// table, a partitioned parent and (as the parent's) a partition child —
+// and a declaration's JSON form is the partitions.json entry, columns left
+// to the .dltab files.
+func TestDeclRoundTrip(t *testing.T) {
+	c := NewCatalog()
+	parted := Decl{Name: "t", Cols: partSchema(t).Cols, PartCol: "k", Parts: []RangePartition{
+		{Name: "p0", Upper: 10}, {Name: "p1", Max: true},
+	}}
+	plain := Decl{Name: "u", Cols: partSchema(t).Cols}
+	for _, d := range []Decl{parted, plain} {
+		if err := c.Declare(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, want := range map[string]Decl{"t": parted, PartitionTableName("t", "p1"): parted, "u": plain} {
+		got, ok := c.DeclOf(name)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("DeclOf(%q) = %+v, %v; want %+v", name, got, ok, want)
+		}
+	}
+	if _, ok := c.DeclOf("nosuch"); ok {
+		t.Error("DeclOf(nosuch) found a declaration")
+	}
+	if err := c.Declare(Decl{Name: "bad", Cols: []ColumnDef{{Name: "a"}, {Name: "a"}}}); err == nil {
+		t.Error("Declare accepted duplicate columns")
+	}
+	b, err := json.Marshal(parted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"table":"t","column":"k","parts":[{"name":"p0","upper":10},{"name":"p1","max":true}]}`; string(b) != want {
+		t.Fatalf("JSON form = %s, want %s", b, want)
 	}
 }

@@ -21,6 +21,7 @@ package table
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"datalaws/internal/expr"
@@ -355,18 +356,42 @@ func (c *Catalog) Add(t *Table) error {
 	return nil
 }
 
-// CreatePartitioned registers a new empty range-partitioned table: the
-// parent under name, plus one child table per partition under its
-// "<table>#<partition>" name.
-func (c *Catalog) CreatePartitioned(name string, schema *Schema, column string, ranges []RangePartition) (*PartitionedTable, error) {
-	pt, err := NewPartitioned(name, schema, column, ranges)
+// Declare registers the new empty table a declaration describes: a plain
+// table, or a range-partitioned parent under d.Name plus one child table per
+// partition under its "<table>#<partition>" name.
+func (c *Catalog) Declare(d Decl) error {
+	schema, err := NewSchema(d.Cols...)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := c.AddPartitioned(pt); err != nil {
-		return nil, err
+	if d.PartCol == "" {
+		_, err := c.Create(d.Name, schema)
+		return err
 	}
-	return pt, nil
+	pt, err := NewPartitioned(d.Name, schema, d.PartCol, d.Parts)
+	if err != nil {
+		return err
+	}
+	return c.AddPartitioned(pt)
+}
+
+// DeclOf returns the declaration of a table; for a partition child it is
+// the parent's declaration, the one that re-creates the child with its
+// siblings.
+func (c *Catalog) DeclOf(name string) (Decl, bool) {
+	if pt, ok := c.GetPartitioned(name); ok {
+		return pt.Decl(), true
+	}
+	t, ok := c.Get(name)
+	if !ok {
+		return Decl{}, false
+	}
+	if parent, _, child := strings.Cut(name, "#"); child {
+		if pt, ok := c.GetPartitioned(parent); ok {
+			return pt.Decl(), true
+		}
+	}
+	return Decl{Name: name, Cols: t.Schema().Cols}, true
 }
 
 // AddPartitioned registers an existing partitioned table and its children.

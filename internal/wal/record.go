@@ -11,7 +11,21 @@ import (
 	"sort"
 
 	"datalaws/internal/expr"
+	"datalaws/internal/modelstore"
+	"datalaws/internal/storage"
+	"datalaws/internal/table"
 )
+
+// The record codec. A payload is one type byte and then that type's
+// fields: strings and lists carry a uvarint length prefix, floats are 8
+// bytes little-endian, booleans and column type codes one byte each. DDL
+// records hold the engine's own declaration types, so the log adds no
+// mirror of them: a CREATE TABLE writes its table.Decl (name, columns,
+// partition column, partitions) and a FIT MODEL writes the spec fields of
+// a modelstore.ModelRecord (name, table, formula, inputs, group column,
+// WHERE source, method, START pairs sorted by name), the source form that
+// models.json and the replica feed carry too. A length prefix larger than
+// the rest of the payload can hold is corrupt, never an allocation size.
 
 // Type enumerates logical record kinds. Appends carry the rows themselves;
 // DDL records are logical — recovery re-executes the operation against the
@@ -47,48 +61,21 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
-// ColumnDef mirrors a schema column without importing the storage layer:
-// Type is the storage.ColType code.
-type ColumnDef struct {
-	Name string
-	Type uint8
-}
-
-// PartDef mirrors one range partition of a CREATE TABLE ... PARTITION BY
-// RANGE record.
-type PartDef struct {
-	Name  string
-	Upper float64
-	Max   bool
-}
-
-// FitSpec is the logical payload of a FIT MODEL record: the model spec in
-// source form (formula and WHERE as text), exactly what the model store
-// persists, so replay re-fits deterministically.
-type FitSpec struct {
-	Name    string
-	Table   string
-	Formula string
-	Inputs  []string
-	GroupBy string
-	Where   string // predicate source, "" for none
-	Start   map[string]float64
-	Method  string
-}
-
 // Record is one logical WAL entry. Only the fields relevant to Type are
-// set; the rest stay zero.
+// set; the rest stay zero. DDL payloads are the engine's own declaration
+// types: a CREATE TABLE carries the table's Decl, and a FIT MODEL carries
+// the law in the source form models.json and the replica feed also carry,
+// a ModelRecord's spec fields (Name through Method), so replay re-fits
+// deterministically.
 type Record struct {
 	Type  Type
-	Table string         // Append / CreateTable / DropTable target
+	Table string         // Append / DropTable target
 	Rows  [][]expr.Value // Append payload
 
-	Cols    []ColumnDef // CreateTable schema
-	PartCol string      // CreateTable partition column ("" = unpartitioned)
-	Parts   []PartDef   // CreateTable partitions
+	Decl *table.Decl // CreateTable payload
 
-	Name string   // RefitModel / DropModel target
-	Fit  *FitSpec // FitModel payload
+	Name string                  // RefitModel / DropModel target
+	Fit  *modelstore.ModelRecord // FitModel payload: spec fields only
 }
 
 // Errors surfaced by frame decoding.
@@ -201,15 +188,16 @@ func (r *Record) Encode() []byte {
 			}
 		}
 	case TypeCreateTable:
-		e.str(r.Table)
-		e.uvarint(uint64(len(r.Cols)))
-		for _, c := range r.Cols {
+		d := r.Decl
+		e.str(d.Name)
+		e.uvarint(uint64(len(d.Cols)))
+		for _, c := range d.Cols {
 			e.str(c.Name)
-			e.byte(c.Type)
+			e.byte(byte(c.Type))
 		}
-		e.str(r.PartCol)
-		e.uvarint(uint64(len(r.Parts)))
-		for _, p := range r.Parts {
+		e.str(d.PartCol)
+		e.uvarint(uint64(len(d.Parts)))
+		for _, p := range d.Parts {
 			e.str(p.Name)
 			e.float(p.Upper)
 			e.bool(p.Max)
@@ -223,7 +211,7 @@ func (r *Record) Encode() []byte {
 		e.str(f.Formula)
 		e.strs(f.Inputs)
 		e.str(f.GroupBy)
-		e.str(f.Where)
+		e.str(f.WhereSrc)
 		e.str(f.Method)
 		keys := make([]string, 0, len(f.Start))
 		for k := range f.Start {
@@ -299,8 +287,22 @@ func (d *decoder) str() (string, error) {
 	return s, nil
 }
 
-func (d *decoder) strs() ([]string, error) {
+// count reads the length prefix of a list whose items take at least size
+// bytes each, refusing one the rest of the payload cannot hold, so a
+// corrupt prefix never sizes an allocation.
+func (d *decoder) count(size int) (int, error) {
 	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(d.buf)/size) {
+		return 0, errShort
+	}
+	return int(n), nil
+}
+
+func (d *decoder) strs() ([]string, error) {
+	n, err := d.count(1)
 	if err != nil {
 		return nil, err
 	}
@@ -338,7 +340,7 @@ func decode(payload []byte) (*Record, error) {
 		if rec.Table, err = d.str(); err != nil {
 			return nil, err
 		}
-		nrows, err := d.uvarint()
+		nrows, err := d.count(1)
 		if err != nil {
 			return nil, err
 		}
@@ -346,7 +348,7 @@ func decode(payload []byte) (*Record, error) {
 			rec.Rows = make([][]expr.Value, nrows)
 		}
 		for i := range rec.Rows {
-			ncols, err := d.uvarint()
+			ncols, err := d.count(1)
 			if err != nil {
 				return nil, err
 			}
@@ -390,51 +392,55 @@ func decode(payload []byte) (*Record, error) {
 			rec.Rows[i] = row
 		}
 	case TypeCreateTable:
-		if rec.Table, err = d.str(); err != nil {
+		td := &table.Decl{}
+		if td.Name, err = d.str(); err != nil {
 			return nil, err
 		}
-		ncols, err := d.uvarint()
+		ncols, err := d.count(2)
 		if err != nil {
 			return nil, err
 		}
 		if ncols > 0 {
-			rec.Cols = make([]ColumnDef, ncols)
+			td.Cols = make([]table.ColumnDef, ncols)
 		}
-		for i := range rec.Cols {
-			if rec.Cols[i].Name, err = d.str(); err != nil {
+		for i := range td.Cols {
+			if td.Cols[i].Name, err = d.str(); err != nil {
 				return nil, err
 			}
-			if rec.Cols[i].Type, err = d.byte(); err != nil {
+			tb, err := d.byte()
+			if err != nil {
 				return nil, err
 			}
+			td.Cols[i].Type = storage.ColType(tb)
 		}
-		if rec.PartCol, err = d.str(); err != nil {
+		if td.PartCol, err = d.str(); err != nil {
 			return nil, err
 		}
-		nparts, err := d.uvarint()
+		nparts, err := d.count(10)
 		if err != nil {
 			return nil, err
 		}
 		if nparts > 0 {
-			rec.Parts = make([]PartDef, nparts)
+			td.Parts = make([]table.RangePartition, nparts)
 		}
-		for i := range rec.Parts {
-			if rec.Parts[i].Name, err = d.str(); err != nil {
+		for i := range td.Parts {
+			if td.Parts[i].Name, err = d.str(); err != nil {
 				return nil, err
 			}
-			if rec.Parts[i].Upper, err = d.float(); err != nil {
+			if td.Parts[i].Upper, err = d.float(); err != nil {
 				return nil, err
 			}
-			if rec.Parts[i].Max, err = d.bool(); err != nil {
+			if td.Parts[i].Max, err = d.bool(); err != nil {
 				return nil, err
 			}
 		}
+		rec.Decl = td
 	case TypeDropTable:
 		if rec.Table, err = d.str(); err != nil {
 			return nil, err
 		}
 	case TypeFitModel:
-		f := &FitSpec{}
+		f := &modelstore.ModelRecord{}
 		if f.Name, err = d.str(); err != nil {
 			return nil, err
 		}
@@ -450,19 +456,19 @@ func decode(payload []byte) (*Record, error) {
 		if f.GroupBy, err = d.str(); err != nil {
 			return nil, err
 		}
-		if f.Where, err = d.str(); err != nil {
+		if f.WhereSrc, err = d.str(); err != nil {
 			return nil, err
 		}
 		if f.Method, err = d.str(); err != nil {
 			return nil, err
 		}
-		nstart, err := d.uvarint()
+		nstart, err := d.count(9)
 		if err != nil {
 			return nil, err
 		}
 		if nstart > 0 {
 			f.Start = make(map[string]float64, nstart)
-			for i := uint64(0); i < nstart; i++ {
+			for i := 0; i < nstart; i++ {
 				k, err := d.str()
 				if err != nil {
 					return nil, err

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"datalaws/internal/expr"
+	"datalaws/internal/modelstore"
+	"datalaws/internal/table"
 )
 
 func appendRec(table string, rows ...[]expr.Value) *Record {
@@ -21,13 +23,13 @@ func TestRecordRoundTrip(t *testing.T) {
 	recs := []*Record{
 		appendRec("m", row(expr.Int(1), expr.Float(2.5), expr.Str("x"), expr.Bool(true), expr.Null())),
 		appendRec("empty"),
-		{Type: TypeCreateTable, Table: "t", Cols: []ColumnDef{{Name: "a", Type: 0}, {Name: "b", Type: 1}}},
-		{Type: TypeCreateTable, Table: "p", Cols: []ColumnDef{{Name: "k", Type: 1}},
-			PartCol: "k", Parts: []PartDef{{Name: "p0", Upper: 10}, {Name: "p1", Max: true}}},
+		{Type: TypeCreateTable, Decl: &table.Decl{Name: "t", Cols: []table.ColumnDef{{Name: "a", Type: 0}, {Name: "b", Type: 1}}}},
+		{Type: TypeCreateTable, Decl: &table.Decl{Name: "p", Cols: []table.ColumnDef{{Name: "k", Type: 1}},
+			PartCol: "k", Parts: []table.RangePartition{{Name: "p0", Upper: 10}, {Name: "p1", Max: true}}}},
 		{Type: TypeDropTable, Table: "t"},
-		{Type: TypeFitModel, Fit: &FitSpec{
+		{Type: TypeFitModel, Fit: &modelstore.ModelRecord{
 			Name: "law", Table: "m", Formula: "y ~ a * pow(x, b)", Inputs: []string{"x"},
-			GroupBy: "g", Where: "x > 0", Start: map[string]float64{"a": 1, "b": -1}, Method: "lm",
+			GroupBy: "g", WhereSrc: "x > 0", Start: map[string]float64{"a": 1, "b": -1}, Method: "lm",
 		}},
 		{Type: TypeRefitModel, Name: "law"},
 		{Type: TypeDropModel, Name: "law"},
@@ -71,7 +73,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	l, _ := openLog(t, fs, 0, Config{})
 	want := []*Record{
 		appendRec("m", row(expr.Int(1), expr.Float(1.5))),
-		{Type: TypeCreateTable, Table: "t", Cols: []ColumnDef{{Name: "a", Type: 0}}},
+		{Type: TypeCreateTable, Decl: &table.Decl{Name: "t", Cols: []table.ColumnDef{{Name: "a", Type: 0}}}},
 		appendRec("t", row(expr.Int(7))),
 	}
 	for _, rec := range want {

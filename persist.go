@@ -53,24 +53,13 @@ type checkpointMeta struct {
 }
 
 // partitionsManifest is the on-disk record of partitioned-table structure
-// (partitions.json): partition children persist as ordinary .dltab files
-// named "<table>#<partition>.dltab", and the manifest is what reassembles
-// them into PartitionedTables on load.
+// (partitions.json): the declaration of every partitioned table, less its
+// columns. Partition children persist as ordinary .dltab files named
+// "<table>#<partition>.dltab" holding the schema, and the manifest is what
+// reassembles them into PartitionedTables on load.
 type partitionsManifest struct {
-	FormatVersion int              `json:"format_version"`
-	Tables        []partitionEntry `json:"tables"`
-}
-
-type partitionEntry struct {
-	Table  string           `json:"table"`
-	Column string           `json:"column"`
-	Parts  []partitionRange `json:"parts"`
-}
-
-type partitionRange struct {
-	Name  string  `json:"name"`
-	Upper float64 `json:"upper,omitempty"`
-	Max   bool    `json:"max,omitempty"`
+	FormatVersion int          `json:"format_version"`
+	Tables        []table.Decl `json:"tables"`
 }
 
 // catalogMeta is catalog.json inside a snapshot: the table-catalog epoch at
@@ -322,17 +311,10 @@ func syncDir(dir string) error {
 // since the previous save.
 func writePartitionsManifest(cat *table.Catalog, f *os.File) error {
 	man := partitionsManifest{FormatVersion: 1}
-	names := cat.PartitionedNames()
-	for _, name := range names {
-		pt, ok := cat.GetPartitioned(name)
-		if !ok {
-			continue
+	for _, name := range cat.PartitionedNames() {
+		if d, ok := cat.DeclOf(name); ok {
+			man.Tables = append(man.Tables, d)
 		}
-		entry := partitionEntry{Table: pt.Name, Column: pt.Column()}
-		for _, r := range pt.Ranges() {
-			entry.Parts = append(entry.Parts, partitionRange{Name: r.Name, Upper: r.Upper, Max: r.Max})
-		}
-		man.Tables = append(man.Tables, entry)
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
@@ -497,24 +479,22 @@ func stagePartitioned(dir string, tables []*table.Table) ([]*table.PartitionedTa
 		byName[t.Name] = t
 	}
 	var out []*table.PartitionedTable
-	for _, entry := range man.Tables {
-		ranges := make([]table.RangePartition, len(entry.Parts))
-		kids := make([]*table.Table, len(entry.Parts))
-		for i, p := range entry.Parts {
-			ranges[i] = table.RangePartition{Name: p.Name, Upper: p.Upper, Max: p.Max}
-			child, ok := byName[table.PartitionTableName(entry.Table, p.Name)]
+	for _, d := range man.Tables {
+		kids := make([]*table.Table, len(d.Parts))
+		for i, p := range d.Parts {
+			child, ok := byName[table.PartitionTableName(d.Name, p.Name)]
 			if !ok {
 				return nil, nil, fmt.Errorf("datalaws: partitions.json lists partition %q of %q but %s.dltab is missing",
-					p.Name, entry.Table, table.PartitionTableName(entry.Table, p.Name))
+					p.Name, d.Name, table.PartitionTableName(d.Name, p.Name))
 			}
 			kids[i] = child
 		}
 		if len(kids) == 0 {
-			return nil, nil, fmt.Errorf("datalaws: partitions.json entry %q has no partitions", entry.Table)
+			return nil, nil, fmt.Errorf("datalaws: partitions.json entry %q has no partitions", d.Name)
 		}
-		pt, err := table.NewPartitionedFrom(entry.Table, kids[0].Schema(), entry.Column, ranges, kids)
+		pt, err := table.NewPartitionedFrom(d.Name, kids[0].Schema(), d.PartCol, d.Parts, kids)
 		if err != nil {
-			return nil, nil, fmt.Errorf("datalaws: reassembling partitioned table %q: %w", entry.Table, err)
+			return nil, nil, fmt.Errorf("datalaws: reassembling partitioned table %q: %w", d.Name, err)
 		}
 		for _, k := range kids {
 			children[k.Name] = true

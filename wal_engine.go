@@ -7,10 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"datalaws/internal/expr"
 	"datalaws/internal/modelstore"
-	"datalaws/internal/storage"
-	"datalaws/internal/table"
 	"datalaws/internal/wal"
 	"datalaws/internal/wireerr"
 )
@@ -171,25 +168,13 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 		_, err := e.applyAppend(rec.Table, rec.Rows)
 		return err
 	case wal.TypeCreateTable:
-		defs := make([]table.ColumnDef, len(rec.Cols))
-		for i, c := range rec.Cols {
-			defs[i] = table.ColumnDef{Name: c.Name, Type: storage.ColType(c.Type)}
-		}
-		schema, err := table.NewSchema(defs...)
-		if err != nil {
-			return err
-		}
-		ranges := make([]table.RangePartition, len(rec.Parts))
-		for i, p := range rec.Parts {
-			ranges[i] = table.RangePartition{Name: p.Name, Upper: p.Upper, Max: p.Max}
-		}
-		_, err = e.applyCreate(rec.Table, schema, rec.PartCol, ranges)
+		_, err := e.applyCreate(*rec.Decl)
 		return err
 	case wal.TypeDropTable:
 		_, err := e.applyDropTable(rec.Table)
 		return err
 	case wal.TypeFitModel:
-		spec, err := specFromRecord(rec.Fit)
+		spec, err := rec.Fit.ParseSpec()
 		if err != nil {
 			return err
 		}
@@ -205,48 +190,10 @@ func (e *Engine) applyRecord(rec *wal.Record) error {
 	return fmt.Errorf("datalaws: unknown wal record type %d", rec.Type)
 }
 
-// fitSpecRecord serializes a model spec into its logical WAL payload:
-// formula and predicate in source form, exactly what the model store
-// persists, so replay re-fits deterministically.
-func fitSpecRecord(spec modelstore.Spec) *wal.FitSpec {
-	f := &wal.FitSpec{
-		Name:    spec.Name,
-		Table:   spec.Table,
-		Formula: spec.Formula,
-		Inputs:  append([]string(nil), spec.Inputs...),
-		GroupBy: spec.GroupBy,
-		Method:  spec.Method,
-	}
-	if spec.Where != nil {
-		f.Where = spec.Where.String()
-	}
-	if len(spec.Start) > 0 {
-		f.Start = make(map[string]float64, len(spec.Start))
-		for k, v := range spec.Start {
-			f.Start[k] = v
-		}
-	}
-	return f
-}
-
-// specFromRecord rebuilds a model spec from its WAL payload, re-parsing the
-// predicate source.
-func specFromRecord(f *wal.FitSpec) (modelstore.Spec, error) {
-	spec := modelstore.Spec{
-		Name:    f.Name,
-		Table:   f.Table,
-		Formula: f.Formula,
-		Inputs:  f.Inputs,
-		GroupBy: f.GroupBy,
-		Start:   f.Start,
-		Method:  f.Method,
-	}
-	if f.Where != "" {
-		w, err := expr.Parse(f.Where)
-		if err != nil {
-			return spec, fmt.Errorf("datalaws: wal fit record: parsing predicate: %w", err)
-		}
-		spec.Where = w
-	}
-	return spec, nil
+// fitRecord is the log record of a FIT MODEL: the spec in source form,
+// exactly what the model store persists, so replay re-fits
+// deterministically.
+func fitRecord(spec modelstore.Spec) *wal.Record {
+	r := modelstore.SpecRecord(spec)
+	return &wal.Record{Type: wal.TypeFitModel, Fit: &r}
 }
