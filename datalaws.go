@@ -512,14 +512,15 @@ func (e *Engine) AQPOptions() aqp.Options {
 	return e.aqpOptions()
 }
 
-// SetChunkCacheBudget bounds the decoded-chunk cache: scans over sealed
+// SetChunkCacheBudget bounds the decoded-column cache: scans over sealed
 // (compressed) chunks keep at most this many decoded bytes resident, so a
 // table much larger than the budget still scans in bounded memory. The
 // cache is process-wide — all engines and tables share it. A budget of 0
 // disables caching; the default is table.DefaultChunkCacheBytes (128 MiB).
 func (e *Engine) SetChunkCacheBudget(bytes int64) { table.SetChunkCacheBudget(bytes) }
 
-// ChunkCacheStats reports the decoded-chunk cache's occupancy and traffic.
+// ChunkCacheStats reports the decoded-column cache's occupancy and traffic:
+// chunk reads as hits and misses, and the column frames they decoded.
 func (e *Engine) ChunkCacheStats() table.ChunkCacheStats { return table.CacheStats() }
 
 // --- capture.Backend implementation (Figure 2's database side) ---

@@ -30,8 +30,9 @@ or a capture combined with NumRows, Version or NumChunks on the table — is
 flagged: each call locks independently, so the pair can observe different
 append states. Capture once and read rows, row count and version through
 the returned ChunkView. Decoding a sealed chunk through Chunk.Columns() is
-also flagged outside the table package: it bypasses the shared decode
-cache (and its memory budget); go through ChunkView.Columns instead.
+also flagged outside the table package: it decodes every frame and
+bypasses the shared decode cache (and its memory budget); go through
+ChunkView.Columns(k, idx) instead, which decodes only the columns idx.
 The table package itself implements the view and is exempt.`,
 	Run: run,
 }

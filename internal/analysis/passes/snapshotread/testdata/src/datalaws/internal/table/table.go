@@ -25,8 +25,9 @@ func (t *Table) Chunks() *ChunkView { return nil }
 // shares one append state.
 type ChunkView struct{}
 
-// Columns on a ChunkView reads through the shared decode cache; sanctioned.
-func (v *ChunkView) Columns(k int) ([]Column, error) { return nil, nil }
+// Columns on a ChunkView decodes the requested columns of chunk k (all of
+// them for a nil idx) through the shared decode cache; sanctioned.
+func (v *ChunkView) Columns(k int, idx []int) ([]Column, error) { return nil, nil }
 
 // Numeric is the whole-view numeric extraction.
 func (v *ChunkView) Numeric(groupCol string, floatCols []string) ([]int64, [][]float64, error) {

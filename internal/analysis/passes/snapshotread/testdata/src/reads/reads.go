@@ -38,7 +38,8 @@ func tornNumChunks(t *table.Table) {
 // count drawn from the returned view share one append state.
 func oneView(t *table.Table) {
 	v := t.Chunks()
-	_, _ = v.Columns(0)
+	_, _ = v.Columns(0, nil)
+	_, _ = v.Columns(0, []int{1})
 	_, _, _ = v.Numeric("g", []string{"x", "y"})
 	_, _, _ = v.Rows(), v.Version(), v.NumChunks()
 }

@@ -33,36 +33,27 @@ func captureChunks(t *table.Table, where expr.Expr, alias string) (chunkSet, err
 // numChunks returns the surviving chunk count.
 func (cs chunkSet) numChunks() int { return len(cs.keep) }
 
-// rawColumns materializes surviving chunk k's column set (decoded through
-// the shared cache) and its row count.
-func (cs chunkSet) rawColumns(k int) ([]storage.Column, int, error) {
-	ci := cs.keep[k]
-	cols, err := cs.view.Columns(ci)
-	if err != nil {
-		return nil, 0, err
-	}
-	return cols, cs.view.ChunkLen(ci), nil
-}
-
-// columns materializes surviving chunk k as vectorized column sources.
-func (cs chunkSet) columns(k int) ([]vecColSrc, int, error) {
-	cols, n, err := cs.rawColumns(k)
-	if err != nil {
-		return nil, 0, err
-	}
-	src, err := vecColsOf(cols, n)
-	return src, n, err
-}
-
-// vecColsOf builds typed slice-header views of a chunk's columns. No
-// defensive cloning happens here: decoded chunk columns are private to the
-// cache entry and the view's tail snapshot was already prefix-cloned at
+// columns materializes the columns need of surviving chunk k as vectorized
+// column sources (decoded through the shared cache), reusing dst's backing
+// array, and returns them with the chunk's row count. The sources of the
+// columns not in need are zero. A chunk read that needs no column decodes
+// nothing. No defensive cloning happens here: decoded columns are private
+// to their cache entries and the view's tail snapshot was prefix-cloned at
 // capture, so every source is immutable and safe to share across morsel
 // workers.
-func vecColsOf(cols []storage.Column, n int) ([]vecColSrc, error) {
-	src := make([]vecColSrc, len(cols))
-	for i, c := range cols {
-		switch tc := c.(type) {
+func (cs chunkSet) columns(k int, need []int, dst []vecColSrc) ([]vecColSrc, int, error) {
+	ci := cs.keep[k]
+	n := cs.view.ChunkLen(ci)
+	var cols []storage.Column
+	if len(need) > 0 {
+		var err error
+		if cols, err = cs.view.Columns(ci, need); err != nil {
+			return nil, 0, err
+		}
+	}
+	src := append(dst[:0], make([]vecColSrc, len(cs.view.Schema().Cols))...)
+	for _, i := range need {
+		switch tc := cols[i].(type) {
 		case *storage.Int64Column:
 			src[i] = vecColSrc{kind: expr.KindInt, i64: tc.Vals[:n], nulls: tc.Nulls}
 		case *storage.Float64Column:
@@ -72,10 +63,10 @@ func vecColsOf(cols []storage.Column, n int) ([]vecColSrc, error) {
 		case *storage.BoolColumn:
 			src[i] = vecColSrc{kind: expr.KindBool, bools: tc.Vals, nulls: tc.Nulls}
 		default:
-			return nil, fmt.Errorf("exec: cannot vectorize column type %T", tc)
+			return nil, 0, fmt.Errorf("exec: cannot vectorize column type %T", tc)
 		}
 	}
-	return src, nil
+	return src, n, nil
 }
 
 // chunkExplain renders a scan's zone-map pruning for EXPLAIN, mirroring the

@@ -490,13 +490,16 @@ func (g *VecGather) Close() error {
 // gather can hand it downstream while the worker moves on. Unfiltered
 // Stable vectors (int/float scan windows over the immutable snapshot) are
 // aliased instead of copied — only their scratch null masks are cloned.
+// Absent vectors (columns the plan does not read) stay absent.
 func cloneBatchCompact(b *Batch) *Batch {
 	sel := b.selection()
 	n := len(sel)
 	identity := b.Sel == nil
 	out := &Batch{N: n, Cols: make([]*Vector, len(b.Cols))}
 	for c, v := range b.Cols {
-		out.Cols[c] = compactVector(v, sel, n, identity)
+		if v != nil {
+			out.Cols[c] = compactVector(v, sel, n, identity)
+		}
 	}
 	return out
 }

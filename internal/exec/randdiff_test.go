@@ -606,3 +606,37 @@ func sortedRows(rows []Row) []Row {
 	}
 	return out
 }
+
+// TestDifferentialUnderColumnBudgets reruns the error corpus and the
+// randomized differential with the decoded-column cache disabled and with
+// room for one column frame, so the reference and the pipeline read chunks
+// whose frames are decoded, cached and evicted one column at a time, often
+// within one chunk read. Answers and error texts must still agree. The
+// error corpus runs over 4-row chunks so its fixture seals. RANDDIFF_SEED
+// picks the seed as for TestRandomizedDifferential; RANDDIFF_ITERS
+// defaults to 100 here.
+func TestDifferentialUnderColumnBudgets(t *testing.T) {
+	if os.Getenv("RANDDIFF_ITERS") == "" {
+		t.Setenv("RANDDIFF_ITERS", "100")
+	}
+	for _, c := range []struct {
+		name                string
+		errBudget, rdBudget int64
+	}{
+		{"budget=0", 0, 0},
+		{"budget=one column", 4 * 8, 256 * 8}, // one BIGINT frame of a 4- and a 256-row chunk
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Cleanup(func() { table.SetChunkCacheBudget(table.DefaultChunkCacheBytes) })
+			t.Run("errors", func(t *testing.T) {
+				withSmallMorsels(t, 4)
+				table.SetChunkCacheBudget(c.errBudget)
+				TestDifferentialErrors(t)
+			})
+			t.Run("randdiff", func(t *testing.T) {
+				table.SetChunkCacheBudget(c.rdBudget)
+				TestRandomizedDifferential(t)
+			})
+		})
+	}
+}

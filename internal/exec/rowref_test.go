@@ -607,11 +607,12 @@ func (s *tableScanRef) Next() (Row, error) {
 			if s.ki >= s.cs.numChunks() {
 				return nil, nil
 			}
-			cols, n, err := s.cs.rawColumns(s.ki)
+			ci := s.cs.keep[s.ki]
+			cols, err := s.cs.view.Columns(ci, nil)
 			if err != nil {
 				return nil, err
 			}
-			s.cur, s.n, s.pos = cols, n, 0
+			s.cur, s.n, s.pos = cols, s.cs.view.ChunkLen(ci), 0
 		}
 		if s.pos >= s.n {
 			s.cur = nil

@@ -11,6 +11,8 @@ import (
 // right, in (left row, build order) — HashJoin's order, so VecGather keeps
 // results identical to the row reference at any pool size — at most
 // BatchSize rows a batch, a left row's remaining matches carrying over.
+// Columns the plan does not read arrive absent (nil) on either side; the
+// build skips them and the output leaves them absent.
 type VecHashJoin struct {
 	Child VectorOperator // this worker's probe (left) pipeline
 	build *joinBuild
@@ -56,6 +58,7 @@ func (b *joinBuild) load() error {
 		return err
 	}
 	vals := make([][]expr.Value, len(b.right.Columns()))
+	rows := 0
 	for {
 		bt, err := b.right.NextBatch()
 		if err != nil {
@@ -66,19 +69,27 @@ func (b *joinBuild) load() error {
 			break
 		}
 		for c, v := range bt.Cols {
+			if v == nil {
+				continue
+			}
 			for _, i := range bt.selection() {
 				vals[c] = append(vals[c], v.Value(i))
 			}
 		}
+		rows += bt.NumRows()
 	}
 	if err := b.right.Close(); err != nil {
 		return err
 	}
+	// An absent column collects no values and stays absent. So does every
+	// column of an empty build side, which can match no probe row.
 	b.vecs = make([]*Vector, len(vals))
 	for c := range vals {
-		b.vecs[c] = vectorFromValues(vals[c])
+		if vals[c] != nil {
+			b.vecs[c] = vectorFromValues(vals[c])
+		}
 	}
-	b.index = newJoinIndex(len(vals[0]), func(r int) (uint64, bool) {
+	b.index = newJoinIndex(rows, func(r int) (uint64, bool) {
 		return keyHash(b.rightKeys, func(c int) expr.Value { return b.vecs[c].Value(r) })
 	})
 	return nil
@@ -122,12 +133,16 @@ func (j *VecHashJoin) NextBatch() (*Batch, error) {
 		j.in, j.sel, j.pos = in, in.selection(), 0
 	}
 	n := len(j.lidx)
-	out := &Batch{N: n, Cols: make([]*Vector, 0, len(b.cols))}
-	for _, v := range j.in.Cols {
-		out.Cols = append(out.Cols, compactVector(v, j.lidx, n, false))
+	out := &Batch{N: n, Cols: make([]*Vector, len(b.cols))}
+	for c, v := range j.in.Cols {
+		if v != nil {
+			out.Cols[c] = compactVector(v, j.lidx, n, false)
+		}
 	}
-	for _, v := range b.vecs {
-		out.Cols = append(out.Cols, compactVector(v, j.ridx, n, false))
+	for c, v := range b.vecs {
+		if v != nil {
+			out.Cols[len(j.in.Cols)+c] = compactVector(v, j.ridx, n, false)
+		}
 	}
 	return out, nil
 }

@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 
+	"datalaws/internal/expr"
 	"datalaws/internal/table"
 )
 
@@ -31,7 +34,7 @@ func Lower(op Node, workers int) (Operator, error) {
 	if l, ok := op.(*Limit); ok {
 		op, limit = l.Child, l.N
 	}
-	pipes, err := vectorize(op, workers)
+	pipes, err := vectorize(op, workers, reads{vars: planVars(make([]string, 0, 8), op), whole: true})
 	if err != nil {
 		return nil, err
 	}
@@ -44,25 +47,86 @@ func Lower(op Node, workers int) (Operator, error) {
 	return &rowAdapter{V: g}, nil
 }
 
+// reads is what the plan needs of a subtree's base-table columns: vars
+// holds every name the whole plan's expressions reference, and whole marks
+// a subtree whose rows reach the plan's output, or a sort's row copy, as
+// they are. A projection or an aggregate above a subtree reads it only
+// through its expressions.
+type reads struct {
+	vars  []string
+	whole bool
+}
+
+// cut is r below an operator that reads its input only through expressions.
+func (r reads) cut() reads { return reads{vars: r.vars} }
+
+// need returns the positions in cols (a scan's qualified "alias.column"
+// names) the plan may read: all of them under whole, else those a var names
+// by qualified name or bare suffix. That is ResolveColumn's rule widened to
+// every match, so a column any kernel can resolve is read, and a column no
+// var names is not.
+func (r reads) need(cols []string) []int {
+	need := make([]int, 0, len(cols))
+	for i, c := range cols {
+		bare := c[strings.LastIndexByte(c, '.')+1:]
+		if r.whole || slices.Contains(r.vars, c) || slices.Contains(r.vars, bare) {
+			need = append(need, i)
+		}
+	}
+	return need
+}
+
+// planVars appends the names every expression of the plan references.
+func planVars(dst []string, op Node) []string {
+	switch o := op.(type) {
+	case *Filter:
+		return planVars(expr.AppendVars(dst, o.Pred), o.Child)
+	case *Project:
+		for _, e := range o.Exprs {
+			dst = expr.AppendVars(dst, e)
+		}
+		return planVars(dst, o.Child)
+	case *HashAggregate:
+		for _, e := range o.GroupExprs {
+			dst = expr.AppendVars(dst, e)
+		}
+		for _, a := range o.Aggs {
+			dst = expr.AppendVars(dst, a.Arg)
+		}
+		return planVars(dst, o.Child)
+	case *HashJoin:
+		return planVars(planVars(expr.AppendVars(dst, o.On), o.Left), o.Right)
+	case *Concat:
+		for _, c := range o.Children {
+			dst = planVars(dst, c)
+		}
+	case *Sort:
+		return planVars(dst, o.Child)
+	case *sliceOp:
+		return planVars(dst, o.Child)
+	}
+	return dst
+}
+
 // vectorize lowers a plan subtree to vector form: one copy of the subtree's
 // pipeline per budgeted worker, over one shared morsel set. Every kernel is
 // compiled here once, so a subtree that cannot run fails at plan time.
 // Sources that cannot split come back as a single one-morsel pipeline, and
 // the pipeline breakers (aggregate, sort, concat) consume their input's
 // pipelines and continue as one. A join puts its probe on every pipeline of
-// its left input.
-func vectorize(op Node, workers int) ([]workerPipe, error) {
+// its left input. Table scans read only the columns r says the plan needs.
+func vectorize(op Node, workers int, r reads) ([]workerPipe, error) {
 	switch o := op.(type) {
 	case *TableScan:
-		shared := &tableMorsels{parts: []*table.Table{o.Table}, where: o.Where, alias: o.alias, cols: o.cols}
+		shared := &tableMorsels{parts: []*table.Table{o.Table}, where: o.Where, alias: o.alias, cols: o.cols, need: r.need(o.cols)}
 		return tablePipes(shared, workers), nil
 	case *PartitionScan:
-		shared := &tableMorsels{parts: o.Parts, where: o.Where, alias: o.Parted.Name, cols: o.cols, from: o}
+		shared := &tableMorsels{parts: o.Parts, where: o.Where, alias: o.Parted.Name, cols: o.cols, need: r.need(o.cols), from: o}
 		return tablePipes(shared, workers), nil
 	case *ValuesScan:
 		return onePipe(&VecValuesScan{Cols: o.Cols, Rows: o.Rows}), nil
 	case *Filter:
-		pipes, err := vectorize(o.Child, workers)
+		pipes, err := vectorize(o.Child, workers, r)
 		if err != nil {
 			return nil, err
 		}
@@ -74,7 +138,7 @@ func vectorize(op Node, workers int) ([]workerPipe, error) {
 		}
 		return pipes, nil
 	case *Project:
-		pipes, err := vectorize(o.Child, workers)
+		pipes, err := vectorize(o.Child, workers, r.cut())
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +152,7 @@ func vectorize(op Node, workers int) ([]workerPipe, error) {
 		}
 		return pipes, nil
 	case *HashAggregate:
-		pipes, err := vectorize(o.Child, workers)
+		pipes, err := vectorize(o.Child, workers, r.cut())
 		if err != nil {
 			return nil, err
 		}
@@ -97,7 +161,7 @@ func vectorize(op Node, workers int) ([]workerPipe, error) {
 		}
 		return onePipe(&VecHashAggregate{pipeSet: pipeSet{pipes: pipes}, GroupExprs: o.GroupExprs, Aggs: o.Aggs}), nil
 	case *HashJoin:
-		left, err := vectorize(o.Left, workers)
+		left, err := vectorize(o.Left, workers, r)
 		if err != nil {
 			return nil, err
 		}
@@ -106,7 +170,7 @@ func vectorize(op Node, workers int) ([]workerPipe, error) {
 			return nil, err
 		}
 		// The build side drains in one worker, before the probes start.
-		right, err := vectorize(o.Right, 1)
+		right, err := vectorize(o.Right, 1, r)
 		if err != nil {
 			return nil, err
 		}
@@ -116,14 +180,15 @@ func vectorize(op Node, workers int) ([]workerPipe, error) {
 		}
 		return left, nil
 	case *Sort:
-		pipes, err := vectorize(o.Child, workers)
+		// The sort copies whole rows of its input.
+		pipes, err := vectorize(o.Child, workers, reads{vars: r.vars, whole: true})
 		if err != nil {
 			return nil, err
 		}
 		return onePipe(&VecSort{pipeSet: pipeSet{pipes: pipes}, Keys: o.Keys, Limit: -1, Keep: len(o.Columns())}), nil
 	case *sliceOp:
 		// Only ever above a sort: it drops the sort's trailing order keys.
-		pipes, err := vectorize(o.Child, workers)
+		pipes, err := vectorize(o.Child, workers, r)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +200,7 @@ func vectorize(op Node, workers int) ([]workerPipe, error) {
 		// keep each side small.
 		children := make([]VectorOperator, len(o.Children))
 		for i, c := range o.Children {
-			pipes, err := vectorize(c, 1)
+			pipes, err := vectorize(c, 1, r)
 			if err != nil {
 				return nil, err
 			}

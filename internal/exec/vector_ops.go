@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"datalaws/internal/expr"
@@ -36,7 +37,11 @@ type tableMorsels struct {
 	// name for partition children).
 	alias string
 	cols  []string
-	from  *PartitionScan // EXPLAIN provenance; nil for a plain table
+	// need lists the positions in cols the plan reads (see reads.need); the
+	// scan decodes only those, and leaves the other vectors of its batches
+	// absent (nil).
+	need []int
+	from *PartitionScan // EXPLAIN provenance; nil for a plain table
 
 	sets   []chunkSet
 	units  []partChunk // flattened (partition, survivor-chunk) pairs
@@ -68,7 +73,8 @@ func (s *tableMorsels) capture() error {
 
 // vecColSrc is the capture-time snapshot of one storage column: typed slice
 // headers plus the null bitmap, enough to emit batch windows without going
-// back through the Column interface.
+// back through the Column interface. A column the plan does not read has
+// the zero vecColSrc.
 type vecColSrc struct {
 	kind  expr.Kind
 	i64   []int64
@@ -94,6 +100,7 @@ type vecMorselScan struct {
 	cur    int // claimed position in the unit list; -1 before any claim
 	src    []vecColSrc
 	n, pos int
+	srcBuf []vecColSrc // backs src, reused across this worker's morsels
 }
 
 // tablePipes builds one scan pipeline per budgeted worker over shared.
@@ -113,10 +120,26 @@ func (m *vecMorselScan) Columns() []string { return m.shared.cols }
 func (m *vecMorselScan) ExplainInfo() string {
 	s := m.shared
 	if s.from != nil {
-		return "VecMorsel" + s.from.ExplainInfo()
+		return "VecMorsel" + s.from.ExplainInfo() + s.colsExplain()
 	}
 	t := s.parts[0]
-	return fmt.Sprintf("VecMorselScan %s (%d rows)%s", t.Name, t.NumRows(), chunkExplain(t, s.where, s.alias))
+	return fmt.Sprintf("VecMorselScan %s (%d rows)%s%s", t.Name, t.NumRows(), chunkExplain(t, s.where, s.alias), s.colsExplain())
+}
+
+// colsExplain renders the columns a scan reads, " cols: a,v", when it reads
+// fewer than all of them.
+func (s *tableMorsels) colsExplain() string {
+	if len(s.need) == len(s.cols) {
+		return ""
+	}
+	if len(s.need) == 0 {
+		return " cols: none"
+	}
+	names := make([]string, len(s.need))
+	for j, i := range s.need {
+		names[j] = s.cols[i][strings.LastIndexByte(s.cols[i], '.')+1:]
+	}
+	return " cols: " + strings.Join(names, ",")
 }
 
 // Open implements VectorOperator.
@@ -126,7 +149,7 @@ func (m *vecMorselScan) Open() error {
 			return err
 		}
 	}
-	m.win.init(len(m.shared.cols))
+	m.win.init(len(m.shared.cols), m.shared.need)
 	m.cur, m.src, m.n, m.pos = -1, nil, 0, 0
 	m.ResetInterrupt()
 	return nil
@@ -158,11 +181,11 @@ func (m *vecMorselScan) NextBatch() (*Batch, error) {
 	}
 	if m.src == nil {
 		u := m.shared.units[m.cur]
-		src, n, err := m.shared.sets[u.part].columns(u.k)
+		src, n, err := m.shared.sets[u.part].columns(u.k, m.shared.need, m.srcBuf)
 		if err != nil {
 			return nil, err
 		}
-		m.src, m.n, m.pos = src, n, 0
+		m.src, m.srcBuf, m.n, m.pos = src, src, n, 0
 	}
 	if m.pos >= m.n {
 		return nil, nil
@@ -179,7 +202,7 @@ func (m *vecMorselScan) NextBatch() (*Batch, error) {
 // Close implements VectorOperator. Worker 0 releases the captured views; the
 // pool has stopped by the time pipelines are closed.
 func (m *vecMorselScan) Close() error {
-	m.src = nil
+	m.src, m.srcBuf = nil, nil
 	if m.lead {
 		m.shared.sets = nil
 	}
@@ -198,10 +221,11 @@ type colWindow struct {
 	boolBufs [][]bool
 }
 
-// init sizes the window for nc columns; call it from Open.
-func (w *colWindow) init(nc int) {
+// init sizes the window for nc columns of which need are read; the others
+// stay absent (nil) in every window. Call it from Open.
+func (w *colWindow) init(nc int, need []int) {
 	w.batch.Cols = make([]*Vector, nc)
-	for i := range w.batch.Cols {
+	for _, i := range need {
 		w.batch.Cols[i] = &Vector{}
 	}
 	w.nullBufs = make([][]bool, nc)
@@ -219,6 +243,9 @@ func (w *colWindow) window(src []vecColSrc, lo, hi int) *Batch {
 	for c := range src {
 		sc := &src[c]
 		v := b.Cols[c]
+		if v == nil {
+			continue
+		}
 		*v = Vector{Kind: sc.kind, Null: w.nullSlice(c, sc.nulls, lo, n)}
 		switch sc.kind {
 		case expr.KindInt:

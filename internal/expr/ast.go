@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -250,32 +251,30 @@ func (e *IsNullExpr) String() string {
 
 // Vars returns the sorted set of identifier names referenced by e.
 func Vars(e Expr) []string {
-	set := map[string]struct{}{}
-	collectVars(e, set)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
+	out := AppendVars([]string{}, e)
 	sort.Strings(out)
-	return out
+	return slices.Compact(out)
 }
 
-func collectVars(e Expr, set map[string]struct{}) {
+// AppendVars appends every identifier name e references to dst, in
+// expression order and with repeats, and returns the extended slice. A nil
+// e appends nothing.
+func AppendVars(dst []string, e Expr) []string {
 	switch n := e.(type) {
 	case *Ident:
-		set[n.Name] = struct{}{}
+		dst = append(dst, n.Name)
 	case *Unary:
-		collectVars(n.X, set)
+		dst = AppendVars(dst, n.X)
 	case *Binary:
-		collectVars(n.L, set)
-		collectVars(n.R, set)
+		dst = AppendVars(AppendVars(dst, n.L), n.R)
 	case *Call:
 		for _, a := range n.Args {
-			collectVars(a, set)
+			dst = AppendVars(dst, a)
 		}
 	case *IsNullExpr:
-		collectVars(n.X, set)
+		dst = AppendVars(dst, n.X)
 	}
+	return dst
 }
 
 // Substitute returns a copy of e with identifiers replaced per subs. Names

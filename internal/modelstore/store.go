@@ -622,20 +622,25 @@ func computeQuality(cm *CapturedModel) Quality {
 }
 
 // filterMask evaluates the WHERE predicate over every row of the view,
-// chunk by chunk, so only one decoded chunk is live at a time.
+// chunk by chunk, so only one decoded chunk is live at a time. It decodes
+// only the columns the predicate names, and looks a value up only when the
+// predicate reads it. A name that is not a column of the table is left
+// unbound, so evaluating it fails as an unknown identifier.
 func filterMask(v *table.ChunkView, where expr.Expr) ([]bool, error) {
 	keep := make([]bool, 0, v.Rows())
-	names := v.Schema().Names()
-	env := expr.MapEnv{}
+	env := &chunkRowEnv{idx: []int{}}
+	for _, name := range expr.Vars(where) {
+		if i := v.Schema().Index(name); i >= 0 {
+			env.names = append(env.names, name)
+			env.idx = append(env.idx, i)
+		}
+	}
 	for k := 0; k < v.NumChunks(); k++ {
-		cols, err := v.Columns(k)
-		if err != nil {
+		var err error
+		if env.cols, err = v.Columns(k, env.idx); err != nil {
 			return nil, err
 		}
-		for i, n := 0, v.ChunkLen(k); i < n; i++ {
-			for c, name := range names {
-				env[name] = cols[c].Value(i)
-			}
+		for env.row = 0; env.row < v.ChunkLen(k); env.row++ {
 			val, err := expr.Eval(where, env)
 			if err != nil {
 				return nil, err
@@ -650,6 +655,24 @@ func filterMask(v *table.ChunkView, where expr.Expr) ([]bool, error) {
 		}
 	}
 	return keep, nil
+}
+
+// chunkRowEnv binds the named columns of one row of a decoded chunk.
+type chunkRowEnv struct {
+	names []string
+	idx   []int // schema positions of names
+	cols  []storage.Column
+	row   int
+}
+
+// Lookup implements expr.Env.
+func (e *chunkRowEnv) Lookup(name string) (expr.Value, bool) {
+	for j, n := range e.names {
+		if n == name {
+			return e.cols[e.idx[j]].Value(e.row), true
+		}
+	}
+	return expr.Value{}, false
 }
 
 func applyMask(vals []float64, keep []bool) []float64 {

@@ -433,3 +433,65 @@ func TestGroupedModelWithFailedGroups(t *testing.T) {
 		t.Fatal("failed group must not be usable")
 	}
 }
+
+// TestWhereFitReadsPredicateColumns: the WHERE pass of a fit decodes only
+// the columns its predicate names, one frame per sealed chunk for "nu >
+// 0.13" over (source, nu, intensity), and the fit it filters is the fit of
+// the filtered rows: bit-identical parameters to a capture over a table
+// holding just the rows the predicate keeps.
+func TestWhereFitReadsPredicateColumns(t *testing.T) {
+	old := table.DefaultChunkRows
+	table.DefaultChunkRows = 48
+	defer func() { table.DefaultChunkRows = old }()
+	tb, d := lofarFixture(t)
+	requireLayout(t, tb, true)
+	w, err := expr.Parse("nu > 0.13")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	table.SetChunkCacheBudget(0)
+	defer table.SetChunkCacheBudget(table.DefaultChunkCacheBytes)
+	v := tb.Chunks()
+	table.ResetCacheStats()
+	keep, err := filterMask(v, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := table.CacheStats(); st.FrameDecodes != uint64(v.NumSealed()) {
+		t.Fatalf("WHERE pass decoded %d frames over %d sealed chunks, want one per chunk", st.FrameDecodes, v.NumSealed())
+	}
+
+	filtered := table.New("measurements", tb.Schema())
+	for i, k := range keep {
+		if k != (d.Nu[i] > 0.13) {
+			t.Fatalf("row %d: mask %v for nu = %v", i, k, d.Nu[i])
+		}
+		if k {
+			if err := filtered.AppendRow([]expr.Value{expr.Int(d.Source[i]), expr.Float(d.Nu[i]), expr.Float(d.Intensity[i])}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	spec := powerSpec("partial")
+	spec.Where = w
+	got, err := NewStore().Capture(tb, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewStore().Capture(filtered, powerSpec("partial"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, g := range want.Groups {
+		h := got.Groups[key]
+		if h == nil || h.N != g.N || len(h.Params) != len(g.Params) {
+			t.Fatalf("group %d: %+v, want %+v", key, h, g)
+		}
+		for i := range g.Params {
+			if math.Float64bits(h.Params[i]) != math.Float64bits(g.Params[i]) {
+				t.Fatalf("group %d param %d: %v, want %v", key, i, h.Params[i], g.Params[i])
+			}
+		}
+	}
+}

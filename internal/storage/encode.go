@@ -132,8 +132,8 @@ func appendPackedWord(buf []byte, x uint64, word []byte) []byte {
 }
 
 // readPackedWord reads one appendPackedWord frame starting at b[off],
-// returning the word and the bytes consumed. word is 8 bytes of scratch.
-func readPackedWord(b []byte, off int, word []byte) (uint64, int, error) {
+// returning the word and the bytes consumed.
+func readPackedWord(b []byte, off int) (uint64, int, error) {
 	if off >= len(b) {
 		return 0, 0, fmt.Errorf("storage: truncated XOR payload")
 	}
@@ -147,11 +147,45 @@ func readPackedWord(b []byte, off int, word []byte) (uint64, int, error) {
 	if mid <= 0 || off+1+mid > len(b) {
 		return 0, 0, fmt.Errorf("storage: corrupt XOR header")
 	}
-	for k := range word {
-		word[k] = 0
+	var m uint64
+	for _, c := range b[off+1 : off+1+mid] {
+		m = m<<8 | uint64(c)
 	}
-	copy(word[lead:8-trail], b[off+1:off+1+mid])
-	return binary.BigEndian.Uint64(word), 1 + mid, nil
+	return m << (8 * trail), 1 + mid, nil
+}
+
+// readPackedWords reads len(dst) consecutive appendPackedWord frames from
+// b, storing each word's bits in dst, and returns the bytes consumed. The
+// XOR and linear decoders then undo their chaining in place. While eight
+// bytes follow a header, the middle bytes come from one big-endian load:
+// shifting right drops the bytes past the frame and shifting left restores
+// the trailing zeros. The last frames, and corrupt ones, go through
+// readPackedWord; an error names the row it stopped at.
+func readPackedWords(b []byte, dst []float64) (int, error) {
+	off := 0
+	for i := range dst {
+		if off+9 <= len(b) {
+			h := b[off]
+			if h>>4 == 8 {
+				dst[i] = 0
+				off++
+				continue
+			}
+			if mid := 8 - int(h>>4) - int(h&0x0f); mid > 0 {
+				x := binary.BigEndian.Uint64(b[off+1:]) >> (8 * (8 - mid)) << (8 * (h & 0x0f))
+				dst[i] = math.Float64frombits(x)
+				off += 1 + mid
+				continue
+			}
+		}
+		x, sz, err := readPackedWord(b, off)
+		if err != nil {
+			return 0, fmt.Errorf("row %d: %w", i, err)
+		}
+		dst[i] = math.Float64frombits(x)
+		off += sz
+	}
+	return off, nil
 }
 
 // encFloat64XOR chains values through XOR with the previous value and stores
@@ -248,18 +282,15 @@ func decFloat64LinearCount(b []byte, n int) ([]float64, int, error) {
 	}
 	a := math.Float64frombits(binary.LittleEndian.Uint64(b[0:]))
 	slope := math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-	off := 16
 	vals := make([]float64, n)
-	word := make([]byte, 8)
-	for i := 0; i < n; i++ {
-		x, sz, err := readPackedWord(b, off, word)
-		if err != nil {
-			return nil, 0, fmt.Errorf("storage: linear payload row %d: %w", i, err)
-		}
-		off += sz
-		vals[i] = math.Float64frombits(math.Float64bits(linPred(a, slope, i)) ^ x)
+	off, err := readPackedWords(b[16:], vals)
+	if err != nil {
+		return nil, 0, fmt.Errorf("storage: linear payload %w", err)
 	}
-	return vals, off, nil
+	for i, x := range vals {
+		vals[i] = math.Float64frombits(math.Float64bits(linPred(a, slope, i)) ^ math.Float64bits(x))
+	}
+	return vals, 16 + off, nil
 }
 
 // --- column framing ---
@@ -289,11 +320,7 @@ func decodeNulls(b []byte, n int) (*Bitmap, int, error) {
 		return nil, 0, fmt.Errorf("storage: missing null marker")
 	}
 	if b[0] == 0 {
-		bm := NewBitmap(0)
-		for i := 0; i < n; i++ {
-			bm.Append(false)
-		}
-		return bm, 1, nil
+		return NewBitmap(n), 1, nil
 	}
 	off := 1
 	cnt, sz := binary.Uvarint(b[off:])
@@ -305,11 +332,26 @@ func decodeNulls(b []byte, n int) (*Bitmap, int, error) {
 	if off+need > len(b) {
 		return nil, 0, fmt.Errorf("storage: truncated null bitmap")
 	}
-	bm := NewBitmap(0)
-	for i := 0; i < n; i++ {
-		bm.Append(b[off+i/8]&(1<<(i%8)) != 0)
+	return bitmapFromBytes(b[off:off+need], n), off + need, nil
+}
+
+// bitmapFromBytes builds an n-bit bitmap from the LSB-first byte packing
+// encodeNulls and the bool payload use (bit i is bit i%8 of byte i/8),
+// eight bytes to a word. Bits past n in the last byte are dropped, so
+// the bitmap holds exactly the first n bits.
+func bitmapFromBytes(p []byte, n int) *Bitmap {
+	bm := NewBitmap(n)
+	w := 0
+	for ; len(p) >= 8; p, w = p[8:], w+1 {
+		bm.bits[w] = binary.LittleEndian.Uint64(p)
 	}
-	return bm, off + need, nil
+	for k, c := range p {
+		bm.bits[w] |= uint64(c) << (8 * k)
+	}
+	if rem := n % 64; rem != 0 {
+		bm.bits[len(bm.bits)-1] &= 1<<rem - 1
+	}
+	return bm
 }
 
 // EncodeColumn serializes c, selecting the smallest applicable encoding.
@@ -483,7 +525,7 @@ func DecodeColumn(b []byte) (Column, error) {
 		dict := make([]string, dn)
 		for i := range dict {
 			l, sz := binary.Uvarint(body[off:])
-			if sz <= 0 || off+sz+int(l) > len(body) {
+			if sz <= 0 || l > uint64(len(body)-off-sz) {
 				return nil, fmt.Errorf("storage: truncated dictionary entry %d", i)
 			}
 			off += sz
@@ -515,31 +557,41 @@ func DecodeColumn(b []byte) (Column, error) {
 		if len(body) < need {
 			return nil, fmt.Errorf("storage: truncated bool payload")
 		}
-		col := NewBoolColumn()
 		nulls, _, err := decodeNulls(body[need:], n)
 		if err != nil {
 			return nil, err
 		}
-		for i := 0; i < n; i++ {
-			col.Vals.Append(body[i/8]&(1<<(i%8)) != 0)
-		}
-		col.Nulls = nulls
-		return col, nil
+		return &BoolColumn{Vals: bitmapFromBytes(body[:need], n), Nulls: nulls}, nil
 	}
 	return nil, fmt.Errorf("storage: unknown column type %d", typ)
 }
 
+// decInt64DeltaCount decodes n zig-zag varint deltas. Deltas of sequential
+// and small-range columns fit one or two bytes, which are decoded inline;
+// longer ones go through binary.Varint.
 func decInt64DeltaCount(b []byte, n int) ([]int64, int, error) {
 	vals := make([]int64, n)
 	var prev int64
 	off := 0
-	for i := 0; i < n; i++ {
-		d, sz := binary.Varint(b[off:])
-		if sz <= 0 {
-			return nil, 0, fmt.Errorf("storage: truncated delta payload at row %d", i)
+	for i := range vals {
+		var ux uint64
+		if off+1 < len(b) && b[off] < 0x80 {
+			ux = uint64(b[off])
+			off++
+		} else if off+1 < len(b) && b[off+1] < 0x80 {
+			ux = uint64(b[off]&0x7f) | uint64(b[off+1])<<7
+			off += 2
+		} else {
+			d, sz := binary.Varint(b[off:])
+			if sz <= 0 {
+				return nil, 0, fmt.Errorf("storage: truncated delta payload at row %d", i)
+			}
+			off += sz
+			prev += d
+			vals[i] = prev
+			continue
 		}
-		off += sz
-		prev += d
+		prev += int64(ux>>1) ^ -int64(ux&1)
 		vals[i] = prev
 	}
 	return vals, off, nil
@@ -577,16 +629,13 @@ func decInt64RLECount(b []byte, n int) ([]int64, int, error) {
 
 func decFloat64XORCount(b []byte, n int) ([]float64, int, error) {
 	vals := make([]float64, n)
+	off, err := readPackedWords(b, vals)
+	if err != nil {
+		return nil, 0, fmt.Errorf("storage: XOR payload %w", err)
+	}
 	var prev uint64
-	off := 0
-	word := make([]byte, 8)
-	for i := 0; i < n; i++ {
-		x, sz, err := readPackedWord(b, off, word)
-		if err != nil {
-			return nil, 0, fmt.Errorf("storage: XOR payload row %d: %w", i, err)
-		}
-		off += sz
-		prev ^= x
+	for i, x := range vals {
+		prev ^= math.Float64bits(x)
 		vals[i] = math.Float64frombits(prev)
 	}
 	return vals, off, nil

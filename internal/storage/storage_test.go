@@ -293,6 +293,12 @@ func TestDecodeColumnErrors(t *testing.T) {
 	if _, err := DecodeColumn(b[:len(b)/2]); err == nil {
 		t.Fatal("want error for truncated frame")
 	}
+	// A dictionary entry whose length prefix overflows int: the bounds
+	// check must not wrap negative and slice past the frame.
+	huge := []byte{byte(TypeString), byte(EncDict), 1, 1, 0xfc, 0xfc, 0xfc, 0xfc, 0xfc, 0xfc, 0xfc, 0xd5, 0xd5, 0x01, 0, 0}
+	if _, err := DecodeColumn(huge); err == nil {
+		t.Fatal("want error for an overflowing dictionary entry length")
+	}
 }
 
 func TestEncodeRoundTripProperty(t *testing.T) {
@@ -346,5 +352,54 @@ func TestEncodeFloatRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// chunkShapedFrames encodes one 16,384-row chunk shaped like the exact
+// benchmark table: a sequential BIGINT (delta), a BIGINT uniform over
+// 0–999 (delta with one- and two-byte varints) and a DOUBLE of 10 + N(0,1)
+// (XOR), none with NULLs.
+func chunkShapedFrames() map[string][]byte {
+	const n = 16384
+	rng := rand.New(rand.NewSource(1))
+	a, g, v := NewInt64Column(), NewInt64Column(), NewFloat64Column()
+	for i := 0; i < n; i++ {
+		a.Append(int64(i))
+		g.Append(rng.Int63n(1000))
+		v.Append(10 + rng.NormFloat64())
+	}
+	return map[string][]byte{"a": EncodeColumn(a), "g": EncodeColumn(g), "v": EncodeColumn(v)}
+}
+
+// TestDecodeColumnAllocBudget pins the decoders' allocations: a null-free
+// BIGINT or DOUBLE frame decodes into the column, its value slice and one
+// empty null bitmap (struct and words) — four allocations, however many
+// rows.
+func TestDecodeColumnAllocBudget(t *testing.T) {
+	for name, frame := range chunkShapedFrames() {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := DecodeColumn(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Errorf("decoding column %s: %.0f allocations, budget 4", name, allocs)
+		}
+	}
+}
+
+// BenchmarkDecodeColumn decodes each frame of one chunk-shaped set.
+func BenchmarkDecodeColumn(b *testing.B) {
+	frames := chunkShapedFrames()
+	for _, name := range []string{"a", "g", "v"} {
+		frame := frames[name]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := DecodeColumn(frame); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -58,17 +58,26 @@ func (ch *Chunk) Columns() ([]storage.Column, error) { return ch.decode() }
 // decode materializes the chunk's columns from their frames.
 func (ch *Chunk) decode() ([]storage.Column, error) {
 	cols := make([]storage.Column, len(ch.frames))
-	for i, frame := range ch.frames {
-		c, err := storage.DecodeColumn(frame)
+	for i := range ch.frames {
+		c, err := ch.decodeColumn(i)
 		if err != nil {
-			return nil, fmt.Errorf("table: chunk column %d: %w", i, err)
-		}
-		if c.Len() != ch.rows {
-			return nil, fmt.Errorf("table: chunk column %d has %d rows, want %d", i, c.Len(), ch.rows)
+			return nil, err
 		}
 		cols[i] = c
 	}
 	return cols, nil
+}
+
+// decodeColumn materializes column i from its frame.
+func (ch *Chunk) decodeColumn(i int) (storage.Column, error) {
+	c, err := storage.DecodeColumn(ch.frames[i])
+	if err != nil {
+		return nil, fmt.Errorf("table: chunk column %d: %w", i, err)
+	}
+	if c.Len() != ch.rows {
+		return nil, fmt.Errorf("table: chunk column %d has %d rows, want %d", i, c.Len(), ch.rows)
+	}
+	return c, nil
 }
 
 // sealChunk encodes n rows of live columns into an immutable chunk.
@@ -293,13 +302,22 @@ func (v *ChunkView) ChunkLen(k int) int {
 	return v.tailRows
 }
 
-// Columns materializes chunk k's column set. Sealed chunks decode through
-// the shared byte-budgeted cache (a scan's working set, not the table size,
-// bounds memory); the tail snapshot is returned directly. The returned
-// columns are immutable and safe to share across goroutines.
-func (v *ChunkView) Columns(k int) ([]storage.Column, error) {
+// Columns materializes the columns idx (schema positions) of chunk k in a
+// slice indexed by schema position; a nil idx reads every column. Sealed
+// chunks decode only the requested frames, each through the shared
+// byte-budgeted cache (a scan's working set, not the table size, bounds
+// memory); positions not requested are nil. The tail snapshot is returned
+// whole. The returned columns are immutable and safe to share across
+// goroutines.
+func (v *ChunkView) Columns(k int, idx []int) ([]storage.Column, error) {
 	if k < len(v.sealed) {
-		return decodedCache.columns(v.sealed[k])
+		if idx == nil {
+			idx = make([]int, len(v.schema.Cols))
+			for i := range idx {
+				idx[i] = i
+			}
+		}
+		return decodedCache.columns(v.sealed[k], idx)
 	}
 	if v.tail == nil {
 		return nil, fmt.Errorf("table %s: chunk %d out of range", v.name, k)
@@ -380,13 +398,17 @@ func (v *ChunkView) NumericFrom(groupCol string, floatCols []string, from int) (
 		}
 		floats[j] = make([]float64, 0, v.rows-from)
 	}
+	read := fidx // the frames to decode: the inputs, then the group
+	if gi >= 0 {
+		read = append(fidx[:len(fidx):len(fidx)], gi)
+	}
 	k, lo := 0, from
 	for k < v.NumChunks() && lo >= v.ChunkLen(k) {
 		lo -= v.ChunkLen(k)
 		k++
 	}
 	for ; k < v.NumChunks(); k, lo = k+1, 0 {
-		cols, err := v.Columns(k)
+		cols, err := v.Columns(k, read)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -416,7 +438,7 @@ func (v *ChunkView) Head(n int) ([][]expr.Value, error) {
 	}
 	out := make([][]expr.Value, 0, n)
 	for k := 0; k < v.NumChunks() && len(out) < n; k++ {
-		cols, err := v.Columns(k)
+		cols, err := v.Columns(k, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -268,7 +268,7 @@ func TestChunkCacheBudget(t *testing.T) {
 		var sum float64
 		v := tb.Chunks()
 		for k := 0; k < v.NumChunks(); k++ {
-			cols, err := v.Columns(k)
+			cols, err := v.Columns(k, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,7 +301,7 @@ func TestChunkCacheDisabled(t *testing.T) {
 	tb := buildChunkFixture(t, 20)
 	v := tb.Chunks()
 	for k := 0; k < v.NumChunks(); k++ {
-		if _, err := v.Columns(k); err != nil {
+		if _, err := v.Columns(k, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -328,7 +328,7 @@ func TestChunkViewStableUnderAppend(t *testing.T) {
 	if v.Rows() != 12 {
 		t.Fatalf("view grew to %d rows", v.Rows())
 	}
-	cols, err := v.Columns(1) // the captured tail
+	cols, err := v.Columns(1, nil) // the captured tail
 	if err != nil {
 		t.Fatal(err)
 	}

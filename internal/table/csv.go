@@ -131,7 +131,7 @@ func WriteCSV(t *Table, w io.Writer) error {
 	v := t.Chunks()
 	rec := make([]string, len(t.Schema().Cols))
 	for k := 0; k < v.NumChunks(); k++ {
-		cols, err := v.Columns(k)
+		cols, err := v.Columns(k, nil)
 		if err != nil {
 			return err
 		}

@@ -91,7 +91,7 @@ func TestAppendRowTypeErrorRollsBack(t *testing.T) {
 	if err := tb.AppendRow([]expr.Value{expr.Int(1), expr.Float(0.1), expr.Float(2)}); err != nil {
 		t.Fatal(err)
 	}
-	cols, err := tb.Chunks().Columns(0)
+	cols, err := tb.Chunks().Columns(0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -479,7 +479,12 @@ func stagePartitioned(dir string, tables []*table.Table) ([]*table.PartitionedTa
 		byName[t.Name] = t
 	}
 	var out []*table.PartitionedTable
+	listed := map[string]bool{}
 	for _, d := range man.Tables {
+		if listed[d.Name] {
+			return nil, nil, fmt.Errorf("datalaws: partitions.json lists table %q twice", d.Name)
+		}
+		listed[d.Name] = true
 		kids := make([]*table.Table, len(d.Parts))
 		for i, p := range d.Parts {
 			child, ok := byName[table.PartitionTableName(d.Name, p.Name)]
