@@ -13,19 +13,21 @@ import (
 // Allocation budgets for the shapes of the benchmark's exact mix, scaled
 // down to 80k rows — four sealed chunks plus a tail — with the same
 // 50k-row window, at a fixed worker budget of 2: a prepared window join,
-// window top-k and window range aggregate, and the whole-table GROUP BY.
-// Budgets sit 20 % above the measured counts (≈ 1,990, ≈ 685 and ≈ 682;
-// on the row join and sort they were ≈ 505,000 and ≈ 51,150). None of them
-// may allocate per row: one allocation per row would add 50,000 or 80,000.
+// window top-k and window range aggregate, the point filter, and the
+// whole-table GROUP BY. Budgets sit 20 % above the measured counts
+// (≈ 1,345, ≈ 176, ≈ 174 and ≈ 91; on the row join and sort they were
+// ≈ 505,000 and ≈ 51,150). None of them may allocate per row: one
+// allocation per row would add 50,000 or 80,000.
 //
 // The GROUP BY's count depends on scheduling: each worker that folds a
 // morsel builds its own 1,000 groups (≈ 4 allocations each) for the merge.
 // Its budget sits 20 % above the count when both workers do so in every
 // run (≈ 9,310; ≈ 5,250 when one worker folds every morsel).
 const (
-	windowJoinAllocBudget     = 2390
-	windowTopKAllocBudget     = 820
-	windowRangeAggAllocBudget = 820
+	windowJoinAllocBudget     = 1620
+	windowTopKAllocBudget     = 210
+	windowRangeAggAllocBudget = 210
+	pointFilterAllocBudget    = 110
 	groupByAllocBudget        = 11170
 )
 
@@ -101,6 +103,7 @@ const (
 
 	windowRangeAgg = "SELECT count(*), avg(v) FROM t WHERE a >= ? AND a < ?"
 	groupBy        = "SELECT g, count(*), avg(v) FROM t GROUP BY g"
+	pointFilter    = "SELECT v FROM t WHERE a = ?"
 )
 
 func TestWindowJoinAllocBudget(t *testing.T) {
@@ -113,6 +116,10 @@ func TestWindowTopKAllocBudget(t *testing.T) {
 
 func TestWindowRangeAggAllocBudget(t *testing.T) {
 	checkWindowAllocs(t, windowRangeAgg, 1, windowRangeAggAllocBudget)
+}
+
+func TestPointFilterAllocBudget(t *testing.T) {
+	checkStmtAllocs(t, pointFilter, []any{40_000}, 1, pointFilterAllocBudget)
 }
 
 func TestGroupByAllocBudget(t *testing.T) {

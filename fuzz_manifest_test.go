@@ -31,7 +31,8 @@ func manifestDecls(e *Engine) []table.Decl {
 // tables of different schemas and a plain table. Nothing may panic. The
 // staged read (stagePartitioned) and the whole load (LoadDir) must agree:
 // a manifest either loads or is refused before anything is committed. A
-// manifest that loads must re-save to one that loads to the same
+// manifest that loads must place every row of every partition inside that
+// partition's range, and must re-save to one that loads to the same
 // declarations.
 func FuzzPartitionManifest(f *testing.F) {
 	base := f.TempDir()
@@ -113,6 +114,7 @@ func FuzzPartitionManifest(f *testing.F) {
 			}
 			return
 		}
+		checkRowsRoute(t, e)
 		dir := t.TempDir()
 		if err := e.SaveDir(dir); err != nil {
 			t.Fatalf("re-save: %v", err)
@@ -125,4 +127,29 @@ func FuzzPartitionManifest(f *testing.F) {
 			t.Fatalf("declarations after re-save:\n%+v\nwant\n%+v", got, want)
 		}
 	})
+}
+
+// checkRowsRoute fails unless every row of every partitioned table of e
+// routes to the partition that holds it.
+func checkRowsRoute(t *testing.T, e *Engine) {
+	t.Helper()
+	for _, name := range e.Catalog.PartitionedNames() {
+		pt, _ := e.Catalog.GetPartitioned(name)
+		col := pt.Schema().Index(pt.Column())
+		for i := 0; i < pt.NumParts(); i++ {
+			rows, err := pt.Part(i).Chunks().Head(pt.Part(i).NumRows())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range rows {
+				f, err := row[col].AsFloat()
+				if err != nil {
+					t.Fatalf("%s partition %d holds %v: %v", name, i, row[col], err)
+				}
+				if p, err := pt.Route(f); err != nil || p != i {
+					t.Fatalf("%s partition %d holds %s = %v, which routes to %d (%v)", name, i, pt.Column(), row[col], p, err)
+				}
+			}
+		}
+	}
 }

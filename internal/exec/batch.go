@@ -176,8 +176,6 @@ type Batch struct {
 	N    int
 	Cols []*Vector
 	Sel  []int
-
-	all []int // cached identity selection
 }
 
 // NumRows returns the logical (selected) row count.
@@ -188,18 +186,28 @@ func (b *Batch) NumRows() int {
 	return b.N
 }
 
-// selection returns the physical indexes of the logical rows, materializing
-// and caching the identity selection when no filter has been applied.
+// identitySel backs the identity selection of every batch of at most
+// BatchSize rows. It is shared, so no consumer may write to a selection.
+var identitySel = func() []int {
+	s := make([]int, BatchSize)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}()
+
+// selection returns the physical indexes of the logical rows, read-only:
+// the identity selection of an unfiltered batch is shared.
 func (b *Batch) selection() []int {
 	if b.Sel != nil {
 		return b.Sel
 	}
-	if cap(b.all) < b.N {
-		b.all = make([]int, b.N)
-		for i := range b.all {
-			b.all[i] = i
-		}
+	if b.N <= BatchSize {
+		return identitySel[:b.N:b.N]
 	}
-	b.all = b.all[:b.N]
-	return b.all
+	all := make([]int, b.N)
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }

@@ -55,18 +55,27 @@ func (cs chunkSet) columns(k int, need []int, dst []vecColSrc) ([]vecColSrc, int
 	for _, i := range need {
 		switch tc := cols[i].(type) {
 		case *storage.Int64Column:
-			src[i] = vecColSrc{kind: expr.KindInt, i64: tc.Vals[:n], nulls: tc.Nulls}
+			src[i] = vecColSrc{kind: expr.KindInt, i64: tc.Vals[:n], nulls: someNulls(tc.Nulls)}
 		case *storage.Float64Column:
-			src[i] = vecColSrc{kind: expr.KindFloat, f64: tc.Vals[:n], nulls: tc.Nulls}
+			src[i] = vecColSrc{kind: expr.KindFloat, f64: tc.Vals[:n], nulls: someNulls(tc.Nulls)}
 		case *storage.StringColumn:
-			src[i] = vecColSrc{kind: expr.KindString, codes: tc.Codes[:n], dict: tc.Dict, nulls: tc.Nulls}
+			src[i] = vecColSrc{kind: expr.KindString, codes: tc.Codes[:n], dict: tc.Dict, nulls: someNulls(tc.Nulls)}
 		case *storage.BoolColumn:
-			src[i] = vecColSrc{kind: expr.KindBool, bools: tc.Vals, nulls: tc.Nulls}
+			src[i] = vecColSrc{kind: expr.KindBool, bools: tc.Vals, nulls: someNulls(tc.Nulls)}
 		default:
 			return nil, 0, fmt.Errorf("exec: cannot vectorize column type %T", tc)
 		}
 	}
 	return src, n, nil
+}
+
+// someNulls returns a column's null bitmap, or nil when it marks no row, so
+// a batch window of a null-free chunk tests one pointer.
+func someNulls(bm *storage.Bitmap) *storage.Bitmap {
+	if bm == nil || !bm.Any() {
+		return nil
+	}
+	return bm
 }
 
 // chunkExplain renders a scan's zone-map pruning for EXPLAIN, mirroring the

@@ -42,18 +42,31 @@ func joinKeyHash(h uint64, v expr.Value) (uint64, bool) {
 			x = 1
 		}
 	default:
-		switch f, _ := v.AsFloat(); {
-		case f != f:
-			x = 1
-		case f != 0:
-			x = math.Float64bits(f)
-		}
+		f, _ := v.AsFloat()
+		x = joinNumBits(f)
 	}
-	h = (h ^ x) * 0x9e3779b97f4a7c15
-	return h ^ h>>29, true
+	return joinMix(h, x), true
 }
 
 var joinSeed = maphash.MakeSeed()
+
+// joinNumBits is the hash input of a number: its float64 bits, with the
+// zeros and the NaNs folded.
+func joinNumBits(f float64) uint64 {
+	switch {
+	case f != f:
+		return 1
+	case f != 0:
+		return math.Float64bits(f)
+	}
+	return 0
+}
+
+// joinMix folds one key's hash input x into the running hash h.
+func joinMix(h, x uint64) uint64 {
+	h = (h ^ x) * 0x9e3779b97f4a7c15
+	return h ^ h>>29
+}
 
 // joinKeyEqual reports whether two key values join.
 func joinKeyEqual(a, b expr.Value) bool {
@@ -64,27 +77,40 @@ func joinKeyEqual(a, b expr.Value) bool {
 	return err == nil && c == 0
 }
 
-// keyHash hashes one row's join keys, read through col; ok is false if any
-// is NULL.
-func keyHash(keys []int, col func(int) expr.Value) (uint64, bool) {
-	var h uint64
+// hashJoinKeys hashes the join keys of rows under joinKeyHash's rule, a
+// key column at a time: hs[p] is the hash of row rows[p]'s keys (vecs[k]
+// for k in keys), and null[p] is set when any of them is NULL.
+func hashJoinKeys(vecs []*Vector, keys, rows []int, hs []uint64, null []bool) {
+	clear(hs)
+	clear(null)
 	for _, k := range keys {
-		var ok bool
-		if h, ok = joinKeyHash(h, col(k)); !ok {
-			return 0, false
+		v := vecs[k]
+		switch v.Kind {
+		case expr.KindInt:
+			for p, i := range rows {
+				hs[p] = joinMix(hs[p], joinNumBits(float64(v.I[i])))
+			}
+		case expr.KindFloat:
+			for p, i := range rows {
+				hs[p] = joinMix(hs[p], joinNumBits(v.F[i]))
+			}
+		case expr.KindString:
+			for p, i := range rows {
+				hs[p] = joinMix(hs[p], maphash.String(joinSeed, v.S[i]))
+			}
+		default: // booleans, all-NULL and mixed-kind vectors
+			for p, i := range rows {
+				h, ok := joinKeyHash(hs[p], v.Value(i))
+				hs[p], null[p] = h, null[p] || !ok
+			}
+			continue
+		}
+		if v.Null != nil {
+			for p, i := range rows {
+				null[p] = null[p] || v.Null[i]
+			}
 		}
 	}
-	return h, true
-}
-
-// keysEqual reports whether a left and a right row join on every key pair.
-func keysEqual(lk, rk []int, l, r func(int) expr.Value) bool {
-	for i := range lk {
-		if !joinKeyEqual(l(lk[i]), r(rk[i])) {
-			return false
-		}
-	}
-	return true
 }
 
 // joinIndex is a join's build-side hash index: head maps a key hash to 1 +
@@ -95,11 +121,13 @@ type joinIndex struct {
 	next []int32
 }
 
-// newJoinIndex indexes n build rows by hash, which is false for NULL keys.
-func newJoinIndex(n int, hash func(r int) (uint64, bool)) joinIndex {
-	ix := joinIndex{head: make(map[uint64]int32, n), next: make([]int32, n)}
-	for r := n - 1; r >= 0; r-- {
-		if h, ok := hash(r); ok {
+// newJoinIndex indexes build rows by their key hashes hs; rows whose null
+// entry is set stay out of every chain.
+func newJoinIndex(hs []uint64, null []bool) joinIndex {
+	ix := joinIndex{head: make(map[uint64]int32, len(hs)), next: make([]int32, len(hs))}
+	for r := len(hs) - 1; r >= 0; r-- {
+		if !null[r] {
+			h := hs[r]
 			ix.next[r], ix.head[h] = ix.head[h]-1, int32(r)+1
 		}
 	}

@@ -345,6 +345,9 @@ func genWhere(rng *rand.Rand) string {
 		"x BETWEEN -2 AND 6", "id % 3 = 1", "x + y > 0",
 		"x <> 0 AND 10.0 / x > 2", // guarded division
 		"id >= 2990",              // flat: prunes every sealed chunk, one morsel (the tail) survives
+		"100 > k", "-2.5 <= x",    // literals on the left
+		"k < 99.5", "id = 2.0", // int columns against float literals
+		"x = NULL", "NULL < k", // NULL literals keep no row
 	}
 	n := 1 + rng.Intn(3)
 	var parts []string

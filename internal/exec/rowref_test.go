@@ -520,7 +520,12 @@ func (j *hashJoinRef) Open() error {
 	if err := j.Right.Close(); err != nil {
 		return err
 	}
-	j.index = newJoinIndex(len(j.built), func(r int) (uint64, bool) { return keyHash(j.rightKeys, j.built[r].at) })
+	hs, null := make([]uint64, len(j.built)), make([]bool, len(j.built))
+	for r, row := range j.built {
+		h, ok := keyHash(j.rightKeys, row.at)
+		hs[r], null[r] = h, !ok
+	}
+	j.index = newJoinIndex(hs, null)
 	j.cand, j.leftDone = -1, false
 	j.ResetInterrupt()
 	return j.Left.Open()
@@ -568,6 +573,30 @@ func (j *hashJoinRef) Close() error {
 }
 
 func (r Row) at(c int) expr.Value { return r[c] }
+
+// keyHash hashes one row's join keys, read through col, by joinKeyHash;
+// ok is false if any is NULL.
+func keyHash(keys []int, col func(int) expr.Value) (uint64, bool) {
+	var h uint64
+	for _, k := range keys {
+		var ok bool
+		if h, ok = joinKeyHash(h, col(k)); !ok {
+			return 0, false
+		}
+	}
+	return h, true
+}
+
+// keysEqual reports whether a left and a right row join on every key pair,
+// by joinKeyEqual.
+func keysEqual(lk, rk []int, l, r func(int) expr.Value) bool {
+	for i := range lk {
+		if !joinKeyEqual(l(lk[i]), r(rk[i])) {
+			return false
+		}
+	}
+	return true
+}
 
 // tableScanRef reads a base table chunk by chunk, capturing one consistent
 // ChunkView at Open so concurrent appends do not tear the scan; sealed

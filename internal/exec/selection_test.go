@@ -1,0 +1,320 @@
+package exec
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"datalaws/internal/expr"
+	"datalaws/internal/sql"
+	"datalaws/internal/storage"
+	"datalaws/internal/table"
+)
+
+// filterFixture builds the table "flat" that the selection-kernel suites
+// filter: k BIGINT (NULLs), id BIGINT (the row number), x and y DOUBLE
+// (NULLs, NaN, +0 and −0), s VARCHAR and b BOOLEAN (NULLs). Its rows are
+// sealed into 128-row chunks, so a scan spans sealed chunks, a tail and
+// batches that start mid-chunk. x is NULL exactly on the rows where
+// id % 11 = 3.
+func filterFixture(tb testing.TB, rows int) *table.Catalog {
+	tb.Helper()
+	old := table.DefaultChunkRows
+	table.DefaultChunkRows = 128
+	defer func() { table.DefaultChunkRows = old }()
+	cat := table.NewCatalog()
+	schema, err := table.NewSchema(
+		table.ColumnDef{Name: "k", Type: storage.TypeInt64},
+		table.ColumnDef{Name: "id", Type: storage.TypeInt64},
+		table.ColumnDef{Name: "x", Type: storage.TypeFloat64},
+		table.ColumnDef{Name: "y", Type: storage.TypeFloat64},
+		table.ColumnDef{Name: "s", Type: storage.TypeString},
+		table.ColumnDef{Name: "b", Type: storage.TypeBool},
+	)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	flat, err := cat.Create("flat", schema)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	null := expr.Null()
+	batch := make([][]expr.Value, rows)
+	for i := range batch {
+		k := expr.Int(int64(i % 200))
+		if i%7 == 3 {
+			k = null
+		}
+		var x expr.Value
+		switch i % 11 {
+		case 0:
+			x = expr.Float(math.NaN())
+		case 1:
+			x = expr.Float(0)
+		case 2:
+			x = expr.Float(math.Copysign(0, -1))
+		case 3:
+			x = null
+		default:
+			x = expr.Float(float64(i%50) - 24.5)
+		}
+		y := expr.Float(float64(i%40) - 20)
+		switch {
+		case i%13 == 0:
+			y = null
+		case i%17 == 0:
+			y = expr.Float(math.NaN())
+		case i%19 == 0:
+			y = expr.Float(math.Copysign(0, -1))
+		}
+		s, b := expr.Str(fmt.Sprintf("s%d", i%5)), expr.Bool(i%2 == 0)
+		if i%9 == 0 {
+			s = null
+		}
+		if i%6 == 0 {
+			b = null
+		}
+		batch[i] = []expr.Value{k, expr.Int(int64(i)), x, y, s, b}
+	}
+	if n, err := flat.AppendRows(batch); err != nil || n != rows {
+		tb.Fatalf("append: %d, %v", n, err)
+	}
+	return cat
+}
+
+// filterAgrees runs q through the row reference and through the pipeline
+// at each pool size. Rows, their order and their kinds, or the error text,
+// must match the reference's. It returns the reference's row count and
+// error.
+func filterAgrees(tb testing.TB, cat *table.Catalog, q string, pools ...int) (int, error) {
+	tb.Helper()
+	var want []Row
+	var wantErr error
+	for _, strategy := range append([]int{rowRef}, pools...) {
+		stmt, err := sql.Parse(q)
+		if err != nil {
+			tb.Fatalf("parse %q: %v", q, err)
+		}
+		op, err := buildStrategy(cat, stmt.(*sql.SelectStmt), strategy)
+		if err != nil {
+			if strategy == rowRef {
+				return 0, err // a plan-time error: the pipeline plans the same way
+			}
+			tb.Fatalf("%q (%s): plan: %v", q, strategyName(strategy), err)
+		}
+		rows, runErr := Drain(op)
+		if strategy == rowRef {
+			want, wantErr = rows, runErr
+			continue
+		}
+		if (runErr == nil) != (wantErr == nil) || (runErr != nil && runErr.Error() != wantErr.Error()) {
+			tb.Fatalf("%q (%s): error %v, reference %v", q, strategyName(strategy), runErr, wantErr)
+		}
+		if len(rows) != len(want) {
+			tb.Fatalf("%q (%s): %d rows, reference %d", q, strategyName(strategy), len(rows), len(want))
+		}
+		for r := range rows {
+			for c := range rows[r] {
+				if !sameValue(rows[r][c], want[r][c]) {
+					tb.Fatalf("%q (%s) row %d col %d: %v (%s), reference %v (%s)",
+						q, strategyName(strategy), r, c, rows[r][c], rows[r][c].K, want[r][c], want[r][c].K)
+				}
+			}
+		}
+	}
+	return len(want), wantErr
+}
+
+// TestSelectionKernelsMatchReference runs WHEREs that take each kind of
+// selection node against the row reference at pools 1 and 4. want says
+// what the reference must do: keep some rows but not all ("some"), keep
+// none ("none"), or fail ("error").
+func TestSelectionKernelsMatchReference(t *testing.T) {
+	const rows = 1000
+	cat := filterFixture(t, rows)
+	for _, c := range []struct{ where, want string }{
+		// Literals on the left flip the comparison.
+		{"100 > k", "some"},
+		{"-5 <= x", "some"},
+		{"10 = id", "some"},
+		{"(-1.5) < y", "some"},
+		// An int column against a float literal compares as a double.
+		{"k < 99.5", "some"},
+		{"id = 2.0", "some"},
+		{"id = 2.5", "none"},
+		{"id >= 2.5 AND id < 4.0", "some"},
+		// A NULL literal keeps no row, on either side and under OR.
+		{"k = NULL", "none"},
+		{"NULL <> x", "none"},
+		{"x = NULL OR id < 10", "some"},
+		{"NOT (k = NULL)", "none"},
+		// A string literal against a numeric column fails as the reference does.
+		{"k = 's1'", "error"},
+		{"'s1' < id", "error"},
+		{"x > 0 OR k = 's1'", "error"},
+		// NaN and ±0 in columns, against literals and each other.
+		{"x = 0", "some"},
+		{"x = -0.0", "some"},
+		{"-0.0 >= x", "some"},
+		{"x < 0", "some"},
+		{"x <> x", "none"},
+		{"x = y", "some"},
+		{"x < y", "some"},
+		{"y >= x", "some"},
+		{"k > x", "some"},
+		{"id = k", "some"},
+		{"k <= id AND x > y", "some"},
+		// NULL-masked columns.
+		{"k > 50", "some"},
+		{"k IS NULL", "some"},
+		{"x IS NOT NULL AND k IS NULL", "some"},
+		{"s = 's2'", "some"},
+		{"b = 1", "some"},
+		// OR and NOT over atoms that go NULL.
+		{"k > 150 OR x IS NULL", "some"},
+		{"NOT (k > 50 OR x < 0)", "some"},
+		{"(k > 50 OR y > 0) AND x < 0", "some"},
+		{"NOT (x > 0) OR k IS NULL", "some"},
+		{"x > 0 OR y > 0 OR k < 10", "some"},
+		{"(k IS NULL OR x > 0) AND (y < 0 OR id < 100)", "some"},
+		// An AND whose right side fails only on rows where the left is NULL
+		// still fails: x > 1000 is NULL, never TRUE, where the right side
+		// fails, through a typed-looking comparison on a string column and
+		// through a modulo by zero.
+		{"x > 1000 AND s = 1", "error"},
+		{"x > 0 AND 1 % (id % 11 - 3) = 0", "error"},
+		{"x > 1000 AND (k < 5 OR s = 1)", "error"},
+		// A FALSE left side decides the AND on every row: nothing fails.
+		{"id < 0 AND s = 1", "none"},
+	} {
+		q := "SELECT id, x FROM flat WHERE " + c.where
+		n, err := filterAgrees(t, cat, q, 1, 4)
+		got := "some"
+		switch {
+		case err != nil:
+			got = "error"
+		case n == 0:
+			got = "none"
+		case n == rows:
+			got = "all"
+		}
+		if got != c.want {
+			t.Errorf("%s: the reference gives %s (%d rows, err %v), want %s", c.where, got, n, err, c.want)
+		}
+	}
+}
+
+// TestSelectionChainsTypedAnd pins the shape of the selection tree: an AND
+// chains when its right side is all typed leaves, and is one generic leaf
+// otherwise; OR always chains.
+func TestSelectionChainsTypedAnd(t *testing.T) {
+	cols := []string{"flat.k", "flat.id", "flat.x", "flat.s"}
+	for _, c := range []struct{ where, shape string }{
+		{"k >= 1 AND k < 5", "and(cmp,cmp)"},
+		{"100 > k", "cmp"},
+		{"x IS NULL AND (k = 1 OR id = 2.5)", "and(null,or(cmp,cmp))"},
+		{"k = 1 AND x + 1 > 0", "generic"},
+		{"x + 1 > 0 AND k = 1", "and(generic,cmp)"},
+		{"k = 1 OR s = 's1'", "or(cmp,generic)"},
+		{"k = NULL", "cmp"},
+		{"NOT (k = 1)", "generic"},
+	} {
+		pred, err := expr.Parse(c.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := compileSelection(pred, cols)
+		if err != nil {
+			t.Fatalf("%s: %v", c.where, err)
+		}
+		if got := selShape(s); got != c.shape {
+			t.Errorf("%s: shape %s, want %s", c.where, got, c.shape)
+		}
+	}
+}
+
+func selShape(s selNode) string {
+	switch n := s.(type) {
+	case *andSel:
+		return "and(" + selShape(n.l) + "," + selShape(n.r) + ")"
+	case *orSel:
+		return "or(" + selShape(n.l) + "," + selShape(n.r) + ")"
+	case *cmpSel:
+		return "cmp"
+	case *nullSel:
+		return "null"
+	}
+	return "generic"
+}
+
+// FuzzFilterMatchesReference decodes arbitrary bytes into a WHERE over
+// filterFixture's table — comparisons between its columns, numeric, string,
+// boolean and NULL literals and a few expressions that can fail, joined by
+// AND, OR and NOT — and requires the pipeline at pools 1 and 3 to give the
+// row reference's rows, in order, or its error text.
+func FuzzFilterMatchesReference(f *testing.F) {
+	cat := filterFixture(f, 600)
+	for _, seed := range []string{
+		"\x00\x00\x00\x00",
+		"\x04\x00\x01\x02\x00\x03\x04\x05",
+		"\x05\x00\x02\x03\x01\x04\x05\x06",
+		"\x06\x05\x00\x01\x02\x03\x00\x04\x05",
+		"\x04\x01\x02\x02\x03\x00\x07\x03\x01",
+		"\x03\x01\x04\x02\x00\x0b\x05",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		where := (&whereDecoder{data: data}).pred(0)
+		filterAgrees(t, cat, "SELECT id, k, x FROM flat WHERE "+where, 1, 3)
+	})
+}
+
+// whereDecoder reads a predicate from bytes; exhausted input reads as
+// zeros, so every input decodes.
+type whereDecoder struct{ data []byte }
+
+func (d *whereDecoder) next() int {
+	if len(d.data) == 0 {
+		return 0
+	}
+	b := d.data[0]
+	d.data = d.data[1:]
+	return int(b)
+}
+
+var (
+	fuzzOperands = []string{
+		"k", "id", "x", "y", "s", "b",
+		"0", "-0.0", "1", "2.5", "99.5", "100", "-3", "9007199254740993",
+		"NULL", "'s1'", "TRUE",
+		"k + 1", "x * 2", "1 % (id % 11 - 3)", "10.0 / x",
+	}
+	fuzzCmps = []string{"=", "<>", "<", "<=", ">", ">="}
+)
+
+// pred decodes one predicate; past depth 3 only atoms.
+func (d *whereDecoder) pred(depth int) string {
+	op := d.next()
+	if depth >= 3 {
+		op %= 3
+	}
+	switch op % 8 {
+	case 3:
+		not := []string{"", " NOT"}[d.next()%2]
+		return fmt.Sprintf("%s IS%s NULL", d.operand(), not)
+	case 4:
+		return fmt.Sprintf("(%s AND %s)", d.pred(depth+1), d.pred(depth+1))
+	case 5:
+		return fmt.Sprintf("(%s OR %s)", d.pred(depth+1), d.pred(depth+1))
+	case 6:
+		return fmt.Sprintf("NOT (%s)", d.pred(depth+1))
+	case 7:
+		return []string{"b", "x", "k", "s"}[d.next()%4] // a bare column's truth value
+	}
+	l, cmp, r := d.operand(), fuzzCmps[d.next()%len(fuzzCmps)], d.operand()
+	return strings.Join([]string{l, cmp, r}, " ")
+}
+
+func (d *whereDecoder) operand() string { return fuzzOperands[d.next()%len(fuzzOperands)] }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"datalaws/internal/expr"
@@ -154,9 +155,7 @@ type partialAgg struct {
 	argVecs    []*Vector
 	grps       []*aggGroup // the group of each row of the batch being folded
 	kb         []byte
-	// ints indexes the groups of a single integer key column by value,
-	// ahead of the rendered-key index it caches.
-	ints map[int64]*partialGroup
+	ints       intGroups
 }
 
 func newPartialAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string) (*partialAgg, error) {
@@ -167,8 +166,9 @@ func newPartialAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string) (*part
 		index:      map[string]*partialGroup{},
 		keyVecs:    make([]*Vector, len(groupExprs)),
 		argVecs:    make([]*Vector, len(aggs)),
-		grps:       make([]*aggGroup, 0, BatchSize),
-		ints:       map[int64]*partialGroup{},
+	}
+	if len(groupExprs) > 0 {
+		pa.grps = make([]*aggGroup, 0, BatchSize)
 	}
 	if err := compileAgg(groupExprs, aggs, cols, pa.groupKerns, pa.argKerns); err != nil {
 		return nil, err
@@ -224,7 +224,6 @@ func (pa *partialAgg) fold(b *Batch, sel []int, morsel, rowBase int64) error {
 		}
 		pa.argVecs[i] = v
 	}
-	grps := pa.grps[:0]
 	if len(pa.groupKerns) == 0 {
 		// Global aggregation: every row folds into the one group.
 		if len(pa.order) == 0 {
@@ -232,31 +231,88 @@ func (pa *partialAgg) fold(b *Batch, sel []int, morsel, rowBase int64) error {
 			grp.states = make([]aggState, len(pa.aggs))
 			pa.order = append(pa.order, grp)
 		}
-		for range sel {
-			grps = append(grps, &pa.order[0].aggGroup)
+		return foldGlobal(pa.order[0].states, pa.aggs, pa.argVecs, sel)
+	}
+	var ints *Vector
+	if len(pa.keyVecs) == 1 && pa.keyVecs[0].Kind == expr.KindInt {
+		ints = pa.keyVecs[0]
+	}
+	grps := pa.grps[:0]
+	for pos, i := range sel {
+		var grp *partialGroup
+		indexed := ints != nil && (ints.Null == nil || !ints.Null[i])
+		if indexed {
+			grp = pa.ints.find(ints.I[i])
 		}
-	} else {
-		var ints *Vector
-		if len(pa.keyVecs) == 1 && pa.keyVecs[0].Kind == expr.KindInt {
-			ints = pa.keyVecs[0]
-		}
-		for pos, i := range sel {
-			var grp *partialGroup
-			indexed := ints != nil && (ints.Null == nil || !ints.Null[i])
+		if grp == nil {
+			grp = pa.group(i, morsel, rowBase+int64(pos))
 			if indexed {
-				grp = pa.ints[ints.I[i]]
+				pa.ints.insert(ints.I[i], grp)
 			}
-			if grp == nil {
-				grp = pa.group(i, morsel, rowBase+int64(pos))
-				if indexed {
-					pa.ints[ints.I[i]] = grp
-				}
-			}
-			grps = append(grps, &grp.aggGroup)
 		}
+		grps = append(grps, &grp.aggGroup)
 	}
 	pa.grps = grps
 	return foldAggArgs(grps, pa.aggs, pa.argVecs, sel)
+}
+
+// intGroups caches the groups of a single integer key column by value,
+// ahead of the rendered-key index: open addressing over parallel keys and
+// vals slices, a power-of-two size, linear probing and a multiplicative
+// hash. A nil val marks an empty slot.
+type intGroups struct {
+	keys  []int64
+	vals  []*partialGroup
+	shift uint // 64 − log2(len(keys))
+	n     int
+}
+
+func (t *intGroups) slot(k int64) int {
+	return int(uint64(k) * 0x9e3779b97f4a7c15 >> t.shift)
+}
+
+// find returns the group of key k, or nil.
+func (t *intGroups) find(k int64) *partialGroup {
+	if t.n == 0 {
+		return nil
+	}
+	mask := len(t.keys) - 1
+	for s := t.slot(k); t.vals[s] != nil; s = (s + 1) & mask {
+		if t.keys[s] == k {
+			return t.vals[s]
+		}
+	}
+	return nil
+}
+
+// insert adds key k, which is absent, growing the table to keep it at
+// most half full.
+func (t *intGroups) insert(k int64, g *partialGroup) {
+	if 2*(t.n+1) > len(t.keys) {
+		t.grow()
+	}
+	mask := len(t.keys) - 1
+	s := t.slot(k)
+	for t.vals[s] != nil {
+		s = (s + 1) & mask
+	}
+	t.keys[s], t.vals[s] = k, g
+	t.n++
+}
+
+func (t *intGroups) grow() {
+	keys, vals := t.keys, t.vals
+	size := 2 * len(keys)
+	if size == 0 {
+		size = 64
+	}
+	t.keys, t.vals, t.n = make([]int64, size), make([]*partialGroup, size), 0
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	for s, g := range vals {
+		if g != nil {
+			t.insert(keys[s], g)
+		}
+	}
 }
 
 // group finds or creates the group of row i by its rendered key, the
@@ -315,6 +371,54 @@ func foldAggArgs(grps []*aggGroup, aggs []AggSpec, argVecs []*Vector, sel []int)
 		}
 	}
 	return nil
+}
+
+// foldGlobal folds a batch's aggregate argument vectors into the one group
+// of a global aggregate. COUNT(*) adds the row count; a null-free float or
+// int SUM/AVG keeps its running sum in a local, adding in sel order as
+// addFloat would, so the result is bit-identical; every other kind folds
+// through addFloat or update on the one state.
+func foldGlobal(states []aggState, aggs []AggSpec, argVecs []*Vector, sel []int) error {
+	for a, spec := range aggs {
+		st, v := &states[a], argVecs[a]
+		switch {
+		case spec.Arg == nil: // COUNT(*)
+			st.count += int64(len(sel))
+		case (spec.Kind == AggSum || spec.Kind == AggAvg) && v.Null == nil && v.Kind == expr.KindFloat:
+			st.sum = sumSel(v.F, sel, st.sum)
+			st.count += int64(len(sel))
+		case (spec.Kind == AggSum || spec.Kind == AggAvg) && v.Null == nil && v.Kind == expr.KindInt:
+			st.sum = sumSel(v.I, sel, st.sum)
+			st.count += int64(len(sel))
+		case v.Kind == expr.KindFloat && isNumericAgg(spec.Kind):
+			for _, i := range sel {
+				if v.Null == nil || !v.Null[i] {
+					st.addFloat(spec.Kind, v.F[i])
+				}
+			}
+		case v.Kind == expr.KindInt && isNumericAgg(spec.Kind):
+			for _, i := range sel {
+				if v.Null == nil || !v.Null[i] {
+					st.addFloat(spec.Kind, float64(v.I[i]))
+				}
+			}
+		default:
+			for _, i := range sel {
+				if err := st.update(spec.Kind, v.Value(i)); err != nil {
+					return fmt.Errorf("exec: aggregate: %w", err)
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// sumSel adds xs[i] for i in sel to s, in sel order.
+func sumSel[T int64 | float64](xs []T, sel []int, s float64) float64 {
+	for _, i := range sel {
+		s += float64(xs[i])
+	}
+	return s
 }
 
 // isNumericAgg reports whether the aggregate folds through addFloat (COUNT,

@@ -21,9 +21,11 @@ type VecHashJoin struct {
 
 	in         *Batch // current left batch
 	sel        []int
-	pos        int   // next left row, as an index into sel
-	cand       int32 // next build candidate for sel[pos-1]; -1 when none
-	lidx, ridx []int // pending output pairs
+	hs         []uint64 // key hashes of the rows of sel
+	null       []bool   // rows of sel with a NULL key
+	pos        int      // next left row, as an index into sel
+	cand       int32    // next build candidate for sel[pos-1]; -1 when none
+	lidx, ridx []int    // pending output pairs
 }
 
 // joinBuild is the build side the probes of one join share.
@@ -89,9 +91,15 @@ func (b *joinBuild) load() error {
 			b.vecs[c] = vectorFromValues(vals[c])
 		}
 	}
-	b.index = newJoinIndex(rows, func(r int) (uint64, bool) {
-		return keyHash(b.rightKeys, func(c int) expr.Value { return b.vecs[c].Value(r) })
-	})
+	if rows > 0 {
+		all := make([]int, rows)
+		for i := range all {
+			all[i] = i
+		}
+		hs, null := make([]uint64, rows), make([]bool, rows)
+		hashJoinKeys(b.vecs, b.rightKeys, all, hs, null)
+		b.index = newJoinIndex(hs, null)
+	}
 	return nil
 }
 
@@ -107,18 +115,17 @@ func (j *VecHashJoin) NextBatch() (*Batch, error) {
 		if j.cand >= 0 {
 			r, li := int(j.cand), j.sel[j.pos-1]
 			j.cand = b.index.next[r]
-			if keysEqual(b.leftKeys, b.rightKeys, j.left(li), func(c int) expr.Value { return b.vecs[c].Value(r) }) {
+			if j.keysMatch(li, r) {
 				j.lidx = append(j.lidx, li)
 				j.ridx = append(j.ridx, r)
 			}
 			continue
 		}
 		if j.in != nil && j.pos < len(j.sel) {
-			li := j.sel[j.pos]
-			j.pos++
-			if h, ok := keyHash(b.leftKeys, j.left(li)); ok {
-				j.cand = b.index.head[h] - 1
+			if p := j.pos; !j.null[p] {
+				j.cand = b.index.head[j.hs[p]] - 1
 			}
+			j.pos++
 			continue
 		}
 		// Output gathers from the current left batch: emit before pulling.
@@ -131,6 +138,12 @@ func (j *VecHashJoin) NextBatch() (*Batch, error) {
 			return nil, err
 		}
 		j.in, j.sel, j.pos = in, in.selection(), 0
+		n := len(j.sel)
+		if cap(j.hs) < n {
+			j.hs, j.null = make([]uint64, n), make([]bool, n)
+		}
+		j.hs, j.null = j.hs[:n], j.null[:n]
+		hashJoinKeys(in.Cols, b.leftKeys, j.sel, j.hs, j.null)
 	}
 	n := len(j.lidx)
 	out := &Batch{N: n, Cols: make([]*Vector, len(b.cols))}
@@ -147,15 +160,35 @@ func (j *VecHashJoin) NextBatch() (*Batch, error) {
 	return out, nil
 }
 
-// left reads columns of row i of the current left batch.
-func (j *VecHashJoin) left(i int) func(int) expr.Value {
-	return func(c int) expr.Value { return j.in.Cols[c].Value(i) }
+// keysMatch confirms that left row li and build row r, a hash candidate
+// whose keys are not NULL, join: INT against INT and DOUBLE against DOUBLE
+// compare typed, any other pair by joinKeyEqual.
+func (j *VecHashJoin) keysMatch(li, r int) bool {
+	b := j.build
+	for k, lc := range b.leftKeys {
+		lv, rv := j.in.Cols[lc], b.vecs[b.rightKeys[k]]
+		switch {
+		case lv.Kind == expr.KindInt && rv.Kind == expr.KindInt:
+			if lv.I[li] != rv.I[r] {
+				return false
+			}
+		case lv.Kind == expr.KindFloat && rv.Kind == expr.KindFloat:
+			if cmpF(lv.F[li], rv.F[r]) != 0 {
+				return false
+			}
+		default:
+			if !joinKeyEqual(lv.Value(li), rv.Value(r)) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Close implements VectorOperator. The lead releases the build side; the
 // pool has stopped by the time pipelines close.
 func (j *VecHashJoin) Close() error {
-	j.in, j.sel = nil, nil
+	j.in, j.sel, j.hs, j.null = nil, nil, nil, nil
 	if j.lead {
 		j.build.vecs, j.build.index = nil, joinIndex{}
 	}

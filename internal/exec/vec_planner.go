@@ -130,7 +130,7 @@ func vectorize(op Node, workers int, r reads) ([]workerPipe, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := whereKernel(o.Pred, pipes[0].pipe.Columns()); err != nil {
+		if _, err := whereSelection(o.Pred, pipes[0].pipe.Columns()); err != nil {
 			return nil, err
 		}
 		for i := range pipes {

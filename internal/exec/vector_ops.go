@@ -280,9 +280,9 @@ func (w *colWindow) window(src []vecColSrc, lo, hi int) *Batch {
 }
 
 // nullSlice materializes the [lo, lo+n) window of a null bitmap into a bool
-// slice, returning nil when the whole column is null-free.
+// slice, returning nil for a column with no null bitmap (see someNulls).
 func (w *colWindow) nullSlice(c int, bm *storage.Bitmap, lo, n int) []bool {
-	if bm == nil || !bm.Any() {
+	if bm == nil {
 		return nil
 	}
 	if cap(w.nullBufs[c]) < n {
@@ -342,13 +342,13 @@ func batchFromRows(rows []Row, ncols int) *Batch {
 	return b
 }
 
-// VecFilter applies a compiled predicate kernel and narrows the batch's
-// selection vector — surviving rows are never copied.
+// VecFilter narrows the batch's selection vector through the predicate's
+// selection tree (see selNode) — surviving rows are never copied.
 type VecFilter struct {
 	Child VectorOperator
 	Pred  expr.Expr
 
-	kern   kernelFn
+	sel    selNode
 	selBuf []int
 }
 
@@ -357,22 +357,22 @@ func (f *VecFilter) Columns() []string { return f.Child.Columns() }
 
 // Open implements VectorOperator.
 func (f *VecFilter) Open() error {
-	k, err := whereKernel(f.Pred, f.Child.Columns())
+	s, err := whereSelection(f.Pred, f.Child.Columns())
 	if err != nil {
 		return err
 	}
-	f.kern = k
+	f.sel = s
 	return f.Child.Open()
 }
 
-// whereKernel compiles a WHERE or HAVING predicate; a failure reads as the
-// row Filter's.
-func whereKernel(pred expr.Expr, cols []string) (kernelFn, error) {
-	k, err := compileKernel(pred, cols)
+// whereSelection compiles a WHERE or HAVING predicate; a failure reads as
+// the row Filter's.
+func whereSelection(pred expr.Expr, cols []string) (selNode, error) {
+	s, err := compileSelection(pred, cols)
 	if err != nil {
 		return nil, rowError(err, "exec: WHERE")
 	}
-	return k, nil
+	return s, nil
 }
 
 // NextBatch implements VectorOperator.
@@ -383,18 +383,14 @@ func (f *VecFilter) NextBatch() (*Batch, error) {
 			return b, err
 		}
 		sel := b.selection()
-		v, err := f.kern(b, sel)
+		out, err := f.sel.keep(b, sel, f.selBuf[:0])
 		if err != nil {
-			return nil, fmt.Errorf("exec: WHERE: %w", err)
-		}
-		out := f.selBuf[:0]
-		for _, i := range sel {
-			t, isN, err := truth(v, i)
-			if err != nil {
+			// The tree evaluates an operand at a time, so the row it failed
+			// on need not be the first row that fails. Evaluated again a
+			// row at a time, as the row reference evaluates it, the batch
+			// fails on the first failing row, with that row's error.
+			if out, err = f.rowAtATime(b, sel, f.selBuf[:0]); err != nil {
 				return nil, fmt.Errorf("exec: WHERE: %w", err)
-			}
-			if !isN && t {
-				out = append(out, i)
 			}
 		}
 		f.selBuf = out
@@ -404,6 +400,47 @@ func (f *VecFilter) NextBatch() (*Batch, error) {
 		b.Sel = out
 		return b, nil
 	}
+}
+
+// rowAtATime evaluates the predicate on the rows of sel in order through
+// expr.Eval, the row reference's evaluator, appending to out the rows on
+// which it is TRUE; it stops at the first row that fails.
+func (f *VecFilter) rowAtATime(b *Batch, sel, out []int) ([]int, error) {
+	env := &batchRow{cols: f.Child.Columns(), b: b}
+	for _, i := range sel {
+		env.i = i
+		v, err := expr.Eval(f.Pred, env)
+		if err != nil {
+			return nil, err
+		}
+		if v.IsNull() {
+			continue
+		}
+		t, err := v.AsBool()
+		if err != nil {
+			return nil, err
+		}
+		if t {
+			out = append(out, i)
+		}
+	}
+	return out, nil
+}
+
+// batchRow is row i of a batch as an expression environment.
+type batchRow struct {
+	cols []string
+	b    *Batch
+	i    int
+}
+
+// Lookup implements expr.Env.
+func (r *batchRow) Lookup(name string) (expr.Value, bool) {
+	c, err := ResolveColumn(r.cols, name)
+	if err != nil {
+		return expr.Value{}, false
+	}
+	return r.b.Cols[c].Value(r.i), true
 }
 
 // Close implements VectorOperator.

@@ -272,6 +272,59 @@ func prefixView(c storage.Column, n int) storage.Column {
 	return c
 }
 
+// checkRange fails unless every row of column i, BIGINT or DOUBLE, holds a
+// number in [lo, hi), the rule Route admits a value by. A sealed chunk
+// whose zone map lies inside the range and counts no NULL passes without a
+// decode (a NaN, which zone maps skip, passes with it); any other sealed
+// chunk, and the tail, are checked value by value.
+func (v *ChunkView) checkRange(i int, lo, hi float64) error {
+	for k, ch := range v.sealed {
+		if z := ch.zones[i]; z.Nulls == 0 && z.HasBounds && z.Min >= lo && z.Max < hi {
+			continue
+		}
+		c, err := ch.decodeColumn(i)
+		if err != nil {
+			return err
+		}
+		if err := valuesInRange(c, ch.rows, lo, hi); err != nil {
+			return fmt.Errorf("chunk %d: %w", k, err)
+		}
+	}
+	if v.tail == nil {
+		return nil
+	}
+	if err := valuesInRange(v.tail[i], v.tailRows, lo, hi); err != nil {
+		return fmt.Errorf("tail: %w", err)
+	}
+	return nil
+}
+
+// valuesInRange checks the first n rows of a numeric column against
+// [lo, hi); a NULL or a NaN lies in no range.
+func valuesInRange(c storage.Column, n int, lo, hi float64) error {
+	for r := 0; r < n; r++ {
+		var f float64
+		switch col := c.(type) {
+		case *storage.Int64Column:
+			if col.Nulls.Get(r) {
+				return fmt.Errorf("row %d is NULL", r)
+			}
+			f = float64(col.Vals[r])
+		case *storage.Float64Column:
+			if col.Nulls.Get(r) {
+				return fmt.Errorf("row %d is NULL", r)
+			}
+			f = col.Vals[r]
+		default:
+			return fmt.Errorf("%T is not numeric", c)
+		}
+		if !(f >= lo && f < hi) {
+			return fmt.Errorf("row %d holds %g, outside the partition's range [%g, %g)", r, f, lo, hi)
+		}
+	}
+	return nil
+}
+
 // Schema returns the schema of the table the view was captured from.
 func (v *ChunkView) Schema() *Schema { return v.schema }
 

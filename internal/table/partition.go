@@ -79,7 +79,9 @@ func NewPartitioned(name string, schema *Schema, column string, ranges []RangePa
 
 // NewPartitionedFrom reassembles a partitioned table around existing child
 // tables (the persistence load path). Children must match the ranges in
-// count and order and share the parent schema's column names and types.
+// count and order and share the parent schema's column names and types,
+// and every row of a child must route to it: ranges that disagree with the
+// rows would prune statements to the wrong partition.
 func NewPartitionedFrom(name string, schema *Schema, column string, ranges []RangePartition, children []*Table) (*PartitionedTable, error) {
 	pt, err := validatePartitioned(name, schema, column, ranges)
 	if err != nil {
@@ -94,6 +96,10 @@ func NewPartitionedFrom(name string, schema *Schema, column string, ranges []Ran
 		}
 		if err := sameSchema(schema, child.Schema()); err != nil {
 			return nil, fmt.Errorf("table: partition %q of %q: %w", ranges[i].Name, name, err)
+		}
+		lo, hi := pt.bounds(i)
+		if err := child.Chunks().checkRange(pt.colIdx, lo, hi); err != nil {
+			return nil, fmt.Errorf("table: partition %q of %q: column %q: %w", ranges[i].Name, name, column, err)
 		}
 		pt.parts[i] = child
 	}

@@ -336,3 +336,52 @@ func TestDeclRoundTrip(t *testing.T) {
 		t.Fatalf("JSON form = %s, want %s", b, want)
 	}
 }
+
+// TestPartitionedFromChecksRows: reassembly refuses a child that holds a
+// partition-column value its range does not admit — in the tail or in a
+// sealed chunk, a NULL or a NaN included — and accepts one whose values
+// all route to it, also where an int64 zone map was widened past the
+// range's bound (2^60 − 1 routes as 2^60).
+func TestPartitionedFromChecksRows(t *testing.T) {
+	old := DefaultChunkRows
+	DefaultChunkRows = 2
+	defer func() { DefaultChunkRows = old }()
+	ranges := []RangePartition{{Name: "lo", Upper: 1 << 60}, {Name: "hi", Max: true}}
+	child := func(name string, keys ...expr.Value) *Table {
+		c := New(name, partSchema(t))
+		for _, k := range keys {
+			if _, err := c.AppendRows([][]expr.Value{{k, expr.Float(1)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	big := expr.Int(1<<60 - 1)
+	for _, c := range []struct {
+		name   string
+		lo, hi []expr.Value
+		ok     bool
+	}{
+		{"in range", []expr.Value{expr.Int(1), expr.Int(2), expr.Int(3)}, []expr.Value{expr.Int(1 << 61), big}, true},
+		{"tail outside", []expr.Value{expr.Int(1), expr.Int(2), expr.Int(1 << 61)}, nil, false},
+		{"sealed outside", []expr.Value{expr.Int(1 << 61), expr.Int(2), expr.Int(3)}, nil, false},
+		{"rounds into the next range", []expr.Value{big, expr.Int(2)}, nil, false},
+		{"NULL", []expr.Value{expr.Int(1), expr.Null()}, nil, false},
+	} {
+		_, err := NewPartitionedFrom("t", partSchema(t), "k", ranges, []*Table{child("t#lo", c.lo...), child("t#hi", c.hi...)})
+		if (err == nil) != c.ok {
+			t.Errorf("%s: err = %v, want ok = %v", c.name, err, c.ok)
+		}
+	}
+	fs, err := NewSchema(ColumnDef{Name: "k", Type: storage.TypeFloat64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := New("f#all", fs)
+	if _, err := nan.AppendRows([][]expr.Value{{expr.Float(math.NaN())}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewPartitionedFrom("f", fs, "k", []RangePartition{{Name: "all", Max: true}}, []*Table{nan}); err == nil {
+		t.Error("NaN partition key: want error")
+	}
+}

@@ -234,3 +234,67 @@ func TestPartitionedPlanCacheInvalidation(t *testing.T) {
 	}
 	rows.Close()
 }
+
+// TestPartitionManifestMustMatchRows: a snapshot whose partitions.json was
+// edited after the save so that its ranges no longer admit the rows of
+// their children is refused at load. Loaded, such a manifest prunes
+// statements to the wrong child: SELECT count(*) FROM m WHERE source = 150
+// answered 0 instead of 1. Rows in a child's tail and rows in its sealed
+// chunks (judged by zone map first) are both checked, and the untouched
+// manifest still loads.
+func TestPartitionManifestMustMatchRows(t *testing.T) {
+	for _, chunkRows := range []int{table.DefaultChunkRows, 1} {
+		old := table.DefaultChunkRows
+		table.DefaultChunkRows = chunkRows
+		dir := t.TempDir()
+		e := NewEngine()
+		e.MustExec(`CREATE TABLE m (source BIGINT, nu DOUBLE) PARTITION BY RANGE(source) (
+			PARTITION p0 VALUES LESS THAN (100),
+			PARTITION p1 VALUES LESS THAN (200),
+			PARTITION rest VALUES LESS THAN (MAXVALUE))`)
+		table.DefaultChunkRows = old
+		e.MustExec(`INSERT INTO m VALUES (1, 0.5), (150, 1.5), (250, 2.5)`)
+		if chunkRows == 1 {
+			if cv := mustChild(t, e, "m", "p1").Chunks(); cv.NumSealed() != 1 {
+				t.Fatalf("p1 has %d sealed chunks, want 1", cv.NumSealed())
+			}
+		}
+		if err := e.SaveDir(dir); err != nil {
+			t.Fatal(err)
+		}
+		snap, ok, err := readCurrent(dir)
+		if err != nil || !ok {
+			t.Fatalf("no snapshot: %v", err)
+		}
+		manifest := filepath.Join(snap, "partitions.json")
+		saved, err := os.ReadFile(manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edited := strings.NewReplacer(`"upper": 100`, `"upper": 1000`, `"upper": 200`, `"upper": 2000`).Replace(string(saved))
+		if edited == string(saved) {
+			t.Fatalf("manifest has no bounds to edit: %s", saved)
+		}
+		if err := os.WriteFile(manifest, []byte(edited), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		loaded := NewEngine()
+		err = loaded.LoadDir(dir)
+		if err == nil {
+			res := loaded.MustExec(`SELECT count(*) FROM m WHERE source = 150`)
+			t.Fatalf("chunk rows %d: a manifest whose ranges exclude its rows loaded; count(source = 150) = %v", chunkRows, res.Rows)
+		}
+		if !strings.Contains(err.Error(), `partition "p1" of "m"`) || !strings.Contains(err.Error(), "outside the partition's range") {
+			t.Fatalf("chunk rows %d: error %q does not name the partition and the range", chunkRows, err)
+		}
+		if n := len(loaded.Catalog.Names()); n != 0 {
+			t.Fatalf("a refused load left %d tables behind", n)
+		}
+		if err := os.WriteFile(manifest, saved, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewEngine().LoadDir(dir); err != nil {
+			t.Fatalf("chunk rows %d: the saved manifest does not load: %v", chunkRows, err)
+		}
+	}
+}
