@@ -20,15 +20,15 @@ import (
 // allocation per row would add 50,000 or 80,000.
 //
 // The GROUP BY's count depends on scheduling: each worker that folds a
-// morsel builds its own 1,000 groups (≈ 4 allocations each) for the merge.
+// morsel builds its own 1,000 groups (≈ 3 allocations each) for the merge.
 // Its budget sits 20 % above the count when both workers do so in every
-// run (≈ 9,310; ≈ 5,250 when one worker folds every morsel).
+// run (≈ 7,370; ≈ 4,280 when one worker folds every morsel).
 const (
 	windowJoinAllocBudget     = 1620
 	windowTopKAllocBudget     = 210
 	windowRangeAggAllocBudget = 210
 	pointFilterAllocBudget    = 110
-	groupByAllocBudget        = 11170
+	groupByAllocBudget        = 8850
 )
 
 // windowFixture loads t(a, g, v) with a the row number and g a key into the

@@ -34,6 +34,10 @@ type Vector struct {
 	// gather) may alias it instead of copying. The Null mask is NOT
 	// covered: scans materialize it into reusable scratch.
 	Stable bool
+	// Sorted marks an INT vector with no NULL whose entries never decrease:
+	// a scan window of a sealed chunk whose zone map says Sorted. Only the
+	// scan's window sets it, afresh on every window.
+	Sorted bool
 }
 
 // Len returns the physical length of the vector.

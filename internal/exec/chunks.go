@@ -55,7 +55,7 @@ func (cs chunkSet) columns(k int, need []int, dst []vecColSrc) ([]vecColSrc, int
 	for _, i := range need {
 		switch tc := cols[i].(type) {
 		case *storage.Int64Column:
-			src[i] = vecColSrc{kind: expr.KindInt, i64: tc.Vals[:n], nulls: someNulls(tc.Nulls)}
+			src[i] = vecColSrc{kind: expr.KindInt, sorted: cs.view.Sorted(ci, i), i64: tc.Vals[:n], nulls: someNulls(tc.Nulls)}
 		case *storage.Float64Column:
 			src[i] = vecColSrc{kind: expr.KindFloat, f64: tc.Vals[:n], nulls: someNulls(tc.Nulls)}
 		case *storage.StringColumn:

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math"
+	"slices"
 
 	"datalaws/internal/expr"
 )
@@ -17,6 +18,10 @@ import (
 //     expr.Compare's rules. A NULL literal keeps no row, and a row that is
 //     NULL on either side is dropped. `col IS [NOT] NULL` is a typed leaf
 //     too.
+//   - An INT column against an INT literal over a sorted run (a window of a
+//     sealed chunk whose zone map says Sorted) and a contiguous selection
+//     keeps one run of rows, or two for <>: two binary searches find it, so
+//     the leaf costs O(log n) per batch, not O(n).
 //   - AND feeds its left node's rows to its right node; OR evaluates its
 //     right node on the rows its left node did not keep (the FALSE and NULL
 //     rows, exactly those the value kernel evaluates it on) and merges.
@@ -208,6 +213,9 @@ func (c *cmpSel) keep(b *Batch, sel, out []int) ([]int, error) {
 	x := b.Cols[c.l]
 	if c.r < 0 {
 		if x.Kind == expr.KindInt && c.lit.K == expr.KindInt {
+			if x.Sorted && contiguous(sel) {
+				return keepSortedIntLit(x.I, c.op, c.lit.I, sel, out), nil
+			}
 			return keepIntLit(x.I, x.Null, c.op, c.lit.I, sel, out), nil
 		}
 		lit, _ := c.lit.AsFloat()
@@ -239,11 +247,11 @@ func cmpInt(a, b int64) int {
 	return 0
 }
 
-// keepIntLit keeps the rows where xs[i] op lit: every such set of integers
-// is a range [lo, hi] or, for <>, its complement, tested with one unsigned
-// compare.
-func keepIntLit(xs []int64, nulls []bool, op expr.Op, lit int64, sel, out []int) []int {
-	lo, hi, outside := int64(math.MinInt64), int64(math.MaxInt64), false
+// intLitRange returns the integers x for which x op lit holds: the range
+// [lo, hi], or its complement when outside. ok is false when no integer
+// does.
+func intLitRange(op expr.Op, lit int64) (lo, hi int64, outside, ok bool) {
+	lo, hi = math.MinInt64, math.MaxInt64
 	switch op {
 	case expr.OpEq:
 		lo, hi = lit, lit
@@ -251,24 +259,73 @@ func keepIntLit(xs []int64, nulls []bool, op expr.Op, lit int64, sel, out []int)
 		lo, hi, outside = lit, lit, true
 	case expr.OpLt:
 		if lit == math.MinInt64 {
-			return out
+			return 0, 0, false, false
 		}
 		hi = lit - 1
 	case expr.OpLe:
 		hi = lit
 	case expr.OpGt:
 		if lit == math.MaxInt64 {
-			return out
+			return 0, 0, false, false
 		}
 		lo = lit + 1
 	default:
 		lo = lit
+	}
+	return lo, hi, outside, true
+}
+
+// keepIntLit keeps the rows where xs[i] op lit, testing each row's range
+// membership with one unsigned compare.
+func keepIntLit(xs []int64, nulls []bool, op expr.Op, lit int64, sel, out []int) []int {
+	lo, hi, outside, ok := intLitRange(op, lit)
+	if !ok {
+		return out
 	}
 	span := uint64(hi - lo)
 	for _, i := range sel {
 		if (nulls == nil || !nulls[i]) && (uint64(xs[i]-lo) <= span) != outside {
 			out = append(out, i)
 		}
+	}
+	return out
+}
+
+// contiguous reports whether sel, which lists rows in increasing order as
+// every selection does, is one unbroken run of rows.
+func contiguous(sel []int) bool {
+	return len(sel) > 0 && sel[len(sel)-1]-sel[0] == len(sel)-1
+}
+
+// keepSortedIntLit is keepIntLit over a contiguous selection of a sorted,
+// NULL-free run: the rows in [lo, hi] are one run of it, found by binary
+// search, and <> keeps the rows on either side of that run.
+func keepSortedIntLit(xs []int64, op expr.Op, lit int64, sel, out []int) []int {
+	lo, hi, outside, ok := intLitRange(op, lit)
+	if !ok {
+		return out
+	}
+	first, end := sel[0], sel[0]+len(sel)
+	run := xs[first:end]
+	from, _ := slices.BinarySearch(run, lo)
+	to := len(run)
+	if hi < math.MaxInt64 {
+		to, _ = slices.BinarySearch(run, hi+1)
+	}
+	if outside {
+		return appendRun(appendRun(out, first, first+from), first+to, end)
+	}
+	return appendRun(out, first+from, first+to)
+}
+
+// appendRun appends the rows lo..hi−1, copying them from identitySel when
+// they lie inside it.
+func appendRun(out []int, lo, hi int) []int {
+	if hi <= len(identitySel) {
+		return append(out, identitySel[lo:hi]...)
+	}
+	for i := lo; i < hi; i++ {
+		out = append(out, i)
 	}
 	return out
 }

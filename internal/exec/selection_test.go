@@ -3,6 +3,8 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -205,6 +207,170 @@ func TestSelectionKernelsMatchReference(t *testing.T) {
 	}
 }
 
+// TestLogicalOperandErrorsAgree: in a select list, an AND or OR whose left
+// operand is NULL still fails on a right operand that is no truth value,
+// in the row reference as in the pipeline, with the same error text.
+func TestLogicalOperandErrorsAgree(t *testing.T) {
+	cat := filterFixture(t, 300)
+	for _, q := range []string{
+		"SELECT id, x > 1000 AND s FROM flat",
+		"SELECT id, x < 1000 OR s FROM flat",
+	} {
+		if _, err := filterAgrees(t, cat, q, 1, 3); err == nil {
+			t.Errorf("%s: the reference answers, want it to fail", q)
+		}
+	}
+}
+
+// TestSortedIntLitMatchesScan runs the binary-search leaf against
+// keepIntLit, the loop it stands in for, over random non-decreasing runs
+// with duplicates and the int64 extremes: every operator, literals below,
+// at, inside and above the run, and contiguous selections that start
+// mid-batch, some of them narrowed in place. Through cmpSel.keep, a
+// non-contiguous selection of a sorted vector must keep the same rows too.
+// Runs longer than a batch take appendRun's loop.
+func TestSortedIntLitMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	ops := []expr.Op{expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe}
+	for iter := 0; iter < 400; iter++ {
+		n := 1 + rng.Intn(BatchSize)
+		if iter%10 == 0 {
+			n += BatchSize
+		}
+		xs := make([]int64, n)
+		for i := range xs {
+			switch rng.Intn(20) {
+			case 0:
+				xs[i] = math.MinInt64
+			case 1:
+				xs[i] = math.MaxInt64
+			default:
+				xs[i] = rng.Int63n(60) - 30 // many duplicates
+			}
+		}
+		slices.Sort(xs)
+		lits := []int64{math.MinInt64, math.MaxInt64, xs[0], xs[n-1], xs[rng.Intn(n)], rng.Int63n(70) - 35}
+		if xs[0] > math.MinInt64 {
+			lits = append(lits, xs[0]-1)
+		}
+		if xs[n-1] < math.MaxInt64 {
+			lits = append(lits, xs[n-1]+1)
+		}
+		lo := rng.Intn(n)
+		hi := lo + 1 + rng.Intn(n-lo)
+		run := identityRows(lo, hi)
+		var sparse []int
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) > 0 {
+				sparse = append(sparse, i)
+			}
+		}
+		b := &Batch{N: n, Cols: []*Vector{{Kind: expr.KindInt, I: xs, Sorted: true}}}
+		for _, op := range ops {
+			for _, lit := range lits {
+				want := keepIntLit(xs, nil, op, lit, run, nil)
+				if got := keepSortedIntLit(xs, op, lit, run, nil); !slices.Equal(got, want) {
+					t.Fatalf("%v %s %d over [%d, %d): kept %v, want %v", xs, op, lit, lo, hi, got, want)
+				}
+				inPlace := slices.Clone(run)
+				if got := keepSortedIntLit(xs, op, lit, inPlace, inPlace[:0]); !slices.Equal(got, want) {
+					t.Fatalf("%v %s %d over [%d, %d) in place: kept %v, want %v", xs, op, lit, lo, hi, got, want)
+				}
+				c := cmpSel{r: -1, op: op, lit: expr.Int(lit)}
+				for _, sel := range [][]int{run, sparse} {
+					want := keepIntLit(xs, nil, op, lit, sel, nil)
+					got, err := c.keep(b, sel, nil)
+					if err != nil || !slices.Equal(got, want) {
+						t.Fatalf("%v %s %d over %v: cmpSel kept %v (%v), want %v", xs, op, lit, sel, got, err, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func identityRows(lo, hi int) []int {
+	rows := make([]int, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		rows = append(rows, i)
+	}
+	return rows
+}
+
+// runsFixture builds the table "runs" whose column a takes each kind of
+// chunk the sorted leaf must tell apart: a sorted sealed chunk with
+// duplicates, a sorted chunk holding one NULL, a descending chunk and an
+// unsorted tail. id is the row number, so a leaf on it hands a on
+// contiguous selections that start mid-batch.
+func runsFixture(tb testing.TB) *table.Catalog {
+	tb.Helper()
+	old := table.DefaultChunkRows
+	table.DefaultChunkRows = 128
+	defer func() { table.DefaultChunkRows = old }()
+	cat := table.NewCatalog()
+	schema, err := table.NewSchema(
+		table.ColumnDef{Name: "id", Type: storage.TypeInt64},
+		table.ColumnDef{Name: "a", Type: storage.TypeInt64},
+	)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	runs, err := cat.Create("runs", schema)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	rows := make([][]expr.Value, 3*128+50)
+	for i := range rows {
+		var a expr.Value
+		switch j := i % 128; i / 128 {
+		case 0:
+			a = expr.Int(int64(j / 3))
+		case 1:
+			a = expr.Int(int64(j / 2))
+			if j == 40 {
+				a = expr.Null()
+			}
+		case 2:
+			a = expr.Int(int64(127 - j))
+		default:
+			a = expr.Int(rng.Int63n(100))
+		}
+		rows[i] = []expr.Value{expr.Int(int64(i)), a}
+	}
+	if n, err := runs.AppendRows(rows); err != nil || n != len(rows) {
+		tb.Fatalf("append: %d, %v", n, err)
+	}
+	return cat
+}
+
+// TestSortedRunsMatchReference filters every kind of chunk of runsFixture
+// against the row reference at pools 1 and 3.
+func TestSortedRunsMatchReference(t *testing.T) {
+	cat := runsFixture(t)
+	tb, err := cat.Lookup("runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := tb.Chunks()
+	var sorted []bool
+	for k := 0; k < v.NumChunks(); k++ {
+		sorted = append(sorted, v.Sorted(k, 1))
+	}
+	if !slices.Equal(sorted, []bool{true, false, false, false}) {
+		t.Fatalf("chunks of a report sorted %v, want only the first", sorted)
+	}
+	for _, where := range []string{
+		"a = 20", "a <> 20", "a < 20", "a <= 20", "a > 20", "a >= 20",
+		"a >= 10 AND a < 40", "a < -1", "a > 200", "a <= 127", "a >= 0",
+		"id >= 5 AND a < 30", "id > 200 AND id < 300 AND a = 50",
+		"id < 100 AND a <> 12", "20 > a OR a = 100",
+		"id % 2 = 0 AND a < 30", "a IS NULL OR a = 7",
+	} {
+		filterAgrees(t, cat, "SELECT id, a FROM runs WHERE "+where, 1, 3)
+	}
+}
+
 // TestSelectionChainsTypedAnd pins the shape of the selection tree: an AND
 // chains when its right side is all typed leaves, and is one generic leaf
 // otherwise; OR always chains.
@@ -262,6 +428,13 @@ func FuzzFilterMatchesReference(f *testing.F) {
 		"\x06\x05\x00\x01\x02\x03\x00\x04\x05",
 		"\x04\x01\x02\x02\x03\x00\x07\x03\x01",
 		"\x03\x01\x04\x02\x00\x0b\x05",
+		// Leaves on id, a sorted run in every sealed chunk.
+		"\x00\x01\x00\x0b",                     // id = 100
+		"\x00\x0b\x04\x01",                     // 100 > id
+		"\x04\x00\x01\x05\x0b\x00\x01\x02\x0d", // id >= 100 AND id < 9007199254740993
+		"\x05\x00\x01\x01\x0b\x00\x0c\x00\x01", // id <> 100 OR -3 = id
+		"\x04\x00\x01\x03\x08\x00\x01\x04\x0c", // id <= 1 AND id > -3
+		"\x04\x00\x00\x02\x0b\x00\x01\x05\x11", // k < 100 AND id >= k + 1
 	} {
 		f.Add([]byte(seed))
 	}

@@ -10,18 +10,22 @@ import (
 
 // VecHashAggregate is the vectorized hash aggregate. Group keys and aggregate
 // arguments are evaluated once per batch through compiled kernels (no
-// per-row expression trees, no per-identifier map lookups) and folded into
-// the same aggState machinery as the row reference. It runs in two phases:
-// every worker of the pool folds its morsels into a private partial-aggregate
-// table (no locks on the data path), then a single merge recombines the
-// partial states — COUNT/SUM/AVG additively, MIN/MAX by comparison,
-// VAR/STDDEV through the Welford combination — preserving SQL NULL semantics
-// (aggregates skip NULLs; empty inputs yield NULL, except COUNT). Groups are
-// emitted in the order an in-order scan first sees them, tracked as the
-// minimum (morsel, row-within-morsel) position across workers, so output
-// order does not depend on the pool size. Worker 0 is the caller itself, so a
-// pool of one starts no goroutine and has nothing to recombine. Output
-// columns are "$grp0…" followed by "$agg0…", like HashAggregate.
+// per-row expression trees, no per-identifier map lookups). Each batch maps
+// its rows to dense group ids, then folds one aggregate at a time into that
+// aggregate's state column indexed by id: typed count and sum columns for
+// COUNT/SUM/AVG, aggState columns under the row reference's rules for the
+// rest. It runs in two phases: every worker of the pool folds its morsels
+// into a private partial-aggregate table (no locks on the data path) and
+// publishes its columns into its groups' states, then a single merge
+// recombines the partial states — COUNT/SUM/AVG additively, MIN/MAX by
+// comparison, VAR/STDDEV through the Welford combination — preserving SQL
+// NULL semantics (aggregates skip NULLs; empty inputs yield NULL, except
+// COUNT). Groups are emitted in the order an in-order scan first sees them,
+// tracked as the minimum (morsel, row-within-morsel) position across
+// workers, so output order does not depend on the pool size. Worker 0 is
+// the caller itself, so a pool of one starts no goroutine and has nothing
+// to recombine. Output columns are "$grp0…" followed by "$agg0…", like
+// HashAggregate.
 type VecHashAggregate struct {
 	pipeSet
 	GroupExprs []expr.Expr
@@ -58,7 +62,9 @@ func (h *VecHashAggregate) aggregate() error {
 			return partialErr{err: err}
 		}
 		partials[w] = pa
-		return h.drain(h.pipes[w], pa.fold)
+		perr := h.drain(h.pipes[w], pa.fold)
+		pa.publish()
+		return perr
 	})
 	if err != nil {
 		return err
@@ -137,6 +143,8 @@ func (h *VecHashAggregate) Close() error {
 
 // partialGroup is one group's partial state plus the earliest input
 // position any of its rows was seen at (for deterministic output order).
+// Its states are filled from the partial table's state columns once the
+// worker has folded its last morsel (partialAgg.publish).
 type partialGroup struct {
 	aggGroup
 	keyStr      string
@@ -144,16 +152,19 @@ type partialGroup struct {
 }
 
 // partialAgg is one worker's aggregation state: compiled kernels plus the
-// group table it folds morsels into.
+// group table it folds morsels into. A group is known by its dense id, its
+// index in order; each aggregate keeps its state for every group in one
+// column indexed by that id.
 type partialAgg struct {
 	aggs       []AggSpec
 	groupKerns []kernelFn
 	argKerns   []kernelFn
-	index      map[string]*partialGroup
+	index      map[string]int32
 	order      []*partialGroup
+	cols       []aggColumn
 	keyVecs    []*Vector
 	argVecs    []*Vector
-	grps       []*aggGroup // the group of each row of the batch being folded
+	ids        []int32 // the group id of each row of the batch being folded
 	kb         []byte
 	ints       intGroups
 }
@@ -163,12 +174,13 @@ func newPartialAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string) (*part
 		aggs:       aggs,
 		groupKerns: make([]kernelFn, len(groupExprs)),
 		argKerns:   make([]kernelFn, len(aggs)),
-		index:      map[string]*partialGroup{},
+		index:      map[string]int32{},
+		cols:       make([]aggColumn, len(aggs)),
 		keyVecs:    make([]*Vector, len(groupExprs)),
 		argVecs:    make([]*Vector, len(aggs)),
 	}
 	if len(groupExprs) > 0 {
-		pa.grps = make([]*aggGroup, 0, BatchSize)
+		pa.ids = make([]int32, 0, BatchSize)
 	}
 	if err := compileAgg(groupExprs, aggs, cols, pa.groupKerns, pa.argKerns); err != nil {
 		return nil, err
@@ -205,7 +217,8 @@ func compileAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string, groupKern
 }
 
 // fold accumulates one batch. morsel and rowBase locate the batch's first
-// selected row in the input order.
+// selected row in the input order. It maps the rows to their groups' ids
+// first, then folds one aggregate at a time into its state column.
 func (pa *partialAgg) fold(b *Batch, sel []int, morsel, rowBase int64) error {
 	for i, k := range pa.groupKerns {
 		v, err := k(b, sel)
@@ -224,107 +237,139 @@ func (pa *partialAgg) fold(b *Batch, sel []int, morsel, rowBase int64) error {
 		}
 		pa.argVecs[i] = v
 	}
-	if len(pa.groupKerns) == 0 {
-		// Global aggregation: every row folds into the one group.
-		if len(pa.order) == 0 {
-			grp := &partialGroup{morsel: morsel, row: rowBase}
-			grp.states = make([]aggState, len(pa.aggs))
-			pa.order = append(pa.order, grp)
+	ids := pa.groupIDs(sel, morsel, rowBase)
+	for a, spec := range pa.aggs {
+		if err := pa.cols[a].fold(spec, pa.argVecs[a], ids, sel); err != nil {
+			return fmt.Errorf("exec: aggregate: %w", err)
 		}
-		return foldGlobal(pa.order[0].states, pa.aggs, pa.argVecs, sel)
+	}
+	return nil
+}
+
+// groupIDs maps row sel[pos] to its group's id, ids[pos], creating the
+// groups it has not seen. A global aggregate has one group, id 0, and
+// returns nil ids.
+func (pa *partialAgg) groupIDs(sel []int, morsel, rowBase int64) []int32 {
+	if len(pa.groupKerns) == 0 {
+		if len(pa.order) == 0 {
+			pa.newGroup(&partialGroup{morsel: morsel, row: rowBase})
+		}
+		return nil
 	}
 	var ints *Vector
 	if len(pa.keyVecs) == 1 && pa.keyVecs[0].Kind == expr.KindInt {
 		ints = pa.keyVecs[0]
 	}
-	grps := pa.grps[:0]
-	for pos, i := range sel {
-		var grp *partialGroup
-		indexed := ints != nil && (ints.Null == nil || !ints.Null[i])
-		if indexed {
-			grp = pa.ints.find(ints.I[i])
+	ids := pa.ids[:0]
+	if ints != nil && ints.Null == nil {
+		// A null-free integer key, the common case, has a loop of its own
+		// that tests no NULL mask.
+		for pos, i := range sel {
+			id, ok := pa.ints.find(ints.I[i])
+			if !ok {
+				id = pa.group(i, morsel, rowBase+int64(pos))
+				pa.ints.insert(ints.I[i], id)
+			}
+			ids = append(ids, id)
 		}
-		if grp == nil {
-			grp = pa.group(i, morsel, rowBase+int64(pos))
+		pa.ids = ids
+		return ids
+	}
+	for pos, i := range sel {
+		indexed := ints != nil && !ints.Null[i]
+		id, ok := int32(0), false
+		if indexed {
+			id, ok = pa.ints.find(ints.I[i])
+		}
+		if !ok {
+			id = pa.group(i, morsel, rowBase+int64(pos))
 			if indexed {
-				pa.ints.insert(ints.I[i], grp)
+				pa.ints.insert(ints.I[i], id)
 			}
 		}
-		grps = append(grps, &grp.aggGroup)
+		ids = append(ids, id)
 	}
-	pa.grps = grps
-	return foldAggArgs(grps, pa.aggs, pa.argVecs, sel)
+	pa.ids = ids
+	return ids
 }
 
-// intGroups caches the groups of a single integer key column by value,
-// ahead of the rendered-key index: open addressing over parallel keys and
-// vals slices, a power-of-two size, linear probing and a multiplicative
-// hash. A nil val marks an empty slot.
+// intGroups caches the group ids of a single integer key column by value,
+// ahead of the rendered-key index: open addressing over one slice of
+// key/id slots, a power-of-two size, linear probing and a multiplicative
+// hash.
 type intGroups struct {
-	keys  []int64
-	vals  []*partialGroup
-	shift uint // 64 − log2(len(keys))
+	slots []intSlot
+	shift uint // 64 − log2(len(slots))
 	n     int
+}
+
+// intSlot holds a key and its group's id+1; an id of 0 marks an empty slot.
+type intSlot struct {
+	key int64
+	id  int32
 }
 
 func (t *intGroups) slot(k int64) int {
 	return int(uint64(k) * 0x9e3779b97f4a7c15 >> t.shift)
 }
 
-// find returns the group of key k, or nil.
-func (t *intGroups) find(k int64) *partialGroup {
+// find returns the group id of key k, if it has one.
+func (t *intGroups) find(k int64) (int32, bool) {
 	if t.n == 0 {
-		return nil
+		return 0, false
 	}
-	mask := len(t.keys) - 1
-	for s := t.slot(k); t.vals[s] != nil; s = (s + 1) & mask {
-		if t.keys[s] == k {
-			return t.vals[s]
+	mask := len(t.slots) - 1
+	for s := t.slot(k); ; s = (s + 1) & mask {
+		sl := &t.slots[s]
+		if sl.key == k && sl.id != 0 {
+			return sl.id - 1, true
+		}
+		if sl.id == 0 {
+			return 0, false
 		}
 	}
-	return nil
 }
 
 // insert adds key k, which is absent, growing the table to keep it at
 // most half full.
-func (t *intGroups) insert(k int64, g *partialGroup) {
-	if 2*(t.n+1) > len(t.keys) {
+func (t *intGroups) insert(k int64, id int32) {
+	if 2*(t.n+1) > len(t.slots) {
 		t.grow()
 	}
-	mask := len(t.keys) - 1
+	mask := len(t.slots) - 1
 	s := t.slot(k)
-	for t.vals[s] != nil {
+	for t.slots[s].id != 0 {
 		s = (s + 1) & mask
 	}
-	t.keys[s], t.vals[s] = k, g
+	t.slots[s] = intSlot{key: k, id: id + 1}
 	t.n++
 }
 
 func (t *intGroups) grow() {
-	keys, vals := t.keys, t.vals
-	size := 2 * len(keys)
+	old := t.slots
+	size := 2 * len(old)
 	if size == 0 {
 		size = 64
 	}
-	t.keys, t.vals, t.n = make([]int64, size), make([]*partialGroup, size), 0
+	t.slots, t.n = make([]intSlot, size), 0
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
-	for s, g := range vals {
-		if g != nil {
-			t.insert(keys[s], g)
+	for _, sl := range old {
+		if sl.id != 0 {
+			t.insert(sl.key, sl.id-1)
 		}
 	}
 }
 
 // group finds or creates the group of row i by its rendered key, the
-// group's identity across key kinds and workers.
-func (pa *partialAgg) group(i int, morsel, row int64) *partialGroup {
+// group's identity across key kinds and workers, and returns its id.
+func (pa *partialAgg) group(i int, morsel, row int64) int32 {
 	kb := pa.kb[:0]
 	for _, kv := range pa.keyVecs {
 		kb = appendGroupKey(kb, kv.Value(i))
 	}
 	pa.kb = kb
-	if grp, ok := pa.index[string(kb)]; ok {
-		return grp
+	if id, ok := pa.index[string(kb)]; ok {
+		return id
 	}
 	key := make([]expr.Value, len(pa.keyVecs))
 	for j, kv := range pa.keyVecs {
@@ -332,85 +377,153 @@ func (pa *partialAgg) group(i int, morsel, row int64) *partialGroup {
 	}
 	grp := &partialGroup{keyStr: string(kb), morsel: morsel, row: row}
 	grp.key = key
-	grp.states = make([]aggState, len(pa.aggs))
-	pa.index[grp.keyStr] = grp
+	id := pa.newGroup(grp)
+	pa.index[grp.keyStr] = id
+	return id
+}
+
+// newGroup appends grp to the table, with an empty state in every
+// aggregate's column, and returns its id.
+func (pa *partialAgg) newGroup(grp *partialGroup) int32 {
 	pa.order = append(pa.order, grp)
-	return grp
+	for a := range pa.cols {
+		pa.cols[a].grow(pa.aggs[a].Kind)
+	}
+	return int32(len(pa.order) - 1)
 }
 
-// foldAggArgs folds a batch's aggregate argument vectors into the states
-// of the rows' groups, grps[pos] for row sel[pos], one aggregate at a time.
-// COUNT/SUM/AVG/VAR/STDDEV read float and int vectors directly; MIN/MAX and
-// arguments of other kinds take the boxed update.
-func foldAggArgs(grps []*aggGroup, aggs []AggSpec, argVecs []*Vector, sel []int) error {
-	for a, spec := range aggs {
-		v := argVecs[a]
-		switch {
-		case spec.Arg == nil: // COUNT(*)
-			for _, g := range grps {
-				g.states[a].count++
+// publish copies the state columns into the groups' states, which share
+// one backing array; merge and emission read them there.
+func (pa *partialAgg) publish() {
+	n := len(pa.aggs)
+	states := make([]aggState, len(pa.order)*n)
+	for g, grp := range pa.order {
+		grp.states = states[g*n : (g+1)*n : (g+1)*n]
+		for a := range pa.cols {
+			grp.states[a] = pa.cols[a].state(g)
+		}
+	}
+}
+
+// aggColumn is one aggregate's state for every group of a partial table,
+// indexed by group id. COUNT, SUM and AVG keep typed count and sum
+// columns, which are all their final values and merges read; VAR, STDDEV,
+// MIN and MAX keep whole states.
+type aggColumn struct {
+	count  []int64
+	sum    []float64
+	states []aggState
+}
+
+// countSum reports whether an aggregate keeps count and sum columns.
+func countSum(k AggKind) bool { return k == AggCount || k == AggSum || k == AggAvg }
+
+// grow adds an empty state for a new group.
+func (c *aggColumn) grow(kind AggKind) {
+	if countSum(kind) {
+		c.count, c.sum = append(c.count, 0), append(c.sum, 0)
+		return
+	}
+	c.states = append(c.states, aggState{})
+}
+
+// state returns group g's state.
+func (c *aggColumn) state(g int) aggState {
+	if c.states != nil {
+		return c.states[g]
+	}
+	return aggState{count: c.count[g], sum: c.sum[g]}
+}
+
+// groupOf is the id of row sel[pos]: ids[pos], or 0 for a global
+// aggregate's nil ids.
+func groupOf(ids []int32, pos int) int32 {
+	if ids == nil {
+		return 0
+	}
+	return ids[pos]
+}
+
+// fold folds a batch's argument vector v into the states of the rows'
+// groups, ids[pos] for row sel[pos], as update would. Each group adds its
+// values in sel order, so a sum is bit-identical to update's. Float and
+// int arguments of COUNT, SUM, AVG, VAR and STDDEV are read typed; every
+// other argument is boxed.
+func (c *aggColumn) fold(spec AggSpec, v *Vector, ids []int32, sel []int) error {
+	switch {
+	case spec.Arg == nil: // COUNT(*)
+		if ids == nil {
+			c.count[0] += int64(len(sel))
+			return nil
+		}
+		for _, g := range ids {
+			c.count[g]++
+		}
+	case countSum(spec.Kind) && v.Kind == expr.KindFloat:
+		foldCountSum(c.count, c.sum, ids, v.F, v.Null, sel)
+	case countSum(spec.Kind) && v.Kind == expr.KindInt:
+		foldCountSum(c.count, c.sum, ids, v.I, v.Null, sel)
+	case countSum(spec.Kind):
+		for pos, i := range sel {
+			x := v.Value(i)
+			if x.IsNull() {
+				continue
 			}
-		case v.Kind == expr.KindFloat && isNumericAgg(spec.Kind):
-			for pos, i := range sel {
-				if v.Null == nil || !v.Null[i] {
-					grps[pos].states[a].addFloat(spec.Kind, v.F[i])
+			g := groupOf(ids, pos)
+			if spec.Kind != AggCount {
+				f, err := x.AsFloat()
+				if err != nil {
+					return err
 				}
+				c.sum[g] += f
 			}
-		case v.Kind == expr.KindInt && isNumericAgg(spec.Kind):
-			for pos, i := range sel {
-				if v.Null == nil || !v.Null[i] {
-					grps[pos].states[a].addFloat(spec.Kind, float64(v.I[i]))
-				}
+			c.count[g]++
+		}
+	case v.Kind == expr.KindFloat && isNumericAgg(spec.Kind):
+		for pos, i := range sel {
+			if v.Null == nil || !v.Null[i] {
+				c.states[groupOf(ids, pos)].addFloat(spec.Kind, v.F[i])
 			}
-		default:
-			for pos, i := range sel {
-				if err := grps[pos].states[a].update(spec.Kind, v.Value(i)); err != nil {
-					return fmt.Errorf("exec: aggregate: %w", err)
-				}
+		}
+	case v.Kind == expr.KindInt && isNumericAgg(spec.Kind):
+		for pos, i := range sel {
+			if v.Null == nil || !v.Null[i] {
+				c.states[groupOf(ids, pos)].addFloat(spec.Kind, float64(v.I[i]))
+			}
+		}
+	default:
+		for pos, i := range sel {
+			if err := c.states[groupOf(ids, pos)].update(spec.Kind, v.Value(i)); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
 }
 
-// foldGlobal folds a batch's aggregate argument vectors into the one group
-// of a global aggregate. COUNT(*) adds the row count; a null-free float or
-// int SUM/AVG keeps its running sum in a local, adding in sel order as
-// addFloat would, so the result is bit-identical; every other kind folds
-// through addFloat or update on the one state.
-func foldGlobal(states []aggState, aggs []AggSpec, argVecs []*Vector, sel []int) error {
-	for a, spec := range aggs {
-		st, v := &states[a], argVecs[a]
-		switch {
-		case spec.Arg == nil: // COUNT(*)
-			st.count += int64(len(sel))
-		case (spec.Kind == AggSum || spec.Kind == AggAvg) && v.Null == nil && v.Kind == expr.KindFloat:
-			st.sum = sumSel(v.F, sel, st.sum)
-			st.count += int64(len(sel))
-		case (spec.Kind == AggSum || spec.Kind == AggAvg) && v.Null == nil && v.Kind == expr.KindInt:
-			st.sum = sumSel(v.I, sel, st.sum)
-			st.count += int64(len(sel))
-		case v.Kind == expr.KindFloat && isNumericAgg(spec.Kind):
-			for _, i := range sel {
-				if v.Null == nil || !v.Null[i] {
-					st.addFloat(spec.Kind, v.F[i])
-				}
-			}
-		case v.Kind == expr.KindInt && isNumericAgg(spec.Kind):
-			for _, i := range sel {
-				if v.Null == nil || !v.Null[i] {
-					st.addFloat(spec.Kind, float64(v.I[i]))
-				}
-			}
-		default:
-			for _, i := range sel {
-				if err := st.update(spec.Kind, v.Value(i)); err != nil {
-					return fmt.Errorf("exec: aggregate: %w", err)
-				}
+// foldCountSum counts the non-NULL xs[i] of sel into their groups and adds
+// them to the groups' sums. With nil ids every row is group 0's, and a
+// null-free batch keeps its running sum in a local.
+func foldCountSum[T int64 | float64](count []int64, sum []float64, ids []int32, xs []T, nulls []bool, sel []int) {
+	switch {
+	case ids == nil && nulls == nil:
+		sum[0] = sumSel(xs, sel, sum[0])
+		count[0] += int64(len(sel))
+	case nulls == nil:
+		for pos, i := range sel {
+			g := ids[pos]
+			count[g]++
+			sum[g] += float64(xs[i])
+		}
+	default:
+		for pos, i := range sel {
+			if !nulls[i] {
+				g := groupOf(ids, pos)
+				count[g]++
+				sum[g] += float64(xs[i])
 			}
 		}
 	}
-	return nil
 }
 
 // sumSel adds xs[i] for i in sel to s, in sel order.

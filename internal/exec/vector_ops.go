@@ -83,6 +83,8 @@ type vecColSrc struct {
 	dict  []string
 	bools *storage.Bitmap
 	nulls *storage.Bitmap
+
+	sorted bool // the chunk's ZoneMap.Sorted
 }
 
 // vecMorselScan is the vectorized table scan, one per worker: it claims
@@ -250,7 +252,7 @@ func (w *colWindow) window(src []vecColSrc, lo, hi int) *Batch {
 		switch sc.kind {
 		case expr.KindInt:
 			v.I = sc.i64[lo:hi]
-			v.Stable = true
+			v.Stable, v.Sorted = true, sc.sorted
 		case expr.KindFloat:
 			v.F = sc.f64[lo:hi]
 			v.Stable = true

@@ -116,9 +116,13 @@ func evalBinary(n *Binary, env Env) (Value, error) {
 		}
 		if r.IsNull() || l.IsNull() {
 			// FALSE AND NULL = FALSE handled above; remaining combinations
-			// involving NULL are NULL.
+			// involving NULL are NULL. A right operand that is no truth
+			// value fails here as it does against a non-NULL left one.
 			if !r.IsNull() {
-				rb, _ := r.AsBool()
+				rb, err := r.AsBool()
+				if err != nil {
+					return Value{}, err
+				}
 				if n.Op == OpAnd && !rb {
 					return Bool(false), nil
 				}

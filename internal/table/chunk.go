@@ -19,11 +19,13 @@ var DefaultChunkRows = 16 * 1024
 // min/max over the non-NULL, non-NaN values plus the NULL count. HasBounds
 // is false for non-numeric columns and for chunks whose column holds no
 // finite-comparable value — such chunks can never satisfy a range predicate
-// on the column.
+// on the column. Sorted says the column is BIGINT, holds no NULL and never
+// decreases, so a scan may answer a range over it by binary search.
 type ZoneMap struct {
 	Min, Max  float64
 	Nulls     int
 	HasBounds bool
+	Sorted    bool
 }
 
 // Chunk is an immutable sealed run of rows stored column-encoded: one
@@ -116,10 +118,15 @@ func zoneOf(c storage.Column, n int) ZoneMap {
 	}
 	switch col := c.(type) {
 	case *storage.Int64Column:
+		z.Sorted = true
 		for i := 0; i < n; i++ {
 			if col.Nulls.Get(i) {
 				z.Nulls++
+				z.Sorted = false
 				continue
+			}
+			if i > 0 && col.Vals[i] < col.Vals[i-1] {
+				z.Sorted = false
 			}
 			// int64 → float64 loses precision beyond 2^53; widen the bounds
 			// outward so the zone still over-approximates the true range.
@@ -346,6 +353,12 @@ func (v *ChunkView) NumChunks() int {
 
 // NumSealed counts only the sealed chunks.
 func (v *ChunkView) NumSealed() int { return len(v.sealed) }
+
+// Sorted reports whether column i of chunk k is a sorted run (see
+// ZoneMap.Sorted). The tail keeps no zone map, so it is never sorted.
+func (v *ChunkView) Sorted(k, i int) bool {
+	return k < len(v.sealed) && v.sealed[k].zones[i].Sorted
+}
 
 // ChunkLen returns the row count of chunk k.
 func (v *ChunkView) ChunkLen(k int) int {

@@ -186,6 +186,72 @@ func TestZoneMapSurvivors(t *testing.T) {
 	}
 }
 
+// TestZoneMapSorted: Sorted holds exactly for the BIGINT chunks that never
+// decrease and hold no NULL, comes back the same from a snapshot, and is
+// never reported for the tail.
+func TestZoneMapSorted(t *testing.T) {
+	withChunkRows(t, 8)
+	schema, err := NewSchema(
+		ColumnDef{Name: "up", Type: storage.TypeInt64},   // non-decreasing, with ties
+		ColumnDef{Name: "dip", Type: storage.TypeInt64},  // one decrease, in chunk 1
+		ColumnDef{Name: "hole", Type: storage.TypeInt64}, // one NULL, in chunk 2
+		ColumnDef{Name: "f", Type: storage.TypeFloat64},
+		ColumnDef{Name: "s", Type: storage.TypeString},
+		ColumnDef{Name: "b", Type: storage.TypeBool},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := New("zs", schema)
+	rows := make([][]expr.Value, 3*8+3) // three sealed chunks and a tail
+	for i := range rows {
+		dip, hole := expr.Int(int64(i)), expr.Int(int64(i))
+		if i == 12 {
+			dip = expr.Int(0)
+		}
+		if i == 20 {
+			hole = expr.Null()
+		}
+		rows[i] = []expr.Value{expr.Int(int64(i / 3)), dip, hole, expr.Float(float64(i)), expr.Str("s"), expr.Bool(true)}
+	}
+	if _, err := tb.AppendRows(rows); err != nil {
+		t.Fatal(err)
+	}
+	want := [][]bool{ // [chunk][column]
+		{true, true, true, false, false, false},
+		{true, false, true, false, false, false},
+		{true, true, false, false, false, false},
+		{false, false, false, false, false, false}, // the tail
+	}
+	check := func(label string, tb *Table) {
+		t.Helper()
+		v := tb.Chunks()
+		if v.NumChunks() != len(want) {
+			t.Fatalf("%s: %d chunks, want %d", label, v.NumChunks(), len(want))
+		}
+		for k := range want {
+			for i, w := range want[k] {
+				if got := v.Sorted(k, i); got != w {
+					t.Errorf("%s: chunk %d column %s: Sorted %v, want %v", label, k, schema.Cols[i].Name, got, w)
+				}
+				if k < v.NumSealed() && v.sealed[k].Zone(i).Sorted != w {
+					t.Errorf("%s: chunk %d column %s: zone map disagrees with the view", label, k, schema.Cols[i].Name)
+				}
+			}
+		}
+	}
+	check("sealed", tb)
+	var buf bytes.Buffer
+	if err := WriteBinary(tb, &buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("loaded", back)
+}
+
 // TestZoneMapNullChunk: a chunk whose column is entirely NULL (or NaN) has
 // no bounds and is pruned by any range predicate — NULL never satisfies a
 // comparison.
