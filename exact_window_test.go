@@ -22,13 +22,16 @@ import (
 // The GROUP BY's count depends on scheduling: each worker that folds a
 // morsel builds its own 1,000 groups (≈ 3 allocations each) for the merge.
 // Its budget sits 20 % above the count when both workers do so in every
-// run (≈ 7,370; ≈ 4,280 when one worker folds every morsel).
+// run (≈ 7,370; ≈ 4,280 when one worker folds every morsel). The GROUP BY
+// of MIN, MAX and VAR, whose typed state columns allocate nothing per row
+// either, is budgeted the same way (≈ 7,450; ≈ 4,340).
 const (
 	windowJoinAllocBudget     = 1620
 	windowTopKAllocBudget     = 210
 	windowRangeAggAllocBudget = 210
 	pointFilterAllocBudget    = 110
 	groupByAllocBudget        = 8850
+	groupByExtAllocBudget     = 8950
 )
 
 // windowFixture loads t(a, g, v) with a the row number and g a key into the
@@ -103,6 +106,7 @@ const (
 
 	windowRangeAgg = "SELECT count(*), avg(v) FROM t WHERE a >= ? AND a < ?"
 	groupBy        = "SELECT g, count(*), avg(v) FROM t GROUP BY g"
+	groupByExt     = "SELECT g, min(v), max(a), var(v) FROM t GROUP BY g"
 	pointFilter    = "SELECT v FROM t WHERE a = ?"
 )
 
@@ -124,6 +128,10 @@ func TestPointFilterAllocBudget(t *testing.T) {
 
 func TestGroupByAllocBudget(t *testing.T) {
 	checkStmtAllocs(t, groupBy, nil, 1000, groupByAllocBudget)
+}
+
+func TestGroupByExtremesAllocBudget(t *testing.T) {
+	checkStmtAllocs(t, groupByExt, nil, 1000, groupByExtAllocBudget)
 }
 
 // TestWindowPlans pins where the window join and top-k run: as one gathered

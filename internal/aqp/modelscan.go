@@ -2,10 +2,8 @@ package aqp
 
 import (
 	"fmt"
-	"math"
 
 	"datalaws/internal/modelstore"
-	"datalaws/internal/stats"
 )
 
 // ModelScan is the paper's zero-IO scan (§4.1): a plan node that
@@ -89,32 +87,6 @@ func (s *ModelScan) orderKeys() []int64 {
 	return s.Model.Order
 }
 
-// predictionInterval computes the delta-method prediction interval from the
-// stored per-group covariance — the "error bounds" annotation of Figure 2
-// step 5. grad is caller-owned scratch (one per concurrent scan).
-func (s *ModelScan) predictionInterval(g *modelstore.GroupParams, inputs []float64, yhat float64, grad []float64) (lo, hi float64) {
-	if g.Cov == nil || g.DF <= 0 {
-		return math.Inf(-1), math.Inf(1)
-	}
-	m := s.Model.Model
-	m.Grad(g.Params, inputs, grad)
-	var v float64
-	for i := range grad {
-		for j := range grad {
-			v += grad[i] * g.Cov[i][j] * grad[j]
-		}
-	}
-	if v < 0 {
-		v = 0
-	}
-	se := math.Sqrt(v + g.ResidualSE*g.ResidualSE)
-	if s.SEInflation > 1 {
-		se *= s.SEInflation
-	}
-	tcrit := stats.StudentT{Nu: float64(g.DF)}.Quantile(0.5 + s.Level/2)
-	return yhat - tcrit*se, yhat + tcrit*se
-}
-
 // PointLookup answers the paper's first example query — a point query on
 // (group, inputs) — directly from the parameter table: one hash lookup and
 // one model evaluation, no scan at all.
@@ -133,26 +105,8 @@ func PointLookupScaled(m *modelstore.CapturedModel, group int64, inputs []float6
 		return 0, 0, 0, fmt.Errorf("aqp: %d inputs, model has %d", len(inputs), len(m.Model.Inputs))
 	}
 	yhat := m.Model.Eval(g.Params, inputs)
-	if g.Cov == nil || g.DF <= 0 {
-		return yhat, math.Inf(-1), math.Inf(1), nil
-	}
-	grad := make([]float64, len(g.Params))
-	m.Model.Grad(g.Params, inputs, grad)
-	var v float64
-	for i := range grad {
-		for j := range grad {
-			v += grad[i] * g.Cov[i][j] * grad[j]
-		}
-	}
-	if v < 0 {
-		v = 0
-	}
-	se := math.Sqrt(v + g.ResidualSE*g.ResidualSE)
-	if inflate > 1 {
-		se *= inflate
-	}
-	tcrit := stats.StudentT{Nu: float64(g.DF)}.Quantile(0.5 + level/2)
-	return yhat, yhat - tcrit*se, yhat + tcrit*se, nil
+	lo, hi = m.Model.Interval(g.Params, g.Cov, g.ResidualSE, g.DF, inputs, yhat, level, inflate, make([]float64, len(g.Params)))
+	return yhat, lo, hi, nil
 }
 
 // ExplainInfo implements the executor's Explainer so EXPLAIN renders the

@@ -259,8 +259,8 @@ func (v *vecModelScan) NextBatch() (*exec.Batch, error) {
 			for j := range v.inputBuf {
 				v.inputs[j] = v.inputBuf[j][i]
 			}
-			lo, hi := s.predictionInterval(v.grpBuf[i], v.inputs, v.yhat[i], v.grad)
-			v.lo[i], v.hi[i] = lo, hi
+			g := v.grpBuf[i]
+			v.lo[i], v.hi[i] = s.Model.Model.Interval(g.Params, g.Cov, g.ResidualSE, g.DF, v.inputs, v.yhat[i], s.Level, s.SEInflation, v.grad)
 		}
 		cols = append(cols,
 			&exec.Vector{Kind: expr.KindFloat, F: v.lo[:n]},

@@ -53,19 +53,20 @@ type AggSpec struct {
 	Arg  expr.Expr
 }
 
-// aggState is one aggregate's running state for one group. count and sum
-// serve COUNT/SUM/AVG; the Welford mean and m2 are kept only for
-// VAR/STDDEV, the only aggregates whose final value reads them.
+// aggState is one aggregate's state for one group: what the row reference
+// folds a row at a time (update), what the pipeline's state columns
+// publish (aggColumn.state), and what partial states merge into. count
+// and sum serve COUNT/SUM/AVG; the Welford count, mean and m2 serve
+// VAR/STDDEV; ext is MIN's or MAX's value so far, NULL before the first.
 type aggState struct {
 	count int64
 	sum   float64
 	mean  float64
 	m2    float64
-	min   expr.Value
-	max   expr.Value
-	seen  bool
+	ext   expr.Value
 }
 
+// update is the row reference's fold of one argument value.
 func (st *aggState) update(kind AggKind, v expr.Value) error {
 	if v.IsNull() {
 		return nil // SQL aggregates skip NULLs
@@ -73,27 +74,40 @@ func (st *aggState) update(kind AggKind, v expr.Value) error {
 	switch kind {
 	case AggCount:
 		st.count++
-	case AggSum, AggAvg, AggVar, AggStdDev:
+	case AggMin, AggMax:
+		return foldExt(&st.ext, v, extDir(kind))
+	default:
 		f, err := v.AsFloat()
 		if err != nil {
 			return err
 		}
-		st.addFloat(kind, f)
-	case AggMin:
-		return st.fold(&st.min, v, -1)
-	case AggMax:
-		return st.fold(&st.max, v, 1)
+		st.count++
+		st.sum += f
+		if kind == AggVar || kind == AggStdDev {
+			d := f - st.mean
+			st.mean += d / float64(st.count)
+			st.m2 += d * (f - st.mean)
+		}
 	}
 	return nil
 }
 
-// fold replaces *cur, the running MIN (dir −1) or MAX (dir 1), with v when
-// v orders on dir's side of it. Ties under expr.Compare break by one rule,
-// so the answer does not depend on the order values fold or partials
-// merge: −0 orders below 0, so MIN keeps −0 and MAX keeps 0.
-func (st *aggState) fold(cur *expr.Value, v expr.Value, dir int) error {
-	if !st.seen {
-		*cur, st.seen = v, true
+// extDir is the side MIN (−1) or MAX (1) keeps.
+func extDir(kind AggKind) int {
+	if kind == AggMin {
+		return -1
+	}
+	return 1
+}
+
+// foldExt replaces *cur, the running MIN (dir −1) or MAX (dir 1), with v
+// when *cur is NULL or v orders on dir's side of it. Ties under
+// expr.Compare break by one rule, so the answer does not depend on the
+// order values fold or partials merge: −0 orders below 0, so MIN keeps −0
+// and MAX keeps 0. The typed loops of aggColumn.foldExt keep the same rule.
+func foldExt(cur *expr.Value, v expr.Value, dir int) error {
+	if cur.IsNull() {
+		*cur = v
 		return nil
 	}
 	c, err := expr.Compare(v, *cur)
@@ -116,28 +130,12 @@ func (st *aggState) fold(cur *expr.Value, v expr.Value, dir int) error {
 
 func negZero(v expr.Value) bool { return v.K == expr.KindFloat && v.F == 0 && math.Signbit(v.F) }
 
-// addFloat is update for a known-numeric non-NULL argument: the vectorized
-// aggregate calls it with raw floats, skipping the boxing and coercion of
-// the generic path. Only valid for COUNT/SUM/AVG/VAR/STDDEV.
-func (st *aggState) addFloat(kind AggKind, f float64) {
-	st.count++
-	if kind == AggCount {
-		return
-	}
-	st.sum += f
-	if kind == AggVar || kind == AggStdDev {
-		d := f - st.mean
-		st.mean += d / float64(st.count)
-		st.m2 += d * (f - st.mean)
-	}
-}
-
 // merge folds another partial state for the same group into st — the
 // recombination step of parallel aggregation. COUNT/SUM/AVG merge
-// additively, MIN/MAX by comparison under fold's tie rule, and VAR/STDDEV
-// through the two-sample Welford combination. Merging reassociates
-// floating-point addition, so SUM/AVG/VAR/STDDEV results can differ between
-// pool sizes in the last few ulps.
+// additively, MIN/MAX by comparison under foldExt's tie rule, and
+// VAR/STDDEV through the two-sample Welford combination. Merging
+// reassociates floating-point addition, so SUM/AVG/VAR/STDDEV results can
+// differ between pool sizes in the last few ulps.
 func (st *aggState) merge(o *aggState, kind AggKind) error {
 	switch kind {
 	case AggCount:
@@ -156,13 +154,9 @@ func (st *aggState) merge(o *aggState, kind AggKind) error {
 		st.mean += delta * nb / (na + nb)
 		st.sum += o.sum
 		st.count += o.count
-	case AggMin:
-		if o.seen {
-			return st.fold(&st.min, o.min, -1)
-		}
-	case AggMax:
-		if o.seen {
-			return st.fold(&st.max, o.max, 1)
+	case AggMin, AggMax:
+		if !o.ext.IsNull() {
+			return foldExt(&st.ext, o.ext, extDir(kind))
 		}
 	}
 	return nil
@@ -182,16 +176,8 @@ func (st *aggState) final(kind AggKind) expr.Value {
 			return expr.Null()
 		}
 		return expr.Float(st.sum / float64(st.count))
-	case AggMin:
-		if !st.seen {
-			return expr.Null()
-		}
-		return st.min
-	case AggMax:
-		if !st.seen {
-			return expr.Null()
-		}
-		return st.max
+	case AggMin, AggMax:
+		return st.ext
 	case AggVar:
 		if st.count < 2 {
 			return expr.Null()

@@ -19,7 +19,8 @@ type kernelFn func(b *Batch, sel []int) (*Vector, error)
 // compileKernel lowers an expression into a vector kernel against the given
 // column layout. Identifiers and functions are resolved eagerly, so an
 // ambiguous or unknown column or an unknown function fails here — at plan
-// time — rather than on the first row, with the row evaluator's text.
+// time — rather than on the first row, with the row evaluator's text. A
+// boolean compiles to its selection tree (boolKernel).
 func compileKernel(e expr.Expr, cols []string) (kernelFn, error) {
 	switch n := e.(type) {
 	case *expr.Lit:
@@ -39,14 +40,24 @@ func compileKernel(e expr.Expr, cols []string) (kernelFn, error) {
 		if err != nil {
 			return nil, fmt.Errorf("expr: unknown identifier %q", n.Name)
 		}
+		if idx < len(columnKernels) {
+			return columnKernels[idx], nil
+		}
 		return func(b *Batch, _ []int) (*Vector, error) {
 			return b.Cols[idx], nil
 		}, nil
 	case *expr.Unary:
-		return compileUnaryKernel(n, cols)
+		if n.Op == expr.OpNot {
+			return boolKernel(e, cols)
+		}
+		return compileNegKernel(n, cols)
+	case *expr.IsNullExpr:
+		return boolKernel(e, cols)
 	case *expr.Binary:
-		if n.Op == expr.OpAnd || n.Op == expr.OpOr {
-			return compileLogicalKernel(n, cols)
+		switch n.Op {
+		case expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpDiv, expr.OpMod, expr.OpPow:
+		default:
+			return boolKernel(e, cols)
 		}
 		lk, err := compileKernel(n.L, cols)
 		if err != nil {
@@ -70,26 +81,18 @@ func compileKernel(e expr.Expr, cols []string) (kernelFn, error) {
 		}, nil
 	case *expr.Call:
 		return compileCallKernel(n, cols)
-	case *expr.IsNullExpr:
-		ck, err := compileKernel(n.X, cols)
-		if err != nil {
-			return nil, err
-		}
-		negate := n.Negate
-		return func(b *Batch, sel []int) (*Vector, error) {
-			c, err := ck(b, sel)
-			if err != nil {
-				return nil, err
-			}
-			out := &Vector{Kind: expr.KindBool, B: make([]bool, b.N)}
-			for _, i := range sel {
-				out.B[i] = c.IsNull(i) != negate
-			}
-			return out, nil
-		}, nil
 	}
 	return nil, fmt.Errorf("exec: cannot compile %T", e)
 }
+
+// columnKernels are the kernels of a batch's first columns, shared so that
+// compiling a column reference allocates nothing.
+var columnKernels = func() (ks [64]kernelFn) {
+	for i := range ks {
+		ks[i] = func(b *Batch, _ []int) (*Vector, error) { return b.Cols[i], nil }
+	}
+	return ks
+}()
 
 // constVector materializes a literal as a broadcast vector of length n.
 func constVector(v expr.Value, n int) *Vector {
@@ -122,48 +125,19 @@ func constVector(v expr.Value, n int) *Vector {
 	return newNullVector(n)
 }
 
-// truth coerces entry i to SQL boolean: (value, isNull, error). A non-NULL
-// entry of a bool vector is read directly; only operands with no bool
-// representation (int and float truthiness, any-vectors) are boxed.
-func truth(v *Vector, i int) (bool, bool, error) {
-	if v.Kind == expr.KindBool && (v.Null == nil || !v.Null[i]) {
-		return v.B[i], false, nil
-	}
-	if v.IsNull(i) {
-		return false, true, nil
-	}
-	t, err := v.Value(i).AsBool()
-	return t, false, err
-}
-
-func compileUnaryKernel(n *expr.Unary, cols []string) (kernelFn, error) {
+// compileNegKernel compiles a negation; NOT is a boolean.
+func compileNegKernel(n *expr.Unary, cols []string) (kernelFn, error) {
 	ck, err := compileKernel(n.X, cols)
 	if err != nil {
 		return nil, err
 	}
-	op := n.Op
 	return func(b *Batch, sel []int) (*Vector, error) {
 		c, err := ck(b, sel)
 		if err != nil {
 			return nil, err
 		}
 		nn := b.N
-		if op == expr.OpNot {
-			out := &Vector{Kind: expr.KindBool, B: make([]bool, nn)}
-			for _, i := range sel {
-				t, isN, err := truth(c, i)
-				if err != nil {
-					return nil, err
-				}
-				if isN {
-					out.setNull(i, nn)
-					continue
-				}
-				out.B[i] = !t
-			}
-			return out, nil
-		}
-		// OpNeg fast paths: typed numeric vectors negate in bulk.
+		// Typed numeric vectors negate in bulk.
 		switch c.Kind {
 		case expr.KindInt:
 			out := &Vector{Kind: expr.KindInt, I: make([]int64, nn), Null: c.Null}
@@ -178,91 +152,9 @@ func compileUnaryKernel(n *expr.Unary, cols []string) (kernelFn, error) {
 			}
 			return out, nil
 		}
-		vals := make([]expr.Value, nn)
-		for _, i := range sel {
-			v, err := expr.ApplyUnary(op, c.Value(i))
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		return vectorFromValues(vals), nil
-	}, nil
-}
-
-// compileLogicalKernel implements AND/OR with SQL three-valued logic and
-// row-engine-compatible short-circuiting: the right operand is evaluated
-// only for rows the left operand does not decide, so side conditions like
-// "x <> 0 AND 1/x > 2" never divide by zero on excluded rows.
-func compileLogicalKernel(n *expr.Binary, cols []string) (kernelFn, error) {
-	lk, err := compileKernel(n.L, cols)
-	if err != nil {
-		return nil, err
-	}
-	rk, err := compileKernel(n.R, cols)
-	if err != nil {
-		return nil, err
-	}
-	isAnd := n.Op == expr.OpAnd
-	var needBuf []int
-	return func(b *Batch, sel []int) (*Vector, error) {
-		lv, err := lk(b, sel)
-		if err != nil {
-			return nil, err
-		}
-		nn := b.N
-		out := &Vector{Kind: expr.KindBool, B: make([]bool, nn)}
-		need := needBuf[:0]
-		for _, i := range sel {
-			t, isN, err := truth(lv, i)
-			if err != nil {
-				return nil, err
-			}
-			if !isN {
-				if isAnd && !t {
-					continue // FALSE AND x = FALSE
-				}
-				if !isAnd && t {
-					out.B[i] = true // TRUE OR x = TRUE
-					continue
-				}
-			}
-			need = append(need, i)
-		}
-		needBuf = need
-		if len(need) > 0 {
-			rv, err := rk(b, need)
-			if err != nil {
-				return nil, err
-			}
-			for _, i := range need {
-				_, lN, _ := truth(lv, i)
-				rt, rN, err := truth(rv, i)
-				if err != nil {
-					return nil, err
-				}
-				if isAnd {
-					switch {
-					case !rN && !rt:
-						// any FALSE decides AND, even against NULL
-					case lN || rN:
-						out.setNull(i, nn)
-					default:
-						out.B[i] = true // l TRUE (it reached here), r TRUE
-					}
-				} else {
-					switch {
-					case !rN && rt:
-						out.B[i] = true // any TRUE decides OR
-					case lN || rN:
-						out.setNull(i, nn)
-					default:
-						// l FALSE, r FALSE
-					}
-				}
-			}
-		}
-		return out, nil
+		return boxedRows(nn, sel, func(i int) (expr.Value, error) {
+			return expr.ApplyUnary(expr.OpNeg, c.Value(i))
+		})
 	}, nil
 }
 
@@ -286,22 +178,6 @@ func mergedNulls(l, r *Vector, n int) []bool {
 	return out
 }
 
-// cmpF orders two floats with expr.Compare's NaN semantics (NaN sorts below
-// every number).
-func cmpF(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	case math.IsNaN(a) && !math.IsNaN(b):
-		return -1
-	case !math.IsNaN(a) && math.IsNaN(b):
-		return 1
-	}
-	return 0
-}
-
 func cmpHolds(op expr.Op, c int) bool {
 	switch op {
 	case expr.OpEq:
@@ -319,9 +195,9 @@ func cmpHolds(op expr.Op, c int) bool {
 	}
 }
 
-// evalBinaryVec dispatches a non-logical binary operator over two vectors,
-// using typed bulk loops for the common numeric and string cases and the
-// shared boxed scalar path for everything else.
+// evalBinaryVec applies an arithmetic operator over two vectors, using
+// typed bulk loops for numeric operands and the shared boxed scalar path
+// for everything else.
 func evalBinaryVec(op expr.Op, l, r *Vector, n int, sel []int) (*Vector, error) {
 	if l.Kind == expr.KindNull || r.Kind == expr.KindNull {
 		return newNullVector(n), nil
@@ -330,44 +206,6 @@ func evalBinaryVec(op expr.Op, l, r *Vector, n int, sel []int) (*Vector, error) 
 	rInt, rFloat := r.Kind == expr.KindInt, r.Kind == expr.KindFloat
 	numeric := (lInt || lFloat) && (rInt || rFloat)
 
-	switch op {
-	case expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
-		if !numeric {
-			if l.Kind == expr.KindString && r.Kind == expr.KindString {
-				return compareStringVec(op, l, r, n, sel), nil
-			}
-			return applyBinarySlow(op, l, r, n, sel)
-		}
-		out := &Vector{Kind: expr.KindBool, B: make([]bool, n), Null: mergedNulls(l, r, n)}
-		nulls := out.Null
-		if lInt && rInt {
-			li, ri := l.I, r.I
-			for _, i := range sel {
-				if nulls != nil && nulls[i] {
-					continue
-				}
-				c := 0
-				switch {
-				case li[i] < ri[i]:
-					c = -1
-				case li[i] > ri[i]:
-					c = 1
-				}
-				out.B[i] = cmpHolds(op, c)
-			}
-			return out, nil
-		}
-		gl, gr := floatGetter(l), floatGetter(r)
-		for _, i := range sel {
-			if nulls != nil && nulls[i] {
-				continue
-			}
-			out.B[i] = cmpHolds(op, cmpF(gl(i), gr(i)))
-		}
-		return out, nil
-	}
-
-	// Arithmetic.
 	if lInt && rInt {
 		switch op {
 		case expr.OpAdd, expr.OpSub, expr.OpMul, expr.OpMod:
@@ -396,7 +234,9 @@ func evalBinaryVec(op expr.Op, l, r *Vector, n int, sel []int) (*Vector, error) 
 		}
 	}
 	if !numeric {
-		return applyBinarySlow(op, l, r, n, sel)
+		return boxedRows(n, sel, func(i int) (expr.Value, error) {
+			return expr.ApplyBinary(op, l.Value(i), r.Value(i))
+		})
 	}
 	out := &Vector{Kind: expr.KindFloat, F: make([]float64, n), Null: mergedNulls(l, r, n)}
 	nulls := out.Null
@@ -442,32 +282,14 @@ func floatGetter(v *Vector) func(i int) float64 {
 	return func(i int) float64 { return float64(iv[i]) }
 }
 
-func compareStringVec(op expr.Op, l, r *Vector, n int, sel []int) *Vector {
-	out := &Vector{Kind: expr.KindBool, B: make([]bool, n), Null: mergedNulls(l, r, n)}
-	nulls := out.Null
-	for _, i := range sel {
-		if nulls != nil && nulls[i] {
-			continue
-		}
-		c := 0
-		switch {
-		case l.S[i] < r.S[i]:
-			c = -1
-		case l.S[i] > r.S[i]:
-			c = 1
-		}
-		out.B[i] = cmpHolds(op, c)
-	}
-	return out
-}
-
-// applyBinarySlow is the boxed fallback for operand-kind combinations with
-// no bulk loop (bools in comparisons, strings in arithmetic, mixed-kind
-// vectors); it delegates per row to the shared scalar semantics.
-func applyBinarySlow(op expr.Op, l, r *Vector, n int, sel []int) (*Vector, error) {
+// boxedRows is the boxed path of every kernel with no typed loop for its
+// operands' kinds (strings and bools in arithmetic, mixed-kind vectors): it
+// evaluates row i of sel through f, the scalar semantics the row evaluator
+// shares, and collects the values.
+func boxedRows(n int, sel []int, f func(i int) (expr.Value, error)) (*Vector, error) {
 	vals := make([]expr.Value, n)
 	for _, i := range sel {
-		v, err := expr.ApplyBinary(op, l.Value(i), r.Value(i))
+		v, err := f(i)
 		if err != nil {
 			return nil, err
 		}
@@ -532,17 +354,11 @@ func compileCallKernel(n *expr.Call, cols []string) (kernelFn, error) {
 			}
 			return out, nil
 		}
-		vals := make([]expr.Value, nn)
-		for _, i := range sel {
+		return boxedRows(nn, sel, func(i int) (expr.Value, error) {
 			for j, v := range args {
 				boxed[j] = v.Value(i)
 			}
-			v, err := expr.ApplyCall(name, boxed)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		return vectorFromValues(vals), nil
+			return expr.ApplyCall(name, boxed)
+		})
 	}, nil
 }

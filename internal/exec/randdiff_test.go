@@ -184,7 +184,7 @@ func genQuery(rng *rand.Rand) (q string, grouped, ordered bool) {
 		nk := 1 + rng.Intn(2)
 		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
 		sel := keys[:nk]
-		aggPool := []string{"count(*)", "count(x)", "sum(x)", "avg(y)", "min(x)", "max(y)", "sum(x + y)", "min(s)"}
+		aggPool := []string{"count(*)", "count(x)", "sum(x)", "avg(y)", "min(x)", "max(y)", "sum(x + y)", "min(s)", "max(s)", "var(x)"}
 		na := 1 + rng.Intn(3)
 		var items []string
 		var keyExprs []string
@@ -222,7 +222,9 @@ func genQuery(rng *rand.Rand) (q string, grouped, ordered bool) {
 	}
 
 	// Plain projection query.
-	projPool := []string{"k", "id", "x", "y", "s", "b", "x + y", "id * 2", "-x", "abs(x)", "round(y)", "x IS NULL", "id % 7"}
+	projPool := []string{"k", "id", "x", "y", "s", "b", "x + y", "id * 2", "-x", "abs(x)", "round(y)", "x IS NULL", "id % 7",
+		// Booleans as values, and two columns that fail on different rows.
+		"x > 0 AND s = 's1'", "NOT b", "b OR x IS NULL", "NOT (k < 5 AND x > 0)", "1 % (id % 11 - 3), 10.0 / x"}
 	np := 1 + rng.Intn(4)
 	var items []string
 	for i := 0; i < np; i++ {
@@ -302,12 +304,13 @@ func genJoinQuery(rng *rand.Rand) (q string, grouped, ordered bool) {
 // genGroupQuery emits one GROUP BY over a join table (u or v): keys k
 // (nullable BIGINT around 2^53), f (±0, NaN, NULL) and (k, g); aggregates
 // that keep the Welford state (var, stddev), that fold BIGINT arguments
-// typed (sum, avg over k) and count(f); and WHERE atoms that go NULL under
-// AND, OR and NOT. Groups come out in first-seen order in every strategy,
-// so results compare positionally with or without the ORDER BY.
+// typed (sum, avg over k), count(f), and MIN/MAX over both columns' ties
+// and NULLs; and WHERE atoms that go NULL under AND, OR and NOT. Groups
+// come out in first-seen order in every strategy, so results compare
+// positionally with or without the ORDER BY.
 func genGroupQuery(rng *rand.Rand) (q string, grouped, ordered bool) {
 	keys := []string{"k", "f", "k, g"}[rng.Intn(3)]
-	aggPool := []string{"var(f)", "stddev(k)", "sum(k)", "avg(k)", "count(f)", "count(*)"}
+	aggPool := []string{"var(f)", "stddev(k)", "sum(k)", "avg(k)", "count(f)", "count(*)", "min(k)", "max(k)", "min(f)", "max(f)"}
 	rng.Shuffle(len(aggPool), func(i, j int) { aggPool[i], aggPool[j] = aggPool[j], aggPool[i] })
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "SELECT %s, %s FROM %s", keys, strings.Join(aggPool[:1+rng.Intn(3)], ", "),

@@ -7,56 +7,52 @@ import (
 	"datalaws/internal/expr"
 )
 
-// A WHERE runs as a tree of selection kernels: each node narrows a
-// selection to the rows on which its predicate is TRUE, so a filter never
-// materializes a bool vector for a predicate it can evaluate typed.
+// Every boolean runs as a tree of selection kernels, the only compiled
+// form of AND, OR, NOT, IS [NOT] NULL and the comparisons. A node splits
+// the rows it is given by the predicate's value: it returns the rows where
+// it is TRUE and those where it is NULL, and the rest are FALSE. A WHERE
+// keeps the TRUE rows; a boolean used as a value (a select-list item, a
+// group key, an aggregate argument) writes both lists into a bool vector
+// (boolKernel).
 //
-//   - A comparison between a column and a numeric literal (on either side),
-//     or between two columns, is a typed leaf: one loop over the selection
-//     that appends the surviving rows. INT against INT compares exactly;
-//     any other numeric pair goes through cmpF, so NaN and ±0 keep
-//     expr.Compare's rules. A NULL literal keeps no row, and a row that is
-//     NULL on either side is dropped. `col IS [NOT] NULL` is a typed leaf
-//     too.
-//   - An INT column against an INT literal over a sorted run (a window of a
-//     sealed chunk whose zone map says Sorted) and a contiguous selection
-//     keeps one run of rows, or two for <>: two binary searches find it, so
-//     the leaf costs O(log n) per batch, not O(n).
-//   - AND feeds its left node's rows to its right node; OR evaluates its
-//     right node on the rows its left node did not keep (the FALSE and NULL
-//     rows, exactly those the value kernel evaluates it on) and merges.
-//   - Anything else is a generic leaf: the value kernel plus the truth loop.
+//   - A comparison is a leaf over its operands' value kernels; a literal
+//     operand goes on the right (100 > k is k < 100). Two INT, DOUBLE or
+//     string operands compare in one typed loop: INT against INT exactly,
+//     any other numeric pair as doubles, so NaN and ±0 keep
+//     expr.Compare's rules. Any other pair compares boxed through
+//     expr.Compare, and fails where it does. A row that is NULL on either
+//     side is NULL.
+//   - An INT vector against an INT literal is a range test on the
+//     integers. Over a sorted run (a window of a sealed chunk whose zone
+//     map says Sorted) and a contiguous selection it keeps one run of rows,
+//     or two for <>: two binary searches find it, so the leaf costs
+//     O(log n) per batch, not O(n).
+//   - `x IS [NOT] NULL` is a leaf over x's kernel; it is never NULL.
+//   - Any other expression is a truth leaf: its value kernel, read as a
+//     truth value as expr's AsBool reads it.
+//   - AND evaluates its right node on the rows where its left one is TRUE
+//     or NULL, OR on those where it is FALSE or NULL, and NOT swaps TRUE
+//     and FALSE: each operand runs on exactly the rows expr.Eval evaluates
+//     it on, so a node fails on a batch exactly when the row reference
+//     fails on one of its rows.
 //
-// The kind of a vector is known only per batch, so a typed leaf that meets
-// a vector it has no loop for evaluates that batch as a generic leaf.
-//
-// Errors are the value kernel's. compileLogicalKernel evaluates the right
-// operand of an AND on the rows where the left is TRUE or NULL, so an
-// error there surfaces even when no row survives. A chained AND evaluates
-// its right node only on the TRUE rows, so an AND chains only when its
-// right subtree is all typed leaves (typedSel), and only on a batch where
-// none of them can fail (safe); otherwise it evaluates as a generic leaf.
+// Which row fails first is the error path's business (firstFailure).
 type selNode interface {
-	// keep appends to out, in selection order, the rows of sel (physical
-	// indexes into b) on which the predicate is TRUE. out may share sel's
-	// array from its start: a node writes out[k] only once it has read
-	// sel[k], so it narrows a selection in place.
-	keep(b *Batch, sel, out []int) ([]int, error)
-	// safe reports whether keep cannot fail on b.
-	safe(b *Batch) bool
+	// eval appends to t the rows of sel (physical indexes into b, in
+	// selection order) on which the predicate is TRUE, and to n those on
+	// which it is NULL; both start empty. t may share sel's array from its
+	// start: a node writes t[k] only once it has read sel[k], so it
+	// narrows a selection in place. n shares no array with sel or t.
+	eval(b *Batch, sel, t, n []int) ([]int, []int, error)
 }
 
-// compileSelection lowers a WHERE or HAVING predicate into its selection
-// tree. Compile errors are the value kernel's: every leaf that does not
-// resolve its columns is a generic leaf, compiled eagerly.
+// compileSelection lowers a boolean expression into its selection tree.
+// Compile errors are the value kernels'.
 func compileSelection(e expr.Expr, cols []string) (selNode, error) {
 	switch n := e.(type) {
 	case *expr.Binary:
 		switch n.Op {
 		case expr.OpAnd, expr.OpOr:
-			if n.Op == expr.OpAnd && !typedSel(n.R, cols) {
-				break
-			}
 			l, err := compileSelection(n.L, cols)
 			if err != nil {
 				return nil, err
@@ -68,74 +64,68 @@ func compileSelection(e expr.Expr, cols []string) (selNode, error) {
 			if n.Op == expr.OpOr {
 				return &orSel{l: l, r: r}, nil
 			}
-			return &andSel{l: l, r: r, whole: genericSel{e: e, cols: cols}}, nil
+			return &andSel{l: l, r: r}, nil
 		case expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
-			if c, ok := cmpLeaf(n, cols); ok {
-				return &c, nil
+			return cmpLeaf(n, cols)
+		}
+	case *expr.Unary:
+		if n.Op == expr.OpNot {
+			c, err := compileSelection(n.X, cols)
+			if err != nil {
+				return nil, err
 			}
+			return &notSel{c: c}, nil
 		}
 	case *expr.IsNullExpr:
-		if idx, ok := columnOf(n.X, cols); ok {
-			return &nullSel{col: idx, negate: n.Negate}, nil
+		k, err := compileKernel(n.X, cols)
+		if err != nil {
+			return nil, err
 		}
+		return &nullSel{x: k, negate: n.Negate}, nil
 	}
-	g := &genericSel{e: e, cols: cols}
-	if err := g.compile(); err != nil {
+	k, err := compileKernel(e, cols)
+	if err != nil {
 		return nil, err
 	}
-	return g, nil
+	return &truthSel{x: k}, nil
 }
 
-// typedSel reports whether e compiles to typed leaves only, joined by AND
-// and OR.
-func typedSel(e expr.Expr, cols []string) bool {
-	switch n := e.(type) {
-	case *expr.Binary:
-		switch n.Op {
-		case expr.OpAnd, expr.OpOr:
-			return typedSel(n.L, cols) && typedSel(n.R, cols)
-		case expr.OpEq, expr.OpNe, expr.OpLt, expr.OpLe, expr.OpGt, expr.OpGe:
-			_, ok := cmpLeaf(n, cols)
-			return ok
+// boolKernel is the value kernel of a boolean: its tree's TRUE and NULL
+// rows written into a bool vector.
+func boolKernel(e expr.Expr, cols []string) (kernelFn, error) {
+	s, err := compileSelection(e, cols)
+	if err != nil {
+		return nil, err
+	}
+	var tbuf, nbuf []int
+	return func(b *Batch, sel []int) (*Vector, error) {
+		t, n, err := s.eval(b, sel, tbuf[:0], nbuf[:0])
+		if err != nil {
+			return nil, err
 		}
-	case *expr.IsNullExpr:
-		_, ok := columnOf(n.X, cols)
-		return ok
-	}
-	return false
+		tbuf, nbuf = t, n
+		out := &Vector{Kind: expr.KindBool, B: make([]bool, b.N)}
+		for _, i := range t {
+			out.B[i] = true
+		}
+		for _, i := range n {
+			out.setNull(i, b.N)
+		}
+		return out, nil
+	}, nil
 }
 
-// columnOf resolves e when it is a column reference.
-func columnOf(e expr.Expr, cols []string) (int, bool) {
-	id, ok := e.(*expr.Ident)
-	if !ok {
-		return 0, false
-	}
-	idx, err := ResolveColumn(cols, id.Name)
-	return idx, err == nil
-}
-
-// numericLit returns the value of e when it is a numeric or NULL literal,
-// a negated one included.
-func numericLit(e expr.Expr) (expr.Value, bool) {
-	neg := false
+// intLit returns the value of e when it is an INT literal, a negated one
+// included.
+func intLit(e expr.Expr) (int64, bool) {
+	sign := int64(1)
 	if u, ok := e.(*expr.Unary); ok && u.Op == expr.OpNeg {
-		neg, e = true, u.X
+		sign, e = -1, u.X
 	}
-	l, ok := e.(*expr.Lit)
-	if !ok {
-		return expr.Value{}, false
+	if l, ok := e.(*expr.Lit); ok && l.Val.K == expr.KindInt {
+		return sign * l.Val.I, true
 	}
-	switch l.Val.K {
-	case expr.KindInt, expr.KindFloat, expr.KindNull:
-	default:
-		return expr.Value{}, false
-	}
-	if !neg {
-		return l.Val, true
-	}
-	v, err := expr.ApplyUnary(expr.OpNeg, l.Val)
-	return v, err == nil
+	return 0, false
 }
 
 // flipped is the comparison with its operands swapped: 100 > k is k < 100.
@@ -153,95 +143,130 @@ func flipped(op expr.Op) expr.Op {
 	return op
 }
 
-// cmpSel is a typed comparison leaf: column l op column r, or l op the
-// literal lit when r < 0. want[c+1] says whether a row whose operands
-// compare as c (−1, 0, 1) is kept.
+// cmpSel is a comparison leaf: l op r. When r is an INT literal, lit is
+// its value and r compiles only once a batch needs it as a vector (a
+// literal compiles without columns). want[c+1] says whether a row whose
+// operands compare as c (−1, 0, 1) is TRUE. nonNull is a reused buffer.
 type cmpSel struct {
-	l, r int
-	op   expr.Op
-	lit  expr.Value
-	want [3]bool
-	// generic evaluates a batch this leaf has no loop for.
-	generic genericSel
+	l, r    kernelFn
+	re      expr.Expr
+	op      expr.Op
+	lit     int64
+	isLit   bool
+	want    [3]bool
+	nonNull []int
 }
 
-// cmpLeaf builds the typed leaf of a comparison, if it has one.
-func cmpLeaf(n *expr.Binary, cols []string) (cmpSel, bool) {
-	c := cmpSel{r: -1, generic: genericSel{e: n, cols: cols}}
-	op := n.Op
-	if l, ok := columnOf(n.L, cols); ok {
-		c.l = l
-		if r, ok := columnOf(n.R, cols); ok {
-			c.r = r
-		} else if c.lit, ok = numericLit(n.R); !ok {
-			return cmpSel{}, false
+// cmpLeaf builds the leaf of a comparison, with an INT literal operand on
+// the right.
+func cmpLeaf(n *expr.Binary, cols []string) (*cmpSel, error) {
+	c := &cmpSel{op: n.Op}
+	le, re := n.L, n.R
+	if c.lit, c.isLit = intLit(re); !c.isLit {
+		if c.lit, c.isLit = intLit(le); c.isLit {
+			le, re, c.op = re, le, flipped(n.Op)
 		}
-	} else if r, ok := columnOf(n.R, cols); ok {
-		if c.lit, ok = numericLit(n.L); !ok {
-			return cmpSel{}, false
-		}
-		c.l, op = r, flipped(op)
-	} else {
-		return cmpSel{}, false
 	}
-	c.op = op
+	var err error
+	if c.l, err = compileKernel(le, cols); err != nil {
+		return nil, err
+	}
+	if c.re = re; !c.isLit {
+		if c.r, err = compileKernel(re, cols); err != nil {
+			return nil, err
+		}
+	}
 	for i := range c.want {
-		c.want[i] = cmpHolds(op, i-1)
+		c.want[i] = cmpHolds(c.op, i-1)
 	}
-	return c, true
+	return c, nil
 }
 
-func numericKind(k expr.Kind) bool { return k == expr.KindInt || k == expr.KindFloat }
-
-// safe implements selNode: a typed loop cannot fail, and a NULL literal
-// keeps no row without looking at the column.
-func (c *cmpSel) safe(b *Batch) bool {
-	if c.r < 0 {
-		return c.lit.K == expr.KindNull || numericKind(b.Cols[c.l].Kind)
+// eval implements selNode. The rows a NULL mask marks go to n first, so
+// the typed loops test none.
+func (c *cmpSel) eval(b *Batch, sel, t, n []int) ([]int, []int, error) {
+	x, err := c.l(b, sel)
+	if err != nil {
+		return nil, nil, err
 	}
-	return numericKind(b.Cols[c.l].Kind) && numericKind(b.Cols[c.r].Kind)
-}
-
-// keep implements selNode.
-func (c *cmpSel) keep(b *Batch, sel, out []int) ([]int, error) {
-	if c.r < 0 && c.lit.K == expr.KindNull {
-		return out, nil
-	}
-	if !c.safe(b) {
-		return c.generic.keep(b, sel, out)
-	}
-	x := b.Cols[c.l]
-	if c.r < 0 {
-		if x.Kind == expr.KindInt && c.lit.K == expr.KindInt {
-			if x.Sorted && contiguous(sel) {
-				return keepSortedIntLit(x.I, c.op, c.lit.I, sel, out), nil
-			}
-			return keepIntLit(x.I, x.Null, c.op, c.lit.I, sel, out), nil
+	if x.Kind == expr.KindInt && c.isLit {
+		if x.Sorted && contiguous(sel) {
+			return keepSortedIntLit(x.I, c.op, c.lit, sel, t), n, nil
 		}
-		lit, _ := c.lit.AsFloat()
-		if x.Kind == expr.KindInt {
-			return keepLit(x.I, x.Null, lit, &c.want, sel, out), nil
+		sel, n = c.splitNulls(sel, x.Null, nil, n)
+		return keepIntLit(x.I, c.op, c.lit, sel, t), n, nil
+	}
+	if c.r == nil {
+		c.r, _ = compileKernel(c.re, nil)
+	}
+	y, err := c.r(b, sel)
+	if err != nil {
+		return nil, nil, err
+	}
+	numeric := (x.Kind == expr.KindInt || x.Kind == expr.KindFloat) && (y.Kind == expr.KindInt || y.Kind == expr.KindFloat)
+	if numeric || (x.Kind == expr.KindString && y.Kind == expr.KindString) {
+		sel, n = c.splitNulls(sel, x.Null, y.Null, n)
+		switch {
+		case x.Kind == expr.KindString:
+			return keepPair(x.S, y.S, &c.want, sel, t), n, nil
+		case x.Kind == expr.KindInt && y.Kind == expr.KindInt:
+			return keepPair(x.I, y.I, &c.want, sel, t), n, nil
+		case x.Kind == expr.KindFloat && y.Kind == expr.KindFloat:
+			return keepPair(x.F, y.F, &c.want, sel, t), n, nil
+		case x.Kind == expr.KindInt:
+			return keepMixed(x.I, y.F, &c.want, sel, t), n, nil
 		}
-		return keepLit(x.F, x.Null, lit, &c.want, sel, out), nil
+		return keepMixed(x.F, y.I, &c.want, sel, t), n, nil
 	}
-	y := b.Cols[c.r]
-	switch {
-	case x.Kind == expr.KindInt && y.Kind == expr.KindInt:
-		return keepIntCols(x.I, y.I, x.Null, y.Null, &c.want, sel, out), nil
-	case x.Kind == expr.KindInt:
-		return keepCols(x.I, y.F, x.Null, y.Null, &c.want, sel, out), nil
-	case y.Kind == expr.KindInt:
-		return keepCols(x.F, y.I, x.Null, y.Null, &c.want, sel, out), nil
+	// Bools, a string against a number, NULL and any-vectors compare boxed,
+	// and fail where expr.Compare does.
+	for _, i := range sel {
+		l, r := x.Value(i), y.Value(i)
+		if l.IsNull() || r.IsNull() {
+			n = append(n, i)
+			continue
+		}
+		o, err := expr.Compare(l, r)
+		if err != nil {
+			return nil, nil, err
+		}
+		if c.want[o+1] {
+			t = append(t, i)
+		}
 	}
-	return keepCols(x.F, y.F, x.Null, y.Null, &c.want, sel, out), nil
+	return t, n, nil
 }
 
-// cmpInt orders two integers exactly.
-func cmpInt(a, b int64) int {
+// splitNulls appends the rows of sel that either mask marks NULL to n and
+// returns the others, in a buffer of the leaf's own; sel itself when no
+// mask is set.
+func (c *cmpSel) splitNulls(sel []int, xn, yn []bool, n []int) ([]int, []int) {
+	if xn == nil && yn == nil {
+		return sel, n
+	}
+	rest := c.nonNull[:0]
+	for _, i := range sel {
+		if (xn != nil && xn[i]) || (yn != nil && yn[i]) {
+			n = append(n, i)
+		} else {
+			rest = append(rest, i)
+		}
+	}
+	c.nonNull = rest
+	return rest, n
+}
+
+// order compares two values of one kind as expr.Compare does: integers
+// exactly, and NaN below every number and equal to itself.
+func order[T int64 | float64 | string](a, b T) int {
 	switch {
 	case a < b:
 		return -1
 	case a > b:
+		return 1
+	case a != a && b == b: // a is NaN
+		return -1
+	case a == a && b != b:
 		return 1
 	}
 	return 0
@@ -277,14 +302,14 @@ func intLitRange(op expr.Op, lit int64) (lo, hi int64, outside, ok bool) {
 
 // keepIntLit keeps the rows where xs[i] op lit, testing each row's range
 // membership with one unsigned compare.
-func keepIntLit(xs []int64, nulls []bool, op expr.Op, lit int64, sel, out []int) []int {
+func keepIntLit(xs []int64, op expr.Op, lit int64, sel, out []int) []int {
 	lo, hi, outside, ok := intLitRange(op, lit)
 	if !ok {
 		return out
 	}
 	span := uint64(hi - lo)
 	for _, i := range sel {
-		if (nulls == nil || !nulls[i]) && (uint64(xs[i]-lo) <= span) != outside {
+		if (uint64(xs[i]-lo) <= span) != outside {
 			out = append(out, i)
 		}
 	}
@@ -330,174 +355,198 @@ func appendRun(out []int, lo, hi int) []int {
 	return out
 }
 
-func keepLit[T int64 | float64](xs []T, nulls []bool, lit float64, want *[3]bool, sel, out []int) []int {
+func keepPair[T int64 | float64 | string](xs, ys []T, want *[3]bool, sel, out []int) []int {
 	for _, i := range sel {
-		if (nulls == nil || !nulls[i]) && want[cmpF(float64(xs[i]), lit)+1] {
+		if want[order(xs[i], ys[i])+1] {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-func keepIntCols(xs, ys []int64, xn, yn []bool, want *[3]bool, sel, out []int) []int {
+// keepMixed compares an INT with a DOUBLE as doubles.
+func keepMixed[X, Y int64 | float64](xs []X, ys []Y, want *[3]bool, sel, out []int) []int {
 	for _, i := range sel {
-		if (xn == nil || !xn[i]) && (yn == nil || !yn[i]) && want[cmpInt(xs[i], ys[i])+1] {
+		if want[order(float64(xs[i]), float64(ys[i]))+1] {
 			out = append(out, i)
 		}
 	}
 	return out
 }
 
-func keepCols[X, Y int64 | float64](xs []X, ys []Y, xn, yn []bool, want *[3]bool, sel, out []int) []int {
-	for _, i := range sel {
-		if (xn == nil || !xn[i]) && (yn == nil || !yn[i]) && want[cmpF(float64(xs[i]), float64(ys[i]))+1] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// nullSel is the typed leaf of `col IS [NOT] NULL`.
+// nullSel is the leaf of `x IS [NOT] NULL`.
 type nullSel struct {
-	col    int
+	x      kernelFn
 	negate bool
 }
 
-// safe implements selNode.
-func (n *nullSel) safe(*Batch) bool { return true }
-
-// keep implements selNode.
-func (n *nullSel) keep(b *Batch, sel, out []int) ([]int, error) {
-	v := b.Cols[n.col]
+// eval implements selNode.
+func (s *nullSel) eval(b *Batch, sel, t, n []int) ([]int, []int, error) {
+	v, err := s.x(b, sel)
+	if err != nil {
+		return nil, nil, err
+	}
 	if v.Kind != expr.KindNull && v.Kind != anyKind && v.Null == nil {
-		if n.negate {
-			out = append(out, sel...)
+		if s.negate {
+			t = append(t, sel...)
 		}
-		return out, nil
+		return t, n, nil
 	}
 	for _, i := range sel {
-		if v.IsNull(i) != n.negate {
-			out = append(out, i)
+		if v.IsNull(i) != s.negate {
+			t = append(t, i)
 		}
 	}
-	return out, nil
+	return t, n, nil
 }
 
-// andSel chains its left node into its right one; whole evaluates a batch
-// on which the right node could fail.
-type andSel struct {
-	l, r  selNode
-	whole genericSel
-}
+// truthSel reads a value as a truth value: a number is TRUE when nonzero,
+// and a string fails, as expr's AsBool reads them.
+type truthSel struct{ x kernelFn }
 
-// safe implements selNode.
-func (a *andSel) safe(b *Batch) bool { return a.l.safe(b) && a.r.safe(b) }
-
-// keep implements selNode.
-func (a *andSel) keep(b *Batch, sel, out []int) ([]int, error) {
-	if !a.r.safe(b) {
-		return a.whole.keep(b, sel, out)
-	}
-	l, err := a.l.keep(b, sel, out)
+// eval implements selNode.
+func (s *truthSel) eval(b *Batch, sel, t, n []int) ([]int, []int, error) {
+	v, err := s.x(b, sel)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return a.r.keep(b, l, l[:0])
-}
-
-// orSel keeps the rows either node keeps: the right node sees only the
-// rows the left one did not keep. lbuf and rest are reused buffers.
-type orSel struct {
-	l, r       selNode
-	lbuf, rest []int
-}
-
-// safe implements selNode.
-func (o *orSel) safe(b *Batch) bool { return o.l.safe(b) && o.r.safe(b) }
-
-// keep implements selNode.
-func (o *orSel) keep(b *Batch, sel, out []int) ([]int, error) {
-	l, err := o.l.keep(b, sel, o.lbuf[:0])
-	if err != nil {
-		return nil, err
-	}
-	o.lbuf = l
-	rest, p := o.rest[:0], 0
 	for _, i := range sel {
-		if p < len(l) && l[p] == i {
-			p++
+		if v.IsNull(i) {
+			n = append(n, i)
 			continue
 		}
-		rest = append(rest, i)
+		truth, err := v.Value(i).AsBool()
+		if err != nil {
+			return nil, nil, err
+		}
+		if truth {
+			t = append(t, i)
+		}
 	}
-	r, err := o.r.keep(b, rest, rest[:0])
+	return t, n, nil
+}
+
+// member reports whether row i is next in the sorted list xs, advancing
+// *p past it when it is. Walking a selection in order with one cursor per
+// list tests each row's membership in O(1).
+func member(xs []int, p *int, i int) bool {
+	if *p < len(xs) && xs[*p] == i {
+		*p++
+		return true
+	}
+	return false
+}
+
+// notSel swaps its child's TRUE and FALSE rows; the child's NULL rows stay
+// NULL. ct and cn are reused buffers.
+type notSel struct {
+	c      selNode
+	ct, cn []int
+}
+
+// eval implements selNode.
+func (s *notSel) eval(b *Batch, sel, t, n []int) ([]int, []int, error) {
+	ct, cn, err := s.c.eval(b, sel, s.ct[:0], s.cn[:0])
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	o.rest = rest
-	// Both lists are subsequences of sel: merge them in sel's order.
+	s.ct, s.cn = ct, cn
 	p, q := 0, 0
 	for _, i := range sel {
+		if !member(ct, &p, i) && !member(cn, &q, i) {
+			t = append(t, i)
+		}
+	}
+	return t, append(n, cn...), nil
+}
+
+// andSel evaluates its right node on the rows its left one leaves TRUE or
+// NULL. lt, ln, rows, rt and rn are reused buffers.
+type andSel struct {
+	l, r                 selNode
+	lt, ln, rows, rt, rn []int
+}
+
+// eval implements selNode.
+func (a *andSel) eval(b *Batch, sel, t, n []int) ([]int, []int, error) {
+	lt, ln, err := a.l.eval(b, sel, a.lt[:0], a.ln[:0])
+	if err != nil {
+		return nil, nil, err
+	}
+	a.lt, a.ln = lt, ln
+	if len(ln) == 0 {
+		// The common case chains: the right node narrows the left's TRUE
+		// rows.
+		return a.r.eval(b, lt, t, n)
+	}
+	rows, p, q := a.rows[:0], 0, 0
+	for _, i := range sel {
+		if member(lt, &p, i) || member(ln, &q, i) {
+			rows = append(rows, i)
+		}
+	}
+	a.rows = rows
+	rt, rn, err := a.r.eval(b, rows, a.rt[:0], a.rn[:0])
+	if err != nil {
+		return nil, nil, err
+	}
+	a.rt, a.rn = rt, rn
+	p, q, r := 0, 0, 0
+	for _, i := range rows {
+		lNull, rTrue, rNull := member(ln, &p, i), member(rt, &q, i), member(rn, &r, i)
 		switch {
-		case p < len(l) && l[p] == i:
-			p++
-		case q < len(r) && r[q] == i:
-			q++
-		default:
+		case rTrue && !lNull:
+			t = append(t, i)
+		case rNull || rTrue:
+			n = append(n, i)
+		}
+	}
+	return t, n, nil
+}
+
+// orSel evaluates its right node on the rows its left one leaves FALSE or
+// NULL. lt, ln, rest and rn are reused buffers.
+type orSel struct {
+	l, r             selNode
+	lt, ln, rest, rn []int
+}
+
+// eval implements selNode.
+func (o *orSel) eval(b *Batch, sel, t, n []int) ([]int, []int, error) {
+	lt, ln, err := o.l.eval(b, sel, o.lt[:0], o.ln[:0])
+	if err != nil {
+		return nil, nil, err
+	}
+	o.lt, o.ln = lt, ln
+	rest, p := o.rest[:0], 0
+	for _, i := range sel {
+		if !member(lt, &p, i) {
+			rest = append(rest, i)
+		}
+	}
+	o.rest = rest
+	rt, rn, err := o.r.eval(b, rest, rest[:0], o.rn[:0])
+	if err != nil {
+		return nil, nil, err
+	}
+	o.rn = rn
+	// NULL: the right node is NULL, or FALSE against a NULL left. Walk sel
+	// for it before t, which may share sel's array, overwrites it.
+	p, q, r, s := 0, 0, 0, 0
+	for _, i := range sel {
+		if member(lt, &p, i) {
 			continue
 		}
-		out = append(out, i)
-	}
-	return out, nil
-}
-
-// genericSel is the value kernel of a predicate plus the truth loop. A
-// fallback leaf compiles on first use; its expression has compiled before.
-type genericSel struct {
-	e    expr.Expr
-	cols []string
-	kern kernelFn
-}
-
-func (g *genericSel) compile() error {
-	k, err := compileKernel(g.e, g.cols)
-	if err != nil {
-		return err
-	}
-	g.kern = k
-	return nil
-}
-
-// safe implements selNode.
-func (g *genericSel) safe(*Batch) bool { return false }
-
-// keep implements selNode.
-func (g *genericSel) keep(b *Batch, sel, out []int) ([]int, error) {
-	if g.kern == nil {
-		if err := g.compile(); err != nil {
-			return nil, err
+		lNull, rTrue, rNull := member(ln, &q, i), member(rt, &r, i), member(rn, &s, i)
+		if rNull || (lNull && !rTrue) {
+			n = append(n, i)
 		}
 	}
-	v, err := g.kern(b, sel)
-	if err != nil {
-		return nil, err
-	}
-	if v.Kind == expr.KindBool {
-		for _, i := range sel {
-			if v.B[i] && (v.Null == nil || !v.Null[i]) {
-				out = append(out, i)
-			}
-		}
-		return out, nil
-	}
+	p, q = 0, 0
 	for _, i := range sel {
-		t, isN, err := truth(v, i)
-		if err != nil {
-			return nil, err
-		}
-		if !isN && t {
-			out = append(out, i)
+		if member(lt, &p, i) || member(rt, &q, i) {
+			t = append(t, i)
 		}
 	}
-	return out, nil
+	return t, n, nil
 }

@@ -222,11 +222,37 @@ func TestLogicalOperandErrorsAgree(t *testing.T) {
 	}
 }
 
+// TestKernelErrorsFailOnReferenceRow: kernels evaluate an operand over a
+// whole batch at a time, but a statement fails on the row, and with the
+// text, the row reference fails on first. Two select-list columns, or two
+// aggregate arguments, fail on different rows; a WHERE fails after the
+// projection above it does; a LIMIT stops before any row fails.
+func TestKernelErrorsFailOnReferenceRow(t *testing.T) {
+	cat := filterFixture(t, 300)
+	for _, c := range []struct {
+		q    string
+		fail bool
+	}{
+		{"SELECT id, 1 % (id % 11 - 3), 10.0 / x FROM flat", true},
+		{"SELECT id % 5, sum(1 % (id % 11 - 3)), sum(10.0 / x) FROM flat GROUP BY id % 5", true},
+		{"SELECT 10.0 / x, sum(1 % (id % 11 - 3)), max(s) FROM flat GROUP BY 10.0 / x", true},
+		{"SELECT id, 1 / (id - 1) FROM flat WHERE 1 % (id % 11 - 3) <> 7", true},
+		{"SELECT count(*), sum(10.0 / (id - 2)) FROM flat WHERE 1 % (id % 11 - 3) <> 7", true},
+		{"SELECT id, x > 1000 AND 1 % (id % 11 - 3) = 0, 10.0 / x FROM flat", true},
+		{"SELECT id, 1 % (id % 11 - 3) FROM flat LIMIT 3", false},
+		{"SELECT id FROM flat WHERE 1 % (id % 11 - 3) = 1 LIMIT 1", false},
+	} {
+		if _, err := filterAgrees(t, cat, c.q, 1, 3); (err != nil) != c.fail {
+			t.Errorf("%s: the reference gives error %v, want failure %v", c.q, err, c.fail)
+		}
+	}
+}
+
 // TestSortedIntLitMatchesScan runs the binary-search leaf against
 // keepIntLit, the loop it stands in for, over random non-decreasing runs
 // with duplicates and the int64 extremes: every operator, literals below,
 // at, inside and above the run, and contiguous selections that start
-// mid-batch, some of them narrowed in place. Through cmpSel.keep, a
+// mid-batch, some of them narrowed in place. Through cmpSel.eval, a
 // non-contiguous selection of a sorted vector must keep the same rows too.
 // Runs longer than a batch take appendRun's loop.
 func TestSortedIntLitMatchesScan(t *testing.T) {
@@ -268,7 +294,7 @@ func TestSortedIntLitMatchesScan(t *testing.T) {
 		b := &Batch{N: n, Cols: []*Vector{{Kind: expr.KindInt, I: xs, Sorted: true}}}
 		for _, op := range ops {
 			for _, lit := range lits {
-				want := keepIntLit(xs, nil, op, lit, run, nil)
+				want := keepIntLit(xs, op, lit, run, nil)
 				if got := keepSortedIntLit(xs, op, lit, run, nil); !slices.Equal(got, want) {
 					t.Fatalf("%v %s %d over [%d, %d): kept %v, want %v", xs, op, lit, lo, hi, got, want)
 				}
@@ -276,11 +302,11 @@ func TestSortedIntLitMatchesScan(t *testing.T) {
 				if got := keepSortedIntLit(xs, op, lit, inPlace, inPlace[:0]); !slices.Equal(got, want) {
 					t.Fatalf("%v %s %d over [%d, %d) in place: kept %v, want %v", xs, op, lit, lo, hi, got, want)
 				}
-				c := cmpSel{r: -1, op: op, lit: expr.Int(lit)}
+				c := cmpSel{l: column0, op: op, lit: lit, isLit: true}
 				for _, sel := range [][]int{run, sparse} {
-					want := keepIntLit(xs, nil, op, lit, sel, nil)
-					got, err := c.keep(b, sel, nil)
-					if err != nil || !slices.Equal(got, want) {
+					want := keepIntLit(xs, op, lit, sel, nil)
+					got, nulls, err := c.eval(b, sel, nil, nil)
+					if err != nil || !slices.Equal(got, want) || len(nulls) > 0 {
 						t.Fatalf("%v %s %d over %v: cmpSel kept %v (%v), want %v", xs, op, lit, sel, got, err, want)
 					}
 				}
@@ -288,6 +314,9 @@ func TestSortedIntLitMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// column0 is the kernel of a batch's first column.
+func column0(b *Batch, _ []int) (*Vector, error) { return b.Cols[0], nil }
 
 func identityRows(lo, hi int) []int {
 	rows := make([]int, 0, hi-lo)
@@ -371,20 +400,21 @@ func TestSortedRunsMatchReference(t *testing.T) {
 	}
 }
 
-// TestSelectionChainsTypedAnd pins the shape of the selection tree: an AND
-// chains when its right side is all typed leaves, and is one generic leaf
-// otherwise; OR always chains.
+// TestSelectionChainsTypedAnd pins the shape of the selection tree: AND,
+// OR and NOT are nodes, every comparison is a leaf whatever its operands,
+// and only an expression that is no boolean is a truth leaf.
 func TestSelectionChainsTypedAnd(t *testing.T) {
-	cols := []string{"flat.k", "flat.id", "flat.x", "flat.s"}
+	cols := []string{"flat.k", "flat.id", "flat.x", "flat.s", "flat.b"}
 	for _, c := range []struct{ where, shape string }{
 		{"k >= 1 AND k < 5", "and(cmp,cmp)"},
 		{"100 > k", "cmp"},
 		{"x IS NULL AND (k = 1 OR id = 2.5)", "and(null,or(cmp,cmp))"},
-		{"k = 1 AND x + 1 > 0", "generic"},
-		{"x + 1 > 0 AND k = 1", "and(generic,cmp)"},
-		{"k = 1 OR s = 's1'", "or(cmp,generic)"},
+		{"k = 1 AND x + 1 > 0", "and(cmp,cmp)"},
+		{"x + 1 > 0 AND k = 1", "and(cmp,cmp)"},
+		{"k = 1 OR s = 's1'", "or(cmp,cmp)"},
 		{"k = NULL", "cmp"},
-		{"NOT (k = 1)", "generic"},
+		{"NOT (k = 1)", "not(cmp)"},
+		{"b OR x", "or(truth,truth)"},
 	} {
 		pred, err := expr.Parse(c.where)
 		if err != nil {
@@ -406,19 +436,22 @@ func selShape(s selNode) string {
 		return "and(" + selShape(n.l) + "," + selShape(n.r) + ")"
 	case *orSel:
 		return "or(" + selShape(n.l) + "," + selShape(n.r) + ")"
+	case *notSel:
+		return "not(" + selShape(n.c) + ")"
 	case *cmpSel:
 		return "cmp"
 	case *nullSel:
 		return "null"
 	}
-	return "generic"
+	return "truth"
 }
 
-// FuzzFilterMatchesReference decodes arbitrary bytes into a WHERE over
+// FuzzFilterMatchesReference decodes arbitrary bytes into a predicate over
 // filterFixture's table — comparisons between its columns, numeric, string,
 // boolean and NULL literals and a few expressions that can fail, joined by
-// AND, OR and NOT — and requires the pipeline at pools 1 and 3 to give the
-// row reference's rows, in order, or its error text.
+// AND, OR and NOT — and runs it as a WHERE and as a value, a select-list
+// column. The pipeline at pools 1 and 3 must give the row reference's rows,
+// in order, with its TRUE, FALSE and NULL values, or its error text.
 func FuzzFilterMatchesReference(f *testing.F) {
 	cat := filterFixture(f, 600)
 	for _, seed := range []string{
@@ -439,8 +472,9 @@ func FuzzFilterMatchesReference(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		where := (&whereDecoder{data: data}).pred(0)
-		filterAgrees(t, cat, "SELECT id, k, x FROM flat WHERE "+where, 1, 3)
+		pred := (&whereDecoder{data: data}).pred(0)
+		filterAgrees(t, cat, "SELECT id, k, x FROM flat WHERE "+pred, 1, 3)
+		filterAgrees(t, cat, "SELECT id, "+pred+" FROM flat", 1, 3)
 	})
 }
 

@@ -10,22 +10,22 @@ import (
 
 // VecHashAggregate is the vectorized hash aggregate. Group keys and aggregate
 // arguments are evaluated once per batch through compiled kernels (no
-// per-row expression trees, no per-identifier map lookups). Each batch maps
-// its rows to dense group ids, then folds one aggregate at a time into that
-// aggregate's state column indexed by id: typed count and sum columns for
-// COUNT/SUM/AVG, aggState columns under the row reference's rules for the
-// rest. It runs in two phases: every worker of the pool folds its morsels
-// into a private partial-aggregate table (no locks on the data path) and
-// publishes its columns into its groups' states, then a single merge
-// recombines the partial states — COUNT/SUM/AVG additively, MIN/MAX by
-// comparison, VAR/STDDEV through the Welford combination — preserving SQL
-// NULL semantics (aggregates skip NULLs; empty inputs yield NULL, except
-// COUNT). Groups are emitted in the order an in-order scan first sees them,
-// tracked as the minimum (morsel, row-within-morsel) position across
-// workers, so output order does not depend on the pool size. Worker 0 is
-// the caller itself, so a pool of one starts no goroutine and has nothing
-// to recombine. Output columns are "$grp0…" followed by "$agg0…", like
-// HashAggregate.
+// per-row expression trees, no per-identifier map lookups); a batch on
+// which one fails takes the one error path (firstFailure). Each batch maps
+// its rows to dense group ids, counting each group's rows once, then folds
+// one aggregate at a time into that aggregate's typed state columns
+// indexed by id (aggColumn). It runs in two phases: every worker of the
+// pool folds its morsels into a private partial-aggregate table (no locks
+// on the data path) and publishes its columns into its groups' states,
+// then a single merge recombines the partial states — COUNT/SUM/AVG
+// additively, MIN/MAX by comparison, VAR/STDDEV through the Welford
+// combination — preserving SQL NULL semantics (aggregates skip NULLs;
+// empty inputs yield NULL, except COUNT). Groups are emitted in the order
+// an in-order scan first sees them, tracked as the minimum (morsel,
+// row-within-morsel) position across workers, so output order does not
+// depend on the pool size. Worker 0 is the caller itself, so a pool of one
+// starts no goroutine and has nothing to recombine. Output columns are
+// "$grp0…" followed by "$agg0…", like HashAggregate.
 type VecHashAggregate struct {
 	pipeSet
 	GroupExprs []expr.Expr
@@ -156,11 +156,14 @@ type partialGroup struct {
 // index in order; each aggregate keeps its state for every group in one
 // column indexed by that id.
 type partialAgg struct {
+	groupExprs []expr.Expr
 	aggs       []AggSpec
+	inCols     []string
 	groupKerns []kernelFn
 	argKerns   []kernelFn
 	index      map[string]int32
 	order      []*partialGroup
+	rows       []int64 // rows folded into each group, by id
 	cols       []aggColumn
 	keyVecs    []*Vector
 	argVecs    []*Vector
@@ -171,7 +174,9 @@ type partialAgg struct {
 
 func newPartialAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string) (*partialAgg, error) {
 	pa := &partialAgg{
+		groupExprs: groupExprs,
 		aggs:       aggs,
+		inCols:     cols,
 		groupKerns: make([]kernelFn, len(groupExprs)),
 		argKerns:   make([]kernelFn, len(aggs)),
 		index:      map[string]int32{},
@@ -181,6 +186,9 @@ func newPartialAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string) (*part
 	}
 	if len(groupExprs) > 0 {
 		pa.ids = make([]int32, 0, BatchSize)
+	}
+	for a, spec := range aggs {
+		pa.cols[a].kind = spec.Kind
 	}
 	if err := compileAgg(groupExprs, aggs, cols, pa.groupKerns, pa.argKerns); err != nil {
 		return nil, err
@@ -218,8 +226,46 @@ func compileAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string, groupKern
 
 // fold accumulates one batch. morsel and rowBase locate the batch's first
 // selected row in the input order. It maps the rows to their groups' ids
-// first, then folds one aggregate at a time into its state column.
+// first, then folds one aggregate at a time into its state column. A batch
+// on which a kernel or a fold fails takes the error path (firstFailure):
+// group keys, then each aggregate's argument, a row at a time.
 func (pa *partialAgg) fold(b *Batch, sel []int, morsel, rowBase int64) error {
+	err := pa.foldBatch(b, sel, morsel, rowBase)
+	if err == nil {
+		return nil
+	}
+	if _, rerr := firstFailure(b, pa.inCols, sel, pa.evalRow); rerr != nil {
+		return rerr
+	}
+	return err
+}
+
+// evalRow evaluates the group keys and aggregate arguments on one row as
+// the row reference's HashAggregate does. A fold fails on a value alone
+// (a SUM of a string that is no number) where a fresh state's does.
+func (pa *partialAgg) evalRow(env expr.Env) error {
+	for _, g := range pa.groupExprs {
+		if _, err := expr.Eval(g, env); err != nil {
+			return fmt.Errorf("exec: GROUP BY: %w", err)
+		}
+	}
+	for _, spec := range pa.aggs {
+		if spec.Arg == nil {
+			continue
+		}
+		v, err := expr.Eval(spec.Arg, env)
+		if err != nil {
+			return fmt.Errorf("exec: aggregate arg: %w", err)
+		}
+		var st aggState
+		if err := st.update(spec.Kind, v); err != nil {
+			return fmt.Errorf("exec: aggregate: %w", err)
+		}
+	}
+	return nil
+}
+
+func (pa *partialAgg) foldBatch(b *Batch, sel []int, morsel, rowBase int64) error {
 	for i, k := range pa.groupKerns {
 		v, err := k(b, sel)
 		if err != nil {
@@ -238,8 +284,8 @@ func (pa *partialAgg) fold(b *Batch, sel []int, morsel, rowBase int64) error {
 		pa.argVecs[i] = v
 	}
 	ids := pa.groupIDs(sel, morsel, rowBase)
-	for a, spec := range pa.aggs {
-		if err := pa.cols[a].fold(spec, pa.argVecs[a], ids, sel); err != nil {
+	for a := range pa.aggs {
+		if err := pa.cols[a].fold(pa.argVecs[a], ids, sel); err != nil {
 			return fmt.Errorf("exec: aggregate: %w", err)
 		}
 	}
@@ -254,6 +300,7 @@ func (pa *partialAgg) groupIDs(sel []int, morsel, rowBase int64) []int32 {
 		if len(pa.order) == 0 {
 			pa.newGroup(&partialGroup{morsel: morsel, row: rowBase})
 		}
+		pa.rows[0] += int64(len(sel))
 		return nil
 	}
 	var ints *Vector
@@ -270,6 +317,7 @@ func (pa *partialAgg) groupIDs(sel []int, morsel, rowBase int64) []int32 {
 				id = pa.group(i, morsel, rowBase+int64(pos))
 				pa.ints.insert(ints.I[i], id)
 			}
+			pa.rows[id]++
 			ids = append(ids, id)
 		}
 		pa.ids = ids
@@ -287,6 +335,7 @@ func (pa *partialAgg) groupIDs(sel []int, morsel, rowBase int64) []int32 {
 				pa.ints.insert(ints.I[i], id)
 			}
 		}
+		pa.rows[id]++
 		ids = append(ids, id)
 	}
 	pa.ids = ids
@@ -386,8 +435,9 @@ func (pa *partialAgg) group(i int, morsel, row int64) int32 {
 // aggregate's column, and returns its id.
 func (pa *partialAgg) newGroup(grp *partialGroup) int32 {
 	pa.order = append(pa.order, grp)
+	pa.rows = append(pa.rows, 0)
 	for a := range pa.cols {
-		pa.cols[a].grow(pa.aggs[a].Kind)
+		pa.cols[a].grow()
 	}
 	return int32(len(pa.order) - 1)
 }
@@ -400,39 +450,50 @@ func (pa *partialAgg) publish() {
 	for g, grp := range pa.order {
 		grp.states = states[g*n : (g+1)*n : (g+1)*n]
 		for a := range pa.cols {
-			grp.states[a] = pa.cols[a].state(g)
+			grp.states[a] = pa.cols[a].state(g, pa.rows[g])
 		}
 	}
 }
 
 // aggColumn is one aggregate's state for every group of a partial table,
-// indexed by group id. COUNT, SUM and AVG keep typed count and sum
-// columns, which are all their final values and merges read; VAR, STDDEV,
-// MIN and MAX keep whole states.
+// indexed by group id, in typed columns that one fold fills for every
+// aggregate. The partial table counts each group's rows once (rows);
+// COUNT, SUM and AVG count only the rows whose argument is NULL (none for
+// COUNT(*)), so a batch whose argument has no NULL mask costs them no
+// count at all. SUM and AVG keep a sum, VAR and STDDEV a Welford count,
+// mean and m2, and MIN and MAX the extreme value with its kind. The row
+// reference folds the same values through aggState.update, in the same
+// order within a group, so a pool of one gives its answers bit for bit.
 type aggColumn struct {
-	count  []int64
-	sum    []float64
-	states []aggState
+	kind     AggKind
+	nulls    []int64
+	sum      []float64
+	n        []int64
+	mean, m2 []float64
+	ext      []expr.Value
 }
-
-// countSum reports whether an aggregate keeps count and sum columns.
-func countSum(k AggKind) bool { return k == AggCount || k == AggSum || k == AggAvg }
 
 // grow adds an empty state for a new group.
-func (c *aggColumn) grow(kind AggKind) {
-	if countSum(kind) {
-		c.count, c.sum = append(c.count, 0), append(c.sum, 0)
-		return
+func (c *aggColumn) grow() {
+	switch c.kind {
+	case AggMin, AggMax:
+		c.ext = append(c.ext, expr.Value{})
+	case AggVar, AggStdDev:
+		c.n, c.mean, c.m2 = append(c.n, 0), append(c.mean, 0), append(c.m2, 0)
+	default:
+		c.nulls, c.sum = append(c.nulls, 0), append(c.sum, 0)
 	}
-	c.states = append(c.states, aggState{})
 }
 
-// state returns group g's state.
-func (c *aggColumn) state(g int) aggState {
-	if c.states != nil {
-		return c.states[g]
+// state returns group g's state; rows is the group's row count.
+func (c *aggColumn) state(g int, rows int64) aggState {
+	switch c.kind {
+	case AggMin, AggMax:
+		return aggState{ext: c.ext[g]}
+	case AggVar, AggStdDev:
+		return aggState{count: c.n[g], mean: c.mean[g], m2: c.m2[g]}
 	}
-	return aggState{count: c.count[g], sum: c.sum[g]}
+	return aggState{count: rows - c.nulls[g], sum: c.sum[g]}
 }
 
 // groupOf is the id of row sel[pos]: ids[pos], or 0 for a global
@@ -444,105 +505,118 @@ func groupOf(ids []int32, pos int) int32 {
 	return ids[pos]
 }
 
-// fold folds a batch's argument vector v into the states of the rows'
-// groups, ids[pos] for row sel[pos], as update would. Each group adds its
-// values in sel order, so a sum is bit-identical to update's. Float and
-// int arguments of COUNT, SUM, AVG, VAR and STDDEV are read typed; every
-// other argument is boxed.
-func (c *aggColumn) fold(spec AggSpec, v *Vector, ids []int32, sel []int) error {
+// fold folds a batch's argument vector v (nil for COUNT(*)) into the
+// states of the rows' groups, ids[pos] for row sel[pos]. Each group folds
+// its values in sel order. INT and DOUBLE arguments, and MIN/MAX of
+// strings, are read typed; any other argument is boxed.
+func (c *aggColumn) fold(v *Vector, ids []int32, sel []int) error {
 	switch {
-	case spec.Arg == nil: // COUNT(*)
-		if ids == nil {
-			c.count[0] += int64(len(sel))
-			return nil
-		}
-		for _, g := range ids {
-			c.count[g]++
-		}
-	case countSum(spec.Kind) && v.Kind == expr.KindFloat:
-		foldCountSum(c.count, c.sum, ids, v.F, v.Null, sel)
-	case countSum(spec.Kind) && v.Kind == expr.KindInt:
-		foldCountSum(c.count, c.sum, ids, v.I, v.Null, sel)
-	case countSum(spec.Kind):
+	case v == nil:
+		return nil
+	case c.kind == AggMin || c.kind == AggMax:
+		return c.foldExt(v, ids, sel)
+	case c.nulls != nil && (v.Null != nil || v.Kind == expr.KindNull || v.Kind == anyKind):
 		for pos, i := range sel {
-			x := v.Value(i)
-			if x.IsNull() {
-				continue
-			}
-			g := groupOf(ids, pos)
-			if spec.Kind != AggCount {
-				f, err := x.AsFloat()
-				if err != nil {
-					return err
-				}
-				c.sum[g] += f
-			}
-			c.count[g]++
-		}
-	case v.Kind == expr.KindFloat && isNumericAgg(spec.Kind):
-		for pos, i := range sel {
-			if v.Null == nil || !v.Null[i] {
-				c.states[groupOf(ids, pos)].addFloat(spec.Kind, v.F[i])
+			if v.IsNull(i) {
+				c.nulls[groupOf(ids, pos)]++
 			}
 		}
-	case v.Kind == expr.KindInt && isNumericAgg(spec.Kind):
-		for pos, i := range sel {
-			if v.Null == nil || !v.Null[i] {
-				c.states[groupOf(ids, pos)].addFloat(spec.Kind, float64(v.I[i]))
-			}
-		}
+	}
+	switch {
+	case c.kind == AggCount:
+	case v.Kind == expr.KindFloat:
+		foldNums(c, v.F, v.Null, ids, sel)
+	case v.Kind == expr.KindInt:
+		foldNums(c, v.I, v.Null, ids, sel)
 	default:
 		for pos, i := range sel {
-			if err := c.states[groupOf(ids, pos)].update(spec.Kind, v.Value(i)); err != nil {
+			if v.IsNull(i) {
+				continue
+			}
+			f, err := v.Value(i).AsFloat()
+			if err != nil {
 				return err
 			}
+			c.addFloat(groupOf(ids, pos), f)
 		}
 	}
 	return nil
 }
 
-// foldCountSum counts the non-NULL xs[i] of sel into their groups and adds
-// them to the groups' sums. With nil ids every row is group 0's, and a
-// null-free batch keeps its running sum in a local.
-func foldCountSum[T int64 | float64](count []int64, sum []float64, ids []int32, xs []T, nulls []bool, sel []int) {
+// foldNums folds the non-NULL xs[i] of sel into the SUM/AVG sums or the
+// VAR/STDDEV Welford states. A null-free global SUM keeps its running sum
+// in a local.
+func foldNums[T int64 | float64](c *aggColumn, xs []T, nulls []bool, ids []int32, sel []int) {
+	sum := c.sum
 	switch {
+	case c.kind == AggVar || c.kind == AggStdDev:
+		for pos, i := range sel {
+			if nulls == nil || !nulls[i] {
+				c.addFloat(groupOf(ids, pos), float64(xs[i]))
+			}
+		}
 	case ids == nil && nulls == nil:
-		sum[0] = sumSel(xs, sel, sum[0])
-		count[0] += int64(len(sel))
+		s := sum[0]
+		for _, i := range sel {
+			s += float64(xs[i])
+		}
+		sum[0] = s
 	case nulls == nil:
 		for pos, i := range sel {
-			g := ids[pos]
-			count[g]++
-			sum[g] += float64(xs[i])
+			sum[ids[pos]] += float64(xs[i])
 		}
 	default:
 		for pos, i := range sel {
 			if !nulls[i] {
-				g := groupOf(ids, pos)
-				count[g]++
-				sum[g] += float64(xs[i])
+				sum[groupOf(ids, pos)] += float64(xs[i])
 			}
 		}
 	}
 }
 
-// sumSel adds xs[i] for i in sel to s, in sel order.
-func sumSel[T int64 | float64](xs []T, sel []int, s float64) float64 {
-	for _, i := range sel {
-		s += float64(xs[i])
+// addFloat adds f to group g's SUM or AVG sum, or its VAR or STDDEV
+// Welford state.
+func (c *aggColumn) addFloat(g int32, f float64) {
+	if c.kind != AggVar && c.kind != AggStdDev {
+		c.sum[g] += f
+		return
 	}
-	return s
+	c.n[g]++
+	d := f - c.mean[g]
+	c.mean[g] += d / float64(c.n[g])
+	c.m2[g] += d * (f - c.mean[g])
 }
 
-// isNumericAgg reports whether the aggregate folds through addFloat (COUNT,
-// SUM, AVG, VAR, STDDEV — MIN/MAX preserve the argument's kind and go
-// through the boxed path).
-func isNumericAgg(k AggKind) bool {
-	switch k {
-	case AggCount, AggSum, AggAvg, AggVar, AggStdDev:
-		return true
+// foldExt folds the non-NULL rows of v into the groups' MIN or MAX. A
+// group whose value has the row's kind compares typed; a first value, a
+// mix of kinds and a tie between zeros go through foldExt itself.
+func (c *aggColumn) foldExt(v *Vector, ids []int32, sel []int) error {
+	dir := extDir(c.kind)
+	for pos, i := range sel {
+		if v.IsNull(i) {
+			continue
+		}
+		e := &c.ext[groupOf(ids, pos)]
+		switch {
+		case v.Kind == expr.KindInt && e.K == expr.KindInt:
+			if order(v.I[i], e.I) == dir {
+				e.I = v.I[i]
+			}
+		case v.Kind == expr.KindFloat && e.K == expr.KindFloat && (v.F[i] != 0 || e.F != 0):
+			if order(v.F[i], e.F) == dir {
+				e.F = v.F[i]
+			}
+		case v.Kind == expr.KindString && e.K == expr.KindString:
+			if order(v.S[i], e.S) == dir {
+				e.S = v.S[i]
+			}
+		default:
+			if err := foldExt(e, v.Value(i), dir); err != nil {
+				return err
+			}
+		}
 	}
-	return false
+	return nil
 }
 
 // emitGroupBatch materializes groups [lo, hi) as a columnar batch.

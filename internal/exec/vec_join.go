@@ -173,7 +173,7 @@ func (j *VecHashJoin) keysMatch(li, r int) bool {
 				return false
 			}
 		case lv.Kind == expr.KindFloat && rv.Kind == expr.KindFloat:
-			if cmpF(lv.F[li], rv.F[r]) != 0 {
+			if order(lv.F[li], rv.F[r]) != 0 {
 				return false
 			}
 		default:

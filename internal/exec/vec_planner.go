@@ -20,11 +20,10 @@ import (
 // Every plan node and expression has a batch form, so lowering is total: a
 // plan that cannot run fails here, with the error the row reference gives
 // for it (an unknown column or function, a join condition that is not an
-// equality). As in other vectorized engines, a runtime expression error
-// (e.g. division by zero) is raised for a whole batch, even when a LIMIT
-// would have stopped a row-at-a-time plan before the offending row; errors
-// guarded by a preceding WHERE are unaffected, because filters narrow the
-// selection before later kernels run.
+// equality). A runtime expression error (e.g. division by zero) takes the
+// one error path, firstFailure, so a statement fails on the row the
+// reference fails on first, with its text, or not at all when a LIMIT
+// stops before that row.
 func Lower(op Node, workers int) (Operator, error) {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -350,8 +350,9 @@ type VecFilter struct {
 	Child VectorOperator
 	Pred  expr.Expr
 
-	sel    selNode
-	selBuf []int
+	sel             selNode
+	selBuf, nullBuf []int
+	pending         error
 }
 
 // Columns implements VectorOperator.
@@ -363,7 +364,7 @@ func (f *VecFilter) Open() error {
 	if err != nil {
 		return err
 	}
-	f.sel = s
+	f.sel, f.pending = s, nil
 	return f.Child.Open()
 }
 
@@ -377,56 +378,78 @@ func whereSelection(pred expr.Expr, cols []string) (selNode, error) {
 	return s, nil
 }
 
-// NextBatch implements VectorOperator.
+// NextBatch implements VectorOperator. On a batch the tree fails on, it
+// keeps the rows before the first failing row and fails on the next call
+// (see firstFailure).
 func (f *VecFilter) NextBatch() (*Batch, error) {
-	for {
+	for f.pending == nil {
 		b, err := f.Child.NextBatch()
 		if err != nil || b == nil {
 			return b, err
 		}
 		sel := b.selection()
-		out, err := f.sel.keep(b, sel, f.selBuf[:0])
+		out, err := f.keep(b, sel)
 		if err != nil {
-			// The tree evaluates an operand at a time, so the row it failed
-			// on need not be the first row that fails. Evaluated again a
-			// row at a time, as the row reference evaluates it, the batch
-			// fails on the first failing row, with that row's error.
-			if out, err = f.rowAtATime(b, sel, f.selBuf[:0]); err != nil {
-				return nil, fmt.Errorf("exec: WHERE: %w", err)
+			var pos int
+			if pos, f.pending = firstFailure(b, f.Child.Columns(), sel, f.evalRow); f.pending == nil {
+				return nil, err
+			}
+			if out, err = f.keep(b, sel[:pos]); err != nil {
+				return nil, err
 			}
 		}
-		f.selBuf = out
-		if len(out) == 0 {
-			continue
+		if len(out) > 0 {
+			b.Sel = out
+			return b, nil
 		}
-		b.Sel = out
-		return b, nil
 	}
+	err := f.pending
+	f.pending = nil
+	return nil, err
 }
 
-// rowAtATime evaluates the predicate on the rows of sel in order through
-// expr.Eval, the row reference's evaluator, appending to out the rows on
-// which it is TRUE; it stops at the first row that fails.
-func (f *VecFilter) rowAtATime(b *Batch, sel, out []int) ([]int, error) {
-	env := &batchRow{cols: f.Child.Columns(), b: b}
-	for _, i := range sel {
+// keep returns the rows of sel on which the predicate is TRUE.
+func (f *VecFilter) keep(b *Batch, sel []int) ([]int, error) {
+	t, n, err := f.sel.eval(b, sel, f.selBuf[:0], f.nullBuf[:0])
+	if err != nil {
+		return nil, fmt.Errorf("exec: WHERE: %w", err)
+	}
+	f.selBuf, f.nullBuf = t, n
+	return t, nil
+}
+
+// evalRow evaluates the predicate on one row as the row reference's Filter
+// does.
+func (f *VecFilter) evalRow(env expr.Env) error {
+	v, err := expr.Eval(f.Pred, env)
+	if err == nil && !v.IsNull() {
+		_, err = v.AsBool()
+	}
+	if err != nil {
+		return fmt.Errorf("exec: WHERE: %w", err)
+	}
+	return nil
+}
+
+// firstFailure is the one error path of the pipeline's kernels. A kernel
+// evaluates one operand over a whole batch at a time, so the row it fails
+// on need not be the first row the row reference fails on. Given a batch
+// on which a kernel failed, it evaluates the operator's expressions again a
+// row at a time through expr.Eval (evalRow, in the reference's order), the
+// rows in selection order, and returns the position in sel of the first
+// row that fails, with that row's error. A filter or a projection passes
+// on the rows before it and then fails, so a statement fails on the
+// reference's row with the reference's text, and a LIMIT that stops before
+// that row stops before the error too.
+func firstFailure(b *Batch, cols []string, sel []int, evalRow func(expr.Env) error) (int, error) {
+	env := &batchRow{cols: cols, b: b}
+	for pos, i := range sel {
 		env.i = i
-		v, err := expr.Eval(f.Pred, env)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		t, err := v.AsBool()
-		if err != nil {
-			return nil, err
-		}
-		if t {
-			out = append(out, i)
+		if err := evalRow(env); err != nil {
+			return pos, err
 		}
 	}
-	return out, nil
+	return len(sel), nil
 }
 
 // batchRow is row i of a batch as an expression environment.
@@ -454,8 +477,9 @@ type VecProject struct {
 	Exprs []expr.Expr
 	Names []string
 
-	kerns []kernelFn
-	out   Batch
+	kerns   []kernelFn
+	out     Batch
+	pending error
 }
 
 // Columns implements VectorOperator.
@@ -476,6 +500,7 @@ func (p *VecProject) Open() error {
 		p.kerns[i] = k
 	}
 	p.out.Cols = make([]*Vector, len(p.Exprs))
+	p.pending = nil
 	return p.Child.Open()
 }
 
@@ -489,23 +514,57 @@ func projectKernel(e expr.Expr, cols []string) (kernelFn, error) {
 	return k, nil
 }
 
-// NextBatch implements VectorOperator.
+// NextBatch implements VectorOperator. On a batch a kernel fails on, it
+// projects the rows before the first failing row and fails on the next
+// call (see firstFailure).
 func (p *VecProject) NextBatch() (*Batch, error) {
+	if err := p.pending; err != nil {
+		p.pending = nil
+		return nil, err
+	}
 	b, err := p.Child.NextBatch()
 	if err != nil || b == nil {
 		return nil, err
 	}
 	sel := b.selection()
+	p.out.N, p.out.Sel = b.N, b.Sel
+	if err := p.project(b, sel); err != nil {
+		var pos int
+		if pos, p.pending = firstFailure(b, p.Child.Columns(), sel, p.evalRow); p.pending == nil {
+			return nil, err
+		}
+		if pos == 0 {
+			err, p.pending = p.pending, nil
+			return nil, err
+		}
+		if p.out.Sel = sel[:pos]; p.project(b, p.out.Sel) != nil {
+			return nil, err
+		}
+	}
+	return &p.out, nil
+}
+
+// evalRow evaluates the projection on one row as the row reference's
+// Project does.
+func (p *VecProject) evalRow(env expr.Env) error {
+	for _, e := range p.Exprs {
+		if _, err := expr.Eval(e, env); err != nil {
+			return fmt.Errorf("exec: projecting %s: %w", e, err)
+		}
+	}
+	return nil
+}
+
+// project evaluates every kernel on the rows of sel.
+func (p *VecProject) project(b *Batch, sel []int) error {
 	for i, k := range p.kerns {
 		v, err := k(b, sel)
 		if err != nil {
-			return nil, fmt.Errorf("exec: projecting %s: %w", p.Exprs[i], err)
+			return fmt.Errorf("exec: projecting %s: %w", p.Exprs[i], err)
 		}
 		p.out.Cols[i] = v
 	}
-	p.out.N = b.N
-	p.out.Sel = b.Sel
-	return &p.out, nil
+	return nil
 }
 
 // Close implements VectorOperator.

@@ -14,22 +14,14 @@ import (
 type Prediction struct {
 	// Value is the point prediction ŷ.
 	Value float64
-	// SE is the standard error of the mean response at this input.
-	SE float64
-	// PredSE includes the residual noise: sqrt(SE² + s²).
-	PredSE float64
 	// Lo and Hi bound the prediction interval at the requested level.
 	Lo, Hi float64
 	// Level is the confidence level used for Lo/Hi.
 	Level float64
 }
 
-// HalfWidth returns the prediction interval half-width.
-func (p Prediction) HalfWidth() float64 { return (p.Hi - p.Lo) / 2 }
-
 // Predict evaluates the fitted model at inputs and returns the prediction
-// with a level-confidence prediction interval, using the delta method:
-// Var(ŷ) ≈ gᵀ·Cov·g with g the parameter gradient at the input point.
+// with a level-confidence prediction interval (see Interval).
 func (m *Model) Predict(res *Result, inputs []float64, level float64) (Prediction, error) {
 	if len(inputs) != len(m.Inputs) {
 		return Prediction{}, fmt.Errorf("%w: %d inputs, want %d", ErrBadInput, len(inputs), len(m.Inputs))
@@ -37,30 +29,44 @@ func (m *Model) Predict(res *Result, inputs []float64, level float64) (Predictio
 	if level <= 0 || level >= 1 {
 		return Prediction{}, fmt.Errorf("%w: level %g outside (0,1)", ErrBadInput, level)
 	}
-	yhat := m.Eval(res.Params, inputs)
-	p := Prediction{Value: yhat, Level: level}
-
-	if res.Cov == nil || res.DF <= 0 {
-		p.Lo, p.Hi = math.Inf(-1), math.Inf(1)
-		p.SE, p.PredSE = math.NaN(), math.NaN()
-		return p, nil
+	var cov [][]float64
+	if res.Cov != nil {
+		cov = make([][]float64, res.Cov.Rows)
+		for i := range cov {
+			cov[i] = res.Cov.Row(i)
+		}
 	}
-	g := make([]float64, len(m.Params))
-	m.Grad(res.Params, inputs, g)
-	// gᵀ·Cov·g
+	p := Prediction{Value: m.Eval(res.Params, inputs), Level: level}
+	p.Lo, p.Hi = m.Interval(res.Params, cov, res.ResidualSE, res.DF, inputs, p.Value, level, 1, make([]float64, len(m.Params)))
+	return p, nil
+}
+
+// Interval is the level prediction interval around yhat, the model's value
+// with params at inputs, by the delta method: yhat ± t·se, where
+// se = sqrt(gᵀ·Cov·g + s²)·inflate, g = ∂f/∂θ is written into grad
+// (caller-owned scratch, one entry per parameter), s is the residual SE,
+// t the Student-t quantile at df degrees of freedom, and an inflate ≤ 1
+// leaves se as fitted. Without a covariance or degrees of freedom the
+// interval is unbounded. Every prediction interval the engine reports,
+// the error bounds of the paper's Figure 2 step 5, is this one.
+func (m *Model) Interval(params []float64, cov [][]float64, s float64, df int, inputs []float64, yhat, level, inflate float64, grad []float64) (lo, hi float64) {
+	if cov == nil || df <= 0 {
+		return math.Inf(-1), math.Inf(1)
+	}
+	m.Grad(params, inputs, grad)
 	var v float64
-	for i := range g {
-		for j := range g {
-			v += g[i] * res.Cov.At(i, j) * g[j]
+	for i := range grad {
+		for j := range grad {
+			v += grad[i] * cov[i][j] * grad[j]
 		}
 	}
 	if v < 0 {
 		v = 0
 	}
-	p.SE = math.Sqrt(v)
-	p.PredSE = math.Sqrt(v + res.ResidualSE*res.ResidualSE)
-	tcrit := stats.StudentT{Nu: float64(res.DF)}.Quantile(0.5 + level/2)
-	p.Lo = yhat - tcrit*p.PredSE
-	p.Hi = yhat + tcrit*p.PredSE
-	return p, nil
+	se := math.Sqrt(v + s*s)
+	if inflate > 1 {
+		se *= inflate
+	}
+	tcrit := stats.StudentT{Nu: float64(df)}.Quantile(0.5 + level/2)
+	return yhat - tcrit*se, yhat + tcrit*se
 }
