@@ -23,8 +23,8 @@ import (
 // morsel builds its own 1,000 groups (≈ 3 allocations each) for the merge.
 // Its budget sits 20 % above the count when both workers do so in every
 // run (≈ 7,370; ≈ 4,280 when one worker folds every morsel). The GROUP BY
-// of MIN, MAX and VAR, whose typed state columns allocate nothing per row
-// either, is budgeted the same way (≈ 7,450; ≈ 4,340).
+// of MIN, MAX and VAR, whose folds allocate nothing per row either, is
+// budgeted the same way (≈ 7,450; ≈ 4,340).
 const (
 	windowJoinAllocBudget     = 1620
 	windowTopKAllocBudget     = 210

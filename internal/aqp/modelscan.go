@@ -105,7 +105,7 @@ func PointLookupScaled(m *modelstore.CapturedModel, group int64, inputs []float6
 		return 0, 0, 0, fmt.Errorf("aqp: %d inputs, model has %d", len(inputs), len(m.Model.Inputs))
 	}
 	yhat := m.Model.Eval(g.Params, inputs)
-	lo, hi = m.Model.Interval(g.Params, g.Cov, g.ResidualSE, g.DF, inputs, yhat, level, inflate, make([]float64, len(g.Params)))
+	lo, hi = m.Model.Interval(&g.Estimate, inputs, yhat, level, inflate, make([]float64, len(g.Params)))
 	return yhat, lo, hi, nil
 }
 

@@ -260,7 +260,7 @@ func (v *vecModelScan) NextBatch() (*exec.Batch, error) {
 				v.inputs[j] = v.inputBuf[j][i]
 			}
 			g := v.grpBuf[i]
-			v.lo[i], v.hi[i] = s.Model.Model.Interval(g.Params, g.Cov, g.ResidualSE, g.DF, v.inputs, v.yhat[i], s.Level, s.SEInflation, v.grad)
+			v.lo[i], v.hi[i] = s.Model.Model.Interval(&g.Estimate, v.inputs, v.yhat[i], s.Level, s.SEInflation, v.grad)
 		}
 		cols = append(cols,
 			&exec.Vector{Kind: expr.KindFloat, F: v.lo[:n]},

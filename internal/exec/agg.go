@@ -104,7 +104,7 @@ func extDir(kind AggKind) int {
 // when *cur is NULL or v orders on dir's side of it. Ties under
 // expr.Compare break by one rule, so the answer does not depend on the
 // order values fold or partials merge: −0 orders below 0, so MIN keeps −0
-// and MAX keeps 0. The typed loops of aggColumn.foldExt keep the same rule.
+// and MAX keeps 0.
 func foldExt(cur *expr.Value, v expr.Value, dir int) error {
 	if cur.IsNull() {
 		*cur = v

@@ -8,30 +8,52 @@ import (
 	"datalaws/internal/expr"
 )
 
-// kernelFn is a compiled expression: it evaluates over the physical rows
-// listed in sel (which must be a subset of [0, b.N)), returning a vector of
-// physical length b.N whose entries outside sel are unspecified. Identifier
-// resolution happens once at compile time, so evaluation performs no map
-// lookups; scalar semantics (NULL propagation, coercions, errors) are shared
-// with the row evaluator through expr.ApplyBinary and friends.
-type kernelFn func(b *Batch, sel []int) (*Vector, error)
+// kernel is a compiled expression: eval evaluates it over the physical
+// rows listed in sel (which must be a subset of [0, b.N)), returning a
+// vector of physical length b.N whose entries outside sel are unspecified.
+// Identifier resolution happens once at compile time, so evaluation
+// performs no map lookups; scalar semantics (NULL propagation, coercions,
+// errors) are shared with the row evaluator through expr.ApplyBinary and
+// friends.
+type kernel interface {
+	eval(b *Batch, sel []int) (*Vector, error)
+}
+
+// kernelFunc is a kernel written as a function.
+type kernelFunc func(b *Batch, sel []int) (*Vector, error)
+
+func (f kernelFunc) eval(b *Batch, sel []int) (*Vector, error) { return f(b, sel) }
+
+// colKernel is a column reference: the batch's column at that index, read
+// in place. It is a plain integer, so compiling one allocates nothing (Go
+// boxes small integers into an interface without allocating).
+type colKernel int
+
+func (c colKernel) eval(b *Batch, _ []int) (*Vector, error) { return b.Cols[c], nil }
+
+// litKernel is a literal, broadcast into a vector it keeps for batches of
+// the same length.
+type litKernel struct {
+	v      expr.Value
+	cached *Vector
+}
+
+func (l *litKernel) eval(b *Batch, _ []int) (*Vector, error) {
+	if l.cached == nil || l.cached.Len() != b.N {
+		l.cached = constVector(l.v, b.N)
+	}
+	return l.cached, nil
+}
 
 // compileKernel lowers an expression into a vector kernel against the given
 // column layout. Identifiers and functions are resolved eagerly, so an
 // ambiguous or unknown column or an unknown function fails here — at plan
 // time — rather than on the first row, with the row evaluator's text. A
 // boolean compiles to its selection tree (boolKernel).
-func compileKernel(e expr.Expr, cols []string) (kernelFn, error) {
+func compileKernel(e expr.Expr, cols []string) (kernel, error) {
 	switch n := e.(type) {
 	case *expr.Lit:
-		v := n.Val
-		var cached *Vector
-		return func(b *Batch, _ []int) (*Vector, error) {
-			if cached == nil || cached.Len() != b.N {
-				cached = constVector(v, b.N)
-			}
-			return cached, nil
-		}, nil
+		return &litKernel{v: n.Val}, nil
 	case *expr.Ident:
 		idx, err := ResolveColumn(cols, n.Name)
 		if errors.Is(err, ErrAmbiguous) {
@@ -40,12 +62,7 @@ func compileKernel(e expr.Expr, cols []string) (kernelFn, error) {
 		if err != nil {
 			return nil, fmt.Errorf("expr: unknown identifier %q", n.Name)
 		}
-		if idx < len(columnKernels) {
-			return columnKernels[idx], nil
-		}
-		return func(b *Batch, _ []int) (*Vector, error) {
-			return b.Cols[idx], nil
-		}, nil
+		return colKernel(idx), nil
 	case *expr.Unary:
 		if n.Op == expr.OpNot {
 			return boolKernel(e, cols)
@@ -68,31 +85,22 @@ func compileKernel(e expr.Expr, cols []string) (kernelFn, error) {
 			return nil, err
 		}
 		op := n.Op
-		return func(b *Batch, sel []int) (*Vector, error) {
-			l, err := lk(b, sel)
+		return kernelFunc(func(b *Batch, sel []int) (*Vector, error) {
+			l, err := lk.eval(b, sel)
 			if err != nil {
 				return nil, err
 			}
-			r, err := rk(b, sel)
+			r, err := rk.eval(b, sel)
 			if err != nil {
 				return nil, err
 			}
 			return evalBinaryVec(op, l, r, b.N, sel)
-		}, nil
+		}), nil
 	case *expr.Call:
 		return compileCallKernel(n, cols)
 	}
 	return nil, fmt.Errorf("exec: cannot compile %T", e)
 }
-
-// columnKernels are the kernels of a batch's first columns, shared so that
-// compiling a column reference allocates nothing.
-var columnKernels = func() (ks [64]kernelFn) {
-	for i := range ks {
-		ks[i] = func(b *Batch, _ []int) (*Vector, error) { return b.Cols[i], nil }
-	}
-	return ks
-}()
 
 // constVector materializes a literal as a broadcast vector of length n.
 func constVector(v expr.Value, n int) *Vector {
@@ -126,13 +134,13 @@ func constVector(v expr.Value, n int) *Vector {
 }
 
 // compileNegKernel compiles a negation; NOT is a boolean.
-func compileNegKernel(n *expr.Unary, cols []string) (kernelFn, error) {
+func compileNegKernel(n *expr.Unary, cols []string) (kernel, error) {
 	ck, err := compileKernel(n.X, cols)
 	if err != nil {
 		return nil, err
 	}
-	return func(b *Batch, sel []int) (*Vector, error) {
-		c, err := ck(b, sel)
+	return kernelFunc(func(b *Batch, sel []int) (*Vector, error) {
+		c, err := ck.eval(b, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +163,7 @@ func compileNegKernel(n *expr.Unary, cols []string) (kernelFn, error) {
 		return boxedRows(nn, sel, func(i int) (expr.Value, error) {
 			return expr.ApplyUnary(expr.OpNeg, c.Value(i))
 		})
-	}, nil
+	}), nil
 }
 
 // mergedNulls unions two null masks over physical length n (nil when neither
@@ -176,23 +184,6 @@ func mergedNulls(l, r *Vector, n int) []bool {
 		}
 	}
 	return out
-}
-
-func cmpHolds(op expr.Op, c int) bool {
-	switch op {
-	case expr.OpEq:
-		return c == 0
-	case expr.OpNe:
-		return c != 0
-	case expr.OpLt:
-		return c < 0
-	case expr.OpLe:
-		return c <= 0
-	case expr.OpGt:
-		return c > 0
-	default:
-		return c >= 0
-	}
 }
 
 // evalBinaryVec applies an arithmetic operator over two vectors, using
@@ -298,7 +289,7 @@ func boxedRows(n int, sel []int, f func(i int) (expr.Value, error)) (*Vector, er
 	return vectorFromValues(vals), nil
 }
 
-func compileCallKernel(n *expr.Call, cols []string) (kernelFn, error) {
+func compileCallKernel(n *expr.Call, cols []string) (kernel, error) {
 	arity, fn, ok := expr.LookupBuiltin(n.Name)
 	if !ok {
 		return nil, fmt.Errorf("expr: unknown function %q", n.Name)
@@ -309,7 +300,7 @@ func compileCallKernel(n *expr.Call, cols []string) (kernelFn, error) {
 	if arity < 0 && len(n.Args) == 0 {
 		return nil, fmt.Errorf("expr: %s expects at least one arg", n.Name)
 	}
-	argKs := make([]kernelFn, len(n.Args))
+	argKs := make([]kernel, len(n.Args))
 	for i, a := range n.Args {
 		k, err := compileKernel(a, cols)
 		if err != nil {
@@ -320,11 +311,11 @@ func compileCallKernel(n *expr.Call, cols []string) (kernelFn, error) {
 	name := n.Name
 	scratch := make([]float64, len(argKs))
 	boxed := make([]expr.Value, len(argKs))
-	return func(b *Batch, sel []int) (*Vector, error) {
+	return kernelFunc(func(b *Batch, sel []int) (*Vector, error) {
 		args := make([]*Vector, len(argKs))
 		fast := true
 		for j, k := range argKs {
-			v, err := k(b, sel)
+			v, err := k.eval(b, sel)
 			if err != nil {
 				return nil, err
 			}
@@ -360,5 +351,5 @@ func compileCallKernel(n *expr.Call, cols []string) (kernelFn, error) {
 			}
 			return expr.ApplyCall(name, boxed)
 		})
-	}, nil
+	}), nil
 }

@@ -27,7 +27,7 @@ import (
 //     map says Sorted) and a contiguous selection it keeps one run of rows,
 //     or two for <>: two binary searches find it, so the leaf costs
 //     O(log n) per batch, not O(n).
-//   - `x IS [NOT] NULL` is a leaf over x's kernel; it is never NULL.
+//   - `x IS [NOT] NULL` is a leaf over x; it is never NULL.
 //   - Any other expression is a truth leaf: its value kernel, read as a
 //     truth value as expr's AsBool reads it.
 //   - AND evaluates its right node on the rows where its left one is TRUE
@@ -92,13 +92,13 @@ func compileSelection(e expr.Expr, cols []string) (selNode, error) {
 
 // boolKernel is the value kernel of a boolean: its tree's TRUE and NULL
 // rows written into a bool vector.
-func boolKernel(e expr.Expr, cols []string) (kernelFn, error) {
+func boolKernel(e expr.Expr, cols []string) (kernel, error) {
 	s, err := compileSelection(e, cols)
 	if err != nil {
 		return nil, err
 	}
 	var tbuf, nbuf []int
-	return func(b *Batch, sel []int) (*Vector, error) {
+	return kernelFunc(func(b *Batch, sel []int) (*Vector, error) {
 		t, n, err := s.eval(b, sel, tbuf[:0], nbuf[:0])
 		if err != nil {
 			return nil, err
@@ -112,7 +112,7 @@ func boolKernel(e expr.Expr, cols []string) (kernelFn, error) {
 			out.setNull(i, b.N)
 		}
 		return out, nil
-	}, nil
+	}), nil
 }
 
 // intLit returns the value of e when it is an INT literal, a negated one
@@ -144,12 +144,10 @@ func flipped(op expr.Op) expr.Op {
 }
 
 // cmpSel is a comparison leaf: l op r. When r is an INT literal, lit is
-// its value and r compiles only once a batch needs it as a vector (a
-// literal compiles without columns). want[c+1] says whether a row whose
-// operands compare as c (−1, 0, 1) is TRUE. nonNull is a reused buffer.
+// its value. want[c+1] says whether a row whose operands compare as c
+// (−1, 0, 1) is TRUE. nonNull is a reused buffer.
 type cmpSel struct {
-	l, r    kernelFn
-	re      expr.Expr
+	l, r    kernel
 	op      expr.Op
 	lit     int64
 	isLit   bool
@@ -171,21 +169,25 @@ func cmpLeaf(n *expr.Binary, cols []string) (*cmpSel, error) {
 	if c.l, err = compileKernel(le, cols); err != nil {
 		return nil, err
 	}
-	if c.re = re; !c.isLit {
-		if c.r, err = compileKernel(re, cols); err != nil {
-			return nil, err
-		}
+	if c.r, err = compileKernel(re, cols); err != nil {
+		return nil, err
 	}
-	for i := range c.want {
-		c.want[i] = cmpHolds(c.op, i-1)
-	}
+	c.want = cmpWants[c.op]
 	return c, nil
+}
+
+// cmpWants gives each comparison's want: whether operands that compare as
+// c hold, at c+1.
+var cmpWants = map[expr.Op][3]bool{
+	expr.OpEq: {false, true, false}, expr.OpNe: {true, false, true},
+	expr.OpLt: {true, false, false}, expr.OpLe: {true, true, false},
+	expr.OpGt: {false, false, true}, expr.OpGe: {false, true, true},
 }
 
 // eval implements selNode. The rows a NULL mask marks go to n first, so
 // the typed loops test none.
 func (c *cmpSel) eval(b *Batch, sel, t, n []int) ([]int, []int, error) {
-	x, err := c.l(b, sel)
+	x, err := c.l.eval(b, sel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -196,10 +198,7 @@ func (c *cmpSel) eval(b *Batch, sel, t, n []int) ([]int, []int, error) {
 		sel, n = c.splitNulls(sel, x.Null, nil, n)
 		return keepIntLit(x.I, c.op, c.lit, sel, t), n, nil
 	}
-	if c.r == nil {
-		c.r, _ = compileKernel(c.re, nil)
-	}
-	y, err := c.r(b, sel)
+	y, err := c.r.eval(b, sel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -376,13 +375,13 @@ func keepMixed[X, Y int64 | float64](xs []X, ys []Y, want *[3]bool, sel, out []i
 
 // nullSel is the leaf of `x IS [NOT] NULL`.
 type nullSel struct {
-	x      kernelFn
+	x      kernel
 	negate bool
 }
 
 // eval implements selNode.
 func (s *nullSel) eval(b *Batch, sel, t, n []int) ([]int, []int, error) {
-	v, err := s.x(b, sel)
+	v, err := s.x.eval(b, sel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -402,11 +401,11 @@ func (s *nullSel) eval(b *Batch, sel, t, n []int) ([]int, []int, error) {
 
 // truthSel reads a value as a truth value: a number is TRUE when nonzero,
 // and a string fails, as expr's AsBool reads them.
-type truthSel struct{ x kernelFn }
+type truthSel struct{ x kernel }
 
 // eval implements selNode.
 func (s *truthSel) eval(b *Batch, sel, t, n []int) ([]int, []int, error) {
-	v, err := s.x(b, sel)
+	v, err := s.x.eval(b, sel)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -302,7 +302,7 @@ func TestSortedIntLitMatchesScan(t *testing.T) {
 				if got := keepSortedIntLit(xs, op, lit, inPlace, inPlace[:0]); !slices.Equal(got, want) {
 					t.Fatalf("%v %s %d over [%d, %d) in place: kept %v, want %v", xs, op, lit, lo, hi, got, want)
 				}
-				c := cmpSel{l: column0, op: op, lit: lit, isLit: true}
+				c := cmpSel{l: colKernel(0), op: op, lit: lit, isLit: true}
 				for _, sel := range [][]int{run, sparse} {
 					want := keepIntLit(xs, op, lit, sel, nil)
 					got, nulls, err := c.eval(b, sel, nil, nil)
@@ -314,9 +314,6 @@ func TestSortedIntLitMatchesScan(t *testing.T) {
 		}
 	}
 }
-
-// column0 is the kernel of a batch's first column.
-func column0(b *Batch, _ []int) (*Vector, error) { return b.Cols[0], nil }
 
 func identityRows(lo, hi int) []int {
 	rows := make([]int, 0, hi-lo)

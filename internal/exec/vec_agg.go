@@ -13,7 +13,7 @@ import (
 // per-row expression trees, no per-identifier map lookups); a batch on
 // which one fails takes the one error path (firstFailure). Each batch maps
 // its rows to dense group ids, counting each group's rows once, then folds
-// one aggregate at a time into that aggregate's typed state columns
+// one aggregate at a time into that aggregate's state columns
 // indexed by id (aggColumn). It runs in two phases: every worker of the
 // pool folds its morsels into a private partial-aggregate table (no locks
 // on the data path) and publishes its columns into its groups' states,
@@ -31,6 +31,7 @@ type VecHashAggregate struct {
 	GroupExprs []expr.Expr
 	Aggs       []AggSpec
 
+	first  aggKernels // the first worker's, compiled by the planner
 	cols   []string
 	groups []*aggGroup
 	pos    int
@@ -57,10 +58,14 @@ func (h *VecHashAggregate) Open() error {
 func (h *VecHashAggregate) aggregate() error {
 	partials := make([]*partialAgg, h.n)
 	err := h.runPool(func(w int) partialErr {
-		pa, err := newPartialAgg(h.GroupExprs, h.Aggs, h.pipes[w].pipe.Columns())
-		if err != nil {
-			return partialErr{err: err}
+		k := h.first
+		if w > 0 {
+			var err error
+			if k, err = compileAgg(h.GroupExprs, h.Aggs, h.pipes[w].pipe.Columns()); err != nil {
+				return partialErr{err: err}
+			}
 		}
+		pa := newPartialAgg(h.GroupExprs, h.Aggs, h.pipes[w].pipe.Columns(), k)
 		partials[w] = pa
 		perr := h.drain(h.pipes[w], pa.fold)
 		pa.publish()
@@ -156,11 +161,10 @@ type partialGroup struct {
 // index in order; each aggregate keeps its state for every group in one
 // column indexed by that id.
 type partialAgg struct {
+	aggKernels
 	groupExprs []expr.Expr
 	aggs       []AggSpec
 	inCols     []string
-	groupKerns []kernelFn
-	argKerns   []kernelFn
 	index      map[string]int32
 	order      []*partialGroup
 	rows       []int64 // rows folded into each group, by id
@@ -172,13 +176,12 @@ type partialAgg struct {
 	ints       intGroups
 }
 
-func newPartialAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string) (*partialAgg, error) {
+func newPartialAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string, k aggKernels) *partialAgg {
 	pa := &partialAgg{
+		aggKernels: k,
 		groupExprs: groupExprs,
 		aggs:       aggs,
 		inCols:     cols,
-		groupKerns: make([]kernelFn, len(groupExprs)),
-		argKerns:   make([]kernelFn, len(aggs)),
 		index:      map[string]int32{},
 		cols:       make([]aggColumn, len(aggs)),
 		keyVecs:    make([]*Vector, len(groupExprs)),
@@ -190,38 +193,37 @@ func newPartialAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string) (*part
 	for a, spec := range aggs {
 		pa.cols[a].kind = spec.Kind
 	}
-	if err := compileAgg(groupExprs, aggs, cols, pa.groupKerns, pa.argKerns); err != nil {
-		return nil, err
-	}
-	return pa, nil
+	return pa
 }
 
-// compileAgg compiles an aggregate's group-key and argument kernels into
-// groupKerns and argKerns (COUNT(*) has none); a failure reads as the row
-// HashAggregate's. The planner passes nil slices, to check only.
-func compileAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string, groupKerns, argKerns []kernelFn) error {
+// aggKernels are an aggregate's group-key and argument kernels (COUNT(*)
+// has none).
+type aggKernels struct {
+	groupKerns, argKerns []kernel
+}
+
+// compileAgg compiles an aggregate's kernels; a failure reads as the row
+// HashAggregate's.
+func compileAgg(groupExprs []expr.Expr, aggs []AggSpec, cols []string) (aggKernels, error) {
+	k := aggKernels{groupKerns: make([]kernel, len(groupExprs)), argKerns: make([]kernel, len(aggs))}
 	for i, g := range groupExprs {
-		k, err := compileKernel(g, cols)
+		gk, err := compileKernel(g, cols)
 		if err != nil {
-			return rowError(err, "exec: GROUP BY")
+			return k, rowError(err, "exec: GROUP BY")
 		}
-		if groupKerns != nil {
-			groupKerns[i] = k
-		}
+		k.groupKerns[i] = gk
 	}
 	for i, spec := range aggs {
 		if spec.Arg == nil {
-			continue // COUNT(*) needs no argument kernel
+			continue
 		}
-		k, err := compileKernel(spec.Arg, cols)
+		ak, err := compileKernel(spec.Arg, cols)
 		if err != nil {
-			return rowError(err, "exec: aggregate arg")
+			return k, rowError(err, "exec: aggregate arg")
 		}
-		if argKerns != nil {
-			argKerns[i] = k
-		}
+		k.argKerns[i] = ak
 	}
-	return nil
+	return k, nil
 }
 
 // fold accumulates one batch. morsel and rowBase locate the batch's first
@@ -267,7 +269,7 @@ func (pa *partialAgg) evalRow(env expr.Env) error {
 
 func (pa *partialAgg) foldBatch(b *Batch, sel []int, morsel, rowBase int64) error {
 	for i, k := range pa.groupKerns {
-		v, err := k(b, sel)
+		v, err := k.eval(b, sel)
 		if err != nil {
 			return fmt.Errorf("exec: GROUP BY: %w", err)
 		}
@@ -277,7 +279,7 @@ func (pa *partialAgg) foldBatch(b *Batch, sel []int, morsel, rowBase int64) erro
 		if k == nil {
 			continue
 		}
-		v, err := k(b, sel)
+		v, err := k.eval(b, sel)
 		if err != nil {
 			return fmt.Errorf("exec: aggregate arg: %w", err)
 		}
@@ -456,7 +458,7 @@ func (pa *partialAgg) publish() {
 }
 
 // aggColumn is one aggregate's state for every group of a partial table,
-// indexed by group id, in typed columns that one fold fills for every
+// indexed by group id, in state columns that one fold fills for every
 // aggregate. The partial table counts each group's rows once (rows);
 // COUNT, SUM and AVG count only the rows whose argument is NULL (none for
 // COUNT(*)), so a batch whose argument has no NULL mask costs them no
@@ -507,8 +509,8 @@ func groupOf(ids []int32, pos int) int32 {
 
 // fold folds a batch's argument vector v (nil for COUNT(*)) into the
 // states of the rows' groups, ids[pos] for row sel[pos]. Each group folds
-// its values in sel order. INT and DOUBLE arguments, and MIN/MAX of
-// strings, are read typed; any other argument is boxed.
+// its values in sel order. INT and DOUBLE arguments of COUNT, SUM, AVG,
+// VAR and STDDEV are read typed; MIN, MAX and any other argument are boxed.
 func (c *aggColumn) fold(v *Vector, ids []int32, sel []int) error {
 	switch {
 	case v == nil:
@@ -587,33 +589,16 @@ func (c *aggColumn) addFloat(g int32, f float64) {
 	c.m2[g] += d * (f - c.mean[g])
 }
 
-// foldExt folds the non-NULL rows of v into the groups' MIN or MAX. A
-// group whose value has the row's kind compares typed; a first value, a
-// mix of kinds and a tie between zeros go through foldExt itself.
+// foldExt folds the non-NULL rows of v into the groups' MIN or MAX
+// through foldExt, the row reference's rule.
 func (c *aggColumn) foldExt(v *Vector, ids []int32, sel []int) error {
 	dir := extDir(c.kind)
 	for pos, i := range sel {
 		if v.IsNull(i) {
 			continue
 		}
-		e := &c.ext[groupOf(ids, pos)]
-		switch {
-		case v.Kind == expr.KindInt && e.K == expr.KindInt:
-			if order(v.I[i], e.I) == dir {
-				e.I = v.I[i]
-			}
-		case v.Kind == expr.KindFloat && e.K == expr.KindFloat && (v.F[i] != 0 || e.F != 0):
-			if order(v.F[i], e.F) == dir {
-				e.F = v.F[i]
-			}
-		case v.Kind == expr.KindString && e.K == expr.KindString:
-			if order(v.S[i], e.S) == dir {
-				e.S = v.S[i]
-			}
-		default:
-			if err := foldExt(e, v.Value(i), dir); err != nil {
-				return err
-			}
+		if err := foldExt(&c.ext[groupOf(ids, pos)], v.Value(i), dir); err != nil {
+			return err
 		}
 	}
 	return nil

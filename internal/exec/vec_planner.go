@@ -108,8 +108,9 @@ func planVars(dst []string, op Node) []string {
 }
 
 // vectorize lowers a plan subtree to vector form: one copy of the subtree's
-// pipeline per budgeted worker, over one shared morsel set. Every kernel is
-// compiled here once, so a subtree that cannot run fails at plan time.
+// pipeline per budgeted worker, over one shared morsel set. The first
+// pipeline's kernels are compiled here, so a subtree that cannot run fails
+// at plan time; the others compile when their pipeline opens.
 // Sources that cannot split come back as a single one-morsel pipeline, and
 // the pipeline breakers (aggregate, sort, concat) consume their input's
 // pipelines and continue as one. A join puts its probe on every pipeline of
@@ -129,36 +130,39 @@ func vectorize(op Node, workers int, r reads) ([]workerPipe, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := whereSelection(o.Pred, pipes[0].pipe.Columns()); err != nil {
+		s, err := whereSelection(o.Pred, pipes[0].pipe.Columns())
+		if err != nil {
 			return nil, err
 		}
 		for i := range pipes {
 			pipes[i].pipe = &VecFilter{Child: pipes[i].pipe, Pred: o.Pred}
 		}
+		pipes[0].pipe.(*VecFilter).sel = s
 		return pipes, nil
 	case *Project:
 		pipes, err := vectorize(o.Child, workers, r.cut())
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range o.Exprs {
-			if _, err := projectKernel(e, pipes[0].pipe.Columns()); err != nil {
-				return nil, err
-			}
+		kerns, err := projectKernels(o.Exprs, pipes[0].pipe.Columns())
+		if err != nil {
+			return nil, err
 		}
 		for i := range pipes {
 			pipes[i].pipe = &VecProject{Child: pipes[i].pipe, Exprs: o.Exprs, Names: o.Names}
 		}
+		pipes[0].pipe.(*VecProject).kerns = kerns
 		return pipes, nil
 	case *HashAggregate:
 		pipes, err := vectorize(o.Child, workers, r.cut())
 		if err != nil {
 			return nil, err
 		}
-		if err := compileAgg(o.GroupExprs, o.Aggs, pipes[0].pipe.Columns(), nil, nil); err != nil {
+		k, err := compileAgg(o.GroupExprs, o.Aggs, pipes[0].pipe.Columns())
+		if err != nil {
 			return nil, err
 		}
-		return onePipe(&VecHashAggregate{pipeSet: pipeSet{pipes: pipes}, GroupExprs: o.GroupExprs, Aggs: o.Aggs}), nil
+		return onePipe(&VecHashAggregate{pipeSet: pipeSet{pipes: pipes}, GroupExprs: o.GroupExprs, Aggs: o.Aggs, first: k}), nil
 	case *HashJoin:
 		left, err := vectorize(o.Left, workers, r)
 		if err != nil {

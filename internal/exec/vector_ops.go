@@ -352,19 +352,23 @@ type VecFilter struct {
 
 	sel             selNode
 	selBuf, nullBuf []int
-	pending         error
+	pending         pendingErr
 }
 
 // Columns implements VectorOperator.
 func (f *VecFilter) Columns() []string { return f.Child.Columns() }
 
-// Open implements VectorOperator.
+// Open implements VectorOperator. The first pipeline's filter holds the
+// tree the planner compiled; the others compile theirs here.
 func (f *VecFilter) Open() error {
-	s, err := whereSelection(f.Pred, f.Child.Columns())
-	if err != nil {
-		return err
+	if f.sel == nil {
+		s, err := whereSelection(f.Pred, f.Child.Columns())
+		if err != nil {
+			return err
+		}
+		f.sel = s
 	}
-	f.sel, f.pending = s, nil
+	f.pending = pendingErr{}
 	return f.Child.Open()
 }
 
@@ -382,7 +386,7 @@ func whereSelection(pred expr.Expr, cols []string) (selNode, error) {
 // keeps the rows before the first failing row and fails on the next call
 // (see firstFailure).
 func (f *VecFilter) NextBatch() (*Batch, error) {
-	for f.pending == nil {
+	for f.pending.err == nil {
 		b, err := f.Child.NextBatch()
 		if err != nil || b == nil {
 			return b, err
@@ -390,11 +394,11 @@ func (f *VecFilter) NextBatch() (*Batch, error) {
 		sel := b.selection()
 		out, err := f.keep(b, sel)
 		if err != nil {
-			var pos int
-			if pos, f.pending = firstFailure(b, f.Child.Columns(), sel, f.evalRow); f.pending == nil {
-				return nil, err
-			}
-			if out, err = f.keep(b, sel[:pos]); err != nil {
+			_, err = f.pending.failAt(err, b, f.Child.Columns(), sel, f.evalRow, func(rows []int) (err error) {
+				out, err = f.keep(b, rows)
+				return err
+			})
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -403,9 +407,7 @@ func (f *VecFilter) NextBatch() (*Batch, error) {
 			return b, nil
 		}
 	}
-	err := f.pending
-	f.pending = nil
-	return nil, err
+	return nil, f.pending.take()
 }
 
 // keep returns the rows of sel on which the predicate is TRUE.
@@ -452,6 +454,35 @@ func firstFailure(b *Batch, cols []string, sel []int, evalRow func(expr.Env) err
 	return len(sel), nil
 }
 
+// pendingErr is the error path's state in an operator that passes rows
+// on, a filter or a projection: the error of the first failing row, which
+// the operator returns on its next call, once the rows before it have gone
+// on.
+type pendingErr struct{ err error }
+
+// failAt takes err, the error of a kernel over the rows sel of b. It finds
+// the first failing row (firstFailure), keeps its error and evaluates the
+// rows before it again through redo, returning them to pass on. When no
+// row fails a row at a time, err itself is returned.
+func (p *pendingErr) failAt(err error, b *Batch, cols []string, sel []int, evalRow func(expr.Env) error, redo func(rows []int) error) ([]int, error) {
+	pos, rerr := firstFailure(b, cols, sel, evalRow)
+	if rerr == nil {
+		return nil, err
+	}
+	p.err = rerr
+	if err := redo(sel[:pos]); err != nil {
+		return nil, err
+	}
+	return sel[:pos], nil
+}
+
+// take returns the kept error and clears it.
+func (p *pendingErr) take() error {
+	err := p.err
+	p.err = nil
+	return err
+}
+
 // batchRow is row i of a batch as an expression environment.
 type batchRow struct {
 	cols []string
@@ -477,50 +508,52 @@ type VecProject struct {
 	Exprs []expr.Expr
 	Names []string
 
-	kerns   []kernelFn
+	kerns   []kernel
 	out     Batch
-	pending error
+	pending pendingErr
 }
 
 // Columns implements VectorOperator.
 func (p *VecProject) Columns() []string { return p.Names }
 
-// Open implements VectorOperator.
+// Open implements VectorOperator, compiling the kernels unless the
+// planner did (the first pipeline's).
 func (p *VecProject) Open() error {
 	if len(p.Exprs) != len(p.Names) {
 		return fmt.Errorf("exec: project has %d exprs, %d names", len(p.Exprs), len(p.Names))
 	}
-	cols := p.Child.Columns()
-	p.kerns = make([]kernelFn, len(p.Exprs))
-	for i, e := range p.Exprs {
-		k, err := projectKernel(e, cols)
+	if p.kerns == nil {
+		kerns, err := projectKernels(p.Exprs, p.Child.Columns())
 		if err != nil {
 			return err
 		}
-		p.kerns[i] = k
+		p.kerns = kerns
 	}
 	p.out.Cols = make([]*Vector, len(p.Exprs))
-	p.pending = nil
+	p.pending = pendingErr{}
 	return p.Child.Open()
 }
 
-// projectKernel compiles one projected expression; a failure reads as the
-// row Project's.
-func projectKernel(e expr.Expr, cols []string) (kernelFn, error) {
-	k, err := compileKernel(e, cols)
-	if err != nil {
-		return nil, rowError(err, fmt.Sprintf("exec: projecting %s", e))
+// projectKernels compiles the projected expressions; a failure reads as
+// the row Project's.
+func projectKernels(exprs []expr.Expr, cols []string) ([]kernel, error) {
+	kerns := make([]kernel, len(exprs))
+	for i, e := range exprs {
+		k, err := compileKernel(e, cols)
+		if err != nil {
+			return nil, rowError(err, fmt.Sprintf("exec: projecting %s", e))
+		}
+		kerns[i] = k
 	}
-	return k, nil
+	return kerns, nil
 }
 
 // NextBatch implements VectorOperator. On a batch a kernel fails on, it
 // projects the rows before the first failing row and fails on the next
 // call (see firstFailure).
 func (p *VecProject) NextBatch() (*Batch, error) {
-	if err := p.pending; err != nil {
-		p.pending = nil
-		return nil, err
+	if p.pending.err != nil {
+		return nil, p.pending.take()
 	}
 	b, err := p.Child.NextBatch()
 	if err != nil || b == nil {
@@ -529,17 +562,16 @@ func (p *VecProject) NextBatch() (*Batch, error) {
 	sel := b.selection()
 	p.out.N, p.out.Sel = b.N, b.Sel
 	if err := p.project(b, sel); err != nil {
-		var pos int
-		if pos, p.pending = firstFailure(b, p.Child.Columns(), sel, p.evalRow); p.pending == nil {
+		rows, err := p.pending.failAt(err, b, p.Child.Columns(), sel, p.evalRow, func(rows []int) error {
+			return p.project(b, rows)
+		})
+		if err != nil {
 			return nil, err
 		}
-		if pos == 0 {
-			err, p.pending = p.pending, nil
-			return nil, err
+		if len(rows) == 0 {
+			return nil, p.pending.take()
 		}
-		if p.out.Sel = sel[:pos]; p.project(b, p.out.Sel) != nil {
-			return nil, err
-		}
+		p.out.Sel = rows
 	}
 	return &p.out, nil
 }
@@ -558,7 +590,7 @@ func (p *VecProject) evalRow(env expr.Env) error {
 // project evaluates every kernel on the rows of sel.
 func (p *VecProject) project(b *Batch, sel []int) error {
 	for i, k := range p.kerns {
-		v, err := k(b, sel)
+		v, err := k.eval(b, sel)
 		if err != nil {
 			return fmt.Errorf("exec: projecting %s: %w", p.Exprs[i], err)
 		}

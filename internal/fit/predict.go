@@ -29,44 +29,61 @@ func (m *Model) Predict(res *Result, inputs []float64, level float64) (Predictio
 	if level <= 0 || level >= 1 {
 		return Prediction{}, fmt.Errorf("%w: level %g outside (0,1)", ErrBadInput, level)
 	}
-	var cov [][]float64
-	if res.Cov != nil {
-		cov = make([][]float64, res.Cov.Rows)
-		for i := range cov {
-			cov[i] = res.Cov.Row(i)
-		}
-	}
-	p := Prediction{Value: m.Eval(res.Params, inputs), Level: level}
-	p.Lo, p.Hi = m.Interval(res.Params, cov, res.ResidualSE, res.DF, inputs, p.Value, level, 1, make([]float64, len(m.Params)))
+	f := res.Estimate()
+	p := Prediction{Value: m.Eval(f.Params, inputs), Level: level}
+	p.Lo, p.Hi = m.Interval(&f, inputs, p.Value, level, 1, make([]float64, len(m.Params)))
 	return p, nil
 }
 
+// Estimate is what a prediction interval reads of one fit.
+type Estimate struct {
+	Params []float64
+	// Cov is the parameter covariance (nil when the information matrix
+	// was singular).
+	Cov        [][]float64
+	ResidualSE float64
+	DF         int
+}
+
+// Estimate copies r's parameters, covariance, residual SE and degrees of
+// freedom.
+func (r *Result) Estimate() Estimate {
+	f := Estimate{Params: append([]float64(nil), r.Params...), ResidualSE: r.ResidualSE, DF: r.DF}
+	if r.Cov != nil {
+		f.Cov = make([][]float64, r.Cov.Rows)
+		for i := range f.Cov {
+			f.Cov[i] = r.Cov.Row(i)
+		}
+	}
+	return f
+}
+
 // Interval is the level prediction interval around yhat, the model's value
-// with params at inputs, by the delta method: yhat ± t·se, where
+// with f.Params at inputs, by the delta method: yhat ± t·se, where
 // se = sqrt(gᵀ·Cov·g + s²)·inflate, g = ∂f/∂θ is written into grad
 // (caller-owned scratch, one entry per parameter), s is the residual SE,
-// t the Student-t quantile at df degrees of freedom, and an inflate ≤ 1
+// t the Student-t quantile at f.DF degrees of freedom, and an inflate ≤ 1
 // leaves se as fitted. Without a covariance or degrees of freedom the
 // interval is unbounded. Every prediction interval the engine reports,
 // the error bounds of the paper's Figure 2 step 5, is this one.
-func (m *Model) Interval(params []float64, cov [][]float64, s float64, df int, inputs []float64, yhat, level, inflate float64, grad []float64) (lo, hi float64) {
-	if cov == nil || df <= 0 {
+func (m *Model) Interval(f *Estimate, inputs []float64, yhat, level, inflate float64, grad []float64) (lo, hi float64) {
+	if f.Cov == nil || f.DF <= 0 {
 		return math.Inf(-1), math.Inf(1)
 	}
-	m.Grad(params, inputs, grad)
+	m.Grad(f.Params, inputs, grad)
 	var v float64
 	for i := range grad {
 		for j := range grad {
-			v += grad[i] * cov[i][j] * grad[j]
+			v += grad[i] * f.Cov[i][j] * grad[j]
 		}
 	}
 	if v < 0 {
 		v = 0
 	}
-	se := math.Sqrt(v + s*s)
+	se := math.Sqrt(v + f.ResidualSE*f.ResidualSE)
 	if inflate > 1 {
 		se *= inflate
 	}
-	tcrit := stats.StudentT{Nu: float64(df)}.Quantile(0.5 + level/2)
+	tcrit := stats.StudentT{Nu: float64(f.DF)}.Quantile(0.5 + level/2)
 	return yhat - tcrit*se, yhat + tcrit*se
 }

@@ -200,9 +200,9 @@ func rebuildModel(pm ModelRecord) (*CapturedModel, error) {
 	p := len(model.Params)
 	for _, pg := range pm.Groups {
 		g := &GroupParams{
-			Key: pg.Key, Params: pg.Params, ResidualSE: pg.ResidualSE,
-			R2: pg.R2, N: pg.N, DF: pg.DF, Iters: pg.Iters, Retained: pg.Retained,
-			Cov: pg.Cov, FitErr: pg.FitErr,
+			Key:      pg.Key,
+			Estimate: fit.Estimate{Params: pg.Params, Cov: pg.Cov, ResidualSE: pg.ResidualSE, DF: pg.DF},
+			R2:       pg.R2, N: pg.N, Iters: pg.Iters, Retained: pg.Retained, FitErr: pg.FitErr,
 		}
 		if _, dup := cm.Groups[pg.Key]; dup {
 			return nil, fmt.Errorf("group %d listed twice", pg.Key)

@@ -33,12 +33,13 @@ var (
 // GroupParams is one row of the parameter table: the fitted constants and
 // goodness of fit for one group (one LOFAR source in the paper's example).
 type GroupParams struct {
-	Key        int64
-	Params     []float64 // aligned with CapturedModel.Model.Params
-	ResidualSE float64
-	R2         float64
-	N          int
-	DF         int
+	Key int64
+	// Estimate holds the parameters, aligned with CapturedModel.Model.Params,
+	// their covariance for error bounds (nil when the information matrix
+	// was singular), the residual SE and the degrees of freedom.
+	fit.Estimate
+	R2 float64
+	N  int
 	// Iters is the optimizer iteration count of the fit (0 for the direct
 	// OLS path); warm-started refits should show markedly fewer iterations.
 	Iters int
@@ -47,9 +48,6 @@ type GroupParams struct {
 	// error). A live refit never loses answering coverage the old version
 	// had: the old law, however stale, beats an empty result.
 	Retained string
-	// Cov is the parameter covariance for error bounds (may be nil when the
-	// information matrix was singular).
-	Cov [][]float64
 	// FitErr records a per-group fitting failure; such groups stay
 	// unmodeled and queries against them fall back to raw data.
 	FitErr string
@@ -574,26 +572,7 @@ func warmStartFrom(prev *CapturedModel, model *fit.Model) func(int64) map[string
 }
 
 func groupFromResult(key int64, res *fit.Result) *GroupParams {
-	g := &GroupParams{
-		Key:        key,
-		Params:     append([]float64(nil), res.Params...),
-		ResidualSE: res.ResidualSE,
-		R2:         res.R2,
-		N:          res.N,
-		DF:         res.DF,
-		Iters:      res.Iterations,
-	}
-	if res.Cov != nil {
-		p := len(res.Params)
-		g.Cov = make([][]float64, p)
-		for i := 0; i < p; i++ {
-			g.Cov[i] = make([]float64, p)
-			for j := 0; j < p; j++ {
-				g.Cov[i][j] = res.Cov.At(i, j)
-			}
-		}
-	}
-	return g
+	return &GroupParams{Key: key, Estimate: res.Estimate(), R2: res.R2, N: res.N, Iters: res.Iterations}
 }
 
 func computeQuality(cm *CapturedModel) Quality {
