@@ -107,45 +107,3 @@ func PolynomialDesign(xs []float64, degree int) (*mat.Matrix, []string) {
 	}
 	return m, names
 }
-
-// Design builds a design matrix from named columns plus an optional
-// intercept; the returned names align with the matrix columns.
-func Design(cols map[string][]float64, order []string, intercept bool) (*mat.Matrix, []string, error) {
-	if len(order) == 0 {
-		return nil, nil, fmt.Errorf("%w: no design columns", ErrBadInput)
-	}
-	n := -1
-	for _, name := range order {
-		c, ok := cols[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("%w: missing column %q", ErrBadInput, name)
-		}
-		if n == -1 {
-			n = len(c)
-		} else if len(c) != n {
-			return nil, nil, fmt.Errorf("%w: column %q has %d rows, want %d", ErrBadInput, name, len(c), n)
-		}
-	}
-	p := len(order)
-	off := 0
-	if intercept {
-		p++
-		off = 1
-	}
-	m := mat.New(n, p)
-	names := make([]string, p)
-	if intercept {
-		names[0] = "(intercept)"
-		for i := 0; i < n; i++ {
-			m.Set(i, 0, 1)
-		}
-	}
-	for j, name := range order {
-		names[off+j] = name
-		c := cols[name]
-		for i := 0; i < n; i++ {
-			m.Set(i, off+j, c[i])
-		}
-	}
-	return m, names, nil
-}

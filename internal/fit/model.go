@@ -143,9 +143,6 @@ func (m *Model) IsLinear() bool { return m.linear }
 // HasAnalyticJacobian reports whether symbolic differentiation succeeded.
 func (m *Model) HasAnalyticJacobian() bool { return m.gradFns != nil }
 
-// Gradients returns the symbolic partials ∂f/∂param (nil when unavailable).
-func (m *Model) Gradients() []expr.Expr { return m.grads }
-
 // Formula renders the model back to "output ~ rhs" source form, the shape
 // the model store persists ("store the models in their source code form").
 func (m *Model) Formula() string { return m.Output + " ~ " + m.RHS.String() }

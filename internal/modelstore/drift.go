@@ -35,11 +35,6 @@ type DriftConfig struct {
 	MaxGrowthFrac float64
 }
 
-// DefaultDriftConfig returns the default thresholds.
-func DefaultDriftConfig() DriftConfig {
-	return DriftConfig{MinRows: 32, MaxRMSZ: 2, MaxGrowthFrac: 0.5}
-}
-
 func (c DriftConfig) withDefaults() DriftConfig {
 	if c.MinRows == 0 {
 		c.MinRows = 32

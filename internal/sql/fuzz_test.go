@@ -44,12 +44,17 @@ var fuzzSeeds = []string{
 	"CREATE TABLE t (k BIGINT, x DOUBLE) PARTITION BY RANGE(k) (PARTITION p0 VALUES LESS THAN (100), PARTITION p1 VALUES LESS THAN (MAXVALUE))",
 	"CREATE TABLE t (k DOUBLE) PARTITION BY RANGE(k) (PARTITION neg VALUES LESS THAN (-2.5e3))",
 	"CREATE TABLE t (k BIGINT) PARTITION BY RANGE(k) (PARTITION p VALUES LESS THAN",
+	// A law's WHERE naming a column that only the formula grammar used to
+	// reserve: its rendering must read back through expr.Parse.
+	"FIT MODEL m ON t AS 'y ~ a * x + b' INPUTS (x) GROUP BY g WHERE like >= 0",
 }
 
 // FuzzParse throws arbitrary statement text at the lexer and parser. The
 // invariants: never panic, never return a nil statement without an error,
-// and any parse that succeeds must survive parameter counting and
-// placeholder binding (the prepared-statement path).
+// any parse that succeeds must survive parameter counting and placeholder
+// binding (the prepared-statement path), and every expression in it without
+// a placeholder renders to text that expr.Parse reads back to the same
+// rendering (how a law's WHERE is persisted and reloaded).
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -80,5 +85,48 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("BindPrepared(%q) returned nil statement and nil error", src)
 			}
 		}
+		for _, e := range stmtExprs(st) {
+			if e == nil || expr.MaxParam(e) > 0 {
+				continue
+			}
+			r, err := expr.Parse(e.String())
+			if err != nil {
+				t.Fatalf("Parse(%q): expression %s does not read back: %v", src, e, err)
+			}
+			if r.String() != e.String() {
+				t.Fatalf("Parse(%q): expression %s reads back as %s", src, e, r)
+			}
+		}
 	})
+}
+
+// stmtExprs lists the expressions of a statement: select items, join
+// conditions, WHERE, GROUP BY, HAVING, ORDER BY, INSERT values and a FIT
+// MODEL's WHERE. Entries may be nil.
+func stmtExprs(st Stmt) []expr.Expr {
+	switch s := st.(type) {
+	case *ExplainStmt:
+		return stmtExprs(s.Inner)
+	case *SelectStmt:
+		out := append([]expr.Expr{s.Where, s.Having}, s.GroupBy...)
+		for _, it := range s.Items {
+			out = append(out, it.Expr)
+		}
+		for _, j := range s.Joins {
+			out = append(out, j.On)
+		}
+		for _, k := range s.OrderBy {
+			out = append(out, k.Expr)
+		}
+		return out
+	case *InsertStmt:
+		var out []expr.Expr
+		for _, row := range s.Rows {
+			out = append(out, row...)
+		}
+		return out
+	case *FitModelStmt:
+		return []expr.Expr{s.Where}
+	}
+	return nil
 }

@@ -31,21 +31,6 @@ func (t ColType) String() string {
 	return fmt.Sprintf("ColType(%d)", uint8(t))
 }
 
-// ValueKind maps a storage type to the runtime value kind.
-func (t ColType) ValueKind() expr.Kind {
-	switch t {
-	case TypeInt64:
-		return expr.KindInt
-	case TypeFloat64:
-		return expr.KindFloat
-	case TypeString:
-		return expr.KindString
-	case TypeBool:
-		return expr.KindBool
-	}
-	return expr.KindNull
-}
-
 // Column is a typed, nullable, append-only column.
 type Column interface {
 	Type() ColType

@@ -45,9 +45,6 @@ type Chunk struct {
 // NumRows returns the chunk's row count.
 func (ch *Chunk) NumRows() int { return ch.rows }
 
-// EncodedBytes returns the summed size of the chunk's column frames.
-func (ch *Chunk) EncodedBytes() int { return ch.encoded }
-
 // Zone returns the zone map of column i.
 func (ch *Chunk) Zone(i int) ZoneMap { return ch.zones[i] }
 

@@ -377,3 +377,68 @@ func TestTornTailRecoveryEngine(t *testing.T) {
 	_ = e2.Close()
 	_ = os.RemoveAll(dir) // in case a snapshot path leaked onto the real FS
 }
+
+// TestLawWhereReadsBack: a captured law's WHERE is persisted as text and
+// read back by the formula grammar on every snapshot load and WAL replay.
+// A column named like an SQL-unreserved word ("like") must read back as the
+// name it was fitted with: the snapshot loads and answers the same APPROX
+// point, and the replayed log keeps the model.
+func TestLawWhereReadsBack(t *testing.T) {
+	const fit = `FIT MODEL m ON t AS 'y ~ a * x + b' INPUTS (x) GROUP BY g WHERE like >= 0`
+	fill := func(e *Engine) {
+		t.Helper()
+		e.MustExec(`CREATE TABLE t (g BIGINT, x DOUBLE, y DOUBLE, like DOUBLE)`)
+		var rows [][]expr.Value
+		for g := 0; g < 3; g++ {
+			for i := 0; i < 8; i++ {
+				x := float64(i)
+				rows = append(rows, []expr.Value{expr.Int(int64(g)), expr.Float(x),
+					expr.Float(float64(g+2)*x + 1 + 0.01*float64(i%3)), expr.Float(float64(i%4) - 1)})
+			}
+		}
+		if _, err := e.Append("t", rows); err != nil {
+			t.Fatal(err)
+		}
+		e.MustExec(fit)
+	}
+
+	e := NewEngine()
+	fill(e)
+	want, err := e.ApproxPoint("m", 1, []float64{2.5}, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := t.TempDir()
+	if err := e.SaveDir(snap); err != nil {
+		t.Fatal(err)
+	}
+	loaded := NewEngine()
+	if err := loaded.LoadDir(snap); err != nil {
+		t.Fatalf("LoadDir: %v", err)
+	}
+	got, err := loaded.ApproxPoint("m", 1, []float64{2.5}, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Value != want.Value || got.Lo != want.Lo || got.Hi != want.Hi {
+		t.Fatalf("loaded snapshot answers %+v, want %+v", got, want)
+	}
+
+	dir := filepath.Join(t.TempDir(), "db")
+	d, err := Open(dir, wal.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fill(d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err = Open(dir, wal.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if show := d.MustExec("SHOW MODELS"); len(show.Rows) != 1 || show.Rows[0][0].S != "m" {
+		t.Fatalf("models after replay = %v", show.Rows)
+	}
+}
