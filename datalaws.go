@@ -135,21 +135,7 @@ type Result struct {
 	Rows    []exec.Row
 	// Info carries a human-readable summary for DDL/utility statements.
 	Info string
-	// Model names the captured model an approximate plan used ("" for exact
-	// plans); ModelVersion is its refit generation; ApproxGrid is the model
-	// grid size before legality filtering; SEInflation is the staleness
-	// widening applied to WITH ERROR bounds; ExactFallback marks an APPROX
-	// SELECT answered exactly because no trusted model covered it.
-	Model         string
-	ModelVersion  int
-	ApproxGrid    int
-	Hybrid        bool
-	SEInflation   float64
-	ExactFallback bool
-	// Partitions/PartitionsPruned report range-partition pruning for
-	// approximate plans (0/0 on unpartitioned tables and exact plans).
-	Partitions       int
-	PartitionsPruned int
+	Report
 }
 
 // Exec parses and executes one SQL statement, materializing the full
@@ -169,8 +155,8 @@ func (e *Engine) MustExec(src string) *Result {
 	return r
 }
 
-// execStmt runs a non-SELECT statement eagerly. SELECT goes through the
-// streaming session path in session.go instead.
+// execStmt runs a statement other than SELECT and EXPLAIN eagerly; those
+// go through the session path in session.go instead.
 func (e *Engine) execStmt(st sql.Stmt) (*Result, error) {
 	switch s := st.(type) {
 	case *sql.CreateTableStmt:
@@ -192,8 +178,6 @@ func (e *Engine) execStmt(st sql.Stmt) (*Result, error) {
 		})
 	case *sql.RefitModelStmt:
 		return e.execRefit(s)
-	case *sql.ExplainStmt:
-		return e.execExplain(s)
 	}
 	return nil, fmt.Errorf("datalaws: unsupported statement %T", st)
 }
@@ -335,7 +319,7 @@ func (e *Engine) applyFit(spec modelstore.Spec) (*Result, error) {
 			m.Spec.Name, m.Quality.GroupsOK, m.Quality.GroupsFailed,
 			m.Quality.MedianR2, m.Quality.MedianResidualSE, m.ParamSizeBytes())
 	}
-	return &Result{Model: spec.Name, Info: info,
+	return &Result{Report: Report{Model: spec.Name}, Info: info,
 		Columns: capture.SummaryColumns(), Rows: []exec.Row{capture.SummaryRow(sum)}}, nil
 }
 
@@ -397,7 +381,7 @@ func (e *Engine) applyRefit(name string) (*Result, error) {
 			if refitted == 0 {
 				return nil, fmt.Errorf("datalaws: refit of %q failed on every partition: %s", name, strings.Join(errs, "; "))
 			}
-			return &Result{Model: name, Info: info}, nil
+			return &Result{Report: Report{Model: name}, Info: info}, nil
 		}
 		return nil, fmt.Errorf("datalaws: %w: %q", ErrUnknownModel, name)
 	}
@@ -414,35 +398,10 @@ func (e *Engine) applyRefit(name string) (*Result, error) {
 		r.Reset(name)
 	}
 	return &Result{
-		Model: nm.Spec.Name,
+		Report: Report{Model: nm.Spec.Name},
 		Info: fmt.Sprintf("model %s refitted to version %d: median R²=%.4f",
 			nm.Spec.Name, nm.Version, nm.Quality.MedianR2),
 	}, nil
-}
-
-func (e *Engine) execExplain(s *sql.ExplainStmt) (*Result, error) {
-	if s.Inner.Approx {
-		plan, err := aqp.BuildApproxSelect(e.Catalog, e.Models, s.Inner, e.aqpOptions())
-		if err != nil {
-			return nil, err
-		}
-		info := fmt.Sprintf("approximate plan (model %s", plan.Model.Spec.Name)
-		if plan.Hybrid {
-			info += ", hybrid"
-		}
-		info += ")"
-		if plan.PartsTotal > 0 {
-			info += fmt.Sprintf("\npartitions: %d/%d pruned", plan.PartsPruned, plan.PartsTotal)
-		}
-		info += "\n" + exec.PlanString(plan.Op)
-		return &Result{Info: info, Model: plan.Model.Spec.Name, ApproxGrid: plan.GridRows, Hybrid: plan.Hybrid,
-			Partitions: plan.PartsTotal, PartitionsPruned: plan.PartsPruned}, nil
-	}
-	op, err := exec.BuildSelect(e.Catalog, s.Inner, nil, e.parallelism())
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Info: "exact plan\n" + exec.PlanString(op)}, nil
 }
 
 // RegisterTable adds an externally built table to the catalog. It is the

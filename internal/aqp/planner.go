@@ -306,8 +306,8 @@ func pushDownEqualities(scan *ModelScan, st *sql.SelectStmt, model *modelstore.C
 	if st.Where == nil {
 		return false
 	}
-	eqs := equalityConsts(st.Where, st.From)
-	if len(eqs) == 0 {
+	eqs := map[string]expr.Value{}
+	if equalities(st.Where, st.From, eqs); len(eqs) == 0 {
 		return false
 	}
 	if model.Grouped() {
@@ -342,46 +342,43 @@ func pushDownEqualities(scan *ModelScan, st *sql.SelectStmt, model *modelstore.C
 	return false
 }
 
-// equalityConsts collects `col = literal` (or `literal = col`) conjuncts
-// from the top-level AND tree of a predicate, keyed by unqualified column
-// name. Columns qualified with a different table are ignored.
-func equalityConsts(pred expr.Expr, tableName string) map[string]expr.Value {
-	out := map[string]expr.Value{}
-	var walk func(e expr.Expr)
-	walk = func(e expr.Expr) {
-		b, ok := e.(*expr.Binary)
-		if !ok {
-			return
-		}
-		switch b.Op {
-		case expr.OpAnd:
-			walk(b.L)
-			walk(b.R)
-		case expr.OpEq:
-			id, lit := asIdentLit(b.L, b.R)
-			if id == nil {
-				id, lit = asIdentLit(b.R, b.L)
-			}
-			if id == nil {
-				return
-			}
-			name := unqualify(id.Name, tableName)
-			if name == "" {
-				return
-			}
-			if prev, seen := out[name]; seen {
-				// Contradictory duplicates are left for the filter to
-				// resolve; identical duplicates are harmless.
-				if c, err := expr.Compare(prev, lit.Val); err != nil || c != 0 {
-					delete(out, name)
-				}
-				return
-			}
-			out[name] = lit.Val
-		}
+// equalities adds the `col = literal` (or `literal = col`) conjuncts of
+// pred's top-level AND tree to eqs, keyed by unqualified column name, and
+// reports whether pred is nothing else: every conjunct such an equality on
+// the queried table (bare or qualified with tableName) and no column named
+// twice. Identical duplicates stay in eqs; contradictory ones are dropped
+// and left for the filter to resolve.
+func equalities(pred expr.Expr, tableName string, eqs map[string]expr.Value) bool {
+	b, ok := pred.(*expr.Binary)
+	if !ok {
+		return false
 	}
-	walk(pred)
-	return out
+	switch b.Op {
+	case expr.OpAnd:
+		left := equalities(b.L, tableName, eqs)
+		return equalities(b.R, tableName, eqs) && left
+	case expr.OpEq:
+		id, lit := asIdentLit(b.L, b.R)
+		if id == nil {
+			id, lit = asIdentLit(b.R, b.L)
+		}
+		if id == nil {
+			return false
+		}
+		name := unqualify(id.Name, tableName)
+		if name == "" {
+			return false
+		}
+		if prev, seen := eqs[name]; seen {
+			if c, err := expr.Compare(prev, lit.Val); err != nil || c != 0 {
+				delete(eqs, name)
+			}
+			return false
+		}
+		eqs[name] = lit.Val
+		return true
+	}
+	return false
 }
 
 func asIdentLit(a, b expr.Expr) (*expr.Ident, *expr.Lit) {

@@ -26,12 +26,12 @@ func (p *Prepared) bindPointLookup(st *sql.SelectStmt, model *modelstore.Capture
 	if len(st.GroupBy) > 0 || st.Having != nil || len(st.OrderBy) > 0 || st.Limit >= 0 {
 		return nil, false
 	}
-	eqs, pure := conjunctEqualities(st.Where, st.From)
-	if !pure {
-		return nil, false
-	}
 	// Every input — and the group column, when grouped — must be pinned,
 	// and nothing else may appear in the WHERE clause.
+	eqs := map[string]expr.Value{}
+	if !equalities(st.Where, st.From, eqs) {
+		return nil, false
+	}
 	want := len(model.Model.Inputs)
 	if model.Grouped() {
 		want++
@@ -187,45 +187,6 @@ func pointColFor(model *modelstore.CapturedModel, name string, withError bool) (
 		}
 	}
 	return pointColRef{}, false
-}
-
-// conjunctEqualities is the strict form of equalityConsts: it reports
-// ok=false unless the whole predicate is an AND-tree of `col = literal`
-// conjuncts (qualified with the queried table or bare), with no duplicate
-// columns.
-func conjunctEqualities(pred expr.Expr, tableName string) (map[string]expr.Value, bool) {
-	out := map[string]expr.Value{}
-	ok := collectConjuncts(pred, tableName, out)
-	return out, ok
-}
-
-func collectConjuncts(pred expr.Expr, tableName string, out map[string]expr.Value) bool {
-	b, isBin := pred.(*expr.Binary)
-	if !isBin {
-		return false
-	}
-	switch b.Op {
-	case expr.OpAnd:
-		return collectConjuncts(b.L, tableName, out) && collectConjuncts(b.R, tableName, out)
-	case expr.OpEq:
-		id, lit := asIdentLit(b.L, b.R)
-		if id == nil {
-			id, lit = asIdentLit(b.R, b.L)
-		}
-		if id == nil {
-			return false
-		}
-		name := unqualify(id.Name, tableName)
-		if name == "" {
-			return false
-		}
-		if _, dup := out[name]; dup {
-			return false
-		}
-		out[name] = lit.Val
-		return true
-	}
-	return false
 }
 
 // unqualify strips a matching table qualifier, returning "" when the name

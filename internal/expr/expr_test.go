@@ -440,7 +440,7 @@ func TestLitStringReadsBack(t *testing.T) {
 
 func TestExprStringRoundTrip(t *testing.T) {
 	// Rendering then reparsing must preserve semantics.
-	srcs := []string{"1 + 2 * x", "p * pow(nu, alpha)", "NOT (a AND b)", "x IS NULL", "-(x + 1) ^ 2"}
+	srcs := []string{"1 + 2 * x", "p * pow(nu, alpha)", "NOT (a AND b)", "x IS NULL", "-(x + 1) ^ 2", "température * 2"}
 	for _, src := range srcs {
 		e := MustParse(src)
 		r, err := Parse(e.String())
@@ -450,6 +450,26 @@ func TestExprStringRoundTrip(t *testing.T) {
 		if !strings.EqualFold(r.String(), e.String()) {
 			t.Errorf("round trip %q → %q → %q", src, e.String(), r.String())
 		}
+	}
+}
+
+// TestLexUTF8Names: a name is read rune by rune, so any UTF-8 letter
+// spells one, invalid UTF-8 is refused, and only ASCII letters spell a
+// reserved word (the dotless ı upper-cases to I, but "ın" is a name).
+func TestLexUTF8Names(t *testing.T) {
+	for _, src := range []string{"température", "ın", "_x2é"} {
+		toks, err := formula.Lex(src)
+		if err != nil || len(toks) != 2 || toks[0].Kind != TokIdent || toks[0].Text != src {
+			t.Errorf("Lex(%q) = %v, %v; want it as one name", src, toks, err)
+		}
+	}
+	for _, src := range []string{"\xc4", "x + \xc4", "©"} {
+		if toks, err := formula.Lex(src); err == nil {
+			t.Errorf("Lex(%q) = %v, want an error", src, toks)
+		}
+	}
+	if _, err := Parse("x ın (1, 2)"); err == nil {
+		t.Error(`Parse("x ın (1, 2)") read ın as the keyword IN`)
 	}
 }
 

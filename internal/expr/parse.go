@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Syntax is what tells apart the texts the one grammar reads: the words it
@@ -66,6 +67,8 @@ func (t Token) String() string {
 
 // Lex splits src into tokens, the last of which is TokEOF. Strings are
 // single-quoted with a doubled quote standing for one; "!=" lexes as "<>".
+// A name is UTF-8 letters, '_' and ASCII digits; invalid UTF-8 outside a
+// string is refused.
 func (s *Syntax) Lex(src string) ([]Token, error) {
 	var toks []Token
 	pos := 0
@@ -116,12 +119,12 @@ func (s *Syntax) Lex(src string) ([]Token, error) {
 			}
 			pos++ // closing quote
 			toks = append(toks, Token{Kind: TokString, Text: sb.String(), Pos: start})
-		case isIdentStart(c):
-			for pos < len(src) && isIdentPart(src[pos]) {
-				pos++
+		case identRune(src[pos:], false) > 0:
+			for n := identRune(src[pos:], true); n > 0; n = identRune(src[pos:], true) {
+				pos += n
 			}
 			word := src[start:pos]
-			if up := strings.ToUpper(word); s.reserved[up] {
+			if up := upperASCII(word); s.reserved[up] {
 				toks = append(toks, Token{Kind: TokKeyword, Text: up, Pos: start})
 			} else {
 				toks = append(toks, Token{Kind: TokIdent, Text: word, Pos: start})
@@ -140,7 +143,11 @@ func (s *Syntax) Lex(src string) ([]Token, error) {
 				op = src[pos : pos+1]
 			}
 			if op == "" {
-				return nil, fmt.Errorf("%s: unexpected character %q at offset %d", s.prefix, rune(c), pos)
+				r, n := utf8.DecodeRuneInString(src[pos:])
+				if r == utf8.RuneError && n == 1 {
+					return nil, fmt.Errorf("%s: invalid UTF-8 at offset %d", s.prefix, pos)
+				}
+				return nil, fmt.Errorf("%s: unexpected character %q at offset %d", s.prefix, r, pos)
 			}
 			pos += len(op)
 			toks = append(toks, Token{Kind: TokOp, Text: op, Pos: start})
@@ -149,9 +156,30 @@ func (s *Syntax) Lex(src string) ([]Token, error) {
 	return append(toks, Token{Kind: TokEOF, Pos: len(src)}), nil
 }
 
-func isDigit(c byte) bool      { return c >= '0' && c <= '9' }
-func isIdentStart(c byte) bool { return c == '_' || unicode.IsLetter(rune(c)) }
-func isIdentPart(c byte) bool  { return c == '_' || unicode.IsLetter(rune(c)) || isDigit(c) }
+func isDigit(c byte) bool { return c >= '0' && c <= '9' }
+
+// identRune returns the byte length of the name rune src starts with, 0 if
+// it starts with none: a letter in UTF-8 or '_', or an ASCII digit after
+// the first. Invalid UTF-8 is no letter.
+func identRune(src string, part bool) int {
+	r, n := utf8.DecodeRuneInString(src)
+	if r == '_' || unicode.IsLetter(r) || (part && n == 1 && isDigit(src[0])) {
+		return n
+	}
+	return 0
+}
+
+// upperASCII upper-cases the ASCII letters of a name for the reserved-word
+// check and keeps every other rune, so no other letter (the dotless ı of
+// "ın") spells a reserved word.
+func upperASCII(s string) string {
+	return strings.Map(func(r rune) rune {
+		if 'a' <= r && r <= 'z' {
+			return r - 'a' + 'A'
+		}
+		return r
+	}, s)
+}
 
 // Parser reads one token slice. internal/sql's statement parser holds one,
 // reads each clause with Peek/At/Advance/Accept/Expect and calls Expr
@@ -476,8 +504,8 @@ func (p *Parser) parseName(first string) (Expr, error) {
 }
 
 // lowerASCII lowers the ASCII letters of a call name and keeps every other
-// byte. The lexer reads a name byte by byte; strings.ToLower decodes UTF-8
-// and could turn a name's bytes into ones the lexer does not read back.
+// byte. strings.ToLower could turn a letter into runes the lexer does not
+// read back as a name (İ lowers to i and a combining dot).
 func lowerASCII(s string) string {
 	b := []byte(s)
 	for i, c := range b {

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"datalaws"
 	"datalaws/internal/expr"
 	"datalaws/internal/wireerr"
 )
@@ -178,15 +179,9 @@ func (st *Stmt) Close() error {
 // abandoned or LIMITed read never ships — or materializes — the rest of
 // the result.
 type Rows struct {
-	// Statement metadata from the first response (mirrors datalaws.Rows).
-	Info             string
-	Model            string
-	ModelVersion     int
-	SEInflation      float64
-	ExactFallback    bool
-	Hybrid           bool
-	Partitions       int
-	PartitionsPruned int
+	// Info and Report come with the first response.
+	Info string
+	datalaws.Report
 
 	c        *Client
 	cursorID uint64
@@ -201,19 +196,13 @@ type Rows struct {
 
 func newRows(c *Client, resp *Response) *Rows {
 	return &Rows{
-		Info:             resp.Info,
-		Model:            resp.Model,
-		ModelVersion:     resp.ModelVersion,
-		SEInflation:      resp.SEInflation,
-		ExactFallback:    resp.ExactFallback,
-		Hybrid:           resp.Hybrid,
-		Partitions:       resp.Partitions,
-		PartitionsPruned: resp.PartitionsPruned,
-		c:                c,
-		cursorID:         resp.CursorID,
-		cols:             resp.Columns,
-		buf:              resp.Rows,
-		done:             resp.Done,
+		Info:     resp.Info,
+		Report:   resp.report(),
+		c:        c,
+		cursorID: resp.CursorID,
+		cols:     resp.Columns,
+		buf:      resp.Rows,
+		done:     resp.Done,
 	}
 }
 

@@ -382,13 +382,7 @@ func (sess *session) handleQuery(req *Request) *Response {
 	resp := sess.pullBatch(rows, req.MaxRows)
 	resp.Columns = rows.Columns()
 	resp.Info = rows.Info
-	resp.Model = rows.Model
-	resp.ModelVersion = rows.ModelVersion
-	resp.SEInflation = rows.SEInflation
-	resp.ExactFallback = rows.ExactFallback
-	resp.Hybrid = rows.Hybrid
-	resp.Partitions = rows.Partitions
-	resp.PartitionsPruned = rows.PartitionsPruned
+	resp.setReport(rows.Report)
 	sess.srv.metrics.RecordQuery(routeOf(rows), time.Since(start), wireerr.Rehydrate(resp.ErrCode, resp.ErrMsg))
 	sess.srv.metrics.RecordRows(len(resp.Rows))
 	if !resp.Done {

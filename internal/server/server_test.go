@@ -505,3 +505,102 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestSameReportOnEveryCursor: the materialized result, the in-process
+// cursor, a prepared statement and the remote cursor (unprepared and
+// prepared) carry one statement's datalaws.Report unchanged, on every route.
+func TestSameReportOnEveryCursor(t *testing.T) {
+	eng := datalaws.NewEngine()
+	eng.AQP.FallbackExact = true
+	for _, tb := range []string{"m", "h", "r"} {
+		eng.MustExec("CREATE TABLE " + tb + " (source BIGINT, nu DOUBLE, intensity DOUBLE)")
+		if _, err := eng.Append(tb, lawRows(4, 0.05, 11)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.MustExec(`FIT MODEL law ON m AS 'intensity ~ a * nu + b' INPUTS (nu) GROUP BY source START (a = 1, b = 0)`)
+	eng.MustExec(`FIT MODEL upper ON h AS 'intensity ~ a * nu + b' INPUTS (nu) GROUP BY source WHERE nu > 1 START (a = 1, b = 0)`)
+	srv := New(eng, &Config{Logf: t.Logf})
+	if err := srv.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	cli := dialTest(t, srv)
+	ctx := context.Background()
+
+	ways := map[string]func(sql string) (datalaws.Report, error){
+		"Engine.Exec": func(sql string) (datalaws.Report, error) {
+			res, err := eng.Exec(sql)
+			if err != nil {
+				return datalaws.Report{}, err
+			}
+			return res.Report, nil
+		},
+		"Engine.Query": func(sql string) (datalaws.Report, error) {
+			rows, err := eng.Query(ctx, sql)
+			if err != nil {
+				return datalaws.Report{}, err
+			}
+			return rows.Report, rows.Close()
+		},
+		"Stmt.Exec": func(sql string) (datalaws.Report, error) {
+			st, err := eng.Prepare(sql)
+			if err != nil {
+				return datalaws.Report{}, err
+			}
+			res, err := st.Exec(ctx)
+			if err != nil {
+				return datalaws.Report{}, err
+			}
+			return res.Report, nil
+		},
+		"Client.Query": func(sql string) (datalaws.Report, error) {
+			rows, err := cli.Query(sql)
+			if err != nil {
+				return datalaws.Report{}, err
+			}
+			return rows.Report, rows.Close()
+		},
+		"Client Stmt.Query": func(sql string) (datalaws.Report, error) {
+			st, err := cli.Prepare(sql)
+			if err != nil {
+				return datalaws.Report{}, err
+			}
+			defer st.Close()
+			rows, err := st.Query()
+			if err != nil {
+				return datalaws.Report{}, err
+			}
+			return rows.Report, rows.Close()
+		},
+	}
+	for _, tc := range []struct {
+		sql   string
+		want  datalaws.Report
+		after string // undoes the statement so it can run again
+	}{
+		{sql: "APPROX SELECT intensity FROM m WHERE source = 1 AND nu = 0.5",
+			want: datalaws.Report{Model: "law", ModelVersion: 1, ApproxGrid: 32, SEInflation: 1}},
+		{sql: "APPROX SELECT avg(intensity) FROM m WHERE nu >= 0.5",
+			want: datalaws.Report{Model: "law", ModelVersion: 1, ApproxGrid: 32, SEInflation: 1}},
+		{sql: "APPROX SELECT avg(intensity) FROM h",
+			want: datalaws.Report{Model: "upper", ModelVersion: 1, ApproxGrid: 32, Hybrid: true, SEInflation: 1}},
+		{sql: "APPROX SELECT avg(intensity) FROM r", want: datalaws.Report{ExactFallback: true}},
+		{sql: "SELECT avg(intensity) FROM m"},
+		{sql: `FIT MODEL fresh ON r AS 'intensity ~ a * nu' INPUTS (nu) START (a = 1)`,
+			want: datalaws.Report{Model: "fresh"}, after: "DROP MODEL fresh"},
+	} {
+		for way, run := range ways {
+			got, err := run(tc.sql)
+			if err != nil {
+				t.Fatalf("%s via %s: %v", tc.sql, way, err)
+			}
+			if got != tc.want {
+				t.Errorf("%s via %s: report %+v, want %+v", tc.sql, way, got, tc.want)
+			}
+			if tc.after != "" {
+				eng.MustExec(tc.after)
+			}
+		}
+	}
+}

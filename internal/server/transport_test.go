@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"net"
@@ -196,4 +197,71 @@ func TestFrameAllocBudget(t *testing.T) {
 			t.Errorf("%s: %.0f allocs per encode + decode, budget %.0f", tc.name, allocs, tc.budget)
 		}
 	}
+}
+
+// FuzzFrame throws arbitrary bytes at readMsg as both ends read them: a
+// Request, what the server reads from the network, and a Response, what
+// the client reads. Seeds are real frames from the session handler: a
+// stmt-query request, a point reply, a fetch reply and a subscribe reply.
+// The invariants: decoding never panics; a declared length above the cap
+// is refused from the 4-byte header alone, before the payload is read or
+// allocated; and a decoded Response survives report, newRows (drained
+// through a closed client, so a fetch fails instead of dialing) and
+// deltaBatch.
+func FuzzFrame(f *testing.F) {
+	eng := datalaws.NewEngine()
+	eng.MustExec("CREATE TABLE m (source BIGINT, nu DOUBLE, intensity DOUBLE)")
+	if _, err := eng.Append("m", lawRows(4, 0.05, 11)); err != nil {
+		f.Fatal(err)
+	}
+	eng.MustExec(`FIT MODEL law ON m AS 'intensity ~ a * nu + b' INPUTS (nu) GROUP BY source START (a = 1, b = 0)`)
+	sess := &session{srv: New(eng, &Config{}), ctx: context.Background(),
+		stmts: map[uint64]*datalaws.Stmt{}, cursors: map[uint64]*datalaws.Rows{}}
+	defer sess.teardown()
+	prep := sess.handle(&Request{Op: OpPrepare, SQL: "APPROX SELECT intensity, intensity_lo, intensity_hi FROM m WHERE source = ? AND nu = ? WITH ERROR"})
+	req := &Request{Op: OpStmtQuery, StmtID: prep.StmtID, Args: []expr.Value{expr.Int(1), expr.Float(0.5)}}
+	first := sess.handle(&Request{Op: OpQuery, SQL: "SELECT source, nu, intensity FROM m", MaxRows: 4})
+	for _, msg := range []any{req, sess.handle(req), sess.handle(&Request{Op: OpFetch, CursorID: first.CursorID, MaxRows: 4}),
+		sess.handle(&Request{Op: OpSubscribeModels})} {
+		if resp, ok := msg.(*Response); ok && resp.ErrMsg != "" {
+			f.Fatal(resp.ErrMsg)
+		}
+		var buf bytes.Buffer
+		if err := writeMsg(&buf, msg, DefaultMaxFrame); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01})
+
+	const max = 1 << 16
+	closed := &Client{err: errClientClosed, closed: true}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		for _, v := range []any{new(Request), new(Response)} {
+			r := bytes.NewReader(frame)
+			err := readMsg(r, v, max)
+			var big *errFrameTooBig
+			if len(frame) >= 4 && binary.BigEndian.Uint32(frame) > max && (!errors.As(err, &big) || r.Len() != len(frame)-4) {
+				t.Fatalf("declared length %d over cap %d: err %v, %d bytes left unread", binary.BigEndian.Uint32(frame), max, err, r.Len())
+			}
+			resp, ok := v.(*Response)
+			if err != nil || !ok {
+				continue
+			}
+			rows := newRows(closed, resp)
+			if rows.Report != resp.report() {
+				t.Fatalf("newRows reports %+v, the frame %+v", rows.Report, resp.report())
+			}
+			for rows.Next() {
+				var x float64
+				var y any
+				for i := range rows.Row() {
+					_ = rows.Row()[i].Scan(&x)
+					_ = rows.Row()[i].Scan(&y)
+				}
+			}
+			_ = rows.Close()
+			_, _ = deltaBatch(resp)
+		}
+	})
 }

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 
+	"datalaws"
 	"datalaws/internal/aqp"
 	"datalaws/internal/expr"
 )
@@ -148,11 +149,14 @@ type Response struct {
 	// the cursor.
 	Done bool
 
-	// Statement metadata, set on the first response of an execution
-	// (mirrors datalaws.Rows).
+	// Info and the statement's datalaws.Report, set on the first response
+	// of an execution. The report travels as flat fields, written by
+	// setReport and read by report: every frame re-sends its gob type
+	// tree, and a nested struct would add its own to each one.
 	Info             string
 	Model            string
 	ModelVersion     int
+	ApproxGrid       int
 	SEInflation      float64
 	ExactFallback    bool
 	Hybrid           bool
@@ -175,6 +179,17 @@ type Response struct {
 	FeedSeq    uint64
 	Resync     bool
 	Growth     map[string]float64
+}
+
+func (r *Response) setReport(rep datalaws.Report) {
+	r.Model, r.ModelVersion, r.ApproxGrid, r.Hybrid = rep.Model, rep.ModelVersion, rep.ApproxGrid, rep.Hybrid
+	r.SEInflation, r.ExactFallback = rep.SEInflation, rep.ExactFallback
+	r.Partitions, r.PartitionsPruned = rep.Partitions, rep.PartitionsPruned
+}
+
+func (r *Response) report() datalaws.Report {
+	return datalaws.Report{Model: r.Model, ModelVersion: r.ModelVersion, ApproxGrid: r.ApproxGrid, Hybrid: r.Hybrid,
+		SEInflation: r.SEInflation, ExactFallback: r.ExactFallback, Partitions: r.Partitions, PartitionsPruned: r.PartitionsPruned}
 }
 
 // DefaultMaxFrame bounds a single frame's payload. Row batches dominate

@@ -120,6 +120,23 @@ func TestParseCreateTable(t *testing.T) {
 	}
 }
 
+// TestParseUTF8Names: statements name columns in any UTF-8 letters.
+func TestParseUTF8Names(t *testing.T) {
+	if sel := parseSelect(t, "SELECT température FROM t WHERE température > 0"); sel.Items[0].Expr.String() != "température" {
+		t.Fatalf("items = %+v", sel.Items)
+	}
+	st, err := Parse("CREATE TABLE t (température DOUBLE)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := st.(*CreateTableStmt); len(ct.Cols) != 1 || ct.Cols[0].Name != "température" {
+		t.Fatalf("%+v", ct)
+	}
+	if st, err := Parse("SELECT \xc4 FROM t"); err == nil {
+		t.Fatalf("invalid UTF-8 parsed as %+v", st)
+	}
+}
+
 func TestParseInsert(t *testing.T) {
 	st, err := Parse("INSERT INTO m VALUES (1, 0.12, 2.31), (2, 0.15, NULL)")
 	if err != nil {

@@ -14,6 +14,43 @@ import (
 	"datalaws/internal/wireerr"
 )
 
+// Report says which route answered a statement and how good the model
+// behind it was. The in-process cursor (Rows), the materialized Result and
+// the remote cursor (server.Rows) carry the same value, and EXPLAIN reports
+// the route the statement itself takes.
+type Report struct {
+	// Model names the captured model an approximate plan read ("" for
+	// exact plans), or the model a FIT MODEL or REFIT MODEL wrote.
+	Model string
+	// ModelVersion is the plan's model's refit generation, so a session can
+	// see a background refit being picked up.
+	ModelVersion int
+	// ApproxGrid is the model grid size before legality filtering.
+	ApproxGrid int
+	// Hybrid reports partial coverage: model tuples inside the model's
+	// region and raw rows outside it, or for partitions without a trusted
+	// model.
+	Hybrid bool
+	// SEInflation is the staleness widening applied to WITH ERROR bounds: 1
+	// for a fresh model, 0 for exact plans.
+	SEInflation float64
+	// ExactFallback reports that an APPROX SELECT was answered by the exact
+	// plan because no trusted model covered it (AQP.FallbackExact).
+	ExactFallback bool
+	// Partitions and PartitionsPruned report range-partition pruning for
+	// approximate plans: of Partitions partitions, PartitionsPruned were
+	// skipped, models and rows, before execution (0/0 when the FROM table
+	// is not partitioned).
+	Partitions       int
+	PartitionsPruned int
+}
+
+// planReport is the report of an approximate plan.
+func planReport(p *aqp.Plan) Report {
+	return Report{Model: p.Model.Spec.Name, ModelVersion: p.Model.Version, ApproxGrid: p.GridRows,
+		Hybrid: p.Hybrid, SEInflation: p.SEInflation, Partitions: p.PartsTotal, PartitionsPruned: p.PartsPruned}
+}
+
 // Rows is a streaming result cursor, shaped like database/sql.Rows: call
 // Next until it returns false, Scan (or Row) inside the loop, then check Err
 // and Close. Query results pull lazily from the executor — a LIMITed or
@@ -27,26 +64,7 @@ import (
 type Rows struct {
 	// Info carries the human-readable summary of DDL/utility statements.
 	Info string
-	// Model names the captured model an approximate plan used ("" for exact
-	// plans); ModelVersion is that model's refit generation, so sessions can
-	// observe a background refit being picked up; ApproxGrid is the model
-	// grid size before legality filtering; Hybrid reports partial-coverage
-	// routing; SEInflation is the staleness widening applied to WITH ERROR
-	// bounds (0 for exact plans, 1 for a fresh model); ExactFallback reports
-	// that an APPROX SELECT was answered by the exact plan because no
-	// trusted model covered it (Options.FallbackExact).
-	Model         string
-	ModelVersion  int
-	ApproxGrid    int
-	Hybrid        bool
-	SEInflation   float64
-	ExactFallback bool
-	// Partitions/PartitionsPruned report range-partition pruning for
-	// approximate plans: of Partitions partitions, PartitionsPruned were
-	// skipped — models and rows — before execution (0/0 when the FROM table
-	// is not partitioned).
-	Partitions       int
-	PartitionsPruned int
+	Report
 
 	cols   []string
 	op     exec.Operator // streaming source; nil for materialized results
@@ -184,16 +202,21 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	if sel, ok := bound.(*sql.SelectStmt); ok {
-		return s.querySelect(ctx, sel)
+	var res *Result
+	switch st := bound.(type) {
+	case *sql.SelectStmt:
+		return s.querySelect(ctx, st)
+	case *sql.ExplainStmt:
+		res, err = s.explain(st.Inner)
+	default:
+		// Statements without a row stream execute eagerly; their outcome is
+		// materialized into the cursor.
+		res, err = s.eng.execStmt(bound)
 	}
-	// Statements without a row stream execute eagerly; their outcome is
-	// materialized into the cursor.
-	res, err := s.eng.execStmt(bound)
 	if err != nil {
 		return nil, err
 	}
-	return materializedRows(res), nil
+	return &Rows{Info: res.Info, Report: res.Report, cols: res.Columns, buf: res.Rows}, nil
 }
 
 // Exec binds args, runs the statement to completion and materializes the
@@ -204,18 +227,7 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (*Result, error) {
 		return nil, err
 	}
 	defer rows.Close()
-	res := &Result{
-		Columns:          rows.Columns(),
-		Info:             rows.Info,
-		Model:            rows.Model,
-		ModelVersion:     rows.ModelVersion,
-		ApproxGrid:       rows.ApproxGrid,
-		Hybrid:           rows.Hybrid,
-		SEInflation:      rows.SEInflation,
-		ExactFallback:    rows.ExactFallback,
-		Partitions:       rows.Partitions,
-		PartitionsPruned: rows.PartitionsPruned,
-	}
+	res := &Result{Columns: rows.Columns(), Info: rows.Info, Report: rows.Report}
 	for rows.Next() {
 		res.Rows = append(res.Rows, rows.Row())
 	}
@@ -226,70 +238,86 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (*Result, error) {
 }
 
 func (s *Stmt) querySelect(ctx context.Context, sel *sql.SelectStmt) (*Rows, error) {
-	rows := &Rows{}
-	var op exec.Operator
-	if sel.Approx {
-		var plan *aqp.Plan
-		prep, err := s.prepared()
-		if err == nil {
-			plan, err = prep.Bind(sel)
-		}
-		if err != nil {
-			// Staleness-aware fallback: with no trusted model (never fitted,
-			// dropped, or revoked by the staleness policy mid-stream), answer
-			// the query exactly instead of failing — live systems should not
-			// bounce APPROX traffic because a law expired. Anything but
-			// ErrNoModel, or a failure of the exact plan itself (e.g. the
-			// query projects model-only _lo/_hi columns), reports the
-			// original approximate-planning error.
-			if !s.eng.aqpOptions().FallbackExact || !errors.Is(err, modelstore.ErrNoModel) {
-				return nil, err
-			}
-			exact, exErr := exec.BuildSelect(s.eng.Catalog, sel, nil, s.eng.parallelism())
-			if exErr != nil {
-				return nil, err
-			}
-			op = exact
-			rows.ExactFallback = true
-		} else {
-			op = plan.Op
-			rows.Model = plan.Model.Spec.Name
-			rows.ModelVersion = plan.Model.Version
-			rows.ApproxGrid = plan.GridRows
-			rows.Hybrid = plan.Hybrid
-			rows.SEInflation = plan.SEInflation
-			rows.Partitions = plan.PartsTotal
-			rows.PartitionsPruned = plan.PartsPruned
-		}
-	} else {
-		// A replica's tables are zero-row stubs: an exact scan would not
-		// fail, it would answer wrongly (empty). Reject with the routing
-		// sentinel instead so clients send exact traffic to the primary.
-		if s.eng.IsReplica() {
-			return nil, fmt.Errorf("datalaws: exact SELECT needs raw rows: %w", wireerr.ErrReplicaReadOnly)
-		}
-		var err error
-		op, err = exec.BuildSelect(s.eng.Catalog, sel, nil, s.eng.parallelism())
-		if err != nil {
-			return nil, err
-		}
+	op, rep, err := s.route(sel)
+	if err != nil {
+		return nil, err
 	}
 	exec.BindContext(op, ctx)
 	if err := op.Open(); err != nil {
 		op.Close()
 		return nil, err
 	}
-	rows.cols = op.Columns()
-	rows.op = op
-	return rows, nil
+	return &Rows{Report: rep, cols: op.Columns(), op: op}, nil
 }
 
-// prepared returns the statement's rebindable approximate plan, building it
-// on first use and rebuilding it if the engine's AQP options changed since.
+// explain renders the route sel takes: the plan querySelect would open.
+func (s *Stmt) explain(sel *sql.SelectStmt) (*Result, error) {
+	op, rep, err := s.route(sel)
+	if err != nil {
+		return nil, err
+	}
+	info := "exact plan"
+	switch {
+	case rep.Model != "":
+		info = "approximate plan (model " + rep.Model
+		if rep.Hybrid {
+			info += ", hybrid"
+		}
+		info += ")"
+	case rep.ExactFallback:
+		info = "exact plan (fallback: no trusted model)"
+	}
+	if rep.Partitions > 0 {
+		info += fmt.Sprintf("\npartitions: %d/%d pruned", rep.PartitionsPruned, rep.Partitions)
+	}
+	return &Result{Info: info + "\n" + exec.PlanString(op), Report: rep}, nil
+}
+
+// route chooses how a bound SELECT is answered, from a model, by the exact
+// fallback, exactly, or not at all on a replica, and returns that route's
+// unopened operator with its report. Execution and EXPLAIN both take it.
+func (s *Stmt) route(sel *sql.SelectStmt) (exec.Operator, Report, error) {
+	if !sel.Approx {
+		// A replica's tables are zero-row stubs: an exact scan would not
+		// fail, it would answer wrongly (empty). Reject with the routing
+		// sentinel instead so clients send exact traffic to the primary.
+		if s.eng.IsReplica() {
+			return nil, Report{}, fmt.Errorf("datalaws: exact SELECT needs raw rows: %w", wireerr.ErrReplicaReadOnly)
+		}
+		op, err := exec.BuildSelect(s.eng.Catalog, sel, nil, s.eng.parallelism())
+		return op, Report{}, err
+	}
+	var plan *aqp.Plan
+	prep, err := s.prepared()
+	if err == nil {
+		plan, err = prep.Bind(sel)
+	}
+	if err == nil {
+		return plan.Op, planReport(plan), nil
+	}
+	// Staleness-aware fallback: with no trusted model (never fitted,
+	// dropped, or revoked by the staleness policy mid-stream), answer the
+	// query exactly instead of failing — live systems should not bounce
+	// APPROX traffic because a law expired. Anything but ErrNoModel, or a
+	// failure of the exact plan itself (e.g. the query projects model-only
+	// _lo/_hi columns), reports the original approximate-planning error.
+	if !s.eng.aqpOptions().FallbackExact || !errors.Is(err, modelstore.ErrNoModel) {
+		return nil, Report{}, err
+	}
+	op, exErr := exec.BuildSelect(s.eng.Catalog, sel, nil, s.eng.parallelism())
+	if exErr != nil {
+		return nil, Report{}, err
+	}
+	return op, Report{ExactFallback: true}, nil
+}
+
+// prepared returns the rebindable approximate plan of the statement's
+// unbound SELECT (an EXPLAIN's inner one), building it on first use and
+// rebuilding it if the engine's AQP options changed since.
 func (s *Stmt) prepared() (*aqp.Prepared, error) {
 	sel, ok := s.ast.(*sql.SelectStmt)
-	if !ok || !sel.Approx {
-		return nil, fmt.Errorf("datalaws: statement is not an APPROX SELECT")
+	if !ok {
+		sel = s.ast.(*sql.ExplainStmt).Inner
 	}
 	opts := s.eng.aqpOptions()
 	s.mu.Lock()
@@ -303,23 +331,6 @@ func (s *Stmt) prepared() (*aqp.Prepared, error) {
 	}
 	s.approx, s.approxOpts = prep, opts
 	return prep, nil
-}
-
-// materializedRows wraps an eagerly computed Result as a cursor.
-func materializedRows(res *Result) *Rows {
-	return &Rows{
-		Info:             res.Info,
-		Model:            res.Model,
-		ModelVersion:     res.ModelVersion,
-		ApproxGrid:       res.ApproxGrid,
-		Hybrid:           res.Hybrid,
-		SEInflation:      res.SEInflation,
-		ExactFallback:    res.ExactFallback,
-		Partitions:       res.Partitions,
-		PartitionsPruned: res.PartitionsPruned,
-		cols:             res.Columns,
-		buf:              res.Rows,
-	}
 }
 
 // Query parses (or fetches from the engine's plan cache) one SQL statement,

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"datalaws/internal/expr"
+	"datalaws/internal/wireerr"
 )
 
 // fillSequential creates table big(a BIGINT, b DOUBLE) with n rows.
@@ -445,5 +447,59 @@ func TestScanTargets(t *testing.T) {
 	}
 	if err := rows.Scan(&s, &b, &s, &c); err == nil {
 		t.Fatal("want kind mismatch error")
+	}
+}
+
+// TestExplainShowsTheRouteThatRuns: EXPLAIN takes the route the statement
+// itself takes, so its report equals the executed statement's, through the
+// exact fallback, the point fast path, a hybrid plan and a partitioned plan.
+func TestExplainShowsTheRouteThatRuns(t *testing.T) {
+	eng := NewEngine()
+	eng.AQP.FallbackExact = true
+	eng.MustExec(`CREATE TABLE m (source BIGINT, nu DOUBLE, intensity DOUBLE)`)
+	var rows [][]expr.Value
+	for s := 0; s < 4; s++ {
+		for i := 1; i <= 8; i++ {
+			nu := 0.1 * float64(i)
+			rows = append(rows, []expr.Value{expr.Int(int64(s)), expr.Float(nu), expr.Float(float64(s+2)*nu + 1)})
+		}
+	}
+	if _, err := eng.Append("m", rows); err != nil {
+		t.Fatal(err)
+	}
+	check := func(eng *Engine, query, line string) {
+		t.Helper()
+		explained, err := eng.Exec("EXPLAIN APPROX " + query)
+		if err != nil {
+			t.Fatalf("EXPLAIN APPROX %s: %v", query, err)
+		}
+		ran := eng.MustExec("APPROX " + query)
+		if explained.Report != ran.Report {
+			t.Errorf("%s: EXPLAIN reports %+v, the statement ran with %+v", query, explained.Report, ran.Report)
+		}
+		if !strings.Contains(explained.Info, line) {
+			t.Errorf("%s: EXPLAIN lacks %q:\n%s", query, line, explained.Info)
+		}
+	}
+	point := `SELECT intensity FROM m WHERE source = 1 AND nu = 0.1`
+	check(eng, point, "exact plan (fallback: no trusted model)")
+	if res := eng.MustExec("EXPLAIN APPROX " + point); !res.ExactFallback {
+		t.Errorf("fallback EXPLAIN reports %+v", res.Report)
+	}
+
+	eng.MustExec(`FIT MODEL law ON m AS 'intensity ~ a * nu + b' INPUTS (nu) GROUP BY source START (a = 1, b = 0)`)
+	check(eng, point, "PointLookup")
+	eng.MustExec(`DROP MODEL law`)
+	eng.MustExec(`FIT MODEL upper ON m AS 'intensity ~ a * nu + b' INPUTS (nu) GROUP BY source WHERE nu > 0.45 START (a = 1, b = 0)`)
+	check(eng, `SELECT avg(intensity) FROM m WHERE source = 1`, "approximate plan (model upper, hybrid)")
+
+	parted := partedEngine(t, 16, 0.01, 1)
+	fitParted(t, parted)
+	check(parted, `SELECT intensity FROM m WHERE source = 250 AND nu = 1.5`, "partitions: 15/16 pruned")
+
+	// A replica refuses an exact EXPLAIN as it refuses the SELECT.
+	parted.SetReplica(nil)
+	if _, err := parted.Exec(`EXPLAIN SELECT intensity FROM m`); !errors.Is(err, wireerr.ErrReplicaReadOnly) {
+		t.Errorf("replica EXPLAIN SELECT: %v, want ErrReplicaReadOnly", err)
 	}
 }
