@@ -319,7 +319,7 @@ func (e *Engine) applyFit(spec modelstore.Spec) (*Result, error) {
 			m.Spec.Name, m.Quality.GroupsOK, m.Quality.GroupsFailed,
 			m.Quality.MedianR2, m.Quality.MedianResidualSE, m.ParamSizeBytes())
 	}
-	return &Result{Report: Report{Model: spec.Name}, Info: info,
+	return &Result{Report: Report{Model: spec.Name, ModelVersion: sum.ModelVersion}, Info: info,
 		Columns: capture.SummaryColumns(), Rows: []exec.Row{capture.SummaryRow(sum)}}, nil
 }
 
@@ -398,7 +398,7 @@ func (e *Engine) applyRefit(name string) (*Result, error) {
 		r.Reset(name)
 	}
 	return &Result{
-		Report: Report{Model: nm.Spec.Name},
+		Report: Report{Model: nm.Spec.Name, ModelVersion: nm.Version},
 		Info: fmt.Sprintf("model %s refitted to version %d: median R²=%.4f",
 			nm.Spec.Name, nm.Version, nm.Quality.MedianR2),
 	}, nil

@@ -12,13 +12,16 @@ import (
 	"testing"
 
 	"datalaws/internal/expr"
+	"datalaws/internal/table"
 	"datalaws/internal/wal"
 )
 
-// Format pins: the WAL's DDL records and a snapshot directory as written by
-// an earlier build must keep their bytes and keep loading. Both tests go
-// through the engine's public surface only, so they hold whatever types the
-// engine uses internally to carry a declaration or a law.
+// Format pins: the WAL's records and a snapshot directory as written by an
+// earlier build must keep their bytes and keep loading. The DDL and
+// snapshot pins go through the engine's public surface only, so they hold
+// whatever types the engine uses internally to carry a declaration or a
+// law; the append pin and the re-save check use the record and table codecs
+// directly.
 
 // compatCreate and compatFit are the declarations both pins are built from:
 // a partitioned three-column table and a law with WHERE and START.
@@ -122,6 +125,67 @@ func TestWALGoldenDDLRecords(t *testing.T) {
 			s.GroupBy != "source" || s.Where == nil || s.Where.String() != "(nu > 0.5)" ||
 			!reflect.DeepEqual(s.Start, map[string]float64{"a": 1, "b": -0.5}) || s.Method != "" {
 			t.Fatalf("replayed spec of %s = %+v", s.Name, s)
+		}
+	}
+}
+
+// walAppendGoldenHex is the payload of an append record whose two rows
+// carry every value kind: type, table, row count, then per row the column
+// count and (kind, value) pairs — a zigzag varint, a float64 LE, a
+// length-prefixed string, a bool byte, or a NULL with no value.
+const walAppendGoldenHex = "" +
+	"01" + "016d" + "02" +
+	"05" + "0105" + "02000000000000f83f" + "0306717561736172" + "0401" + "00" +
+	"05" + "01d804" + "00" + "0300" + "0400" + "02000000000000d0bf"
+
+// TestWALGoldenAppendRecord pins the bytes of an append record and checks
+// that they decode to the same rows.
+func TestWALGoldenAppendRecord(t *testing.T) {
+	rec := &wal.Record{Type: wal.TypeAppend, Table: "m", Rows: [][]expr.Value{
+		{expr.Int(-3), expr.Float(1.5), expr.Str("quasar"), expr.Bool(true), expr.Null()},
+		{expr.Int(300), expr.Null(), expr.Str(""), expr.Bool(false), expr.Float(-0.25)},
+	}}
+	want, err := hex.DecodeString(walAppendGoldenHex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("payload bytes changed\ngot  %x\nwant %x", got, want)
+	}
+	back, err := wal.Decode(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, rec) {
+		t.Fatalf("decoded %+v, want %+v", back, rec)
+	}
+}
+
+// TestEarlierSnapshotResavesIdentically: every table file of
+// testdata/snapshot_v1 loads and saves back to the same bytes.
+func TestEarlierSnapshotResavesIdentically(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "snapshot_v1", "snap-*", "*.dltab"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Fatalf("found %d table files, want 2", len(files))
+	}
+	for _, fn := range files {
+		b, err := os.ReadFile(fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := table.ReadBinary(b)
+		if err != nil {
+			t.Fatalf("%s: %v", fn, err)
+		}
+		var again bytes.Buffer
+		if err := table.WriteBinary(tb, &again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), b) {
+			t.Fatalf("%s re-saves to different bytes\ngot  %x\nwant %x", fn, again.Bytes(), b)
 		}
 	}
 }

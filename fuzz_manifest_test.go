@@ -75,12 +75,11 @@ func FuzzPartitionManifest(f *testing.F) {
 		if !strings.HasSuffix(ent.Name(), ".dltab") {
 			continue
 		}
-		r, err := os.Open(filepath.Join(snap, ent.Name()))
+		b, err := os.ReadFile(filepath.Join(snap, ent.Name()))
 		if err != nil {
 			f.Fatal(err)
 		}
-		tb, err := table.ReadBinary(r)
-		r.Close()
+		tb, err := table.ReadBinary(b)
 		if err != nil {
 			f.Fatal(err)
 		}

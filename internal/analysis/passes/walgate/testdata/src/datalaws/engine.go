@@ -59,8 +59,8 @@ func (e *Engine) applyAppend(t *table.Table, rows [][]interface{}) (int, error) 
 	return t.AppendRows(rows)
 }
 
-// loadFlat is the snapshot-recovery path that runs before the log attaches.
-func (e *Engine) loadFlat(t *table.Table) error {
+// loadSnapshot is the snapshot-recovery path that runs before the log attaches.
+func (e *Engine) loadSnapshot(t *table.Table) error {
 	return e.Catalog.Add(t)
 }
 

@@ -30,7 +30,7 @@ DropForTable/Load).
 
 In the engine package (and internal/refit, which holds engine-owned
 references), any gated call is a diagnostic unless it occurs (a) inside an
-apply* function or loadFlat — the replay/recovery paths that re-execute
+apply* function or loadSnapshot — the replay/recovery paths that re-execute
 already-logged records, or (b) lexically inside a function literal passed to
 Engine.mutate — the live log-then-apply closure. Elsewhere, a gated call is
 flagged when its receiver is reached through an *Engine (e.Catalog.Drop
@@ -66,9 +66,9 @@ var strictPkgs = map[string]bool{
 
 // replayFuncs are the named recovery paths allowed to call primitives
 // directly: they re-execute records already durable in the log (apply*) or
-// rebuild state from a snapshot before the log attaches (loadFlat).
+// rebuild state from a snapshot before the log attaches (loadSnapshot).
 func isReplayFunc(name string) bool {
-	return name == "loadFlat" || (len(name) >= 5 && name[:5] == "apply")
+	return name == "loadSnapshot" || (len(name) >= 5 && name[:5] == "apply")
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

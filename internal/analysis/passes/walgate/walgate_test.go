@@ -8,7 +8,7 @@ import (
 )
 
 // TestEngine covers strict mode: the engine package itself, including the
-// mutate-closure and apply*/loadFlat acceptance paths.
+// mutate-closure and apply*/loadSnapshot acceptance paths.
 func TestEngine(t *testing.T) {
 	checktest.Run(t, "testdata", walgate.Analyzer, "datalaws")
 }

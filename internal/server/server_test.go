@@ -575,9 +575,9 @@ func TestSameReportOnEveryCursor(t *testing.T) {
 		},
 	}
 	for _, tc := range []struct {
-		sql   string
-		want  datalaws.Report
-		after string // undoes the statement so it can run again
+		before, sql string
+		want        datalaws.Report
+		after       string // undoes before and the statement so they can run again
 	}{
 		{sql: "APPROX SELECT intensity FROM m WHERE source = 1 AND nu = 0.5",
 			want: datalaws.Report{Model: "law", ModelVersion: 1, ApproxGrid: 32, SEInflation: 1}},
@@ -588,9 +588,15 @@ func TestSameReportOnEveryCursor(t *testing.T) {
 		{sql: "APPROX SELECT avg(intensity) FROM r", want: datalaws.Report{ExactFallback: true}},
 		{sql: "SELECT avg(intensity) FROM m"},
 		{sql: `FIT MODEL fresh ON r AS 'intensity ~ a * nu' INPUTS (nu) START (a = 1)`,
-			want: datalaws.Report{Model: "fresh"}, after: "DROP MODEL fresh"},
+			want: datalaws.Report{Model: "fresh", ModelVersion: 1}, after: "DROP MODEL fresh"},
+		{before: `FIT MODEL again ON r AS 'intensity ~ a * nu' INPUTS (nu) START (a = 1)`,
+			sql:  "REFIT MODEL again",
+			want: datalaws.Report{Model: "again", ModelVersion: 2}, after: "DROP MODEL again"},
 	} {
 		for way, run := range ways {
+			if tc.before != "" {
+				eng.MustExec(tc.before)
+			}
 			got, err := run(tc.sql)
 			if err != nil {
 				t.Fatalf("%s via %s: %v", tc.sql, way, err)

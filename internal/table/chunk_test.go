@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"datalaws/internal/codec"
 	"datalaws/internal/expr"
 	"datalaws/internal/storage"
 )
@@ -245,7 +247,7 @@ func TestZoneMapSorted(t *testing.T) {
 	if err := WriteBinary(tb, &buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, err := ReadBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,7 +429,7 @@ func TestPersistRoundTripChunked(t *testing.T) {
 	if err := WriteBinary(tb, &buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, err := ReadBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,7 +493,7 @@ func TestPersistRoundTripExoticFloats(t *testing.T) {
 	if err := WriteBinary(tb, &buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBinary(&buf)
+	back, err := ReadBinary(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,40 +508,25 @@ func TestPersistRoundTripExoticFloats(t *testing.T) {
 	}
 }
 
-// TestPersistLegacyV1: the old flat DLTB1 format still loads, re-sealing
-// under the current chunk budget.
-func TestPersistLegacyV1(t *testing.T) {
-	withChunkRows(t, 8)
-	// Hand-encode a v1 stream: magic | name | ncols | per-col name+frame.
-	ic := storage.NewInt64Column()
-	fc := storage.NewFloat64Column()
+// TestReadBinaryRefusesDLTB1: a file in the retired whole-column format,
+// magic | name | ncols | per column name and frame, is refused with an
+// error that names the format, not misread or reported as bad magic.
+func TestReadBinaryRefusesDLTB1(t *testing.T) {
+	ic, fc := storage.NewInt64Column(), storage.NewFloat64Column()
 	for i := 0; i < 20; i++ {
 		ic.Append(int64(i))
 		fc.Append(float64(i) * 1.5)
 	}
-	var buf bytes.Buffer
-	buf.WriteString("DLTB1")
-	writeBytes(&buf, []byte("legacy"))
-	writeUvarint(&buf, 2)
-	writeBytes(&buf, []byte("id"))
-	writeBytes(&buf, storage.EncodeColumn(ic))
-	writeBytes(&buf, []byte("x"))
-	writeBytes(&buf, storage.EncodeColumn(fc))
-
-	back, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != "legacy" || back.NumRows() != 20 {
-		t.Fatalf("loaded %q with %d rows", back.Name, back.NumRows())
-	}
-	if got := back.Chunks().NumSealed(); got != 2 {
-		t.Fatalf("re-seal: %d sealed chunks, want 2", got)
-	}
-	for i, row := range allRows(t, back) {
-		if !sameVal(row[0], expr.Int(int64(i))) || !sameVal(row[1], expr.Float(float64(i)*1.5)) {
-			t.Fatalf("row %d = %v", i, row)
-		}
+	e := codec.Encoder("DLTB1")
+	e.Str("legacy")
+	e.Uvarint(2)
+	e.Str("id")
+	e.Bytes(storage.EncodeColumn(ic))
+	e.Str("x")
+	e.Bytes(storage.EncodeColumn(fc))
+	_, err := ReadBinary(e)
+	if err == nil || !strings.Contains(err.Error(), "DLTB1") {
+		t.Fatalf("ReadBinary of a DLTB1 file: %v, want an error naming DLTB1", err)
 	}
 }
 

@@ -7,25 +7,23 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"sort"
 
+	"datalaws/internal/codec"
 	"datalaws/internal/expr"
 	"datalaws/internal/modelstore"
 	"datalaws/internal/storage"
 	"datalaws/internal/table"
 )
 
-// The record codec. A payload is one type byte and then that type's
-// fields: strings and lists carry a uvarint length prefix, floats are 8
-// bytes little-endian, booleans and column type codes one byte each. DDL
+// The record codec. A payload is one type byte and then that type's fields
+// in the internal/codec encoding; a column type code is one byte. DDL
 // records hold the engine's own declaration types, so the log adds no
 // mirror of them: a CREATE TABLE writes its table.Decl (name, columns,
 // partition column, partitions) and a FIT MODEL writes the spec fields of
 // a modelstore.ModelRecord (name, table, formula, inputs, group column,
 // WHERE source, method, START pairs sorted by name), the source form that
-// models.json and the replica feed carry too. A length prefix larger than
-// the rest of the payload can hold is corrupt, never an allocation size.
+// models.json and the replica feed carry too.
 
 // Type enumerates logical record kinds. Appends carry the rows themselves;
 // DDL records are logical — recovery re-executes the operation against the
@@ -108,13 +106,10 @@ func appendFrame(buf, payload []byte) []byte {
 func readFrame(r *bufio.Reader) ([]byte, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
 		if err == io.ErrUnexpectedEOF {
 			return nil, ErrCorrupt // torn header
 		}
-		return nil, err
+		return nil, err // io.EOF: the clean end
 	}
 	n := binary.LittleEndian.Uint32(hdr[0:4])
 	crc := binary.LittleEndian.Uint32(hdr[4:8])
@@ -136,360 +131,151 @@ func readFrame(r *bufio.Reader) ([]byte, error) {
 
 // --- record encoding ---
 
-type encoder struct{ buf []byte }
-
-func (e *encoder) byte(b byte)      { e.buf = append(e.buf, b) }
-func (e *encoder) bool(b bool)      { e.byte(boolByte(b)) }
-func (e *encoder) uvarint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *encoder) float(f float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
-}
-func (e *encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *encoder) strs(ss []string) {
-	e.uvarint(uint64(len(ss)))
-	for _, s := range ss {
-		e.str(s)
-	}
-}
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // Encode serializes the record payload (without framing).
 func (r *Record) Encode() []byte {
-	e := &encoder{buf: make([]byte, 0, 64)}
-	e.byte(byte(r.Type))
+	e := make(codec.Encoder, 0, 64)
+	e.Byte(byte(r.Type))
 	switch r.Type {
 	case TypeAppend:
-		e.str(r.Table)
-		e.uvarint(uint64(len(r.Rows)))
+		e.Str(r.Table)
+		e.Uvarint(uint64(len(r.Rows)))
 		for _, row := range r.Rows {
-			e.uvarint(uint64(len(row)))
+			e.Uvarint(uint64(len(row)))
 			for _, v := range row {
-				e.byte(byte(v.K))
+				e.Byte(byte(v.K))
 				switch v.K {
 				case expr.KindInt:
-					e.varint(v.I)
+					e.Varint(v.I)
 				case expr.KindFloat:
-					e.float(v.F)
+					e.Float(v.F)
 				case expr.KindString:
-					e.str(v.S)
+					e.Str(v.S)
 				case expr.KindBool:
-					e.bool(v.B)
+					e.Bool(v.B)
 				}
 			}
 		}
 	case TypeCreateTable:
 		d := r.Decl
-		e.str(d.Name)
-		e.uvarint(uint64(len(d.Cols)))
+		e.Str(d.Name)
+		e.Uvarint(uint64(len(d.Cols)))
 		for _, c := range d.Cols {
-			e.str(c.Name)
-			e.byte(byte(c.Type))
+			e.Str(c.Name)
+			e.Byte(byte(c.Type))
 		}
-		e.str(d.PartCol)
-		e.uvarint(uint64(len(d.Parts)))
+		e.Str(d.PartCol)
+		e.Uvarint(uint64(len(d.Parts)))
 		for _, p := range d.Parts {
-			e.str(p.Name)
-			e.float(p.Upper)
-			e.bool(p.Max)
+			e.Str(p.Name)
+			e.Float(p.Upper)
+			e.Bool(p.Max)
 		}
 	case TypeDropTable:
-		e.str(r.Table)
+		e.Str(r.Table)
 	case TypeFitModel:
 		f := r.Fit
-		e.str(f.Name)
-		e.str(f.Table)
-		e.str(f.Formula)
-		e.strs(f.Inputs)
-		e.str(f.GroupBy)
-		e.str(f.WhereSrc)
-		e.str(f.Method)
+		e.Str(f.Name)
+		e.Str(f.Table)
+		e.Str(f.Formula)
+		e.Strs(f.Inputs)
+		e.Str(f.GroupBy)
+		e.Str(f.WhereSrc)
+		e.Str(f.Method)
 		keys := make([]string, 0, len(f.Start))
 		for k := range f.Start {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		e.uvarint(uint64(len(keys)))
+		e.Uvarint(uint64(len(keys)))
 		for _, k := range keys {
-			e.str(k)
-			e.float(f.Start[k])
+			e.Str(k)
+			e.Float(f.Start[k])
 		}
 	case TypeRefitModel, TypeDropModel:
-		e.str(r.Name)
+		e.Str(r.Name)
 	}
-	return e.buf
-}
-
-type decoder struct{ buf []byte }
-
-var errShort = errors.New("wal: short record")
-
-func (d *decoder) byte() (byte, error) {
-	if len(d.buf) < 1 {
-		return 0, errShort
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b, nil
-}
-
-func (d *decoder) bool() (bool, error) {
-	b, err := d.byte()
-	return b != 0, err
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		return 0, errShort
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-func (d *decoder) varint() (int64, error) {
-	v, n := binary.Varint(d.buf)
-	if n <= 0 {
-		return 0, errShort
-	}
-	d.buf = d.buf[n:]
-	return v, nil
-}
-
-func (d *decoder) float() (float64, error) {
-	if len(d.buf) < 8 {
-		return 0, errShort
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
-	d.buf = d.buf[8:]
-	return v, nil
-}
-
-func (d *decoder) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if uint64(len(d.buf)) < n {
-		return "", errShort
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s, nil
-}
-
-// count reads the length prefix of a list whose items take at least size
-// bytes each, refusing one the rest of the payload cannot hold, so a
-// corrupt prefix never sizes an allocation.
-func (d *decoder) count(size int) (int, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > uint64(len(d.buf)/size) {
-		return 0, errShort
-	}
-	return int(n), nil
-}
-
-func (d *decoder) strs() ([]string, error) {
-	n, err := d.count(1)
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		if out[i], err = d.str(); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return e
 }
 
 // Decode parses a record payload produced by Encode. A malformed payload —
 // which the CRC layer should have caught — reports ErrCorrupt.
 func Decode(payload []byte) (*Record, error) {
-	rec, err := decode(payload)
-	if err != nil {
+	d := codec.NewDecoder(payload)
+	rec := decode(d)
+	if err := d.End(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return rec, nil
 }
 
-func decode(payload []byte) (*Record, error) {
-	d := &decoder{buf: payload}
-	tb, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	rec := &Record{Type: Type(tb)}
+// decode reads one record; d's error says whether it is whole.
+func decode(d *codec.Decoder) *Record {
+	rec := &Record{Type: Type(d.Byte())}
 	switch rec.Type {
 	case TypeAppend:
-		if rec.Table, err = d.str(); err != nil {
-			return nil, err
-		}
-		nrows, err := d.count(1)
-		if err != nil {
-			return nil, err
-		}
-		if nrows > 0 {
-			rec.Rows = make([][]expr.Value, nrows)
+		rec.Table = d.Str()
+		if n := d.Count(1); n > 0 {
+			rec.Rows = make([][]expr.Value, n)
 		}
 		for i := range rec.Rows {
-			ncols, err := d.count(1)
-			if err != nil {
-				return nil, err
-			}
-			row := make([]expr.Value, ncols)
+			row := make([]expr.Value, d.Count(1))
 			for j := range row {
-				kb, err := d.byte()
-				if err != nil {
-					return nil, err
-				}
-				switch expr.Kind(kb) {
-				case expr.KindNull:
-					row[j] = expr.Null()
-				case expr.KindInt:
-					v, err := d.varint()
-					if err != nil {
-						return nil, err
-					}
-					row[j] = expr.Int(v)
-				case expr.KindFloat:
-					v, err := d.float()
-					if err != nil {
-						return nil, err
-					}
-					row[j] = expr.Float(v)
-				case expr.KindString:
-					v, err := d.str()
-					if err != nil {
-						return nil, err
-					}
-					row[j] = expr.Str(v)
-				case expr.KindBool:
-					v, err := d.bool()
-					if err != nil {
-						return nil, err
-					}
-					row[j] = expr.Bool(v)
-				default:
-					return nil, fmt.Errorf("unknown value kind %d", kb)
-				}
+				row[j] = decodeValue(d)
 			}
 			rec.Rows[i] = row
 		}
 	case TypeCreateTable:
-		td := &table.Decl{}
-		if td.Name, err = d.str(); err != nil {
-			return nil, err
-		}
-		ncols, err := d.count(2)
-		if err != nil {
-			return nil, err
-		}
-		if ncols > 0 {
-			td.Cols = make([]table.ColumnDef, ncols)
+		td := &table.Decl{Name: d.Str()}
+		if n := d.Count(2); n > 0 {
+			td.Cols = make([]table.ColumnDef, n)
 		}
 		for i := range td.Cols {
-			if td.Cols[i].Name, err = d.str(); err != nil {
-				return nil, err
-			}
-			tb, err := d.byte()
-			if err != nil {
-				return nil, err
-			}
-			td.Cols[i].Type = storage.ColType(tb)
+			td.Cols[i] = table.ColumnDef{Name: d.Str(), Type: storage.ColType(d.Byte())}
 		}
-		if td.PartCol, err = d.str(); err != nil {
-			return nil, err
-		}
-		nparts, err := d.count(10)
-		if err != nil {
-			return nil, err
-		}
-		if nparts > 0 {
-			td.Parts = make([]table.RangePartition, nparts)
+		td.PartCol = d.Str()
+		if n := d.Count(10); n > 0 {
+			td.Parts = make([]table.RangePartition, n)
 		}
 		for i := range td.Parts {
-			if td.Parts[i].Name, err = d.str(); err != nil {
-				return nil, err
-			}
-			if td.Parts[i].Upper, err = d.float(); err != nil {
-				return nil, err
-			}
-			if td.Parts[i].Max, err = d.bool(); err != nil {
-				return nil, err
-			}
+			td.Parts[i] = table.RangePartition{Name: d.Str(), Upper: d.Float(), Max: d.Bool()}
 		}
 		rec.Decl = td
 	case TypeDropTable:
-		if rec.Table, err = d.str(); err != nil {
-			return nil, err
-		}
+		rec.Table = d.Str()
 	case TypeFitModel:
-		f := &modelstore.ModelRecord{}
-		if f.Name, err = d.str(); err != nil {
-			return nil, err
-		}
-		if f.Table, err = d.str(); err != nil {
-			return nil, err
-		}
-		if f.Formula, err = d.str(); err != nil {
-			return nil, err
-		}
-		if f.Inputs, err = d.strs(); err != nil {
-			return nil, err
-		}
-		if f.GroupBy, err = d.str(); err != nil {
-			return nil, err
-		}
-		if f.WhereSrc, err = d.str(); err != nil {
-			return nil, err
-		}
-		if f.Method, err = d.str(); err != nil {
-			return nil, err
-		}
-		nstart, err := d.count(9)
-		if err != nil {
-			return nil, err
-		}
-		if nstart > 0 {
-			f.Start = make(map[string]float64, nstart)
-			for i := 0; i < nstart; i++ {
-				k, err := d.str()
-				if err != nil {
-					return nil, err
-				}
-				v, err := d.float()
-				if err != nil {
-					return nil, err
-				}
-				f.Start[k] = v
+		f := &modelstore.ModelRecord{Name: d.Str(), Table: d.Str(), Formula: d.Str(), Inputs: d.Strs(),
+			GroupBy: d.Str(), WhereSrc: d.Str(), Method: d.Str()}
+		if n := d.Count(9); n > 0 {
+			f.Start = make(map[string]float64, n)
+			for range n {
+				k := d.Str()
+				f.Start[k] = d.Float()
 			}
 		}
 		rec.Fit = f
 	case TypeRefitModel, TypeDropModel:
-		if rec.Name, err = d.str(); err != nil {
-			return nil, err
-		}
+		rec.Name = d.Str()
 	default:
-		return nil, fmt.Errorf("unknown record type %d", tb)
+		d.Fail(fmt.Errorf("unknown record type %d", rec.Type))
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", len(d.buf))
+	return rec
+}
+
+// decodeValue reads one kind byte and the value it announces.
+func decodeValue(d *codec.Decoder) expr.Value {
+	switch k := expr.Kind(d.Byte()); k {
+	case expr.KindNull:
+		return expr.Null()
+	case expr.KindInt:
+		return expr.Int(d.Varint())
+	case expr.KindFloat:
+		return expr.Float(d.Float())
+	case expr.KindString:
+		return expr.Str(d.Str())
+	case expr.KindBool:
+		return expr.Bool(d.Bool())
+	default:
+		d.Fail(fmt.Errorf("unknown value kind %d", k))
+		return expr.Null()
 	}
-	return rec, nil
 }

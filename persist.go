@@ -26,7 +26,8 @@ var ErrObstructed = errors.New("datalaws: snapshot commit obstructed")
 // between them leaves CURRENT on the previous snapshot — there is no window
 // where a reader can observe a half-written mix of old and new files, which
 // matters once WAL replay starts from a segment recorded inside the
-// snapshot. Directories without CURRENT load through the legacy flat layout.
+// snapshot. The flat layout of builds before snapshots (.dltab files with
+// no CURRENT) is refused by name.
 const (
 	currentFile = "CURRENT"
 	snapPrefix  = "snap-"
@@ -230,7 +231,7 @@ func setCurrent(dir, snap string) error {
 }
 
 // readCurrent resolves the live snapshot directory, or ok=false if the
-// directory uses the legacy flat layout (no CURRENT file).
+// directory has no CURRENT file.
 func readCurrent(dir string) (string, bool, error) {
 	b, err := os.ReadFile(filepath.Join(dir, currentFile))
 	if os.IsNotExist(err) {
@@ -323,8 +324,10 @@ func writePartitionsManifest(cat *table.Catalog, f *os.File) error {
 
 // LoadDir restores an engine persisted with SaveDir into this engine.
 // Loaded names must not collide with existing tables or models. It follows
-// the CURRENT pointer to the live snapshot; directories written by older
-// versions (flat .dltab files, no CURRENT) load directly.
+// the CURRENT pointer to the live snapshot. A directory with no CURRENT
+// loads nothing, unless it holds .dltab files: that is the flat layout of
+// builds before snapshots, which is refused rather than mistaken for an
+// empty engine.
 //
 // The load is staged: every table file is read and decoded, the partition
 // manifest resolved against the decoded tables, and the model catalog
@@ -337,15 +340,28 @@ func (e *Engine) LoadDir(dir string) error {
 	if err != nil {
 		return err
 	}
-	if !ok {
-		snap = dir
+	if ok {
+		return e.loadSnapshot(snap)
 	}
-	return e.loadFlat(snap)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, ent := range entries {
+		if isTableFile(ent) {
+			return fmt.Errorf("datalaws: %s holds %s but no %s: a flat save from before snapshots is no longer read", dir, ent.Name(), currentFile)
+		}
+	}
+	return nil
 }
 
-// loadFlat loads one directory of .dltab files + partitions.json +
-// models.json — a resolved snapshot directory, or a legacy flat save.
-func (e *Engine) loadFlat(dir string) error {
+func isTableFile(ent os.DirEntry) bool {
+	return !ent.IsDir() && strings.HasSuffix(ent.Name(), ".dltab") && !strings.HasPrefix(ent.Name(), ".")
+}
+
+// loadSnapshot loads one snapshot directory: .dltab files, partitions.json,
+// models.json and catalog.json.
+func (e *Engine) loadSnapshot(dir string) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -354,15 +370,14 @@ func (e *Engine) loadFlat(dir string) error {
 	// Stage: decode everything before touching the engine.
 	var tables []*table.Table
 	for _, ent := range entries {
-		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".dltab") || strings.HasPrefix(ent.Name(), ".") {
+		if !isTableFile(ent) {
 			continue
 		}
-		f, err := os.Open(filepath.Join(dir, ent.Name()))
+		b, err := os.ReadFile(filepath.Join(dir, ent.Name()))
 		if err != nil {
 			return err
 		}
-		t, err := table.ReadBinary(f)
-		_ = f.Close() // read-side handle; decode errors are what matter here
+		t, err := table.ReadBinary(b)
 		if err != nil {
 			return fmt.Errorf("datalaws: loading %s: %w", ent.Name(), err)
 		}

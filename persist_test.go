@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"datalaws/internal/expr"
+	"datalaws/internal/wal"
 )
 
 func TestSaveLoadDirRoundTrip(t *testing.T) {
@@ -242,6 +243,49 @@ func TestLoadDirEmptyDirNoModels(t *testing.T) {
 	e := NewEngine()
 	if err := e.LoadDir(dir); err != nil {
 		t.Fatalf("empty dir should load cleanly: %v", err)
+	}
+}
+
+// TestFlatLayoutRefused: a save in the flat layout of builds before
+// snapshots (.dltab files beside models.json, no CURRENT) is refused by
+// LoadDir and by Open, which must not attach a log over it as if it were an
+// empty engine.
+func TestFlatLayoutRefused(t *testing.T) {
+	dir := t.TempDir()
+	e1, _ := loadLOFAR(t, 5, 20)
+	if err := e1.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	snap := currentSnapDir(t, dir)
+	ents, err := os.ReadDir(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		if err := os.Rename(filepath.Join(snap, ent.Name()), filepath.Join(dir, ent.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.Remove(filepath.Join(dir, currentFile)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(snap); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := NewEngine()
+	if err := e2.LoadDir(dir); err == nil || !strings.Contains(err.Error(), "flat save") {
+		t.Fatalf("LoadDir of a flat save: %v, want an error naming the flat layout", err)
+	}
+	if names := e2.Catalog.Names(); len(names) != 0 {
+		t.Fatalf("refused load left tables behind: %v", names)
+	}
+	if e3, err := Open(dir, wal.Config{}); err == nil {
+		_ = e3.Close()
+		t.Fatal("Open attached a log over a flat save")
+	}
+	if segs, _ := filepath.Glob(filepath.Join(dir, "wal-*")); len(segs) != 0 {
+		t.Fatalf("refused Open left log segments: %v", segs)
 	}
 }
 

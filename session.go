@@ -23,7 +23,9 @@ type Report struct {
 	// exact plans), or the model a FIT MODEL or REFIT MODEL wrote.
 	Model string
 	// ModelVersion is the plan's model's refit generation, so a session can
-	// see a background refit being picked up.
+	// see a background refit being picked up, or the version a FIT MODEL or
+	// REFIT MODEL wrote. A partitioned family's REFIT leaves it 0: each
+	// member refits to its own version, and no one number names them all.
 	ModelVersion int
 	// ApproxGrid is the model grid size before legality filtering.
 	ApproxGrid int
