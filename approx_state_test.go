@@ -95,8 +95,8 @@ func TestRecaptureSameNameGetsFreshDomains(t *testing.T) {
 // interaction, as tier-1 assertions: a regression fails go test ./...
 // without the benchmark module.
 const (
-	approxPointAllocBudget       = 21 // no append since the last bind
-	appendApproxPointAllocBudget = 45 // a 64-row append, then the same read
+	approxPointAllocBudget       = 18 // no append since the last bind
+	appendApproxPointAllocBudget = 42 // a 64-row append, then the same read
 )
 
 func TestApproxPointAllocBudget(t *testing.T) {

@@ -650,20 +650,24 @@ func BenchmarkAblationOptimizer(b *testing.B) {
 	})
 }
 
-// Compiled closures vs the tree-walking Eval for model formulas.
+// A compiled vector kernel called on one row vs the tree-walking Eval for
+// model formulas.
 func BenchmarkAblationExprEval(b *testing.B) {
 	e := expr.MustParse("p * pow(nu, alpha)")
 	index := map[string]int{"alpha": 0, "p": 1, "nu": 2}
-	compiled, err := expr.Compile(e, index)
+	kern, err := expr.CompileVec(e, index)
 	if err != nil {
 		b.Fatal(err)
 	}
 	row := []float64{-0.7, 0.06, 0.14}
+	args := []expr.VecArg{{Scalar: row[0]}, {Scalar: row[1]}, {Scalar: row[2]}}
 	env := expr.MapEnv{"alpha": expr.Float(row[0]), "p": expr.Float(row[1]), "nu": expr.Float(row[2])}
 	b.Run("compiled", func(b *testing.B) {
 		var sink float64
+		out := make([]float64, 1)
 		for i := 0; i < b.N; i++ {
-			sink += compiled(row)
+			kern(1, args, out)
+			sink += out[0]
 		}
 		_ = sink
 	})

@@ -564,8 +564,9 @@ func familyFit(spec modelstore.Spec, caps []modelstore.PartitionCapture) (captur
 }
 
 // ApproxPoint implements capture.Backend: a zero-IO point lookup against a
-// captured model with error bounds. A level outside (0, 1), NaN included,
-// takes the 95% default.
+// captured model with error bounds, widened for staleness as a WITH ERROR
+// statement's are (aqp.Inflation over the model's table, a family member's
+// partition). A level outside (0, 1), NaN included, takes the 95% default.
 func (e *Engine) ApproxPoint(model string, group int64, inputs []float64, level float64) (capture.PointAnswer, error) {
 	m, err := e.pointModel(model, group, inputs)
 	if err != nil {
@@ -574,7 +575,11 @@ func (e *Engine) ApproxPoint(model string, group int64, inputs []float64, level 
 	if !(level > 0 && level < 1) {
 		level = 0.95
 	}
-	v, lo, hi, err := aqp.PointLookup(m, group, inputs, level)
+	inflate := 1.0
+	if t, ok := e.Catalog.Get(m.Spec.Table); ok {
+		inflate = aqp.Inflation(m, t, e.aqpOptions())
+	}
+	v, lo, hi, err := aqp.PointLookup(m, group, inputs, level, inflate)
 	if err != nil {
 		return capture.PointAnswer{}, err
 	}

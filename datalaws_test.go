@@ -181,6 +181,34 @@ func TestApproxPointNaNLevel(t *testing.T) {
 	}
 }
 
+// TestApproxPointWidenedAsStatement: on a table grown since the fit, with
+// StaleInflate on, a strawman point took factor 1 and answered a narrower
+// interval than the WITH ERROR statement for the same model, point and
+// level. Both now widen by aqp.Inflation.
+func TestApproxPointWidenedAsStatement(t *testing.T) {
+	e, d := loadLOFAR(t, 6, 40)
+	fitSpectra(t, e)
+	grown := make([][]expr.Value, d.NumRows()/10)
+	for i := range grown {
+		grown[i] = []expr.Value{expr.Int(d.Source[i]), expr.Float(d.Nu[i]), expr.Float(d.Intensity[i])}
+	}
+	if _, err := e.Append("measurements", grown); err != nil {
+		t.Fatal(err)
+	}
+	e.AQP.StaleInflate = true
+	res := e.MustExec("APPROX SELECT intensity, intensity_lo, intensity_hi FROM measurements WHERE source = 1 AND nu = 0.12 WITH ERROR")
+	if len(res.Rows) != 1 || res.SEInflation <= 1 {
+		t.Fatalf("statement: %d rows, inflation %g; want one row, widened", len(res.Rows), res.SEInflation)
+	}
+	ans, err := e.ApproxPoint("spectra", 1, []float64{0.12}, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := res.Rows[0]; ans.Value != row[0].F || ans.Lo != row[1].F || ans.Hi != row[2].F {
+		t.Fatalf("point %g [%g, %g], statement %g [%g, %g]", ans.Value, ans.Lo, ans.Hi, row[0].F, row[1].F, row[2].F)
+	}
+}
+
 // TestApproxPointPartitionedFamily: a strawman fit on a partitioned table
 // returns a summary named for the family, but a point of that name failed
 // with "model not found" because only the members fam#pK exist. The point

@@ -97,7 +97,8 @@ func PointOutliers(v *table.ChunkView, m *modelstore.CapturedModel, zThreshold f
 	observed, inputs := cols[0], cols[1:]
 	var out []PointOutlier
 	in := make([]float64, len(m.Model.Inputs))
-	row := make([]float64, len(m.Model.Params)+len(m.Model.Inputs))
+	ev := m.Model.Evaluator()
+	defer ev.Release()
 	for r := range observed {
 		var key int64
 		if group != nil {
@@ -110,7 +111,7 @@ func PointOutliers(v *table.ChunkView, m *modelstore.CapturedModel, zThreshold f
 		for i := range inputs {
 			in[i] = inputs[i][r]
 		}
-		pred := m.Model.EvalInto(row, g.Params, in)
+		pred := ev.Eval(g.Params, in)
 		z := (observed[r] - pred) / g.ResidualSE
 		if math.Abs(z) > zThreshold {
 			out = append(out, PointOutlier{

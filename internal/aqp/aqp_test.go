@@ -154,7 +154,7 @@ func TestPointLookupMatchesTruth(t *testing.T) {
 	_, _, _, m, d := fixture(t)
 	for src := int64(1); src <= 25; src++ {
 		truth := d.Truth[src]
-		v, lo, hi, err := PointLookup(m, src, []float64{0.14}, 0.95)
+		v, lo, hi, err := PointLookup(m, src, []float64{0.14}, 0.95, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,10 +166,10 @@ func TestPointLookupMatchesTruth(t *testing.T) {
 			t.Fatalf("source %d: bounds [%g,%g] around %g", src, lo, hi, v)
 		}
 	}
-	if _, _, _, err := PointLookup(m, 424242, []float64{0.14}, 0.95); err == nil {
+	if _, _, _, err := PointLookup(m, 424242, []float64{0.14}, 0.95, 1); err == nil {
 		t.Fatal("want error for unknown group")
 	}
-	if _, _, _, err := PointLookup(m, 1, []float64{0.1, 0.2}, 0.95); err == nil {
+	if _, _, _, err := PointLookup(m, 1, []float64{0.1, 0.2}, 0.95, 1); err == nil {
 		t.Fatal("want error for wrong input arity")
 	}
 }

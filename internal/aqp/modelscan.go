@@ -89,14 +89,9 @@ func (s *ModelScan) orderKeys() []int64 {
 
 // PointLookup answers the paper's first example query — a point query on
 // (group, inputs) — directly from the parameter table: one hash lookup and
-// one model evaluation, no scan at all.
-func PointLookup(m *modelstore.CapturedModel, group int64, inputs []float64, level float64) (value, lo, hi float64, err error) {
-	return PointLookupScaled(m, group, inputs, level, 1)
-}
-
-// PointLookupScaled is PointLookup with a staleness widening factor applied
-// to the prediction SE (factors ≤ 1 leave the bounds untouched).
-func PointLookupScaled(m *modelstore.CapturedModel, group int64, inputs []float64, level, inflate float64) (value, lo, hi float64, err error) {
+// one model evaluation, no scan at all. inflate is the staleness widening
+// of the prediction SE (Inflation; factors ≤ 1 leave the bounds untouched).
+func PointLookup(m *modelstore.CapturedModel, group int64, inputs []float64, level, inflate float64) (value, lo, hi float64, err error) {
 	g, ok := m.GroupFor(group)
 	if !ok {
 		return 0, 0, 0, fmt.Errorf("aqp: no fitted parameters for group %d", group)
@@ -104,9 +99,11 @@ func PointLookupScaled(m *modelstore.CapturedModel, group int64, inputs []float6
 	if len(inputs) != len(m.Model.Inputs) {
 		return 0, 0, 0, fmt.Errorf("aqp: %d inputs, model has %d", len(inputs), len(m.Model.Inputs))
 	}
-	yhat := m.Model.Eval(g.Params, inputs)
-	lo, hi = m.Model.Interval(&g.Estimate, inputs, yhat, level, inflate, make([]float64, len(g.Params)))
-	return yhat, lo, hi, nil
+	ev := m.Model.Evaluator()
+	value = ev.Eval(g.Params, inputs)
+	lo, hi = ev.Interval(&g.Estimate, inputs, value, level, inflate)
+	ev.Release()
+	return value, lo, hi, nil
 }
 
 // ExplainInfo implements the executor's Explainer so EXPLAIN renders the

@@ -68,7 +68,7 @@ func (p *Prepared) bindPartitioned(st *sql.SelectStmt) (*Plan, error) {
 		if err != nil {
 			return nil, err
 		}
-		inflate := staleInflation(model, child, p.opts)
+		inflate := Inflation(model, child, p.opts)
 		if inflate > inflateMax {
 			inflateMax = inflate
 		}

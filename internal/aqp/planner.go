@@ -199,14 +199,16 @@ func (p *Prepared) rebuildLocked(t *table.Table) error {
 	}
 	p.model, p.domains, p.legal, p.applied = model, domains, legal, applied
 	p.tableVersion, p.modelVersion = version, model.Version
-	p.inflate = staleInflation(model, t, p.opts)
+	p.inflate = Inflation(model, t, p.opts)
 	return nil
 }
 
-// staleInflation is the error-bound widening for a model that answers while
-// stale: prediction SEs scale by 1 + growth fraction since the fit. A fresh
-// model (or StaleInflate off) keeps factor 1.
-func staleInflation(m *modelstore.CapturedModel, t *table.Table, opts Options) float64 {
+// Inflation is the error-bound widening for model m answering from table t
+// while stale: prediction SEs scale by 1 + growth fraction since the fit,
+// or by opts.Inflate's factor when that is larger. A fresh model (or
+// StaleInflate off) keeps factor 1. Every WITH ERROR interval, a
+// statement's or a strawman point's, is widened by this one factor.
+func Inflation(m *modelstore.CapturedModel, t *table.Table, opts Options) float64 {
 	factor := 1.0
 	if opts.StaleInflate {
 		if st := m.StalenessAgainst(t); st.GrowthFrac > 0 {

@@ -87,7 +87,7 @@ func (p *Prepared) bindPointLookup(st *sql.SelectStmt, model *modelstore.Capture
 			level = 0.95
 		}
 		var err error
-		yhat, lo, hi, err = PointLookupScaled(model, key, inputs, level, inflate)
+		yhat, lo, hi, err = PointLookup(model, key, inputs, level, inflate)
 		if err != nil {
 			return op, true
 		}

@@ -84,23 +84,13 @@ type vecModelScan struct {
 	grpBuf   []*modelstore.GroupParams // per-row group, for error bounds
 	yhat     []float64
 	lo, hi   []float64
-	inputs   []float64 // one-row scratch for legality checks
-	grad     []float64 // per-scan gradient scratch for error bounds
+	inputs   []float64 // one-row scratch for legality checks and error bounds
 	batch    exec.Batch
 }
 
 func newVecModelScan(shared *modelMorsels, lead bool) (*vecModelScan, error) {
 	s := shared.scan
-	model := s.Model.Model
-	np, ni := len(model.Params), len(model.Inputs)
-	index := make(map[string]int, np+ni)
-	for j, p := range model.Params {
-		index[p] = j
-	}
-	for j, in := range model.Inputs {
-		index[in] = np + j
-	}
-	kern, err := expr.CompileVec(model.RHS, index)
+	kern, err := s.Model.Model.Kernel(s.Model.Model.RHS)
 	if err != nil {
 		return nil, fmt.Errorf("aqp: vectorizing model %s: %w", s.Model.Spec.Name, err)
 	}
@@ -146,7 +136,6 @@ func (v *vecModelScan) Open() error {
 		v.hi = make([]float64, bcap)
 	}
 	v.inputs = make([]float64, ni)
-	v.grad = make([]float64, np)
 	v.setKeys(nil)
 	v.ResetInterrupt()
 	return nil
@@ -255,13 +244,17 @@ func (v *vecModelScan) NextBatch() (*exec.Batch, error) {
 	}
 	cols = append(cols, &exec.Vector{Kind: expr.KindFloat, F: v.yhat[:n]})
 	if s.WithError {
+		// One evaluator per batch: taking one per row would serialize the
+		// scan's workers on the model's free list.
+		ev := model.Evaluator()
 		for i := 0; i < n; i++ {
 			for j := range v.inputBuf {
 				v.inputs[j] = v.inputBuf[j][i]
 			}
 			g := v.grpBuf[i]
-			v.lo[i], v.hi[i] = s.Model.Model.Interval(&g.Estimate, v.inputs, v.yhat[i], s.Level, s.SEInflation, v.grad)
+			v.lo[i], v.hi[i] = ev.Interval(&g.Estimate, v.inputs, v.yhat[i], s.Level, s.SEInflation)
 		}
+		ev.Release()
 		cols = append(cols,
 			&exec.Vector{Kind: expr.KindFloat, F: v.lo[:n]},
 			&exec.Vector{Kind: expr.KindFloat, F: v.hi[:n]})

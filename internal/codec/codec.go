@@ -64,9 +64,12 @@ func (e *Encoder) Strs(ss []string) {
 }
 
 // Decoder reads values from one buffer; see the package comment. A failure
-// empties the buffer, so every later read fails too and returns zero.
+// moves the offset to the end, so every later read fails too and returns
+// zero. Reads advance an offset rather than re-slicing buf: storing an int
+// needs no GC write barrier, storing a slice through a pointer does.
 type Decoder struct {
 	buf []byte
+	off int // bytes of buf already read
 	err error
 }
 
@@ -80,8 +83,8 @@ func (d *Decoder) Err() error { return d.err }
 
 // End reports the first failure, or an error if input is left over.
 func (d *Decoder) End() error {
-	if d.err == nil && len(d.buf) != 0 {
-		d.err = fmt.Errorf("codec: %d trailing bytes", len(d.buf))
+	if d.err == nil && d.off != len(d.buf) {
+		d.err = fmt.Errorf("codec: %d trailing bytes", len(d.buf)-d.off)
 	}
 	return d.err
 }
@@ -90,18 +93,19 @@ func (d *Decoder) End() error {
 func (d *Decoder) Fail(err error) {
 	if d.err == nil {
 		d.err = err
-		d.buf = nil
+		d.off = len(d.buf)
 	}
 }
 
 // take consumes the next n bytes, or fails and returns nil.
 func (d *Decoder) take(n uint64) []byte {
-	if n > uint64(len(d.buf)) {
+	if n > uint64(len(d.buf)-d.off) {
 		d.Fail(errShort)
 		return nil
 	}
-	b := d.buf[:n:n]
-	d.buf = d.buf[n:]
+	end := d.off + int(n)
+	b := d.buf[d.off:end:end]
+	d.off = end
 	return b
 }
 
@@ -116,28 +120,28 @@ func (d *Decoder) Byte() byte {
 // Bool reads one byte as a boolean: any nonzero byte is true.
 func (d *Decoder) Bool() bool { return d.Byte() != 0 }
 
-// Uvarint reads an unsigned varint.
-func (d *Decoder) Uvarint() uint64 {
-	v, n := binary.Uvarint(d.buf)
-	d.skip(n)
-	return v
+// Uvarint reads an unsigned varint, in binary.Uvarint's format. It is
+// written out so that it inlines: the one-byte varints that dominate
+// (counts, lengths, kinds) leave the loop on its first pass.
+func (d *Decoder) Uvarint() (x uint64) {
+	for i, c := range d.buf[d.off:] {
+		if i == binary.MaxVarintLen64-1 && c > 1 {
+			break // overflows 64 bits
+		}
+		x |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			d.off += i + 1
+			return x
+		}
+	}
+	d.Fail(errShort)
+	return 0
 }
 
 // Varint reads a zigzag varint.
 func (d *Decoder) Varint() int64 {
-	v, n := binary.Varint(d.buf)
-	d.skip(n)
-	return v
-}
-
-// skip consumes the n bytes a varint read took. The binary package reports
-// a malformed varint as value 0 and n <= 0.
-func (d *Decoder) skip(n int) {
-	if n <= 0 {
-		d.Fail(errShort)
-		return
-	}
-	d.buf = d.buf[n:]
+	u := d.Uvarint()
+	return int64(u>>1 ^ -(u & 1))
 }
 
 // Float reads 8 bytes little-endian as a float64.
@@ -149,7 +153,13 @@ func (d *Decoder) Float() float64 {
 }
 
 // Bytes reads a length-prefixed byte string; the result aliases the input.
-func (d *Decoder) Bytes() []byte { return d.take(d.Uvarint()) }
+func (d *Decoder) Bytes() []byte {
+	n := d.Uvarint()
+	if d.err != nil {
+		return nil
+	}
+	return d.take(n)
+}
 
 // Str reads a length-prefixed string.
 func (d *Decoder) Str() string { return string(d.Bytes()) }
@@ -158,7 +168,7 @@ func (d *Decoder) Str() string { return string(d.Bytes()) }
 // bytes each, and fails on one the rest of the input cannot hold.
 func (d *Decoder) Count(size int) int {
 	n := d.Uvarint()
-	if n > uint64(len(d.buf)/size) {
+	if n > uint64((len(d.buf)-d.off)/size) {
 		d.Fail(errShort)
 		return 0
 	}

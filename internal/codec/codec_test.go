@@ -1,8 +1,10 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -114,5 +116,39 @@ func TestEndRefusesTrailingBytes(t *testing.T) {
 	d.Byte()
 	if err := d.End(); err == nil || !strings.Contains(err.Error(), "1 trailing") {
 		t.Fatalf("End with a byte left = %v", err)
+	}
+}
+
+// TestVarintMatchesBinary pins Uvarint and Varint to encoding/binary's
+// reading of the same bytes: value, bytes consumed and failure, on one- to
+// eleven-byte inputs including overlong, overflowing and truncated ones.
+func TestVarintMatchesBinary(t *testing.T) {
+	inputs := [][]byte{nil, {0}, {0x7f}, {0x80}, {0x80, 0}, {0xff, 0x7f, 9},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}
+	rng := rand.New(rand.NewSource(1))
+	for range 2000 {
+		b := make([]byte, 1+rng.Intn(11))
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+			if rng.Intn(3) == 0 {
+				b[i] |= 0x80
+			}
+		}
+		inputs = append(inputs, b)
+	}
+	for _, b := range inputs {
+		wantU, n := binary.Uvarint(b)
+		d := NewDecoder(b)
+		if got := d.Uvarint(); (n > 0) != (d.Err() == nil) || n > 0 && (got != wantU || d.off != n) {
+			t.Fatalf("Uvarint(% x) = %d after %d bytes, err %v; binary reads %d, n %d", b, got, d.off, d.Err(), wantU, n)
+		}
+		wantV, n := binary.Varint(b)
+		d = NewDecoder(b)
+		if got := d.Varint(); (n > 0) != (d.Err() == nil) || n > 0 && (got != wantV || d.off != n) {
+			t.Fatalf("Varint(% x) = %d after %d bytes, err %v; binary reads %d, n %d", b, got, d.off, d.Err(), wantV, n)
+		}
 	}
 }

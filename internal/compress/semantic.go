@@ -157,8 +157,9 @@ func (c *CompressedColumn) Decompress(v *table.ChunkView, m *modelstore.Captured
 func predictions(m *modelstore.CapturedModel, group []int64, inputs [][]float64, n int) ([]float64, []bool) {
 	preds := make([]float64, n)
 	ok := make([]bool, n)
-	row := make([]float64, len(m.Model.Params)+len(m.Model.Inputs))
 	in := make([]float64, len(m.Model.Inputs))
+	ev := m.Model.Evaluator()
+	defer ev.Release()
 	for r := 0; r < n; r++ {
 		var key int64
 		if group != nil {
@@ -171,7 +172,7 @@ func predictions(m *modelstore.CapturedModel, group []int64, inputs [][]float64,
 		for i := range inputs {
 			in[i] = inputs[i][r]
 		}
-		preds[r] = m.Model.EvalInto(row, g.Params, in)
+		preds[r] = ev.Eval(g.Params, in)
 		ok[r] = true
 	}
 	return preds, ok

@@ -39,21 +39,14 @@ func HighGradientRegions(m *modelstore.CapturedModel, domains map[string][]float
 		}
 		derivs[i] = d
 	}
-	// Compile against [params..., inputs...] rows, as the fit engine does.
-	index := map[string]int{}
-	for j, p := range model.Params {
-		index[p] = j
-	}
-	for k, in := range model.Inputs {
-		index[in] = len(model.Params) + k
-	}
-	derivFns := make([]func([]float64) float64, len(derivs))
+	// Compile against the model's own binding, as the fit engine does.
+	derivKs := make([]expr.VecKernel, len(derivs))
 	for i, d := range derivs {
-		fn, err := expr.Compile(d, index)
+		k, err := model.Kernel(d)
 		if err != nil {
 			return nil, fmt.Errorf("explore: compiling derivative: %w", err)
 		}
-		derivFns[i] = fn
+		derivKs[i] = k
 	}
 
 	doms := make([][]float64, len(model.Inputs))
@@ -66,14 +59,20 @@ func HighGradientRegions(m *modelstore.CapturedModel, domains map[string][]float
 	}
 
 	var pts []GradientPoint
-	row := make([]float64, len(model.Params)+len(model.Inputs))
+	np := len(model.Params)
+	args := make([]expr.VecArg, np+len(model.Inputs))
+	var slope [1]float64
+	ev := model.Evaluator()
+	defer ev.Release()
 	idx := make([]int, len(doms))
 	for _, key := range m.Order {
 		g := m.Groups[key]
 		if !g.OK() {
 			continue
 		}
-		copy(row, g.Params)
+		for j, p := range g.Params {
+			args[j].Scalar = p
+		}
 		for i := range idx {
 			idx[i] = 0
 		}
@@ -81,17 +80,17 @@ func HighGradientRegions(m *modelstore.CapturedModel, domains map[string][]float
 			inputs := make([]float64, len(doms))
 			for i := range doms {
 				inputs[i] = doms[i][idx[i]]
-				row[len(model.Params)+i] = inputs[i]
+				args[np+i].Scalar = inputs[i]
 			}
 			var ss float64
-			for _, fn := range derivFns {
-				d := fn(row)
-				ss += d * d
+			for _, k := range derivKs {
+				k(1, args, slope[:])
+				ss += slope[0] * slope[0]
 			}
 			pts = append(pts, GradientPoint{
 				Group:    key,
 				Inputs:   inputs,
-				Value:    model.Eval(g.Params, inputs),
+				Value:    ev.Eval(g.Params, inputs),
 				GradNorm: math.Sqrt(ss),
 			})
 			// Odometer.

@@ -229,8 +229,8 @@ func ApplyBinary(op Op, l, r Value) (Value, error) {
 
 // builtin is one built-in function: its float implementation and the number
 // of arguments it expects (-1 means variadic, at least one). unary is the
-// same function on a bare float64 when it takes one argument, so compiled
-// evaluators call it without building an argument slice.
+// same function on a bare float64 when it takes one argument, so vector
+// kernels call it without building an argument slice.
 type builtin struct {
 	arity int
 	fn    func(args []float64) float64
@@ -358,92 +358,4 @@ func ApplyCall(name string, args []Value) (Value, error) {
 		fargs[i] = f
 	}
 	return Float(b.fn(fargs)), nil
-}
-
-// Compile lowers e into a closure evaluating against a positional slice,
-// given a name→index binding. It avoids per-row map lookups in hot loops.
-func Compile(e Expr, index map[string]int) (func(row []float64) float64, error) {
-	switch n := e.(type) {
-	case *Lit:
-		v, err := n.Val.AsFloat()
-		if err != nil {
-			return nil, err
-		}
-		return func([]float64) float64 { return v }, nil
-	case *Ident:
-		idx, ok := index[n.Name]
-		if !ok {
-			return nil, fmt.Errorf("expr: unbound identifier %q", n.Name)
-		}
-		return func(row []float64) float64 { return row[idx] }, nil
-	case *Unary:
-		if n.Op != OpNeg {
-			return nil, fmt.Errorf("expr: operator %s not numeric", n.Op)
-		}
-		x, err := Compile(n.X, index)
-		if err != nil {
-			return nil, err
-		}
-		return func(row []float64) float64 { return -x(row) }, nil
-	case *Binary:
-		l, err := Compile(n.L, index)
-		if err != nil {
-			return nil, err
-		}
-		r, err := Compile(n.R, index)
-		if err != nil {
-			return nil, err
-		}
-		switch n.Op {
-		case OpAdd:
-			return func(row []float64) float64 { return l(row) + r(row) }, nil
-		case OpSub:
-			return func(row []float64) float64 { return l(row) - r(row) }, nil
-		case OpMul:
-			return func(row []float64) float64 { return l(row) * r(row) }, nil
-		case OpDiv:
-			return func(row []float64) float64 { return l(row) / r(row) }, nil
-		case OpMod:
-			return func(row []float64) float64 { return math.Mod(l(row), r(row)) }, nil
-		case OpPow:
-			return func(row []float64) float64 { return math.Pow(l(row), r(row)) }, nil
-		}
-		return nil, fmt.Errorf("expr: operator %s not numeric", n.Op)
-	case *Call:
-		b, ok := builtins[n.Name]
-		if !ok {
-			return nil, fmt.Errorf("expr: unknown function %q", n.Name)
-		}
-		if b.arity >= 0 && len(n.Args) != b.arity {
-			return nil, fmt.Errorf("expr: %s expects %d args, got %d", n.Name, b.arity, len(n.Args))
-		}
-		// pow lowers to the Pow operator and one-argument builtins call
-		// their bare float function: neither builds an argument slice.
-		// Variadic min and max keep one per evaluation, since a compiled
-		// function is shared by concurrent readers.
-		if n.Name == "pow" {
-			return Compile(&Binary{Op: OpPow, L: n.Args[0], R: n.Args[1]}, index)
-		}
-		argFns := make([]func([]float64) float64, len(n.Args))
-		for i, a := range n.Args {
-			f, err := Compile(a, index)
-			if err != nil {
-				return nil, err
-			}
-			argFns[i] = f
-		}
-		if f := b.unary; f != nil {
-			x := argFns[0]
-			return func(row []float64) float64 { return f(x(row)) }, nil
-		}
-		fn := b.fn
-		return func(row []float64) float64 {
-			args := make([]float64, len(argFns))
-			for i, f := range argFns {
-				args[i] = f(row)
-			}
-			return fn(args)
-		}, nil
-	}
-	return nil, fmt.Errorf("expr: cannot compile %T", e)
 }

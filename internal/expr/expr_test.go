@@ -306,59 +306,8 @@ func TestSimplify(t *testing.T) {
 	}
 }
 
-func TestCompileMatchesEval(t *testing.T) {
-	index := map[string]int{"x": 0, "y": 1}
-	exprs := []string{"x + y", "x*y - 2", "pow(x, 2) + sqrt(y)", "max(x, y)", "-x^2"}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		src := exprs[rng.Intn(len(exprs))]
-		e := MustParse(src)
-		fn, err := Compile(e, index)
-		if err != nil {
-			return false
-		}
-		row := []float64{rng.Float64()*10 + 0.1, rng.Float64()*10 + 0.1}
-		want, err := evalAt(e, map[string]float64{"x": row[0], "y": row[1]})
-		if err != nil {
-			return false
-		}
-		got := fn(row)
-		return math.Abs(got-want) < 1e-12 || (math.IsNaN(got) && math.IsNaN(want))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCompiledPowerLawAllocs pins the row-at-a-time evaluator under every
-// APPROX point lookup, drift observation and anomaly scan: the power law and
-// each of its partials evaluate without touching the heap.
-func TestCompiledPowerLawAllocs(t *testing.T) {
-	index := map[string]int{"p": 0, "alpha": 1, "nu": 2}
-	law := MustParse("p * pow(nu, alpha)")
-	exprs := []Expr{law}
-	for _, param := range []string{"p", "alpha"} {
-		d, err := Diff(law, param)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exprs = append(exprs, d)
-	}
-	row := []float64{2.5, -0.7, 0.15}
-	for _, e := range exprs {
-		fn, err := Compile(e, index)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sink float64
-		if n := testing.AllocsPerRun(100, func() { sink += fn(row) }); n != 0 {
-			t.Errorf("%s: %.0f allocations per evaluation, want 0", e, n)
-		}
-	}
-}
-
 func TestCompileUnbound(t *testing.T) {
-	if _, err := Compile(MustParse("z + 1"), map[string]int{"x": 0}); err == nil {
+	if _, err := CompileVec(MustParse("z + 1"), map[string]int{"x": 0}); err == nil {
 		t.Fatal("want error for unbound identifier")
 	}
 }

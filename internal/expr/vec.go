@@ -21,12 +21,12 @@ type VecArg struct {
 type VecKernel func(n int, args []VecArg, out []float64)
 
 // CompileVec lowers a numeric expression into a vectorized kernel with every
-// identifier pre-resolved to a slot of the args slice. It is the batch
-// analogue of Compile: one closure-tree walk per column slice instead of one
-// per row, which removes per-row call overhead and the per-call argument
-// allocations of the scalar path. Non-numeric constructs (comparisons,
-// logic, IS NULL) do not compile; callers fall back to row-at-a-time
-// evaluation.
+// identifier pre-resolved to a slot of the args slice: one closure-tree walk
+// per column slice, with no per-row call overhead or argument allocation.
+// It is the one compiled form of a numeric expression; a single observation
+// is a call with n = 1 and scalar arguments. Non-numeric constructs
+// (comparisons, logic, IS NULL) do not compile; callers fall back to
+// row-at-a-time evaluation.
 func CompileVec(e Expr, index map[string]int) (VecKernel, error) {
 	switch n := e.(type) {
 	case *Lit:

@@ -93,7 +93,7 @@ func TestColumnFitMatchesRowNLS(t *testing.T) {
 		}
 
 		// 40 groups of 5-40 rows under scattered keys, plus one 2-row
-		// group below MinObservations, shuffled together.
+		// group below #params + 1 rows, shuffled together.
 		rng := rand.New(rand.NewSource(31))
 		var group []int64
 		var xcol, ycol []float64

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -410,6 +411,76 @@ func TestModelGradMatchesNumeric(t *testing.T) {
 		if !near(g[i], gn[i], 1e-5) {
 			t.Fatalf("grad[%d] analytic %g vs numeric %g", i, g[i], gn[i])
 		}
+	}
+}
+
+// evalLaws are the formulas the one-observation tests run: the power law,
+// whose partials are analytic, and one whose max has no symbolic
+// derivative, so its gradient is a central difference.
+var evalLaws = []string{"I ~ p * pow(nu, alpha)", "I ~ p * max(nu, alpha)"}
+
+// TestModelEvalAllocs pins the one-observation evaluation under every APPROX
+// point lookup, interval, drift observation and anomaly scan: Eval and Grad
+// run the model's vector kernels without touching the heap.
+func TestModelEvalAllocs(t *testing.T) {
+	for _, law := range evalLaws {
+		m, err := ParseModel(law, []string{"nu"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		params, inputs := []float64{-0.7, 2.5}, []float64{0.15}
+		grad := make([]float64, len(params))
+		var sink float64
+		if n := testing.AllocsPerRun(100, func() { sink += m.Eval(params, inputs) }); n != 0 {
+			t.Errorf("%s: Eval %.0f allocations, want 0", law, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { m.Grad(params, inputs, grad) }); n != 0 {
+			t.Errorf("%s: Grad %.0f allocations, want 0", law, n)
+		}
+	}
+}
+
+// TestModelEvalConcurrent shares one model among goroutines: each call takes
+// its own evaluator, so concurrent Eval, Grad and Interval results equal the
+// serial ones bit for bit.
+func TestModelEvalConcurrent(t *testing.T) {
+	type answer struct{ v, lo, hi float64 }
+	for _, law := range evalLaws {
+		m, err := ParseModel(law, []string{"nu"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := &Estimate{Params: []float64{-0.7, 2.5}, Cov: [][]float64{{0.01, 0.002}, {0.002, 0.04}}, ResidualSE: 0.1, DF: 20}
+		const points = 64
+		at := func(i int) []float64 { return []float64{0.05 + 0.01*float64(i)} }
+		run := func(i int, grad []float64) answer {
+			in := at(i)
+			v := m.Eval(f.Params, in)
+			m.Grad(f.Params, in, grad)
+			lo, hi := m.Interval(f, in, v, 0.95, 1.2)
+			return answer{v + grad[0] + grad[1], lo, hi}
+		}
+		want := make([]answer, points)
+		for i := range want {
+			want[i] = run(i, make([]float64, 2))
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				grad := make([]float64, 2)
+				for r := 0; r < 20; r++ {
+					for i := range want {
+						if got := run((i+w)%points, grad); got != want[(i+w)%points] {
+							t.Errorf("%s: point %d: %+v concurrently, %+v serially", law, (i+w)%points, got, want[(i+w)%points])
+							return
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -38,8 +38,6 @@ type GroupedFit struct {
 	Opts *NLSOptions
 	// Parallelism bounds worker goroutines; 0 selects GOMAXPROCS.
 	Parallelism int
-	// MinObservations skips groups with fewer rows (default: #params+1).
-	MinObservations int
 }
 
 // Run executes the grouped fit over columnar data keyed by group. One
@@ -57,10 +55,7 @@ func (g *GroupedFit) Run(group []int64, data map[string][]float64) ([]GroupResul
 	keys, offs, cols := scatter(group, append(inputs, y))
 	ys := cols[len(inputs)]
 
-	minObs := g.MinObservations
-	if minObs == 0 {
-		minObs = len(m.Params) + 1
-	}
+	minObs := len(m.Params) + 1 // fewer rows leave no residual degree of freedom
 	workers := g.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -68,13 +63,13 @@ func (g *GroupedFit) Run(group []int64, data map[string][]float64) ([]GroupResul
 	if workers > len(keys) && len(keys) > 0 {
 		workers = len(keys)
 	}
-	fitters := make([]*colFitter, workers)
+	fitters := make([]*Evaluator, workers)
 	for w := range fitters {
-		if fitters[w], err = m.newColFitter(); err != nil {
+		if fitters[w], err = m.newEvaluator(); err != nil {
 			return nil, err
 		}
 	}
-	o := g.Opts.withDefaults()
+	o := g.Opts.value()
 
 	results := make([]GroupResult, len(keys))
 	var wg sync.WaitGroup

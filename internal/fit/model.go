@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 
 	"datalaws/internal/expr"
 	"datalaws/internal/mat"
@@ -27,20 +28,24 @@ type Model struct {
 	Params []string
 
 	// grads[j] is the analytic partial ∂RHS/∂Params[j], when the formula is
-	// symbolically differentiable; otherwise nil and fitting falls back to
-	// numeric differences.
+	// symbolically differentiable; otherwise nil and every gradient is a
+	// central difference.
 	grads []expr.Expr
 	// linear reports whether RHS is linear in Params, enabling the direct
 	// OLS path.
 	linear bool
 
-	// index binds params, then inputs, to positions: of the row the
-	// compiled evaluators read, and of the vector kernels' arguments.
+	// index binds params, then inputs, to positions of the vector kernels'
+	// arguments.
 	index map[string]int
-	// Compiled evaluators against rows laid out as params followed by
-	// inputs.
-	fn      func(row []float64) float64
-	gradFns []func(row []float64) float64
+
+	// free holds one-observation evaluators between calls. A compiled
+	// kernel keeps scratch, so each goroutine evaluating the model takes
+	// its own; a mutex-guarded list (not a sync.Pool, which drops items at
+	// random under the race detector) keeps steady-state calls
+	// allocation-free.
+	mu   sync.Mutex
+	free []*Evaluator
 }
 
 // ParseModel parses a formula of the form "output ~ expression". inputs
@@ -79,50 +84,40 @@ func NewModel(output string, rhs expr.Expr, inputs []string) (*Model, error) {
 	}
 	m := &Model{Output: output, RHS: rhs, Inputs: append([]string(nil), inputs...), Params: params}
 
-	index := map[string]int{}
+	m.index = map[string]int{}
 	for j, p := range params {
-		index[p] = j
+		m.index[p] = j
 	}
 	for k, in := range inputs {
-		index[in] = len(params) + k
+		m.index[in] = len(params) + k
 	}
-	fn, err := expr.Compile(rhs, index)
-	if err != nil {
-		return nil, fmt.Errorf("fit: model body is not numeric: %w", err)
-	}
-	m.fn = fn
-	m.index = index
 
-	// Attempt analytic gradients; on failure the numeric Jacobian is used.
+	// Analytic partials when every parameter differentiates symbolically;
+	// otherwise central differences.
 	m.grads = make([]expr.Expr, len(params))
-	m.gradFns = make([]func([]float64) float64, len(params))
-	analytic := true
 	for j, p := range params {
 		d, err := expr.Diff(rhs, p)
 		if err != nil {
-			analytic = false
-			break
-		}
-		g, err := expr.Compile(d, index)
-		if err != nil {
-			analytic = false
+			m.grads = nil
 			break
 		}
 		m.grads[j] = d
-		m.gradFns[j] = g
 	}
-	if !analytic {
-		m.grads = nil
-		m.gradFns = nil
+
+	// Compiling the first evaluator checks that the body is numeric.
+	ev, err := m.newEvaluator()
+	if err != nil {
+		return nil, err
 	}
+	m.free = []*Evaluator{ev}
 
 	// Linearity: the model is linear in its parameters iff no partial
 	// derivative references any parameter.
-	if analytic {
+	if m.grads != nil {
 		m.linear = true
 		for _, d := range m.grads {
 			for _, v := range expr.Vars(d) {
-				if _, isParam := index[v]; isParam && index[v] < len(params) {
+				if j, ok := m.index[v]; ok && j < len(params) {
 					m.linear = false
 					break
 				}
@@ -141,7 +136,7 @@ func NewModel(output string, rhs expr.Expr, inputs []string) (*Model, error) {
 func (m *Model) IsLinear() bool { return m.linear }
 
 // HasAnalyticJacobian reports whether symbolic differentiation succeeded.
-func (m *Model) HasAnalyticJacobian() bool { return m.gradFns != nil }
+func (m *Model) HasAnalyticJacobian() bool { return m.grads != nil }
 
 // Formula renders the model back to "output ~ rhs" source form, the shape
 // the model store persists ("store the models in their source code form").
@@ -149,33 +144,18 @@ func (m *Model) Formula() string { return m.Output + " ~ " + m.RHS.String() }
 
 // Eval computes f(params, inputs) for one observation.
 func (m *Model) Eval(params, inputs []float64) float64 {
-	row := make([]float64, len(params)+len(inputs))
-	copy(row, params)
-	copy(row[len(params):], inputs)
-	return m.fn(row)
+	e := m.Evaluator()
+	v := e.Eval(params, inputs)
+	e.Release()
+	return v
 }
 
-// EvalInto is Eval with a caller-provided scratch row to avoid allocation in
-// scan loops. row must have length len(Params)+len(Inputs).
-func (m *Model) EvalInto(row, params, inputs []float64) float64 {
-	copy(row, params)
-	copy(row[len(params):], inputs)
-	return m.fn(row)
-}
-
-// Grad fills out with the parameter gradient at (params, inputs) using
-// analytic derivatives when available and central differences otherwise.
+// Grad fills out with the parameter gradient at (params, inputs): the
+// analytic partials when the model has them, central differences otherwise.
 func (m *Model) Grad(params, inputs, out []float64) {
-	if m.gradFns != nil {
-		row := make([]float64, len(params)+len(inputs))
-		copy(row, params)
-		copy(row[len(params):], inputs)
-		for j, g := range m.gradFns {
-			out[j] = g(row)
-		}
-		return
-	}
-	numericJacobian(func(p, x []float64) float64 { return m.Eval(p, x) })(params, inputs, out)
+	e := m.Evaluator()
+	e.Grad(params, inputs, out)
+	e.Release()
 }
 
 // Fit estimates the model parameters from columnar data. data must contain
@@ -193,11 +173,11 @@ func (m *Model) Fit(data map[string][]float64, start map[string]float64, opts *N
 	if err != nil {
 		return nil, err
 	}
-	c, err := m.newColFitter()
+	e, err := m.newEvaluator()
 	if err != nil {
 		return nil, err
 	}
-	return c.fit(inputs, y, start, opts.withDefaults())
+	return e.fit(inputs, y, start, opts.value())
 }
 
 // columns resolves the output column and the input columns (parallel to
@@ -221,88 +201,148 @@ func (m *Model) columns(data map[string][]float64) (y []float64, inputs [][]floa
 	return y, inputs, nil
 }
 
-// colFitter fits a model over whole columns through the vector kernels
-// VecModelScan evaluates APPROX scans with, doing per row the float
-// operations of Eval and Grad in their order. Kernels keep scratch between
-// calls, so each fitting worker owns a colFitter and reuses it across groups.
-type colFitter struct {
+// Evaluator evaluates a model through the vector kernels of its formula
+// and partials, the one compiled form of a law: a fit runs them over whole
+// columns, and a one-observation call (Eval, Grad, Interval) runs them over
+// one row. Kernels keep scratch between calls, so an Evaluator serves one
+// goroutine at a time: each fitting worker owns one and reuses it across
+// groups, and one-observation callers take one from Model.Evaluator and
+// give it back with Release.
+type Evaluator struct {
 	m     *Model
 	fn    expr.VecKernel
-	grads []expr.VecKernel // nil: central differences over whole columns
-	args  []expr.VecArg    // params as scalars, then the input columns
+	grads []expr.VecKernel // nil: central differences
+	args  []expr.VecArg    // params as scalars, then the inputs
 	n     int              // observations bound in args
 	a, b  []float64        // one Jacobian column; its backward difference
+	y     [1]float64       // one observation's value
+	grad  []float64        // one observation's gradient, for Interval
 	work  lmWork
 }
 
-func (m *Model) newColFitter() (*colFitter, error) {
-	fn, err := expr.CompileVec(m.RHS, m.index)
+// Kernel compiles e, an expression over the model's parameters and inputs,
+// into a vector kernel whose arguments are the parameters, then the inputs:
+// the binding every evaluator of the model uses.
+func (m *Model) Kernel(e expr.Expr) (expr.VecKernel, error) { return expr.CompileVec(e, m.index) }
+
+func (m *Model) newEvaluator() (*Evaluator, error) {
+	fn, err := m.Kernel(m.RHS)
 	if err != nil {
 		return nil, fmt.Errorf("fit: model body is not numeric: %w", err)
 	}
-	c := &colFitter{m: m, fn: fn, args: make([]expr.VecArg, len(m.Params)+len(m.Inputs))}
+	e := &Evaluator{m: m, fn: fn, args: make([]expr.VecArg, len(m.Params)+len(m.Inputs)), grad: make([]float64, len(m.Params))}
 	for j, d := range m.grads {
-		g, err := expr.CompileVec(d, m.index)
+		g, err := m.Kernel(d)
 		if err != nil {
 			return nil, fmt.Errorf("fit: partial ∂/∂%s is not numeric: %w", m.Params[j], err)
 		}
-		c.grads = append(c.grads, g)
+		e.grads = append(e.grads, g)
 	}
-	return c, nil
+	return e, nil
+}
+
+// Evaluator takes an evaluator for one-observation calls from the model's
+// free list, compiling one when the list is empty. Give it back with
+// Release.
+func (m *Model) Evaluator() *Evaluator {
+	m.mu.Lock()
+	if k := len(m.free); k > 0 {
+		e := m.free[k-1]
+		m.free = m.free[:k-1]
+		m.mu.Unlock()
+		return e
+	}
+	m.mu.Unlock()
+	e, err := m.newEvaluator()
+	if err != nil {
+		panic(err) // NewModel compiled these kernels once already
+	}
+	return e
+}
+
+// Release gives e back to its model's free list; e must not be used after.
+func (e *Evaluator) Release() {
+	m := e.m
+	m.mu.Lock()
+	m.free = append(m.free, e)
+	m.mu.Unlock()
+}
+
+// observe binds one observation's inputs.
+func (e *Evaluator) observe(inputs []float64) {
+	np := len(e.m.Params)
+	e.n = 1
+	for k, x := range inputs {
+		e.args[np+k] = expr.VecArg{Scalar: x}
+	}
+}
+
+// Eval computes f(params, inputs) for one observation.
+func (e *Evaluator) Eval(params, inputs []float64) float64 {
+	e.observe(inputs)
+	e.eval(params, e.y[:])
+	return e.y[0]
+}
+
+// Grad fills out with the parameter gradient at one observation, by the
+// rule a fit's Jacobian uses.
+func (e *Evaluator) Grad(params, inputs, out []float64) {
+	e.observe(inputs)
+	e.jacobian(params, &mat.Matrix{Rows: 1, Cols: len(out), Data: out})
 }
 
 // fit fits the model to y and the input columns parallel to m.Inputs.
-func (c *colFitter) fit(inputs [][]float64, y []float64, start map[string]float64, o NLSOptions) (*Result, error) {
-	np := len(c.m.Params)
-	c.n = len(y)
+func (e *Evaluator) fit(inputs [][]float64, y []float64, start map[string]float64, o NLSOptions) (*Result, error) {
+	np := len(e.m.Params)
+	e.n = len(y)
 	for k, col := range inputs {
-		c.args[np+k].Vec = col
+		e.args[np+k].Vec = col
 	}
-	if c.m.linear {
-		return c.fitLinear(y)
+	if e.m.linear {
+		return e.fitLinear(y)
 	}
 	beta := make([]float64, np)
-	for j, p := range c.m.Params {
+	for j, p := range e.m.Params {
 		beta[j] = 1
 		if v, ok := start[p]; ok {
 			beta[j] = v
 		}
 	}
-	return c.work.solve(c, y, beta, c.m.Params, o)
+	return e.work.solve(e, y, beta, e.m.Params, o)
 }
 
-func (c *colFitter) setParams(beta []float64) {
+func (e *Evaluator) setParams(beta []float64) {
 	for j, v := range beta {
-		c.args[j].Scalar = v
+		e.args[j].Scalar = v
 	}
 }
 
-func (c *colFitter) eval(beta, out []float64) {
-	c.setParams(beta)
-	c.fn(c.n, c.args, out)
+func (e *Evaluator) eval(beta, out []float64) {
+	e.setParams(beta)
+	e.fn(e.n, e.args, out)
 }
 
 // jacobian fills j column by column, from the analytic partials or from
-// central differences with the row path's step sizes.
-func (c *colFitter) jacobian(beta []float64, j *mat.Matrix) {
+// central differences: the one gradient rule of a model.
+func (e *Evaluator) jacobian(beta []float64, j *mat.Matrix) {
 	p := j.Cols
-	c.a, c.b = slices.Grow(c.a[:0], c.n)[:c.n], slices.Grow(c.b[:0], c.n)[:c.n]
-	c.setParams(beta)
+	e.a, e.b = slices.Grow(e.a[:0], e.n)[:e.n], slices.Grow(e.b[:0], e.n)[:e.n]
+	e.setParams(beta)
 	for k := range beta {
-		if c.grads != nil {
-			c.grads[k](c.n, c.args, c.a)
+		if e.grads != nil {
+			e.grads[k](e.n, e.args, e.a)
 		} else {
 			h := 1e-7 * (math.Abs(beta[k]) + 1e-7)
-			c.args[k].Scalar = beta[k] + h
-			c.fn(c.n, c.args, c.a)
-			c.args[k].Scalar = beta[k] - h
-			c.fn(c.n, c.args, c.b)
-			c.args[k].Scalar = beta[k]
-			for i := range c.a {
-				c.a[i] = (c.a[i] - c.b[i]) / (2 * h)
+			e.args[k].Scalar = beta[k] + h
+			e.fn(e.n, e.args, e.a)
+			e.args[k].Scalar = beta[k] - h
+			e.fn(e.n, e.args, e.b)
+			e.args[k].Scalar = beta[k]
+			for i := range e.a {
+				e.a[i] = (e.a[i] - e.b[i]) / (2 * h)
 			}
 		}
-		for i, v := range c.a {
+		for i, v := range e.a {
 			j.Data[i*p+k] = v
 		}
 	}
@@ -311,21 +351,21 @@ func (c *colFitter) jacobian(beta []float64, j *mat.Matrix) {
 // fitLinear solves a linear-in-parameters model directly. Writing
 // f(β, x) = f(0, x) + Σ βj·gj(x) with gj = ∂f/∂βj, OLS on the gj columns
 // against y − f(0, x) yields the exact least-squares estimate.
-func (c *colFitter) fitLinear(y []float64) (*Result, error) {
-	n, p := len(y), len(c.m.Params)
+func (e *Evaluator) fitLinear(y []float64) (*Result, error) {
+	n, p := len(y), len(e.m.Params)
 	if n <= p {
 		return nil, fmt.Errorf("%w: n=%d, p=%d", ErrTooFewObservations, n, p)
 	}
 	// OLS keeps neither the design nor the adjusted response, so both live
 	// in the workspace.
-	w := &c.work
+	w := &e.work
 	w.size(n, p)
 	zero := w.trial
 	clear(zero)
-	c.jacobian(zero, &w.j)
+	e.jacobian(zero, &w.j)
 	design := &w.j
 	adj := w.resid
-	c.eval(zero, adj)
+	e.eval(zero, adj)
 	for i := range adj {
 		adj[i] = y[i] - adj[i]
 	}
@@ -344,12 +384,12 @@ func (c *colFitter) fitLinear(y []float64) (*Result, error) {
 			break
 		}
 	}
-	res, err := OLS(design, adj, c.m.Params, hasIntercept)
+	res, err := OLS(design, adj, e.m.Params, hasIntercept)
 	if err != nil {
 		return nil, err
 	}
 	// Restore fitted/residuals on the original y scale.
-	c.eval(res.Params, res.Fitted)
+	e.eval(res.Params, res.Fitted)
 	for i := range res.Fitted {
 		res.Residuals[i] = y[i] - res.Fitted[i]
 	}

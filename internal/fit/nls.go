@@ -34,41 +34,28 @@ func (m Method) String() string {
 }
 
 // NLSOptions configures the nonlinear solver. The zero value selects
-// Levenberg-Marquardt with sensible defaults.
+// Levenberg-Marquardt.
 type NLSOptions struct {
 	Method   Method
-	MaxIter  int     // default 100
-	TolRSS   float64 // relative RSS improvement threshold, default 1e-10
-	TolStep  float64 // relative parameter step threshold, default 1e-10
 	Jacobian JacFunc // NLS's analytic Jacobian (nil: central differences); Model fits use their own
-	// Levenberg-Marquardt damping schedule.
-	LambdaInit, LambdaUp, LambdaDown float64 // defaults 1e-3, 10, 0.1
 }
 
-func (o *NLSOptions) withDefaults() NLSOptions {
-	out := NLSOptions{}
-	if o != nil {
-		out = *o
+// The solver's stopping rule and Levenberg-Marquardt damping schedule.
+const (
+	maxIter    = 100
+	tolRSS     = 1e-10 // relative RSS improvement
+	tolStep    = 1e-10 // relative parameter step
+	lambdaInit = 1e-3
+	lambdaUp   = 10
+	lambdaDown = 0.1
+)
+
+// value is *o, or the zero options when o is nil.
+func (o *NLSOptions) value() NLSOptions {
+	if o == nil {
+		return NLSOptions{}
 	}
-	if out.MaxIter == 0 {
-		out.MaxIter = 100
-	}
-	if out.TolRSS == 0 {
-		out.TolRSS = 1e-10
-	}
-	if out.TolStep == 0 {
-		out.TolStep = 1e-10
-	}
-	if out.LambdaInit == 0 {
-		out.LambdaInit = 1e-3
-	}
-	if out.LambdaUp == 0 {
-		out.LambdaUp = 10
-	}
-	if out.LambdaDown == 0 {
-		out.LambdaDown = 0.1
-	}
-	return out
+	return *o
 }
 
 // NLS fits a nonlinear least-squares model f(β, x) ≈ y starting from start.
@@ -81,7 +68,7 @@ func NLS(f ModelFunc, xs [][]float64, y []float64, start []float64, names []stri
 	if len(xs) != len(y) {
 		return nil, fmt.Errorf("%w: %d input rows vs %d responses", ErrBadInput, len(xs), len(y))
 	}
-	o := opts.withDefaults()
+	o := opts.value()
 	jac := o.Jacobian
 	if jac == nil {
 		jac = numericJacobian(f)
@@ -90,9 +77,9 @@ func NLS(f ModelFunc, xs [][]float64, y []float64, start []float64, names []stri
 	return w.solve(&rowEval{f: f, jac: jac, xs: xs}, y, append([]float64(nil), start...), names, o)
 }
 
-// evaluator is what the solver asks of a model over one fit's n
+// objective is what the solver asks of a model over one fit's n
 // observations: the fitted values and the n×p Jacobian at β.
-type evaluator interface {
+type objective interface {
 	eval(beta, out []float64)
 	jacobian(beta []float64, j *mat.Matrix)
 }
@@ -139,7 +126,7 @@ func (w *lmWork) size(n, p int) {
 
 // solve runs the optimizer from beta, which it owns and returns as the
 // fitted parameters.
-func (w *lmWork) solve(ev evaluator, y, beta []float64, names []string, o NLSOptions) (*Result, error) {
+func (w *lmWork) solve(ev objective, y, beta []float64, names []string, o NLSOptions) (*Result, error) {
 	n, p := len(y), len(beta)
 	if len(names) != p {
 		return nil, fmt.Errorf("%w: %d names for %d params", ErrBadInput, len(names), p)
@@ -160,7 +147,7 @@ func (w *lmWork) solve(ev evaluator, y, beta []float64, names []string, o NLSOpt
 		return nil, fmt.Errorf("%w: model not finite at starting parameters", ErrBadInput)
 	}
 
-	lambda := o.LambdaInit
+	lambda := lambdaInit
 	if o.Method == GaussNewton {
 		lambda = 0
 	}
@@ -170,7 +157,7 @@ func (w *lmWork) solve(ev evaluator, y, beta []float64, names []string, o NLSOpt
 	// step leaves beta, and so the Jacobian, unchanged.
 	jacFresh := false
 
-	for iter = 1; iter <= o.MaxIter; iter++ {
+	for iter = 1; iter <= maxIter; iter++ {
 		// The Jacobian J (n×p) of the model, so residual Jacobian is −J.
 		if !jacFresh {
 			ev.jacobian(beta, &w.j)
@@ -188,7 +175,7 @@ func (w *lmWork) solve(ev evaluator, y, beta []float64, names []string, o NLSOpt
 			step, err = w.lmStep(lambda)
 			if err != nil {
 				// Increase damping and retry on singular systems.
-				lambda *= o.LambdaUp
+				lambda *= lambdaUp
 				continue
 			}
 		}
@@ -217,11 +204,11 @@ func (w *lmWork) solve(ev evaluator, y, beta []float64, names []string, o NLSOpt
 			w.resid, w.trialResid = w.trialResid, w.resid
 			jacFresh = false
 			rss = newRSS
-			lambda *= o.LambdaDown
+			lambda *= lambdaDown
 			if lambda < 1e-12 {
 				lambda = 1e-12
 			}
-			if relImprove >= 0 && relImprove < o.TolRSS || relStep < o.TolStep {
+			if relImprove >= 0 && relImprove < tolRSS || relStep < tolStep {
 				converged = true
 				break
 			}
@@ -232,11 +219,11 @@ func (w *lmWork) solve(ev evaluator, y, beta []float64, names []string, o NLSOpt
 			// trial step) is what makes warm-started refits cheap — a fit
 			// seeded at the previous optimum stops after one Jacobian build
 			// instead of climbing the damping ladder to saturation.
-			if relativeStep(step, beta) < o.TolStep {
+			if relativeStep(step, beta) < tolStep {
 				converged = true
 				break
 			}
-			lambda *= o.LambdaUp
+			lambda *= lambdaUp
 			if lambda > 1e12 {
 				// Damping saturated: we are at a (possibly local) minimum.
 				converged = true
@@ -246,7 +233,7 @@ func (w *lmWork) solve(ev evaluator, y, beta []float64, names []string, o NLSOpt
 	}
 
 	if !converged {
-		return nil, fmt.Errorf("%w after %d iterations (rss=%g)", ErrNoConverge, o.MaxIter, rss)
+		return nil, fmt.Errorf("%w after %d iterations (rss=%g)", ErrNoConverge, maxIter, rss)
 	}
 
 	// Final Jacobian at the solution for the covariance estimate.
@@ -271,7 +258,7 @@ func (w *lmWork) solve(ev evaluator, y, beta []float64, names []string, o NLSOpt
 }
 
 // residuals fills out with y − f(β, x) and returns the RSS.
-func residuals(ev evaluator, beta, y, out []float64) float64 {
+func residuals(ev objective, beta, y, out []float64) float64 {
 	ev.eval(beta, out)
 	var rss float64
 	for i := range y {

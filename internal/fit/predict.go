@@ -31,7 +31,7 @@ func (m *Model) Predict(res *Result, inputs []float64, level float64) (Predictio
 	}
 	f := res.Estimate()
 	p := Prediction{Value: m.Eval(f.Params, inputs), Level: level}
-	p.Lo, p.Hi = m.Interval(&f, inputs, p.Value, level, 1, make([]float64, len(m.Params)))
+	p.Lo, p.Hi = m.Interval(&f, inputs, p.Value, level, 1)
 	return p, nil
 }
 
@@ -60,17 +60,25 @@ func (r *Result) Estimate() Estimate {
 
 // Interval is the level prediction interval around yhat, the model's value
 // with f.Params at inputs, by the delta method: yhat ± t·se, where
-// se = sqrt(gᵀ·Cov·g + s²)·inflate, g = ∂f/∂θ is written into grad
-// (caller-owned scratch, one entry per parameter), s is the residual SE,
-// t the Student-t quantile at f.DF degrees of freedom, and an inflate ≤ 1
-// leaves se as fitted. Without a covariance or degrees of freedom the
-// interval is unbounded. Every prediction interval the engine reports,
-// the error bounds of the paper's Figure 2 step 5, is this one.
-func (m *Model) Interval(f *Estimate, inputs []float64, yhat, level, inflate float64, grad []float64) (lo, hi float64) {
+// se = sqrt(gᵀ·Cov·g + s²)·inflate, g = ∂f/∂θ (Grad), s is the residual
+// SE, t the Student-t quantile at f.DF degrees of freedom, and an
+// inflate ≤ 1 leaves se as fitted. Without a covariance or degrees of
+// freedom the interval is unbounded. Every prediction interval the engine
+// reports, the error bounds of the paper's Figure 2 step 5, is this one.
+func (m *Model) Interval(f *Estimate, inputs []float64, yhat, level, inflate float64) (lo, hi float64) {
+	e := m.Evaluator()
+	lo, hi = e.Interval(f, inputs, yhat, level, inflate)
+	e.Release()
+	return lo, hi
+}
+
+// Interval is Model.Interval on e.
+func (e *Evaluator) Interval(f *Estimate, inputs []float64, yhat, level, inflate float64) (lo, hi float64) {
 	if f.Cov == nil || f.DF <= 0 {
 		return math.Inf(-1), math.Inf(1)
 	}
-	m.Grad(f.Params, inputs, grad)
+	grad := e.grad
+	e.Grad(f.Params, inputs, grad)
 	var v float64
 	for i := range grad {
 		for j := range grad {

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"datalaws/internal/expr"
+	"datalaws/internal/fit"
 	"datalaws/internal/table"
 )
 
@@ -125,9 +126,9 @@ func (d *DriftDetector) Observe(m *CapturedModel, schema *table.Schema, rows [][
 	var observed, skipped int
 	var sumSqZ float64
 	inputs := make([]float64, len(m.Model.Inputs))
-	scratch := make([]float64, len(m.Model.Params)+len(m.Model.Inputs))
+	ev := m.Model.Evaluator()
 	for _, row := range rows {
-		z, ok := plan.standardizedResidual(m, row, inputs, scratch)
+		z, ok := plan.standardizedResidual(m, ev, row, inputs)
 		if !ok {
 			skipped++
 			continue
@@ -135,6 +136,7 @@ func (d *DriftDetector) Observe(m *CapturedModel, schema *table.Schema, rows [][
 		observed++
 		sumSqZ += z * z
 	}
+	ev.Release()
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -239,9 +241,9 @@ func newRowPlan(m *CapturedModel, schema *table.Schema) (*rowPlan, bool) {
 
 // standardizedResidual computes (y − f(β̂, x)) / ResidualSE for one appended
 // row, reporting ok=false for rows that cannot be attributed to the model.
-// inputs and scratch are the caller's per-batch buffers for the row's input
-// values and the model evaluator's row.
-func (p *rowPlan) standardizedResidual(m *CapturedModel, row []expr.Value, inputs, scratch []float64) (float64, bool) {
+// ev is the caller's per-batch evaluator of m's law and inputs its buffer
+// for the row's input values.
+func (p *rowPlan) standardizedResidual(m *CapturedModel, ev *fit.Evaluator, row []expr.Value, inputs []float64) (float64, bool) {
 	if p.where != nil {
 		for _, wc := range p.whereCols {
 			if wc.idx >= len(row) {
@@ -285,7 +287,7 @@ func (p *rowPlan) standardizedResidual(m *CapturedModel, row []expr.Value, input
 	if err != nil {
 		return 0, false
 	}
-	yhat := m.Model.EvalInto(scratch, g.Params, inputs)
+	yhat := ev.Eval(g.Params, inputs)
 	se := g.ResidualSE
 	if se <= 0 || math.IsNaN(se) {
 		// A perfect historical fit has no noise scale; any deviation is

@@ -57,7 +57,7 @@ func FuzzModelRecord(f *testing.F) {
 				inputs[i] = 1.5
 			}
 			for _, key := range m.Order {
-				_, _, _, _ = aqp.PointLookup(m, key, inputs, 0.95)
+				_, _, _, _ = aqp.PointLookup(m, key, inputs, 0.95, 1)
 			}
 		}
 		var saved bytes.Buffer

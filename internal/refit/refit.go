@@ -41,8 +41,6 @@ type Options struct {
 	// OnEvent, when non-nil, observes every refit attempt (after the swap).
 	// It is called from the refitter goroutine; keep it cheap.
 	OnEvent func(Event)
-	// Cold disables warm-starting (diagnostic; warm start is the default).
-	Cold bool
 	// FailureBackoff is the base cooldown after a failed refit; the model is
 	// not re-attempted until it elapses, and it doubles per consecutive
 	// failure (capped at 32×). Without it, a model whose refit fails
@@ -231,15 +229,8 @@ func (r *Refitter) recordOutcome(name string, err error) {
 func (r *Refitter) refitOne(m *modelstore.CapturedModel, t *table.Table, trigger string) Event {
 	start := time.Now()
 	ev := Event{Model: m.Spec.Name, Table: m.Spec.Table, Trigger: trigger, OldVersion: m.Version}
-	var nm *modelstore.CapturedModel
-	var err error
-	if r.opts.Cold {
-		//lint:ignore walgate background refits are deliberately unlogged; models are derived state rebuilt from replayed data (see wal_engine.go)
-		nm, err = r.store.RefitCold(m.Spec.Name, t)
-	} else {
-		//lint:ignore walgate background refits are deliberately unlogged; models are derived state rebuilt from replayed data (see wal_engine.go)
-		nm, err = r.store.Refit(m.Spec.Name, t)
-	}
+	//lint:ignore walgate background refits are deliberately unlogged; models are derived state rebuilt from replayed data (see wal_engine.go)
+	nm, err := r.store.Refit(m.Spec.Name, t)
 	ev.Took = time.Since(start)
 	if err != nil {
 		ev.Err = err

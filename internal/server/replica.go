@@ -23,13 +23,13 @@ type ReplicaConfig struct {
 	// more honest (wider) bounds instead of ever staler tight ones.
 	// Default 0 (growth-only inflation).
 	LagInflate float64
-	// RedialBackoff bounds the reconnect backoff after a failed dial or a
-	// torn feed; the first retry waits RedialBackoff/8, doubling up to the
-	// bound. Default 2s.
-	RedialBackoff time.Duration
 	// Logf receives connection-lifecycle messages; nil discards them.
 	Logf func(format string, args ...any)
 }
+
+// redialBackoff bounds the reconnect backoff after a failed dial or a torn
+// feed; the first retry waits an eighth of it, doubling up to the bound.
+const redialBackoff = 2 * time.Second
 
 func (c *ReplicaConfig) withDefaults() ReplicaConfig {
 	out := ReplicaConfig{}
@@ -38,9 +38,6 @@ func (c *ReplicaConfig) withDefaults() ReplicaConfig {
 	}
 	if out.PollWait <= 0 {
 		out.PollWait = time.Second
-	}
-	if out.RedialBackoff <= 0 {
-		out.RedialBackoff = 2 * time.Second
 	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
@@ -169,10 +166,7 @@ func (r *Replicator) setConnected(up bool) {
 func (r *Replicator) run() {
 	defer r.wg.Done()
 	defer r.setConnected(false)
-	backoff := r.cfg.RedialBackoff / 8
-	if backoff <= 0 {
-		backoff = r.cfg.RedialBackoff
-	}
+	backoff := redialBackoff / 8
 	for {
 		select {
 		case <-r.done:
@@ -187,12 +181,12 @@ func (r *Replicator) run() {
 				return
 			case <-time.After(backoff):
 			}
-			if backoff *= 2; backoff > r.cfg.RedialBackoff {
-				backoff = r.cfg.RedialBackoff
+			if backoff *= 2; backoff > redialBackoff {
+				backoff = redialBackoff
 			}
 			continue
 		}
-		backoff = r.cfg.RedialBackoff / 8
+		backoff = redialBackoff / 8
 	}
 }
 

@@ -476,6 +476,31 @@ func TestReplicaFollowsAppendsWithoutRefit(t *testing.T) {
 	}
 }
 
+// TestReplicaPointWidenedAsStatement: a replica widens WITH ERROR bounds by
+// the primary's growth since the fit (growth only: LagInflate is 0). A
+// strawman point over the wire took factor 1 there; it now answers the
+// statement's interval.
+func TestReplicaPointWidenedAsStatement(t *testing.T) {
+	srv, peng := newPrimary(t)
+	reng, rep, cli := newReplica(t, srv.Addr())
+	replicaHasModel(t, reng, "law", 1)
+	if _, err := peng.Append("m", lawRows(4, 0.05, 12)[:4]); err != nil {
+		t.Fatal(err)
+	}
+	awaitPollAfter(t, rep)
+	if f := rep.InflationFor("law"); f <= 1 {
+		t.Fatalf("replica inflation %g after the primary grew, want > 1", f)
+	}
+	y, lo, hi := approxInterval(t, cli, 1, 0.5)
+	ans, err := cli.ApproxPoint("law", 1, []float64{0.5}, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Value != y || ans.Lo != lo || ans.Hi != hi {
+		t.Fatalf("point %g [%g, %g], statement %g [%g, %g]", ans.Value, ans.Lo, ans.Hi, y, lo, hi)
+	}
+}
+
 // TestReplicaStateReplacedOnTableRecreate drops the primary's table and
 // re-creates it under the same name with other frequencies and more rows
 // than before: the state the replica built from the old table's increments

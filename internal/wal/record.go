@@ -220,7 +220,7 @@ func decode(d *codec.Decoder) *Record {
 		for i := range rec.Rows {
 			row := make([]expr.Value, d.Count(1))
 			for j := range row {
-				row[j] = decodeValue(d)
+				decodeValue(d, &row[j])
 			}
 			rec.Rows[i] = row
 		}
@@ -261,21 +261,23 @@ func decode(d *codec.Decoder) *Record {
 	return rec
 }
 
-// decodeValue reads one kind byte and the value it announces.
-func decodeValue(d *codec.Decoder) expr.Value {
+// decodeValue reads one kind byte and the value it announces into v. It
+// writes through v rather than returning the value: copying a returned
+// expr.Value into the row costs a bulk write barrier per value while the
+// GC runs.
+func decodeValue(d *codec.Decoder, v *expr.Value) {
 	switch k := expr.Kind(d.Byte()); k {
 	case expr.KindNull:
-		return expr.Null()
+		*v = expr.Null()
 	case expr.KindInt:
-		return expr.Int(d.Varint())
+		*v = expr.Int(d.Varint())
 	case expr.KindFloat:
-		return expr.Float(d.Float())
+		*v = expr.Float(d.Float())
 	case expr.KindString:
-		return expr.Str(d.Str())
+		*v = expr.Str(d.Str())
 	case expr.KindBool:
-		return expr.Bool(d.Bool())
+		*v = expr.Bool(d.Bool())
 	default:
 		d.Fail(fmt.Errorf("unknown value kind %d", k))
-		return expr.Null()
 	}
 }

@@ -69,19 +69,12 @@ type Stats struct {
 	Err string
 }
 
+// request is one record to commit, or, with rotate set, a rotation barrier.
 type request struct {
-	rec  *Record
-	ctl  ctlKind
-	done chan result
+	rec    *Record
+	rotate bool
+	done   chan result
 }
-
-type ctlKind uint8
-
-const (
-	ctlNone ctlKind = iota
-	ctlRotate
-	ctlSync
-)
 
 type result struct {
 	err error
@@ -301,7 +294,7 @@ func (l *Log) Append(rec *Record) error {
 // writer goroutine, so a checkpoint that rotates sees every previously
 // acked record in the sealed segments.
 func (l *Log) Rotate() (int, error) {
-	r := request{ctl: ctlRotate, done: make(chan result, 1)}
+	r := request{rotate: true, done: make(chan result, 1)}
 	l.sendMu.RLock()
 	if l.closed {
 		l.sendMu.RUnlock()
@@ -311,20 +304,6 @@ func (l *Log) Rotate() (int, error) {
 	l.sendMu.RUnlock()
 	res := <-r.done
 	return res.seg, res.err
-}
-
-// Sync forces a flush+fsync of anything queued, without appending. Used by
-// Close paths that must not lose buffered acks.
-func (l *Log) Sync() error {
-	r := request{ctl: ctlSync, done: make(chan result, 1)}
-	l.sendMu.RLock()
-	if l.closed {
-		l.sendMu.RUnlock()
-		return ErrClosed
-	}
-	l.reqs <- r
-	l.sendMu.RUnlock()
-	return (<-r.done).err
 }
 
 // ReclaimBelow deletes segments with index < seg — the checkpoint has made
@@ -396,8 +375,8 @@ func (l *Log) run() {
 			l.shutdown()
 			return
 		}
-		if first.ctl != ctlNone {
-			first.done <- l.control(first.ctl)
+		if first.rotate {
+			first.done <- l.control()
 			continue
 		}
 		group := []request{first}
@@ -415,14 +394,14 @@ func (l *Log) run() {
 					}
 					l.commitGroup(group)
 					for _, c := range ctls {
-						c.done <- l.control(c.ctl)
+						c.done <- l.control()
 					}
 					l.shutdown()
 					return
 				}
-				if r.ctl != ctlNone {
-					// Control requests act as group barriers: commit first,
-					// then rotate/sync in arrival order.
+				if r.rotate {
+					// Rotations act as group barriers: commit first,
+					// then rotate in arrival order.
 					ctls = append(ctls, r)
 					break collect
 				}
@@ -439,7 +418,7 @@ func (l *Log) run() {
 		}
 		l.commitGroup(group)
 		for _, c := range ctls {
-			c.done <- l.control(c.ctl)
+			c.done <- l.control()
 		}
 	}
 }
@@ -449,12 +428,12 @@ func (l *Log) run() {
 func (l *Log) shutdown() {
 	var group []request
 	for r := range l.reqs {
-		if r.ctl != ctlNone {
+		if r.rotate {
 			if len(group) > 0 {
 				l.commitGroup(group)
 				group = nil
 			}
-			r.done <- l.control(r.ctl)
+			r.done <- l.control()
 			continue
 		}
 		group = append(group, r)
@@ -477,24 +456,14 @@ func (l *Log) shutdown() {
 	}
 }
 
-// control executes a rotate or sync barrier on the writer goroutine.
-func (l *Log) control(k ctlKind) result {
+// control executes a rotation barrier on the writer goroutine.
+func (l *Log) control() result {
 	if l.err != nil {
 		return result{err: l.err}
 	}
-	switch k {
-	case ctlRotate:
-		if err := l.rotate(); err != nil {
-			l.err = err
-			return result{err: err}
-		}
-		return result{seg: l.seg}
-	case ctlSync:
-		if err := l.f.Sync(); err != nil {
-			l.err = err
-			return result{err: err}
-		}
-		l.bumpStats(func(s *Stats) { s.Syncs++ })
+	if err := l.rotate(); err != nil {
+		l.err = err
+		return result{err: err}
 	}
 	return result{seg: l.seg}
 }
