@@ -128,8 +128,7 @@ type Prepared struct {
 	legal        *ExactLegalSet
 	tableVersion uint64
 	modelVersion int
-	applied      uint64  // Options.Cache's count of shipped increments (replicas)
-	inflate      float64 // staleness SE widening; 1 when fresh
+	applied      uint64 // Options.Cache's count of shipped increments (replicas)
 }
 
 // PrepareApproxSelect resolves the model, domains and legal set for an
@@ -160,7 +159,7 @@ func PrepareApproxSelect(cat *table.Catalog, store *modelstore.Store, st *sql.Se
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.revalidateLocked(); err != nil {
+	if _, err := p.revalidateLocked(); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -168,18 +167,18 @@ func PrepareApproxSelect(cat *table.Catalog, store *modelstore.Store, st *sql.Se
 
 // revalidateLocked re-selects the model and refreshes domains and legal set
 // when the underlying table or model store moved; it is a no-op when both
-// versions still match. Callers hold p.mu.
-func (p *Prepared) revalidateLocked() error {
+// versions still match. It returns the table it checked. Callers hold p.mu.
+func (p *Prepared) revalidateLocked() (*table.Table, error) {
 	t, err := p.cat.Lookup(p.tableName)
 	if err != nil {
-		return fmt.Errorf("aqp: %w", err)
+		return nil, fmt.Errorf("aqp: %w", err)
 	}
 	if p.model != nil && t.Version() == p.tableVersion && p.opts.Cache.appliedCount() == p.applied {
 		if cur, ok := p.store.Get(p.model.Spec.Name); ok && cur == p.model && cur.Version == p.modelVersion {
-			return nil
+			return t, nil
 		}
 	}
-	return p.rebuildLocked(t)
+	return t, p.rebuildLocked(t)
 }
 
 // rebuildLocked selects the model and takes domains and legal set from one
@@ -199,7 +198,6 @@ func (p *Prepared) rebuildLocked(t *table.Table) error {
 	}
 	p.model, p.domains, p.legal, p.applied = model, domains, legal, applied
 	p.tableVersion, p.modelVersion = version, model.Version
-	p.inflate = Inflation(model, t, p.opts)
 	return nil
 }
 
@@ -231,12 +229,17 @@ func (p *Prepared) Bind(st *sql.SelectStmt) (*Plan, error) {
 		return p.bindPartitioned(st)
 	}
 	p.mu.Lock()
-	if err := p.revalidateLocked(); err != nil {
+	t, err := p.revalidateLocked()
+	if err != nil {
 		p.mu.Unlock()
 		return nil, err
 	}
-	model, domains, legal, inflate := p.model, p.domains, p.legal, p.inflate
+	model, domains, legal := p.model, p.domains, p.legal
 	p.mu.Unlock()
+	// The widening is read on every Bind, not kept with the artifacts: it
+	// moves without the table, the model or the domain states moving, as a
+	// replica's lag grows while its feed is down.
+	inflate := Inflation(model, t, p.opts)
 
 	// Point-lookup fast path: a bound statement that is exactly the
 	// paper's first example query — plain projections, WHERE pinning the
@@ -247,10 +250,6 @@ func (p *Prepared) Bind(st *sql.SelectStmt) (*Plan, error) {
 		return &Plan{Op: op, Model: model, GridRows: GridSize(domains) * model.Quality.GroupsOK, SEInflation: inflate}, nil
 	}
 
-	t, err := p.cat.Lookup(st.From)
-	if err != nil {
-		return nil, fmt.Errorf("aqp: %w", err)
-	}
 	source, hybrid, err := p.modelSource(st, t, st.From, model, domains, legal, inflate)
 	if err != nil {
 		return nil, err

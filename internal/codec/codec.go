@@ -1,13 +1,16 @@
-// Package codec is the byte codec behind the engine's disk formats: the WAL
-// record payload and the table file. Strings, byte strings and lists carry
-// a uvarint length prefix, signed integers are zigzag varints, floats are 8
-// bytes little-endian and booleans one byte.
+// Package codec is the byte codec behind the engine's disk and wire formats:
+// the WAL record payload, the table file and the server's frames. Strings,
+// byte strings and lists carry a uvarint length prefix, signed integers are
+// zigzag varints, floats are 8 bytes little-endian and booleans one byte.
 //
 // A Decoder reads one in-memory buffer and trusts no length prefix: a
 // length the rest of the input cannot hold fails the decode and never
-// sizes an allocation. Its first failure sticks; every later read returns
-// the zero value, so a decode is a straight run of reads checked once, by
-// Err or End, at the end.
+// sizes an allocation. It reads only the encoder's own spelling of a value
+// (a varint in its fewest bytes, a boolean as 0 or 1, a map's keys in
+// increasing order), so input it accepts re-encodes to the same bytes. Its
+// first failure sticks; every later read returns the zero value, so a
+// decode is a straight run of reads checked once, by Err or End, at the
+// end.
 package codec
 
 import (
@@ -15,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Encoder appends encoded values to itself; it is the encoded bytes.
@@ -63,6 +67,21 @@ func (e *Encoder) Strs(ss []string) {
 	}
 }
 
+// FloatMap appends a count and then each key and its value, keys in
+// increasing order.
+func (e *Encoder) FloatMap(m map[string]float64) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	e.Uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		e.Str(k)
+		e.Float(m[k])
+	}
+}
+
 // Decoder reads values from one buffer; see the package comment. A failure
 // moves the offset to the end, so every later read fails too and returns
 // zero. Reads advance an offset rather than re-slicing buf: storing an int
@@ -73,7 +92,12 @@ type Decoder struct {
 	err error
 }
 
-var errShort = errors.New("codec: input too short")
+var (
+	errShort    = errors.New("codec: input too short")
+	errVarint   = errors.New("codec: varint truncated, overflowing or longer than its value needs")
+	errBool     = errors.New("codec: boolean neither 0 nor 1")
+	errKeyOrder = errors.New("codec: map keys not in increasing order")
+)
 
 // NewDecoder returns a decoder over b. Byte strings it returns alias b.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
@@ -117,16 +141,24 @@ func (d *Decoder) Byte() byte {
 	return 0
 }
 
-// Bool reads one byte as a boolean: any nonzero byte is true.
-func (d *Decoder) Bool() bool { return d.Byte() != 0 }
+// Bool reads one byte as a boolean; a byte other than 0 or 1 fails.
+func (d *Decoder) Bool() bool {
+	b := d.Byte()
+	if b > 1 {
+		d.Fail(errBool)
+	}
+	return b == 1
+}
 
-// Uvarint reads an unsigned varint, in binary.Uvarint's format. It is
-// written out so that it inlines: the one-byte varints that dominate
-// (counts, lengths, kinds) leave the loop on its first pass.
+// Uvarint reads an unsigned varint, in binary.Uvarint's format, and fails
+// on one spelled in more bytes than its value needs (a last byte of 0 after
+// the first), which binary.Uvarint accepts. It is written out so that it
+// inlines: the one-byte varints that dominate (counts, lengths, kinds)
+// leave the loop on its first pass.
 func (d *Decoder) Uvarint() (x uint64) {
 	for i, c := range d.buf[d.off:] {
-		if i == binary.MaxVarintLen64-1 && c > 1 {
-			break // overflows 64 bits
+		if i == binary.MaxVarintLen64-1 && c > 1 || c == 0 && i > 0 {
+			break // overflows 64 bits, or overlong
 		}
 		x |= uint64(c&0x7f) << (7 * i)
 		if c < 0x80 {
@@ -134,7 +166,7 @@ func (d *Decoder) Uvarint() (x uint64) {
 			return x
 		}
 	}
-	d.Fail(errShort)
+	d.Fail(errVarint)
 	return 0
 }
 
@@ -186,4 +218,24 @@ func (d *Decoder) Strs() []string {
 		out[i] = d.Str()
 	}
 	return out
+}
+
+// FloatMap reads what Encoder.FloatMap wrote; an empty map is nil. Keys out
+// of increasing order, or repeated, fail.
+func (d *Decoder) FloatMap() map[string]float64 {
+	n := d.Count(9) // a key's length prefix and a float
+	if n == 0 {
+		return nil
+	}
+	m := make(map[string]float64, n)
+	prev := ""
+	for i := range n {
+		k := d.Str()
+		if i > 0 && k <= prev {
+			d.Fail(errKeyOrder)
+			return nil
+		}
+		m[k], prev = d.Float(), k
+	}
+	return m
 }

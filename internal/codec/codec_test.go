@@ -110,6 +110,36 @@ func TestBytesAtEnd(t *testing.T) {
 	}
 }
 
+// TestNonCanonicalRefused: a boolean byte other than 0 or 1 and a map with
+// keys out of order or repeated fail, so no two inputs decode alike; a map
+// round-trips with its keys sorted.
+func TestNonCanonicalRefused(t *testing.T) {
+	if d := NewDecoder([]byte{2}); d.Bool() || d.Err() == nil {
+		t.Fatalf("Bool of byte 2: err %v, want a failure", d.Err())
+	}
+	var e Encoder
+	e.FloatMap(map[string]float64{"b": 2, "a": 1, "c": -0.5})
+	got := NewDecoder(e).FloatMap()
+	if want := map[string]float64{"a": 1, "b": 2, "c": -0.5}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("FloatMap round trip = %v, want %v", got, want)
+	}
+	if e[1] != 1 || e[2] != 'a' {
+		t.Fatalf("FloatMap did not write its keys sorted: % x", e)
+	}
+	for _, keys := range [][]string{{"b", "a"}, {"a", "a"}} {
+		var bad Encoder
+		bad.Uvarint(2)
+		for _, k := range keys {
+			bad.Str(k)
+			bad.Float(1)
+		}
+		d := NewDecoder(bad)
+		if m := d.FloatMap(); m != nil || d.Err() == nil {
+			t.Fatalf("FloatMap with keys %q = %v, %v; want a failure", keys, m, d.Err())
+		}
+	}
+}
+
 // TestEndRefusesTrailingBytes: input left after the last read is an error.
 func TestEndRefusesTrailingBytes(t *testing.T) {
 	d := NewDecoder([]byte{1, 2})
@@ -122,6 +152,8 @@ func TestEndRefusesTrailingBytes(t *testing.T) {
 // TestVarintMatchesBinary pins Uvarint and Varint to encoding/binary's
 // reading of the same bytes: value, bytes consumed and failure, on one- to
 // eleven-byte inputs including overlong, overflowing and truncated ones.
+// The one difference is deliberate: an overlong varint, which binary reads,
+// fails here, so that accepted input re-encodes to the same bytes.
 func TestVarintMatchesBinary(t *testing.T) {
 	inputs := [][]byte{nil, {0}, {0x7f}, {0x80}, {0x80, 0}, {0xff, 0x7f, 9},
 		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01},
@@ -139,13 +171,22 @@ func TestVarintMatchesBinary(t *testing.T) {
 		}
 		inputs = append(inputs, b)
 	}
+	// canonical is binary's byte count, or 0 for an overlong spelling.
+	canonical := func(b []byte, n int) int {
+		if n > 1 && b[n-1] == 0 {
+			return 0
+		}
+		return n
+	}
 	for _, b := range inputs {
 		wantU, n := binary.Uvarint(b)
+		n = canonical(b, n)
 		d := NewDecoder(b)
 		if got := d.Uvarint(); (n > 0) != (d.Err() == nil) || n > 0 && (got != wantU || d.off != n) {
 			t.Fatalf("Uvarint(% x) = %d after %d bytes, err %v; binary reads %d, n %d", b, got, d.off, d.Err(), wantU, n)
 		}
 		wantV, n := binary.Varint(b)
+		n = canonical(b, n)
 		d = NewDecoder(b)
 		if got := d.Varint(); (n > 0) != (d.Err() == nil) || n > 0 && (got != wantV || d.off != n) {
 			t.Fatalf("Varint(% x) = %d after %d bytes, err %v; binary reads %d, n %d", b, got, d.off, d.Err(), wantV, n)

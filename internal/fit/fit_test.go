@@ -618,6 +618,31 @@ func TestPredictIntervalCoverage(t *testing.T) {
 	}
 }
 
+// TestIntervalQuantileCacheBitIdentical: an evaluator that keeps the last
+// Student-t quantile returns, over a run of estimates whose degrees of
+// freedom and levels change from call to call and repeat, exactly the
+// bounds of a fresh evaluator, which works the quantile out anew.
+func TestIntervalQuantileCacheBitIdentical(t *testing.T) {
+	m, _ := ParseModel("y ~ a * pow(x, b)", []string{"x"})
+	f := Estimate{Params: []float64{2, -0.7}, Cov: [][]float64{{0.01, 0.002}, {0.002, 0.003}}, ResidualSE: 0.3}
+	e := m.Evaluator()
+	defer e.Release()
+	for i, df := range []int{1, 1, 2, 30, 30, 7, 1, 200, 3, 3, 30, 2} {
+		f.DF = df
+		in := []float64{0.1 + float64(i)*0.37}
+		level := []float64{0.95, 0.9, 0.95, 0.99}[i%4]
+		yhat := m.Eval(f.Params, in)
+		lo, hi := e.Interval(&f, in, yhat, level, 1.25)
+		fresh, err := m.newEvaluator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantLo, wantHi := fresh.Interval(&f, in, yhat, level, 1.25); lo != wantLo || hi != wantHi {
+			t.Fatalf("call %d (df %d, level %g): [%v, %v], uncached [%v, %v]", i, df, level, lo, hi, wantLo, wantHi)
+		}
+	}
+}
+
 func TestPredictErrors(t *testing.T) {
 	m, _ := ParseModel("y ~ a + b*x", []string{"x"})
 	res, err := m.Fit(map[string][]float64{

@@ -218,6 +218,12 @@ type Evaluator struct {
 	y     [1]float64       // one observation's value
 	grad  []float64        // one observation's gradient, for Interval
 	work  lmWork
+
+	// The Student-t quantile Interval last computed, for tDF degrees of
+	// freedom at tLevel: rows of one group share both, so it is computed
+	// once per group, not once per row. tDF is 0 before the first.
+	tDF            int
+	tLevel, tQuant float64
 }
 
 // Kernel compiles e, an expression over the model's parameters and inputs,

@@ -92,6 +92,9 @@ func (e *Evaluator) Interval(f *Estimate, inputs []float64, yhat, level, inflate
 	if inflate > 1 {
 		se *= inflate
 	}
-	tcrit := stats.StudentT{Nu: float64(f.DF)}.Quantile(0.5 + level/2)
-	return yhat - tcrit*se, yhat + tcrit*se
+	if f.DF != e.tDF || level != e.tLevel {
+		e.tDF, e.tLevel = f.DF, level
+		e.tQuant = stats.StudentT{Nu: float64(f.DF)}.Quantile(0.5 + level/2)
+	}
+	return yhat - e.tQuant*se, yhat + e.tQuant*se
 }

@@ -15,10 +15,12 @@ import (
 // (formula and WHERE predicate as text, §3: "we can store the models in
 // their source code form inside the database") plus the numeric parameter
 // tables; compiled evaluators and Jacobians are rebuilt on load. The same
-// record type ships over the replication wire (gob), which is why it is
-// exported: a model delta is exactly a persisted model, minus the rows. Its
-// spec fields alone are a law's one source form, which the WAL's FIT MODEL
-// record carries too; SpecRecord and ParseSpec convert it to and from Spec.
+// record type ships over the replication wire, which is why it is exported:
+// a model delta is exactly a persisted model, minus the rows. Its spec
+// fields alone are a law's one source form, which the WAL's FIT MODEL
+// record carries too; SpecRecord and ParseSpec convert it to and from Spec,
+// and internal/forms writes it in the one binary form the WAL and the wire
+// share.
 
 // GroupRecord is the serialized form of one GroupParams row.
 type GroupRecord struct {
@@ -35,8 +37,7 @@ type GroupRecord struct {
 }
 
 // ModelRecord is the serialized form of one CapturedModel: the spec in
-// source form (Name through Method) plus the fitted parameter table. It
-// stays flat: every replica reply re-sends its gob type tree.
+// source form (Name through Method) plus the fitted parameter table.
 type ModelRecord struct {
 	ID         int                `json:"id"`
 	Name       string             `json:"name"`

@@ -36,16 +36,23 @@ type Client struct {
 
 	mu       sync.Mutex
 	conn     net.Conn
+	f        framer
 	maxFrame int
 	err      error
 	closed   bool
 }
 
-// Dial connects to a server.
+// Dial connects to a server and sends the protocol's hello. A server that
+// speaks another version answers the first call with an error naming the
+// mismatch.
 func Dial(addr string) (*Client, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("server: dial %s: %w", addr, err)
+	}
+	if _, err := conn.Write(hello[:]); err != nil {
+		_ = conn.Close()
+		return nil, fmt.Errorf("server: dial %s: hello: %w", addr, err)
 	}
 	return &Client{conn: conn, maxFrame: DefaultMaxFrame}, nil
 }
@@ -77,12 +84,12 @@ func (c *Client) call(req *Request) (*Response, error) {
 		}
 		return nil, fmt.Errorf("server: client poisoned by earlier transport error: %w", c.err)
 	}
-	if err := writeMsg(c.conn, req, c.maxFrame); err != nil {
+	if err := c.f.write(c.conn, req, c.maxFrame); err != nil {
 		c.poison(err)
 		return nil, fmt.Errorf("server: send %s: %w", req.Op, err)
 	}
 	resp := new(Response)
-	if err := readMsg(c.conn, resp, c.maxFrame); err != nil {
+	if err := c.f.read(c.conn, resp, c.maxFrame); err != nil {
 		c.poison(err)
 		return nil, fmt.Errorf("server: receive %s: %w", req.Op, err)
 	}
@@ -197,7 +204,7 @@ type Rows struct {
 func newRows(c *Client, resp *Response) *Rows {
 	return &Rows{
 		Info:     resp.Info,
-		Report:   resp.report(),
+		Report:   resp.Report,
 		c:        c,
 		cursorID: resp.CursorID,
 		cols:     resp.Columns,
@@ -291,19 +298,15 @@ type DeltaBatch struct {
 	Growth map[string]float64
 }
 
-func deltaBatch(resp *Response) (*DeltaBatch, error) {
-	incs, err := decodeIncrements(resp.Increments)
-	if err != nil {
-		return nil, err
-	}
+func deltaBatch(resp *Response) *DeltaBatch {
 	return &DeltaBatch{
 		Deltas:     resp.Deltas,
-		Increments: incs,
+		Increments: resp.Increments,
 		Term:       resp.FeedTerm,
 		Seq:        resp.FeedSeq,
 		Resync:     resp.Resync,
 		Growth:     resp.Growth,
-	}, nil
+	}
 }
 
 // SubscribeModels fetches the primary's full model catalog as a resync
@@ -313,7 +316,7 @@ func (c *Client) SubscribeModels() (*DeltaBatch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return deltaBatch(resp)
+	return deltaBatch(resp), nil
 }
 
 // PollDeltas long-polls the model changefeed from (term, seq), blocking
@@ -331,5 +334,5 @@ func (c *Client) PollDeltas(term, seq uint64, wait time.Duration, max int) (*Del
 	if err != nil {
 		return nil, err
 	}
-	return deltaBatch(resp)
+	return deltaBatch(resp), nil
 }

@@ -106,18 +106,13 @@ func (sess *session) feedResponse(changes []modelstore.Change, next modelstore.C
 			sess.shipped[c.Name] = c.Model
 		}
 	}
-	var incs []DomainIncrement
 	cache := srv.eng.AQPOptions().Cache
 	for name, m := range sess.shipped {
 		if t, ok := srv.eng.Catalog.Get(m.Spec.Table); ok {
 			if inc, ok := sess.feed.Next(cache, t, m); ok {
-				incs = append(incs, DomainIncrement{Model: name, Increment: inc})
+				resp.Increments = append(resp.Increments, DomainIncrement{Model: name, Increment: inc})
 			}
 		}
-	}
-	var err error
-	if resp.Increments, err = encodeIncrements(incs); err != nil {
-		return errResponse(err)
 	}
 	srv.metrics.RecordDeltasSent(len(resp.Deltas))
 	return resp

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"datalaws/internal/aqp"
+	"datalaws/internal/codec"
 	"datalaws/internal/fit"
 	"datalaws/internal/modelstore"
 	"datalaws/internal/storage"
@@ -63,7 +64,7 @@ func TestReplicaRejectsMalformedIncrements(t *testing.T) {
 			t.Fatalf("%s: count = %d after a rejected increment, want 32", tc.name, n)
 		}
 	}
-	if _, err := deltaBatch(&Response{Increments: []byte("not a gob stream")}); err == nil {
+	if d := codec.NewDecoder([]byte("not an increment list")); decodeIncrements(d) != nil || d.End() == nil {
 		t.Error("garbled increment bytes decoded")
 	}
 	// The well-formed continuation still applies, and a restart from row 0
@@ -119,8 +120,8 @@ func TestFeedRefitPollShipsParametersOnly(t *testing.T) {
 	}
 }
 
-// FuzzFeedIncrement decodes arbitrary bytes as a feed reply's increments
-// and applies each to a replica state holding two combinations. Nothing may
+// FuzzFeedIncrement decodes arbitrary bytes as a feed reply's increments,
+// with the frame codec's decoder of them, and applies each to a replica state holding two combinations. Nothing may
 // panic, and an increment Apply accepts must leave a legal set whose
 // Contains agrees with a map of the same combinations.
 func FuzzFeedIncrement(f *testing.F) {
@@ -130,11 +131,9 @@ func FuzzFeedIncrement(f *testing.F) {
 		{{Increment: aqp.Increment{From: 2, To: 5, Bad: []bool{false}, Groups: []int64{1, 2}, Inputs: []float64{0.5}, Width: 1}}},
 		{{Increment: aqp.Increment{From: 2, To: 2, Values: [][]float64{{2, 1}}, Bad: []bool{true}, Width: 1, Err: "a NULL"}}},
 	} {
-		b, err := encodeIncrements(incs)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
+		var e codec.Encoder
+		encodeIncrements(&e, incs)
+		f.Add([]byte(e))
 	}
 	f.Add([]byte("junk"))
 	schema, err := table.NewSchema(
@@ -158,8 +157,9 @@ func FuzzFeedIncrement(f *testing.F) {
 		return k
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		incs, err := decodeIncrements(data)
-		if err != nil {
+		d := codec.NewDecoder(data)
+		incs := decodeIncrements(d)
+		if d.End() != nil {
 			return
 		}
 		for _, d := range incs {

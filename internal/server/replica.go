@@ -70,6 +70,7 @@ type Replicator struct {
 	wg        sync.WaitGroup
 
 	mu        sync.Mutex
+	now       func() time.Time // the clock lag is read from: time.Now outside tests
 	growth    map[string]float64
 	lastSync  time.Time
 	connected bool
@@ -93,6 +94,7 @@ func OpenReplica(addr string, cfg *ReplicaConfig) (*datalaws.Engine, *Replicator
 		addr:   addr,
 		cfg:    cfg.withDefaults(),
 		done:   make(chan struct{}),
+		now:    time.Now,
 	}
 	eng.SetReplica(r)
 	return eng, r
@@ -133,7 +135,7 @@ func (r *Replicator) InflationFor(model string) float64 {
 		f += g
 	}
 	if r.cfg.LagInflate > 0 && !r.lastSync.IsZero() {
-		f += r.cfg.LagInflate * time.Since(r.lastSync).Seconds()
+		f += r.cfg.LagInflate * r.now().Sub(r.lastSync).Seconds()
 	}
 	return f
 }
@@ -251,7 +253,7 @@ func (r *Replicator) applyBatch(b *DeltaBatch) error {
 	}
 	r.mu.Lock()
 	r.growth = b.Growth // read only; a nil map reads as no growth
-	r.lastSync = time.Now()
+	r.lastSync = r.now()
 	r.syncs++
 	if b.Resync {
 		r.resyncs++

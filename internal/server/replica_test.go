@@ -501,6 +501,64 @@ func TestReplicaPointWidenedAsStatement(t *testing.T) {
 	}
 }
 
+// TestReplicaStmtWidensWithLag: on a replica whose feed is down, a
+// prepared WITH ERROR statement widens as the lag grows, as a strawman
+// point does. Once the feed is cut and the replica's clock has moved ten
+// seconds past the last sync, the statement's bounds equal
+// Client.ApproxPoint's bit for bit, and its report carries the widening.
+func TestReplicaStmtWidensWithLag(t *testing.T) {
+	srv, _ := newPrimary(t)
+	reng, rep := OpenReplica(srv.Addr(), &ReplicaConfig{PollWait: 25 * time.Millisecond, LagInflate: 0.5, Logf: t.Logf})
+	rep.Start()
+	t.Cleanup(rep.Stop)
+	rsrv := New(reng, &Config{Logf: t.Logf})
+	if err := rsrv.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = rsrv.Close() })
+	cli := dialTest(t, rsrv)
+	replicaHasModel(t, reng, "law", 1)
+	st, err := cli.Prepare("APPROX SELECT intensity, intensity_lo, intensity_hi FROM m WHERE source = ? AND nu = ? WITH ERROR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	point := func() (y, lo, hi, inflation float64) {
+		t.Helper()
+		rows, err := st.Query(int64(1), 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = rows.Close() }()
+		if !rows.Next() {
+			t.Fatalf("no row: %v", rows.Err())
+		}
+		if err := rows.Scan(&y, &lo, &hi); err != nil {
+			t.Fatal(err)
+		}
+		return y, lo, hi, rows.SEInflation
+	}
+	_, lo0, hi0, _ := point()
+	rep.Stop() // the feed is cut
+	rep.mu.Lock()
+	last := rep.lastSync
+	rep.now = func() time.Time { return last.Add(10 * time.Second) }
+	rep.mu.Unlock()
+	y, lo, hi, inflation := point()
+	ans, err := cli.ApproxPoint("law", 1, []float64{0.5}, 0.95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ans.Value != y || ans.Lo != lo || ans.Hi != hi {
+		t.Fatalf("after 10s of lag: point %g [%g, %g], statement %g [%g, %g]", ans.Value, ans.Lo, ans.Hi, y, lo, hi)
+	}
+	if want := rep.InflationFor("law"); inflation != want || want < 6 {
+		t.Fatalf("statement reports SEInflation %g, replica inflation %g; want them equal and at least 1 + 0.5·10", inflation, want)
+	}
+	if hi-lo <= hi0-lo0 {
+		t.Fatalf("interval width %g after 10s of lag, %g before; want it wider", hi-lo, hi0-lo0)
+	}
+}
+
 // TestReplicaStateReplacedOnTableRecreate drops the primary's table and
 // re-creates it under the same name with other frequencies and more rows
 // than before: the state the replica built from the old table's increments

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -197,6 +198,11 @@ type session struct {
 
 	openCursors atomic.Int64
 
+	// The handler goroutine's frame buffer and the row batch pullBatch
+	// encodes into; the reader goroutine keeps its own frame buffer.
+	out   framer
+	batch rowBatch
+
 	// What this session shipped on the model changefeed: the models, and
 	// the domain states the replica holds.
 	shipped map[string]*modelstore.CapturedModel
@@ -237,14 +243,25 @@ func (s *Server) serveConn(conn net.Conn) {
 	// socket while the handler executes, so a client that vanishes
 	// mid-query fails the read immediately and the cancel propagates —
 	// via exec.BindContext — into every operator the session is running.
+	// A peer that opens with anything but this protocol's hello is
+	// refused (see readHello), and the connection closes.
 	reqs := make(chan *Request, 4)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		defer close(reqs)
+		var in framer
+		if err := readHello(conn, s.cfg.MaxFrame); err != nil {
+			if errors.Is(err, wireerr.ErrBadRequest) {
+				s.cfg.Logf("server: refused %s: %v", conn.RemoteAddr(), err)
+				refuse(conn, &in, err, s.cfg.MaxFrame)
+			}
+			cancel()
+			return
+		}
 		for {
 			req := new(Request)
-			if err := readMsg(conn, req, s.cfg.MaxFrame); err != nil {
+			if err := in.read(conn, req, s.cfg.MaxFrame); err != nil {
 				cancel()
 				return
 			}
@@ -258,7 +275,7 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	for req := range reqs {
 		resp := sess.handle(req)
-		if err := writeMsg(conn, resp, s.cfg.MaxFrame); err != nil {
+		if err := sess.out.write(conn, resp, s.cfg.MaxFrame); err != nil {
 			break
 		}
 		if s.isDraining() && sess.openCursors.Load() == 0 {
@@ -273,6 +290,21 @@ func (s *Server) serveConn(conn net.Conn) {
 	// it to observe the closed connection.
 	for range reqs {
 	}
+}
+
+// refuse answers a peer that does not speak this protocol with err, and
+// then closes its side and reads until the peer closes too, for at most a
+// second, so the refusal is not lost to a reset: closing a socket with
+// unread input resets the connection.
+func refuse(conn net.Conn, f *framer, err error, max int) {
+	if f.write(conn, errResponse(err), max) != nil {
+		return
+	}
+	if tc, ok := conn.(*net.TCPConn); ok {
+		_ = tc.CloseWrite() // a failure leaves the full close to do it
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+	_, _ = io.Copy(io.Discard, conn) // ends at the peer's close, the deadline or the session's
 }
 
 // teardown releases every cursor the session still holds; their lazy Rows
@@ -332,7 +364,7 @@ func (sess *session) handle(req *Request) *Response {
 		} else {
 			resp.CursorID = req.CursorID
 		}
-		sess.srv.metrics.RecordFetch(len(resp.Rows), wireerr.Rehydrate(resp.ErrCode, resp.ErrMsg))
+		sess.srv.metrics.RecordFetch(resp.rowCount(), wireerr.Rehydrate(resp.ErrCode, resp.ErrMsg))
 		return resp
 	case OpCloseCursor:
 		if rows, ok := sess.cursors[req.CursorID]; ok {
@@ -382,9 +414,9 @@ func (sess *session) handleQuery(req *Request) *Response {
 	resp := sess.pullBatch(rows, req.MaxRows)
 	resp.Columns = rows.Columns()
 	resp.Info = rows.Info
-	resp.setReport(rows.Report)
+	resp.Report = rows.Report
 	sess.srv.metrics.RecordQuery(routeOf(rows), time.Since(start), wireerr.Rehydrate(resp.ErrCode, resp.ErrMsg))
-	sess.srv.metrics.RecordRows(len(resp.Rows))
+	sess.srv.metrics.RecordRows(resp.rowCount())
 	if !resp.Done {
 		sess.nextCursor++
 		sess.cursors[sess.nextCursor] = rows
@@ -396,9 +428,9 @@ func (sess *session) handleQuery(req *Request) *Response {
 }
 
 // pullBatch advances rows by up to n (clamped; the client's flow
-// control), deep-copying each row out of the cursor's reuse buffer. When
-// the stream ends — exhaustion or error — the underlying Rows has closed
-// itself and Done is set.
+// control), encoding each row into the session's batch as the cursor
+// yields it. When the stream ends — exhaustion or error — the underlying
+// Rows has closed itself and Done is set.
 func (sess *session) pullBatch(rows *datalaws.Rows, n int) *Response {
 	if n <= 0 {
 		n = sess.srv.cfg.FetchRows
@@ -406,8 +438,10 @@ func (sess *session) pullBatch(rows *datalaws.Rows, n int) *Response {
 	if n > maxFetchRows {
 		n = maxFetchRows
 	}
-	resp := &Response{}
-	for len(resp.Rows) < n {
+	b := &sess.batch
+	b.reset()
+	resp := &Response{batch: b}
+	for b.n < n {
 		if !rows.Next() {
 			resp.Done = true
 			if err := rows.Err(); err != nil {
@@ -415,10 +449,10 @@ func (sess *session) pullBatch(rows *datalaws.Rows, n int) *Response {
 			}
 			break
 		}
-		r := rows.Row()
-		cp := make([]expr.Value, len(r))
-		copy(cp, r)
-		resp.Rows = append(resp.Rows, cp)
+		if !b.add(rows.Row()) {
+			_ = rows.Close()
+			return errResponse(fmt.Errorf("server: a result row of %d values after rows of %d", len(rows.Row()), b.width))
+		}
 	}
 	return resp
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"datalaws"
 	"datalaws/internal/capture"
 	"datalaws/internal/expr"
 	"datalaws/internal/modelstore"
@@ -58,7 +59,7 @@ func (sess *session) handleApproxPoint(req *Request) *Response {
 	}
 	sess.srv.metrics.RecordRows(1)
 	return &Response{Rows: [][]expr.Value{{expr.Float(ans.Value), expr.Float(ans.Lo), expr.Float(ans.Hi)}},
-		Model: ans.ModelName, ModelVersion: ans.ModelVersion, Done: true}
+		Report: datalaws.Report{Model: ans.ModelName, ModelVersion: ans.ModelVersion}, Done: true}
 }
 
 // oneRow checks a strawman reply's shape before it is decoded.

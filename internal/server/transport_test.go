@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +17,7 @@ import (
 
 	"datalaws"
 	"datalaws/internal/expr"
+	"datalaws/internal/wireerr"
 )
 
 // tempNetErr is a retryable accept failure (like a handshake timeout or
@@ -161,53 +166,176 @@ func TestClientPoisonedAfterTransportError(t *testing.T) {
 	}
 }
 
-// TestFrameAllocBudget bounds one frame encode + decode, the per-round-trip
-// floor every statement pays: a two-argument prepared-statement request and
-// a one-row, three-column point reply. The budgets are the counts measured
-// with go1.24 (251 and 646) plus 3%, so a new field on Request or Response
-// (each frame re-sends its gob type descriptors) fails the test.
+// writeMsg and readMsg write and read one frame through a framer of their
+// own, for tests that handle single frames.
+func writeMsg(w io.Writer, m message, max int) error {
+	var f framer
+	return f.write(w, m, max)
+}
+
+func readMsg(r io.Reader, m message, max int) error {
+	var f framer
+	return f.read(r, m, max)
+}
+
+// TestFrameAllocBudget bounds one frame encode + decode through reused
+// buffers, the per-round-trip floor every statement pays: a two-argument
+// prepared-statement request and a one-row, three-column point reply. What
+// is left is what a decoded message keeps: the message, its lists and its
+// strings. The budgets are the counts measured with go1.24 (2 and 8) plus
+// 3%, so a copy or a buffer that is no longer reused fails the test.
 func TestFrameAllocBudget(t *testing.T) {
 	req := &Request{Op: OpStmtQuery, StmtID: 1, Args: []expr.Value{expr.Int(42), expr.Float(0.14)}}
 	reply := &Response{
 		Columns: []string{"intensity", "intensity_lo", "intensity_hi"},
 		Rows:    [][]expr.Value{{expr.Float(0.61), expr.Float(0.58), expr.Float(0.64)}},
-		Done:    true, Model: "spectra", ModelVersion: 1, SEInflation: 1,
+		Done:    true, Report: datalaws.Report{Model: "spectra", ModelVersion: 1, SEInflation: 1},
 	}
 	for _, tc := range []struct {
 		name   string
-		out    any
-		in     func() any
+		out    message
+		in     func() message
 		budget float64
 	}{
-		{"stmt-query request", req, func() any { return new(Request) }, 258},
-		{"point reply", reply, func() any { return new(Response) }, 665},
+		{"stmt-query request", req, func() message { return new(Request) }, 2.06},
+		{"point reply", reply, func() message { return new(Response) }, 8.24},
 	} {
+		var f framer
 		var buf bytes.Buffer
 		allocs := testing.AllocsPerRun(200, func() {
 			buf.Reset()
-			if err := writeMsg(&buf, tc.out, DefaultMaxFrame); err != nil {
+			if err := f.write(&buf, tc.out, DefaultMaxFrame); err != nil {
 				t.Fatal(err)
 			}
-			if err := readMsg(&buf, tc.in(), DefaultMaxFrame); err != nil {
+			if err := f.read(&buf, tc.in(), DefaultMaxFrame); err != nil {
 				t.Fatal(err)
 			}
 		})
-		t.Logf("%s: %.0f allocs per encode + decode (budget %.0f)", tc.name, allocs, tc.budget)
+		t.Logf("%s: %.0f allocs per encode + decode (budget %.2f)", tc.name, allocs, tc.budget)
 		if allocs > tc.budget {
-			t.Errorf("%s: %.0f allocs per encode + decode, budget %.0f", tc.name, allocs, tc.budget)
+			t.Errorf("%s: %.0f allocs per encode + decode, budget %.2f", tc.name, allocs, tc.budget)
 		}
 	}
 }
 
-// FuzzFrame throws arbitrary bytes at readMsg as both ends read them: a
-// Request, what the server reads from the network, and a Response, what
-// the client reads. Seeds are real frames from the session handler: a
-// stmt-query request, a point reply, a fetch reply and a subscribe reply.
-// The invariants: decoding never panics; a declared length above the cap
-// is refused from the 4-byte header alone, before the payload is read or
-// allocated; and a decoded Response survives report, newRows (drained
-// through a closed client, so a fetch fails instead of dialing) and
-// deltaBatch.
+// TestStmtRoundTripAllocBudget bounds a whole prepared APPROX point over
+// loopback, counting both ends: the client's request and reply frames, the
+// server's reader and handler, and the engine's execution. The budget is
+// the count measured with go1.24 (32) plus 3%.
+func TestStmtRoundTripAllocBudget(t *testing.T) {
+	srv, _ := newPrimary(t)
+	cli := dialTest(t, srv)
+	st, err := cli.Prepare("APPROX SELECT intensity, intensity_lo, intensity_hi FROM m WHERE source = ? AND nu = ? WITH ERROR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var y, lo, hi float64
+	point := func() {
+		rows, err := st.Query(int64(1), 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rows.Next() {
+			t.Fatalf("no row: %v", rows.Err())
+		}
+		if err := rows.Scan(&y, &lo, &hi); err != nil {
+			t.Fatal(err)
+		}
+		if rows.Next() || rows.Close() != nil {
+			t.Fatal("more than one row")
+		}
+	}
+	const budget = 32.96
+	allocs := testing.AllocsPerRun(500, point)
+	t.Logf("%.1f allocs per prepared APPROX point round trip (budget %.2f)", allocs, budget)
+	if allocs > budget {
+		t.Errorf("%.1f allocs per prepared APPROX point round trip, budget %.2f", allocs, budget)
+	}
+}
+
+// gobEraPing is a ping request as a client from before the hello sent it:
+// a length prefix and a self-describing gob stream.
+const gobEraPing = "000000ddff877f030101075265717565737401ff8000010a01024f70010600010353514c010c0001044172677301ff8400010653746d7449440106000108437572736f72494401060001074d6178526f77730104000108466565645465726d010600010746656564536571010600010a576169744d696c6c697301040001094d617844656c74617301040000001bff830201010c5b5d657870722e56616c756501ff840001ff82000031ff810301010556616c756501ff8200010501014b010600010149010400010146010800010153010c00010142010200000005ff80010700"
+
+// TestPeerSpeakingAnotherProtocol: a connection that opens with a gob-era
+// frame, or with a hello of another version, gets one reply naming the
+// protocol mismatch and is closed, rather than left hanging; one that
+// sends the hello and then an oversized frame is dropped unanswered; the
+// server keeps serving clients that speak its protocol.
+func TestPeerSpeakingAnotherProtocol(t *testing.T) {
+	srv := New(datalaws.NewEngine(), &Config{Logf: t.Logf})
+	if err := srv.Serve("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	gobFrame, err := hex.DecodeString(gobEraPing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherVersion := hello
+	otherVersion[4]++
+	for _, tc := range []struct {
+		name  string
+		first []byte
+		want  string
+	}{
+		{"gob-era frame", gobFrame, "not the datalaws wire hello"},
+		{"hello of another version", otherVersion[:], fmt.Sprintf("wire version %d, this server version %d", otherVersion[4], hello[4])},
+	} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := conn.Write(tc.first); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var resp Response
+		if err := readMsg(conn, &resp, DefaultMaxFrame); err != nil {
+			t.Fatalf("%s: no refusal: %v", tc.name, err)
+		}
+		if resp.ErrCode != wireerr.CodeBadRequest || !strings.Contains(resp.ErrMsg, "protocol mismatch") || !strings.Contains(resp.ErrMsg, tc.want) {
+			t.Fatalf("%s: refusal %q %q, want a bad request naming the protocol mismatch (%q)", tc.name, resp.ErrCode, resp.ErrMsg, tc.want)
+		}
+		if n, err := conn.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Fatalf("%s: after the refusal read %d bytes, err %v; want the connection closed", tc.name, n, err)
+		}
+		_ = conn.Close()
+	}
+	// After the hello, a frame header past the cap drops the connection
+	// with no reply, before the payload is read.
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	oversized := binary.BigEndian.AppendUint32(hello[:], DefaultMaxFrame+1)
+	if _, err := conn.Write(oversized); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatalf("an oversized frame after the hello was answered with %d bytes", n)
+	}
+	cli := dialTest(t, srv)
+	if err := cli.Ping(); err != nil {
+		t.Fatalf("server unusable after refusing peers: %v", err)
+	}
+}
+
+// FuzzFrame throws arbitrary bytes at the frame reader as both ends read
+// them: a Request, what the server reads from the network, and a Response,
+// what the client reads; and at the hello check, what the server reads
+// first. Seeds are real frames from the session handler: a stmt-query
+// request, a point reply, a fetch reply and a subscribe reply carrying
+// deltas, increments and growth; and the hello. The invariants: nothing
+// panics; only the hello passes the hello check; a declared length above
+// the cap is refused from the 4-byte header alone, before the payload is
+// read or allocated; beside the payload buffer, decoding allocates no more
+// than a fixed multiple of the frame's bytes, so no count the frame cannot
+// hold sizes an allocation; an accepted frame re-encodes to the same bytes; and a
+// decoded Response survives newRows (drained through a closed client, so
+// a fetch fails instead of dialing) and deltaBatch.
 func FuzzFrame(f *testing.F) {
 	eng := datalaws.NewEngine()
 	eng.MustExec("CREATE TABLE m (source BIGINT, nu DOUBLE, intensity DOUBLE)")
@@ -215,42 +343,82 @@ func FuzzFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	eng.MustExec(`FIT MODEL law ON m AS 'intensity ~ a * nu + b' INPUTS (nu) GROUP BY source START (a = 1, b = 0)`)
+	if _, err := eng.Append("m", lawRows(4, 0.05, 12)[:4]); err != nil { // growth since the fit
+		f.Fatal(err)
+	}
 	sess := &session{srv: New(eng, &Config{}), ctx: context.Background(),
 		stmts: map[uint64]*datalaws.Stmt{}, cursors: map[uint64]*datalaws.Rows{}}
 	defer sess.teardown()
-	prep := sess.handle(&Request{Op: OpPrepare, SQL: "APPROX SELECT intensity, intensity_lo, intensity_hi FROM m WHERE source = ? AND nu = ? WITH ERROR"})
-	req := &Request{Op: OpStmtQuery, StmtID: prep.StmtID, Args: []expr.Value{expr.Int(1), expr.Float(0.5)}}
-	first := sess.handle(&Request{Op: OpQuery, SQL: "SELECT source, nu, intensity FROM m", MaxRows: 4})
-	for _, msg := range []any{req, sess.handle(req), sess.handle(&Request{Op: OpFetch, CursorID: first.CursorID, MaxRows: 4}),
-		sess.handle(&Request{Op: OpSubscribeModels})} {
-		if resp, ok := msg.(*Response); ok && resp.ErrMsg != "" {
+	frame := func(m message) []byte {
+		if resp, ok := m.(*Response); ok && resp.ErrMsg != "" {
 			f.Fatal(resp.ErrMsg)
 		}
 		var buf bytes.Buffer
-		if err := writeMsg(&buf, msg, DefaultMaxFrame); err != nil {
+		if err := writeMsg(&buf, m, DefaultMaxFrame); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		return buf.Bytes()
 	}
+	prep := sess.handle(&Request{Op: OpPrepare, SQL: "APPROX SELECT intensity, intensity_lo, intensity_hi FROM m WHERE source = ? AND nu = ? WITH ERROR"})
+	req := &Request{Op: OpStmtQuery, StmtID: prep.StmtID, Args: []expr.Value{expr.Int(1), expr.Float(0.5)}}
+	f.Add(frame(req))
+	f.Add(frame(sess.handle(req)))
+	first := sess.handle(&Request{Op: OpQuery, SQL: "SELECT source, nu, intensity FROM m", MaxRows: 4})
+	f.Add(frame(sess.handle(&Request{Op: OpFetch, CursorID: first.CursorID, MaxRows: 4})))
+	sub := sess.handle(&Request{Op: OpSubscribeModels})
+	if len(sub.Deltas) == 0 || len(sub.Increments) == 0 || len(sub.Growth) == 0 {
+		f.Fatalf("subscribe reply with %d deltas, %d increments, growth %v; want all three", len(sub.Deltas), len(sub.Increments), sub.Growth)
+	}
+	f.Add(frame(sub))
+	f.Add(hello[:])
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x01})
 
 	const max = 1 << 16
+	// allocPerByte bounds what one frame byte may decode to: a NULL value
+	// is one byte and a 48-byte expr.Value.
+	const allocPerByte, allocFixed = 64, 8 << 10
 	closed := &Client{err: errClientClosed, closed: true}
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		for _, v := range []any{new(Request), new(Response)} {
+		if err := readHello(bytes.NewReader(frame), max); (err == nil) != bytes.HasPrefix(frame, hello[:]) {
+			t.Fatalf("hello check of % x: %v", frame[:min(len(frame), len(hello))], err)
+		}
+		for _, m := range []message{new(Request), new(Response)} {
 			r := bytes.NewReader(frame)
-			err := readMsg(r, v, max)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := readMsg(r, m, max)
+			runtime.ReadMemStats(&after)
 			var big *errFrameTooBig
 			if len(frame) >= 4 && binary.BigEndian.Uint32(frame) > max && (!errors.As(err, &big) || r.Len() != len(frame)-4) {
 				t.Fatalf("declared length %d over cap %d: err %v, %d bytes left unread", binary.BigEndian.Uint32(frame), max, err, r.Len())
 			}
-			resp, ok := v.(*Response)
-			if err != nil || !ok {
+			// The payload buffer is sized by the length prefix, which the
+			// cap bounds; what the payload decodes to is bounded by the
+			// bytes it holds.
+			limit := uint64(allocPerByte*len(frame) + allocFixed)
+			if len(frame) >= 4 {
+				limit += uint64(min(binary.BigEndian.Uint32(frame), max))
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+				t.Fatalf("reading a %d-byte frame allocated %d bytes", len(frame), got)
+			}
+			if err != nil {
+				continue
+			}
+			var back bytes.Buffer
+			if err := writeMsg(&back, m, max); err != nil {
+				t.Fatal(err)
+			}
+			if read := frame[:len(frame)-r.Len()]; !bytes.Equal(back.Bytes(), read) {
+				t.Fatalf("re-encoded frame differs\nread % x\nback % x", read, back.Bytes())
+			}
+			resp, ok := m.(*Response)
+			if !ok {
 				continue
 			}
 			rows := newRows(closed, resp)
-			if rows.Report != resp.report() {
-				t.Fatalf("newRows reports %+v, the frame %+v", rows.Report, resp.report())
+			if rows.Report != resp.Report {
+				t.Fatalf("newRows reports %+v, the frame %+v", rows.Report, resp.Report)
 			}
 			for rows.Next() {
 				var x float64
@@ -261,7 +429,7 @@ func FuzzFrame(f *testing.F) {
 				}
 			}
 			_ = rows.Close()
-			_, _ = deltaBatch(resp)
+			_ = deltaBatch(resp)
 		}
 	})
 }

@@ -7,13 +7,16 @@
 // flow control, and prepared-statement ids that amortize planning across
 // a session's executions.
 //
-// Protocol. Every message is one frame: a 4-byte big-endian payload
-// length followed by a gob-encoded Request or Response. Each frame is an
-// independent gob stream (its own type preamble), so a rejected or
-// garbled frame cannot desync the session the way a shared stateful
-// stream would, and the length prefix lets the server refuse oversized
-// payloads before decoding allocates anything. Within a session,
-// requests are processed in order; responses match request order.
+// Protocol. A connection opens with the client's hello: four magic bytes
+// and a protocol-version byte. A server that reads anything else answers
+// with one Response naming the mismatch and closes the connection. After
+// the hello every message is one frame: a 4-byte big-endian payload length
+// followed by one Request or Response in the internal/codec encoding, the
+// one the WAL record and the table file use, every field in declaration
+// order. Frames share no state, so a rejected frame cannot desync the
+// session, and the length prefix lets a reader refuse an oversized payload
+// before it allocates anything. Within a session, requests are processed
+// in order; responses match request order.
 //
 // A query's row stream comes back as a cursor: the response to
 // OpQuery/OpStmtQuery carries the first batch of rows plus a cursor id
@@ -26,15 +29,17 @@
 package server
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 
 	"datalaws"
 	"datalaws/internal/aqp"
+	"datalaws/internal/codec"
 	"datalaws/internal/expr"
+	"datalaws/internal/forms"
+	"datalaws/internal/modelstore"
+	"datalaws/internal/wireerr"
 )
 
 // Op enumerates request opcodes.
@@ -132,7 +137,9 @@ type Request struct {
 // Response is one server frame.
 type Response struct {
 	// ErrCode/ErrMsg report a request failure (wireerr codes; empty on
-	// success). A failed request never opens a cursor.
+	// success). A failed request never opens a cursor. They lead the
+	// layout, so a peer of another protocol version can still read the
+	// first two fields of a hello refusal.
 	ErrCode string
 	ErrMsg  string
 
@@ -150,18 +157,9 @@ type Response struct {
 	Done bool
 
 	// Info and the statement's datalaws.Report, set on the first response
-	// of an execution. The report travels as flat fields, written by
-	// setReport and read by report: every frame re-sends its gob type
-	// tree, and a nested struct would add its own to each one.
-	Info             string
-	Model            string
-	ModelVersion     int
-	ApproxGrid       int
-	SEInflation      float64
-	ExactFallback    bool
-	Hybrid           bool
-	Partitions       int
-	PartitionsPruned int
+	// of an execution.
+	Info string
+	datalaws.Report
 
 	// Replication payload (OpSubscribeModels, OpModelDelta). Deltas carry
 	// model parameters and table declarations, never rows; Increments carry
@@ -174,22 +172,24 @@ type Response struct {
 	// appended since that model's fit, shipped on every reply so the
 	// replica can widen its intervals for staleness it cannot observe.
 	Deltas     []ModelDelta
-	Increments []byte // a gob of []DomainIncrement: see encodeIncrements
+	Increments []DomainIncrement
 	FeedTerm   uint64
 	FeedSeq    uint64
 	Resync     bool
 	Growth     map[string]float64
+
+	// batch, when set, holds the reply's rows already in frame form, in
+	// place of Rows (see pullBatch). It is the session's, and valid until
+	// the session's next request.
+	batch *rowBatch
 }
 
-func (r *Response) setReport(rep datalaws.Report) {
-	r.Model, r.ModelVersion, r.ApproxGrid, r.Hybrid = rep.Model, rep.ModelVersion, rep.ApproxGrid, rep.Hybrid
-	r.SEInflation, r.ExactFallback = rep.SEInflation, rep.ExactFallback
-	r.Partitions, r.PartitionsPruned = rep.Partitions, rep.PartitionsPruned
-}
-
-func (r *Response) report() datalaws.Report {
-	return datalaws.Report{Model: r.Model, ModelVersion: r.ModelVersion, ApproxGrid: r.ApproxGrid, Hybrid: r.Hybrid,
-		SEInflation: r.SEInflation, ExactFallback: r.ExactFallback, Partitions: r.Partitions, PartitionsPruned: r.PartitionsPruned}
+// DomainIncrement is one domain state's increment on the wire, named by a
+// shipped model that binds against the state (models with the same table,
+// group column and inputs share one).
+type DomainIncrement struct {
+	Model string
+	aqp.Increment
 }
 
 // DefaultMaxFrame bounds a single frame's payload. Row batches dominate
@@ -205,6 +205,40 @@ const DefaultFetchRows = 256
 // server-side batch buffer regardless of client behavior.
 const maxFetchRows = 16384
 
+// hello is what a client writes first on every connection: the magic, then
+// the protocol version. The version counts layouts of Request and
+// Response; a change to either is a new version.
+var hello = [5]byte{'D', 'L', 'W', 'F', 1}
+
+// readHello reads a connection's hello and checks that the peer speaks
+// this protocol. An opening that is not the magic is read as a peer from
+// before the hello would send it, a frame's length prefix: one over max is
+// an errFrameTooBig, dropped like any oversized frame. Any other mismatch
+// is an ErrBadRequest naming it, which the server sends back before it
+// hangs up.
+func readHello(r io.Reader, max int) error {
+	var got [len(hello)]byte
+	if _, err := io.ReadFull(r, got[:4]); err != nil {
+		return err
+	}
+	if [4]byte(got[:4]) != [4]byte(hello[:4]) {
+		n := binary.BigEndian.Uint32(got[:4])
+		if int64(n) > int64(max) {
+			return &errFrameTooBig{n: n, max: max}
+		}
+		return fmt.Errorf("server: %w: protocol mismatch: the connection opened with a frame of %d bytes, not the datalaws wire hello %q",
+			wireerr.ErrBadRequest, n, hello[:4])
+	}
+	if _, err := io.ReadFull(r, got[4:]); err != nil {
+		return err
+	}
+	if got[4] != hello[4] {
+		return fmt.Errorf("server: %w: protocol mismatch: the client speaks wire version %d, this server version %d",
+			wireerr.ErrBadRequest, got[4], hello[4])
+	}
+	return nil
+}
+
 // errFrameTooBig reports a frame whose declared length exceeds the cap.
 type errFrameTooBig struct {
 	n   uint32
@@ -215,76 +249,347 @@ func (e *errFrameTooBig) Error() string {
 	return fmt.Sprintf("server: frame of %d bytes exceeds cap %d", e.n, e.max)
 }
 
-// writeMsg gob-encodes v and writes it as one length-prefixed frame.
-// Each frame is a self-contained gob stream (see package comment).
-func writeMsg(w io.Writer, v any, max int) error {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return fmt.Errorf("server: encode: %w", err)
+// message is a frame's payload: a Request or a Response, each with its one
+// encode/decode pair.
+type message interface {
+	encode(e *codec.Encoder)
+	decode(d *codec.Decoder)
+}
+
+// framer holds one goroutine's frame buffers, reused across frames: a
+// Client's under its mutex, and on the server one for the session's reader
+// and one for its handler. A decoded message copies what it keeps, so the
+// buffers are free again once read or write returns.
+type framer struct {
+	out codec.Encoder // the last frame written: length prefix, then payload
+	hdr [4]byte       // the last length prefix read
+	in  []byte        // the last payload read
+	dec codec.Decoder
+}
+
+// write encodes m and writes it as one frame in one Write, refusing a
+// payload over max before anything is written.
+func (f *framer) write(w io.Writer, m message, max int) error {
+	f.out = append(f.out[:0], 0, 0, 0, 0)
+	m.encode(&f.out)
+	n := len(f.out) - 4
+	if n > max {
+		return &errFrameTooBig{n: uint32(n), max: max}
 	}
-	payload := buf.Len() - 4
-	if payload > max {
-		return &errFrameTooBig{n: uint32(payload), max: max}
-	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(payload))
-	_, err := w.Write(b)
+	binary.BigEndian.PutUint32(f.out, uint32(n))
+	_, err := w.Write(f.out)
 	return err
 }
 
-// readMsg reads one frame and gob-decodes it into v, rejecting frames
-// larger than max before allocating the payload.
-func readMsg(r io.Reader, v any, max int) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// read reads one frame and decodes it into m, refusing a declared length
+// over max from the 4-byte prefix alone, before the payload is read or
+// allocated.
+func (f *framer) read(r io.Reader, m message, max int) error {
+	if _, err := io.ReadFull(r, f.hdr[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(f.hdr[:])
 	if int64(n) > int64(max) {
 		return &errFrameTooBig{n: n, max: max}
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if uint32(cap(f.in)) < n {
+		f.in = make([]byte, n)
+	}
+	f.in = f.in[:n]
+	if _, err := io.ReadFull(r, f.in); err != nil {
 		return err
 	}
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(v); err != nil {
+	f.dec = *codec.NewDecoder(f.in)
+	m.decode(&f.dec)
+	if err := f.dec.End(); err != nil {
 		return fmt.Errorf("server: decode: %w", err)
 	}
 	return nil
 }
 
-// DomainIncrement is one domain state's increment on the wire, named by a
-// shipped model that binds against the state (models with the same table,
-// group column and inputs share one).
-type DomainIncrement struct {
-	Model string
-	aqp.Increment
+func (r *Request) encode(e *codec.Encoder) {
+	e.Byte(byte(r.Op))
+	e.Str(r.SQL)
+	e.Uvarint(uint64(len(r.Args)))
+	for _, v := range r.Args {
+		forms.EncodeValue(e, v)
+	}
+	e.Uvarint(r.StmtID)
+	e.Uvarint(r.CursorID)
+	e.Varint(int64(r.MaxRows))
+	e.Uvarint(r.FeedTerm)
+	e.Uvarint(r.FeedSeq)
+	e.Varint(int64(r.WaitMillis))
+	e.Varint(int64(r.MaxDeltas))
 }
 
-// encodeIncrements gob-encodes a reply's increments as a stream of their
-// own, nil when there are none. Every frame re-sends the gob type preamble
-// of Response, so frames of other replies pay for one []byte field, not for
-// the increment's types.
-func encodeIncrements(incs []DomainIncrement) ([]byte, error) {
-	if len(incs) == 0 {
-		return nil, nil
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(incs); err != nil {
-		return nil, fmt.Errorf("server: encode increments: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeIncrements parses what encodeIncrements wrote. It checks only that
-// the bytes parse; whether an increment fits the state it extends is
-// aqp.Cache.Apply's to check.
-func decodeIncrements(b []byte) (incs []DomainIncrement, err error) {
-	if len(b) > 0 {
-		if err = gob.NewDecoder(bytes.NewReader(b)).Decode(&incs); err != nil {
-			return nil, fmt.Errorf("server: decode increments: %w", err)
+func (r *Request) decode(d *codec.Decoder) {
+	r.Op, r.SQL = Op(d.Byte()), d.Str()
+	if n := d.Count(1); n > 0 {
+		r.Args = make([]expr.Value, n)
+		for i := range r.Args {
+			forms.DecodeValue(d, &r.Args[i])
 		}
 	}
-	return incs, nil
+	r.StmtID, r.CursorID, r.MaxRows = d.Uvarint(), d.Uvarint(), int(d.Varint())
+	r.FeedTerm, r.FeedSeq = d.Uvarint(), d.Uvarint()
+	r.WaitMillis, r.MaxDeltas = int(d.Varint()), int(d.Varint())
+}
+
+func (r *Response) encode(e *codec.Encoder) {
+	e.Str(r.ErrCode)
+	e.Str(r.ErrMsg)
+	e.Uvarint(r.StmtID)
+	e.Varint(int64(r.NumParams))
+	e.Uvarint(r.CursorID)
+	e.Strs(r.Columns)
+	if b := r.batch; b != nil {
+		e.Uvarint(uint64(b.n))
+		if b.n > 0 {
+			e.Uvarint(uint64(b.width))
+			*e = append(*e, b.enc...)
+		}
+	} else {
+		e.Uvarint(uint64(len(r.Rows)))
+		if len(r.Rows) > 0 {
+			e.Uvarint(uint64(len(r.Rows[0])))
+			for _, row := range r.Rows {
+				for _, v := range row {
+					forms.EncodeValue(e, v)
+				}
+			}
+		}
+	}
+	e.Bool(r.Done)
+	e.Str(r.Info)
+	rep := &r.Report
+	e.Str(rep.Model)
+	e.Varint(int64(rep.ModelVersion))
+	e.Varint(int64(rep.ApproxGrid))
+	e.Bool(rep.Hybrid)
+	e.Float(rep.SEInflation)
+	e.Bool(rep.ExactFallback)
+	e.Varint(int64(rep.Partitions))
+	e.Varint(int64(rep.PartitionsPruned))
+	e.Uvarint(uint64(len(r.Deltas)))
+	for i := range r.Deltas {
+		r.Deltas[i].encode(e)
+	}
+	encodeIncrements(e, r.Increments)
+	e.Uvarint(r.FeedTerm)
+	e.Uvarint(r.FeedSeq)
+	e.Bool(r.Resync)
+	e.FloatMap(r.Growth)
+}
+
+func (r *Response) decode(d *codec.Decoder) {
+	r.ErrCode, r.ErrMsg = d.Str(), d.Str()
+	r.StmtID, r.NumParams = d.Uvarint(), int(d.Varint())
+	r.CursorID, r.Columns = d.Uvarint(), d.Strs()
+	// One backing array holds the batch's values. A row takes at least one
+	// byte per value, so n rows of width values fit the rest of the frame;
+	// a zero-width row is bounded as if it took one byte.
+	if n := d.Count(1); n > 0 {
+		width := d.Count(n)
+		vals := make([]expr.Value, n*width)
+		for i := range vals {
+			forms.DecodeValue(d, &vals[i])
+		}
+		r.Rows = make([][]expr.Value, n)
+		for i := range r.Rows {
+			r.Rows[i] = vals[i*width : (i+1)*width : (i+1)*width]
+		}
+	}
+	r.Done, r.Info = d.Bool(), d.Str()
+	rep := &r.Report
+	rep.Model, rep.ModelVersion, rep.ApproxGrid = d.Str(), int(d.Varint()), int(d.Varint())
+	rep.Hybrid, rep.SEInflation, rep.ExactFallback = d.Bool(), d.Float(), d.Bool()
+	rep.Partitions, rep.PartitionsPruned = int(d.Varint()), int(d.Varint())
+	if n := d.Count(4); n > 0 { // kind, name, and two presence bytes
+		r.Deltas = make([]ModelDelta, n)
+		for i := range r.Deltas {
+			r.Deltas[i].decode(d)
+		}
+	}
+	r.Increments = decodeIncrements(d)
+	r.FeedTerm, r.FeedSeq = d.Uvarint(), d.Uvarint()
+	r.Resync, r.Growth = d.Bool(), d.FloatMap()
+}
+
+// rowCount returns how many rows the reply carries.
+func (r *Response) rowCount() int {
+	if r.batch != nil {
+		return r.batch.n
+	}
+	return len(r.Rows)
+}
+
+// rowBatch is a reply's rows in frame form: pullBatch encodes each row as
+// the cursor yields it, so no row is copied out of the cursor's buffer.
+// Every row of a batch has width values.
+type rowBatch struct {
+	n, width int
+	enc      codec.Encoder
+}
+
+func (b *rowBatch) reset() { b.n, b.width, b.enc = 0, 0, b.enc[:0] }
+
+// add encodes row into the batch, reporting false for a row whose width is
+// not the batch's.
+func (b *rowBatch) add(row []expr.Value) bool {
+	if b.n == 0 {
+		b.width = len(row)
+	} else if len(row) != b.width {
+		return false
+	}
+	b.n++
+	for _, v := range row {
+		forms.EncodeValue(&b.enc, v)
+	}
+	return true
+}
+
+func (m *ModelDelta) encode(e *codec.Encoder) {
+	e.Byte(byte(m.Kind))
+	e.Str(m.Name)
+	e.Bool(m.Model != nil)
+	if r := m.Model; r != nil {
+		e.Varint(int64(r.ID))
+		forms.EncodeSpec(e, r)
+		e.Uvarint(uint64(len(r.Groups)))
+		for i := range r.Groups {
+			g := &r.Groups[i]
+			e.Varint(g.Key)
+			encodeFloats(e, g.Params)
+			e.Float(g.ResidualSE)
+			e.Float(g.R2)
+			e.Varint(int64(g.N))
+			e.Varint(int64(g.DF))
+			e.Varint(int64(g.Iters))
+			e.Str(g.Retained)
+			e.Uvarint(uint64(len(g.Cov)))
+			for _, row := range g.Cov {
+				encodeFloats(e, row)
+			}
+			e.Str(g.FitErr)
+		}
+		e.Varint(int64(r.FittedRows))
+		e.Varint(int64(r.Version))
+	}
+	e.Bool(m.Table != nil)
+	if m.Table != nil {
+		forms.EncodeDecl(e, m.Table)
+	}
+}
+
+func (m *ModelDelta) decode(d *codec.Decoder) {
+	m.Kind, m.Name = modelstore.ChangeKind(d.Byte()), d.Str()
+	if d.Bool() {
+		r := &modelstore.ModelRecord{ID: int(d.Varint())}
+		forms.DecodeSpec(d, r)
+		// A group takes at least its key, the Params, N, DF, Iters,
+		// Retained, Cov and FitErr bytes and two floats.
+		if n := d.Count(24); n > 0 {
+			r.Groups = make([]modelstore.GroupRecord, n)
+		}
+		for i := range r.Groups {
+			g := &r.Groups[i]
+			g.Key, g.Params, g.ResidualSE, g.R2 = d.Varint(), decodeFloats(d), d.Float(), d.Float()
+			g.N, g.DF, g.Iters, g.Retained = int(d.Varint()), int(d.Varint()), int(d.Varint()), d.Str()
+			if n := d.Count(1); n > 0 {
+				g.Cov = make([][]float64, n)
+				for j := range g.Cov {
+					g.Cov[j] = decodeFloats(d)
+				}
+			}
+			g.FitErr = d.Str()
+		}
+		r.FittedRows, r.Version = int(d.Varint()), int(d.Varint())
+		m.Model = r
+	}
+	if d.Bool() {
+		m.Table = forms.DecodeDecl(d)
+	}
+}
+
+// encodeIncrements appends a reply's increments: a count, then each one's
+// fields in declaration order.
+func encodeIncrements(e *codec.Encoder, incs []DomainIncrement) {
+	e.Uvarint(uint64(len(incs)))
+	for i := range incs {
+		inc := &incs[i]
+		e.Str(inc.Model)
+		e.Varint(int64(inc.From))
+		e.Varint(int64(inc.To))
+		e.Uvarint(uint64(len(inc.Values)))
+		for _, vs := range inc.Values {
+			encodeFloats(e, vs)
+		}
+		e.Uvarint(uint64(len(inc.Bad)))
+		for _, b := range inc.Bad {
+			e.Bool(b)
+		}
+		e.Uvarint(uint64(len(inc.Groups)))
+		for _, g := range inc.Groups {
+			e.Varint(g)
+		}
+		encodeFloats(e, inc.Inputs)
+		e.Varint(int64(inc.Width))
+		e.Str(inc.Err)
+	}
+}
+
+// decodeIncrements reads what encodeIncrements wrote. It checks only that
+// the bytes parse; whether an increment fits the state it extends is
+// aqp.Cache.Apply's to check.
+func decodeIncrements(d *codec.Decoder) []DomainIncrement {
+	n := d.Count(9) // a byte for each of the nine fields
+	if n == 0 {
+		return nil
+	}
+	incs := make([]DomainIncrement, n)
+	for i := range incs {
+		inc := &incs[i]
+		inc.Model, inc.From, inc.To = d.Str(), int(d.Varint()), int(d.Varint())
+		if n := d.Count(1); n > 0 {
+			inc.Values = make([][]float64, n)
+			for j := range inc.Values {
+				inc.Values[j] = decodeFloats(d)
+			}
+		}
+		if n := d.Count(1); n > 0 {
+			inc.Bad = make([]bool, n)
+			for j := range inc.Bad {
+				inc.Bad[j] = d.Bool()
+			}
+		}
+		if n := d.Count(1); n > 0 {
+			inc.Groups = make([]int64, n)
+			for j := range inc.Groups {
+				inc.Groups[j] = d.Varint()
+			}
+		}
+		inc.Inputs, inc.Width, inc.Err = decodeFloats(d), int(d.Varint()), d.Str()
+	}
+	return incs
+}
+
+func encodeFloats(e *codec.Encoder, fs []float64) {
+	e.Uvarint(uint64(len(fs)))
+	for _, f := range fs {
+		e.Float(f)
+	}
+}
+
+// decodeFloats reads what encodeFloats wrote; an empty list is nil.
+func decodeFloats(d *codec.Decoder) []float64 {
+	n := d.Count(8)
+	if n == 0 {
+		return nil
+	}
+	fs := make([]float64, n)
+	for i := range fs {
+		fs[i] = d.Float()
+	}
+	return fs
 }

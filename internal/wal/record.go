@@ -7,23 +7,21 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
 
 	"datalaws/internal/codec"
 	"datalaws/internal/expr"
+	"datalaws/internal/forms"
 	"datalaws/internal/modelstore"
-	"datalaws/internal/storage"
 	"datalaws/internal/table"
 )
 
 // The record codec. A payload is one type byte and then that type's fields
-// in the internal/codec encoding; a column type code is one byte. DDL
-// records hold the engine's own declaration types, so the log adds no
-// mirror of them: a CREATE TABLE writes its table.Decl (name, columns,
-// partition column, partitions) and a FIT MODEL writes the spec fields of
-// a modelstore.ModelRecord (name, table, formula, inputs, group column,
-// WHERE source, method, START pairs sorted by name), the source form that
-// models.json and the replica feed carry too.
+// in the internal/codec encoding. DDL records hold the engine's own
+// declaration types, so the log adds no mirror of them: a CREATE TABLE
+// writes its table.Decl and a FIT MODEL writes the spec fields of a
+// modelstore.ModelRecord, the source form that models.json and the replica
+// feed carry too. Values, declarations and specs are written by
+// internal/forms, which the server's wire frame shares.
 
 // Type enumerates logical record kinds. Appends carry the rows themselves;
 // DDL records are logical — recovery re-executes the operation against the
@@ -142,55 +140,15 @@ func (r *Record) Encode() []byte {
 		for _, row := range r.Rows {
 			e.Uvarint(uint64(len(row)))
 			for _, v := range row {
-				e.Byte(byte(v.K))
-				switch v.K {
-				case expr.KindInt:
-					e.Varint(v.I)
-				case expr.KindFloat:
-					e.Float(v.F)
-				case expr.KindString:
-					e.Str(v.S)
-				case expr.KindBool:
-					e.Bool(v.B)
-				}
+				forms.EncodeValue(&e, v)
 			}
 		}
 	case TypeCreateTable:
-		d := r.Decl
-		e.Str(d.Name)
-		e.Uvarint(uint64(len(d.Cols)))
-		for _, c := range d.Cols {
-			e.Str(c.Name)
-			e.Byte(byte(c.Type))
-		}
-		e.Str(d.PartCol)
-		e.Uvarint(uint64(len(d.Parts)))
-		for _, p := range d.Parts {
-			e.Str(p.Name)
-			e.Float(p.Upper)
-			e.Bool(p.Max)
-		}
+		forms.EncodeDecl(&e, r.Decl)
 	case TypeDropTable:
 		e.Str(r.Table)
 	case TypeFitModel:
-		f := r.Fit
-		e.Str(f.Name)
-		e.Str(f.Table)
-		e.Str(f.Formula)
-		e.Strs(f.Inputs)
-		e.Str(f.GroupBy)
-		e.Str(f.WhereSrc)
-		e.Str(f.Method)
-		keys := make([]string, 0, len(f.Start))
-		for k := range f.Start {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		e.Uvarint(uint64(len(keys)))
-		for _, k := range keys {
-			e.Str(k)
-			e.Float(f.Start[k])
-		}
+		forms.EncodeSpec(&e, r.Fit)
 	case TypeRefitModel, TypeDropModel:
 		e.Str(r.Name)
 	}
@@ -220,64 +178,21 @@ func decode(d *codec.Decoder) *Record {
 		for i := range rec.Rows {
 			row := make([]expr.Value, d.Count(1))
 			for j := range row {
-				decodeValue(d, &row[j])
+				forms.DecodeValue(d, &row[j])
 			}
 			rec.Rows[i] = row
 		}
 	case TypeCreateTable:
-		td := &table.Decl{Name: d.Str()}
-		if n := d.Count(2); n > 0 {
-			td.Cols = make([]table.ColumnDef, n)
-		}
-		for i := range td.Cols {
-			td.Cols[i] = table.ColumnDef{Name: d.Str(), Type: storage.ColType(d.Byte())}
-		}
-		td.PartCol = d.Str()
-		if n := d.Count(10); n > 0 {
-			td.Parts = make([]table.RangePartition, n)
-		}
-		for i := range td.Parts {
-			td.Parts[i] = table.RangePartition{Name: d.Str(), Upper: d.Float(), Max: d.Bool()}
-		}
-		rec.Decl = td
+		rec.Decl = forms.DecodeDecl(d)
 	case TypeDropTable:
 		rec.Table = d.Str()
 	case TypeFitModel:
-		f := &modelstore.ModelRecord{Name: d.Str(), Table: d.Str(), Formula: d.Str(), Inputs: d.Strs(),
-			GroupBy: d.Str(), WhereSrc: d.Str(), Method: d.Str()}
-		if n := d.Count(9); n > 0 {
-			f.Start = make(map[string]float64, n)
-			for range n {
-				k := d.Str()
-				f.Start[k] = d.Float()
-			}
-		}
-		rec.Fit = f
+		rec.Fit = &modelstore.ModelRecord{}
+		forms.DecodeSpec(d, rec.Fit)
 	case TypeRefitModel, TypeDropModel:
 		rec.Name = d.Str()
 	default:
 		d.Fail(fmt.Errorf("unknown record type %d", rec.Type))
 	}
 	return rec
-}
-
-// decodeValue reads one kind byte and the value it announces into v. It
-// writes through v rather than returning the value: copying a returned
-// expr.Value into the row costs a bulk write barrier per value while the
-// GC runs.
-func decodeValue(d *codec.Decoder, v *expr.Value) {
-	switch k := expr.Kind(d.Byte()); k {
-	case expr.KindNull:
-		*v = expr.Null()
-	case expr.KindInt:
-		*v = expr.Int(d.Varint())
-	case expr.KindFloat:
-		*v = expr.Float(d.Float())
-	case expr.KindString:
-		*v = expr.Str(d.Str())
-	case expr.KindBool:
-		*v = expr.Bool(d.Bool())
-	default:
-		d.Fail(fmt.Errorf("unknown value kind %d", k))
-	}
 }

@@ -1,7 +1,7 @@
 // Benchmarks for the network server: the same engine operations as the
-// in-process benchmarks, measured through a real TCP session — framing,
-// gob, cursor flow control and all. The spread against the in-process
-// numbers is the wire's price. Run with
+// in-process benchmarks, measured through a real TCP session — the hello,
+// frame encoding and decoding, cursor flow control and all. The spread
+// against the in-process numbers is the wire's price. Run with
 // go test -run='^$' -bench='ServePointQuery|ServeScanCursor|ServeIngest' -benchmem .
 package datalaws_test
 
