@@ -46,7 +46,7 @@ func run(argv []string) int {
 	autorefit := fs.Bool("autorefit", false, "run the background drift/growth refitter")
 	parallelism := fs.Int("parallelism", 0, "exact-scan worker pool size (0 = single-threaded)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful-shutdown budget for in-flight cursors")
-	fetchRows := fs.Int("fetch-rows", server.DefaultFetchRows, "default cursor batch size when clients do not choose")
+	fetchRows := fs.Int("fetch-rows", server.DefaultFetchRows, "rows in a query's first batch when clients do not choose (each later pull doubles it)")
 	portFile := fs.String("portfile", "", "write the bound query and metrics addresses here, one per line")
 	replicaOf := fs.String("replica-of", "", "primary's query address; serve as a model-only read replica (excludes -data/-init/-autorefit)")
 	lagInflate := fs.Float64("lag-inflate", 0.01, "replica SE widening per second of feed lag (with -replica-of)")

@@ -39,7 +39,8 @@ type Operator interface {
 	Node
 	// Open prepares the operator; it must be called before Next.
 	Open() error
-	// Next returns the next row, or (nil, nil) at end of input.
+	// Next returns the next row, or (nil, nil) at end of input. The row is
+	// valid until the next call to Next: the cursor may reuse its buffer.
 	Next() (Row, error)
 	// Close releases resources. It is safe to call after exhaustion.
 	Close() error
@@ -79,6 +80,7 @@ func Drain(op Operator) ([]Row, error) {
 	}
 	defer op.Close()
 	var out []Row
+	var slab RowSlab
 	for {
 		r, err := op.Next()
 		if err != nil {
@@ -87,6 +89,31 @@ func Drain(op Operator) ([]Row, error) {
 		if r == nil {
 			return out, nil
 		}
-		out = append(out, r)
+		out = append(out, slab.Copy(r))
 	}
+}
+
+// maxSlabValues caps the values one RowSlab allocation holds: 1,024
+// values, 48 KiB.
+const maxSlabValues = 1024
+
+// RowSlab copies rows out of a cursor's reused buffer into shared slabs
+// of values, so keeping n rows costs a handful of allocations rather than
+// n. A slab holds one row at first and doubles up to maxSlabValues, so a
+// one-row result allocates no more than it did with a row of its own.
+// The zero value is ready to use.
+type RowSlab struct {
+	free []expr.Value
+}
+
+// Copy returns a copy of row that later copies do not overwrite.
+func (s *RowSlab) Copy(row Row) Row {
+	n := len(row)
+	if cap(s.free)-len(s.free) < n {
+		size := max(n, min(2*cap(s.free), maxSlabValues))
+		s.free = make([]expr.Value, 0, size)
+	}
+	start := len(s.free)
+	s.free = append(s.free, row...)
+	return Row(s.free[start:len(s.free):len(s.free)])
 }

@@ -670,13 +670,16 @@ func (c *VecConcat) Close() error {
 }
 
 // rowAdapter adapts a VectorOperator to the row Operator interface: it is
-// the cursor every lowered plan is read through, a row at a time.
+// the cursor every lowered plan is read through, a row at a time. Next
+// fills one row buffer the adapter owns, so a row is valid until the next
+// call to Next; a caller that keeps rows copies them (see RowSlab).
 type rowAdapter struct {
 	V VectorOperator
 
 	b   *Batch
 	sel []int
 	pos int
+	row Row
 }
 
 // Columns implements Operator.
@@ -706,11 +709,13 @@ func (a *rowAdapter) Next() (Row, error) {
 	}
 	i := a.sel[a.pos]
 	a.pos++
-	row := make(Row, len(a.b.Cols))
-	for c, v := range a.b.Cols {
-		row[c] = v.Value(i)
+	if a.row == nil { // every batch of an operator has its column count
+		a.row = make(Row, len(a.b.Cols))
 	}
-	return row, nil
+	for c, v := range a.b.Cols {
+		a.row[c] = v.Value(i)
+	}
+	return a.row, nil
 }
 
 // Close implements Operator.

@@ -30,8 +30,11 @@ var errClientClosed = errors.New("server: client closed")
 // caller redials.
 type Client struct {
 	// FetchRows is the batch size cursors request per pull (the
-	// client-driven flow control); 0 lets the server choose. Set before
-	// issuing queries.
+	// client-driven flow control): every reply holds that many rows, or
+	// fewer at the end of the result or where the rows would overrun a
+	// frame. 0 lets the server choose: DefaultFetchRows rows in the
+	// query's reply, doubling on each later pull up to 16,384 rows or
+	// 1 MiB. Set before issuing queries.
 	FetchRows int
 
 	mu       sync.Mutex
@@ -182,9 +185,9 @@ func (st *Stmt) Close() error {
 }
 
 // Rows is a client-side streaming cursor: Next pulls batches from the
-// server on demand (each pull bounded by the client's FetchRows), so an
-// abandoned or LIMITed read never ships — or materializes — the rest of
-// the result.
+// server on demand (each pull sized by the client's FetchRows, or by the
+// server), so an abandoned or LIMITed read never ships — or materializes —
+// the rest of the result.
 type Rows struct {
 	// Info and Report come with the first response.
 	Info string

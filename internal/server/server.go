@@ -14,6 +14,7 @@ import (
 
 	"datalaws"
 	"datalaws/internal/aqp"
+	"datalaws/internal/exec"
 	"datalaws/internal/expr"
 	"datalaws/internal/modelstore"
 	"datalaws/internal/wireerr"
@@ -25,8 +26,9 @@ type Config struct {
 	// DefaultMaxFrame). Oversized frames drop the connection before any
 	// payload allocation.
 	MaxFrame int
-	// FetchRows is the row-batch size used when a client sends
-	// MaxRows = 0 (default DefaultFetchRows).
+	// FetchRows is the rows of a query's first reply when the client
+	// sends MaxRows = 0 (default DefaultFetchRows); each later pull of the
+	// cursor doubles it, up to 16,384 rows and a 1 MiB batch.
 	FetchRows int
 	// Logf sinks server diagnostics (default log.Printf).
 	Logf func(format string, args ...any)
@@ -192,7 +194,7 @@ type session struct {
 	cancel context.CancelFunc
 
 	stmts      map[uint64]*datalaws.Stmt
-	cursors    map[uint64]*datalaws.Rows
+	cursors    map[uint64]*cursor
 	nextStmt   uint64
 	nextCursor uint64
 
@@ -218,7 +220,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		ctx:     ctx,
 		cancel:  cancel,
 		stmts:   map[uint64]*datalaws.Stmt{},
-		cursors: map[uint64]*datalaws.Rows{},
+		cursors: map[uint64]*cursor{},
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -274,8 +276,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	for req := range reqs {
-		resp := sess.handle(req)
-		if err := sess.out.write(conn, resp, s.cfg.MaxFrame); err != nil {
+		if err := sess.reply(sess.handle(req)); err != nil {
 			break
 		}
 		if s.isDraining() && sess.openCursors.Load() == 0 {
@@ -290,6 +291,26 @@ func (s *Server) serveConn(conn net.Conn) {
 	// it to observe the closed connection.
 	for range reqs {
 	}
+}
+
+// reply writes resp as one frame. A reply over the frame cap writes
+// nothing, so the request fails instead and the session goes on:
+// pullBatch keeps rows within the cap, and this is a reply whose other
+// fields outgrew the room it leaves them.
+func (sess *session) reply(resp *Response) error {
+	limit := sess.srv.cfg.MaxFrame
+	err := sess.out.write(sess.conn, resp, limit)
+	sess.batch.reset()
+	if err == nil {
+		return nil
+	}
+	var big *errFrameTooBig // declared here: its address escapes
+	if !errors.As(err, &big) {
+		return err
+	}
+	sess.closeCursor(resp.CursorID)
+	return sess.out.write(sess.conn, errResponse(fmt.Errorf("server: %w: a reply of %d bytes exceeds the frame cap of %d bytes",
+		wireerr.ErrBadRequest, big.n, big.max)), limit)
 }
 
 // refuse answers a peer that does not speak this protocol with err, and
@@ -310,11 +331,8 @@ func refuse(conn net.Conn, f *framer, err error, max int) {
 // teardown releases every cursor the session still holds; their lazy Rows
 // close their operator trees, freeing scans mid-stream.
 func (sess *session) teardown() {
-	for id, rows := range sess.cursors {
-		_ = rows.Close()
-		delete(sess.cursors, id)
-		sess.openCursors.Add(-1)
-		sess.srv.metrics.CursorClosed()
+	for id := range sess.cursors {
+		sess.closeCursor(id)
 	}
 }
 
@@ -354,11 +372,11 @@ func (sess *session) handle(req *Request) *Response {
 	case OpQuery, OpStmtQuery:
 		return sess.handleQuery(req)
 	case OpFetch:
-		rows, ok := sess.cursors[req.CursorID]
+		c, ok := sess.cursors[req.CursorID]
 		if !ok {
 			return errResponse(fmt.Errorf("server: %w: unknown cursor %d", wireerr.ErrBadRequest, req.CursorID))
 		}
-		resp := sess.pullBatch(rows, req.MaxRows)
+		resp := sess.pullBatch(c, req.MaxRows)
 		if resp.Done {
 			sess.releaseCursor(req.CursorID)
 		} else {
@@ -367,10 +385,7 @@ func (sess *session) handle(req *Request) *Response {
 		sess.srv.metrics.RecordFetch(resp.rowCount(), wireerr.Rehydrate(resp.ErrCode, resp.ErrMsg))
 		return resp
 	case OpCloseCursor:
-		if rows, ok := sess.cursors[req.CursorID]; ok {
-			_ = rows.Close()
-			sess.releaseCursor(req.CursorID)
-		}
+		sess.closeCursor(req.CursorID)
 		return &Response{Done: true}
 	case OpCloseStmt:
 		delete(sess.stmts, req.StmtID)
@@ -387,10 +402,19 @@ func (sess *session) handle(req *Request) *Response {
 	return errResponse(fmt.Errorf("server: %w: unknown opcode %d", wireerr.ErrBadRequest, uint8(req.Op)))
 }
 
+// releaseCursor forgets a cursor whose Rows has closed itself.
 func (sess *session) releaseCursor(id uint64) {
 	delete(sess.cursors, id)
 	sess.openCursors.Add(-1)
 	sess.srv.metrics.CursorClosed()
+}
+
+// closeCursor closes and forgets a cursor, if the session holds it.
+func (sess *session) closeCursor(id uint64) {
+	if c, ok := sess.cursors[id]; ok {
+		_ = c.rows.Close()
+		sess.releaseCursor(id)
+	}
 }
 
 func (sess *session) handleQuery(req *Request) *Response {
@@ -411,7 +435,8 @@ func (sess *session) handleQuery(req *Request) *Response {
 		sess.srv.metrics.RecordQuery(RouteOther, time.Since(start), err)
 		return errResponse(err)
 	}
-	resp := sess.pullBatch(rows, req.MaxRows)
+	c := cursor{rows: rows, next: sess.srv.cfg.FetchRows}
+	resp := sess.pullBatch(&c, req.MaxRows)
 	resp.Columns = rows.Columns()
 	resp.Info = rows.Info
 	resp.Report = rows.Report
@@ -419,7 +444,8 @@ func (sess *session) handleQuery(req *Request) *Response {
 	sess.srv.metrics.RecordRows(resp.rowCount())
 	if !resp.Done {
 		sess.nextCursor++
-		sess.cursors[sess.nextCursor] = rows
+		open := c // only a cursor that stays open moves to the heap
+		sess.cursors[sess.nextCursor] = &open
 		sess.openCursors.Add(1)
 		sess.srv.metrics.CursorOpened()
 		resp.CursorID = sess.nextCursor
@@ -427,32 +453,64 @@ func (sess *session) handleQuery(req *Request) *Response {
 	return resp
 }
 
-// pullBatch advances rows by up to n (clamped; the client's flow
-// control), encoding each row into the session's batch as the cursor
-// yields it. When the stream ends — exhaustion or error — the underlying
-// Rows has closed itself and Done is set.
-func (sess *session) pullBatch(rows *datalaws.Rows, n int) *Response {
+// cursor is a query's open result stream: the engine's lazy Rows, the
+// rows the cursor's next server-sized batch holds, and a row the last
+// batch took from Rows but had no room for.
+type cursor struct {
+	rows *datalaws.Rows
+	next int
+	held exec.Row
+}
+
+// pullBatch advances c by up to maxRows rows, the client's flow control.
+// With maxRows 0 the server sizes the batch: c.next rows, doubling on each
+// such pull up to maxFetchRows, and ending early at batchBytes. Each row
+// is encoded into the session's batch as the cursor yields it. A row that
+// would take the frame past the cap, less a sixteenth kept for the reply's
+// other fields, waits for the next batch, so a batch always carries one
+// row; a row that does not fit alone fails the statement. When the stream
+// ends — exhaustion or error — the underlying Rows has closed itself and
+// Done is set.
+func (sess *session) pullBatch(c *cursor, maxRows int) *Response {
+	room := sess.srv.cfg.MaxFrame - sess.srv.cfg.MaxFrame/16
+	n, budget := maxRows, room
 	if n <= 0 {
-		n = sess.srv.cfg.FetchRows
+		n, budget = c.next, min(batchBytes, room)
+		c.next = min(2*c.next, maxFetchRows)
 	}
-	if n > maxFetchRows {
-		n = maxFetchRows
-	}
+	n = min(n, maxFetchRows)
 	b := &sess.batch
 	b.reset()
 	resp := &Response{batch: b}
-	for b.n < n {
-		if !rows.Next() {
-			resp.Done = true
-			if err := rows.Err(); err != nil {
-				resp.ErrCode, resp.ErrMsg = wireerr.Code(err), err.Error()
+	for b.n < n && len(b.enc) < budget {
+		row := c.held
+		c.held = nil
+		if row == nil {
+			if !c.rows.Next() {
+				resp.Done = true
+				if err := c.rows.Err(); err != nil {
+					resp.ErrCode, resp.ErrMsg = wireerr.Code(err), err.Error()
+				}
+				break
 			}
-			break
+			row = c.rows.Row()
 		}
-		if !b.add(rows.Row()) {
-			_ = rows.Close()
-			return errResponse(fmt.Errorf("server: a result row of %d values after rows of %d", len(rows.Row()), b.width))
+		mark := len(b.enc)
+		if !b.add(row) {
+			_ = c.rows.Close()
+			return errResponse(fmt.Errorf("server: a result row of %d values after rows of %d", len(row), b.width))
 		}
+		if len(b.enc) <= room {
+			continue
+		}
+		if b.n == 1 {
+			_ = c.rows.Close()
+			return errResponse(fmt.Errorf("server: %w: a result row of %d bytes exceeds the frame cap of %d bytes",
+				wireerr.ErrBadRequest, len(b.enc), sess.srv.cfg.MaxFrame))
+		}
+		c.held = append(exec.Row(nil), row...)
+		b.n, b.enc = b.n-1, b.enc[:mark]
+		break
 	}
 	return resp
 }

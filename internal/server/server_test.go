@@ -14,7 +14,9 @@ import (
 	"time"
 
 	"datalaws"
+	"datalaws/internal/codec"
 	"datalaws/internal/expr"
+	"datalaws/internal/forms"
 	"datalaws/internal/wireerr"
 )
 
@@ -206,6 +208,178 @@ func TestCursorEarlyClose(t *testing.T) {
 	if err := cli.Ping(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// batchSizes drains q through cli's cursor and returns the rows of each
+// reply, in order.
+func batchSizes(t *testing.T, cli *Client, q string) []int {
+	t.Helper()
+	rows, err := cli.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	for rows.Next() {
+		if rows.pos == 1 { // the first row of a new reply
+			sizes = append(sizes, len(rows.buf))
+		}
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return sizes
+}
+
+// serverSized is the batches a server-sized cursor of n rows ships: the
+// first holds first rows, each later one twice its predecessor, up to
+// maxFetchRows and to the rows that reach batchBytes at rowBytes a row.
+func serverSized(n, first, rowBytes int) []int {
+	var want []int
+	byBytes := (batchBytes + rowBytes - 1) / rowBytes
+	for size := first; n > 0; size = min(2*size, maxFetchRows) {
+		k := min(size, byBytes, n)
+		want = append(want, k)
+		n -= k
+	}
+	return want
+}
+
+// TestCursorBatchSizing: when the client leaves the batch to the server,
+// the query's reply holds FetchRows rows and every later pull doubles, up
+// to maxFetchRows rows and the batchBytes budget, so a 100k-row drain
+// takes 12 frames, not the 391 of 256-row pulls. A client that names its
+// batch size gets exactly that many rows per reply.
+func TestCursorBatchSizing(t *testing.T) {
+	const n = 100_000
+	srv, eng := newTestServer(t, n, nil)
+	cli := dialTest(t, srv)
+	// Every row of w encodes to the same 205 bytes: the kind byte and one
+	// varint byte of a, the kind byte, a two-byte length and 200 bytes of s.
+	const wide, rowBytes = 20_000, 205
+	eng.MustExec("CREATE TABLE w (a BIGINT, s VARCHAR)")
+	rows := make([][]expr.Value, wide)
+	for i := range rows {
+		rows[i] = []expr.Value{expr.Int(int64(i % 50)), expr.Str(strings.Repeat("s", 200))}
+	}
+	if _, err := eng.Append("w", rows); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		q    string
+		want []int
+	}{
+		{"SELECT a, b FROM big", serverSized(n, DefaultFetchRows, 1)}, // ≤ 14 bytes a row: the budget never binds
+		{"SELECT a, s FROM w", serverSized(wide, DefaultFetchRows, rowBytes)},
+	} {
+		got := batchSizes(t, cli, tc.q)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: batches %v, want %v", tc.q, got, tc.want)
+		}
+	}
+	if got := serverSized(n, DefaultFetchRows, 1); len(got) != 12 || got[6] != maxFetchRows {
+		t.Fatalf("a 100k-row drain in batches %v, want 12 reaching %d rows", got, maxFetchRows)
+	}
+	if got := serverSized(wide, DefaultFetchRows, rowBytes); got[5] != 5116 {
+		t.Fatalf("wide batches %v: the budget should end the sixth at 5,116 rows", got)
+	}
+
+	cli.FetchRows = 64
+	got := batchSizes(t, cli, "SELECT a, b FROM big WHERE a < 1000")
+	if len(got) != 16 || got[15] != 1000-15*64 {
+		t.Fatalf("FetchRows 64: batches %v, want fifteen of 64 and one of 40", got)
+	}
+	for _, k := range got[:15] {
+		if k != 64 {
+			t.Fatalf("FetchRows 64: batches %v, want 64 rows each", got)
+		}
+	}
+}
+
+// TestOversizedRowsKeepTheSession: a result whose rows overrun the frame
+// cap in a batch ships in smaller batches, and a row that cannot fit a
+// frame on its own fails its statement with a bad-request error naming its
+// size. Either way the session goes on. Each case runs at the default cap
+// and at a 256 KiB one, where a 40,000-byte row that would overrun a batch
+// waits for the next.
+func TestOversizedRowsKeepTheSession(t *testing.T) {
+	for _, maxFrame := range []int{DefaultMaxFrame, 256 << 10} {
+		t.Run(fmt.Sprintf("cap=%d", maxFrame), func(t *testing.T) {
+			srv, eng := newTestServer(t, 0, &Config{MaxFrame: maxFrame})
+			cli := dialTest(t, srv)
+			eng.MustExec("CREATE TABLE w (a BIGINT, s VARCHAR)")
+			rows := make([][]expr.Value, 300)
+			for i := range rows {
+				rows[i] = []expr.Value{expr.Int(int64(i)), expr.Str(strings.Repeat(string(rune('a'+i%26)), 40_000))}
+			}
+			if _, err := eng.Append("w", rows); err != nil {
+				t.Fatal(err)
+			}
+			got, err := cli.Query("SELECT a, s FROM w")
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			for ; got.Next(); i++ {
+				var a int64
+				var s string
+				if err := got.Scan(&a, &s); err != nil {
+					t.Fatal(err)
+				}
+				if a != int64(i) || s != rows[i][1].S {
+					t.Fatalf("row %d: a = %d, s of %d bytes", i, a, len(s))
+				}
+			}
+			if err := got.Err(); err != nil || i != len(rows) {
+				t.Fatalf("streamed %d of %d rows: %v", i, len(rows), err)
+			}
+			if err := cli.Ping(); err != nil {
+				t.Fatalf("session lost after a large result: %v", err)
+			}
+
+			eng.MustExec("CREATE TABLE huge (s VARCHAR)")
+			huge := expr.Str(strings.Repeat("h", maxFrame))
+			if _, err := eng.Append("huge", [][]expr.Value{{huge}}); err != nil {
+				t.Fatal(err)
+			}
+			var enc codec.Encoder
+			forms.EncodeValue(&enc, huge)
+			_, err = cli.Query("SELECT s FROM huge")
+			if !errors.Is(err, wireerr.ErrBadRequest) || !strings.Contains(err.Error(), fmt.Sprintf("row of %d bytes", len(enc))) {
+				t.Fatalf("a row over the cap: %v, want a bad request naming its %d bytes", err, len(enc))
+			}
+			if err := cli.Ping(); err != nil {
+				t.Fatalf("session lost after a row over the cap: %v", err)
+			}
+			waitFor(t, "cursor release", func() bool { return srv.Metrics().OpenCursors() == 0 })
+		})
+	}
+}
+
+// TestOverCapReplyFailsItsStatement: rows fill a batch up to the frame
+// cap less the room kept for the reply's other fields. A reply whose
+// column names outgrow that room is refused before any byte is written,
+// and the statement fails with a bad-request error instead of the
+// session.
+func TestOverCapReplyFailsItsStatement(t *testing.T) {
+	srv, eng := newTestServer(t, 0, &Config{MaxFrame: 4096})
+	cli := dialTest(t, srv)
+	eng.MustExec("CREATE TABLE s (v VARCHAR)")
+	rows := make([][]expr.Value, 100)
+	for i := range rows {
+		rows[i] = []expr.Value{expr.Str(strings.Repeat("v", 100))}
+	}
+	if _, err := eng.Append("s", rows); err != nil {
+		t.Fatal(err)
+	}
+	_, err := cli.Query("SELECT v AS " + strings.Repeat("c", 400) + " FROM s")
+	if !errors.Is(err, wireerr.ErrBadRequest) || !strings.Contains(err.Error(), "a reply of") {
+		t.Fatalf("a reply over the cap: %v, want a bad request naming the cap", err)
+	}
+	if err := cli.Ping(); err != nil {
+		t.Fatalf("session lost after a reply over the cap: %v", err)
+	}
+	waitFor(t, "cursor release", func() bool { return srv.Metrics().OpenCursors() == 0 })
 }
 
 // TestConcurrentSessions exercises many parallel sessions mixing reads,

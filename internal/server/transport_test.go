@@ -253,6 +253,71 @@ func TestStmtRoundTripAllocBudget(t *testing.T) {
 	}
 }
 
+// TestScanDrainAllocBudget bounds a 100k-row SELECT a, b drained through
+// a Client over loopback, counting both ends: the pipeline's batches, the
+// server's frames and the client's decoded replies. No row may cost an
+// allocation, on either end. The budget is the highest count measured
+// with go1.24 (134, and 141 under the race detector) plus 3%. With a
+// fresh row per result row and 391 256-row replies it was 102,425.
+func TestScanDrainAllocBudget(t *testing.T) {
+	const n = 100_000
+	srv, _ := newTestServer(t, n, nil)
+	cli := dialTest(t, srv)
+	drain := func() {
+		rows, err := cli.Query("SELECT a, b FROM big")
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 0
+		for ; rows.Next(); k++ {
+		}
+		if err := rows.Err(); err != nil || k != n {
+			t.Fatalf("drained %d of %d rows: %v", k, n, err)
+		}
+	}
+	drain()
+	const budget = 145.0
+	allocs := testing.AllocsPerRun(5, drain)
+	t.Logf("%.0f allocs per %d-row drain (budget %.0f)", allocs, n, budget)
+	if allocs > budget {
+		t.Errorf("%.0f allocs per %d-row drain, budget %.0f", allocs, n, budget)
+	}
+}
+
+// TestFrameReadGrowsWithPayload: a frame's buffer grows with the bytes
+// that arrive, not with the length its prefix declares, and a buffer grown
+// past keepBytes for one frame is dropped once the frame is decoded.
+func TestFrameReadGrowsWithPayload(t *testing.T) {
+	var f framer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := f.read(bytes.NewReader([]byte{0x00, 0x80, 0x00, 0x00}), new(Request), DefaultMaxFrame)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a frame that ends after its 8 MiB length prefix was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 128<<10 {
+		t.Fatalf("an 8 MiB length prefix with no payload allocated %d bytes", got)
+	}
+
+	var buf bytes.Buffer
+	big := &Request{Op: OpQuery, SQL: strings.Repeat("x", keepBytes+1)}
+	for _, m := range []*Request{big, {Op: OpPing}} {
+		if err := writeMsg(&buf, m, DefaultMaxFrame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, m := range []*Request{big, {Op: OpPing}} {
+		var got Request
+		if err := f.read(&buf, &got, DefaultMaxFrame); err != nil || got.SQL != m.SQL {
+			t.Fatalf("frame %d: %v, SQL of %d bytes", i, err, len(got.SQL))
+		}
+		if cap(f.in) > keepBytes {
+			t.Fatalf("frame %d: a %d-byte buffer kept past the frame", i, cap(f.in))
+		}
+	}
+}
+
 // gobEraPing is a ping request as a client from before the hello sent it:
 // a length prefix and a self-describing gob stream.
 const gobEraPing = "000000ddff877f030101075265717565737401ff8000010a01024f70010600010353514c010c0001044172677301ff8400010653746d7449440106000108437572736f72494401060001074d6178526f77730104000108466565645465726d010600010746656564536571010600010a576169744d696c6c697301040001094d617844656c74617301040000001bff830201010c5b5d657870722e56616c756501ff840001ff82000031ff810301010556616c756501ff8200010501014b010600010149010400010146010800010153010c00010142010200000005ff80010700"
@@ -346,8 +411,16 @@ func FuzzFrame(f *testing.F) {
 	if _, err := eng.Append("m", lawRows(4, 0.05, 12)[:4]); err != nil { // growth since the fit
 		f.Fatal(err)
 	}
+	eng.MustExec("CREATE TABLE big (a BIGINT)")
+	seq := make([][]expr.Value, 5000)
+	for i := range seq {
+		seq[i] = []expr.Value{expr.Int(int64(i))}
+	}
+	if _, err := eng.Append("big", seq); err != nil {
+		f.Fatal(err)
+	}
 	sess := &session{srv: New(eng, &Config{}), ctx: context.Background(),
-		stmts: map[uint64]*datalaws.Stmt{}, cursors: map[uint64]*datalaws.Rows{}}
+		stmts: map[uint64]*datalaws.Stmt{}, cursors: map[uint64]*cursor{}}
 	defer sess.teardown()
 	frame := func(m message) []byte {
 		if resp, ok := m.(*Response); ok && resp.ErrMsg != "" {
@@ -365,6 +438,12 @@ func FuzzFrame(f *testing.F) {
 	f.Add(frame(sess.handle(req)))
 	first := sess.handle(&Request{Op: OpQuery, SQL: "SELECT source, nu, intensity FROM m", MaxRows: 4})
 	f.Add(frame(sess.handle(&Request{Op: OpFetch, CursorID: first.CursorID, MaxRows: 4})))
+	scan := sess.handle(&Request{Op: OpQuery, SQL: "SELECT a FROM big"})
+	if fetch := sess.handle(&Request{Op: OpFetch, CursorID: scan.CursorID, MaxRows: 4000}); fetch.rowCount() != 4000 {
+		f.Fatalf("a fetch of 4,000 rows replied with %d", fetch.rowCount())
+	} else {
+		f.Add(frame(fetch))
+	}
 	sub := sess.handle(&Request{Op: OpSubscribeModels})
 	if len(sub.Deltas) == 0 || len(sub.Increments) == 0 || len(sub.Growth) == 0 {
 		f.Fatalf("subscribe reply with %d deltas, %d increments, growth %v; want all three", len(sub.Deltas), len(sub.Increments), sub.Growth)
@@ -392,13 +471,10 @@ func FuzzFrame(f *testing.F) {
 			if len(frame) >= 4 && binary.BigEndian.Uint32(frame) > max && (!errors.As(err, &big) || r.Len() != len(frame)-4) {
 				t.Fatalf("declared length %d over cap %d: err %v, %d bytes left unread", binary.BigEndian.Uint32(frame), max, err, r.Len())
 			}
-			// The payload buffer is sized by the length prefix, which the
-			// cap bounds; what the payload decodes to is bounded by the
-			// bytes it holds.
+			// The payload buffer grows with the bytes that arrive, and
+			// what the payload decodes to is bounded by the bytes it
+			// holds, so the length prefix sizes nothing.
 			limit := uint64(allocPerByte*len(frame) + allocFixed)
-			if len(frame) >= 4 {
-				limit += uint64(min(binary.BigEndian.Uint32(frame), max))
-			}
 			if got := after.TotalAlloc - before.TotalAlloc; got > limit {
 				t.Fatalf("reading a %d-byte frame allocated %d bytes", len(frame), got)
 			}

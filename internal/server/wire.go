@@ -20,18 +20,31 @@
 //
 // A query's row stream comes back as a cursor: the response to
 // OpQuery/OpStmtQuery carries the first batch of rows plus a cursor id
-// when more remain; the client pulls the rest with OpFetch (each pull
-// capped by the client's MaxRows — the flow control), and OpCloseCursor
-// releases a cursor early. Server-side the cursor maps 1:1 onto the lazy
-// *datalaws.Rows, so an abandoned cursor never materializes the rest of
-// the result, and a client disconnect cancels the session context, which
-// aborts every in-flight scan mid-batch.
+// when more remain; the client pulls the rest with OpFetch, and
+// OpCloseCursor releases a cursor early. A request's MaxRows sizes its
+// batch (the client's flow control). With MaxRows 0 the server sizes it:
+// the query's reply holds Config.FetchRows rows, so the first row comes as
+// soon as before, and each later pull doubles, up to 16,384 rows; such a
+// batch also ends at a 1 MiB byte budget, so a long drain ships in a few
+// large frames. Every batch carries at least one row and stays under the
+// frame cap: a row that would overrun it waits for the next batch, and a
+// row too large for any frame fails its statement with a bad-request
+// error naming its size, leaving the session usable. Server-side the
+// cursor maps 1:1 onto the lazy *datalaws.Rows, so an abandoned cursor
+// never materializes the rest of the result, and a client disconnect
+// cancels the session context, which aborts every in-flight scan
+// mid-batch.
+//
+// A frame's buffers grow with the bytes that arrive, not with the length
+// a prefix declares, and a buffer grown past 2 MiB for one frame is
+// dropped once that frame is handled.
 package server
 
 import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"datalaws"
 	"datalaws/internal/aqp"
@@ -193,17 +206,32 @@ type DomainIncrement struct {
 }
 
 // DefaultMaxFrame bounds a single frame's payload. Row batches dominate
-// frame size; 8MB comfortably fits the default batch of wide rows while
-// refusing attacker-sized length prefixes before any allocation.
+// frame size, and a server-sized batch stops at batchBytes, an eighth of
+// it; the cap refuses attacker-sized length prefixes from the header.
 const DefaultMaxFrame = 8 << 20
 
-// DefaultFetchRows is the server's batch size when the client sends
-// MaxRows = 0.
+// DefaultFetchRows is the rows of a query's reply when the client sends
+// MaxRows = 0. Each later pull of that cursor doubles it, up to
+// maxFetchRows, so a short result answers in one small frame and a long
+// drain ships in a few large ones.
 const DefaultFetchRows = 256
 
-// maxFetchRows caps what a client may request per pull, bounding the
-// server-side batch buffer regardless of client behavior.
+// maxFetchRows caps the rows of one batch, whoever sized it.
 const maxFetchRows = 16384
+
+// batchBytes is the byte budget of a server-sized batch: it ends with the
+// row that takes its encoding to this size, however many rows remain.
+const batchBytes = 1 << 20
+
+// keepBytes bounds the frame buffers a connection keeps between frames:
+// a reader's, a writer's or a row batch's buffer that grew past it for one
+// large frame is dropped once that frame is handled.
+const keepBytes = 2 * batchBytes
+
+// readChunk is the first allocation for a frame's payload. The buffer
+// grows as the payload arrives rather than to the declared length, so a
+// length prefix the peer never backs with bytes costs this much.
+const readChunk = 512
 
 // hello is what a client writes first on every connection: the magic, then
 // the protocol version. The version counts layouts of Request and
@@ -259,7 +287,8 @@ type message interface {
 // framer holds one goroutine's frame buffers, reused across frames: a
 // Client's under its mutex, and on the server one for the session's reader
 // and one for its handler. A decoded message copies what it keeps, so the
-// buffers are free again once read or write returns.
+// buffers are free again once read or write returns; one past keepBytes
+// is dropped then.
 type framer struct {
 	out codec.Encoder // the last frame written: length prefix, then payload
 	hdr [4]byte       // the last length prefix read
@@ -278,33 +307,55 @@ func (f *framer) write(w io.Writer, m message, max int) error {
 	}
 	binary.BigEndian.PutUint32(f.out, uint32(n))
 	_, err := w.Write(f.out)
+	f.out = trim(f.out)
 	return err
 }
 
 // read reads one frame and decodes it into m, refusing a declared length
-// over max from the 4-byte prefix alone, before the payload is read or
-// allocated.
-func (f *framer) read(r io.Reader, m message, max int) error {
+// over max from the 4-byte prefix alone, before the payload is read. The
+// payload buffer grows from readChunk as bytes arrive, so what a frame
+// allocates is bounded by the bytes it delivers, not by what it declares.
+func (f *framer) read(r io.Reader, m message, limit int) error {
 	if _, err := io.ReadFull(r, f.hdr[:]); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(f.hdr[:])
-	if int64(n) > int64(max) {
-		return &errFrameTooBig{n: n, max: max}
+	declared := binary.BigEndian.Uint32(f.hdr[:])
+	if int64(declared) > int64(limit) {
+		return &errFrameTooBig{n: declared, max: limit}
 	}
-	if uint32(cap(f.in)) < n {
-		f.in = make([]byte, n)
+	n := int(declared)
+	in := f.in[:0]
+	for len(in) < n {
+		if len(in) == cap(in) {
+			in = slices.Grow(in, min(max(len(in), readChunk), n-len(in)))
+		}
+		k, err := io.ReadFull(r, in[len(in):min(cap(in), n)])
+		in = in[:len(in)+k]
+		if err != nil {
+			f.in = trim(in)
+			if err == io.EOF && len(in) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
 	}
-	f.in = f.in[:n]
-	if _, err := io.ReadFull(r, f.in); err != nil {
-		return err
-	}
-	f.dec = *codec.NewDecoder(f.in)
+	f.dec = *codec.NewDecoder(in)
 	m.decode(&f.dec)
-	if err := f.dec.End(); err != nil {
+	err := f.dec.End()
+	f.in, f.dec = trim(in), codec.Decoder{}
+	if err != nil {
 		return fmt.Errorf("server: decode: %w", err)
 	}
 	return nil
+}
+
+// trim empties a frame buffer for reuse, or drops it once it has grown
+// past keepBytes.
+func trim[B ~[]byte](buf B) B {
+	if cap(buf) > keepBytes {
+		return nil
+	}
+	return buf[:0]
 }
 
 func (r *Request) encode(e *codec.Encoder) {
@@ -432,7 +483,7 @@ type rowBatch struct {
 	enc      codec.Encoder
 }
 
-func (b *rowBatch) reset() { b.n, b.width, b.enc = 0, 0, b.enc[:0] }
+func (b *rowBatch) reset() { b.n, b.width, b.enc = 0, 0, trim(b.enc) }
 
 // add encodes row into the batch, reporting false for a row whose width is
 // not the batch's.

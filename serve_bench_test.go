@@ -65,11 +65,17 @@ func BenchmarkServePointQuery(b *testing.B) {
 
 // BenchmarkServeScanCursor streams a 100k-row result through the cursor
 // protocol at several batch sizes: the flow-control knob's throughput
-// curve (bigger batches amortize the per-fetch round trip).
+// curve (bigger batches amortize the per-fetch round trip). batch=default
+// leaves the size to the server: 256 rows in the query's reply, doubling
+// on each pull up to 16,384 rows or 1 MiB, twelve replies in all.
 func BenchmarkServeScanCursor(b *testing.B) {
 	const rows = 100_000
-	for _, batch := range []int{64, 256, 4096} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
+	for _, batch := range []int{0, 64, 256, 4096} {
+		name := fmt.Sprintf("batch=%d", batch)
+		if batch == 0 {
+			name = "batch=default"
+		}
+		b.Run(name, func(b *testing.B) {
 			_, cli := benchServer(b, rows)
 			cli.FetchRows = batch
 			b.ResetTimer()

@@ -230,8 +230,9 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (*Result, error) {
 	}
 	defer rows.Close()
 	res := &Result{Columns: rows.Columns(), Info: rows.Info, Report: rows.Report}
+	var slab exec.RowSlab
 	for rows.Next() {
-		res.Rows = append(res.Rows, rows.Row())
+		res.Rows = append(res.Rows, slab.Copy(rows.Row()))
 	}
 	if err := rows.Err(); err != nil {
 		return nil, err

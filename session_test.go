@@ -60,6 +60,37 @@ func TestQueryStreamsAndScans(t *testing.T) {
 	}
 }
 
+// TestMaterializedRowsOutliveTheCursor: the in-process cursor reuses one
+// row buffer (Rows.Row is valid until the next Next), so Engine.Exec and
+// Stmt.Exec copy the rows they keep. Over a result of several batches
+// every row still holds its own values.
+func TestMaterializedRowsOutliveTheCursor(t *testing.T) {
+	const n = 5000 // five 1,024-row batches
+	e := NewEngine()
+	fillSequential(t, e, n)
+	check := func(how string, res *Result) {
+		t.Helper()
+		if len(res.Rows) != n {
+			t.Fatalf("%s: %d rows, want %d", how, len(res.Rows), n)
+		}
+		for i, row := range res.Rows {
+			if row[0] != expr.Int(int64(i)) || row[1] != expr.Float(float64(i)*0.5) {
+				t.Fatalf("%s: row %d = %v", how, i, row)
+			}
+		}
+	}
+	check("Engine.Exec", e.MustExec("SELECT a, b FROM big"))
+	st, err := e.Prepare("SELECT a, b FROM big WHERE a >= ?")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.Exec(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Stmt.Exec", res)
+}
+
 func TestQueryEarlyCloseStopsStreaming(t *testing.T) {
 	e := NewEngine()
 	fillSequential(t, e, 10_000)
